@@ -93,7 +93,11 @@ def _parse_assignment(text: str) -> dict[str, Fraction]:
         if "=" not in chunk:
             raise ValueError(f"assignment entry {chunk!r} is not name=value")
         name, _, value = chunk.partition("=")
-        out[name.strip()] = Fraction(value.strip())
+        try:
+            out[name.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"assignment entry {chunk!r} does not have a rational value") from None
     return out
 
 

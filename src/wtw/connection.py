@@ -15,21 +15,24 @@ Contracts (tested as exact identities):
   * torsion-free: gamma[i][j][k] - gamma[j][i][k] = c[i][j][k];
   * metric: gamma[i][j][k] + gamma[i][k][j] = 0 (Levi-Civita) and
     = -phi_i * delta_jk (Weyl), the frame form of D g = phi (x) g.
+
+Both connections are computed once per spec and kept on it, and the
+induced derivative of an endomorphism is kept on its connection (see
+:class:`wtw.frame.Memo`), so repeated calls return the same objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .frame import Endo, FrameSpec, Vector
+from .frame import Endo, FrameSpec, Memo, Vector
 from .polyalg import Scalar
 
 
 @dataclass(frozen=True)
-class Connection:
+class Connection(Memo):
     spec: FrameSpec
     gamma: tuple[tuple[tuple[Scalar, ...], ...], ...]
     kind: str  # "levi-civita" or "weyl"
@@ -44,8 +47,11 @@ class Connection:
                         yield i, j, k, self.gamma[i][j][k]
 
 
-@lru_cache(maxsize=64)
 def levi_civita(spec: FrameSpec) -> Connection:
+    return spec.memo(_levi_civita)
+
+
+def _levi_civita(spec: FrameSpec) -> Connection:
     n = spec.n
     half = Fraction(1, 2)
     gamma = tuple(tuple(tuple(
@@ -54,9 +60,12 @@ def levi_civita(spec: FrameSpec) -> Connection:
     return Connection(spec, gamma, "levi-civita")
 
 
-@lru_cache(maxsize=64)
 def weyl(spec: FrameSpec) -> Connection:
     """The unique torsion-free connection with D g = phi (x) g for this phi."""
+    return spec.memo(_weyl)
+
+
+def _weyl(spec: FrameSpec) -> Connection:
     n = spec.n
     lc = levi_civita(spec)
     half = Fraction(1, 2)
@@ -83,7 +92,6 @@ def cov_deriv_oneform(conn: Connection, omega: Sequence[Scalar]):
                        for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=512)
 def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
     """(D_{E_i} S)(E_j) = D_{E_i}(S E_j) - S(D_{E_i} E_j), one endo per direction.
 
@@ -91,6 +99,10 @@ def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
     Weyl connection it preserves skewness of constant skew sections, which is
     asserted by the test suite (the "D on Hom" contract).
     """
+    return conn.memo(_cov_deriv_endo, S)
+
+
+def _cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
     spec = conn.spec
     n = spec.n
     out = []

@@ -15,6 +15,11 @@ formula.  Their exact entrywise equality is part of the identity suite, which
 also verifies the pair-symmetry identities, the first Bianchi identity, the
 Ricci formulas in terms of Levi-Civita data, and both Ricci corollaries.
 
+Each curvature tensor is computed once per connection and kept on it, and
+rho and rho* are kept on their curvature tensor (see
+:class:`wtw.frame.Memo`); the Phi-correction route builds a new
+``Curvature`` every call, so the two routes never share a result.
+
 Codifferential convention (used here and by the Lee form):
 ``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
 ``delta J = -sum_i (nabla_{E_i} J)(E_i)``; the sign is pinned by the built-in
@@ -25,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .connection import Connection, cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
-from .frame import Endo, FrameSpec, d_oneform
+from .frame import Endo, FrameSpec, Memo
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -38,7 +42,7 @@ def _kron(i: int, j: int) -> int:
 
 
 @dataclass(frozen=True)
-class Curvature:
+class Curvature(Memo):
     spec: FrameSpec
     r: tuple  # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
     kind: str
@@ -54,10 +58,13 @@ class Curvature:
                                 for l in range(n)])
 
 
-@lru_cache(maxsize=64)
 def curvature(conn: Connection) -> Curvature:
     """R(E_i,E_j)E_k = sum_m c[i][j][m] nabla_{E_m} E_k
     - nabla_{E_i} nabla_{E_j} E_k + nabla_{E_j} nabla_{E_i} E_k."""
+    return conn.memo(_curvature)
+
+
+def _curvature(conn: Connection) -> Curvature:
     spec = conn.spec
     n = spec.n
     g = conn.gamma
@@ -123,6 +130,10 @@ def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
 
 def ricci(R: Curvature):
     """rho[i][k] = sum_j r[i][j][k][j]."""
+    return R.memo(_ricci)
+
+
+def _ricci(R: Curvature):
     spec = R.spec
     n = spec.n
     return tuple(tuple(sum((R.r[i][j][k][j] for j in range(n)), spec.zero())
@@ -131,6 +142,10 @@ def ricci(R: Curvature):
 
 def star_ricci(R: Curvature):
     """rho*[i][k] = sum_j g(R(J E_j, E_i) J E_k, E_j), expanded through J."""
+    return R.memo(_star_ricci)
+
+
+def _star_ricci(R: Curvature):
     spec = R.spec
     n = spec.n
     J = spec.J
@@ -183,7 +198,7 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     report = CheckReport(title="curvature identities")
     n = spec.n
     RD = curvature(weyl(spec))
-    dphi = d_oneform(spec, spec.phi)
+    dphi = spec.dphi()
     J = spec.J
 
     ok = True
@@ -258,8 +273,9 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
 
     The rho* formula carries the term ``(delta(J*phi) - phi(delta J)) *
     g(X, JZ)`` whose sign depends on the codifferential convention; with the
-    convention committed here the coefficient is -1/2.  If -1/2 fails, +1/2
-    is tried, and the sign actually used is recorded in the report notes.
+    convention committed here the coefficient is -1/2, and only -1/2 is
+    checked: the check fails if that sign does not fit.  The notes record
+    the term as checked.
     """
     report = CheckReport(title="Ricci closed formulas")
     n = spec.n
@@ -293,26 +309,19 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
     phi_delta_j = sum((spec.phi[l] * delta_j[l] for l in range(n)), spec.zero())
     jphi = spec.j_apply(spec.phi)
 
-    def star_residual(sign: int) -> bool:
-        for i in range(n):
-            for k in range(n):
-                value = rho_star_g[i][k] + nphi[i][k]
-                twisted = sum((J[p][i] * J[q][k] * nphi[p][q]
-                               for p in range(n) for q in range(n)), spec.zero())
-                value = value - Fraction(1, 2) * (nphi[k][i] - twisted)
-                value = value + Fraction(1, 4) * (spec.phi[i] * spec.phi[k] + jphi[i] * jphi[k])
-                if i == k:
-                    value = value - Fraction(1, 4) * norm2
-                value = value + Fraction(sign, 2) * (delta_jstar - phi_delta_j) * J[i][k]
-                if not (rho_star[i][k] - value).is_zero:
-                    return False
-        return True
-
-    used = -1
-    ok = star_residual(-1)
-    if not ok:
-        used = 1
-        ok = star_residual(1)
+    ok = True
+    for i in range(n):
+        for k in range(n):
+            value = rho_star_g[i][k] + nphi[i][k]
+            twisted = sum((J[p][i] * J[q][k] * nphi[p][q]
+                           for p in range(n) for q in range(n)), spec.zero())
+            value = value - Fraction(1, 2) * (nphi[k][i] - twisted)
+            value = value + Fraction(1, 4) * (spec.phi[i] * spec.phi[k] + jphi[i] * jphi[k])
+            if i == k:
+                value = value - Fraction(1, 4) * norm2
+            value = value - Fraction(1, 2) * (delta_jstar - phi_delta_j) * J[i][k]
+            if not (rho_star[i][k] - value).is_zero:
+                ok = False
     report.add("rho* of the Weyl connection from Levi-Civita data", ok)
-    report.notes["jstar_term_sign"] = f"{used:+d}/2 * (delta(J*phi) - phi(delta J)) * g(X, JZ)"
+    report.notes["jstar_term_sign"] = "-1/2 * (delta(J*phi) - phi(delta J)) * g(X, JZ)"
     return report

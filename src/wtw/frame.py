@@ -46,9 +46,37 @@ def _kron(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
+_MISSING = object()
+
+
+class Memo:
+    """Mixin for an immutable object that keeps the values derived from it.
+
+    ``obj.memo(compute, *args)`` returns ``compute(obj, *args)``, computing it
+    only on the first call with that key.  The key is the compute function
+    with its arguments, never a label, so two independent routes to one
+    quantity never share an entry.  The values live in the object's own
+    ``__dict__``: they are freed with the object, and every new object,
+    including one made by ``restrict`` or ``with_phi``, starts with none.
+    """
+
+    def memo(self, compute, *args):
+        store = self.__dict__.setdefault("_memo", {})
+        key = (compute, *args)
+        value = store.get(key, _MISSING)
+        if value is _MISSING:
+            value = store[key] = compute(self, *args)
+        return value
+
+
 @dataclass(frozen=True)
-class FrameSpec:
-    """Validated frame data; immutable after construction."""
+class FrameSpec(Memo):
+    """Validated frame data; immutable after construction.
+
+    Quantities derived from the frame (connections, the Nijenhuis tensor,
+    the Lee data, d(phi), ...) are computed once and kept on the spec; see
+    :class:`Memo`.
+    """
 
     dimension: int
     ring: Ring
@@ -162,7 +190,11 @@ class FrameSpec:
 
     def j_endo(self) -> "Endo":
         """The complex structure as an endomorphism with scalar entries."""
-        return Endo.from_rational(self, self.J)
+        return self.memo(_j_endo)
+
+    def dphi(self) -> "TwoForm":
+        """d(phi) of the spec's Weyl form."""
+        return self.memo(_dphi)
 
     def j_apply(self, vec: Sequence[Scalar]) -> Vector:
         """Componentwise J(v) for a vector of scalars."""
@@ -238,9 +270,13 @@ class Endo:
     def __matmul__(self, other: "Endo") -> "Endo":
         n = self.spec.n
         z = self.spec.zero()
-        return Endo(self.spec, [[sum((self.comps[i][m] * other.comps[m][j]
-                                      for m in range(n)), z)
-                                 for j in range(n)] for i in range(n)])
+        rows = []
+        for row in self.comps:
+            # skip zero entries: J and the vertical basis are mostly zeros
+            entries = [(m, a) for m, a in enumerate(row) if not a.is_zero]
+            rows.append([sum((a * other.comps[m][j] for m, a in entries), z)
+                         for j in range(n)])
+        return Endo(self.spec, rows)
 
     def scale(self, value) -> "Endo":
         return Endo(self.spec, [[a * value for a in row] for row in self.comps])
@@ -370,6 +406,14 @@ class ThreeForm:
     @property
     def is_zero(self) -> bool:
         return all(a.is_zero for plane in self.comps for row in plane for a in row)
+
+
+def _j_endo(spec: FrameSpec) -> Endo:
+    return Endo.from_rational(spec, spec.J)
+
+
+def _dphi(spec: FrameSpec) -> "TwoForm":
+    return d_oneform(spec, spec.phi)
 
 
 # -- exterior calculus (constant components) ------------------------------

@@ -16,6 +16,10 @@ Omega`` and ``d theta = 0``.
 `require_gate` enforces the standing hypotheses of the pseudo-harmonicity
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
 Omega``.  Violations raise :class:`GateError` naming the failed assumption.
+
+The Nijenhuis tensor, the Lee data, d(Omega) and the Lee-identity residual
+are computed once per spec and kept on it (see :class:`wtw.frame.Memo`), so
+the gate and every check that needs them share one computation.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from fractions import Fraction
 
 from .connection import cov_deriv_endo, levi_civita, weyl
 from .curvature import codifferential_endo
-from .frame import (Bivector, FrameSpec, TwoForm, Vector, d_oneform,
-                    d_twoform, wedge_one_two)
+from .frame import (Bivector, FrameSpec, ThreeForm, TwoForm, Vector,
+                    d_oneform, d_twoform, wedge_one_two)
 from .reports import CheckReport
 
 
@@ -53,9 +57,16 @@ def fundamental_form(spec: FrameSpec) -> TwoForm:
 
 def nijenhuis(spec: FrameSpec):
     """The Nijenhuis tensor as components N[k][i][j] of N(E_i, E_j), plus a verdict."""
+    return spec.memo(_nijenhuis)
+
+
+def _nijenhuis(spec: FrameSpec):
     n = spec.n
     c = spec.c
     J = spec.J
+    # the nonzero entries of each column and each row of J
+    cols = [[(p, J[p][i]) for p in range(n) if J[p][i]] for i in range(n)]
+    rows = [[(m, J[k][m]) for m in range(n) if J[k][m]] for k in range(n)]
     comps = []
     for k in range(n):
         plane = []
@@ -64,15 +75,15 @@ def nijenhuis(spec: FrameSpec):
             for j in range(n):
                 value = Fraction(0)
                 value -= c[i][j][k]
-                for p in range(n):
-                    for q in range(n):
-                        value += J[p][i] * J[q][j] * c[p][q][k]
-                for q in range(n):
-                    for m in range(n):
-                        value -= J[q][j] * c[i][q][m] * J[k][m]
-                for p in range(n):
-                    for m in range(n):
-                        value -= J[p][i] * c[p][j][m] * J[k][m]
+                for p, jp in cols[i]:
+                    for q, jq in cols[j]:
+                        value += jp * jq * c[p][q][k]
+                for q, jq in cols[j]:
+                    for m, jm in rows[k]:
+                        value -= jq * c[i][q][m] * jm
+                for p, jp in cols[i]:
+                    for m, jm in rows[k]:
+                        value -= jp * c[p][j][m] * jm
                 row.append(spec.const(value))
             plane.append(tuple(row))
         comps.append(tuple(plane))
@@ -83,6 +94,10 @@ def nijenhuis(spec: FrameSpec):
 
 def lee_form(spec: FrameSpec) -> LeeData:
     """Lee form from delta Omega composed with J; cross-checked against J(delta J)."""
+    return spec.memo(_lee_form)
+
+
+def _lee_form(spec: FrameSpec) -> LeeData:
     n = spec.n
     lc = levi_civita(spec)
     omega = fundamental_form(spec)
@@ -106,13 +121,21 @@ def lee_form(spec: FrameSpec) -> LeeData:
     return LeeData(theta=theta, B=B)
 
 
+def _d_omega(spec: FrameSpec) -> ThreeForm:
+    return d_twoform(spec, fundamental_form(spec))
+
+
+def _lee_residual(spec: FrameSpec) -> ThreeForm:
+    """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
+    return (spec.memo(_d_omega)
+            - wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec)))
+
+
 def lck_check(spec: FrameSpec) -> CheckReport:
     """Residuals of d Omega - theta ^ Omega and of d theta."""
     report = CheckReport(title="locally conformally Kaehler identities")
     lee = lee_form(spec)
-    omega = fundamental_form(spec)
-    residual = d_twoform(spec, omega) - wedge_one_two(spec, lee.theta, omega)
-    report.add("d(Omega) = theta ^ Omega", residual.is_zero)
+    report.add("d(Omega) = theta ^ Omega", spec.memo(_lee_residual).is_zero)
     dtheta = d_oneform(spec, lee.theta)
     report.add("d(theta) = 0", dtheta.is_zero)
     _, integrable = nijenhuis(spec)
@@ -127,9 +150,7 @@ def require_gate(spec: FrameSpec) -> LeeData:
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")
     lee = lee_form(spec)
-    omega = fundamental_form(spec)
-    residual = d_twoform(spec, omega) - wedge_one_two(spec, lee.theta, omega)
-    if not residual.is_zero:
+    if not spec.memo(_lee_residual).is_zero:
         raise GateError("Lee identity assumption",
                         "d(Omega) differs from theta ^ Omega")
     return lee
@@ -154,7 +175,7 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     j_endo = spec.j_endo()
     nJ = cov_deriv_endo(lc, j_endo)
     omega = fundamental_form(spec)
-    dom = d_twoform(spec, omega)
+    dom = spec.memo(_d_omega)
     ncomp, _ = nijenhuis(spec)
 
     ok = True

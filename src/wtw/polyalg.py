@@ -22,6 +22,7 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +65,7 @@ class Ring:
         return len(self.symbols)
 
     def zero(self) -> Scalar:
-        return Scalar(self, {})
+        return Scalar._canonical(self, {})
 
     def one(self) -> Scalar:
         return self.const(1)
@@ -72,8 +73,8 @@ class Ring:
     def const(self, value: RationalLike) -> Scalar:
         coeff = Fraction(value)
         if coeff == 0:
-            return Scalar(self, {})
-        return Scalar(self, {(0,) * self.nsymbols: coeff})
+            return Scalar._canonical(self, {})
+        return Scalar._canonical(self, {(0,) * self.nsymbols: coeff})
 
     def sym(self, name: str) -> Scalar:
         try:
@@ -82,7 +83,7 @@ class Ring:
             raise KeyError(f"symbol {name!r} not declared in ring {self.symbols}") from None
         exps = [0] * self.nsymbols
         exps[idx] = 1
-        return Scalar(self, {tuple(exps): Fraction(1)})
+        return Scalar._canonical(self, {tuple(exps): Fraction(1)})
 
     def extend(self, *names: str) -> Ring:
         """Ring with extra symbols appended after the existing ones."""
@@ -97,7 +98,7 @@ class Scalar:
     """Immutable sparse polynomial over a :class:`Ring`.
 
     Supports ``+ - * **`` with other scalars of the same ring and with plain
-    integers or Fractions, which are coerced to constants.
+    integers or Fractions, which act as constants.
     """
 
     __slots__ = ("ring", "_terms")
@@ -106,6 +107,14 @@ class Scalar:
         object.__setattr__(self, "ring", ring)
         clean = {e: c for e, c in terms.items() if c != 0}
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _canonical(cls, ring: Ring, terms: dict[Exponents, Fraction]) -> Scalar:
+        """Wrap ``terms``, which must hold no zero coefficient, without copying."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
@@ -141,53 +150,103 @@ class Scalar:
         return max(sum(e) for e in self._terms)
 
     # -- ring operations -------------------------------------------------
+    #
+    # Every result is built canonical (no zero coefficient), so it is wrapped
+    # without re-filtering; an operand that leaves the other unchanged (zero
+    # in a sum, one in a product) is returned as it is, which is safe because
+    # scalars are immutable.
 
-    def _coerce(self, other) -> "Scalar | None":
+    def _same_ring(self, other: Scalar) -> None:
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise RingMismatchError(
+                f"symbol-set mismatch: {self.ring.symbols} vs {other.ring.symbols}")
+
+    def _operand(self, other) -> "dict[Exponents, Fraction] | None":
+        """The term map of a same-ring scalar or a rational constant, else None."""
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
-                raise RingMismatchError(
-                    f"symbol-set mismatch: {self.ring.symbols} vs {other.ring.symbols}")
-            return other
+            self._same_ring(other)
+            return other._terms
         if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
+            return {(0,) * self.ring.nsymbols: Fraction(other)} if other else {}
         return None
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    def _scaled(self, factor: RationalLike) -> Scalar:
+        """self * factor for a rational factor."""
+        if not factor or not self._terms:
+            return Scalar._canonical(self.ring, {})
+        if factor == 1:
+            return self
+        if factor == -1:
+            return -self
+        return Scalar._canonical(self.ring, {e: c * factor for e, c in self._terms.items()})
+
+    def _plus(self, terms: dict[Exponents, Fraction], negate: bool) -> Scalar:
+        """self + terms (or self - terms) for a canonical term map."""
         out = dict(self._terms)
-        for exps, coeff in rhs._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Scalar(self.ring, out)
+        for exps, coeff in terms.items():
+            old = out.get(exps)
+            if old is None:
+                out[exps] = -coeff if negate else coeff
+                continue
+            new = old - coeff if negate else old + coeff
+            if new:
+                out[exps] = new
+            else:
+                del out[exps]
+        return Scalar._canonical(self.ring, out)
+
+    def __add__(self, other):
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
+        if not terms:
+            return self
+        if not self._terms and isinstance(other, Scalar):
+            return other
+        return self._plus(terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {e: -c for e, c in self._terms.items()})
+        return Scalar._canonical(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        return self + (-rhs)
+        if not terms:
+            return self
+        return self._plus(terms, True)
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, Scalar):
             return NotImplemented
+        self._same_ring(other)
+        left, right = self._terms, other._terms
+        if len(right) == 1:
+            (exps, coeff), = right.items()
+            if not any(exps):
+                return self._scaled(coeff)
+        if len(left) == 1:
+            (exps, coeff), = left.items()
+            if not any(exps):
+                return other._scaled(coeff)
+        if not left or not right:
+            return Scalar._canonical(self.ring, {})
         out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-        return Scalar(self.ring, out)
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                exps = tuple(map(operator.add, e1, e2))
+                old = out.get(exps)
+                out[exps] = c1 * c2 if old is None else old + c1 * c2
+        return Scalar._canonical(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -209,7 +268,8 @@ class Scalar:
             other = self.ring.const(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
         return hash((self.ring.symbols, tuple(sorted(self._terms.items()))))
@@ -246,7 +306,7 @@ class Scalar:
             raise RingMismatchError(
                 f"{ring.symbols} does not extend {self.ring.symbols}")
         pad = (0,) * (ring.nsymbols - self.ring.nsymbols)
-        return Scalar(ring, {e + pad: c for e, c in self._terms.items()})
+        return Scalar._canonical(ring, {e + pad: c for e, c in self._terms.items()})
 
     # -- rendering -------------------------------------------------------
 

@@ -102,7 +102,7 @@ def _condition_ii_values(spec: FrameSpec, theta) -> list[Scalar]:
     R = curvature(weyl(spec))
     rho = ricci(R)
     rho_star = star_ricci(R)
-    dphi = d_oneform(spec, spec.phi)
+    dphi = spec.dphi()
     j_wedge = twistor.wedge_iso(spec.j_endo())
     dphi_jwedge = eval_on_bivector(dphi, j_wedge)
     tmf = tuple(theta[i] - spec.phi[i] for i in range(n))
@@ -134,7 +134,7 @@ def _dim4_values(spec: FrameSpec, theta) -> list[Scalar]:
     R = curvature(weyl(spec))
     rho = ricci(R)
     rho_star = star_ricci(R)
-    dphi = d_oneform(spec, spec.phi)
+    dphi = spec.dphi()
     dphi_jwedge = eval_on_bivector(dphi, twistor.wedge_iso(spec.j_endo()))
     tmf = tuple(theta[i] - spec.phi[i] for i in range(n))
     jt = spec.j_apply(tmf)

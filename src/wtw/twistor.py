@@ -14,6 +14,9 @@ halved metric on bivectors.
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
 against the double-covariant-derivative definition and any mismatch raises.
+The action on an endomorphism is kept on its curvature tensor, and the
+cross-check runs once per connection and endomorphism (see
+:class:`wtw.frame.Memo`).
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
 planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
@@ -65,6 +68,10 @@ def curvature_on_bivector(R: Curvature, b: Bivector) -> Endo:
 
 def endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
     """R(E_i, E_j) acting on an endomorphism section: the commutator action."""
+    return R.memo(_endo_curvature_action, S)
+
+
+def _endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
     n = R.spec.n
     out = []
     for i in range(n):
@@ -81,8 +88,13 @@ def endo_curvature_consistency(spec: FrameSpec, conn: Connection, S: Endo) -> No
 
     The gamma route: R(E_i,E_j)S = sum_m c[i][j][m] D_m S - D_i D_j S + D_j D_i S,
     with every derivative the induced one on endomorphisms.  Raises on any
-    mismatch (sign conventions are the dominant failure mode).
+    mismatch (sign conventions are the dominant failure mode).  A passed
+    check is kept on the connection and not repeated.
     """
+    conn.memo(_check_endo_curvature, spec, S)
+
+
+def _check_endo_curvature(conn: Connection, spec: FrameSpec, S: Endo) -> None:
     n = spec.n
     R = curvature(conn)
     comm = endo_curvature_action(R, S)
@@ -201,7 +213,7 @@ def fiber_pairing_check(spec: FrameSpec, a: Endo, b: Endo) -> CheckReport:
     comm = a.commutator(b)
     comm_wedge = wedge_iso(comm)
     r_of_wedge = curvature_on_bivector(R, comm_wedge)
-    dphi = d_oneform(spec, spec.phi)
+    dphi = spec.dphi()
     dphi_wedge = eval_on_bivector(dphi, comm_wedge)
     half = Fraction(1, 2)
     ok = True
@@ -248,7 +260,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     j_endo = spec.j_endo()
     dj = cov_deriv_endo(conn, j_endo)
     nj = cov_deriv_endo(levi_civita(spec), j_endo)
-    dphi = d_oneform(spec, spec.phi)
+    dphi = spec.dphi()
     act_j = endo_curvature_action(R, j_endo)
     half = Fraction(1, 2)
 
@@ -414,7 +426,7 @@ def h_trace(spec: FrameSpec):
     R = curvature(weyl(spec))
     rho = ricci(R)
     rho_star = star_ricci(R)
-    dphi = d_oneform(spec, spec.phi)
+    dphi = spec.dphi()
     phi = spec.phi
     jphi = spec.j_apply(phi)
     delta_j = codifferential_endo(spec, j_endo)
@@ -423,13 +435,14 @@ def h_trace(spec: FrameSpec):
     jn = [j_endo @ nJ[x] for x in range(n)]
     jn_wedge = [wedge_iso(m) for m in jn]
 
+    r_jn = [curvature_on_bivector(R, w) for w in jn_wedge]
+
     out = []
     for k in range(n):
         jz = [J[l][k] for l in range(n)]
         value = spec.zero()
         for x in range(n):
-            rb = curvature_on_bivector(R, jn_wedge[x])
-            value = value + 2 * rb.comps[k][x]
+            value = value + 2 * r_jn[x].comps[k][x]
         value = value + sum((phi[p] * rho[p][k] for p in range(n)), spec.zero())
         value = value - sum((jphi[p] * jz[q] * rho_star[p][q]
                              for p in range(n) for q in range(n)), spec.zero())

@@ -74,6 +74,14 @@ class TestExitCodes:
         status, _, _ = run(["ricci", "--builtin", "inoue-s0", "--assign", "a1=0"])
         assert status == 2
 
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    @pytest.mark.parametrize("value", ["1/0", "x"])
+    def test_bad_assignment_value_is_usage_error(self, verb, value):
+        status, out, err = run([verb, "--builtin", "inoue-s0", "--assign", f"a1={value}"])
+        assert status == 2
+        assert out == ""
+        assert err == f"error: assignment entry 'a1={value}' does not have a rational value\n"
+
 
 class TestGateBehavior:
     @pytest.mark.parametrize("verb", ["conditions", "verify"])

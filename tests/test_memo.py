@@ -1,0 +1,80 @@
+"""Derived quantities are computed once per spec, kept on it and freed with it."""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import weakref
+from unittest import mock
+
+from wtw import builtin, identity_suite, levi_civita, weyl
+from wtw import cli, connection, hermitian, twistor
+
+curvature_module = importlib.import_module("wtw.curvature")
+
+
+def _counting(module, name):
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+def test_suite_computes_each_quantity_once():
+    spec = builtin("kodaira", (1, -1))
+    with _counting(hermitian, "_nijenhuis") as nijenhuis, \
+            _counting(hermitian, "_lee_form") as lee, \
+            _counting(connection, "_weyl") as weyl_gammas, \
+            _counting(curvature_module, "_curvature") as curvature, \
+            _counting(twistor, "_check_endo_curvature") as consistency:
+        report = cli._suite_report(spec)
+    assert report.ok
+    assert nijenhuis.call_count == 1
+    assert lee.call_count == 1
+    # nabla-J checks build a second spec (phi = theta) with its own connection
+    assert [call.args[0] for call in weyl_gammas.call_args_list].count(spec) == 1
+    assert sorted(call.args[0].kind for call in curvature.call_args_list) == [
+        "levi-civita", "weyl"]
+    # once for J, although the pairing check runs for every vertical direction
+    assert consistency.call_count == 1
+
+
+def test_weyl_curvature_routes_stay_independent():
+    # a wrong direct Weyl curvature must be caught by the Phi-correction route,
+    # which therefore may not read the direct route's stored result
+    spec = builtin("inoue-s0")
+    compute = curvature_module._curvature
+
+    def broken(conn):
+        R = compute(conn)
+        if conn.kind != "weyl":
+            return R
+        r = [[[list(row) for row in plane] for plane in block] for block in R.r]
+        r[0][1][2][3] = r[0][1][2][3] + 1
+        frozen = tuple(tuple(tuple(tuple(row) for row in plane) for plane in block)
+                       for block in r)
+        return curvature_module.Curvature(R.spec, frozen, R.kind)
+
+    with mock.patch.object(curvature_module, "_curvature", broken):
+        report = identity_suite(spec)
+    verdicts = {check.name: check.ok for check in report.checks}
+    assert not verdicts["direct Weyl curvature equals Phi-correction formula"]
+
+
+def test_new_specs_get_their_own_gammas():
+    spec = builtin("inoue-s0")
+    parent = weyl(spec)
+    for child in (spec.with_phi((0, "a2", 0, 0)), spec.restrict({"a1": 0})):
+        assert weyl(child) is weyl(child)
+        assert weyl(child) is not parent
+        assert weyl(child).gamma != parent.gamma
+    # an equal spec is still a separate object with its own store
+    twin = spec.restrict({})
+    assert twin == spec
+    assert levi_civita(twin) is not levi_civita(spec)
+
+
+def test_spec_is_freed_after_suite():
+    spec = builtin("kodaira", (1, 1))
+    assert cli._suite_report(spec).ok
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,21 @@ def test_ring_mismatch():
     other = Ring(("x",))
     with pytest.raises(RingMismatchError):
         A1 + other.sym("x")
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_ring_mismatch_with_zero_or_one_operand(op):
+    other = Ring(("x",))
+    for left, right in ((A1, other.zero()), (other.zero(), A1),
+                        (RING.zero(), other.zero()), (RING.one(), other.one())):
+        with pytest.raises(RingMismatchError):
+            op(left, right)
+
+
+def test_equal_rings_interoperate():
+    twin = Ring(RING.symbols)
+    assert twin is not RING
+    assert twin.sym("a1") + A1 == 2 * A1
 
 
 def test_normalize_content_and_sign():
@@ -145,3 +161,25 @@ def test_normalize_idempotent_and_scale_invariant(p, c):
     n = normalize_up_to_unit(p)
     assert normalize_up_to_unit(n) == n
     assert normalize_up_to_unit(p * c) == n
+
+
+points = st.fixed_dictionaries({name: coeffs for name in RING.symbols})
+specials = st.sampled_from([RING.zero(), RING.one(), -RING.one(), RING.const(Fraction(-3, 2))])
+
+
+@given(scalars, st.one_of(scalars, specials), points,
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+@settings(max_examples=80, deadline=None)
+def test_results_are_canonical_and_agree_with_substitute(p, q, point, frac):
+    def at(x):
+        return x.substitute(point).constant_value() if isinstance(x, Scalar) else Fraction(x)
+
+    cases = []
+    for a, b in ((p, q), (q, p), (p, -p), (p, p), (p, p + q)):
+        cases += [(a + b, at(a) + at(b)), (a - b, at(a) - at(b)), (a * b, at(a) * at(b))]
+    for c in (0, 1, -1, frac):
+        cases += [(p * c, at(p) * c), (c * p, at(p) * c), (p + c, at(p) + c),
+                  (c + p, at(p) + c), (p - c, at(p) - c), (c - p, c - at(p))]
+    for result, expected in cases:
+        assert all(coeff != 0 for _, coeff in result.terms()), result
+        assert at(result) == expected
