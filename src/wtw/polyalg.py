@@ -173,7 +173,7 @@ class Scalar:
     def _scaled(self, factor: RationalLike) -> Scalar:
         """self * factor for a rational factor."""
         if not factor or not self._terms:
-            return Scalar._canonical(self.ring, {})
+            return self.ring.zero()
         if factor == 1:
             return self
         if factor == -1:
@@ -239,7 +239,7 @@ class Scalar:
             if not any(exps):
                 return other._scaled(coeff)
         if not left or not right:
-            return Scalar._canonical(self.ring, {})
+            return self.ring.zero()
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in left.items():
             for e2, c2 in right.items():
