@@ -131,6 +131,15 @@ def _gamma_table(conn) -> list[str]:
             for i, j, k, value in conn.nonzero()]
 
 
+def _curvature_table(conn) -> list[str]:
+    """Nonzero curvature entries r[i][j][k][l] with i < j."""
+    r = curvature(conn).r
+    n = conn.spec.n
+    return [f"r[{i+1}][{j+1}][{k+1}][{l+1}] = {r[i][j][k][l]}"
+            for i in range(n) for j in range(i + 1, n)
+            for k in range(n) for l in range(n) if not r[i][j][k][l].is_zero]
+
+
 def _matrix_table(label: str, matrix) -> list[str]:
     n = len(matrix)
     return [f"{label}[{i+1}][{j+1}] = {matrix[i][j]}"
@@ -197,27 +206,8 @@ def _run_verb(args, out: _Output) -> int:
         data["levi_civita"] = _gamma_table(levi_civita(spec))
         data["weyl"] = _gamma_table(weyl(spec))
     elif verb == "curvature":
-        rows_lc = []
-        r = curvature(levi_civita(spec))
-        n = spec.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    for l in range(n):
-                        if not r.r[i][j][k][l].is_zero:
-                            rows_lc.append(
-                                f"r[{i+1}][{j+1}][{k+1}][{l+1}] = {r.r[i][j][k][l]}")
-        rows_w = []
-        rw = curvature(weyl(spec))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    for l in range(n):
-                        if not rw.r[i][j][k][l].is_zero:
-                            rows_w.append(
-                                f"r[{i+1}][{j+1}][{k+1}][{l+1}] = {rw.r[i][j][k][l]}")
-        data["levi_civita"] = rows_lc
-        data["weyl"] = rows_w
+        data["levi_civita"] = _curvature_table(levi_civita(spec))
+        data["weyl"] = _curvature_table(weyl(spec))
     elif verb == "ricci":
         data["ricci"] = _matrix_table("rho", ricci(curvature(weyl(spec))))
     elif verb == "star-ricci":

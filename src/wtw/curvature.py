@@ -32,13 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import Connection, cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
-from .frame import Endo, FrameSpec, Memo
+from .frame import Endo, FrameSpec, Memo, _kron
 from .polyalg import Scalar
 from .reports import CheckReport
-
-
-def _kron(i: int, j: int) -> int:
-    return 1 if i == j else 0
 
 
 @dataclass(frozen=True)

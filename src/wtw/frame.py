@@ -24,12 +24,13 @@ Indices are 0-based internally; renderings are 1-based.
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike
-from . import specfile
 
 Vector = tuple[Scalar, ...]
 
@@ -126,19 +127,9 @@ class FrameSpec(Memo):
         jm = tuple(tuple(Fraction(x) for x in row) for row in J)
         if len(jm) != n or any(len(row) != n for row in jm):
             raise FrameError("complex structure must be an n x n matrix")
-        phi_vec = []
-        for entry in phi:
-            if isinstance(entry, Scalar):
-                phi_vec.append(entry)
-            elif isinstance(entry, str):
-                phi_vec.append(ring.parse(entry))
-            else:
-                phi_vec.append(ring.const(entry))
-        if len(phi_vec) != n:
-            raise FrameError("phi must have one coefficient per basis vector")
         spec = FrameSpec(dimension=n, ring=ring, basis=basis,
                          c=tuple(tuple(tuple(row) for row in plane) for plane in c),
-                         J=jm, phi=tuple(phi_vec), name=name)
+                         J=jm, phi=_coerce_phi(ring, n, phi), name=name)
         spec.validate()
         return spec
 
@@ -151,19 +142,20 @@ class FrameSpec(Memo):
                     if self.c[i][j][k] != -self.c[j][i][k]:
                         raise FrameError(
                             f"structure constants not antisymmetric at ({i+1},{j+1},{k+1})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc = Fraction(0)
-                        for m in range(n):
-                            acc += (self.c[i][j][m] * self.c[m][k][l]
-                                    + self.c[j][k][m] * self.c[m][i][l]
-                                    + self.c[k][i][m] * self.c[m][j][l])
-                        if acc != 0:
-                            raise FrameError(
-                                "Jacobi identity fails on "
-                                f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
+        # Once c is antisymmetric the Jacobiator alternates in (i, j, k) and
+        # vanishes on repeated indices, so increasing triples suffice; the
+        # first failing one is the first failing ordered triple.
+        for i, j, k in combinations(range(n), 3):
+            for l in range(n):
+                acc = Fraction(0)
+                for m in range(n):
+                    acc += (self.c[i][j][m] * self.c[m][k][l]
+                            + self.c[j][k][m] * self.c[m][i][l]
+                            + self.c[k][i][m] * self.c[m][j][l])
+                if acc != 0:
+                    raise FrameError(
+                        "Jacobi identity fails on "
+                        f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
         for i in range(n):
             for j in range(n):
                 jj = sum(self.J[i][m] * self.J[m][j] for m in range(n))
@@ -210,18 +202,26 @@ class FrameSpec(Memo):
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form (revalidated)."""
-        vec = []
-        for entry in phi:
-            if isinstance(entry, Scalar):
-                vec.append(entry)
-            elif isinstance(entry, str):
-                vec.append(self.ring.parse(entry))
-            else:
-                vec.append(self.ring.const(entry))
-        if len(vec) != self.n:
-            raise FrameError("phi must have one coefficient per basis vector")
         return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
-                         c=self.c, J=self.J, phi=tuple(vec), name=self.name)
+                         c=self.c, J=self.J, phi=_coerce_phi(self.ring, self.n, phi),
+                         name=self.name)
+
+
+def _coerce_phi(ring: Ring, n: int,
+                phi: Sequence[Scalar | str | RationalLike]) -> Vector:
+    """Weyl-form coefficients as scalars of ``ring``: scalars are kept, strings
+    parsed and rational constants lifted."""
+    vec = []
+    for entry in phi:
+        if isinstance(entry, Scalar):
+            vec.append(entry)
+        elif isinstance(entry, str):
+            vec.append(ring.parse(entry))
+        else:
+            vec.append(ring.const(entry))
+    if len(vec) != n:
+        raise FrameError("phi must have one coefficient per basis vector")
+    return tuple(vec)
 
 
 class Endo:
@@ -322,7 +322,8 @@ class Endo:
 
 
 class TwoForm:
-    """Antisymmetric scalar matrix F with ``F(E_i, E_j) = comps[i][j]``."""
+    """Antisymmetric scalar matrix: the 2-form F with ``F(E_i, E_j) = comps[i][j]``,
+    or the bivector ``sum_{i<j} comps[i][j] E_i ^ E_j`` (alias :data:`Bivector`)."""
 
     __slots__ = ("spec", "comps")
 
@@ -334,6 +335,13 @@ class TwoForm:
             for j in range(n):
                 if not (self.comps[i][j] + self.comps[j][i]).is_zero:
                     raise FrameError(f"2-form not antisymmetric at ({i+1},{j+1})")
+
+    @staticmethod
+    def wedge_vectors(spec: FrameSpec, u: Sequence[Scalar], v: Sequence[Scalar]) -> "TwoForm":
+        """The decomposable bivector u ^ v."""
+        n = spec.n
+        return TwoForm(spec, [[u[p] * v[q] - u[q] * v[p] for q in range(n)]
+                              for p in range(n)])
 
     def __call__(self, i: int, j: int) -> Scalar:
         return self.comps[i][j]
@@ -360,29 +368,7 @@ class TwoForm:
         return hash(self.comps)
 
 
-class Bivector:
-    """Antisymmetric scalar matrix b representing ``sum_{i<j} b[i][j] E_i ^ E_j``."""
-
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
-        self.spec = spec
-        self.comps = tuple(tuple(row) for row in comps)
-        n = spec.n
-        for i in range(n):
-            for j in range(n):
-                if not (self.comps[i][j] + self.comps[j][i]).is_zero:
-                    raise FrameError(f"bivector not antisymmetric at ({i+1},{j+1})")
-
-    def __call__(self, i: int, j: int) -> Scalar:
-        return self.comps[i][j]
-
-    @staticmethod
-    def wedge_vectors(spec: FrameSpec, u: Sequence[Scalar], v: Sequence[Scalar]) -> "Bivector":
-        """The decomposable bivector u ^ v."""
-        n = spec.n
-        return Bivector(spec, [[u[p] * v[q] - u[q] * v[p] for q in range(n)]
-                               for p in range(n)])
+Bivector = TwoForm
 
 
 class ThreeForm:
@@ -520,10 +506,12 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
 
     Strict mode: unknown sections or keys are errors, as are non-constant
     structure constants, malformed matrices and any failed frame invariant.
+    TOML booleans are rejected wherever an integer is accepted, although
+    Python counts them as integers.
     """
     try:
-        doc = specfile.parse(text)
-    except specfile.SpecSyntaxError as exc:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
         raise SpecFormatError(str(exc)) from None
     unknown = set(doc) - _SECTIONS
     if unknown:
@@ -531,6 +519,8 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     for section in ("frame", "brackets", "complex_structure", "weyl_form"):
         if section not in doc:
             raise SpecFormatError(f"missing section [{section}]")
+        if not isinstance(doc[section], dict):
+            raise SpecFormatError(f"[{section}] must be a table")
 
     frame = doc["frame"]
     unknown = set(frame) - _FRAME_KEYS
@@ -539,7 +529,7 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     if "dimension" not in frame or "symbols" not in frame:
         raise SpecFormatError("[frame] requires dimension and symbols")
     dimension = frame["dimension"]
-    if not isinstance(dimension, int):
+    if not _is_int(dimension):
         raise SpecFormatError("dimension must be an integer")
     symbols = frame["symbols"]
     if (not isinstance(symbols, list)
@@ -554,7 +544,7 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     index = {bname: i for i, bname in enumerate(basis)}
 
     def to_fraction(value, where: str) -> Fraction:
-        if isinstance(value, int):
+        if _is_int(value):
             return Fraction(value)
         if isinstance(value, str):
             try:
@@ -582,9 +572,10 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     unknown = set(cs) - {"matrix"}
     if unknown:
         raise SpecFormatError(f"unknown keys in [complex_structure]: {sorted(unknown)}")
-    if "matrix" not in cs or not isinstance(cs["matrix"], list):
+    rows = cs.get("matrix")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SpecFormatError("[complex_structure] requires matrix = [[...], ...]")
-    matrix = [[to_fraction(x, "[complex_structure]") for x in row] for row in cs["matrix"]]
+    matrix = [[to_fraction(x, "[complex_structure]") for x in row] for row in rows]
 
     phi: list[str] = []
     weyl = doc["weyl_form"]
@@ -605,6 +596,10 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
         if isinstance(exc, FrameError):
             raise
         raise SpecFormatError(str(exc)) from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_spec_file(path) -> FrameSpec:

@@ -12,9 +12,9 @@ structure, the section is pseudo-harmonic exactly when
 
 Both conditions are produced as normalized polynomial systems (content and
 sign stripped, zero entries dropped with a count).  ``dim4`` evaluates the
-rearranged four-dimensional form of condition (ii); when dphi is of type
-(1,1) (true for both built-in geometries after condition (i) is imposed) it
-generates the same normalized system.
+rearranged four-dimensional form of condition (ii), which keeps only its last
+three terms; when dphi is of type (1,1) (true for both built-in geometries
+after condition (i) is imposed) it generates the same normalized system.
 
 The engine never solves systems over the reals; ``verify_assignment``
 substitutes a (possibly partial) assignment and reports whether every
@@ -50,7 +50,6 @@ class ConditionReport:
     dropped_i: int
     dropped_ii: int
     dim4_mode: bool
-    gate: tuple[str, ...]
     assignments_checked: tuple = ()
 
     @property
@@ -96,7 +95,12 @@ def condition_i(spec: FrameSpec) -> list[Scalar]:
     return out
 
 
-def _condition_ii_values(spec: FrameSpec, theta) -> list[Scalar]:
+def _condition_ii_values(spec: FrameSpec, theta, dim4_mode: bool) -> list[Scalar]:
+    """The condition-(ii) expression at Z = E_k for each k.
+
+    In ``dim4_mode`` only the last three terms are kept: up to sign they are
+    the rearranged four-dimensional form, and normalization strips the sign.
+    """
     n = spec.n
     J = spec.J
     R = curvature(weyl(spec))
@@ -110,10 +114,12 @@ def _condition_ii_values(spec: FrameSpec, theta) -> list[Scalar]:
     out = []
     for k in range(n):
         jz = [J[l][k] for l in range(n)]
-        value = (Fraction(n, 2) - 1) * sum((tmf[p] * dphi.comps[p][k]
-                                            for p in range(n)), spec.zero())
-        value = value - sum((jt[p] * jz[q] * dphi.comps[p][q]
-                             for p in range(n) for q in range(n)), spec.zero())
+        value = spec.zero()
+        if not dim4_mode:
+            value = (Fraction(n, 2) - 1) * sum((tmf[p] * dphi.comps[p][k]
+                                                for p in range(n)), spec.zero())
+            value = value - sum((jt[p] * jz[q] * dphi.comps[p][q]
+                                 for p in range(n) for q in range(n)), spec.zero())
         value = value - sum((tmf[l] * jz[l] for l in range(n)), spec.zero()) * dphi_jwedge
         value = value - sum((tmf[p] * rho[p][k] for p in range(n)), spec.zero())
         value = value + sum((jt[p] * jz[q] * rho_star[p][q]
@@ -125,28 +131,7 @@ def _condition_ii_values(spec: FrameSpec, theta) -> list[Scalar]:
 def condition_ii(spec: FrameSpec) -> list[Scalar]:
     """The condition-(ii) expression at Z = E_k for each k (raw, unnormalized)."""
     theta = require_gate(spec).theta
-    return _condition_ii_values(spec, theta)
-
-
-def _dim4_values(spec: FrameSpec, theta) -> list[Scalar]:
-    n = spec.n
-    J = spec.J
-    R = curvature(weyl(spec))
-    rho = ricci(R)
-    rho_star = star_ricci(R)
-    dphi = spec.dphi()
-    dphi_jwedge = eval_on_bivector(dphi, twistor.wedge_iso(spec.j_endo()))
-    tmf = tuple(theta[i] - spec.phi[i] for i in range(n))
-    jt = spec.j_apply(tmf)
-    out = []
-    for k in range(n):
-        jz = [J[l][k] for l in range(n)]
-        value = sum((tmf[l] * jz[l] for l in range(n)), spec.zero()) * dphi_jwedge
-        value = value + sum((tmf[p] * rho[p][k] for p in range(n)), spec.zero())
-        value = value - sum((jt[p] * jz[q] * rho_star[p][q]
-                             for p in range(n) for q in range(n)), spec.zero())
-        out.append(value)
-    return out
+    return _condition_ii_values(spec, theta, dim4_mode=False)
 
 
 def conditions(spec: FrameSpec, dim4_mode: bool = False) -> ConditionReport:
@@ -155,15 +140,12 @@ def conditions(spec: FrameSpec, dim4_mode: bool = False) -> ConditionReport:
     if dim4_mode and spec.n != 4:
         raise GateError("dimension-four mode",
                         f"requires n = 4, got n = {spec.n}")
-    raw_ii = (_dim4_values(spec, lee.theta) if dim4_mode
-              else _condition_ii_values(spec, lee.theta))
     sys_i, dropped_i = _normalize_list(condition_i(spec))
-    sys_ii, dropped_ii = _normalize_list(raw_ii)
+    sys_ii, dropped_ii = _normalize_list(_condition_ii_values(spec, lee.theta, dim4_mode))
     return ConditionReport(spec_name=spec.name,
                            condition_i=sys_i, condition_ii=sys_ii,
                            dropped_i=dropped_i, dropped_ii=dropped_ii,
-                           dim4_mode=dim4_mode,
-                           gate=("integrability", "Lee identity"))
+                           dim4_mode=dim4_mode)
 
 
 def dim4(spec: FrameSpec) -> ConditionReport:
@@ -213,7 +195,7 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     lee = require_gate(spec)
     n = spec.n
     h = twistor.h_trace(spec)
-    cii = _condition_ii_values(spec, lee.theta)
+    cii = _condition_ii_values(spec, lee.theta, dim4_mode=False)
     report.add("horizontal trace equals condition (ii) componentwise",
                all((a - b).is_zero for a, b in zip(h, cii)))
     report.notes["h_unit"] = "+1"

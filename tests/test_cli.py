@@ -57,6 +57,21 @@ class TestExitCodes:
         assert status == 2
         assert "spec error" in err
 
+    @pytest.mark.parametrize("old, new", [
+        ('{ E1 = "-1" }', "{ E1 = true }"),
+        ("[brackets]", "[[brackets]]"),
+        ("[frame]\ndimension = 4\nsymbols = []", "frame = 1"),
+        ('["1", "0", "0", "0"],', "1,"),
+    ], ids=["bool-constant", "array-of-tables", "top-level-scalar", "matrix-row-not-a-list"])
+    def test_hostile_document_is_one_line_spec_error(self, tmp_path, old, new):
+        text = (DATA / "inoue_lee.toml").read_text()
+        assert old in text
+        path = tmp_path / "hostile.toml"
+        path.write_text(text.replace(old, new))
+        status, out, err = run(["validate", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("spec error: ") and err.count("\n") == 1
+
     def test_jacobi_violation_is_spec_error(self):
         status, _, err = run(["validate", "--spec", str(DATA / "bad_jacobi.toml")])
         assert status == 2

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import copy
+import json
+import tomllib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtw import (FrameError, FrameSpec, SpecFormatError, builtin, d_oneform,
                  d_twoform, eval_on_bivector, load_spec, sharp)
@@ -129,6 +134,168 @@ matrix = [["0","-1","0","0"],["1","0","0","0"],["0","0","0","-1"],["0","0","1","
         spec = load_spec(doc)
         assert all(spec.c[i][j][k] == 0 for i in range(4) for j in range(4) for k in range(4))
         assert all(p.is_zero for p in spec.phi)
+
+
+def _inoue_with(*edits: tuple[str, str]) -> str:
+    """INOUE_DOC with each (old, new) replacement made; each old text must occur."""
+    doc = INOUE_DOC
+    for old, new in edits:
+        assert old in doc, old
+        doc = doc.replace(old, new)
+    return doc
+
+
+class TestDocumentSyntax:
+    """The document syntax (TOML), checked through ``load_spec``."""
+
+    def test_sections_keys_and_values(self, kodairas):
+        doc = load_spec("""
+# leading comment
+[frame]
+dimension = 4   # trailing comment
+symbols = []
+basis = ["A1", "A2", "A3", "A4"]
+
+[brackets]
+"A1,A2" = { A4 = -2 }
+
+[complex_structure]
+matrix = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+[weyl_form]
+A4 = "1/2"
+""")
+        assert doc.c == kodairas[(1, 1)].c and doc.J == kodairas[(1, 1)].J
+        assert doc.ring.symbols == () and doc.basis == ("A1", "A2", "A3", "A4")
+        assert [str(p) for p in doc.phi] == ["0", "0", "0", "1/2"]
+
+    def test_quoted_keys_inside_inline_tables(self, inoue):
+        doc = _inoue_with(('{ E1 = "-1" }', '{ "E1" = "-1" }'))
+        assert load_spec(doc).c == inoue.c
+
+    def test_multiline_array(self, inoue):
+        doc = _inoue_with(('symbols = ["a1", "a2", "a3", "a4"]',
+                           'symbols = [\n    "a1", "a2",\n    "a3", "a4",\n]'))
+        spec = load_spec(doc)
+        assert spec.ring.symbols == ("a1", "a2", "a3", "a4")
+        assert spec.J == inoue.J
+
+    def test_hash_inside_string_is_not_a_comment(self):
+        doc = _inoue_with(('symbols = [', 'basis = ["E#1", "E2", "E3", "E4"]\nsymbols = ['),
+                          ('"E1,E2" = { E1 = "-1" }', '"E#1,E2" = { "E#1" = "-1" }'),
+                          ('E1 = "a1"', '"E#1" = "a1"'))
+        spec = load_spec(doc)
+        assert spec.basis[0] == "E#1" and spec.c[0][1][0] == -1
+        assert str(spec.phi[0]) == "a1"
+
+    @pytest.mark.parametrize("old, new", [
+        pytest.param("[frame]", "x = 1\n[frame]", id="key-outside-section"),
+        pytest.param('E4 = "a4"', 'E4 = "a4"\n[frame]', id="duplicate-section"),
+        pytest.param("dimension = 4", "dimension = 4\ndimension = 4", id="duplicate-key"),
+        pytest.param('"a3", "a4"]', '"a3", "a4"', id="unterminated-bracket"),
+        pytest.param('{ E1 = "-1" }', '{ E1 = "-1", E1 = "-1" }', id="duplicate-inline-key"),
+        pytest.param("dimension = 4", "dimension = four", id="bare-word"),
+        pytest.param("dimension = 4", "dimension = 4 4", id="trailing-input"),
+        pytest.param("[frame]", "[frame!]", id="malformed-header"),
+    ])
+    def test_rejects_malformed_documents(self, old, new):
+        with pytest.raises(SpecFormatError):
+            load_spec(_inoue_with((old, new)))
+
+    def test_negative_integers_and_tight_spacing(self, inoue):
+        doc = _inoue_with(('"E1,E2" = { E1 = "-1" }', '"E1,E2"={E1=-1}'),
+                          ('["0", "-1", "0", "0"]', '[ 0,-1 ,0,0]'))
+        spec = load_spec(doc)
+        assert spec.c == inoue.c and spec.J == inoue.J
+
+    @pytest.mark.parametrize("old, new, message", [
+        pytest.param("dimension = 4", "dimension = true", "dimension must be an integer",
+                     id="bool-dimension"),
+        pytest.param('{ E1 = "-1" }', "{ E1 = true }", "expected integer",
+                     id="bool-bracket"),
+        pytest.param('["0", "-1", "0", "0"]', '[false, "-1", "0", "0"]', "expected integer",
+                     id="bool-matrix"),
+        pytest.param("dimension = 4", "dimension = 4.0", "dimension must be an integer",
+                     id="float-dimension"),
+        pytest.param('{ E3 = "-1/2" }', "{ E3 = -0.5 }", "expected integer",
+                     id="float-bracket"),
+        pytest.param('{ E1 = "-1" }', "{ E1 = 1979-05-27 }", "expected integer",
+                     id="date"),
+        pytest.param("[brackets]", "[[brackets]]", "must be a table",
+                     id="array-of-tables"),
+        pytest.param('[frame]\ndimension = 4\nsymbols = ["a1", "a2", "a3", "a4"]',
+                     "frame = 1", "must be a table", id="top-level-scalar"),
+        pytest.param('["1", "0", "0", "0"],', "1,", "requires matrix",
+                     id="matrix-row-not-a-list"),
+    ])
+    def test_rejects_toml_values_outside_the_format(self, old, new, message):
+        with pytest.raises(SpecFormatError, match=message):
+            load_spec(_inoue_with((old, new)))
+
+
+_INOUE_TABLES = tomllib.loads(INOUE_DOC)
+_KEYS = sorted({key for table in _INOUE_TABLES.values() for key in table} | {"basis"})
+
+_toml_values = st.recursive(
+    st.booleans()
+    # small integers only: a huge dimension builds an n-element basis list
+    # before any check; capping the dimension is ROADMAP item 5, not tested here
+    | st.integers(min_value=-8, max_value=8)
+    | st.floats()
+    | st.sampled_from(["a1", "E1", "-1/2", "1/0", "x", "", "E1,E2", "a1*a2"])
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3),
+                                     inner, max_size=3)),
+    max_leaves=8)
+
+
+def _quote(text: str) -> str:
+    # with non-ASCII kept literally, a JSON string is a TOML basic string
+    # unless it holds a raw DEL, which TOML rejects (also an allowed outcome)
+    return json.dumps(text, ensure_ascii=False)
+
+
+def _toml(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(_toml(v) for v in value) + "]"
+    return "{" + ", ".join(f"{_quote(k)} = {_toml(v)}" for k, v in value.items()) + "}"
+
+
+@st.composite
+def _fuzzed_inoue_documents(draw) -> str:
+    """The inoue document with one random TOML value at a random key; the key
+    None replaces a whole section."""
+    doc = copy.deepcopy(_INOUE_TABLES)
+    section = draw(st.sampled_from(sorted(doc)))
+    key = draw(st.none() | st.sampled_from(_KEYS))
+    value = draw(_toml_values)
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    lines = [f"{name} = {_toml(table)}" for name, table in doc.items()
+             if not isinstance(table, dict)]
+    for name, table in doc.items():
+        if isinstance(table, dict):
+            lines.append(f"[{name}]")
+            lines.extend(f"{_quote(k)} = {_toml(v)}" for k, v in table.items())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_inoue_documents())
+def test_load_spec_fuzz_raises_only_spec_errors(text):
+    try:
+        load_spec(text)
+    except (FrameError, SpecFormatError):
+        pass
 
 
 class TestExteriorCalculus:
