@@ -27,7 +27,7 @@ from .connection import levi_civita, weyl
 from .curvature import curvature, identity_suite, ricci, ricci_formula_check, star_ricci
 from .frame import FrameError, FrameSpec, SpecFormatError, builtin, load_spec_file
 from .hermitian import GateError, lck_check, lee_form, nabla_j_checks
-from .polyalg import PolynomialParseError
+from .polyalg import PolynomialParseError, _parse_rational
 from .reports import CheckReport
 
 EXIT_OK = 0
@@ -94,8 +94,8 @@ def _parse_assignment(text: str) -> dict[str, Fraction]:
             raise ValueError(f"assignment entry {chunk!r} is not name=value")
         name, _, value = chunk.partition("=")
         try:
-            out[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
+            out[name.strip()] = _parse_rational(value)
+        except ValueError:
             raise ValueError(
                 f"assignment entry {chunk!r} does not have a rational value") from None
     return out
@@ -230,7 +230,6 @@ def _run_verb(args, out: _Output) -> int:
         assignment = _parse_assignment(args.assign)
         cond, report = _conditions_data(spec, args.dim4)
         verdict = pseudoharmonic.verify_assignment(report, assignment)
-        report = report.with_assignment(verdict)
         data["conditions"] = cond
         data["assignment"] = {
             "values": {name: str(value) for name, value in verdict.assignment},

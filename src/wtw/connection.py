@@ -86,10 +86,7 @@ def _weyl(spec: FrameSpec) -> Connection:
 def cov_deriv_oneform(conn: Connection, omega: Sequence[Scalar]):
     """(nabla_{E_i} omega)(E_j) = -sum_k gamma[i][j][k] omega_k, as an n x n array."""
     spec = conn.spec
-    n = spec.n
-    return tuple(tuple(-sum((conn.gamma[i][j][k] * omega[k] for k in range(n)),
-                            spec.zero())
-                       for j in range(n)) for i in range(n))
+    return tuple(tuple(-value for value in spec.right(plane, omega)) for plane in conn.gamma)
 
 
 def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
@@ -104,13 +101,11 @@ def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
 
 def _cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
     spec = conn.spec
-    n = spec.n
     out = []
-    for i in range(n):
-        comps = [[sum((conn.gamma[i][k][l] * S.comps[k][j]
-                       - S.comps[l][k] * conn.gamma[i][j][k] for k in range(n)),
-                      spec.zero())
-                  for j in range(n)] for l in range(n)]
+    for plane in conn.gamma:
+        # row l: sum_k gamma[i][k][l] S[k][j] - S[l][k] gamma[i][j][k]
+        comps = [[a - b for a, b in zip(spec.left(col, S.comps), spec.right(plane, row))]
+                 for col, row in zip(zip(*plane), S.comps)]
         out.append(Endo(spec, comps))
     return tuple(out)
 

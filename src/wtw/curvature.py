@@ -64,19 +64,18 @@ def _curvature(conn: Connection) -> Curvature:
     spec = conn.spec
     n = spec.n
     g = conn.gamma
-    r = [[[[spec.zero()] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    by_k = [[g[m][k] for m in range(n)] for k in range(n)]  # by_k[k][m][l] = g[m][k][l]
+    zero = tuple((spec.zero(),) * n for _ in range(n))
+    r = [[zero] * n for _ in range(n)]
+    # R(X, Y) = -R(Y, X): form each pair i < j once
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    value = spec.zero()
-                    for m in range(n):
-                        value = value + spec.c[i][j][m] * g[m][k][l]
-                        value = value - g[j][k][m] * g[i][m][l]
-                        value = value + g[i][k][m] * g[j][m][l]
-                    r[i][j][k][l] = value
-    return Curvature(spec, tuple(tuple(tuple(tuple(row) for row in plane)
-                                       for plane in block) for block in r), conn.kind)
+        for j in range(i + 1, n):
+            block = tuple(tuple(a - b + c for a, b, c in zip(
+                spec.left(spec.c[i][j], by_k[k]), spec.left(g[j][k], g[i]),
+                spec.left(g[i][k], g[j]))) for k in range(n))
+            r[i][j] = block
+            r[j][i] = tuple(tuple(-value for value in row) for row in block)
+    return Curvature(spec, tuple(tuple(row) for row in r), conn.kind)
 
 
 def phi_tensor(spec: FrameSpec):
@@ -84,7 +83,7 @@ def phi_tensor(spec: FrameSpec):
     n = spec.n
     lc = levi_civita(spec)
     nphi = cov_deriv_oneform(lc, spec.phi)
-    norm2 = sum((p * p for p in spec.phi), spec.zero())
+    norm2 = spec.dot(spec.phi, spec.phi)
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
     return tuple(tuple(
@@ -143,23 +142,12 @@ def star_ricci(R: Curvature):
 
 def _star_ricci(R: Curvature):
     spec = R.spec
-    n = spec.n
-    J = spec.J
     out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            value = spec.zero()
-            for j in range(n):
-                for p in range(n):
-                    if J[p][j] == 0:
-                        continue
-                    for q in range(n):
-                        if J[q][k] == 0:
-                            continue
-                        value = value + (J[p][j] * J[q][k]) * R.r[p][i][q][j]
-            row.append(value)
-        out.append(tuple(row))
+    for i in range(spec.n):
+        # x[q] = sum_{p,j} J[p][j] r[p][i][q][j] = Trace{Y -> g(R(JY, E_i) E_q, Y)}
+        parts = [spec.right(R.r[p][i], row) for p, row in enumerate(spec.J)]
+        x = [sum(column, spec.zero()) for column in zip(*parts)]
+        out.append(spec.left(x, spec.J))
     return tuple(out)
 
 
@@ -238,21 +226,17 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     report.add("antisymmetric part of rho equals (n/2) d(phi)", ok)
 
     rho_star = star_ricci(RD)
-    jstar_phi = tuple(sum((J[p][j] * spec.phi[p] for p in range(n)), spec.zero())
-                      for j in range(n))
+    jstar_phi = spec.left(spec.phi, J)
     codiff_term = (codifferential_oneform(spec, jstar_phi)
-                   - sum((spec.phi[l] * codifferential_endo(spec, spec.j_endo())[l]
-                          for l in range(n)), spec.zero()))
+                   - spec.dot(spec.phi, codifferential_endo(spec, spec.j_endo())))
+    twisted = spec.twist(rho_star)
+    jdphi = spec.twist(dphi.comps)
     ok = True
     for i in range(n):
         for k in range(n):
-            twisted = sum((J[p][k] * J[q][i] * rho_star[p][q]
-                           for p in range(n) for q in range(n)), spec.zero())
-            jdphi = sum((J[p][i] * J[q][k] * dphi.comps[p][q]
-                         for p in range(n) for q in range(n)), spec.zero())
             # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
             #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
-            res = rho_star[i][k] - twisted - dphi.comps[i][k] - jdphi
+            res = rho_star[i][k] - twisted[k][i] - dphi.comps[i][k] - jdphi[i][k]
             res = res + codiff_term * J[i][k]
             if not res.is_zero:
                 ok = False
@@ -283,7 +267,7 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
     rho_star = star_ricci(RD)
     rho_star_g = star_ricci(Rg)
     nphi = cov_deriv_oneform(lc, spec.phi)
-    norm2 = sum((p * p for p in spec.phi), spec.zero())
+    norm2 = spec.dot(spec.phi, spec.phi)
     delta_phi = codifferential_oneform(spec, spec.phi)
     J = spec.J
 
@@ -298,20 +282,16 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
                 ok = False
     report.add("rho of the Weyl connection from Levi-Civita data", ok)
 
-    jstar_phi = tuple(sum((J[p][j] * spec.phi[p] for p in range(n)), spec.zero())
-                      for j in range(n))
-    delta_jstar = codifferential_oneform(spec, jstar_phi)
-    delta_j = codifferential_endo(spec, spec.j_endo())
-    phi_delta_j = sum((spec.phi[l] * delta_j[l] for l in range(n)), spec.zero())
+    delta_jstar = codifferential_oneform(spec, spec.left(spec.phi, J))
+    phi_delta_j = spec.dot(spec.phi, codifferential_endo(spec, spec.j_endo()))
     jphi = spec.j_apply(spec.phi)
+    twisted = spec.twist(nphi)
 
     ok = True
     for i in range(n):
         for k in range(n):
             value = rho_star_g[i][k] + nphi[i][k]
-            twisted = sum((J[p][i] * J[q][k] * nphi[p][q]
-                           for p in range(n) for q in range(n)), spec.zero())
-            value = value - Fraction(1, 2) * (nphi[k][i] - twisted)
+            value = value - Fraction(1, 2) * (nphi[k][i] - twisted[i][k])
             value = value + Fraction(1, 4) * (spec.phi[i] * spec.phi[k] + jphi[i] * jphi[k])
             if i == k:
                 value = value - Fraction(1, 4) * norm2

@@ -20,6 +20,20 @@ Conventions (pinned by the worked examples and tested):
     ``sum_{i<j} b[i][j] F(E_i, E_j)``.
 
 Indices are 0-based internally; renderings are 1-based.
+
+Contractions: a vector is a sequence of n components and a matrix is a
+sequence of n rows, ``M[i][j] = M(E_i, E_j)`` for a bilinear form; entries
+may be scalars or rationals.  Pairings and J-twists go through five
+:class:`FrameSpec` methods, valid for any rational orthogonal J:
+
+  * ``dot(u, v)``    sum_p u[p] v[p];
+  * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
+  * ``right(M, u)``  the vector M(., u), that is sum_q M[k][q] u[q];
+  * ``twist(M)``     the matrix M(J., J.);
+  * ``j_pair(M)``    the matrix M(J., .) + M(., J.).
+
+As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
+and ``left(omega, J)`` is the 1-form ``omega o J``.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .polyalg import Ring, Scalar, RationalLike
+from .polyalg import Ring, Scalar, RationalLike, _parse_rational
 
 Vector = tuple[Scalar, ...]
 
@@ -156,17 +170,12 @@ class FrameSpec(Memo):
                     raise FrameError(
                         "Jacobi identity fails on "
                         f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
-        for i in range(n):
-            for j in range(n):
-                jj = sum(self.J[i][m] * self.J[m][j] for m in range(n))
-                if jj != -_kron(i, j):
-                    raise FrameError("J^2 = -Identity fails")
-                jtj = sum(self.J[m][i] * self.J[m][j] for m in range(n))
-                if jtj != _kron(i, j):
-                    raise FrameError("J is not g-orthogonal (J^T J = Identity fails)")
-        for idx, entry in enumerate(self.phi):
-            if entry.ring != self.ring:
-                raise FrameError(f"phi[{idx}] lives in a foreign ring")
+        identity = tuple(tuple(_kron(i, j) for j in range(n)) for i in range(n))
+        if self.twist(identity) != identity:
+            raise FrameError("J is not g-orthogonal (J^T J = Identity fails)")
+        # g(J., .) + g(., J.) = 0 means J^T = -J, so J^2 = -J^T J = -Identity
+        if any(not entry.is_zero for row in self.j_pair(identity) for entry in row):
+            raise FrameError("J^2 = -Identity fails")
 
     # -- small helpers ---------------------------------------------------
 
@@ -188,11 +197,38 @@ class FrameSpec(Memo):
         """d(phi) of the spec's Weyl form."""
         return self.memo(_dphi)
 
+    # -- contractions (see the module docstring) --------------------------
+
+    def dot(self, u: Sequence, v: Sequence) -> Scalar:
+        """sum_p u[p] v[p]: a 1-form on a vector, or g(u, v)."""
+        # skips rational zeros (J and c are mostly zeros); a Scalar is always truthy
+        return sum((a * b for a, b in zip(u, v) if a and b), self.zero())
+
+    def left(self, u: Sequence, M: Sequence[Sequence]) -> Vector:
+        """M(u, .): the vector sum_p u[p] M[p][k] over k."""
+        return tuple(self.dot(u, col) for col in zip(*M))
+
+    def right(self, M: Sequence[Sequence], u: Sequence) -> Vector:
+        """M(., u): the vector sum_q M[k][q] u[q] over k."""
+        return tuple(self.dot(row, u) for row in M)
+
+    def twist(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
+        """M(J., J.): entries sum_{p,q} J[p][i] J[q][k] M[p][q]."""
+        cols = tuple(zip(*self.J))  # cols[i] = J E_i
+        m_j = [self.right(M, col) for col in cols]  # m_j[k] = M(., J E_k)
+        return tuple(tuple(self.dot(col, v) for v in m_j) for col in cols)
+
+    def j_pair(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
+        """M(J., .) + M(., J.): entries sum_p J[p][i] M[p][k] + sum_q M[i][q] J[q][k]."""
+        cols = tuple(zip(*self.J))
+        j_m = [self.left(col, M) for col in cols]  # j_m[i] = M(J E_i, .)
+        m_j = [self.right(M, col) for col in cols]  # m_j[k] = M(., J E_k)
+        return tuple(tuple(a + m_j[k][i] for k, a in enumerate(row))
+                     for i, row in enumerate(j_m))
+
     def j_apply(self, vec: Sequence[Scalar]) -> Vector:
         """Componentwise J(v) for a vector of scalars."""
-        n = self.n
-        return tuple(sum((self.J[l][p] * vec[p] for p in range(n)), self.zero())
-                     for l in range(n))
+        return self.right(self.J, vec)
 
     def restrict(self, assignment: Mapping[str, RationalLike]) -> "FrameSpec":
         """Spec with the assignment substituted into phi (same ring)."""
@@ -212,8 +248,10 @@ def _coerce_phi(ring: Ring, n: int,
     """Weyl-form coefficients as scalars of ``ring``: scalars are kept, strings
     parsed and rational constants lifted."""
     vec = []
-    for entry in phi:
+    for idx, entry in enumerate(phi):
         if isinstance(entry, Scalar):
+            if entry.ring != ring:
+                raise FrameError(f"phi[{idx}] lives in a foreign ring")
             vec.append(entry)
         elif isinstance(entry, str):
             vec.append(ring.parse(entry))
@@ -280,12 +318,6 @@ class Endo:
 
     def scale(self, value) -> "Endo":
         return Endo(self.spec, [[a * value for a in row] for row in self.comps])
-
-    def apply(self, vec: Sequence[Scalar]) -> Vector:
-        n = self.spec.n
-        z = self.spec.zero()
-        return tuple(sum((self.comps[i][j] * vec[j] for j in range(n)), z)
-                     for i in range(n))
 
     def transpose(self) -> "Endo":
         n = self.spec.n
@@ -406,22 +438,15 @@ def _dphi(spec: FrameSpec) -> "TwoForm":
 
 def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> TwoForm:
     """d omega with ``(d omega)(E_i, E_j) = -omega([E_i, E_j])``."""
-    n = spec.n
-    z = spec.zero()
-    comps = [[-sum((spec.c[i][j][k] * omega[k] for k in range(n)), z)
-              for j in range(n)] for i in range(n)]
-    return TwoForm(spec, comps)
+    return TwoForm(spec, [[-spec.dot(row, omega) for row in plane] for plane in spec.c])
 
 
 def d_twoform(spec: FrameSpec, F: TwoForm) -> ThreeForm:
     """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F."""
     n = spec.n
-    z = spec.zero()
-
-    def bracket_slot(i, j, k):
-        return sum((spec.c[i][j][m] * F.comps[m][k] for m in range(n)), z)
-
-    comps = [[[-bracket_slot(i, j, k) + bracket_slot(i, k, j) - bracket_slot(j, k, i)
+    # cf[i][j][k] = F([E_i, E_j], E_k)
+    cf = [[spec.left(row, F.comps) for row in plane] for plane in spec.c]
+    comps = [[[-cf[i][j][k] + cf[i][k][j] - cf[j][k][i]
                for k in range(n)] for j in range(n)] for i in range(n)]
     return ThreeForm(spec, comps)
 
@@ -548,17 +573,21 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
             return Fraction(value)
         if isinstance(value, str):
             try:
-                return Fraction(value.strip())
-            except (ValueError, ZeroDivisionError):
+                return _parse_rational(value)
+            except ValueError:
                 raise SpecFormatError(f"{where}: not a rational constant: {value!r}") from None
         raise SpecFormatError(f"{where}: expected integer or rational string, got {value!r}")
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    key_of_pair: dict[frozenset[int], str] = {}
     for key, table in doc["brackets"].items():
         parts = [p.strip() for p in key.split(",")]
         if len(parts) != 2 or any(p not in index for p in parts):
             raise SpecFormatError(f"[brackets] key must name two basis vectors, got {key!r}")
         i, j = index[parts[0]], index[parts[1]]
+        first = key_of_pair.setdefault(frozenset((i, j)), key)
+        if first != key:
+            raise SpecFormatError(f"[brackets] {first!r} and {key!r} name the same pair")
         if not isinstance(table, dict):
             raise SpecFormatError(f"[brackets] {key!r} must map basis vectors to constants")
         comps = {}

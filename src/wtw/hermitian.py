@@ -62,31 +62,15 @@ def nijenhuis(spec: FrameSpec):
 
 def _nijenhuis(spec: FrameSpec):
     n = spec.n
-    c = spec.c
-    J = spec.J
-    # the nonzero entries of each column and each row of J
-    cols = [[(p, J[p][i]) for p in range(n) if J[p][i]] for i in range(n)]
-    rows = [[(m, J[k][m]) for m in range(n) if J[k][m]] for k in range(n)]
+    jc = [[spec.j_apply(row) for row in plane] for plane in spec.c]  # J[E_i, E_j]
     comps = []
     for k in range(n):
-        plane = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                value = Fraction(0)
-                value -= c[i][j][k]
-                for p, jp in cols[i]:
-                    for q, jq in cols[j]:
-                        value += jp * jq * c[p][q][k]
-                for q, jq in cols[j]:
-                    for m, jm in rows[k]:
-                        value -= jq * c[i][q][m] * jm
-                for p, jp in cols[i]:
-                    for m, jm in rows[k]:
-                        value -= jp * c[p][j][m] * jm
-                row.append(spec.const(value))
-            plane.append(tuple(row))
-        comps.append(tuple(plane))
+        c_k = [[row[k] for row in plane] for plane in spec.c]
+        jc_k = [[row[k] for row in plane] for plane in jc]
+        # -[Y, Z] + [JY, JZ] - (J[Y, JZ] + J[JY, Z]), component k
+        twisted, paired = spec.twist(c_k), spec.j_pair(jc_k)
+        comps.append(tuple(tuple(twisted[i][j] - paired[i][j] - c_k[i][j] for j in range(n))
+                           for i in range(n)))
     comps = tuple(comps)
     integrable = all(entry.is_zero for plane in comps for row in plane for entry in row)
     return comps, integrable
@@ -102,18 +86,11 @@ def _lee_form(spec: FrameSpec) -> LeeData:
     lc = levi_civita(spec)
     omega = fundamental_form(spec)
     # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m]
-    delta_omega = []
-    for k in range(n):
-        value = spec.zero()
-        for i in range(n):
-            for m in range(n):
-                value = value + lc.gamma[i][i][m] * omega.comps[m][k]
-                value = value + lc.gamma[i][k][m] * omega.comps[i][m]
-        delta_omega.append(value)
+    parts = [spec.left(lc.gamma[i][i], omega.comps) for i in range(n)]
+    parts += [spec.right(lc.gamma[i], omega.comps[i]) for i in range(n)]
+    delta_omega = [sum(column, spec.zero()) for column in zip(*parts)]
     factor = Fraction(-2, n - 2)
-    theta = tuple(factor * sum((spec.J[p][k] * delta_omega[p] for p in range(n)),
-                               spec.zero())
-                  for k in range(n))
+    theta = tuple(factor * value for value in spec.left(delta_omega, spec.J))
     delta_j = codifferential_endo(spec, spec.j_endo())
     B = tuple(Fraction(2, n - 2) * entry for entry in spec.j_apply(delta_j))
     if any(not (t - b).is_zero for t, b in zip(theta, B)):
@@ -179,25 +156,24 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     ncomp, _ = nijenhuis(spec)
 
     ok = True
-    for x in range(n):
+    for x, jx in enumerate(zip(*J)):
+        twisted = spec.twist(dom.comps[x])  # dOmega(X, J., J.)
+        # g(N(Y, Z), JX)
+        n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in range(n)]
         for y in range(n):
             for z in range(n):
-                value = dom.comps[x][y][z]
-                value = value - sum((J[p][y] * J[q][z] * dom.comps[x][p][q]
-                                     for p in range(n) for q in range(n)), spec.zero())
-                value = value + sum((ncomp[k][y][z] * J[k][x] for k in range(n)),
-                                    spec.zero())
+                value = dom.comps[x][y][z] - twisted[y][z] + n_jx[y][z]
                 if not (2 * nJ[x].comps[z][y] - value).is_zero:
                     ok = False
     report.add("nabla-J from d(Omega) and the Nijenhuis tensor", ok)
 
     ok = True
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                twisted = sum((J[p][x] * J[q][y] * nJ[p].comps[z][q]
-                               for p in range(n) for q in range(n)), spec.zero())
-                if not (nJ[x].comps[z][y] - twisted).is_zero:
+    for z in range(n):
+        # twisted[x][y] = g((nabla_{JX} J)(JY), E_z)
+        twisted = spec.twist([nJ[p].comps[z] for p in range(n)])
+        for x in range(n):
+            for y in range(n):
+                if not (nJ[x].comps[z][y] - twisted[x][y]).is_zero:
                     ok = False
     report.add("Gray integrability criterion", ok)
 
@@ -217,19 +193,14 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     report.add("closed form of nabla-J through the Lee vector", ok)
 
     ok = True
-    half = Fraction(1, 2)
-    for x in range(n):
+    for x, jx in enumerate(zip(*J)):
         jn = j_endo @ nJ[x]
         ex = tuple(spec.const(1 if l == x else 0) for l in range(n))
-        jex = tuple(spec.const(J[l][x]) for l in range(n))
         lhs = Bivector(spec, [[jn.comps[q][p] for q in range(n)] for p in range(n)])
-        rhs_b = Bivector.wedge_vectors(spec, B, ex)
-        rhs_jb = Bivector.wedge_vectors(spec, JB, jex)
-        for p in range(n):
-            for q in range(n):
-                value = lhs.comps[p][q] - half * (rhs_b.comps[p][q] - rhs_jb.comps[p][q])
-                if not value.is_zero:
-                    ok = False
+        rhs = (Bivector.wedge_vectors(spec, B, ex)
+               - Bivector.wedge_vectors(spec, JB, jx)).scale(Fraction(1, 2))
+        if not (lhs - rhs).is_zero:
+            ok = False
     report.add("wedge image of J nabla-J through the Lee vector", ok)
 
     lee_spec = spec.with_phi(lee.theta)

@@ -32,6 +32,7 @@ Exponents = tuple[int, ...]
 RationalLike = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 
 
 class RingMismatchError(ValueError):
@@ -40,6 +41,18 @@ class RingMismatchError(ValueError):
 
 class PolynomialParseError(ValueError):
     """Raised for malformed polynomial strings."""
+
+
+def _parse_rational(text: str) -> Fraction:
+    """A rational constant ``[+-]digits[/digits]``, surrounding spaces allowed;
+    anything else, or a zero denominator, raises ValueError.  ``Fraction`` alone
+    takes exponent notation and spends unbounded time on ``"1e9999999"``."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a rational constant: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -50,16 +50,10 @@ class ConditionReport:
     dropped_i: int
     dropped_ii: int
     dim4_mode: bool
-    assignments_checked: tuple = ()
 
     @property
     def holds_identically(self) -> bool:
         return not self.condition_i and not self.condition_ii
-
-    def with_assignment(self, verdict: "AssignmentVerdict") -> "ConditionReport":
-        """A copy of the report with the verdict appended to its history."""
-        from dataclasses import replace
-        return replace(self, assignments_checked=self.assignments_checked + (verdict,))
 
 
 def _normalize_list(values) -> tuple[tuple[Scalar, ...], int]:
@@ -79,20 +73,11 @@ def condition_i(spec: FrameSpec) -> list[Scalar]:
     """(1,1)-type residuals of the condition-(i) 2-form, for k < l."""
     theta = require_gate(spec).theta
     n = spec.n
-    J = spec.J
     coeff = Fraction(n * (n - 4), 2 * (n - 2))
-    tmf = tuple(theta[i] - spec.phi[i] for i in range(n))
-    F = d_oneform(spec, tmf)
-    wedge = wedge_oneforms(spec, theta, spec.phi)
-    comps = [[F.comps[i][j] + coeff * wedge.comps[i][j] for j in range(n)]
-             for i in range(n)]
-    out = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            value = sum((J[p][k] * comps[p][l] for p in range(n)), spec.zero())
-            value = value + sum((J[q][l] * comps[k][q] for q in range(n)), spec.zero())
-            out.append(value)
-    return out
+    tmf = tuple(t - p for t, p in zip(theta, spec.phi))
+    form = d_oneform(spec, tmf) + wedge_oneforms(spec, theta, spec.phi).scale(coeff)
+    paired = spec.j_pair(form.comps)
+    return [paired[k][l] for k in range(n) for l in range(k + 1, n)]
 
 
 def _condition_ii_values(spec: FrameSpec, theta, dim4_mode: bool) -> list[Scalar]:
@@ -104,27 +89,21 @@ def _condition_ii_values(spec: FrameSpec, theta, dim4_mode: bool) -> list[Scalar
     n = spec.n
     J = spec.J
     R = curvature(weyl(spec))
-    rho = ricci(R)
-    rho_star = star_ricci(R)
-    dphi = spec.dphi()
-    j_wedge = twistor.wedge_iso(spec.j_endo())
-    dphi_jwedge = eval_on_bivector(dphi, j_wedge)
-    tmf = tuple(theta[i] - spec.phi[i] for i in range(n))
+    dphi = spec.dphi().comps
+    dphi_jwedge = eval_on_bivector(spec.dphi(), twistor.wedge_iso(spec.j_endo()))
+    tmf = tuple(t - p for t, p in zip(theta, spec.phi))
     jt = spec.j_apply(tmf)
+    dphi_tmf = spec.left(tmf, dphi)                       # dphi((theta-phi)#, Z)
+    dphi_jt_j = spec.left(spec.left(jt, dphi), J)         # dphi(J(theta-phi)#, JZ)
+    tmf_j = spec.left(tmf, J)                             # (theta-phi)(JZ)
+    rho_tmf = spec.left(tmf, ricci(R))                    # rho((theta-phi)#, Z)
+    rho_star_jt_j = spec.left(spec.left(jt, star_ricci(R)), J)  # rho*(J(theta-phi)#, JZ)
     out = []
     for k in range(n):
-        jz = [J[l][k] for l in range(n)]
         value = spec.zero()
         if not dim4_mode:
-            value = (Fraction(n, 2) - 1) * sum((tmf[p] * dphi.comps[p][k]
-                                                for p in range(n)), spec.zero())
-            value = value - sum((jt[p] * jz[q] * dphi.comps[p][q]
-                                 for p in range(n) for q in range(n)), spec.zero())
-        value = value - sum((tmf[l] * jz[l] for l in range(n)), spec.zero()) * dphi_jwedge
-        value = value - sum((tmf[p] * rho[p][k] for p in range(n)), spec.zero())
-        value = value + sum((jt[p] * jz[q] * rho_star[p][q]
-                             for p in range(n) for q in range(n)), spec.zero())
-        out.append(value)
+            value = (Fraction(n, 2) - 1) * dphi_tmf[k] - dphi_jt_j[k]
+        out.append(value - tmf_j[k] * dphi_jwedge - rho_tmf[k] + rho_star_jt_j[k])
     return out
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .connection import (Connection, cov_deriv_endo, levi_civita,
                          second_cov_deriv_endo, weyl)
@@ -41,11 +42,8 @@ from .reports import CheckReport
 
 def g_fiber(a: Endo, b: Endo) -> Scalar:
     """G(a, b) = 1/2 sum_i g(a E_i, b E_i)."""
-    spec = a.spec
-    n = spec.n
-    half = Fraction(1, 2)
-    return half * sum((a.comps[l][i] * b.comps[l][i]
-                       for l in range(n) for i in range(n)), spec.zero())
+    return Fraction(1, 2) * a.spec.dot(chain.from_iterable(a.comps),
+                                       chain.from_iterable(b.comps))
 
 
 def wedge_iso(a: Endo) -> Bivector:
@@ -215,17 +213,16 @@ def fiber_pairing_check(spec: FrameSpec, a: Endo, b: Endo) -> CheckReport:
     r_of_wedge = curvature_on_bivector(R, comm_wedge)
     dphi = spec.dphi()
     dphi_wedge = eval_on_bivector(dphi, comm_wedge)
+    columns = list(zip(*comm.comps))  # columns[i] = [a,b] E_i
+    dphi_comm = [spec.left(col, dphi.comps) for col in columns]   # [i][j]: dphi([a,b]X, Y)
+    comm_dphi = [spec.right(dphi.comps, col) for col in columns]  # [j][i]: dphi(X, [a,b]Y)
     half = Fraction(1, 2)
     ok = True
     for i in range(n):
         for j in range(n):
             lhs = g_fiber(action[i][j], b)
             rhs = r_of_wedge.comps[j][i]
-            corr = dphi_wedge * (1 if i == j else 0)
-            corr = corr + sum((comm.comps[l][i] * dphi.comps[l][j] for l in range(n)),
-                              spec.zero())
-            corr = corr + sum((comm.comps[l][j] * dphi.comps[i][l] for l in range(n)),
-                              spec.zero())
+            corr = dphi_wedge * (1 if i == j else 0) + dphi_comm[i][j] + comm_dphi[j][i]
             if not (lhs - rhs + half * corr).is_zero:
                 ok = False
     report.add("curvature pairing identity on endomorphisms", ok)
@@ -263,51 +260,43 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     dphi = spec.dphi()
     act_j = endo_curvature_action(R, j_endo)
     half = Fraction(1, 2)
-
-    def dphi_vec(vec, k):
-        return sum((vec[p] * dphi.comps[p][k] for p in range(n)), spec.zero())
-
-    def dphi_vec_right(k, vec):
-        return sum((dphi.comps[k][p] * vec[p] for p in range(n)), spec.zero())
+    phi_j = spec.left(phi, J)                      # phi(J.)
+    dphi_jphi = spec.left(jphi, dphi.comps)        # dphi(J phi#, .)
+    dphi_phi = spec.left(phi, dphi.comps)          # dphi(phi#, .)
+    jphi_dphi = spec.right(dphi.comps, jphi)       # dphi(., J phi#)
+    phi_dphi = spec.right(dphi.comps, phi)         # dphi(., phi#)
 
     ok = True
-    for y in range(n):
+    for y, jy in enumerate(zip(*J)):
         jn = j_endo @ nj[y]
         jn_wedge = wedge_iso(jn)
         ey = tuple(spec.const(1 if l == y else 0) for l in range(n))
-        jy = tuple(spec.const(J[l][y]) for l in range(n))
-        bphi = Bivector(spec, [[
-            phi[p] * ey[q] - phi[q] * ey[p] - (jphi[p] * jy[q] - jphi[q] * jy[p])
-            for q in range(n)] for p in range(n)])
+        bphi = Bivector.wedge_vectors(spec, phi, ey) - Bivector.wedge_vectors(spec, jphi, jy)
         r_jn = curvature_on_bivector(R, jn_wedge)
         r_bphi = curvature_on_bivector(R, bphi)
         dphi_jn = eval_on_bivector(dphi, jn_wedge)
         dphi_bphi = eval_on_bivector(dphi, bphi)
+        columns = list(zip(*jn.comps))
+        dphi_jn_x = [spec.left(col, dphi.comps) for col in columns]    # [x][z]
+        dphi_jn_z = [spec.right(dphi.comps, col) for col in columns]   # [z][x]
+        dphi_jy = spec.left(jy, dphi.comps)        # dphi(JY, .)
+        jy_dphi = spec.right(dphi.comps, jy)       # dphi(., JY)
         for x in range(n):
-            phi_jx = sum((phi[p] * J[p][x] for p in range(n)), spec.zero())
             for z in range(n):
-                phi_jz = sum((phi[p] * J[p][z] for p in range(n)), spec.zero())
                 lhs = g_fiber(act_j[x][z], dj[y])
                 rhs = 2 * r_jn.comps[z][x] - r_bphi.comps[z][x]
                 if x == z:
                     rhs = rhs - dphi_jn + half * dphi_bphi
-                rhs = rhs - sum((jn.comps[l][x] * dphi.comps[l][z]
-                                 for l in range(n)), spec.zero())
-                rhs = rhs - sum((jn.comps[l][z] * dphi.comps[x][l]
-                                 for l in range(n)), spec.zero())
-                part = phi_jx * sum((J[p][y] * dphi.comps[p][z] for p in range(n)),
-                                    spec.zero())
-                part = part + phi[x] * dphi.comps[y][z]
-                part = part - J[y][x] * dphi_vec(jphi, z)
+                rhs = rhs - dphi_jn_x[x][z] - dphi_jn_z[z][x]
+                part = phi_j[x] * dphi_jy[z] + phi[x] * dphi.comps[y][z]
+                part = part - J[y][x] * dphi_jphi[z]
                 if y == x:
-                    part = part - dphi_vec(phi, z)
+                    part = part - dphi_phi[z]
                 rhs = rhs + half * part
-                part = phi_jz * sum((dphi.comps[x][p] * J[p][y] for p in range(n)),
-                                    spec.zero())
-                part = part + phi[z] * dphi.comps[x][y]
-                part = part - J[y][z] * dphi_vec_right(x, jphi)
+                part = phi_j[z] * jy_dphi[x] + phi[z] * dphi.comps[x][y]
+                part = part - J[y][z] * jphi_dphi[x]
                 if y == z:
-                    part = part - dphi_vec_right(x, phi)
+                    part = part - phi_dphi[x]
                 rhs = rhs + half * part
                 if not (lhs - rhs).is_zero:
                     ok = False
@@ -437,27 +426,24 @@ def h_trace(spec: FrameSpec):
 
     r_jn = [curvature_on_bivector(R, w) for w in jn_wedge]
 
+    rho_phi = spec.left(phi, rho)                                # rho(phi#, Z)
+    rho_star_jphi_j = spec.left(spec.left(jphi, rho_star), J)    # rho*(J phi#, JZ)
+    dphi_jdj = spec.left(j_delta_j, dphi.comps)                  # dphi(J delta J, Z)
+    # Tr{X -> dphi(X, (J nabla_X J) Z)}
+    traced = [sum(column, spec.zero()) for column in
+              zip(*(spec.left(dphi.comps[x], jn[x].comps) for x in range(n)))]
+    phi_j = spec.left(phi, J)                                    # phi(JZ)
+    dphi_phi = spec.left(phi, dphi.comps)                        # dphi(phi#, Z)
+    dphi_jphi_j = spec.left(spec.left(jphi, dphi.comps), J)      # dphi(J phi#, JZ)
     out = []
     for k in range(n):
-        jz = [J[l][k] for l in range(n)]
         value = spec.zero()
         for x in range(n):
             value = value + 2 * r_jn[x].comps[k][x]
-        value = value + sum((phi[p] * rho[p][k] for p in range(n)), spec.zero())
-        value = value - sum((jphi[p] * jz[q] * rho_star[p][q]
-                             for p in range(n) for q in range(n)), spec.zero())
-        value = value - eval_on_bivector(dphi, jn_wedge[k])
-        value = value + sum((j_delta_j[p] * dphi.comps[p][k] for p in range(n)),
-                            spec.zero())
-        for x in range(n):
-            value = value - sum((dphi.comps[x][l] * jn[x].comps[l][k]
-                                 for l in range(n)), spec.zero())
-        phi_jz = sum((phi[p] * J[p][k] for p in range(n)), spec.zero())
-        value = value + phi_jz * dphi_jwedge
-        value = value - (Fraction(n, 2) - 1) * sum((phi[p] * dphi.comps[p][k]
-                                                    for p in range(n)), spec.zero())
-        value = value + sum((jphi[p] * jz[q] * dphi.comps[p][q]
-                             for p in range(n) for q in range(n)), spec.zero())
+        value = value + rho_phi[k] - rho_star_jphi_j[k]
+        value = value - eval_on_bivector(dphi, jn_wedge[k]) + dphi_jdj[k] - traced[k]
+        value = value + phi_j[k] * dphi_jwedge
+        value = value - (Fraction(n, 2) - 1) * dphi_phi[k] + dphi_jphi_j[k]
         out.append(value)
     return tuple(out)
 
@@ -484,7 +470,6 @@ class VTraceData:
 def v_trace(spec: FrameSpec) -> VTraceData:
     lee = require_gate(spec)
     n = spec.n
-    J = spec.J
     conn = weyl(spec)
     j_endo = spec.j_endo()
     second = second_cov_deriv_endo(conn, j_endo)
@@ -492,20 +477,12 @@ def v_trace(spec: FrameSpec) -> VTraceData:
     for i in range(n):
         traced = traced + second[i][i]
 
-    direct = tuple(tuple(
-        traced.comps[l][k]
-        - sum((J[p][k] * J[q][l] * traced.comps[q][p]
-               for p in range(n) for q in range(n)), spec.zero())
-        for l in range(n)) for k in range(n))
+    # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
+    form = traced.transpose()
+    direct = (form - Endo(spec, spec.twist(form.comps))).comps
 
     coeff = Fraction(n * (n - 4), 2 * (n - 2))
-    pmt = tuple(spec.phi[i] - lee.theta[i] for i in range(n))
-    F = d_oneform(spec, pmt)
-    wedge = wedge_oneforms(spec, spec.phi, lee.theta)
-    closed = tuple(tuple(
-        sum((J[p][k] * (F.comps[p][l] + coeff * wedge.comps[p][l])
-             for p in range(n)), spec.zero())
-        + sum((J[q][l] * (F.comps[k][q] + coeff * wedge.comps[k][q])
-               for q in range(n)), spec.zero())
-        for l in range(n)) for k in range(n))
+    pmt = tuple(p - t for p, t in zip(spec.phi, lee.theta))
+    closed = spec.j_pair((d_oneform(spec, pmt)
+                          + wedge_oneforms(spec, spec.phi, lee.theta).scale(coeff)).comps)
     return VTraceData(direct=direct, closed_form=closed)

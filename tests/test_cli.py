@@ -62,7 +62,10 @@ class TestExitCodes:
         ("[brackets]", "[[brackets]]"),
         ("[frame]\ndimension = 4\nsymbols = []", "frame = 1"),
         ('["1", "0", "0", "0"],', "1,"),
-    ], ids=["bool-constant", "array-of-tables", "top-level-scalar", "matrix-row-not-a-list"])
+        ('"E2,E3" = { E3 = "-1/2" }', '"E2,E1" = { E1 = "-1" }'),
+        ('{ E3 = "-1/2" }', '{ E3 = "1e9999999" }'),
+    ], ids=["bool-constant", "array-of-tables", "top-level-scalar", "matrix-row-not-a-list",
+            "pair-given-twice", "exponent-constant"])
     def test_hostile_document_is_one_line_spec_error(self, tmp_path, old, new):
         text = (DATA / "inoue_lee.toml").read_text()
         assert old in text
@@ -90,7 +93,7 @@ class TestExitCodes:
         assert status == 2
 
     @pytest.mark.parametrize("verb", ["verify", "report"])
-    @pytest.mark.parametrize("value", ["1/0", "x"])
+    @pytest.mark.parametrize("value", ["1/0", "x", "1e9999999", "0.5"])
     def test_bad_assignment_value_is_usage_error(self, verb, value):
         status, out, err = run([verb, "--builtin", "inoue-s0", "--assign", f"a1={value}"])
         assert status == 2

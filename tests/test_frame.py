@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtw import (FrameError, FrameSpec, SpecFormatError, builtin, d_oneform,
+from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, d_oneform,
                  d_twoform, eval_on_bivector, load_spec, sharp)
 from wtw.frame import Bivector, TwoForm, wedge_oneforms, wedge_one_two
 from wtw.hermitian import fundamental_form, lee_form
@@ -197,6 +197,10 @@ A4 = "1/2"
         pytest.param("dimension = 4", "dimension = four", id="bare-word"),
         pytest.param("dimension = 4", "dimension = 4 4", id="trailing-input"),
         pytest.param("[frame]", "[frame!]", id="malformed-header"),
+        pytest.param('"E2,E3" = { E3 = "-1/2" }', '"E2,E1" = { E1 = "-1" }',
+                     id="pair-given-reversed"),
+        pytest.param('"E2,E4" = { E4 = "-1/2" }', '"E2, E3" = { E3 = "1/2" }',
+                     id="pair-given-with-space"),
     ])
     def test_rejects_malformed_documents(self, old, new):
         with pytest.raises(SpecFormatError):
@@ -227,6 +231,10 @@ A4 = "1/2"
                      "frame = 1", "must be a table", id="top-level-scalar"),
         pytest.param('["1", "0", "0", "0"],', "1,", "requires matrix",
                      id="matrix-row-not-a-list"),
+        pytest.param('{ E3 = "-1/2" }', '{ E3 = "1e9999999" }', "not a rational constant",
+                     id="exponent-bracket"),
+        pytest.param('["0", "-1", "0", "0"]', '["0.0", "-1", "0", "0"]',
+                     "not a rational constant", id="decimal-matrix"),
     ])
     def test_rejects_toml_values_outside_the_format(self, old, new, message):
         with pytest.raises(SpecFormatError, match=message):
@@ -377,6 +385,11 @@ class TestValidation:
         with pytest.raises(FrameError):
             inoue.with_phi(("a1",))
 
+    def test_with_phi_revalidates_ring(self, inoue):
+        foreign = Ring(("b1",)).sym("b1")
+        with pytest.raises(FrameError, match="foreign ring"):
+            inoue.with_phi((foreign, "a2", "a3", "a4"))
+
     def test_create_rejects_bad_j(self):
         with pytest.raises(FrameError, match="J"):
             FrameSpec.create(dimension=4, symbols=(), brackets={},
@@ -392,3 +405,85 @@ class TestValidation:
         with pytest.raises(FrameError, match="out of range"):
             FrameSpec.create(dimension=4, symbols=(), brackets={(0, 1): {7: 1}},
                              J=J, phi=(0, 0, 0, 0))
+
+
+def _matmul(A, B):
+    return [[sum(A[i][m] * B[m][j] for m in range(len(B))) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+def _inverse(A):
+    """Gauss-Jordan inverse of an invertible rational matrix."""
+    n = len(A)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _dense_j(n: int):
+    """Q J0 Q^T for the standard J0 and the Cayley transform Q = (I - A)(I + A)^-1
+    of a rational skew A that does not commute with J0; orthogonal, J^2 = -I."""
+    J0 = [[Fraction(0)] * n for _ in range(n)]
+    for b in range(0, n, 2):
+        J0[b + 1][b], J0[b][b + 1] = Fraction(1), Fraction(-1)
+    A = [[Fraction(j - i, 2) if abs(j - i) == 1 else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    assert _matmul(A, J0) != _matmul(J0, A)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    Q = _matmul([[e - a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)],
+                _inverse([[e + a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)]))
+    return _matmul(_matmul(Q, J0), [list(col) for col in zip(*Q)])
+
+
+class TestContractionsOnDenseJ:
+    """The FrameSpec contraction helpers against explicit index sums, on an
+    abelian frame whose J is not a signed permutation."""
+
+    @pytest.fixture(scope="class", params=[4, 6], ids=["n4", "n6"])
+    def data(self, request):
+        n = request.param
+        J = _dense_j(n)
+        assert all(J[i][j] for i in range(n) for j in range(n) if i != j)
+        names = ([f"u{p}" for p in range(n)] + [f"v{p}" for p in range(n)]
+                 + [f"m{p}_{q}" for p in range(n) for q in range(n)])
+        spec = FrameSpec.create(dimension=n, symbols=names, brackets={}, J=J,
+                                phi=(0,) * n, name="dense-J")
+        sym = spec.ring.sym
+        u = tuple(sym(f"u{p}") for p in range(n))
+        v = tuple(sym(f"v{p}") for p in range(n))
+        M = tuple(tuple(sym(f"m{p}_{q}") for q in range(n)) for p in range(n))
+        return spec, u, v, M
+
+    def test_dot_left_right_and_j_apply(self, data):
+        spec, u, v, M = data
+        n, J, z = spec.n, spec.J, spec.zero()
+        assert spec.dot(u, v) == sum((u[p] * v[p] for p in range(n)), z)
+        assert spec.left(u, M) == tuple(sum((u[p] * M[p][k] for p in range(n)), z)
+                                        for k in range(n))
+        assert spec.right(M, u) == tuple(sum((M[k][q] * u[q] for q in range(n)), z)
+                                         for k in range(n))
+        assert spec.j_apply(u) == tuple(sum((J[l][p] * u[p] for p in range(n)), z)
+                                        for l in range(n))
+        assert spec.left(u, J) == tuple(sum((u[p] * J[p][k] for p in range(n)), z)
+                                        for k in range(n))
+
+    def test_twist_and_j_pair(self, data):
+        spec, _, _, M = data
+        n, J, z = spec.n, spec.J, spec.zero()
+        assert spec.twist(M) == tuple(tuple(
+            sum((J[p][i] * J[q][k] * M[p][q] for p in range(n) for q in range(n)), z)
+            for k in range(n)) for i in range(n))
+        assert spec.j_pair(M) == tuple(tuple(
+            sum((J[p][i] * M[p][k] for p in range(n)), z)
+            + sum((M[i][q] * J[q][k] for q in range(n)), z)
+            for k in range(n)) for i in range(n))
+        # on a rational matrix: J(J., J.) = J, and J(J., .) + J(., J.) = 0
+        assert spec.twist(J) == tuple(tuple(spec.const(x) for x in row) for row in J)
+        assert all(entry.is_zero for row in spec.j_pair(J) for entry in row)

@@ -141,13 +141,6 @@ class TestVerifyAssignment:
         with pytest.raises(KeyError):
             verify_assignment(report, {"b7": 0})
 
-    def test_with_assignment_records_history(self, inoue_reduced):
-        report = conditions(inoue_reduced)
-        verdict = verify_assignment(report, {"a1": 0, "a2": 1})
-        recorded = report.with_assignment(verdict)
-        assert recorded.assignments_checked == (verdict,)
-        assert report.assignments_checked == ()  # original untouched
-
 
 class TestEquivalence:
     @pytest.mark.parametrize("which", ["inoue", "inoue_reduced", "k++", "k+-",
