@@ -27,7 +27,7 @@ from .connection import levi_civita, weyl
 from .curvature import curvature, identity_suite, ricci, ricci_formula_check, star_ricci
 from .frame import FrameError, FrameSpec, SpecFormatError, builtin, load_spec_file
 from .hermitian import GateError, lck_check, lee_form, nabla_j_checks
-from .polyalg import PolynomialParseError, _parse_rational
+from .polyalg import PolynomialParseError, Ring, _parse_rational
 from .reports import CheckReport
 
 EXIT_OK = 0
@@ -84,7 +84,9 @@ def _parse_signs(text: str) -> tuple[int, int]:
     return values[0], values[1]
 
 
-def _parse_assignment(text: str) -> dict[str, Fraction]:
+def _parse_assignment(text: str, ring: Ring) -> dict[str, Fraction]:
+    """Comma-separated ``name=value`` entries; each name is a symbol of
+    ``ring`` given once, and each value a rational constant."""
     out: dict[str, Fraction] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -93,8 +95,15 @@ def _parse_assignment(text: str) -> dict[str, Fraction]:
         if "=" not in chunk:
             raise ValueError(f"assignment entry {chunk!r} is not name=value")
         name, _, value = chunk.partition("=")
+        name = name.strip()
+        if not name:
+            raise ValueError(f"assignment entry {chunk!r} has no symbol name")
+        if name not in ring.symbols:
+            raise ValueError(f"assignment entry {chunk!r} names an undeclared symbol")
+        if name in out:
+            raise ValueError(f"assignment entry {chunk!r} assigns {name!r} a second time")
         try:
-            out[name.strip()] = _parse_rational(value)
+            out[name] = _parse_rational(value)
         except ValueError:
             raise ValueError(
                 f"assignment entry {chunk!r} does not have a rational value") from None
@@ -227,7 +236,7 @@ def _run_verb(args, out: _Output) -> int:
         if not report.holds_identically:
             status = EXIT_CHECK_FAILED
     elif verb == "verify":
-        assignment = _parse_assignment(args.assign)
+        assignment = _parse_assignment(args.assign, spec.ring)
         cond, report = _conditions_data(spec, args.dim4)
         verdict = pseudoharmonic.verify_assignment(report, assignment)
         data["conditions"] = cond
@@ -262,6 +271,7 @@ def _run_verb(args, out: _Output) -> int:
 
 def _full_report(spec: FrameSpec, args) -> dict:
     """The machine-readable document: validation, Lee data, tables, conditions."""
+    assignment = _parse_assignment(args.assign, spec.ring) if args.assign else None
     data: dict = {}
     data["validation"] = {"ok": True}
     lee = lee_form(spec)
@@ -281,9 +291,8 @@ def _full_report(spec: FrameSpec, args) -> dict:
             data["verdict"] = "pseudo-harmonic for all parameter values"
         else:
             data["verdict"] = "conditional; see the condition systems"
-        if args.assign:
-            verdict = pseudoharmonic.verify_assignment(
-                report, _parse_assignment(args.assign))
+        if assignment is not None:
+            verdict = pseudoharmonic.verify_assignment(report, assignment)
             data["assignment"] = {
                 "values": {name: str(value) for name, value in verdict.assignment},
                 "holds": verdict.holds,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import Connection, cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
-from .frame import Endo, FrameSpec, Memo, _kron
+from .frame import Endo, FrameSpec, Memo
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -100,25 +100,25 @@ def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
     """
     n = spec.n
     rg = curvature(levi_civita(spec))
-    Phi = phi_tensor(spec)
-    half = Fraction(1, 2)
+    half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
     r = [[[[spec.zero()] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    corr = spec.zero()
+                    # the Phi-correction sits where two indices coincide
+                    value = rg.r[i][j][k][l]
                     if k == l:
-                        corr = corr + Phi[i][j] - Phi[j][i]
+                        value = value + half_phi[i][j] - half_phi[j][i]
                     if j == l:
-                        corr = corr + Phi[i][k]
+                        value = value + half_phi[i][k]
                     if i == l:
-                        corr = corr - Phi[j][k]
+                        value = value - half_phi[j][k]
                     if i == k:
-                        corr = corr + Phi[j][l]
+                        value = value + half_phi[j][l]
                     if j == k:
-                        corr = corr - Phi[i][l]
-                    r[i][j][k][l] = rg.r[i][j][k][l] + half * corr
+                        value = value - half_phi[i][l]
+                    r[i][j][k][l] = value
     return Curvature(spec, tuple(tuple(tuple(tuple(row) for row in plane)
                                        for plane in block) for block in r), "weyl")
 
@@ -202,10 +202,21 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    res = 2 * RD.r[i][j][k][l] - 2 * RD.r[k][l][i][j]
-                    res = res - (dphi.comps[i][j] * _kron(k, l) - dphi.comps[k][l] * _kron(i, j)
-                                 + dphi.comps[i][k] * _kron(j, l) + dphi.comps[j][l] * _kron(i, k)
-                                 - dphi.comps[j][k] * _kron(i, l) - dphi.comps[i][l] * _kron(j, k))
+                    res = (RD.r[i][j][k][l] - RD.r[k][l][i][j]) * 2
+                    # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
+                    #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk
+                    if k == l:
+                        res = res - dphi.comps[i][j]
+                    if i == j:
+                        res = res + dphi.comps[k][l]
+                    if j == l:
+                        res = res - dphi.comps[i][k]
+                    if i == k:
+                        res = res - dphi.comps[j][l]
+                    if i == l:
+                        res = res + dphi.comps[j][k]
+                    if j == k:
+                        res = res + dphi.comps[i][l]
                     if not res.is_zero:
                         ok = False
     report.add("argument-pair exchange against d(phi) [XY-ZT]", ok)
@@ -237,7 +248,8 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
             # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
             #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
             res = rho_star[i][k] - twisted[k][i] - dphi.comps[i][k] - jdphi[i][k]
-            res = res + codiff_term * J[i][k]
+            if J[i][k]:
+                res = res + codiff_term * J[i][k]
             if not res.is_zero:
                 ok = False
     report.add("twisted-symmetry defect of rho* from d(phi) and codifferentials", ok)
@@ -295,7 +307,8 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
             value = value + Fraction(1, 4) * (spec.phi[i] * spec.phi[k] + jphi[i] * jphi[k])
             if i == k:
                 value = value - Fraction(1, 4) * norm2
-            value = value - Fraction(1, 2) * (delta_jstar - phi_delta_j) * J[i][k]
+            if J[i][k]:
+                value = value - Fraction(1, 2) * (delta_jstar - phi_delta_j) * J[i][k]
             if not (rho_star[i][k] - value).is_zero:
                 ok = False
     report.add("rho* of the Weyl connection from Levi-Civita data", ok)

@@ -24,7 +24,8 @@ Indices are 0-based internally; renderings are 1-based.
 Contractions: a vector is a sequence of n components and a matrix is a
 sequence of n rows, ``M[i][j] = M(E_i, E_j)`` for a bilinear form; entries
 may be scalars or rationals.  Pairings and J-twists go through five
-:class:`FrameSpec` methods, valid for any rational orthogonal J:
+:class:`FrameSpec` methods, valid for any rational orthogonal J, that skip
+zero entries, rational or scalar:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
@@ -201,7 +202,7 @@ class FrameSpec(Memo):
 
     def dot(self, u: Sequence, v: Sequence) -> Scalar:
         """sum_p u[p] v[p]: a 1-form on a vector, or g(u, v)."""
-        # skips rational zeros (J and c are mostly zeros); a Scalar is always truthy
+        # skips zeros, rational or scalar: J, c and the vertical basis are mostly zeros
         return sum((a * b for a, b in zip(u, v) if a and b), self.zero())
 
     def left(self, u: Sequence, M: Sequence[Sequence]) -> Vector:
@@ -306,14 +307,14 @@ class Endo:
         return Endo(self.spec, [[-a for a in row] for row in self.comps])
 
     def __matmul__(self, other: "Endo") -> "Endo":
-        n = self.spec.n
         z = self.spec.zero()
+        # skip zero entries on both sides: J and the vertical basis are mostly zeros
+        cols = [[(m, b) for m, b in enumerate(col) if b] for col in zip(*other.comps)]
         rows = []
         for row in self.comps:
-            # skip zero entries: J and the vertical basis are mostly zeros
-            entries = [(m, a) for m, a in enumerate(row) if not a.is_zero]
-            rows.append([sum((a * other.comps[m][j] for m, a in entries), z)
-                         for j in range(n)])
+            entries = {m: a for m, a in enumerate(row) if a}
+            rows.append([sum((entries[m] * b for m, b in col if m in entries), z)
+                         for col in cols])
         return Endo(self.spec, rows)
 
     def scale(self, value) -> "Endo":
@@ -455,8 +456,8 @@ def eval_on_bivector(F: TwoForm, b: Bivector) -> Scalar:
     """``sum_{i<j} b[i][j] F(E_i, E_j)`` (pairing normalized so that
     ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1)."""
     n = F.spec.n
-    return sum((b.comps[i][j] * F.comps[i][j]
-                for i in range(n) for j in range(i + 1, n)), F.spec.zero())
+    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return F.spec.dot([b.comps[i][j] for i, j in planes], [F.comps[i][j] for i, j in planes])
 
 
 def sharp(spec: FrameSpec, omega: Sequence[Scalar]) -> Vector:

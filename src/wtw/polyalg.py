@@ -1,12 +1,18 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A :class:`Scalar` is a sparse polynomial with :class:`fractions.Fraction`
-coefficients over a fixed, ordered tuple of symbols (a :class:`Ring`).  It is
-represented as a dictionary mapping exponent tuples (one non-negative integer
-per symbol) to nonzero coefficients; the zero polynomial has an empty map.
-All arithmetic keeps this canonical form, so equality of polynomials is
-equality of dictionaries.  There is no floating point anywhere: identity
-tests are exact.
+A :class:`Scalar` is a sparse polynomial with rational coefficients over a
+fixed, ordered tuple of symbols (a :class:`Ring`).  It stores integer
+numerators over one positive common denominator: a dictionary mapping
+exponent tuples (one non-negative integer per symbol) to nonzero ``int``
+numerators, and an ``int`` denominator, kept in lowest terms (no integer
+above 1 divides the denominator and every numerator).  The zero polynomial has
+an empty map and denominator 1, and it is the only falsy scalar.  All
+arithmetic keeps this canonical form, so ``+ - *`` are loops over Python
+ints and equality of polynomials is equality of denominators and
+dictionaries.  The accessors (:meth:`Scalar.terms`,
+:meth:`Scalar.coefficient`, :meth:`Scalar.constant_value`) return
+:class:`fractions.Fraction` coefficients.  There is no floating point
+anywhere: identity tests are exact.
 
 Rendering contract
 ------------------
@@ -33,6 +39,8 @@ RationalLike = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+# deepest nesting of parentheses and unary signs that Ring.parse accepts
+_MAX_PARSE_DEPTH = 100
 
 
 class RingMismatchError(ValueError):
@@ -78,7 +86,7 @@ class Ring:
         return len(self.symbols)
 
     def zero(self) -> Scalar:
-        return Scalar._canonical(self, {})
+        return Scalar._canonical(self, {}, 1)
 
     def one(self) -> Scalar:
         return self.const(1)
@@ -86,8 +94,9 @@ class Ring:
     def const(self, value: RationalLike) -> Scalar:
         coeff = Fraction(value)
         if coeff == 0:
-            return Scalar._canonical(self, {})
-        return Scalar._canonical(self, {(0,) * self.nsymbols: coeff})
+            return self.zero()
+        return Scalar._canonical(self, {(0,) * self.nsymbols: coeff.numerator},
+                                 coeff.denominator)
 
     def sym(self, name: str) -> Scalar:
         try:
@@ -96,7 +105,7 @@ class Ring:
             raise KeyError(f"symbol {name!r} not declared in ring {self.symbols}") from None
         exps = [0] * self.nsymbols
         exps[idx] = 1
-        return Scalar._canonical(self, {tuple(exps): Fraction(1)})
+        return Scalar._canonical(self, {tuple(exps): 1}, 1)
 
     def extend(self, *names: str) -> Ring:
         """Ring with extra symbols appended after the existing ones."""
@@ -110,29 +119,53 @@ class Ring:
 class Scalar:
     """Immutable sparse polynomial over a :class:`Ring`.
 
+    Stored as nonzero ``int`` numerators per exponent tuple over one positive
+    ``int`` denominator in lowest terms; ``Scalar(ring, {exps: Fraction})``
+    builds one from rational coefficients, and the accessors return
+    ``Fraction`` coefficients.  Zero is falsy and every other scalar truthy.
     Supports ``+ - * **`` with other scalars of the same ring and with plain
     integers or Fractions, which act as constants.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_den")
 
-    def __init__(self, ring: Ring, terms: Mapping[Exponents, Fraction]):
+    def __init__(self, ring: Ring, terms: Mapping[Exponents, RationalLike]):
+        coeffs = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        # the lcm of lowest-terms denominators leaves no common factor
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
         object.__setattr__(self, "ring", ring)
-        clean = {e: c for e, c in terms.items() if c != 0}
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {e: c.numerator * (den // c.denominator)
+                                            for e, c in coeffs.items()})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _canonical(cls, ring: Ring, terms: dict[Exponents, Fraction]) -> Scalar:
-        """Wrap ``terms``, which must hold no zero coefficient, without copying."""
+    def _canonical(cls, ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
+        """Wrap ``nums`` over ``den`` without copying; they must already be in
+        canonical form (no zero numerator, ``den > 0``, lowest terms)."""
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_terms", nums)
+        object.__setattr__(self, "_den", den)
         return self
+
+    @classmethod
+    def _reduced(cls, ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
+        """Wrap nonzero numerators over a positive ``den``, cancelling their
+        common factor with it."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        return cls._canonical(ring, nums, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
 
     # -- inspection ------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     @property
     def is_zero(self) -> bool:
@@ -148,14 +181,15 @@ class Scalar:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._terms.values())), self._den)
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in descending lexicographic order of exponent tuples."""
-        return iter(sorted(self._terms.items(), reverse=True))
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in sorted(self._terms.items(), reverse=True))
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._terms.get(tuple(exps), 0), self._den)
 
     def total_degree(self) -> int:
         if self.is_zero:
@@ -164,72 +198,87 @@ class Scalar:
 
     # -- ring operations -------------------------------------------------
     #
-    # Every result is built canonical (no zero coefficient), so it is wrapped
-    # without re-filtering; an operand that leaves the other unchanged (zero
-    # in a sum, one in a product) is returned as it is, which is safe because
-    # scalars are immutable.
+    # Every result is built canonical (no zero numerator, lowest terms), so it
+    # is wrapped without re-filtering; an operand that leaves the other
+    # unchanged (zero in a sum, one in a product) is returned as it is, which
+    # is safe because scalars are immutable.
 
     def _same_ring(self, other: Scalar) -> None:
         if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError(
                 f"symbol-set mismatch: {self.ring.symbols} vs {other.ring.symbols}")
 
-    def _operand(self, other) -> "dict[Exponents, Fraction] | None":
-        """The term map of a same-ring scalar or a rational constant, else None."""
+    def _operand(self, other) -> "tuple[dict[Exponents, int], int] | None":
+        """Numerators and denominator of a same-ring scalar or a rational
+        constant, else None."""
         if isinstance(other, Scalar):
             self._same_ring(other)
-            return other._terms
-        if isinstance(other, (int, Fraction)):
-            return {(0,) * self.ring.nsymbols: Fraction(other)} if other else {}
+            return other._terms, other._den
+        if isinstance(other, int):
+            return ({(0,) * self.ring.nsymbols: other} if other else {}), 1
+        if isinstance(other, Fraction):
+            return ({(0,) * self.ring.nsymbols: other.numerator} if other else {},
+                    other.denominator)
         return None
 
-    def _scaled(self, factor: RationalLike) -> Scalar:
-        """self * factor for a rational factor."""
-        if not factor or not self._terms:
+    def _scaled(self, num: int, den: int) -> Scalar:
+        """self * num / den for ints with ``den > 0``."""
+        if not num or not self._terms:
             return self.ring.zero()
-        if factor == 1:
-            return self
-        if factor == -1:
-            return -self
-        return Scalar._canonical(self.ring, {e: c * factor for e, c in self._terms.items()})
+        if den == 1:
+            if num == 1:
+                return self
+            if num == -1:
+                return -self
+        return Scalar._reduced(self.ring, {e: c * num for e, c in self._terms.items()},
+                               self._den * den)
 
-    def _plus(self, terms: dict[Exponents, Fraction], negate: bool) -> Scalar:
-        """self + terms (or self - terms) for a canonical term map."""
-        out = dict(self._terms)
-        for exps, coeff in terms.items():
+    def _plus(self, nums: dict[Exponents, int], den: int, negate: bool) -> Scalar:
+        """self + nums/den (or self - nums/den) for canonical numerators."""
+        if den == self._den:
+            out = dict(self._terms)
+            scale = -1 if negate else 1
+        else:
+            lcm = math.lcm(den, self._den)
+            up = lcm // self._den
+            out = {e: c * up for e, c in self._terms.items()}
+            scale = -(lcm // den) if negate else lcm // den
+            den = lcm
+        for exps, coeff in nums.items():
+            coeff *= scale
             old = out.get(exps)
             if old is None:
-                out[exps] = -coeff if negate else coeff
+                out[exps] = coeff
                 continue
-            new = old - coeff if negate else old + coeff
+            new = old + coeff
             if new:
                 out[exps] = new
             else:
                 del out[exps]
-        return Scalar._canonical(self.ring, out)
+        return Scalar._reduced(self.ring, out, den)
 
     def __add__(self, other):
-        terms = self._operand(other)
-        if terms is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        if not terms:
+        if not operand[0]:
             return self
         if not self._terms and isinstance(other, Scalar):
             return other
-        return self._plus(terms, False)
+        return self._plus(*operand, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._canonical(self.ring, {e: -c for e, c in self._terms.items()})
+        return Scalar._canonical(self.ring, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        terms = self._operand(other)
-        if terms is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        if not terms:
+        if not operand[0]:
             return self
-        return self._plus(terms, True)
+        return self._plus(*operand, True)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,8 +286,10 @@ class Scalar:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+        if isinstance(other, int):
+            return self._scaled(other, 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
         self._same_ring(other)
@@ -246,20 +297,21 @@ class Scalar:
         if len(right) == 1:
             (exps, coeff), = right.items()
             if not any(exps):
-                return self._scaled(coeff)
+                return self._scaled(coeff, other._den)
         if len(left) == 1:
             (exps, coeff), = left.items()
             if not any(exps):
-                return other._scaled(coeff)
+                return other._scaled(coeff, self._den)
         if not left or not right:
             return self.ring.zero()
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int] = {}
         for e1, c1 in left.items():
             for e2, c2 in right.items():
                 exps = tuple(map(operator.add, e1, e2))
                 old = out.get(exps)
                 out[exps] = c1 * c2 if old is None else old + c1 * c2
-        return Scalar._canonical(self.ring, {e: c for e, c in out.items() if c})
+        return Scalar._reduced(self.ring, {e: c for e, c in out.items() if c},
+                               self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -282,10 +334,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return ((self.ring is other.ring or self.ring == other.ring)
-                and self._terms == other._terms)
+                and self._den == other._den and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring.symbols, tuple(sorted(self._terms.items()))))
+        return hash((self.ring.symbols, self._den, tuple(sorted(self._terms.items()))))
 
     # -- substitution ----------------------------------------------------
 
@@ -304,13 +356,14 @@ class Scalar:
         if not values:
             return self
         out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        for exps, num in self._terms.items():
+            coeff = Fraction(num, self._den)
             new = list(exps)
             for idx, val in values.items():
                 coeff = coeff * val ** exps[idx]
                 new[idx] = 0
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return Scalar(self.ring, out)
 
     def lift(self, ring: Ring) -> Scalar:
@@ -319,7 +372,8 @@ class Scalar:
             raise RingMismatchError(
                 f"{ring.symbols} does not extend {self.ring.symbols}")
         pad = (0,) * (ring.nsymbols - self.ring.nsymbols)
-        return Scalar._canonical(ring, {e + pad: c for e, c in self._terms.items()})
+        return Scalar._canonical(ring, {e + pad: c for e, c in self._terms.items()},
+                                 self._den)
 
     # -- rendering -------------------------------------------------------
 
@@ -358,14 +412,11 @@ def normalize_up_to_unit(p: Scalar) -> Scalar:
     """
     if p.is_zero:
         return p
-    nums = [c.numerator for c in p._terms.values()]
-    dens = [c.denominator for c in p._terms.values()]
-    content = Fraction(math.gcd(*nums) if len(nums) > 1 else abs(nums[0]),
-                       math.lcm(*dens) if len(dens) > 1 else dens[0])
-    lead = max(p._terms)
-    if p._terms[lead] < 0:
+    # the content is gcd(numerators) / denominator
+    content = math.gcd(*p._terms.values())
+    if p._terms[max(p._terms)] < 0:
         content = -content
-    return p * (1 / content)
+    return Scalar._canonical(p.ring, {e: c // content for e, c in p._terms.items()}, 1)
 
 
 def normalized_system(polys) -> set[Scalar]:
@@ -382,9 +433,11 @@ class _Parser:
     """Recursive-descent parser for polynomial strings.
 
     Grammar: ``expr := term (('+'|'-') term)*``;
-    ``term := unary (('*'|'/') unary)*``; ``unary := '-' unary | power``;
+    ``term := unary (('*'|'/') unary)*``; ``unary := ('-'|'+') unary | power``;
     ``power := atom ('^' INT)?``; ``atom := INT | NAME | '(' expr ')'``.
-    Division requires a nonzero constant divisor.
+    Division requires a nonzero constant divisor.  Parentheses and unary
+    signs may nest at most ``_MAX_PARSE_DEPTH`` deep, so that no input
+    exhausts the interpreter's recursion limit.
     """
 
     _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -394,6 +447,7 @@ class _Parser:
         self.text = text
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _tokenize(self, text: str):
         tokens = []
@@ -422,6 +476,13 @@ class _Parser:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
+
+    def _nest(self) -> None:
+        """Enter one level of parentheses or unary sign."""
+        self.depth += 1
+        if self.depth > _MAX_PARSE_DEPTH:
+            raise PolynomialParseError(
+                f"parentheses and signs nest deeper than {_MAX_PARSE_DEPTH} in {self.text!r}")
 
     def parse(self) -> Scalar:
         value = self._expr()
@@ -452,12 +513,12 @@ class _Parser:
         return value
 
     def _unary(self) -> Scalar:
-        if self._peek() == ("op", "-"):
-            self._next()
-            return -self._unary()
-        if self._peek() == ("op", "+"):
-            self._next()
-            return self._unary()
+        if self._peek() == ("op", "-") or self._peek() == ("op", "+"):
+            op = self._next()[1]
+            self._nest()
+            value = self._unary()
+            self.depth -= 1
+            return -value if op == "-" else value
         return self._power()
 
     def _power(self) -> Scalar:
@@ -481,8 +542,10 @@ class _Parser:
                 raise PolynomialParseError(
                     f"undeclared symbol {text!r} in {self.text!r}") from None
         if (kind, text) == ("op", "("):
+            self._nest()
             value = self._expr()
             if self._next() != ("op", ")"):
                 raise PolynomialParseError(f"unbalanced parentheses in {self.text!r}")
+            self.depth -= 1
             return value
         raise PolynomialParseError(f"unexpected token {text!r} in {self.text!r}")

@@ -58,8 +58,10 @@ def curvature_on_bivector(R: Curvature, b: Bivector) -> Endo:
     """R(b) = sum_{p<q} b[p][q] R(E_p, E_q) as an endomorphism."""
     spec = R.spec
     n = spec.n
-    comps = [[sum((b.comps[p][q] * R.r[p][q][k][l]
-                   for p in range(n) for q in range(p + 1, n)), spec.zero())
+    # only the planes where b is nonzero contribute
+    planes = [(p, q) for p in range(n) for q in range(p + 1, n) if b.comps[p][q]]
+    coeffs = [b.comps[p][q] for p, q in planes]
+    comps = [[spec.dot(coeffs, [R.r[p][q][k][l] for p, q in planes])
               for k in range(n)] for l in range(n)]
     return Endo(spec, comps)
 

@@ -100,6 +100,29 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: assignment entry 'a1={value}' does not have a rational value\n"
 
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    @pytest.mark.parametrize("entries, message", [
+        ("b7=0", "assignment entry 'b7=0' names an undeclared symbol"),
+        ("=1", "assignment entry '=1' has no symbol name"),
+        ("a1=0,a1=1", "assignment entry 'a1=1' assigns 'a1' a second time"),
+    ], ids=["undeclared", "no-name", "repeated"])
+    def test_bad_assignment_name_is_usage_error(self, verb, entries, message):
+        status, out, err = run([verb, "--builtin", "inoue-s0", "--assign", entries])
+        assert status == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("nested", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"],
+                             ids=["parentheses", "unary-signs"])
+    def test_deeply_nested_weyl_form_is_one_line_spec_error(self, tmp_path, nested):
+        text = (DATA / "inoue_lee.toml").read_text()
+        assert 'E2 = "1"' in text
+        path = tmp_path / "nested.toml"
+        path.write_text(text.replace('E2 = "1"', f'E2 = "{nested}"'))
+        status, out, err = run(["validate", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("spec error: ") and err.count("\n") == 1
+
 
 class TestGateBehavior:
     @pytest.mark.parametrize("verb", ["conditions", "verify"])

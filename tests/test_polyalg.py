@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -114,6 +115,23 @@ def test_parse_errors(bad):
         RING.parse(bad)
 
 
+@pytest.mark.parametrize("depth, ok", [(100, True), (101, False)])
+def test_parse_depth_cap(depth, ok):
+    texts = ["(" * depth + "a1" + ")" * depth, "-" * depth + "a1", "+-" * (depth // 2) + "a1"]
+    if ok:
+        assert [RING.parse(text) for text in texts] == [A1, A1, A1]
+        return
+    for text in texts[:2]:
+        with pytest.raises(PolynomialParseError, match="nest deeper than 100"):
+            RING.parse(text)
+
+
+def test_parse_depth_counts_signs_inside_parentheses():
+    assert RING.parse("-(" * 50 + "a1" + ")" * 50) == A1
+    with pytest.raises(PolynomialParseError):
+        RING.parse("-(" * 50 + "-a1" + ")" * 50)
+
+
 def test_power_rejects_negative_exponent():
     with pytest.raises(ValueError):
         A1 ** -1
@@ -183,3 +201,46 @@ def test_results_are_canonical_and_agree_with_substitute(p, q, point, frac):
     for result, expected in cases:
         assert all(coeff != 0 for _, coeff in result.terms()), result
         assert at(result) == expected
+
+
+# -- the integer-numerator representation -----------------------------------
+
+mixed = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+mixed_terms = st.dictionaries(exponents, mixed, max_size=4)
+mixed_scalars = mixed_terms.map(lambda terms: Scalar(RING, terms))
+
+
+def assert_canonical(p):
+    nums = list(p._terms.values())
+    assert p._den > 0, p
+    assert math.gcd(p._den, *nums) == 1, p
+    assert all(nums), p
+    assert bool(p) == (not p.is_zero)
+
+
+@given(mixed_scalars, mixed_scalars, mixed)
+@settings(max_examples=80, deadline=None)
+def test_every_result_is_canonical(p, q, c):
+    assert_canonical(p)
+    results = [p + q, p - q, q - p, p * q, p - p, p + (-p), -p, p * p,
+               p * c, c * p, p + c, c + p, p - c, c - p, p * 0, p * 1, p * -1,
+               p * 6, p * Fraction(1, 6), normalize_up_to_unit(p)]
+    for result in results:
+        assert_canonical(result)
+    assert not RING.zero() and not (p - p) and RING.one() and A1
+
+
+@given(mixed_terms)
+@settings(max_examples=80, deadline=None)
+def test_constructor_arithmetic_and_parse_agree(terms):
+    built = Scalar(RING, terms)
+    summed = sum((c * A1 ** e1 * A2 ** e2 * A3 ** e3 for (e1, e2, e3), c in terms.items()),
+                 RING.zero())
+    detour = (summed * 6 + A1 * Fraction(1, 4) - Fraction(1, 4) * A1) * Fraction(1, 6)
+    parsed = RING.parse(str(built))
+    for other in (summed, detour, parsed):
+        assert other == built
+        assert hash(other) == hash(built)
+    negated = Scalar(RING, {e: -c for e, c in terms.items()})
+    assert -built == negated and hash(-built) == hash(negated)
+    assert dict(built.terms()) == {e: Fraction(c) for e, c in terms.items() if c}
