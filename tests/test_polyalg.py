@@ -117,19 +117,16 @@ def test_parse_errors(bad):
 
 @pytest.mark.parametrize("depth, ok", [(100, True), (101, False)])
 def test_parse_depth_cap(depth, ok):
-    texts = ["(" * depth + "a1" + ")" * depth, "-" * depth + "a1", "+-" * (depth // 2) + "a1"]
-    if ok:
-        assert [RING.parse(text) for text in texts] == [A1, A1, A1]
-        return
-    for text in texts[:2]:
-        with pytest.raises(PolynomialParseError, match="nest deeper than 100"):
-            RING.parse(text)
-
-
-def test_parse_depth_counts_signs_inside_parentheses():
-    assert RING.parse("-(" * 50 + "a1" + ")" * 50) == A1
-    with pytest.raises(PolynomialParseError):
-        RING.parse("-(" * 50 + "-a1" + ")" * 50)
+    # `depth` levels of parentheses, of minus signs, and of signs and parentheses mixed
+    half, odd = divmod(depth, 2)
+    texts = ["(" * depth + "a1" + ")" * depth, "-" * depth + "a1",
+             "+(" * half + "-" * odd + "a1" + ")" * half]
+    for text in texts:
+        if ok:
+            assert RING.parse(text) == A1
+        else:
+            with pytest.raises(PolynomialParseError, match="nest deeper than 100"):
+                RING.parse(text)
 
 
 def test_power_rejects_negative_exponent():
