@@ -23,7 +23,8 @@ import sys
 from fractions import Fraction
 
 from . import pseudoharmonic, twistor
-from .connection import levi_civita, weyl
+from .connection import (levi_civita, metric_residual, reconstruct_weyl_form,
+                         torsion_residual, weyl)
 from .curvature import curvature, identity_suite, ricci, ricci_formula_check, star_ricci
 from .frame import FrameError, FrameSpec, SpecFormatError, builtin, load_spec_file
 from .hermitian import GateError, lck_check, lee_form, nabla_j_checks
@@ -61,27 +62,20 @@ class _Output:
 
 def _want_color() -> bool:
     env = os.environ.get("WTW_COLOR")
-    if env == "1":
-        return True
-    if env == "0":
-        return False
+    if env in ("0", "1"):
+        return env == "1"
     return sys.stdout.isatty()
 
 
 def _parse_signs(text: str) -> tuple[int, int]:
-    parts = text.split(",")
+    parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
         raise ValueError("signs must look like +1,-1")
-    values = []
+    signs = {"+1": 1, "1": 1, "-1": -1}
     for part in parts:
-        part = part.strip()
-        if part in ("+1", "1"):
-            values.append(1)
-        elif part == "-1":
-            values.append(-1)
-        else:
+        if part not in signs:
             raise ValueError(f"sign must be +1 or -1, got {part!r}")
-    return values[0], values[1]
+    return signs[parts[0]], signs[parts[1]]
 
 
 def _parse_assignment(text: str, ring: Ring) -> dict[str, Fraction]:
@@ -121,7 +115,9 @@ def _report_to_data(report: CheckReport) -> dict:
     return {
         "title": report.title,
         "ok": report.ok,
-        "checks": [{"name": c.name, "ok": c.ok} for c in report.checks],
+        "checks": [{"name": c.name, "ok": c.ok} if c.ok
+                   else {"name": c.name, "ok": c.ok, "detail": c.detail}
+                   for c in report.checks],
         "notes": dict(sorted(report.notes.items())),
     }
 
@@ -168,29 +164,31 @@ def _conditions_data(spec: FrameSpec, dim4_mode: bool) -> dict:
 
 
 def _suite_report(spec: FrameSpec) -> CheckReport:
-    from .connection import metric_residual, reconstruct_weyl_form, torsion_residual
     total = CheckReport(title="full check suite")
+    basis = spec.basis
     for conn in (levi_civita(spec), weyl(spec)):
-        ok = all(entry.is_zero for plane in torsion_residual(conn)
-                 for row in plane for entry in row)
-        total.add(f"torsion-free contract ({conn.kind})", ok)
-        ok = all(entry.is_zero for plane in metric_residual(conn)
-                 for row in plane for entry in row)
-        total.add(f"metric contract ({conn.kind})", ok)
+        total.require_zero(f"torsion-free contract ({conn.kind})", torsion_residual(conn),
+                           (basis,) * 3)
+        total.require_zero(f"metric contract ({conn.kind})", metric_residual(conn),
+                           (basis,) * 3)
     recovered = reconstruct_weyl_form(weyl(spec))
-    total.add("Weyl form round-trips through its connection",
-              all((a - b).is_zero for a, b in zip(recovered, spec.phi)))
+    total.require_zero("Weyl form round-trips through its connection",
+                       [a - b for a, b in zip(recovered, spec.phi)], (basis,))
     total.extend(identity_suite(spec))
     total.extend(ricci_formula_check(spec))
     total.extend(lck_check(spec))
     try:
         total.extend(nabla_j_checks(spec))
-        basis = twistor.vertical_basis(spec)
+        vertical = twistor.vertical_basis(spec)
         j_endo = spec.j_endo()
-        ok = all(twistor.fiber_pairing_check(spec, j_endo, v).ok for v in basis.elements)
-        total.add("fiber curvature pairing against every vertical direction", ok)
-        ok = all(twistor.vertical_antisymmetry_check(spec, v).ok for v in basis.elements)
-        total.add("vertical antisymmetry of the fiber curvature", ok)
+        # index 0 names the vertical direction, as A[r,s] or B[r,s]
+        axes = (vertical.labels, basis, basis)
+        total.require_zero("fiber curvature pairing against every vertical direction",
+                           [twistor._fiber_pairing_residual(spec, j_endo, v)
+                            for v in vertical.elements], axes)
+        total.require_zero("vertical antisymmetry of the fiber curvature",
+                           [twistor._vertical_antisymmetry_residual(spec, v)
+                            for v in vertical.elements], axes)
         total.extend(twistor.curvature_pairing_with_dj_check(spec))
         total.extend(pseudoharmonic.equivalence_check(spec))
     except GateError as exc:
@@ -225,16 +223,14 @@ def _run_verb(args, out: _Output) -> int:
         lee = lee_form(spec)
         data["theta"] = [f"theta[{k+1}] = {value}" for k, value in enumerate(lee.theta)]
         data["lee_vector"] = [f"B[{k+1}] = {value}" for k, value in enumerate(lee.B)]
-    elif verb == "lck":
-        report = lck_check(spec)
-        data["lck"] = _report_to_data(report)
-        if not report.ok:
-            status = EXIT_CHECK_FAILED
+    elif verb in ("lck", "suite"):
+        report = lck_check(spec) if verb == "lck" else _suite_report(spec)
+        data[verb] = _report_to_data(report)
+        status = EXIT_OK if report.ok else EXIT_CHECK_FAILED
     elif verb == "conditions":
         cond, report = _conditions_data(spec, args.dim4)
         data["conditions"] = cond
-        if not report.holds_identically:
-            status = EXIT_CHECK_FAILED
+        status = EXIT_OK if report.holds_identically else EXIT_CHECK_FAILED
     elif verb == "verify":
         assignment = _parse_assignment(args.assign, spec.ring)
         cond, report = _conditions_data(spec, args.dim4)
@@ -247,13 +243,7 @@ def _run_verb(args, out: _Output) -> int:
             "holds": verdict.holds,
             "residual_symbols": list(verdict.residual_symbols),
         }
-        if not verdict.holds:
-            status = EXIT_CHECK_FAILED
-    elif verb == "suite":
-        report = _suite_report(spec)
-        data["suite"] = _report_to_data(report)
-        if not report.ok:
-            status = EXIT_CHECK_FAILED
+        status = EXIT_OK if verdict.holds else EXIT_CHECK_FAILED
     elif verb == "report":
         data.update(_full_report(spec, args))
         sys.stdout.write(json.dumps(data, indent=2, sort_keys=False) + "\n")
@@ -287,10 +277,8 @@ def _full_report(spec: FrameSpec, args) -> dict:
         cond, report = _conditions_data(spec, args.dim4)
         data["conditions"] = cond
         data["equivalence"] = _report_to_data(pseudoharmonic.equivalence_check(spec))
-        if report.holds_identically:
-            data["verdict"] = "pseudo-harmonic for all parameter values"
-        else:
-            data["verdict"] = "conditional; see the condition systems"
+        data["verdict"] = ("pseudo-harmonic for all parameter values" if report.holds_identically
+                           else "conditional; see the condition systems")
         if assignment is not None:
             verdict = pseudoharmonic.verify_assignment(report, assignment)
             data["assignment"] = {
@@ -305,18 +293,14 @@ def _full_report(spec: FrameSpec, args) -> dict:
 
 def _report_status(data: dict) -> int:
     conditions = data.get("conditions", {})
-    if "gate_error" in conditions:
-        return EXIT_CHECK_FAILED
-    checks_ok = all(section.get("ok", True)
-                    for key, section in data.items()
-                    if isinstance(section, dict) and key != "conditions")
-    if not checks_ok:
-        return EXIT_CHECK_FAILED
+    checks_ok = "gate_error" not in conditions and all(
+        section.get("ok", True) for key, section in data.items()
+        if isinstance(section, dict) and key != "conditions")
     if "assignment" in data:
-        return EXIT_OK if data["assignment"]["holds"] else EXIT_CHECK_FAILED
-    if not conditions.get("holds_identically", True):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        holds = data["assignment"]["holds"]
+    else:
+        holds = conditions.get("holds_identically", True)
+    return EXIT_OK if checks_ok and holds else EXIT_CHECK_FAILED
 
 
 def _render_table(verb: str, data: dict, out: _Output) -> None:
@@ -336,10 +320,6 @@ def _render_table(verb: str, data: dict, out: _Output) -> None:
 def _render_value(value, out: _Output, prefix: str = "") -> None:
     if isinstance(value, dict):
         for key, inner in value.items():
-            if key == "checks" and isinstance(inner, list):
-                for check in inner:
-                    out.verdict(check["name"], check["ok"])
-                continue
             if isinstance(inner, (dict, list)):
                 _render_value(inner, out, prefix=f"{key}.")
             elif isinstance(inner, bool):
@@ -355,8 +335,10 @@ def _render_value(value, out: _Output, prefix: str = "") -> None:
         for idx, item in enumerate(value, start=1):
             if isinstance(item, str) and "=" in item:
                 out.line(item)
-            elif isinstance(item, dict) and set(item) == {"name", "ok"}:
+            elif isinstance(item, dict) and "ok" in item:  # a check
                 out.verdict(item["name"], item["ok"])
+                if "detail" in item:
+                    out.line(f"    {item['detail']}")
             else:
                 out.line(f"{prefix}{idx} = {item}")
     else:

@@ -72,10 +72,12 @@ def _weyl(spec: FrameSpec) -> Connection:
 
     def entry(i, j, k):
         value = lc.gamma[i][j][k]
-        value = value - half * (spec.phi[i] if j == k else spec.zero())
-        value = value - half * (spec.phi[j] if i == k else spec.zero())
+        if j == k:
+            value = value - spec.phi[i] * half
+        if i == k:
+            value = value - spec.phi[j] * half
         if i == j:
-            value = value + half * spec.phi[k]
+            value = value + spec.phi[k] * half
         return value
 
     gamma = tuple(tuple(tuple(entry(i, j, k) for k in range(n))

@@ -87,8 +87,8 @@ def phi_tensor(spec: FrameSpec):
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
     return tuple(tuple(
-        nphi[i][j] + half * (spec.phi[i] * spec.phi[j])
-        - (quarter * norm2 if i == j else spec.zero())
+        nphi[i][j] + spec.phi[i] * spec.phi[j] * half
+        - (norm2 * quarter if i == j else spec.zero())
         for j in range(n)) for i in range(n))
 
 
@@ -101,26 +101,25 @@ def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
     n = spec.n
     rg = curvature(levi_civita(spec))
     half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
-    r = [[[[spec.zero()] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    # the Phi-correction sits where two indices coincide
-                    value = rg.r[i][j][k][l]
-                    if k == l:
-                        value = value + half_phi[i][j] - half_phi[j][i]
-                    if j == l:
-                        value = value + half_phi[i][k]
-                    if i == l:
-                        value = value - half_phi[j][k]
-                    if i == k:
-                        value = value + half_phi[j][l]
-                    if j == k:
-                        value = value - half_phi[i][l]
-                    r[i][j][k][l] = value
-    return Curvature(spec, tuple(tuple(tuple(tuple(row) for row in plane)
-                                       for plane in block) for block in r), "weyl")
+
+    def entry(i, j, k, l):
+        # the Phi-correction sits where two indices coincide
+        value = rg.r[i][j][k][l]
+        if k == l:
+            value = value + half_phi[i][j] - half_phi[j][i]
+        if j == l:
+            value = value + half_phi[i][k]
+        if i == l:
+            value = value - half_phi[j][k]
+        if i == k:
+            value = value + half_phi[j][l]
+        if j == k:
+            value = value - half_phi[i][l]
+        return value
+
+    ix = range(n)
+    return Curvature(spec, tuple(tuple(tuple(tuple(entry(i, j, k, l) for l in ix) for k in ix)
+                                       for j in ix) for i in ix), "weyl")
 
 
 def ricci(R: Curvature):
@@ -181,78 +180,68 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     """
     report = CheckReport(title="curvature identities")
     n = spec.n
+    ix = range(n)
+    axes = (spec.basis,) * 4
     RD = curvature(weyl(spec))
-    dphi = spec.dphi()
+    r = RD.r
+    dphi = spec.dphi().comps
     J = spec.J
 
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    res = RD.r[i][j][k][l] + RD.r[i][j][l][k]
-                    if k == l:
-                        res = res - dphi.comps[i][j]
-                    if not res.is_zero:
-                        ok = False
-    report.add("pair-symmetry against d(phi) [Z-T]", ok)
+    def pair_symmetry(i, j, k, l):
+        res = r[i][j][k][l] + r[i][j][l][k]
+        return res - dphi[i][j] if k == l else res
 
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    res = (RD.r[i][j][k][l] - RD.r[k][l][i][j]) * 2
-                    # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
-                    #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk
-                    if k == l:
-                        res = res - dphi.comps[i][j]
-                    if i == j:
-                        res = res + dphi.comps[k][l]
-                    if j == l:
-                        res = res - dphi.comps[i][k]
-                    if i == k:
-                        res = res - dphi.comps[j][l]
-                    if i == l:
-                        res = res + dphi.comps[j][k]
-                    if j == k:
-                        res = res + dphi.comps[i][l]
-                    if not res.is_zero:
-                        ok = False
-    report.add("argument-pair exchange against d(phi) [XY-ZT]", ok)
+    report.require_zero("pair-symmetry against d(phi) [Z-T]", [[[[
+        pair_symmetry(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
 
-    ok = all((RD.r[i][j][k][l] + RD.r[j][k][i][l] + RD.r[k][i][j][l]).is_zero
-             for i in range(n) for j in range(n) for k in range(n) for l in range(n))
-    report.add("first Bianchi identity", ok)
+    def exchange(i, j, k, l):
+        res = (r[i][j][k][l] - r[k][l][i][j]) * 2
+        # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
+        #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk
+        if k == l:
+            res = res - dphi[i][j]
+        if i == j:
+            res = res + dphi[k][l]
+        if j == l:
+            res = res - dphi[i][k]
+        if i == k:
+            res = res - dphi[j][l]
+        if i == l:
+            res = res + dphi[j][k]
+        if j == k:
+            res = res + dphi[i][l]
+        return res
 
-    via = weyl_curvature_via_formula(spec)
-    ok = all((RD.r[i][j][k][l] - via.r[i][j][k][l]).is_zero
-             for i in range(n) for j in range(n) for k in range(n) for l in range(n))
-    report.add("direct Weyl curvature equals Phi-correction formula", ok)
+    report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", [[[[
+        exchange(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
+    report.require_zero("first Bianchi identity", [[[[
+        r[i][j][k][l] + r[j][k][i][l] + r[k][i][j][l]
+        for l in ix] for k in ix] for j in ix] for i in ix], axes)
+    via = weyl_curvature_via_formula(spec).r
+    report.require_zero("direct Weyl curvature equals Phi-correction formula", [[[[
+        r[i][j][k][l] - via[i][j][k][l] for l in ix] for k in ix] for j in ix] for i in ix],
+        axes)
 
     rho = ricci(RD)
     half_n = Fraction(n, 2)
-    ok = all((rho[i][k] - rho[k][i] - half_n * dphi.comps[i][k]).is_zero
-             for i in range(n) for k in range(n))
-    report.add("antisymmetric part of rho equals (n/2) d(phi)", ok)
+    report.require_zero("antisymmetric part of rho equals (n/2) d(phi)", [[
+        rho[i][k] - rho[k][i] - dphi[i][k] * half_n for k in ix] for i in ix], axes)
 
     rho_star = star_ricci(RD)
     jstar_phi = spec.left(spec.phi, J)
     codiff_term = (codifferential_oneform(spec, jstar_phi)
                    - spec.dot(spec.phi, codifferential_endo(spec, spec.j_endo())))
     twisted = spec.twist(rho_star)
-    jdphi = spec.twist(dphi.comps)
-    ok = True
-    for i in range(n):
-        for k in range(n):
-            # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
-            #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
-            res = rho_star[i][k] - twisted[k][i] - dphi.comps[i][k] - jdphi[i][k]
-            if J[i][k]:
-                res = res + codiff_term * J[i][k]
-            if not res.is_zero:
-                ok = False
-    report.add("twisted-symmetry defect of rho* from d(phi) and codifferentials", ok)
+    jdphi = spec.twist(dphi)
+
+    def star_defect(i, k):
+        # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
+        #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
+        res = rho_star[i][k] - twisted[k][i] - dphi[i][k] - jdphi[i][k]
+        return res + codiff_term * J[i][k] if J[i][k] else res
+
+    report.require_zero("twisted-symmetry defect of rho* from d(phi) and codifferentials",
+                        [[star_defect(i, k) for k in ix] for i in ix], axes)
     report.notes["rho_star_defect"] = (
         "rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)"
         " + (delta(J*phi) - phi(delta J)) * g(X,JZ)")
@@ -271,6 +260,8 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
     """
     report = CheckReport(title="Ricci closed formulas")
     n = spec.n
+    ix = range(n)
+    axes = (spec.basis,) * 2
     lc = levi_civita(spec)
     RD = curvature(weyl(spec))
     Rg = curvature(lc)
@@ -281,36 +272,37 @@ def ricci_formula_check(spec: FrameSpec) -> CheckReport:
     nphi = cov_deriv_oneform(lc, spec.phi)
     norm2 = spec.dot(spec.phi, spec.phi)
     delta_phi = codifferential_oneform(spec, spec.phi)
+    phi = spec.phi
     J = spec.J
+    half = Fraction(1, 2)
+    quarter = Fraction(1, 4)
 
-    ok = True
-    for i in range(n):
-        for k in range(n):
-            value = rho_g[i][k] + Fraction(n - 1, 2) * nphi[i][k] - Fraction(1, 2) * nphi[k][i]
-            if i == k:
-                value = value - Fraction(n - 2, 4) * norm2 - Fraction(1, 2) * delta_phi
-            value = value + Fraction(n - 2, 4) * (spec.phi[i] * spec.phi[k])
-            if not (rho[i][k] - value).is_zero:
-                ok = False
-    report.add("rho of the Weyl connection from Levi-Civita data", ok)
+    def rho_residual(i, k):
+        value = rho_g[i][k] + nphi[i][k] * Fraction(n - 1, 2) - nphi[k][i] * half
+        if i == k:
+            value = value - norm2 * Fraction(n - 2, 4) - delta_phi * half
+        value = value + phi[i] * phi[k] * Fraction(n - 2, 4)
+        return rho[i][k] - value
 
-    delta_jstar = codifferential_oneform(spec, spec.left(spec.phi, J))
-    phi_delta_j = spec.dot(spec.phi, codifferential_endo(spec, spec.j_endo()))
-    jphi = spec.j_apply(spec.phi)
+    report.require_zero("rho of the Weyl connection from Levi-Civita data",
+                        [[rho_residual(i, k) for k in ix] for i in ix], axes)
+
+    delta_jstar = codifferential_oneform(spec, spec.left(phi, J))
+    phi_delta_j = spec.dot(phi, codifferential_endo(spec, spec.j_endo()))
+    jphi = spec.j_apply(phi)
     twisted = spec.twist(nphi)
 
-    ok = True
-    for i in range(n):
-        for k in range(n):
-            value = rho_star_g[i][k] + nphi[i][k]
-            value = value - Fraction(1, 2) * (nphi[k][i] - twisted[i][k])
-            value = value + Fraction(1, 4) * (spec.phi[i] * spec.phi[k] + jphi[i] * jphi[k])
-            if i == k:
-                value = value - Fraction(1, 4) * norm2
-            if J[i][k]:
-                value = value - Fraction(1, 2) * (delta_jstar - phi_delta_j) * J[i][k]
-            if not (rho_star[i][k] - value).is_zero:
-                ok = False
-    report.add("rho* of the Weyl connection from Levi-Civita data", ok)
+    def rho_star_residual(i, k):
+        value = rho_star_g[i][k] + nphi[i][k]
+        value = value - (nphi[k][i] - twisted[i][k]) * half
+        value = value + (phi[i] * phi[k] + jphi[i] * jphi[k]) * quarter
+        if i == k:
+            value = value - norm2 * quarter
+        if J[i][k]:
+            value = value - (delta_jstar - phi_delta_j) * (half * J[i][k])
+        return rho_star[i][k] - value
+
+    report.require_zero("rho* of the Weyl connection from Levi-Civita data",
+                        [[rho_star_residual(i, k) for k in ix] for i in ix], axes)
     report.notes["jstar_term_sign"] = "-1/2 * (delta(J*phi) - phi(delta J)) * g(X, JZ)"
     return report

@@ -42,7 +42,7 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike, _parse_rational
@@ -56,6 +56,16 @@ class FrameError(ValueError):
 
 class SpecFormatError(ValueError):
     """A spec document is malformed (syntax or unknown/missing keys)."""
+
+
+# the largest dimension accepted; per-dimension data is built only below it
+_MAX_DIMENSION = 16
+
+
+def _check_dimension(dimension: int) -> None:
+    if dimension % 2 != 0 or not 4 <= dimension <= _MAX_DIMENSION:
+        raise FrameError("dimension must be an even integer from 4 to "
+                         f"{_MAX_DIMENSION}, got {dimension}")
 
 
 def _kron(i: int, j: int) -> int:
@@ -117,8 +127,7 @@ class FrameSpec(Memo):
         Bracket keys use 0-based ``i < j``; antisymmetry is filled in.
         ``phi`` entries may be scalars, parse strings, or rational constants.
         """
-        if dimension % 2 != 0 or dimension < 4:
-            raise FrameError(f"dimension must be an even integer >= 4, got {dimension}")
+        _check_dimension(dimension)
         ring = Ring(tuple(symbols))
         if basis is None:
             basis = tuple(f"E{i+1}" for i in range(dimension))
@@ -151,23 +160,17 @@ class FrameSpec(Memo):
     def validate(self) -> None:
         """Check antisymmetry, the Jacobi identity and J^2 = -I, J^T J = I."""
         n = self.dimension
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise FrameError(
-                            f"structure constants not antisymmetric at ({i+1},{j+1},{k+1})")
+        for i, j, k in product(range(n), repeat=3):
+            if self.c[i][j][k] != -self.c[j][i][k]:
+                raise FrameError(
+                    f"structure constants not antisymmetric at ({i+1},{j+1},{k+1})")
         # Once c is antisymmetric the Jacobiator alternates in (i, j, k) and
         # vanishes on repeated indices, so increasing triples suffice; the
         # first failing one is the first failing ordered triple.
         for i, j, k in combinations(range(n), 3):
             for l in range(n):
-                acc = Fraction(0)
-                for m in range(n):
-                    acc += (self.c[i][j][m] * self.c[m][k][l]
-                            + self.c[j][k][m] * self.c[m][i][l]
-                            + self.c[k][i][m] * self.c[m][j][l])
-                if acc != 0:
+                if sum(self.c[i][j][m] * self.c[m][k][l] + self.c[j][k][m] * self.c[m][i][l]
+                       + self.c[k][i][m] * self.c[m][j][l] for m in range(n)) != 0:
                     raise FrameError(
                         "Jacobi identity fails on "
                         f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
@@ -537,7 +540,7 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     """
     try:
         doc = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
+    except ValueError as exc:  # TOMLDecodeError, or an integer too long to convert
         raise SpecFormatError(str(exc)) from None
     unknown = set(doc) - _SECTIONS
     if unknown:
@@ -557,6 +560,7 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     dimension = frame["dimension"]
     if not _is_int(dimension):
         raise SpecFormatError("dimension must be an integer")
+    _check_dimension(dimension)
     symbols = frame["symbols"]
     if (not isinstance(symbols, list)
             or not all(isinstance(s, str) for s in symbols)):

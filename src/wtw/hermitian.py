@@ -90,9 +90,9 @@ def _lee_form(spec: FrameSpec) -> LeeData:
     parts += [spec.right(lc.gamma[i], omega.comps[i]) for i in range(n)]
     delta_omega = [sum(column, spec.zero()) for column in zip(*parts)]
     factor = Fraction(-2, n - 2)
-    theta = tuple(factor * value for value in spec.left(delta_omega, spec.J))
+    theta = tuple(value * factor for value in spec.left(delta_omega, spec.J))
     delta_j = codifferential_endo(spec, spec.j_endo())
-    B = tuple(Fraction(2, n - 2) * entry for entry in spec.j_apply(delta_j))
+    B = tuple(entry * Fraction(2, n - 2) for entry in spec.j_apply(delta_j))
     if any(not (t - b).is_zero for t, b in zip(theta, B)):
         raise AssertionError("Lee form routes disagree; codifferential convention broken")
     return LeeData(theta=theta, B=B)
@@ -109,14 +109,15 @@ def _lee_residual(spec: FrameSpec) -> ThreeForm:
 
 
 def lck_check(spec: FrameSpec) -> CheckReport:
-    """Residuals of d Omega - theta ^ Omega and of d theta."""
+    """Residuals of d Omega - theta ^ Omega, of d theta and of the Nijenhuis
+    tensor, indexed N[k][i][j]: the E_k component of N(E_i, E_j)."""
     report = CheckReport(title="locally conformally Kaehler identities")
-    lee = lee_form(spec)
-    report.add("d(Omega) = theta ^ Omega", spec.memo(_lee_residual).is_zero)
-    dtheta = d_oneform(spec, lee.theta)
-    report.add("d(theta) = 0", dtheta.is_zero)
-    _, integrable = nijenhuis(spec)
-    report.add("Nijenhuis tensor vanishes", integrable)
+    basis = spec.basis
+    report.require_zero("d(Omega) = theta ^ Omega", spec.memo(_lee_residual).comps,
+                        (basis,) * 3)
+    dtheta = d_oneform(spec, lee_form(spec).theta)
+    report.require_zero("d(theta) = 0", dtheta.comps, (basis,) * 2)
+    report.require_zero("Nijenhuis tensor vanishes", nijenhuis(spec)[0], (basis,) * 3)
     return report
 
 
@@ -146,6 +147,8 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     """
     report = CheckReport(title="nabla-J identities")
     n = spec.n
+    ix = range(n)
+    axes = (spec.basis,) * 3
     lee = require_gate(spec)
     lc = levi_civita(spec)
     J = spec.J
@@ -155,57 +158,46 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     dom = spec.memo(_d_omega)
     ncomp, _ = nijenhuis(spec)
 
-    ok = True
+    residual = []
     for x, jx in enumerate(zip(*J)):
         twisted = spec.twist(dom.comps[x])  # dOmega(X, J., J.)
         # g(N(Y, Z), JX)
-        n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in range(n)]
-        for y in range(n):
-            for z in range(n):
-                value = dom.comps[x][y][z] - twisted[y][z] + n_jx[y][z]
-                if not (2 * nJ[x].comps[z][y] - value).is_zero:
-                    ok = False
-    report.add("nabla-J from d(Omega) and the Nijenhuis tensor", ok)
+        n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in ix]
+        residual.append([[nJ[x].comps[z][y] * 2 - dom.comps[x][y][z] + twisted[y][z]
+                          - n_jx[y][z] for z in ix] for y in ix])
+    report.require_zero("nabla-J from d(Omega) and the Nijenhuis tensor", residual, axes)
 
-    ok = True
-    for z in range(n):
-        # twisted[x][y] = g((nabla_{JX} J)(JY), E_z)
-        twisted = spec.twist([nJ[p].comps[z] for p in range(n)])
-        for x in range(n):
-            for y in range(n):
-                if not (nJ[x].comps[z][y] - twisted[x][y]).is_zero:
-                    ok = False
-    report.add("Gray integrability criterion", ok)
+    # twisted[z][x][y] = g((nabla_{JX} J)(JY), E_z)
+    twisted = [spec.twist([nJ[p].comps[z] for p in ix]) for z in ix]
+    report.require_zero("Gray integrability criterion", [[[
+        nJ[x].comps[z][y] - twisted[z][x][y] for z in ix] for y in ix] for x in ix], axes)
 
     B = lee.B
     JB = spec.j_apply(B)
-    ok = True
-    for x in range(n):
-        for y in range(n):
-            for l in range(n):
-                rhs = omega.comps[x][y] * B[l] - B[y] * J[l][x]
-                if x == y:
-                    rhs = rhs + JB[l]
-                if l == x:
-                    rhs = rhs - JB[y]
-                if not (2 * nJ[x].comps[l][y] - rhs).is_zero:
-                    ok = False
-    report.add("closed form of nabla-J through the Lee vector", ok)
 
-    ok = True
+    def closed_form(x, y, l):
+        rhs = omega.comps[x][y] * B[l] - B[y] * J[l][x]
+        if x == y:
+            rhs = rhs + JB[l]
+        if l == x:
+            rhs = rhs - JB[y]
+        return nJ[x].comps[l][y] * 2 - rhs
+
+    report.require_zero("closed form of nabla-J through the Lee vector", [[[
+        closed_form(x, y, l) for l in ix] for y in ix] for x in ix], axes)
+
+    residual = []
     for x, jx in enumerate(zip(*J)):
         jn = j_endo @ nJ[x]
-        ex = tuple(spec.const(1 if l == x else 0) for l in range(n))
-        lhs = Bivector(spec, [[jn.comps[q][p] for q in range(n)] for p in range(n)])
+        ex = tuple(spec.const(1 if l == x else 0) for l in ix)
+        lhs = Bivector(spec, [[jn.comps[q][p] for q in ix] for p in ix])
         rhs = (Bivector.wedge_vectors(spec, B, ex)
                - Bivector.wedge_vectors(spec, JB, jx)).scale(Fraction(1, 2))
-        if not (lhs - rhs).is_zero:
-            ok = False
-    report.add("wedge image of J nabla-J through the Lee vector", ok)
+        residual.append((lhs - rhs).comps)
+    report.require_zero("wedge image of J nabla-J through the Lee vector", residual, axes)
 
     lee_spec = spec.with_phi(lee.theta)
     dj = cov_deriv_endo(weyl(lee_spec), lee_spec.j_endo())
-    report.add("J parallel for the Weyl connection of the Lee form",
-               all(entry.is_zero for direction in dj
-                   for row in direction.comps for entry in row))
+    report.require_zero("J parallel for the Weyl connection of the Lee form",
+                        [direction.comps for direction in dj], axes)
     return report

@@ -102,7 +102,7 @@ def _condition_ii_values(spec: FrameSpec, theta, dim4_mode: bool) -> list[Scalar
     for k in range(n):
         value = spec.zero()
         if not dim4_mode:
-            value = (Fraction(n, 2) - 1) * dphi_tmf[k] - dphi_jt_j[k]
+            value = dphi_tmf[k] * (Fraction(n, 2) - 1) - dphi_jt_j[k]
         out.append(value - tmf_j[k] * dphi_jwedge - rho_tmf[k] + rho_star_jt_j[k])
     return out
 
@@ -146,13 +146,11 @@ def verify_assignment(report: ConditionReport,
     vanishes identically in the remaining symbols (partial assignments allowed)."""
     items = tuple(sorted((name, Fraction(value)) for name, value in assignment.items()))
     per = []
-    holds = True
     leftover: set[str] = set()
     for label, system in (("i", report.condition_i), ("ii", report.condition_ii)):
         for idx, poly in enumerate(system, start=1):
             value = poly.substitute(dict(items))
             ok = value.is_zero
-            holds = holds and ok
             per.append((f"condition_{label}[{idx}]", ok))
             if not ok:
                 for exps, _ in value.terms():
@@ -160,7 +158,8 @@ def verify_assignment(report: ConditionReport,
                         if power:
                             leftover.add(name)
     return AssignmentVerdict(assignment=items, per_polynomial=tuple(per),
-                             holds=holds, residual_symbols=tuple(sorted(leftover)))
+                             holds=all(ok for _, ok in per),
+                             residual_symbols=tuple(sorted(leftover)))
 
 
 def equivalence_check(spec: FrameSpec) -> CheckReport:
@@ -173,17 +172,19 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     report = CheckReport(title="trace-condition equivalence")
     lee = require_gate(spec)
     n = spec.n
+    basis = spec.basis
     h = twistor.h_trace(spec)
     cii = _condition_ii_values(spec, lee.theta, dim4_mode=False)
-    report.add("horizontal trace equals condition (ii) componentwise",
-               all((a - b).is_zero for a, b in zip(h, cii)))
+    report.require_zero("horizontal trace equals condition (ii) componentwise",
+                        [a - b for a, b in zip(h, cii)], (basis,))
     report.notes["h_unit"] = "+1"
     v = twistor.v_trace(spec)
-    report.add("vertical trace paths agree", v.paths_agree)
-    ci = condition_i(spec)
+    report.require_zero("vertical trace paths agree",
+                        [[a - b for a, b in zip(ra, rb)]
+                         for ra, rb in zip(v.direct, v.closed_form)], (basis,) * 2)
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    ok = all((v.closed_form[k][l] + ci[idx]).is_zero
-             for idx, (k, l) in enumerate(pairs))
-    report.add("vertical trace equals negated condition (i) residuals", ok)
+    report.require_zero("vertical trace equals negated condition (i) residuals",
+                        [v.closed_form[k][l] + c for (k, l), c in zip(pairs, condition_i(spec))],
+                        ([f"{basis[k]},{basis[l]}" for k, l in pairs],))
     report.notes["v_unit"] = "-1"
     return report

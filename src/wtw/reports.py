@@ -1,8 +1,27 @@
-"""Tiny result types shared by the check suites and the command line tool."""
+"""Tiny result types shared by the check suites and the command line tool.
+
+Every check that asserts "this residual vanishes" is added through
+:meth:`CheckReport.require_zero`, which walks the residual once.  When the
+check fails, its ``detail`` holds the number of nonzero entries, the first
+nonzero index written with the axis labels (usually basis vector names, as
+in ``(E1,E2,E1,E2)``) and that entry's residual polynomial, for example
+``2 nonzero entries, first at (E1,E3): -a1 + 1/2*a2``.  A passing check has
+an empty detail; the gate check carries the violated assumption instead.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+
+def _nonzero(entry, index=()):
+    """(index, value) of every nonzero leaf of a nested residual, in index order."""
+    if isinstance(entry, (tuple, list)):
+        for i, inner in enumerate(entry):
+            yield from _nonzero(inner, index + (i,))
+    elif entry:
+        yield index, entry
 
 
 @dataclass(frozen=True)
@@ -22,6 +41,22 @@ class CheckReport:
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(Check(name, ok, detail))
+
+    def require_zero(self, name: str, residual: Sequence,
+                     labels: Sequence[Sequence[str]]) -> None:
+        """Add the check that every entry of ``residual`` vanishes.
+
+        ``residual`` nests tuples or lists to any depth, with scalars (or
+        rationals) at the leaves; ``labels[d]`` names the indices of depth d.
+        """
+        nonzero = list(_nonzero(residual))
+        if not nonzero:
+            self.add(name, True)
+            return
+        index, value = nonzero[0]
+        where = ",".join(labels[depth][i] for depth, i in enumerate(index))
+        noun = "entry" if len(nonzero) == 1 else "entries"
+        self.add(name, False, f"{len(nonzero)} nonzero {noun}, first at ({where}): {value}")
 
     @property
     def ok(self) -> bool:

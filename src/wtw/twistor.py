@@ -42,8 +42,8 @@ from .reports import CheckReport
 
 def g_fiber(a: Endo, b: Endo) -> Scalar:
     """G(a, b) = 1/2 sum_i g(a E_i, b E_i)."""
-    return Fraction(1, 2) * a.spec.dot(chain.from_iterable(a.comps),
-                                       chain.from_iterable(b.comps))
+    return a.spec.dot(chain.from_iterable(a.comps),
+                      chain.from_iterable(b.comps)) * Fraction(1, 2)
 
 
 def wedge_iso(a: Endo) -> Bivector:
@@ -73,14 +73,7 @@ def endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...
 
 def _endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
     n = R.spec.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rm = R.endo(i, j)
-            row.append(rm.commutator(S))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(R.endo(i, j).commutator(S) for j in range(n)) for i in range(n))
 
 
 def endo_curvature_consistency(spec: FrameSpec, conn: Connection, S: Endo) -> None:
@@ -202,9 +195,16 @@ def fiber_pairing_check(spec: FrameSpec, a: Endo, b: Endo) -> CheckReport:
     for all frame pairs (X, Y), where R is the Weyl curvature acting on
     endomorphisms by commutator.
     """
+    report = CheckReport(title="fiber curvature pairing")
+    report.require_zero("curvature pairing identity on endomorphisms",
+                        _fiber_pairing_residual(spec, a, b), (spec.basis,) * 2)
+    return report
+
+
+def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
+    """The pairing identity's residual at (E_i, E_j), as an n x n array."""
     if not a.is_skew or not b.is_skew:
         raise FrameError("pairing identity requires skew endomorphisms")
-    report = CheckReport(title="fiber curvature pairing")
     n = spec.n
     conn = weyl(spec)
     R = curvature(conn)
@@ -219,16 +219,14 @@ def fiber_pairing_check(spec: FrameSpec, a: Endo, b: Endo) -> CheckReport:
     dphi_comm = [spec.left(col, dphi.comps) for col in columns]   # [i][j]: dphi([a,b]X, Y)
     comm_dphi = [spec.right(dphi.comps, col) for col in columns]  # [j][i]: dphi(X, [a,b]Y)
     half = Fraction(1, 2)
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            lhs = g_fiber(action[i][j], b)
-            rhs = r_of_wedge.comps[j][i]
-            corr = dphi_wedge * (1 if i == j else 0) + dphi_comm[i][j] + comm_dphi[j][i]
-            if not (lhs - rhs + half * corr).is_zero:
-                ok = False
-    report.add("curvature pairing identity on endomorphisms", ok)
-    return report
+
+    def entry(i, j):
+        corr = dphi_comm[i][j] + comm_dphi[j][i]
+        if i == j:
+            corr = corr + dphi_wedge
+        return g_fiber(action[i][j], b) - r_of_wedge.comps[j][i] + corr * half
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
 def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
@@ -246,11 +244,12 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
           + 1/2 [phi(JZ) dphi(X,JY) + phi(Z) dphi(X,Y)
                  - g(Y,JZ) dphi(X, J phi#) - g(Y,Z) dphi(X, phi#)]
 
-    checked for every frame triple (X, Y, Z); nabla is Levi-Civita, R and the
-    fiber pairing belong to the Weyl connection.
+    checked for every frame triple (X, Y, Z), indexed [Y][X][Z]; nabla is
+    Levi-Civita, R and the fiber pairing belong to the Weyl connection.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
     n = spec.n
+    ix = range(n)
     J = spec.J
     phi = spec.phi
     jphi = spec.j_apply(phi)
@@ -268,11 +267,11 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     jphi_dphi = spec.right(dphi.comps, jphi)       # dphi(., J phi#)
     phi_dphi = spec.right(dphi.comps, phi)         # dphi(., phi#)
 
-    ok = True
+    residual = []
     for y, jy in enumerate(zip(*J)):
         jn = j_endo @ nj[y]
         jn_wedge = wedge_iso(jn)
-        ey = tuple(spec.const(1 if l == y else 0) for l in range(n))
+        ey = tuple(spec.const(1 if l == y else 0) for l in ix)
         bphi = Bivector.wedge_vectors(spec, phi, ey) - Bivector.wedge_vectors(spec, jphi, jy)
         r_jn = curvature_on_bivector(R, jn_wedge)
         r_bphi = curvature_on_bivector(R, bphi)
@@ -283,43 +282,46 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
         dphi_jn_z = [spec.right(dphi.comps, col) for col in columns]   # [z][x]
         dphi_jy = spec.left(jy, dphi.comps)        # dphi(JY, .)
         jy_dphi = spec.right(dphi.comps, jy)       # dphi(., JY)
-        for x in range(n):
-            for z in range(n):
-                lhs = g_fiber(act_j[x][z], dj[y])
-                rhs = 2 * r_jn.comps[z][x] - r_bphi.comps[z][x]
-                if x == z:
-                    rhs = rhs - dphi_jn + half * dphi_bphi
-                rhs = rhs - dphi_jn_x[x][z] - dphi_jn_z[z][x]
-                part = phi_j[x] * dphi_jy[z] + phi[x] * dphi.comps[y][z]
-                part = part - J[y][x] * dphi_jphi[z]
-                if y == x:
-                    part = part - dphi_phi[z]
-                rhs = rhs + half * part
-                part = phi_j[z] * jy_dphi[x] + phi[z] * dphi.comps[x][y]
-                part = part - J[y][z] * jphi_dphi[x]
-                if y == z:
-                    part = part - phi_dphi[x]
-                rhs = rhs + half * part
-                if not (lhs - rhs).is_zero:
-                    ok = False
-    report.add("pairing of the fiber curvature with DJ through Levi-Civita data", ok)
+
+        def entry(x, z):
+            rhs = r_jn.comps[z][x] * 2 - r_bphi.comps[z][x]
+            if x == z:
+                rhs = rhs - dphi_jn + dphi_bphi * half
+            rhs = rhs - dphi_jn_x[x][z] - dphi_jn_z[z][x]
+            part = phi_j[x] * dphi_jy[z] + phi[x] * dphi.comps[y][z] - dphi_jphi[z] * J[y][x]
+            if y == x:
+                part = part - dphi_phi[z]
+            rhs = rhs + part * half
+            part = phi_j[z] * jy_dphi[x] + phi[z] * dphi.comps[x][y] - jphi_dphi[x] * J[y][z]
+            if y == z:
+                part = part - phi_dphi[x]
+            rhs = rhs + part * half
+            return g_fiber(act_j[x][z], dj[y]) - rhs
+
+        residual.append([[entry(x, z) for z in ix] for x in ix])
+    report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
+                        residual, (spec.basis,) * 3)
     return report
 
 
 def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
     """Residual of G(R(X,Y)J, V) + G(R(X,Y)V, J) = 0 for vertical V."""
+    report = CheckReport(title="vertical antisymmetry of the fiber curvature")
+    report.require_zero("G(R(X,Y)J, V) = -G(R(X,Y)V, J)",
+                        _vertical_antisymmetry_residual(spec, V), (spec.basis,) * 2)
+    return report
+
+
+def _vertical_antisymmetry_residual(spec: FrameSpec, V: Endo):
+    """G(R(E_i,E_j)J, V) + G(R(E_i,E_j)V, J), as an n x n array."""
     j_endo = spec.j_endo()
     if not V.is_skew or not V.anticommutes_with(j_endo):
         raise FrameError("V must be vertical at J (skew and anti-commuting)")
-    report = CheckReport(title="vertical antisymmetry of the fiber curvature")
-    n = spec.n
     R = curvature(weyl(spec))
     act_j = endo_curvature_action(R, j_endo)
     act_v = endo_curvature_action(R, V)
-    ok = all((g_fiber(act_j[i][j], V) + g_fiber(act_v[i][j], j_endo)).is_zero
-             for i in range(n) for j in range(n))
-    report.add("G(R(X,Y)J, V) = -G(R(X,Y)V, J)", ok)
-    return report
+    return [[g_fiber(a_j, V) + g_fiber(a_v, j_endo) for a_j, a_v in zip(row_j, row_v)]
+            for row_j, row_v in zip(act_j, act_v)]
 
 
 @dataclass(frozen=True)
@@ -352,10 +354,6 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
     n = spec.n
     ring_t = spec.ring.extend("t")
     t = ring_t.sym("t")
-
-    def lift(value: Scalar) -> Scalar:
-        return value.lift(ring_t)
-
     basis = vertical_basis(spec)
     nv = len(basis.elements)
     conn = weyl(spec)
@@ -372,26 +370,21 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
         for b in range(nv):
             # normalized pair: G(V_a, V_b) / norm_sq
             value = g_fiber(basis.elements[a], basis.elements[b])
-            gram[n + a][n + b] = t * lift(value * Fraction(1, basis.norm_sq))
+            gram[n + a][n + b] = t * (value * Fraction(1, basis.norm_sq)).lift(ring_t)
 
-    hh_horizontal = tuple(tuple(tuple(conn.gamma[i][j][k] for k in range(n))
-                                for j in range(n)) for i in range(n))
     half = Fraction(1, 2)
     inv_norm = Fraction(1, basis.norm_sq)
     hh_vertical = tuple(tuple(tuple(
-        half * inv_norm * g_fiber(act_j[i][j], basis.elements[alpha])
+        g_fiber(act_j[i][j], basis.elements[alpha]) * (half * inv_norm)
         for alpha in range(nv)) for j in range(n)) for i in range(n))
 
     vh = tuple(tuple(tuple(
-        lift(g_fiber(act_j[i][j], basis.elements[alpha])) * t * Fraction(-1, 2)
+        g_fiber(act_j[i][j], basis.elements[alpha]).lift(ring_t) * t * Fraction(-1, 2)
         for j in range(n)) for i in range(n)) for alpha in range(nv))
 
-    return TwistorEval(ring_t=ring_t,
-                       gram=tuple(tuple(row) for row in gram),
-                       hh_horizontal=hh_horizontal,
-                       hh_vertical=hh_vertical,
-                       vh_pairing=vh,
-                       vertical_labels=basis.labels)
+    return TwistorEval(ring_t=ring_t, gram=tuple(tuple(row) for row in gram),
+                       hh_horizontal=conn.gamma, hh_vertical=hh_vertical,
+                       vh_pairing=vh, vertical_labels=basis.labels)
 
 
 def h_trace(spec: FrameSpec):
@@ -439,13 +432,11 @@ def h_trace(spec: FrameSpec):
     dphi_jphi_j = spec.left(spec.left(jphi, dphi.comps), J)      # dphi(J phi#, JZ)
     out = []
     for k in range(n):
-        value = spec.zero()
-        for x in range(n):
-            value = value + 2 * r_jn[x].comps[k][x]
+        value = sum((r_jn[x].comps[k][x] for x in range(n)), spec.zero()) * 2
         value = value + rho_phi[k] - rho_star_jphi_j[k]
         value = value - eval_on_bivector(dphi, jn_wedge[k]) + dphi_jdj[k] - traced[k]
         value = value + phi_j[k] * dphi_jwedge
-        value = value - (Fraction(n, 2) - 1) * dphi_phi[k] + dphi_jphi_j[k]
+        value = value - dphi_phi[k] * (Fraction(n, 2) - 1) + dphi_jphi_j[k]
         out.append(value)
     return tuple(out)
 
@@ -475,9 +466,7 @@ def v_trace(spec: FrameSpec) -> VTraceData:
     conn = weyl(spec)
     j_endo = spec.j_endo()
     second = second_cov_deriv_endo(conn, j_endo)
-    traced = Endo.zero(spec)
-    for i in range(n):
-        traced = traced + second[i][i]
+    traced = sum((second[i][i] for i in range(n)), Endo.zero(spec))
 
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
     form = traced.transpose()

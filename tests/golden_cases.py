@@ -1,6 +1,11 @@
-"""The builtin x verb command matrix covered by the golden-output tests."""
+"""The builtin x verb command matrix covered by the golden-output tests, plus
+two spec documents whose failing checks pin the failure-detail format."""
 
 from __future__ import annotations
+
+import pathlib
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 VERBS = ["validate", "connection", "curvature", "ricci", "star-ricci", "lee",
          "lck", "conditions", "suite", "report"]
@@ -29,6 +34,9 @@ def _build() -> dict[str, list[str]]:
             cases[f"{spec_key}__{verb}"] = [verb, *source]
         cases[f"{spec_key}__verify"] = [
             "verify", *source, "--assign", VERIFY_ASSIGNMENTS[spec_key]]
+    # failing checks, which print their detail lines
+    cases["heisenberg6__lck"] = ["lck", "--spec", str(DATA / "heisenberg6.toml")]
+    cases["nonintegrable__suite"] = ["suite", "--spec", str(DATA / "nonintegrable.toml")]
     return cases
 
 

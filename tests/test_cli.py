@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -64,8 +65,12 @@ class TestExitCodes:
         ('["1", "0", "0", "0"],', "1,"),
         ('"E2,E3" = { E3 = "-1/2" }', '"E2,E1" = { E1 = "-1" }'),
         ('{ E3 = "-1/2" }', '{ E3 = "1e9999999" }'),
+        ("dimension = 4", "dimension = 18"),
+        ("dimension = 4", "dimension = 1000000000000"),
+        ('{ E3 = "-1/2" }', "{ E3 = " + "9" * 5000 + " }"),
     ], ids=["bool-constant", "array-of-tables", "top-level-scalar", "matrix-row-not-a-list",
-            "pair-given-twice", "exponent-constant"])
+            "pair-given-twice", "exponent-constant", "dimension-above-cap", "huge-dimension",
+            "integer-too-long"])
     def test_hostile_document_is_one_line_spec_error(self, tmp_path, old, new):
         text = (DATA / "inoue_lee.toml").read_text()
         assert old in text
@@ -144,6 +149,22 @@ class TestGateBehavior:
         assert status == 1
         assert "d(Omega) = theta ^ Omega: FAIL" in out
 
+    def test_failing_check_prints_its_detail(self):
+        _, out, _ = run(["lck", "--spec", str(DATA / "heisenberg6.toml")])
+        lines = out.splitlines()
+        detail = lines[lines.index("d(Omega) = theta ^ Omega: FAIL") + 1]
+        assert re.fullmatch(r"    \d+ nonzero entries, first at \(E\d,E\d,E\d\): .+", detail)
+        assert lines[lines.index("d(theta) = 0: ok") + 1] == "Nijenhuis tensor vanishes: ok"
+
+    def test_json_detail_on_failing_checks_only(self):
+        status, out, _ = run(["lck", "--spec", str(DATA / "heisenberg6.toml"),
+                              "--format", "json"])
+        assert status == 1
+        for check in json.loads(out)["lck"]["checks"]:
+            assert ("detail" in check) == (not check["ok"])
+            if not check["ok"]:
+                assert check["detail"].startswith("24 nonzero entries, first at (")
+
     def test_report_survives_gate_failure(self):
         status, out, _ = run(["report", "--spec", str(DATA / "nonintegrable.toml")])
         assert status == 1
@@ -202,6 +223,25 @@ class TestSuiteVerb:
         status, out, _ = run(["suite", "--spec", str(DATA / "nonintegrable.toml")])
         assert status == 1
         assert "gate (integrability assumption): FAIL" in out
+        lines = out.splitlines()
+        detail = lines[lines.index("gate (integrability assumption): FAIL") + 1]
+        assert detail == ("    integrability assumption: "
+                          "the Nijenhuis tensor of J does not vanish")
+
+    @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_like6", "inoue_like6_double"])
+    def test_six_dimensional_identities_hold(self, name):
+        """Every identity holds at n = 6, where n(n-4)/(2(n-2)) is not zero; only
+        the vertical-trace route comparison may fail, and then it names where."""
+        _, out, _ = run(["suite", "--spec", str(DATA / f"{name}.toml"), "--format", "json"])
+        checks = json.loads(out)["suite"]["checks"]
+        assert len(checks) == 27
+        for check in checks:
+            if check["name"] != "vertical trace paths agree":
+                assert check["ok"], check
+            elif not check["ok"]:
+                assert re.fullmatch(r"\d+ nonzero entr(y|ies), first at \(E\d,E\d\): .+",
+                                    check["detail"])
+                assert not check["detail"].endswith(": 0")
 
 
 class TestJsonOutput:

@@ -109,6 +109,14 @@ class TestLoader:
         with pytest.raises((FrameError, SpecFormatError)):
             load_spec(doc)
 
+    @pytest.mark.parametrize("dimension", [2, 18, 10**12])
+    def test_rejects_dimension_outside_the_range(self, dimension):
+        doc = INOUE_DOC.replace("dimension = 4", f"dimension = {dimension}")
+        with pytest.raises(FrameError, match="from 4 to 16"):
+            load_spec(doc)
+        with pytest.raises(FrameError, match="from 4 to 16"):
+            FrameSpec.create(dimension=dimension, symbols=(), brackets={}, J=[], phi=())
+
     def test_rejects_symbolic_structure_constant(self):
         doc = INOUE_DOC.replace('"E1,E2" = { E1 = "-1" }', '"E1,E2" = { E1 = "a1" }')
         with pytest.raises(SpecFormatError):
@@ -246,9 +254,7 @@ _KEYS = sorted({key for table in _INOUE_TABLES.values() for key in table} | {"ba
 
 _toml_values = st.recursive(
     st.booleans()
-    # small integers only: a huge dimension builds an n-element basis list
-    # before any check; capping the dimension is ROADMAP item 5, not tested here
-    | st.integers(min_value=-8, max_value=8)
+    | st.integers(min_value=-10**12, max_value=10**12)
     | st.floats()
     | st.sampled_from(["a1", "E1", "-1/2", "1/0", "x", "", "E1,E2", "a1*a2"])
     | st.text(max_size=8),
