@@ -121,10 +121,8 @@ def second_cov_deriv_endo(conn: Connection, S: Endo):
     for i in range(n):
         row = []
         for j in range(n):
-            value = cov_deriv_endo(conn, first[j])[i]
-            for k in range(n):
-                value = value - first[k].scale(conn.gamma[i][j][k])
-            row.append(value)
+            along = Endo.combination(conn.gamma[i][j], first)  # sum_k gamma[i][j][k] D_k S
+            row.append(cov_deriv_endo(conn, first[j])[i] - along)
         out.append(tuple(row))
     return tuple(out)
 
@@ -162,5 +160,5 @@ def reconstruct_weyl_form(conn: Connection) -> Vector:
     spec = conn.spec
     n = spec.n
     factor = Fraction(-2, n)
-    return tuple(sum((conn.gamma[i][j][j] for j in range(n)), spec.zero()) * factor
+    return tuple(spec.ring.sum(conn.gamma[i][j][j] for j in range(n)) * factor
                  for i in range(n))

@@ -130,7 +130,7 @@ def ricci(R: Curvature):
 def _ricci(R: Curvature):
     spec = R.spec
     n = spec.n
-    return tuple(tuple(sum((R.r[i][j][k][j] for j in range(n)), spec.zero())
+    return tuple(tuple(spec.ring.sum(R.r[i][j][k][j] for j in range(n))
                        for k in range(n)) for i in range(n))
 
 
@@ -145,7 +145,7 @@ def _star_ricci(R: Curvature):
     for i in range(spec.n):
         # x[q] = sum_{p,j} J[p][j] r[p][i][q][j] = Trace{Y -> g(R(JY, E_i) E_q, Y)}
         parts = [spec.right(R.r[p][i], row) for p, row in enumerate(spec.J)]
-        x = [sum(column, spec.zero()) for column in zip(*parts)]
+        x = [spec.ring.sum(column) for column in zip(*parts)]
         out.append(spec.left(x, spec.J))
     return tuple(out)
 
@@ -156,7 +156,7 @@ def codifferential_oneform(spec: FrameSpec, omega) -> Scalar:
     """delta omega = -sum_i (nabla_{E_i} omega)(E_i) for the Levi-Civita connection."""
     lc = levi_civita(spec)
     nom = cov_deriv_oneform(lc, omega)
-    return -sum((nom[i][i] for i in range(spec.n)), spec.zero())
+    return -spec.ring.sum(nom[i][i] for i in range(spec.n))
 
 
 def codifferential_endo(spec: FrameSpec, S):
@@ -164,8 +164,7 @@ def codifferential_endo(spec: FrameSpec, S):
     lc = levi_civita(spec)
     nS = cov_deriv_endo(lc, S)
     n = spec.n
-    return tuple(-sum((nS[i].comps[l][i] for i in range(n)), spec.zero())
-                 for l in range(n))
+    return tuple(-spec.ring.sum(nS[i].comps[l][i] for i in range(n)) for l in range(n))
 
 
 # -- identity suite ---------------------------------------------------------
@@ -195,7 +194,7 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
         pair_symmetry(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
 
     def exchange(i, j, k, l):
-        res = (r[i][j][k][l] - r[k][l][i][j]) * 2
+        res = spec.dot((r[i][j][k][l], r[k][l][i][j]), (2, -2))
         # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
         #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk
         if k == l:

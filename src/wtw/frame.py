@@ -24,8 +24,11 @@ Indices are 0-based internally; renderings are 1-based.
 Contractions: a vector is a sequence of n components and a matrix is a
 sequence of n rows, ``M[i][j] = M(E_i, E_j)`` for a bilinear form; entries
 may be scalars or rationals.  Pairings and J-twists go through five
-:class:`FrameSpec` methods, valid for any rational orthogonal J, that skip
-zero entries, rational or scalar:
+:class:`FrameSpec` methods, valid for any rational orthogonal J.  Each entry
+they produce is one call of the ring's multiply-accumulate kernel
+:meth:`wtw.polyalg.Ring.dot`, which skips zero entries, rational or scalar,
+and reduces the sum once; ``Endo`` products, the Jacobi check and the
+wedge products use the same kernel:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
@@ -167,10 +170,12 @@ class FrameSpec(Memo):
         # Once c is antisymmetric the Jacobiator alternates in (i, j, k) and
         # vanishes on repeated indices, so increasing triples suffice; the
         # first failing one is the first failing ordered triple.
+        c = self.c
+        by_m = [list(zip(*plane)) for plane in zip(*c)]  # by_m[k][l][m] = c[m][k][l]
         for i, j, k in combinations(range(n), 3):
+            brackets = c[i][j] + c[j][k] + c[k][i]
             for l in range(n):
-                if sum(self.c[i][j][m] * self.c[m][k][l] + self.c[j][k][m] * self.c[m][i][l]
-                       + self.c[k][i][m] * self.c[m][j][l] for m in range(n)) != 0:
+                if self.dot(brackets, by_m[k][l] + by_m[i][l] + by_m[j][l]):
                     raise FrameError(
                         "Jacobi identity fails on "
                         f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
@@ -205,8 +210,7 @@ class FrameSpec(Memo):
 
     def dot(self, u: Sequence, v: Sequence) -> Scalar:
         """sum_p u[p] v[p]: a 1-form on a vector, or g(u, v)."""
-        # skips zeros, rational or scalar: J, c and the vertical basis are mostly zeros
-        return sum((a * b for a, b in zip(u, v) if a and b), self.zero())
+        return self.ring.dot(u, v)
 
     def left(self, u: Sequence, M: Sequence[Sequence]) -> Vector:
         """M(u, .): the vector sum_p u[p] M[p][k] over k."""
@@ -290,6 +294,14 @@ class Endo:
         return Endo(spec, [[z] * spec.n for _ in range(spec.n)])
 
     @staticmethod
+    def combination(weights: Sequence, endos: Sequence["Endo"]) -> "Endo":
+        """sum_m weights[m] endos[m], one kernel call per entry."""
+        spec = endos[0].spec
+        # rows[k] holds row k of every endo; zip(*rows) walks entry (k, l) across them
+        return Endo(spec, [[spec.dot(weights, entry) for entry in zip(*rows)]
+                           for rows in zip(*(e.comps for e in endos))])
+
+    @staticmethod
     def identity(spec: FrameSpec) -> "Endo":
         return Endo(spec, [[spec.const(_kron(i, j)) for j in range(spec.n)]
                            for i in range(spec.n)])
@@ -310,15 +322,14 @@ class Endo:
         return Endo(self.spec, [[-a for a in row] for row in self.comps])
 
     def __matmul__(self, other: "Endo") -> "Endo":
-        z = self.spec.zero()
-        # skip zero entries on both sides: J and the vertical basis are mostly zeros
-        cols = [[(m, b) for m, b in enumerate(col) if b] for col in zip(*other.comps)]
-        rows = []
-        for row in self.comps:
-            entries = {m: a for m, a in enumerate(row) if a}
-            rows.append([sum((entries[m] * b for m, b in col if m in entries), z)
-                         for col in cols])
-        return Endo(self.spec, rows)
+        dot = self.spec.ring.dot
+        # only the nonzero entries of each column: J and the vertical basis are mostly zeros
+        cols = []
+        for col in zip(*other.comps):
+            support = [m for m, b in enumerate(col) if b]
+            cols.append((support, [col[m] for m in support]))
+        return Endo(self.spec, [[dot([row[m] for m in support], values)
+                                 for support, values in cols] for row in self.comps])
 
     def scale(self, value) -> "Endo":
         return Endo(self.spec, [[a * value for a in row] for row in self.comps])
@@ -328,7 +339,7 @@ class Endo:
         return Endo(self.spec, [[self.comps[j][i] for j in range(n)] for i in range(n)])
 
     def trace(self) -> Scalar:
-        return sum((self.comps[i][i] for i in range(self.spec.n)), self.spec.zero())
+        return self.spec.ring.sum(self.comps[i][i] for i in range(self.spec.n))
 
     def commutator(self, other: "Endo") -> "Endo":
         return (self @ other) - (other @ self)
@@ -340,8 +351,8 @@ class Endo:
     @property
     def is_skew(self) -> bool:
         n = self.spec.n
-        return all((self.comps[i][j] + self.comps[j][i]).is_zero
-                   for i in range(n) for j in range(n))
+        return all(self.comps[i][j] == -self.comps[j][i]
+                   for i in range(n) for j in range(i, n))
 
     def anticommutes_with(self, other: "Endo") -> bool:
         return ((self @ other) + (other @ self)).is_zero
@@ -367,17 +378,16 @@ class TwoForm:
         self.spec = spec
         self.comps = tuple(tuple(row) for row in comps)
         n = spec.n
+        # row-major order meets a failing (i, j) with i <= j before (j, i)
         for i in range(n):
-            for j in range(n):
-                if not (self.comps[i][j] + self.comps[j][i]).is_zero:
+            for j in range(i, n):
+                if self.comps[i][j] != -self.comps[j][i]:
                     raise FrameError(f"2-form not antisymmetric at ({i+1},{j+1})")
 
     @staticmethod
     def wedge_vectors(spec: FrameSpec, u: Sequence[Scalar], v: Sequence[Scalar]) -> "TwoForm":
         """The decomposable bivector u ^ v."""
-        n = spec.n
-        return TwoForm(spec, [[u[p] * v[q] - u[q] * v[p] for q in range(n)]
-                              for p in range(n)])
+        return wedge_oneforms(spec, u, v)
 
     def __call__(self, i: int, j: int) -> Scalar:
         return self.comps[i][j]
@@ -391,7 +401,7 @@ class TwoForm:
                                    for r1, r2 in zip(self.comps, other.comps)])
 
     def scale(self, value) -> "TwoForm":
-        return TwoForm(self.spec, [[a * value for a in row] for row in self.comps])
+        return TwoForm(self.spec, [[a * value if a else a for a in row] for row in self.comps])
 
     @property
     def is_zero(self) -> bool:
@@ -471,14 +481,18 @@ def sharp(spec: FrameSpec, omega: Sequence[Scalar]) -> Vector:
 def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar], beta: Sequence[Scalar]) -> TwoForm:
     """(alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X)."""
     n = spec.n
-    return TwoForm(spec, [[alpha[i] * beta[j] - alpha[j] * beta[i]
+    dot = spec.ring.dot
+    minus_beta = [-b for b in beta]
+    return TwoForm(spec, [[dot((alpha[i], alpha[j]), (beta[j], minus_beta[i]))
                            for j in range(n)] for i in range(n)])
 
 
 def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm) -> ThreeForm:
     """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)."""
     n = spec.n
-    comps = [[[alpha[i] * F.comps[j][k] - alpha[j] * F.comps[i][k] + alpha[k] * F.comps[i][j]
+    dot = spec.ring.dot
+    f = F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
+    comps = [[[dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
                for k in range(n)] for j in range(n)] for i in range(n)]
     return ThreeForm(spec, comps)
 

@@ -88,7 +88,7 @@ def _lee_form(spec: FrameSpec) -> LeeData:
     # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m]
     parts = [spec.left(lc.gamma[i][i], omega.comps) for i in range(n)]
     parts += [spec.right(lc.gamma[i], omega.comps[i]) for i in range(n)]
-    delta_omega = [sum(column, spec.zero()) for column in zip(*parts)]
+    delta_omega = [spec.ring.sum(column) for column in zip(*parts)]
     factor = Fraction(-2, n - 2)
     theta = tuple(value * factor for value in spec.left(delta_omega, spec.J))
     delta_j = codifferential_endo(spec, spec.j_endo())
@@ -154,7 +154,6 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     J = spec.J
     j_endo = spec.j_endo()
     nJ = cov_deriv_endo(lc, j_endo)
-    omega = fundamental_form(spec)
     dom = spec.memo(_d_omega)
     ncomp, _ = nijenhuis(spec)
 
@@ -163,8 +162,8 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
         twisted = spec.twist(dom.comps[x])  # dOmega(X, J., J.)
         # g(N(Y, Z), JX)
         n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in ix]
-        residual.append([[nJ[x].comps[z][y] * 2 - dom.comps[x][y][z] + twisted[y][z]
-                          - n_jx[y][z] for z in ix] for y in ix])
+        residual.append([[spec.dot((nJ[x].comps[z][y], dom.comps[x][y][z], twisted[y][z],
+                                    n_jx[y][z]), (2, -1, 1, -1)) for z in ix] for y in ix])
     report.require_zero("nabla-J from d(Omega) and the Nijenhuis tensor", residual, axes)
 
     # twisted[z][x][y] = g((nabla_{JX} J)(JY), E_z)
@@ -174,14 +173,17 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
 
     B = lee.B
     JB = spec.j_apply(B)
+    minus_b = [-b for b in B]
 
     def closed_form(x, y, l):
-        rhs = omega.comps[x][y] * B[l] - B[y] * J[l][x]
+        # 2 (nabla_X J) Y - g(JX, Y) B + g(B, Y) JX, where g(J E_x, E_y) = J[y][x]
+        # and -J[l][x] = J[x][l]
+        res = spec.dot((nJ[x].comps[l][y], J[y][x], J[x][l]), (2, minus_b[l], minus_b[y]))
         if x == y:
-            rhs = rhs + JB[l]
+            res = res - JB[l]
         if l == x:
-            rhs = rhs - JB[y]
-        return nJ[x].comps[l][y] * 2 - rhs
+            res = res + JB[y]
+        return res
 
     report.require_zero("closed form of nabla-J through the Lee vector", [[[
         closed_form(x, y, l) for l in ix] for y in ix] for x in ix], axes)

@@ -9,7 +9,15 @@ above 1 divides the denominator and every numerator).  The zero polynomial has
 an empty map and denominator 1, and it is the only falsy scalar.  All
 arithmetic keeps this canonical form, so ``+ - *`` are loops over Python
 ints and equality of polynomials is equality of denominators and
-dictionaries.  The accessors (:meth:`Scalar.terms`,
+dictionaries.
+
+Contractions do not go through ``+`` and ``*``: :meth:`Ring.dot` is the one
+multiply-accumulate kernel.  It takes two sequences of scalars, ints and
+Fractions, skips every pair with a zero side, multiplies integer numerators
+straight into one accumulator over one common denominator (rescaled only
+when a product brings a new denominator) and reduces the sum once, so it
+builds no scalar per product and never runs ``Fraction.__mul__``.
+:meth:`Ring.sum` is a dot against ones.  The accessors (:meth:`Scalar.terms`,
 :meth:`Scalar.coefficient`, :meth:`Scalar.constant_value`) return
 :class:`fractions.Fraction` coefficients.  There is no floating point
 anywhere: identity tests are exact.
@@ -32,7 +40,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, ...]
 RationalLike = Union[int, Fraction]
@@ -115,6 +124,77 @@ class Ring:
         """Parse ``text`` using ``+ - * / ^``, integer literals and symbols."""
         return _Parser(self, text).parse()
 
+    def dot(self, u: Iterable, v: Iterable) -> Scalar:
+        """sum_p u[p] * v[p] for scalars of this ring, ints and Fractions.
+
+        The multiply-accumulate kernel of every contraction.  Pairs with a
+        zero side are skipped; the integer numerators of each product go
+        straight into one accumulator over one common denominator, which is
+        rescaled only when a new denominator appears, and the sum is reduced
+        once.  No intermediate scalar is built.  As with ``+`` and ``*``, a
+        scalar of another ring raises :class:`RingMismatchError`, zero or not.
+        """
+        acc: dict[Exponents, int] = {}
+        get = acc.get
+        den = 1
+        for a, b in zip(u, v):
+            if type(b) is Scalar and b.ring is not self:
+                self._check(b)
+            # each factor as an integer factor, numerators (None for a
+            # rational) and a denominator; a zero factor skips the pair
+            if type(a) is Scalar:
+                if a.ring is not self:
+                    self._check(a)
+                if not a._terms:
+                    continue
+                ka, ta, da = 1, a._terms, a._den
+            elif a:
+                ka, ta, da = a.numerator, None, a.denominator
+            else:
+                continue
+            if type(b) is Scalar:
+                if not b._terms:
+                    continue
+                kb, tb, db = 1, b._terms, b._den
+            elif b:
+                kb, tb, db = b.numerator, None, b.denominator
+            else:
+                continue
+            d = da * db
+            if den % d:  # a new denominator: rescale to the lcm
+                up = d // math.gcd(den, d)
+                for e in acc:
+                    acc[e] *= up
+                den *= up
+            k = ka * kb * (den // d)
+            if ta is None:
+                ta, tb = tb, ta
+            if ta is None:  # both rational
+                e = (0,) * len(self.symbols)
+                acc[e] = get(e, 0) + k
+            elif tb is None:  # a rational times a polynomial
+                for e, c in ta.items():
+                    acc[e] = get(e, 0) + c * k
+            else:
+                for e1, c1 in ta.items():
+                    c1 *= k
+                    for e2, c2 in tb.items():
+                        e = tuple(map(operator.add, e1, e2))
+                        acc[e] = get(e, 0) + c1 * c2
+        nums = {e: c for e, c in acc.items() if c}
+        if not nums:
+            return self.zero()
+        return Scalar._reduced(self, nums, den)
+
+    def sum(self, values: Iterable) -> Scalar:
+        """sum_p values[p] through :meth:`dot`: one reduction for the whole sum."""
+        return self.dot(values, repeat(1))
+
+    def _check(self, p: Scalar) -> None:
+        if p.ring != self:
+            raise RingMismatchError(
+                f"symbol-set mismatch: {self.symbols} vs {p.ring.symbols}")
+
 
 class Scalar:
     """Immutable sparse polynomial over a :class:`Ring`.
@@ -124,7 +204,9 @@ class Scalar:
     builds one from rational coefficients, and the accessors return
     ``Fraction`` coefficients.  Zero is falsy and every other scalar truthy.
     Supports ``+ - * **`` with other scalars of the same ring and with plain
-    integers or Fractions, which act as constants.
+    integers or Fractions, which act as constants.  Sums of products go
+    through :meth:`Ring.dot` instead, which reads ``_terms`` and ``_den``
+    directly and gives the same canonical result as the operators.
     """
 
     __slots__ = ("ring", "_terms", "_den")
@@ -204,9 +286,8 @@ class Scalar:
     # is safe because scalars are immutable.
 
     def _same_ring(self, other: Scalar) -> None:
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise RingMismatchError(
-                f"symbol-set mismatch: {self.ring.symbols} vs {other.ring.symbols}")
+        if other.ring is not self.ring:
+            self.ring._check(other)
 
     def _operand(self, other) -> "tuple[dict[Exponents, int], int] | None":
         """Numerators and denominator of a same-ring scalar or a rational

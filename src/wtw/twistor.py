@@ -16,7 +16,16 @@ commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
 against the double-covariant-derivative definition and any mismatch raises.
 The action on an endomorphism is kept on its curvature tensor, and the
 cross-check runs once per connection and endomorphism (see
-:class:`wtw.frame.Memo`).
+:class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
+formed for the frame pairs i < j only.
+
+The checks form only what they need.  The fiber metric is ad-invariant,
+``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so pairing the
+action on a vertical direction V with J costs one commutator ``[V, J]`` per V
+rather than n^2 commutators; the vertical antisymmetry check evaluates its
+other side through the stored action on J, so the two sides stay different
+computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over the nonzero
+entries of ``b`` only.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
 planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import combinations
 
 from .connection import (Connection, cov_deriv_endo, levi_civita,
                          second_cov_deriv_endo, weyl)
@@ -42,8 +51,17 @@ from .reports import CheckReport
 
 def g_fiber(a: Endo, b: Endo) -> Scalar:
     """G(a, b) = 1/2 sum_i g(a E_i, b E_i)."""
-    return a.spec.dot(chain.from_iterable(a.comps),
-                      chain.from_iterable(b.comps)) * Fraction(1, 2)
+    return _g_against(b)(a)
+
+
+def _g_against(b: Endo):
+    """The map a -> G(a, b) for one b, summing over the nonzero entries of b only
+    (the vertical directions and J are mostly zeros)."""
+    support = [(k, l) for k, row in enumerate(b.comps) for l, x in enumerate(row) if x]
+    values = [b.comps[k][l] for k, l in support]
+    dot = b.spec.ring.dot
+    half = Fraction(1, 2)
+    return lambda a: dot([a.comps[k][l] for k, l in support], values) * half
 
 
 def wedge_iso(a: Endo) -> Bivector:
@@ -72,8 +90,18 @@ def endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...
 
 
 def _endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
-    n = R.spec.n
-    return tuple(tuple(R.endo(i, j).commutator(S) for j in range(n)) for i in range(n))
+    # R(X, Y) = -R(Y, X)
+    return _antisymmetric(R.spec.n, Endo.zero(R.spec), lambda i, j: R.endo(i, j).commutator(S))
+
+
+def _antisymmetric(n: int, zero, entry):
+    """The n x n array with entry(i, j) for i < j, its negative for i > j and
+    ``zero`` on the diagonal; entry is called once per pair i < j."""
+    out = [[zero] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        out[i][j] = entry(i, j)
+        out[j][i] = -out[i][j]
+    return tuple(tuple(row) for row in out)
 
 
 def endo_curvature_consistency(spec: FrameSpec, conn: Connection, S: Endo) -> None:
@@ -93,16 +121,13 @@ def _check_endo_curvature(conn: Connection, spec: FrameSpec, S: Endo) -> None:
     comm = endo_curvature_action(R, S)
     first = cov_deriv_endo(conn, S)
     second = [cov_deriv_endo(conn, first[j]) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            direct = Endo.zero(spec)
-            for m in range(n):
-                direct = direct + first[m].scale(spec.const(spec.c[i][j][m]))
-            direct = direct - second[j][i] + second[i][j]
-            if not (direct - comm[i][j]).is_zero:
-                raise AssertionError(
-                    "induced curvature mismatch between commutator action and "
-                    f"double covariant derivative at ({i+1},{j+1})")
+    # both sides are antisymmetric in (i, j), so i < j suffices
+    for i, j in combinations(range(n), 2):
+        direct = Endo.combination(spec.c[i][j], first) - second[j][i] + second[i][j]
+        if not (direct - comm[i][j]).is_zero:
+            raise AssertionError(
+                "induced curvature mismatch between commutator action and "
+                f"double covariant derivative at ({i+1},{j+1})")
 
 
 @dataclass(frozen=True)
@@ -219,12 +244,13 @@ def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
     dphi_comm = [spec.left(col, dphi.comps) for col in columns]   # [i][j]: dphi([a,b]X, Y)
     comm_dphi = [spec.right(dphi.comps, col) for col in columns]  # [j][i]: dphi(X, [a,b]Y)
     half = Fraction(1, 2)
+    against_b = _g_against(b)
 
     def entry(i, j):
         corr = dphi_comm[i][j] + comm_dphi[j][i]
         if i == j:
             corr = corr + dphi_wedge
-        return g_fiber(action[i][j], b) - r_of_wedge.comps[j][i] + corr * half
+        return against_b(action[i][j]) - r_of_wedge.comps[j][i] + corr * half
 
     return [[entry(i, j) for j in range(n)] for i in range(n)]
 
@@ -269,6 +295,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
     residual = []
     for y, jy in enumerate(zip(*J)):
+        against_dj = _g_against(dj[y])
         jn = j_endo @ nj[y]
         jn_wedge = wedge_iso(jn)
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
@@ -288,15 +315,18 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
             if x == z:
                 rhs = rhs - dphi_jn + dphi_bphi * half
             rhs = rhs - dphi_jn_x[x][z] - dphi_jn_z[z][x]
-            part = phi_j[x] * dphi_jy[z] + phi[x] * dphi.comps[y][z] - dphi_jphi[z] * J[y][x]
+            # -J[y][x] = J[x][y]: J is skew
+            part = spec.dot((phi_j[x], phi[x], dphi_jphi[z]),
+                            (dphi_jy[z], dphi.comps[y][z], J[x][y]))
             if y == x:
                 part = part - dphi_phi[z]
             rhs = rhs + part * half
-            part = phi_j[z] * jy_dphi[x] + phi[z] * dphi.comps[x][y] - jphi_dphi[x] * J[y][z]
+            part = spec.dot((phi_j[z], phi[z], jphi_dphi[x]),
+                            (jy_dphi[x], dphi.comps[x][y], J[z][y]))
             if y == z:
                 part = part - phi_dphi[x]
             rhs = rhs + part * half
-            return g_fiber(act_j[x][z], dj[y]) - rhs
+            return against_dj(act_j[x][z]) - rhs
 
         residual.append([[entry(x, z) for z in ix] for x in ix])
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
@@ -305,7 +335,14 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
 
 def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
-    """Residual of G(R(X,Y)J, V) + G(R(X,Y)V, J) = 0 for vertical V."""
+    """Residual of G(R(X,Y)J, V) + G(R(X,Y)V, J) = 0 for vertical V.
+
+    The two sides are computed differently.  G(R(X,Y)J, V) pairs V with the
+    memoized commutator action of R on J, the one the twistor data and the
+    DJ pairing read.  G(R(X,Y)V, J) is taken by ad-invariance,
+    G([R, V], J) = G(R, [V, J]) for skew V and any R, so it costs one
+    commutator per V.  A wrong action on J therefore fails the check.
+    """
     report = CheckReport(title="vertical antisymmetry of the fiber curvature")
     report.require_zero("G(R(X,Y)J, V) = -G(R(X,Y)V, J)",
                         _vertical_antisymmetry_residual(spec, V), (spec.basis,) * 2)
@@ -313,15 +350,17 @@ def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
 
 
 def _vertical_antisymmetry_residual(spec: FrameSpec, V: Endo):
-    """G(R(E_i,E_j)J, V) + G(R(E_i,E_j)V, J), as an n x n array."""
+    """G(R(E_i,E_j)J, V) + G(R(E_i,E_j), [V, J]), as an n x n array."""
     j_endo = spec.j_endo()
     if not V.is_skew or not V.anticommutes_with(j_endo):
         raise FrameError("V must be vertical at J (skew and anti-commuting)")
     R = curvature(weyl(spec))
     act_j = endo_curvature_action(R, j_endo)
-    act_v = endo_curvature_action(R, V)
-    return [[g_fiber(a_j, V) + g_fiber(a_v, j_endo) for a_j, a_v in zip(row_j, row_v)]
-            for row_j, row_v in zip(act_j, act_v)]
+    against_v = _g_against(V)
+    against_vj = _g_against(V.commutator(j_endo))
+    # both sides are antisymmetric in (X, Y)
+    return _antisymmetric(spec.n, spec.zero(),
+                          lambda i, j: against_v(act_j[i][j]) + against_vj(R.endo(i, j)))
 
 
 @dataclass(frozen=True)
@@ -372,14 +411,15 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
             value = g_fiber(basis.elements[a], basis.elements[b])
             gram[n + a][n + b] = t * (value * Fraction(1, basis.norm_sq)).lift(ring_t)
 
-    half = Fraction(1, 2)
-    inv_norm = Fraction(1, basis.norm_sq)
-    hh_vertical = tuple(tuple(tuple(
-        g_fiber(act_j[i][j], basis.elements[alpha]) * (half * inv_norm)
-        for alpha in range(nv)) for j in range(n)) for i in range(n))
+    # paired[i][j][alpha] = G(R(E_i, E_j) J, V_alpha)
+    against = [_g_against(v) for v in basis.elements]
+    paired = [[[g(a) for g in against] for a in row] for row in act_j]
+    scale = Fraction(1, 2) / basis.norm_sq
+    hh_vertical = tuple(tuple(tuple(p * scale for p in pairs) for pairs in row)
+                        for row in paired)
 
     vh = tuple(tuple(tuple(
-        g_fiber(act_j[i][j], basis.elements[alpha]).lift(ring_t) * t * Fraction(-1, 2)
+        paired[i][j][alpha].lift(ring_t) * t * Fraction(-1, 2)
         for j in range(n)) for i in range(n)) for alpha in range(nv))
 
     return TwistorEval(ring_t=ring_t, gram=tuple(tuple(row) for row in gram),
@@ -425,14 +465,14 @@ def h_trace(spec: FrameSpec):
     rho_star_jphi_j = spec.left(spec.left(jphi, rho_star), J)    # rho*(J phi#, JZ)
     dphi_jdj = spec.left(j_delta_j, dphi.comps)                  # dphi(J delta J, Z)
     # Tr{X -> dphi(X, (J nabla_X J) Z)}
-    traced = [sum(column, spec.zero()) for column in
+    traced = [spec.ring.sum(column) for column in
               zip(*(spec.left(dphi.comps[x], jn[x].comps) for x in range(n)))]
     phi_j = spec.left(phi, J)                                    # phi(JZ)
     dphi_phi = spec.left(phi, dphi.comps)                        # dphi(phi#, Z)
     dphi_jphi_j = spec.left(spec.left(jphi, dphi.comps), J)      # dphi(J phi#, JZ)
     out = []
     for k in range(n):
-        value = sum((r_jn[x].comps[k][x] for x in range(n)), spec.zero()) * 2
+        value = spec.ring.sum(r_jn[x].comps[k][x] for x in range(n)) * 2
         value = value + rho_phi[k] - rho_star_jphi_j[k]
         value = value - eval_on_bivector(dphi, jn_wedge[k]) + dphi_jdj[k] - traced[k]
         value = value + phi_j[k] * dphi_jwedge
@@ -466,10 +506,9 @@ def v_trace(spec: FrameSpec) -> VTraceData:
     conn = weyl(spec)
     j_endo = spec.j_endo()
     second = second_cov_deriv_endo(conn, j_endo)
-    traced = sum((second[i][i] for i in range(n)), Endo.zero(spec))
-
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
-    form = traced.transpose()
+    form = Endo(spec, [[spec.ring.sum(second[i][i].comps[k][l] for i in range(n))
+                        for k in range(n)] for l in range(n)])
     direct = (form - Endo(spec, spec.twist(form.comps))).comps
 
     coeff = Fraction(n * (n - 4), 2 * (n - 2))

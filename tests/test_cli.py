@@ -228,10 +228,11 @@ class TestSuiteVerb:
         assert detail == ("    integrability assumption: "
                           "the Nijenhuis tensor of J does not vanish")
 
-    @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_like6", "inoue_like6_double"])
+    @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_like6", "inoue_like6_double",
+                                      "hyperbolic8", "inoue_like8", "inoue_like8_double"])
     def test_six_dimensional_identities_hold(self, name):
-        """Every identity holds at n = 6, where n(n-4)/(2(n-2)) is not zero; only
-        the vertical-trace route comparison may fail, and then it names where."""
+        """Every identity holds at n = 6 and 8, where n(n-4)/(2(n-2)) is not zero;
+        only the vertical-trace route comparison may fail, and then it names where."""
         _, out, _ = run(["suite", "--spec", str(DATA / f"{name}.toml"), "--format", "json"])
         checks = json.loads(out)["suite"]["checks"]
         assert len(checks) == 27

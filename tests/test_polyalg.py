@@ -241,3 +241,39 @@ def test_constructor_arithmetic_and_parse_agree(terms):
     negated = Scalar(RING, {e: -c for e, c in terms.items()})
     assert -built == negated and hash(-built) == hash(negated)
     assert dict(built.terms()) == {e: Fraction(c) for e, c in terms.items() if c}
+
+
+# -- the multiply-accumulate kernel ------------------------------------------
+
+operands = st.one_of(mixed_scalars, st.sampled_from([RING.zero(), 0, Fraction(0)]),
+                     st.integers(-6, 6), mixed)
+
+
+@given(st.lists(operands, max_size=8), st.lists(operands, max_size=8))
+@settings(max_examples=120, deadline=None)
+def test_dot_equals_the_sum_of_products(u, v):
+    """Mixed scalars, ints and Fractions with denominators up to 12, zeros on
+    either side, empty and unequal-length inputs."""
+    fused = RING.dot(u, v)
+    summed = sum((a * b for a, b in zip(u, v)), RING.zero())
+    assert isinstance(fused, Scalar)
+    assert fused == summed and hash(fused) == hash(summed)
+    assert_canonical(fused)
+    assert RING.sum(u) == sum(u, RING.zero())
+
+
+def test_dot_skips_zeros_and_keeps_the_common_denominator():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert RING.dot([], []).is_zero
+    assert RING.dot([A1, 0, RING.zero()], [RING.zero(), A2, Fraction(5)]).is_zero
+    assert RING.dot([A1 * half, third, A2], [2, A1 * 3, 0, 7]) == A1 * 2
+    assert RING.dot([half, half], [1, 1]) == RING.one()
+    assert_canonical(RING.dot([half, half], [1, 1]))
+
+
+def test_dot_rejects_a_foreign_ring_zero_or_not():
+    other = Ring(("x",))
+    for u, v in (([A1], [other.sym("x")]), ([other.sym("x")], [A1]),
+                 ([other.zero()], [A1]), ([0], [other.one()])):
+        with pytest.raises(RingMismatchError):
+            RING.dot(u, v)

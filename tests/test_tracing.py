@@ -17,6 +17,7 @@ from wtw import cli
 from wtw.polyalg import Scalar
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 ARGV = ["suite", "--builtin", "inoue-s0", "--format", "json"]
 
 
@@ -27,31 +28,45 @@ def load_tracing():
     return module
 
 
-def run_suite() -> tuple[int, str]:
+def run_suite(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = cli.main(ARGV)
+        status = cli.main(argv)
     return status, out.getvalue()
 
 
-def test_tracer_counts_operators_without_changing_output(monkeypatch):
-    monkeypatch.setenv("WTW_COLOR", "0")
+def check_traced_suite(argv, status):
+    """Run ``argv`` untraced and traced: same stdout and exit code, nonzero
+    operator counts, and ``uninstall()`` restores every wrapped name."""
     tracing = load_tracing()
     originals = {name: vars(Scalar)[name] for name in tracing.OPERATORS}
     main = cli.main
-    untraced = run_suite()
+    untraced = run_suite(argv)
     tracer = tracing.Tracer()
     tracer.install(wtw)
     try:
         assert vars(Scalar)["__mul__"] is not originals["__mul__"]
         tracer.enabled = True
-        traced = run_suite()
+        traced = run_suite(argv)
     finally:
         tracer.enabled = False
         tracer.uninstall()
     assert traced == untraced
-    assert traced[0] == 0
+    assert traced[0] == status
     assert tracer.ops["add"] > 0 and tracer.ops["mul"] > 0
     assert tracer.fn_calls["cli.main"] == 1
     assert {name: vars(Scalar)[name] for name in tracing.OPERATORS} == originals
     assert cli.main is main
+
+
+def test_tracer_counts_operators_without_changing_output(monkeypatch):
+    monkeypatch.setenv("WTW_COLOR", "0")
+    check_traced_suite(ARGV, 0)
+
+
+def test_tracer_installs_cleanly_around_the_kernel_at_n6(monkeypatch):
+    """Products fused in ``Ring.dot`` bypass the wrapped operators, so the
+    counts are smaller, but the n = 6 suite still adds and multiplies through
+    them; it exits 1 on "vertical trace paths agree" either way."""
+    monkeypatch.setenv("WTW_COLOR", "0")
+    check_traced_suite(["suite", "--spec", str(DATA / "hyperbolic6.toml"), "--format", "json"], 1)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from wtw import Endo, GateError
+from wtw import Endo, GateError, builtin, twistor
 from wtw.frame import FrameError
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (dprime_eval, endo_curvature_consistency, g_fiber,
@@ -144,6 +145,23 @@ class TestCurvatureOnEndomorphisms:
     def test_vertical_antisymmetry_rejects_non_vertical(self, inoue):
         with pytest.raises(FrameError):
             vertical_antisymmetry_check(inoue, Endo.identity(inoue))
+
+    def test_vertical_antisymmetry_fails_on_a_wrong_action(self, monkeypatch):
+        """The two sides are computed differently: the action on J is read from
+        the memoized commutators, the action on V by ad-invariance.  Reversing
+        the commutator to [S, R] must fail the check, naming an index."""
+        def reversed_action(R, S):
+            n = R.spec.n
+            return tuple(tuple(S.commutator(R.endo(i, j)) for j in range(n))
+                         for i in range(n))
+
+        monkeypatch.setattr(twistor, "_endo_curvature_action", reversed_action)
+        spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
+        for v in vertical_basis(spec).elements:
+            report = vertical_antisymmetry_check(spec, v)
+            assert not report.ok
+            detail = report.failures[0].detail
+            assert re.fullmatch(r"\d+ nonzero entr(y|ies), first at \(E\d,E\d\): .+", detail)
 
 
 class TestTwistorEval:
