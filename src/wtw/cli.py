@@ -12,22 +12,27 @@ condition system, or gate failure (the violated assumption is named);
 
 Set ``WTW_COLOR=1`` to force ANSI colors, ``WTW_COLOR=0`` to disable them
 (the default follows whether stdout is a terminal).
+
+Start-up: this module loads the frame, connection and curvature layers.  The
+Hermitian, twistor and pseudo-harmonicity layers are imported inside the
+verbs that use them, and ``json`` only when JSON is printed, because every
+call is a fresh process and each module it imports is compiled again when no
+bytecode cache is written.  ``validate``, ``connection``, ``curvature``,
+``ricci`` and ``star-ricci`` load none of the three; ``conditions`` and
+``verify`` do not load the twistor layer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 
-from . import pseudoharmonic, twistor
 from .connection import (levi_civita, metric_residual, reconstruct_weyl_form,
                          torsion_residual, weyl)
 from .curvature import curvature, identity_suite, ricci, ricci_formula_check, star_ricci
-from .frame import FrameError, FrameSpec, SpecFormatError, builtin, load_spec_file
-from .hermitian import GateError, lck_check, lee_form, nabla_j_checks
+from .frame import FrameError, FrameSpec, GateError, SpecFormatError, builtin, load_spec_file
 from .polyalg import PolynomialParseError, Ring, _parse_rational
 from .reports import CheckReport
 
@@ -151,8 +156,14 @@ def _matrix_table(label: str, matrix) -> list[str]:
             for i in range(n) for j in range(n)]
 
 
+def _print_json(data: dict) -> None:
+    import json
+    sys.stdout.write(json.dumps(data, indent=2, sort_keys=False) + "\n")
+
+
 def _conditions_data(spec: FrameSpec, dim4_mode: bool) -> dict:
-    report = pseudoharmonic.conditions(spec, dim4_mode=dim4_mode)
+    from .pseudoharmonic import conditions
+    report = conditions(spec, dim4_mode=dim4_mode)
     return {
         "dim4_mode": report.dim4_mode,
         "condition_i": [str(p) for p in report.condition_i],
@@ -164,6 +175,9 @@ def _conditions_data(spec: FrameSpec, dim4_mode: bool) -> dict:
 
 
 def _suite_report(spec: FrameSpec) -> CheckReport:
+    from . import twistor
+    from .hermitian import lck_check, nabla_j_checks
+    from .pseudoharmonic import equivalence_check
     total = CheckReport(title="full check suite")
     basis = spec.basis
     for conn in (levi_civita(spec), weyl(spec)):
@@ -190,7 +204,7 @@ def _suite_report(spec: FrameSpec) -> CheckReport:
                            [twistor._vertical_antisymmetry_residual(spec, v)
                             for v in vertical.elements], axes)
         total.extend(twistor.curvature_pairing_with_dj_check(spec))
-        total.extend(pseudoharmonic.equivalence_check(spec))
+        total.extend(equivalence_check(spec))
     except GateError as exc:
         total.add(f"gate ({exc.assumption})", False, str(exc))
     return total
@@ -220,10 +234,12 @@ def _run_verb(args, out: _Output) -> int:
     elif verb == "star-ricci":
         data["star_ricci"] = _matrix_table("rho_star", star_ricci(curvature(weyl(spec))))
     elif verb == "lee":
+        from .hermitian import lee_form
         lee = lee_form(spec)
         data["theta"] = [f"theta[{k+1}] = {value}" for k, value in enumerate(lee.theta)]
         data["lee_vector"] = [f"B[{k+1}] = {value}" for k, value in enumerate(lee.B)]
     elif verb in ("lck", "suite"):
+        from .hermitian import lck_check
         report = lck_check(spec) if verb == "lck" else _suite_report(spec)
         data[verb] = _report_to_data(report)
         status = EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -232,9 +248,10 @@ def _run_verb(args, out: _Output) -> int:
         data["conditions"] = cond
         status = EXIT_OK if report.holds_identically else EXIT_CHECK_FAILED
     elif verb == "verify":
+        from .pseudoharmonic import verify_assignment
         assignment = _parse_assignment(args.assign, spec.ring)
         cond, report = _conditions_data(spec, args.dim4)
-        verdict = pseudoharmonic.verify_assignment(report, assignment)
+        verdict = verify_assignment(report, assignment)
         data["conditions"] = cond
         data["assignment"] = {
             "values": {name: str(value) for name, value in verdict.assignment},
@@ -246,13 +263,13 @@ def _run_verb(args, out: _Output) -> int:
         status = EXIT_OK if verdict.holds else EXIT_CHECK_FAILED
     elif verb == "report":
         data.update(_full_report(spec, args))
-        sys.stdout.write(json.dumps(data, indent=2, sort_keys=False) + "\n")
+        _print_json(data)
         return _report_status(data)
     else:  # pragma: no cover - argparse restricts the choices
         raise AssertionError(verb)
 
     if args.format == "json":
-        sys.stdout.write(json.dumps(data, indent=2, sort_keys=False) + "\n")
+        _print_json(data)
         return status
     _render_table(verb, data, out)
     out.emit()
@@ -261,6 +278,8 @@ def _run_verb(args, out: _Output) -> int:
 
 def _full_report(spec: FrameSpec, args) -> dict:
     """The machine-readable document: validation, Lee data, tables, conditions."""
+    from .hermitian import lck_check, lee_form
+    from .pseudoharmonic import equivalence_check, verify_assignment
     assignment = _parse_assignment(args.assign, spec.ring) if args.assign else None
     data: dict = {}
     data["validation"] = {"ok": True}
@@ -276,11 +295,11 @@ def _full_report(spec: FrameSpec, args) -> dict:
     try:
         cond, report = _conditions_data(spec, args.dim4)
         data["conditions"] = cond
-        data["equivalence"] = _report_to_data(pseudoharmonic.equivalence_check(spec))
+        data["equivalence"] = _report_to_data(equivalence_check(spec))
         data["verdict"] = ("pseudo-harmonic for all parameter values" if report.holds_identically
                            else "conditional; see the condition systems")
         if assignment is not None:
-            verdict = pseudoharmonic.verify_assignment(report, assignment)
+            verdict = verify_assignment(report, assignment)
             data["assignment"] = {
                 "values": {name: str(value) for name, value in verdict.assignment},
                 "holds": verdict.holds,

@@ -23,7 +23,6 @@ induced derivative of an endomorphism is kept on its connection (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,11 +30,11 @@ from .frame import Endo, FrameSpec, Memo, Vector
 from .polyalg import Scalar
 
 
-@dataclass(frozen=True)
 class Connection(Memo):
-    spec: FrameSpec
-    gamma: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    kind: str  # "levi-civita" or "weyl"
+    def __init__(self, spec: FrameSpec, gamma: tuple[tuple[tuple[Scalar, ...], ...], ...],
+                 kind: str):
+        # kind is "levi-civita" or "weyl"
+        self.__dict__.update(spec=spec, gamma=gamma, kind=kind)
 
     def nonzero(self):
         """Iterate (i, j, k, gamma_ijk) over nonzero coefficients."""

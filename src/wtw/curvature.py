@@ -28,7 +28,6 @@ geometries' Lee forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import Connection, cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
@@ -37,11 +36,10 @@ from .polyalg import Scalar
 from .reports import CheckReport
 
 
-@dataclass(frozen=True)
 class Curvature(Memo):
-    spec: FrameSpec
-    r: tuple  # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
-    kind: str
+    def __init__(self, spec: FrameSpec, r: tuple, kind: str):
+        # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
+        self.__dict__.update(spec=spec, r=r, kind=kind)
 
     def __getitem__(self, key):
         i, j, k, l = key

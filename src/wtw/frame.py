@@ -38,12 +38,17 @@ wedge products use the same kernel:
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.
+
+Two names of later layers live here so that modules which need only them
+need not load those layers: :class:`GateError`, which the gate of
+:mod:`wtw.hermitian` raises and the command line catches for every verb, and
+:func:`wedge_iso`, which the condition systems of :mod:`wtw.pseudoharmonic`
+share with :mod:`wtw.twistor`.
 """
 
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -78,6 +83,14 @@ def _kron(i: int, j: int) -> int:
 _MISSING = object()
 
 
+class GateError(Exception):
+    """A standing assumption of the condition machinery is violated."""
+
+    def __init__(self, assumption: str, message: str):
+        super().__init__(f"{assumption}: {message}")
+        self.assumption = assumption
+
+
 class Memo:
     """Mixin for an immutable object that keeps the values derived from it.
 
@@ -87,7 +100,13 @@ class Memo:
     quantity never share an entry.  The values live in the object's own
     ``__dict__``: they are freed with the object, and every new object,
     including one made by ``restrict`` or ``with_phi``, starts with none.
+
+    Assigning an attribute raises ``AttributeError``, so a subclass's
+    ``__init__`` stores its fields in ``__dict__`` directly.
     """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def memo(self, compute, *args):
         store = self.__dict__.setdefault("_memo", {})
@@ -98,22 +117,33 @@ class Memo:
         return value
 
 
-@dataclass(frozen=True)
 class FrameSpec(Memo):
     """Validated frame data; immutable after construction.
 
     Quantities derived from the frame (connections, the Nijenhuis tensor,
     the Lee data, d(phi), ...) are computed once and kept on the spec; see
-    :class:`Memo`.
+    :class:`Memo`.  Specs with equal fields are equal and hash alike.
     """
 
-    dimension: int
-    ring: Ring
-    basis: tuple[str, ...]
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    J: tuple[tuple[Fraction, ...], ...]
-    phi: Vector
-    name: str = "custom"
+    def __init__(self, dimension: int, ring: Ring, basis: tuple[str, ...],
+                 c: tuple[tuple[tuple[Fraction, ...], ...], ...],
+                 J: tuple[tuple[Fraction, ...], ...], phi: Vector, name: str = "custom"):
+        self.__dict__.update(dimension=dimension, ring=ring, basis=basis, c=c, J=J, phi=phi,
+                             name=name)
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.ring, self.basis, self.c, self.J, self.phi, self.name)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FrameSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"FrameSpec(name={self.name!r}, dimension={self.dimension})"
 
     # -- constructors ----------------------------------------------------
 
@@ -415,6 +445,14 @@ class TwoForm:
 
 
 Bivector = TwoForm
+
+
+def wedge_iso(a: Endo) -> Bivector:
+    """The bivector of a skew endomorphism: components g(a E_i, E_j)."""
+    if not a.is_skew:
+        raise FrameError("wedge isomorphism requires a skew endomorphism")
+    n = a.spec.n
+    return Bivector(a.spec, [[a.comps[j][i] for j in range(n)] for i in range(n)])
 
 
 class ThreeForm:

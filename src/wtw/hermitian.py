@@ -15,7 +15,9 @@ Omega`` and ``d theta = 0``.
 
 `require_gate` enforces the standing hypotheses of the pseudo-harmonicity
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
-Omega``.  Violations raise :class:`GateError` naming the failed assumption.
+Omega``.  Violations raise :class:`GateError` naming the failed assumption;
+the class lives in :mod:`wtw.frame`, so that the command line can catch it
+without loading this module, and is re-exported here.
 
 The Nijenhuis tensor, the Lee data, d(Omega) and the Lee-identity residual
 are computed once per spec and kept on it (see :class:`wtw.frame.Memo`), so
@@ -24,26 +26,17 @@ the gate and every check that needs them share one computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .connection import cov_deriv_endo, levi_civita, weyl
 from .curvature import codifferential_endo
-from .frame import (Bivector, FrameSpec, ThreeForm, TwoForm, Vector,
+from .frame import (Bivector, FrameSpec, GateError, ThreeForm, TwoForm, Vector,
                     d_oneform, d_twoform, wedge_one_two)
 from .reports import CheckReport
 
 
-class GateError(Exception):
-    """A standing assumption of the condition machinery is violated."""
-
-    def __init__(self, assumption: str, message: str):
-        super().__init__(f"{assumption}: {message}")
-        self.assumption = assumption
-
-
-@dataclass(frozen=True)
-class LeeData:
+class LeeData(NamedTuple):
     theta: Vector   # Lee form coefficients in the coframe
     B: Vector       # dual Lee vector components (equal, orthonormal frame)
 

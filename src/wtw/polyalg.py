@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Union
@@ -72,23 +71,35 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-@dataclass(frozen=True)
 class Ring:
     """An ordered set of symbol names; the context all scalars live in.
 
     The declared order fixes the exponent-tuple layout, the lexicographic
     monomial order used for canonical rendering, and the meaning of
-    :func:`normalize_up_to_unit`.
+    :func:`normalize_up_to_unit`.  Rings with the same symbols are equal.
     """
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"duplicate symbols in {self.symbols!r}")
-        for name in self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if len(set(symbols)) != len(symbols):
+            raise ValueError(f"duplicate symbols in {symbols!r}")
+        for name in symbols:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid symbol name {name!r}")
+        object.__setattr__(self, "symbols", symbols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ring is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Ring:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
+
+    def __repr__(self) -> str:
+        return f"Ring(symbols={self.symbols!r})"
 
     @property
     def nsymbols(self) -> int:
@@ -215,23 +226,22 @@ class Scalar:
         coeffs = {e: Fraction(c) for e, c in terms.items() if c != 0}
         # the lcm of lowest-terms denominators leaves no common factor
         den = math.lcm(*(c.denominator for c in coeffs.values()))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", {e: c.numerator * (den // c.denominator)
-                                            for e, c in coeffs.items()})
-        object.__setattr__(self, "_den", den)
+        _set_ring(self, ring)
+        _set_terms(self, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()})
+        _set_den(self, den)
 
-    @classmethod
-    def _canonical(cls, ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
+    @staticmethod
+    def _canonical(ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
         """Wrap ``nums`` over ``den`` without copying; they must already be in
         canonical form (no zero numerator, ``den > 0``, lowest terms)."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", nums)
-        object.__setattr__(self, "_den", den)
+        self = _new(Scalar)
+        _set_ring(self, ring)
+        _set_terms(self, nums)
+        _set_den(self, den)
         return self
 
-    @classmethod
-    def _reduced(cls, ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
+    @staticmethod
+    def _reduced(ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
         """Wrap nonzero numerators over a positive ``den``, cancelling their
         common factor with it."""
         if den != 1:
@@ -239,7 +249,7 @@ class Scalar:
             if g != 1:
                 den //= g
                 nums = {e: c // g for e, c in nums.items()}
-        return cls._canonical(ring, nums, den)
+        return Scalar._canonical(ring, nums, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
@@ -481,6 +491,12 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+# Scalar's fields are written through their slot descriptors, which the
+# immutability guard's __setattr__ does not intercept.
+_new = object.__new__
+_set_ring, _set_terms, _set_den = Scalar.ring.__set__, Scalar._terms.__set__, Scalar._den.__set__
 
 
 def normalize_up_to_unit(p: Scalar) -> Scalar:

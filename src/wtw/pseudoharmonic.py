@@ -23,21 +23,19 @@ polynomial vanishes identically in the remaining symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .curvature import curvature, ricci, star_ricci
 from .connection import weyl
-from .frame import FrameSpec, d_oneform, eval_on_bivector, wedge_oneforms
-from .hermitian import GateError, require_gate
+from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, wedge_iso,
+                    wedge_oneforms)
+from .hermitian import require_gate
 from .polyalg import RationalLike, Scalar, normalize_up_to_unit
 from .reports import CheckReport
-from . import twistor
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Normalized polynomial systems for conditions (i) and (ii).
 
     Every listed polynomial is normalize_up_to_unit-canonical and nonzero;
@@ -90,7 +88,7 @@ def _condition_ii_values(spec: FrameSpec, theta, dim4_mode: bool) -> list[Scalar
     J = spec.J
     R = curvature(weyl(spec))
     dphi = spec.dphi().comps
-    dphi_jwedge = eval_on_bivector(spec.dphi(), twistor.wedge_iso(spec.j_endo()))
+    dphi_jwedge = eval_on_bivector(spec.dphi(), wedge_iso(spec.j_endo()))
     tmf = tuple(t - p for t, p in zip(theta, spec.phi))
     jt = spec.j_apply(tmf)
     dphi_tmf = spec.left(tmf, dphi)                       # dphi((theta-phi)#, Z)
@@ -132,8 +130,7 @@ def dim4(spec: FrameSpec) -> ConditionReport:
     return conditions(spec, dim4_mode=True)
 
 
-@dataclass(frozen=True)
-class AssignmentVerdict:
+class AssignmentVerdict(NamedTuple):
     assignment: tuple[tuple[str, Fraction], ...]
     per_polynomial: tuple[tuple[str, bool], ...]
     holds: bool
@@ -169,6 +166,8 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     * v_trace residuals at (E_k, E_l) equal the negated condition-(i)
       residuals entrywise (unit -1), and both trace paths agree.
     """
+    from . import twistor  # only this check needs the twistor traces
+
     report = CheckReport(title="trace-condition equivalence")
     lee = require_gate(spec)
     n = spec.n

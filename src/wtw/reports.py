@@ -11,8 +11,7 @@ an empty detail; the gate check carries the violated assumption instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def _nonzero(entry, index=()):
@@ -24,8 +23,7 @@ def _nonzero(entry, index=()):
         yield index, entry
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named exact check: ok means the residual vanished identically."""
 
     name: str
@@ -33,11 +31,11 @@ class Check:
     detail: str = ""
 
 
-@dataclass
 class CheckReport:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    notes: dict[str, str] = field(default_factory=dict)
+    def __init__(self, title: str):
+        self.title = title
+        self.checks: list[Check] = []
+        self.notes: dict[str, str] = {}
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(Check(name, ok, detail))

@@ -7,9 +7,9 @@ built.  The fiber metric on endomorphisms is
     G(a, b) = 1/2 Trace{X -> g(aX, bX)} = 1/2 Trace(a^T b),
 
 which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
-sends a skew endomorphism ``a`` to the bivector with components
-``g(a E_i, E_j)``, normalized so that ``2 g(a^, X ^ Y) = g(aX, Y)`` under the
-halved metric on bivectors.
+(:func:`wtw.frame.wedge_iso`, re-exported here) sends a skew endomorphism
+``a`` to the bivector with components ``g(a E_i, E_j)``, normalized so that
+``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
@@ -35,15 +35,15 @@ normalizing, keeping all arithmetic rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .connection import (Connection, cov_deriv_endo, levi_civita,
                          second_cov_deriv_endo, weyl)
 from .curvature import Curvature, codifferential_endo, curvature, ricci, star_ricci
 from .frame import (Bivector, Endo, FrameError, FrameSpec, d_oneform,
-                    eval_on_bivector, wedge_oneforms)
+                    eval_on_bivector, wedge_iso, wedge_oneforms)
 from .hermitian import require_gate
 from .polyalg import Ring, Scalar
 from .reports import CheckReport
@@ -62,14 +62,6 @@ def _g_against(b: Endo):
     dot = b.spec.ring.dot
     half = Fraction(1, 2)
     return lambda a: dot([a.comps[k][l] for k, l in support], values) * half
-
-
-def wedge_iso(a: Endo) -> Bivector:
-    """The bivector of a skew endomorphism: components g(a E_i, E_j)."""
-    if not a.is_skew:
-        raise FrameError("wedge isomorphism requires a skew endomorphism")
-    n = a.spec.n
-    return Bivector(a.spec, [[a.comps[j][i] for j in range(n)] for i in range(n)])
 
 
 def curvature_on_bivector(R: Curvature, b: Bivector) -> Endo:
@@ -130,8 +122,7 @@ def _check_endo_curvature(conn: Connection, spec: FrameSpec, S: Endo) -> None:
                 f"double covariant derivative at ({i+1},{j+1})")
 
 
-@dataclass(frozen=True)
-class VerticalBasis:
+class VerticalBasis(NamedTuple):
     """Unnormalized vertical endomorphisms at the fiber point J.
 
     Every element is skew, anti-commutes with J, and the pairwise fiber
@@ -363,8 +354,7 @@ def _vertical_antisymmetry_residual(spec: FrameSpec, V: Endo):
                           lambda i, j: against_v(act_j[i][j]) + against_vj(R.endo(i, j)))
 
 
-@dataclass(frozen=True)
-class TwistorEval:
+class TwistorEval(NamedTuple):
     """Pointwise data of the twistor metric and modified connection at J.
 
     All scalars live in the ring extended by the fiber-scale symbol ``t``.
@@ -481,8 +471,7 @@ def h_trace(spec: FrameSpec):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class VTraceData:
+class VTraceData(NamedTuple):
     """Vertical-trace residual (Z, U) -> scalar, computed two independent ways.
 
     direct: from the traced second covariant derivative of J for the Weyl

@@ -7,6 +7,8 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from golden_cases import GOLDEN_CASES
 from wtw.cli import main
@@ -127,6 +129,51 @@ class TestExitCodes:
         status, out, err = run(["validate", "--spec", str(path)])
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
+
+
+_VERBS = ("validate", "connection", "curvature", "ricci", "star-ricci", "lee", "lck",
+          "conditions", "verify", "suite", "report")
+_SOURCES = (["--builtin", "inoue-s0"], ["--builtin", "kodaira"],
+            *(["--spec", str(DATA / name)] for name in (
+                "flat_torus.toml", "inoue_lee.toml", "nonintegrable.toml", "bad_jacobi.toml",
+                "bad_syntax.toml", "missing.toml", "")))
+# pieces of hostile --assign and --signs values
+_PIECES = st.sampled_from(["a1", "a2", "a4", "b7", "t", "=", ",", "/", "-", "+", " ", "0", "1",
+                           "-1", "+1", "2/3", "1/0", "1e9", "0.5", "9" * 5000, "(", "\n",
+                           "\x00", "\u2028", "é"])
+_hostile = st.lists(_PIECES, max_size=8).map("".join) | st.text(max_size=12)
+_entries = st.lists(st.tuples(st.sampled_from(["a1", "a2", "a3", "a4", "b7", "", " a1 "]),
+                              st.sampled_from(["0", "1", "-1/2", " 2/3 ", "1/0", "0.5", ""])),
+                    min_size=1, max_size=4).map(lambda es: ",".join(f"{n}={v}" for n, v in es))
+_assign = _entries | _hostile
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command line that argparse accepts: any verb, a built-in frame or a
+    document, hostile --signs and --assign values and the output flags."""
+    verb = draw(st.sampled_from(_VERBS))
+    argv = [verb, *draw(st.sampled_from(_SOURCES))]
+    if draw(st.booleans()):
+        argv.append(f"--signs={draw(_hostile)}")
+    if verb == "verify":  # argparse itself rejects a verify without a value
+        argv.append(f"--assign={draw(_assign.filter(bool))}")
+    elif verb == "report" and draw(st.booleans()):
+        argv.append(f"--assign={draw(_assign)}")
+    argv.append(f"--format={draw(st.sampled_from(['table', 'json']))}")
+    if draw(st.booleans()):
+        argv.append("--dim4")
+    return argv
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    status, _, err = run(argv)
+    assert status in (0, 1, 2)
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err)
+    assert "Traceback" not in err
 
 
 class TestGateBehavior:

@@ -1,0 +1,134 @@
+"""The public surface of ``wtw``, what each command imports, and the record
+contracts: equality, hashing, validation and immutability."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import wtw
+from wtw import FrameSpec, Ring, builtin, curvature, levi_civita, weyl
+
+SRC = pathlib.Path(wtw.__file__).resolve().parent.parent
+
+# the package's exports, grouped by the module that defines each name
+EXPORTS = {
+    "polyalg": ("PolynomialParseError", "Ring", "RingMismatchError", "Scalar",
+                "normalize_up_to_unit", "normalized_system"),
+    "frame": ("Bivector", "Endo", "FrameError", "FrameSpec", "GateError", "SpecFormatError",
+              "ThreeForm", "TwoForm", "builtin", "d_oneform", "d_twoform", "eval_on_bivector",
+              "load_spec", "load_spec_file", "sharp", "wedge_iso"),
+    "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",
+                   "reconstruct_weyl_form", "second_cov_deriv_endo", "weyl"),
+    "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
+                  "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
+    "hermitian": ("GateError", "LeeData", "fundamental_form", "lck_check", "lee_form",
+                  "nabla_j_checks", "nijenhuis", "require_gate"),
+    "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
+                "curvature_pairing_with_dj_check", "dprime_eval", "g_fiber", "h_trace",
+                "vertical_antisymmetry_check", "fiber_pairing_check", "v_trace",
+                "vertical_basis", "wedge_iso"),
+    "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
+                       "conditions", "dim4", "equivalence_check", "verify_assignment"),
+}
+
+LAZY = ("wtw.hermitian", "wtw.twistor", "wtw.pseudoharmonic")
+WATCHED = ("dataclasses", "json", *LAZY)
+
+# Run one command in a fresh interpreter, then report which watched modules
+# it loaded and what ``wtw.curvature`` names afterwards.
+_PROBE = """
+import contextlib, io, sys
+import wtw
+from wtw.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+loaded = [name for name in {watched!r} if name in sys.modules]
+print(repr((status, loaded, type(wtw.curvature).__name__)))
+"""
+
+VERBS = ("validate", "connection", "curvature", "ricci", "star-ricci", "lee", "lck",
+         "conditions", "verify", "suite", "report")
+
+
+def _probe(argv: list[str]):
+    env = dict(os.environ, PYTHONPATH=str(SRC), WTW_COLOR="0")
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(watched=WATCHED), *argv],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_each_verb_loads_only_the_layers_it_uses(verb):
+    argv = [verb, "--builtin", "inoue-s0"]
+    if verb == "verify":
+        argv += ["--assign", "a1=0"]
+    status, loaded, curvature_type = _probe(argv)
+    assert status in (0, 1)
+    assert "dataclasses" not in loaded
+    assert curvature_type == "function"
+    if verb in ("validate", "connection", "curvature", "ricci", "star-ricci"):
+        assert not set(LAZY) & set(loaded)
+    if verb in ("conditions", "verify"):
+        assert "wtw.twistor" not in loaded
+    if verb != "report":  # table output; report always prints JSON
+        assert "json" not in loaded
+
+
+def test_every_export_is_its_modules_object():
+    names = {name for group in EXPORTS.values() for name in group}
+    assert set(wtw.__all__) == names
+    for module_name, group in EXPORTS.items():
+        module = importlib.import_module(f"wtw.{module_name}")
+        for name in group:
+            assert getattr(wtw, name) is getattr(module, name), name
+    for module_name in ("hermitian", "twistor", "pseudoharmonic"):
+        assert getattr(wtw, module_name) is importlib.import_module(f"wtw.{module_name}")
+    with pytest.raises(AttributeError):
+        wtw.no_such_name  # noqa: B018
+
+
+def test_equal_specs_and_rings_hash_alike():
+    spec = builtin("inoue-s0")
+    twin = spec.restrict({})
+    assert twin == spec and twin is not spec
+    assert hash(twin) == hash(spec)
+    renamed = FrameSpec(spec.dimension, spec.ring, spec.basis, spec.c, spec.J, spec.phi,
+                        name="other")
+    assert renamed != spec and spec.restrict({"a1": 0}) != spec
+    ring = Ring(("a1", "a2"))
+    assert Ring(("a1", "a2")) == ring and hash(Ring(("a1", "a2"))) == hash(ring)
+    assert Ring(("a2", "a1")) != ring
+    assert spec.ring == Ring(("a1", "a2", "a3", "a4"))
+
+
+@pytest.mark.parametrize("symbols", [("a1", "a1"), ("a 1",), ("1a",), ("",)])
+def test_ring_rejects_bad_symbols(symbols):
+    with pytest.raises(ValueError):
+        Ring(symbols)
+
+
+def test_records_refuse_assignment():
+    from wtw import conditions, lck_check, lee_form, v_trace, verify_assignment, vertical_basis
+    from wtw.twistor import dprime_eval
+    spec = builtin("inoue-s0")
+    report = conditions(spec)
+    records = [
+        (spec.ring, "symbols"), (spec, "phi"), (weyl(spec), "gamma"),
+        (curvature(levi_civita(spec)), "r"), (spec.phi[0], "ring"),
+        (lck_check(spec).checks[0], "ok"), (lee_form(spec), "theta"),
+        (report, "condition_i"), (verify_assignment(report, {"a1": Fraction(0)}), "holds"),
+        (vertical_basis(spec), "norm_sq"), (dprime_eval(spec), "gram"),
+        (v_trace(spec), "direct"),
+    ]
+    for record, field in records:
+        for name in (field, "new_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
