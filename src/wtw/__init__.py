@@ -16,8 +16,8 @@ submodule binds that name on the package, and here it must name the function.
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from .polyalg import (PolynomialParseError, Ring, RingMismatchError, Scalar,
-                      normalize_up_to_unit, normalized_system)
+from .polyalg import (ExponentOverflowError, PolynomialParseError, Ring, RingMismatchError,
+                      Scalar, normalize_up_to_unit, normalized_system)
 from .frame import (Bivector, Endo, FrameError, FrameSpec, GateError, SpecFormatError,
                     ThreeForm, TwoForm, builtin, d_oneform, d_twoform,
                     eval_on_bivector, load_spec, load_spec_file, sharp, wedge_iso)

@@ -45,6 +45,14 @@ class Connection(Memo):
                     if not self.gamma[i][j][k].is_zero:
                         yield i, j, k, self.gamma[i][j][k]
 
+    def negated(self):
+        """-gamma[i][j][k], formed once per connection for the fused contractions."""
+        return self.memo(_negated)
+
+
+def _negated(conn: Connection):
+    return tuple(tuple(tuple(-value for value in vec) for vec in plane) for plane in conn.gamma)
+
 
 def levi_civita(spec: FrameSpec) -> Connection:
     return spec.memo(_levi_civita)
@@ -103,11 +111,12 @@ def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
 def _cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
     spec = conn.spec
     out = []
-    for plane in conn.gamma:
-        # row l: sum_k gamma[i][k][l] S[k][j] - S[l][k] gamma[i][j][k]
-        comps = [[a - b for a, b in zip(spec.left(col, S.comps), spec.right(plane, row))]
-                 for col, row in zip(zip(*plane), S.comps)]
-        out.append(Endo(spec, comps))
+    for plane, neg_plane in zip(conn.gamma, conn.negated()):
+        # entry (l, j): sum_k gamma[i][k][l] S[k][j] - S[l][k] gamma[i][j][k], one
+        # contraction of (gamma column l, S row l) against (S column j, -gamma row j)
+        rows = S.comps + tuple(zip(*neg_plane))  # rows[n + k][j] = -gamma[i][j][k]
+        out.append(Endo(spec, [spec.left(col + row, rows)
+                               for col, row in zip(zip(*plane), S.comps)]))
     return tuple(out)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connection import Connection, cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
-from .frame import Endo, FrameSpec, Memo
+from .frame import Endo, FrameSpec, Memo, _kron
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -62,15 +62,17 @@ def _curvature(conn: Connection) -> Curvature:
     spec = conn.spec
     n = spec.n
     g = conn.gamma
-    by_k = [[g[m][k] for m in range(n)] for k in range(n)]  # by_k[k][m][l] = g[m][k][l]
+    neg = conn.negated()
+    by_k = [tuple(g[m][k] for m in range(n)) for k in range(n)]  # by_k[k][m][l] = g[m][k][l]
     zero = tuple((spec.zero(),) * n for _ in range(n))
     r = [[zero] * n for _ in range(n)]
-    # R(X, Y) = -R(Y, X): form each pair i < j once
+    # R(X, Y) = -R(Y, X): form each pair i < j once.  Entry l of row k is
+    # sum_m c[i][j][m] g[m][k][l] - g[j][k][m] g[i][m][l] + g[i][k][m] g[j][m][l],
+    # one contraction of the three coefficient rows against the three planes.
     for i in range(n):
         for j in range(i + 1, n):
-            block = tuple(tuple(a - b + c for a, b, c in zip(
-                spec.left(spec.c[i][j], by_k[k]), spec.left(g[j][k], g[i]),
-                spec.left(g[i][k], g[j]))) for k in range(n))
+            block = tuple(spec.left(spec.c[i][j] + neg[j][k] + g[i][k], by_k[k] + g[i] + g[j])
+                          for k in range(n))
             r[i][j] = block
             r[j][i] = tuple(tuple(-value for value in row) for row in block)
     return Curvature(spec, tuple(tuple(row) for row in r), conn.kind)
@@ -185,39 +187,29 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     J = spec.J
 
     def pair_symmetry(i, j, k, l):
-        res = r[i][j][k][l] + r[i][j][l][k]
-        return res - dphi[i][j] if k == l else res
+        return spec.dot((r[i][j][k][l], r[i][j][l][k], dphi[i][j]), (1, 1, -_kron(k, l)))
 
     report.require_zero("pair-symmetry against d(phi) [Z-T]", [[[[
         pair_symmetry(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
 
     def exchange(i, j, k, l):
-        res = spec.dot((r[i][j][k][l], r[k][l][i][j]), (2, -2))
         # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
         #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk
-        if k == l:
-            res = res - dphi[i][j]
-        if i == j:
-            res = res + dphi[k][l]
-        if j == l:
-            res = res - dphi[i][k]
-        if i == k:
-            res = res - dphi[j][l]
-        if i == l:
-            res = res + dphi[j][k]
-        if j == k:
-            res = res + dphi[i][l]
-        return res
+        return spec.dot(
+            (r[i][j][k][l], r[k][l][i][j], dphi[i][j], dphi[k][l], dphi[i][k], dphi[j][l],
+             dphi[j][k], dphi[i][l]),
+            (2, -2, -_kron(k, l), _kron(i, j), -_kron(j, l), -_kron(i, k), _kron(i, l),
+             _kron(j, k)))
 
     report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", [[[[
         exchange(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
     report.require_zero("first Bianchi identity", [[[[
-        r[i][j][k][l] + r[j][k][i][l] + r[k][i][j][l]
+        spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l]))
         for l in ix] for k in ix] for j in ix] for i in ix], axes)
     via = weyl_curvature_via_formula(spec).r
     report.require_zero("direct Weyl curvature equals Phi-correction formula", [[[[
-        r[i][j][k][l] - via[i][j][k][l] for l in ix] for k in ix] for j in ix] for i in ix],
-        axes)
+        spec.dot((r[i][j][k][l], via[i][j][k][l]), (1, -1))
+        for l in ix] for k in ix] for j in ix] for i in ix], axes)
 
     rho = ricci(RD)
     half_n = Fraction(n, 2)

@@ -27,8 +27,10 @@ may be scalars or rationals.  Pairings and J-twists go through five
 :class:`FrameSpec` methods, valid for any rational orthogonal J.  Each entry
 they produce is one call of the ring's multiply-accumulate kernel
 :meth:`wtw.polyalg.Ring.dot`, which skips zero entries, rational or scalar,
-and reduces the sum once; ``Endo`` products, the Jacobi check and the
-wedge products use the same kernel:
+and reduces the sum once; ``left`` and ``right`` find the nonzero positions
+of their fixed vector once and pass the kernel only those, and return
+zeros without calling it when there are none.  ``Endo`` products, the
+Jacobi check and the wedge products use the same kernel:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
@@ -243,12 +245,24 @@ class FrameSpec(Memo):
         return self.ring.dot(u, v)
 
     def left(self, u: Sequence, M: Sequence[Sequence]) -> Vector:
-        """M(u, .): the vector sum_p u[p] M[p][k] over k."""
-        return tuple(self.dot(u, col) for col in zip(*M))
+        """M(u, .): the vector sum_p u[p] M[p][k] over k, read only at the
+        rows where u is nonzero."""
+        support = [p for p, a in enumerate(u) if a]
+        if not support:
+            return (self.ring.zero(),) * len(M[0])
+        dot = self.ring.dot
+        values = [u[p] for p in support]
+        return tuple(dot(values, col) for col in zip(*[M[p] for p in support]))
 
     def right(self, M: Sequence[Sequence], u: Sequence) -> Vector:
-        """M(., u): the vector sum_q M[k][q] u[q] over k."""
-        return tuple(self.dot(row, u) for row in M)
+        """M(., u): the vector sum_q M[k][q] u[q] over k, read only at the
+        columns where u is nonzero."""
+        support = [q for q, a in enumerate(u) if a]
+        if not support:
+            return (self.ring.zero(),) * len(M)
+        dot = self.ring.dot
+        values = [u[q] for q in support]
+        return tuple(dot(values, map(row.__getitem__, support)) for row in M)
 
     def twist(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
         """M(J., J.): entries sum_{p,q} J[p][i] J[q][k] M[p][q]."""

@@ -3,13 +3,29 @@
 A :class:`Scalar` is a sparse polynomial with rational coefficients over a
 fixed, ordered tuple of symbols (a :class:`Ring`).  It stores integer
 numerators over one positive common denominator: a dictionary mapping
-exponent tuples (one non-negative integer per symbol) to nonzero ``int``
-numerators, and an ``int`` denominator, kept in lowest terms (no integer
-above 1 divides the denominator and every numerator).  The zero polynomial has
-an empty map and denominator 1, and it is the only falsy scalar.  All
+packed monomials to nonzero ``int`` numerators, and an ``int`` denominator,
+kept in lowest terms (no integer above 1 divides the denominator and every
+numerator).  The zero polynomial has an empty map and denominator 1, and it
+is the only falsy scalar; each ring hands out one shared zero.  All
 arithmetic keeps this canonical form, so ``+ - *`` are loops over Python
 ints and equality of polynomials is equality of denominators and
 dictionaries.
+
+Packed monomials
+----------------
+A monomial is one ``int``: each symbol's exponent sits in a field of
+``_FIELD_BITS`` bits, the first symbol most significant, so the order of the
+ints is the lexicographic order of the exponent tuples and the product of two
+monomials is the sum of their ints.  The top bit of each field is a guard:
+exponents are at most ``_MAX_EXPONENT``, the sum of two such fields never
+carries into the next one, and a product whose result has a guard bit set
+raises :class:`ExponentOverflowError`.  :meth:`Ring.parse` rejects a written
+exponent above the cap with a :class:`PolynomialParseError`, as it does a
+product or power whose size would pass ``_MAX_PARSE_TERMS`` terms or
+``_MAX_PARSE_BITS`` coefficient bits.  The public interface speaks exponent
+tuples: :meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
+``Scalar(ring, {exps: c})``, :meth:`Scalar.substitute` and
+:meth:`Scalar.total_degree`.
 
 Contractions do not go through ``+`` and ``*``: :meth:`Ring.dot` is the one
 multiply-accumulate kernel.  It takes two sequences of scalars, ints and
@@ -17,6 +33,8 @@ Fractions, skips every pair with a zero side, multiplies integer numerators
 straight into one accumulator over one common denominator (rescaled only
 when a product brings a new denominator) and reduces the sum once, so it
 builds no scalar per product and never runs ``Fraction.__mul__``.
+:meth:`wtw.frame.FrameSpec.left` and ``right`` hand it only the nonzero
+positions of their fixed vector, and none at all when that vector is zero.
 :meth:`Ring.sum` is a dot against ones.  The accessors (:meth:`Scalar.terms`,
 :meth:`Scalar.coefficient`, :meth:`Scalar.constant_value`) return
 :class:`fractions.Fraction` coefficients.  There is no floating point
@@ -36,7 +54,6 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -49,6 +66,13 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 # deepest nesting of parentheses and unary signs that Ring.parse accepts
 _MAX_PARSE_DEPTH = 100
+# bits per symbol in a packed monomial; the top bit of each field is a guard
+_FIELD_BITS = 16
+_MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
+# the largest term count and coefficient size (numerator plus denominator
+# bits) that one product or power in a polynomial string may reach
+_MAX_PARSE_TERMS = 1000
+_MAX_PARSE_BITS = 100_000
 
 
 class RingMismatchError(ValueError):
@@ -57,6 +81,13 @@ class RingMismatchError(ValueError):
 
 class PolynomialParseError(ValueError):
     """Raised for malformed polynomial strings."""
+
+
+class ExponentOverflowError(ValueError):
+    """Raised when a monomial's exponent would pass ``_MAX_EXPONENT``."""
+
+    def __init__(self):
+        super().__init__(f"exponent above the cap of {_MAX_EXPONENT}")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -74,7 +105,7 @@ def _parse_rational(text: str) -> Fraction:
 class Ring:
     """An ordered set of symbol names; the context all scalars live in.
 
-    The declared order fixes the exponent-tuple layout, the lexicographic
+    The declared order fixes the packed-monomial layout, the lexicographic
     monomial order used for canonical rendering, and the meaning of
     :func:`normalize_up_to_unit`.  Rings with the same symbols are equal.
     """
@@ -85,10 +116,19 @@ class Ring:
         for name in symbols:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid symbol name {name!r}")
-        object.__setattr__(self, "symbols", symbols)
+        count = len(symbols)
+        # symbol s sits at bit _shifts[s]; _guard has the top bit of every field
+        shifts = tuple(_FIELD_BITS * (count - 1 - s) for s in range(count))
+        guard = sum(1 << (shift + _FIELD_BITS - 1) for shift in shifts)
+        for name, value in (("symbols", symbols), ("_shifts", shifts), ("_guard", guard),
+                            ("_zero", Scalar._canonical(self, {}, 1))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ring is immutable")
+
+    def __reduce__(self):
+        return Ring, (self.symbols,)
 
     def __eq__(self, other) -> bool:
         if type(other) is not Ring:
@@ -106,7 +146,7 @@ class Ring:
         return len(self.symbols)
 
     def zero(self) -> Scalar:
-        return Scalar._canonical(self, {}, 1)
+        return self._zero
 
     def one(self) -> Scalar:
         return self.const(1)
@@ -115,17 +155,14 @@ class Ring:
         coeff = Fraction(value)
         if coeff == 0:
             return self.zero()
-        return Scalar._canonical(self, {(0,) * self.nsymbols: coeff.numerator},
-                                 coeff.denominator)
+        return Scalar._canonical(self, {0: coeff.numerator}, coeff.denominator)
 
     def sym(self, name: str) -> Scalar:
         try:
             idx = self.symbols.index(name)
         except ValueError:
             raise KeyError(f"symbol {name!r} not declared in ring {self.symbols}") from None
-        exps = [0] * self.nsymbols
-        exps[idx] = 1
-        return Scalar._canonical(self, {tuple(exps): 1}, 1)
+        return Scalar._canonical(self, {1 << self._shifts[idx]: 1}, 1)
 
     def extend(self, *names: str) -> Ring:
         """Ring with extra symbols appended after the existing ones."""
@@ -133,7 +170,34 @@ class Ring:
 
     def parse(self, text: str) -> Scalar:
         """Parse ``text`` using ``+ - * / ^``, integer literals and symbols."""
-        return _Parser(self, text).parse()
+        try:
+            return _Parser(self, text).parse()
+        except ExponentOverflowError as exc:
+            raise PolynomialParseError(f"{exc} in {text!r}") from None
+
+    def _pack(self, exps: Exponents) -> int:
+        """The packed monomial of an exponent tuple."""
+        if len(exps) != len(self._shifts):
+            raise ValueError(f"expected {len(self._shifts)} exponents, got {exps!r}")
+        key = 0
+        for e, shift in zip(exps, self._shifts):
+            if not 0 <= e <= _MAX_EXPONENT:
+                if e > _MAX_EXPONENT:
+                    raise ExponentOverflowError()
+                raise ValueError(f"negative exponent in {exps!r}")
+            key |= e << shift
+        return key
+
+    def _unpack(self, key: int) -> Exponents:
+        """The exponent tuple of a packed monomial."""
+        return tuple((key >> shift) & _MAX_EXPONENT for shift in self._shifts)
+
+    def _check_exponents(self, keys: Iterable[int]) -> None:
+        """Raise if a packed monomial formed by a product passed the cap."""
+        guard = self._guard
+        for key in keys:
+            if key & guard:
+                raise ExponentOverflowError()
 
     def dot(self, u: Iterable, v: Iterable) -> Scalar:
         """sum_p u[p] * v[p] for scalars of this ring, ints and Fractions.
@@ -143,11 +207,14 @@ class Ring:
         straight into one accumulator over one common denominator, which is
         rescaled only when a new denominator appears, and the sum is reduced
         once.  No intermediate scalar is built.  As with ``+`` and ``*``, a
-        scalar of another ring raises :class:`RingMismatchError`, zero or not.
+        scalar of another ring raises :class:`RingMismatchError`, zero or not,
+        and a product past the exponent cap raises
+        :class:`ExponentOverflowError`.
         """
-        acc: dict[Exponents, int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         den = 1
+        product = False  # whether two polynomials were multiplied
         for a, b in zip(u, v):
             if type(b) is Scalar and b.ring is not self:
                 self._check(b)
@@ -181,20 +248,24 @@ class Ring:
             if ta is None:
                 ta, tb = tb, ta
             if ta is None:  # both rational
-                e = (0,) * len(self.symbols)
-                acc[e] = get(e, 0) + k
+                acc[0] = get(0, 0) + k
             elif tb is None:  # a rational times a polynomial
                 for e, c in ta.items():
                     acc[e] = get(e, 0) + c * k
             else:
+                product = True
                 for e1, c1 in ta.items():
                     c1 *= k
                     for e2, c2 in tb.items():
-                        e = tuple(map(operator.add, e1, e2))
+                        e = e1 + e2
                         acc[e] = get(e, 0) + c1 * c2
+        if not acc:  # every pair had a zero side
+            return self._zero
         nums = {e: c for e, c in acc.items() if c}
         if not nums:
-            return self.zero()
+            return self._zero
+        if product:
+            self._check_exponents(nums)
         return Scalar._reduced(self, nums, den)
 
     def sum(self, values: Iterable) -> Scalar:
@@ -210,10 +281,11 @@ class Ring:
 class Scalar:
     """Immutable sparse polynomial over a :class:`Ring`.
 
-    Stored as nonzero ``int`` numerators per exponent tuple over one positive
-    ``int`` denominator in lowest terms; ``Scalar(ring, {exps: Fraction})``
-    builds one from rational coefficients, and the accessors return
-    ``Fraction`` coefficients.  Zero is falsy and every other scalar truthy.
+    Stored as nonzero ``int`` numerators per packed monomial over one
+    positive ``int`` denominator in lowest terms; ``Scalar(ring, {exps:
+    Fraction})`` builds one from exponent tuples and rational coefficients,
+    and the accessors return exponent tuples and ``Fraction`` coefficients.
+    Zero is falsy and every other scalar truthy.
     Supports ``+ - * **`` with other scalars of the same ring and with plain
     integers or Fractions, which act as constants.  Sums of products go
     through :meth:`Ring.dot` instead, which reads ``_terms`` and ``_den``
@@ -223,15 +295,18 @@ class Scalar:
     __slots__ = ("ring", "_terms", "_den")
 
     def __init__(self, ring: Ring, terms: Mapping[Exponents, RationalLike]):
-        coeffs = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        coeffs = {ring._pack(e): Fraction(c) for e, c in terms.items() if c != 0}
         # the lcm of lowest-terms denominators leaves no common factor
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         _set_ring(self, ring)
         _set_terms(self, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()})
         _set_den(self, den)
 
+    def __reduce__(self):
+        return Scalar._canonical, (self.ring, self._terms, self._den)
+
     @staticmethod
-    def _canonical(ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
+    def _canonical(ring: Ring, nums: dict[int, int], den: int) -> Scalar:
         """Wrap ``nums`` over ``den`` without copying; they must already be in
         canonical form (no zero numerator, ``den > 0``, lowest terms)."""
         self = _new(Scalar)
@@ -241,7 +316,7 @@ class Scalar:
         return self
 
     @staticmethod
-    def _reduced(ring: Ring, nums: dict[Exponents, int], den: int) -> Scalar:
+    def _reduced(ring: Ring, nums: dict[int, int], den: int) -> Scalar:
         """Wrap nonzero numerators over a positive ``den``, cancelling their
         common factor with it."""
         if den != 1:
@@ -265,7 +340,7 @@ class Scalar:
 
     @property
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
+        return not any(self._terms)  # the constant monomial packs to 0
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if symbols remain)."""
@@ -277,16 +352,17 @@ class Scalar:
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in descending lexicographic order of exponent tuples."""
-        den = self._den
-        return ((e, Fraction(c, den)) for e, c in sorted(self._terms.items(), reverse=True))
+        den, unpack = self._den, self.ring._unpack
+        return ((unpack(e), Fraction(c, den))
+                for e, c in sorted(self._terms.items(), reverse=True))
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self._terms.get(tuple(exps), 0), self._den)
+        return Fraction(self._terms.get(self.ring._pack(tuple(exps)), 0), self._den)
 
     def total_degree(self) -> int:
         if self.is_zero:
             return 0
-        return max(sum(e) for e in self._terms)
+        return max(sum(self.ring._unpack(e)) for e in self._terms)
 
     # -- ring operations -------------------------------------------------
     #
@@ -299,17 +375,16 @@ class Scalar:
         if other.ring is not self.ring:
             self.ring._check(other)
 
-    def _operand(self, other) -> "tuple[dict[Exponents, int], int] | None":
+    def _operand(self, other) -> "tuple[dict[int, int], int] | None":
         """Numerators and denominator of a same-ring scalar or a rational
         constant, else None."""
         if isinstance(other, Scalar):
             self._same_ring(other)
             return other._terms, other._den
         if isinstance(other, int):
-            return ({(0,) * self.ring.nsymbols: other} if other else {}), 1
+            return ({0: other} if other else {}), 1
         if isinstance(other, Fraction):
-            return ({(0,) * self.ring.nsymbols: other.numerator} if other else {},
-                    other.denominator)
+            return ({0: other.numerator} if other else {}), other.denominator
         return None
 
     def _scaled(self, num: int, den: int) -> Scalar:
@@ -324,7 +399,7 @@ class Scalar:
         return Scalar._reduced(self.ring, {e: c * num for e, c in self._terms.items()},
                                self._den * den)
 
-    def _plus(self, nums: dict[Exponents, int], den: int, negate: bool) -> Scalar:
+    def _plus(self, nums: dict[int, int], den: int, negate: bool) -> Scalar:
         """self + nums/den (or self - nums/den) for canonical numerators."""
         if den == self._den:
             out = dict(self._terms)
@@ -361,6 +436,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self._terms:
+            return self
         return Scalar._canonical(self.ring, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
@@ -385,24 +462,21 @@ class Scalar:
             return NotImplemented
         self._same_ring(other)
         left, right = self._terms, other._terms
-        if len(right) == 1:
-            (exps, coeff), = right.items()
-            if not any(exps):
-                return self._scaled(coeff, other._den)
-        if len(left) == 1:
-            (exps, coeff), = left.items()
-            if not any(exps):
-                return other._scaled(coeff, self._den)
+        if len(right) == 1 and 0 in right:
+            return self._scaled(right[0], other._den)
+        if len(left) == 1 and 0 in left:
+            return other._scaled(left[0], self._den)
         if not left or not right:
-            return self.ring.zero()
-        out: dict[Exponents, int] = {}
+            return self.ring._zero
+        out: dict[int, int] = {}
+        get = out.get
         for e1, c1 in left.items():
             for e2, c2 in right.items():
-                exps = tuple(map(operator.add, e1, e2))
-                old = out.get(exps)
-                out[exps] = c1 * c2 if old is None else old + c1 * c2
-        return Scalar._reduced(self.ring, {e: c for e, c in out.items() if c},
-                               self._den * other._den)
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        nums = {e: c for e, c in out.items() if c}
+        self.ring._check_exponents(nums)
+        return Scalar._reduced(self.ring, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -415,8 +489,9 @@ class Scalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # squaring past the last bit could overflow for nothing
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -447,7 +522,8 @@ class Scalar:
         if not values:
             return self
         out: dict[Exponents, Fraction] = {}
-        for exps, num in self._terms.items():
+        for key, num in self._terms.items():
+            exps = self.ring._unpack(key)
             coeff = Fraction(num, self._den)
             new = list(exps)
             for idx, val in values.items():
@@ -462,8 +538,8 @@ class Scalar:
         if ring.symbols[: self.ring.nsymbols] != self.ring.symbols:
             raise RingMismatchError(
                 f"{ring.symbols} does not extend {self.ring.symbols}")
-        pad = (0,) * (ring.nsymbols - self.ring.nsymbols)
-        return Scalar._canonical(ring, {e + pad: c for e, c in self._terms.items()},
+        shift = _FIELD_BITS * (ring.nsymbols - self.ring.nsymbols)
+        return Scalar._canonical(ring, {e << shift: c for e, c in self._terms.items()},
                                  self._den)
 
     # -- rendering -------------------------------------------------------
@@ -534,7 +610,11 @@ class _Parser:
     ``power := atom ('^' INT)?``; ``atom := INT | NAME | '(' expr ')'``.
     Division requires a nonzero constant divisor.  Parentheses and unary
     signs may nest at most ``_MAX_PARSE_DEPTH`` deep, so that no input
-    exhausts the interpreter's recursion limit.
+    exhausts the interpreter's recursion limit; a written exponent is at most
+    ``_MAX_EXPONENT``, and a product or power is refused before it is
+    formed if its term count or coefficient size could pass
+    ``_MAX_PARSE_TERMS`` or ``_MAX_PARSE_BITS``, so that no short input
+    takes unbounded time.
     """
 
     _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -557,7 +637,11 @@ class _Parser:
                         f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
                 break
             if match.group(1) is not None:
-                tokens.append(("int", match.group(1)))
+                try:
+                    tokens.append(("int", int(match.group(1))))
+                except ValueError:  # longer than int() converts
+                    raise PolynomialParseError(
+                        f"integer literal too long in {text!r}") from None
             elif match.group(2) is not None:
                 tokens.append(("name", match.group(2)))
             else:
@@ -581,6 +665,13 @@ class _Parser:
             raise PolynomialParseError(
                 f"parentheses and signs nest deeper than {_MAX_PARSE_DEPTH} in {self.text!r}")
 
+    def _limit(self, terms: int, bits: int) -> None:
+        """Refuse a product or power that could pass the size caps."""
+        if terms > _MAX_PARSE_TERMS or bits > _MAX_PARSE_BITS:
+            raise PolynomialParseError(
+                f"a product or power passes {_MAX_PARSE_TERMS} terms or "
+                f"{_MAX_PARSE_BITS} coefficient bits in {self.text!r}")
+
     def parse(self) -> Scalar:
         value = self._expr()
         if self._peek()[0] != "end":
@@ -601,6 +692,7 @@ class _Parser:
             op = self._next()[1]
             rhs = self._unary()
             if op == "*":
+                self._limit(len(value._terms) * len(rhs._terms), _bits(value) + _bits(rhs))
                 value = value * rhs
             else:
                 if not rhs.is_constant or rhs.is_zero:
@@ -622,27 +714,38 @@ class _Parser:
         value = self._atom()
         if self._peek() == ("op", "^"):
             self._next()
-            kind, text = self._next()
+            kind, exponent = self._next()
             if kind != "int":
                 raise PolynomialParseError(f"exponent must be an integer in {self.text!r}")
-            return value ** int(text)
+            if exponent > _MAX_EXPONENT:
+                raise PolynomialParseError(
+                    f"exponent {exponent} above the cap of {_MAX_EXPONENT} in {self.text!r}")
+            if value:  # at most comb(k + t - 1, k) terms for t terms to the power k
+                self._limit(math.comb(exponent + len(value._terms) - 1, exponent),
+                            exponent * _bits(value))
+            return value ** exponent
         return value
 
     def _atom(self) -> Scalar:
-        kind, text = self._next()
+        kind, token = self._next()
         if kind == "int":
-            return self.ring.const(int(text))
+            return self.ring.const(token)
         if kind == "name":
             try:
-                return self.ring.sym(text)
+                return self.ring.sym(token)
             except KeyError:
                 raise PolynomialParseError(
-                    f"undeclared symbol {text!r} in {self.text!r}") from None
-        if (kind, text) == ("op", "("):
+                    f"undeclared symbol {token!r} in {self.text!r}") from None
+        if (kind, token) == ("op", "("):
             self._nest()
             value = self._expr()
             if self._next() != ("op", ")"):
                 raise PolynomialParseError(f"unbalanced parentheses in {self.text!r}")
             self.depth -= 1
             return value
-        raise PolynomialParseError(f"unexpected token {text!r} in {self.text!r}")
+        raise PolynomialParseError(f"unexpected token {token!r} in {self.text!r}")
+
+
+def _bits(p: Scalar) -> int:
+    """Bits of the largest numerator plus those of the denominator."""
+    return max((c.bit_length() for c in p._terms.values()), default=0) + p._den.bit_length()

@@ -1,5 +1,6 @@
 """The builtin x verb command matrix covered by the golden-output tests, plus
-two spec documents whose failing checks pin the failure-detail format."""
+two spec documents whose failing checks pin the failure-detail format and
+the curvature tables of two sparse n = 6 frames."""
 
 from __future__ import annotations
 
@@ -37,6 +38,11 @@ def _build() -> dict[str, list[str]]:
     # failing checks, which print their detail lines
     cases["heisenberg6__lck"] = ["lck", "--spec", str(DATA / "heisenberg6.toml")]
     cases["nonintegrable__suite"] = ["suite", "--spec", str(DATA / "nonintegrable.toml")]
+    # the sparse n = 6 curvature path; conditions and suite wait on the
+    # vertical-trace coefficient above dimension 4
+    for frame in ("hyperbolic6", "heisenberg6"):
+        for verb in ("curvature", "ricci", "star-ricci"):
+            cases[f"{frame}__{verb}"] = [verb, "--spec", str(DATA / f"{frame}.toml")]
     return cases
 
 

@@ -130,6 +130,23 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    def test_exponent_overflow_is_one_line_error(self, tmp_path):
+        # a1^20000 is below the exponent cap, so the document loads; the Weyl
+        # curvature squares phi, which passes the cap
+        text = (DATA / "inoue_lee.toml").read_text()
+        assert 'symbols = []' in text and 'E2 = "1"' in text
+        path = tmp_path / "power.toml"
+        path.write_text(text.replace("symbols = []", 'symbols = ["a1"]')
+                        .replace('E2 = "1"', 'E2 = "a1^20000"'))
+        assert run(["validate", "--spec", str(path)])[0] == 0
+        status, out, err = run(["curvature", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("error: exponent above the cap") and err.count("\n") == 1
+        path.write_text(path.read_text().replace("a1^20000", "a1^40000"))
+        status, out, err = run(["validate", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("spec error: ") and err.count("\n") == 1
+
 
 _VERBS = ("validate", "connection", "curvature", "ricci", "star-ricci", "lee", "lck",
           "conditions", "verify", "suite", "report")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pathlib
 import tomllib
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, d_oneform,
-                 d_twoform, eval_on_bivector, load_spec, sharp)
+from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
+                 curvature, d_oneform, d_twoform, eval_on_bivector, levi_civita, load_spec,
+                 load_spec_file, sharp, weyl)
 from wtw.frame import Bivector, TwoForm, wedge_oneforms, wedge_one_two
 from wtw.hermitian import fundamental_form, lee_form
 
@@ -433,9 +435,9 @@ def _inverse(A):
     return [row[n:] for row in rows]
 
 
-def _dense_j(n: int):
-    """Q J0 Q^T for the standard J0 and the Cayley transform Q = (I - A)(I + A)^-1
-    of a rational skew A that does not commute with J0; orthogonal, J^2 = -I."""
+def _cayley(n: int):
+    """The standard J0 and the Cayley transform Q = (I - A)(I + A)^-1 of a
+    rational skew A that does not commute with J0; Q is orthogonal."""
     J0 = [[Fraction(0)] * n for _ in range(n)]
     for b in range(0, n, 2):
         J0[b + 1][b], J0[b][b + 1] = Fraction(1), Fraction(-1)
@@ -445,7 +447,26 @@ def _dense_j(n: int):
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     Q = _matmul([[e - a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)],
                 _inverse([[e + a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)]))
+    return J0, Q
+
+
+def _dense_j(n: int):
+    """Q J0 Q^T: orthogonal, J^2 = -I, and not a signed permutation."""
+    J0, Q = _cayley(n)
     return _matmul(_matmul(Q, J0), [list(col) for col in zip(*Q)])
+
+
+def _rotated_inoue() -> FrameSpec:
+    """inoue-s0 in the orthonormal basis F_i = sum_a Q[i][a] E_a, whose J is
+    ``_dense_j(4)``, with the Weyl form a1 .. a4 in the new basis."""
+    base, n = builtin("inoue-s0"), 4
+    _, Q = _cayley(n)
+    c, ix = base.c, range(n)
+    brackets = {(i, j): {k: sum(Q[i][a] * Q[j][b] * c[a][b][m] * Q[k][m]
+                                for a in ix for b in ix for m in ix) for k in ix}
+                for i in ix for j in range(i + 1, n)}
+    return FrameSpec.create(dimension=n, symbols=base.ring.symbols, brackets=brackets,
+                            J=_dense_j(n), phi=base.ring.symbols, name="inoue-s0 rotated")
 
 
 class TestContractionsOnDenseJ:
@@ -493,3 +514,38 @@ class TestContractionsOnDenseJ:
         # on a rational matrix: J(J., J.) = J, and J(J., .) + J(., J.) = 0
         assert spec.twist(J) == tuple(tuple(spec.const(x) for x in row) for row in J)
         assert all(entry.is_zero for row in spec.j_pair(J) for entry in row)
+
+    def test_left_and_right_on_zero_entries(self, data):
+        spec, u, _, M = data
+        n, z = spec.n, spec.zero()
+        # zero entries as scalars, ints and Fractions, beside rationals and scalars
+        partial = (z, 0, Fraction(0), Fraction(-2, 3), u[1], z)[:n]
+        nothing = tuple((z, 0, Fraction(0))[p % 3] for p in range(n + 1))
+        wide = tuple(row + (u[0],) for row in M)  # n rows, n + 1 columns
+        assert spec.left(partial, wide) == tuple(
+            sum((partial[p] * wide[p][k] for p in range(n)), z) for k in range(n + 1))
+        assert spec.right(wide, partial + (u[2],)) == tuple(
+            sum((wide[k][q] * (partial + (u[2],))[q] for q in range(n + 1)), z)
+            for k in range(n))
+        assert spec.left(nothing[:n], wide) == (z,) * (n + 1)
+        assert spec.right(wide, nothing) == (z,) * n
+
+
+@pytest.mark.parametrize("frame", ["hyperbolic6", "inoue-s0 rotated"])
+def test_cov_deriv_endo_matches_its_definition(frame):
+    """(D_{E_i} S)(E_j) = D_{E_i}(S E_j) - S(D_{E_i} E_j) written out with
+    Scalar operators, on a sparse frame and on one whose J is dense."""
+    if frame == "hyperbolic6":
+        spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
+    else:
+        spec = _rotated_inoue()
+        assert all(spec.J[i][j] for i in range(4) for j in range(4) if i != j)
+    n, z = spec.n, spec.zero()
+    for conn in (levi_civita(spec), weyl(spec)):
+        g = conn.gamma
+        for S in (spec.j_endo(), curvature(weyl(spec)).endo(0, 1)):
+            s, derived = S.comps, cov_deriv_endo(conn, S)
+            for i in range(n):
+                assert derived[i].comps == tuple(tuple(
+                    sum((g[i][k][l] * s[k][j] - s[l][k] * g[i][j][k] for k in range(n)), z)
+                    for j in range(n)) for l in range(n))

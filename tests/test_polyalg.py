@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtw.polyalg import (PolynomialParseError, Ring, RingMismatchError, Scalar,
-                         normalize_up_to_unit, normalized_system)
+from wtw.polyalg import (_MAX_EXPONENT, ExponentOverflowError, PolynomialParseError, Ring,
+                         RingMismatchError, Scalar, normalize_up_to_unit, normalized_system)
 
 RING = Ring(("a1", "a2", "a3"))
 A1, A2, A3 = RING.sym("a1"), RING.sym("a2"), RING.sym("a3")
@@ -135,6 +135,37 @@ def test_power_rejects_negative_exponent():
     assert A1 ** 0 == RING.one()
 
 
+def test_exponent_cap_in_arithmetic():
+    top = A1 ** _MAX_EXPONENT
+    assert top.total_degree() == _MAX_EXPONENT
+    assert (A1 ** 20000).coefficient((20000, 0, 0)) == 1  # no squaring past the last bit
+    assert top * A2 * 3 == Scalar(RING, {(_MAX_EXPONENT, 1, 0): 3})
+    for overflow in (lambda: top * A1, lambda: A1 ** (_MAX_EXPONENT + 1),
+                     lambda: RING.dot([0, top, A2], [A1, A1, A1]),
+                     lambda: (top + 1) * (A1 - 1),
+                     lambda: Scalar(RING, {(0, _MAX_EXPONENT + 1, 0): 1})):
+        with pytest.raises(ExponentOverflowError, match=f"above the cap of {_MAX_EXPONENT}"):
+            overflow()
+    # a product whose overflowing terms cancel has no exponent above the cap
+    assert (top * A2 - A2 * top).is_zero
+
+
+def test_exponent_cap_in_parse():
+    assert RING.parse(f"a1^{_MAX_EXPONENT}") == A1 ** _MAX_EXPONENT
+    for text in (f"a1^{_MAX_EXPONENT + 1}", f"2^{_MAX_EXPONENT + 1}",
+                 f"a1^{_MAX_EXPONENT} * a1", f"(a1^{_MAX_EXPONENT} + 1)^2"):
+        with pytest.raises(PolynomialParseError, match="above the cap"):
+            RING.parse(text)
+
+
+@pytest.mark.parametrize("text", ["(a1 + 1)^1000", "(a1 + a2 + a3)^60", "(a1+1)^999*(a2+1)",
+                                  "3^32767*3^32767", "(2^32767)^4", "(7^32767)^2", "9" * 5000,
+                                  "a1^" + "9" * 5000])
+def test_parse_refuses_oversized_input(text):
+    with pytest.raises(PolynomialParseError):
+        RING.parse(text)
+
+
 def test_extend_and_lift():
     bigger = RING.extend("t")
     t = bigger.sym("t")
@@ -142,6 +173,8 @@ def test_extend_and_lift():
     assert str(lifted * t) == "a1*a2*t"
     with pytest.raises(RingMismatchError):
         A1.lift(Ring(("z", "a1", "a2", "a3")))
+    top = A1 ** _MAX_EXPONENT * A3
+    assert dict(top.lift(bigger.extend("s")).terms()) == {(_MAX_EXPONENT, 0, 1, 0, 0): 1}
 
 
 # -- randomized ring laws ---------------------------------------------------
@@ -198,6 +231,41 @@ def test_results_are_canonical_and_agree_with_substitute(p, q, point, frac):
     for result, expected in cases:
         assert all(coeff != 0 for _, coeff in result.terms()), result
         assert at(result) == expected
+
+
+# Tokens of polynomial strings: declared and undeclared names, operators,
+# spaces, short and over-long integer literals and exponents about the cap.
+parse_tokens = st.one_of(
+    st.sampled_from(["a1", "a2", "a3", "b", "a1a2", "+", "-", "*", "/", "^", "(", ")", " "]),
+    st.integers(0, 10 ** 6).map(str),
+    st.integers(_MAX_EXPONENT - 2, _MAX_EXPONENT + 2).map(str),
+    st.integers(4290, 4310).map(lambda size: "9" * size))
+
+
+@given(st.lists(parse_tokens, max_size=24).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_fuzz_gives_a_scalar_or_a_parse_error(text):
+    try:
+        value = RING.parse(text)
+    except PolynomialParseError:
+        return
+    assert isinstance(value, Scalar) and value.ring is RING
+    assert value.total_degree() <= _MAX_EXPONENT * RING.nsymbols
+
+
+wide_exponents = st.tuples(*[st.integers(0, _MAX_EXPONENT)] * 3)
+
+
+@given(st.dictionaries(st.one_of(exponents, wide_exponents), coeffs, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_terms_descend_lexicographically_and_coefficients_round_trip(terms):
+    p = Scalar(RING, terms)
+    listed = list(p.terms())
+    keys = [e for e, _ in listed]
+    assert keys == sorted((e for e, c in terms.items() if c), reverse=True)
+    for e, c in listed:
+        assert p.coefficient(e) == c == terms[e]
+    assert Scalar(RING, dict(listed)) == p
 
 
 # -- the integer-numerator representation -----------------------------------

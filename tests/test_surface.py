@@ -4,9 +4,11 @@ contracts: equality, hashing, validation and immutability."""
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,8 +22,8 @@ SRC = pathlib.Path(wtw.__file__).resolve().parent.parent
 
 # the package's exports, grouped by the module that defines each name
 EXPORTS = {
-    "polyalg": ("PolynomialParseError", "Ring", "RingMismatchError", "Scalar",
-                "normalize_up_to_unit", "normalized_system"),
+    "polyalg": ("ExponentOverflowError", "PolynomialParseError", "Ring", "RingMismatchError",
+                "Scalar", "normalize_up_to_unit", "normalized_system"),
     "frame": ("Bivector", "Endo", "FrameError", "FrameSpec", "GateError", "SpecFormatError",
               "ThreeForm", "TwoForm", "builtin", "d_oneform", "d_twoform", "eval_on_bivector",
               "load_spec", "load_spec_file", "sharp", "wedge_iso"),
@@ -107,6 +109,19 @@ def test_equal_specs_and_rings_hash_alike():
     assert Ring(("a1", "a2")) == ring and hash(Ring(("a1", "a2"))) == hash(ring)
     assert Ring(("a2", "a1")) != ring
     assert spec.ring == Ring(("a1", "a2", "a3", "a4"))
+
+
+def test_scalars_and_specs_survive_pickle_and_deepcopy():
+    spec = builtin("inoue-s0")
+    scalar = spec.ring.parse("-1/2*a2^2 + a1*a3^3 - 3")
+    for value in (scalar, spec.ring.zero(), spec.ring, spec):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*copies, copy.deepcopy(value), copy.copy(value)):
+            assert twin == value and hash(twin) == hash(value)
+    twin = pickle.loads(pickle.dumps(spec))
+    assert str(twin.phi[1] * scalar) == str(spec.phi[1] * scalar)
+    assert curvature(weyl(twin)).r == curvature(weyl(spec)).r
 
 
 @pytest.mark.parametrize("symbols", [("a1", "a1"), ("a 1",), ("1a",), ("",)])
