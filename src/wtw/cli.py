@@ -364,8 +364,16 @@ def _render_value(value, out: _Output, prefix: str = "") -> None:
         out.line(f"{prefix.rstrip('.')} = {value}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in the one ``error:`` line of
+    :func:`main` instead of a usage block."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wtw",
         description="Exact Weyl-connection and twistor pseudo-harmonicity calculator")
     parser.add_argument("verb", choices=[
@@ -384,15 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "verify" and not args.assign:
-        parser.error("verify requires --assign")
-    if args.verb != "verify" and args.assign and args.verb != "report":
-        parser.error(f"--assign is not accepted by {args.verb}")
-    out = _Output(color=_want_color())
     try:
-        return _run_verb(args, out)
+        args = build_parser().parse_args(argv)
+        if args.verb == "verify" and not args.assign:
+            raise ValueError("verify requires --assign")
+        if args.verb != "verify" and args.assign and args.verb != "report":
+            raise ValueError(f"--assign is not accepted by {args.verb}")
+        return _run_verb(args, _Output(color=_want_color()))
     except GateError as exc:
         sys.stderr.write(f"gate failure ({exc.assumption}): {exc}\n")
         return EXIT_CHECK_FAILED
@@ -400,7 +406,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # one line, even where argparse quotes an argument with a line break
+        text = str(exc).replace("\n", "\\n").replace("\r", "\\r")
+        sys.stderr.write(f"error: {text}\n")
         return EXIT_USAGE
 
 

@@ -7,6 +7,9 @@ gamma-contractions; this is relied on throughout the package.
 
 For the Levi-Civita connection of the identity Gram matrix the Koszul
 formula collapses to ``2 gamma[i][j][k] = c[i][j][k] - c[i][k][j] - c[j][k][i]``.
+Each nonzero structure constant enters three gammas, so the gammas are
+accumulated from the spec's nonzero bracket rows alone, and only the
+nonzero ones are lifted to scalars.
 The Weyl connection of the 1-form phi is
 
     D_X Y = nabla_X Y - 1/2 [phi(X) Y + phi(Y) X - g(X, Y) phi#].
@@ -60,11 +63,20 @@ def levi_civita(spec: FrameSpec) -> Connection:
 
 def _levi_civita(spec: FrameSpec) -> Connection:
     n = spec.n
-    half = Fraction(1, 2)
-    gamma = tuple(tuple(tuple(
-        spec.const(half * (spec.c[i][j][k] - spec.c[i][k][j] - spec.c[j][k][i]))
-        for k in range(n)) for j in range(n)) for i in range(n))
-    return Connection(spec, gamma, "levi-civita")
+    den, rows = spec.bracket_rows()
+    # c[a][b][m] enters gamma[a][b][m] with +1/2, gamma[a][m][b] and gamma[m][a][b] with -1/2
+    twice: dict[tuple[int, int, int], int] = {}
+    for a in range(n):
+        for b in range(n):
+            for m, v in rows[a][b]:
+                for key, value in (((a, b, m), v), ((a, m, b), -v), ((m, a, b), -v)):
+                    twice[key] = twice.get(key, 0) + value
+    gamma = [[[spec.zero()] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), value in twice.items():
+        if value:
+            gamma[i][j][k] = spec.const(Fraction(value, 2 * den))
+    return Connection(spec, tuple(tuple(tuple(row) for row in plane) for plane in gamma),
+                      "levi-civita")
 
 
 def weyl(spec: FrameSpec) -> Connection:

@@ -29,8 +29,8 @@ they produce is one call of the ring's multiply-accumulate kernel
 :meth:`wtw.polyalg.Ring.dot`, which skips zero entries, rational or scalar,
 and reduces the sum once; ``left`` and ``right`` find the nonzero positions
 of their fixed vector once and pass the kernel only those, and return
-zeros without calling it when there are none.  ``Endo`` products, the
-Jacobi check and the wedge products use the same kernel:
+zeros without calling it when there are none.  ``Endo`` products and the
+wedge products use the same kernel:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
@@ -41,6 +41,18 @@ Jacobi check and the wedge products use the same kernel:
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.
 
+Sparse supports: each spec keeps the nonzero part of its rational data once,
+as int numerators over one common denominator: ``bracket_rows()`` lists
+``(k, c_ijk)`` for each pair (i, j), and ``j_columns()`` lists ``(p, J[p][i])``
+for each column ``J E_i``.  They depend on ``c`` and ``J`` alone, so a spec
+made by ``restrict`` or ``with_phi`` shares them.  The symbol-free layer
+walks only these supports: ``validate`` and, in the later layers, the
+Levi-Civita gammas and the Nijenhuis tensor accumulate ints and lift each
+nonzero result to a scalar once, leaving the ring's shared zero everywhere
+else; ``d_oneform`` and ``d_twoform`` call the kernel only where a bracket
+row is nonzero, and ``d_twoform`` and ``wedge_one_two`` compute increasing
+triples only and fill in the rest by antisymmetry.
+
 Two names of later layers live here so that modules which need only them
 need not load those layers: :class:`GateError`, which the gate of
 :mod:`wtw.hermitian` raises and the command line catches for every verb, and
@@ -50,10 +62,11 @@ share with :mod:`wtw.twistor`.
 
 from __future__ import annotations
 
+import math
 import tomllib
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Mapping, Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike, _parse_rational
 
@@ -100,8 +113,9 @@ class Memo:
     only on the first call with that key.  The key is the compute function
     with its arguments, never a label, so two independent routes to one
     quantity never share an entry.  The values live in the object's own
-    ``__dict__``: they are freed with the object, and every new object,
-    including one made by ``restrict`` or ``with_phi``, starts with none.
+    ``__dict__``: they are freed with the object, and every new object
+    starts with none, except that a spec made by ``restrict`` or
+    ``with_phi`` shares the supports of ``c`` and ``J``.
 
     Assigning an attribute raises ``AttributeError``, so a subclass's
     ``__init__`` stores its fields in ``__dict__`` directly.
@@ -193,29 +207,37 @@ class FrameSpec(Memo):
         return spec
 
     def validate(self) -> None:
-        """Check antisymmetry, the Jacobi identity and J^2 = -I, J^T J = I."""
+        """Check antisymmetry, the Jacobi identity and J^2 = -I, J^T J = I on
+        the nonzero structure constants and entries of J."""
         n = self.dimension
-        for i, j, k in product(range(n), repeat=3):
-            if self.c[i][j][k] != -self.c[j][i][k]:
+        _, rows = self.bracket_rows()
+        # The failing (i, j, k) are symmetric in i and j: the first has i <= j
+        # and the least k where row (i, j) and minus row (j, i) differ.
+        for i, j in combinations_with_replacement(range(n), 2):
+            minus = {(k, -v) for k, v in rows[j][i]}
+            if minus != set(rows[i][j]):
+                k = min(k for k, _ in minus.symmetric_difference(rows[i][j]))
                 raise FrameError(
                     f"structure constants not antisymmetric at ({i+1},{j+1},{k+1})")
         # Once c is antisymmetric the Jacobiator alternates in (i, j, k) and
         # vanishes on repeated indices, so increasing triples suffice; the
         # first failing one is the first failing ordered triple.
-        c = self.c
-        by_m = [list(zip(*plane)) for plane in zip(*c)]  # by_m[k][l][m] = c[m][k][l]
         for i, j, k in combinations(range(n), 3):
-            brackets = c[i][j] + c[j][k] + c[k][i]
-            for l in range(n):
-                if self.dot(brackets, by_m[k][l] + by_m[i][l] + by_m[j][l]):
-                    raise FrameError(
-                        "Jacobi identity fails on "
-                        f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
-        identity = tuple(tuple(_kron(i, j) for j in range(n)) for i in range(n))
-        if self.twist(identity) != identity:
+            jacobiator: dict = {}  # sum_m c_ijm c_mkl + c_jkm c_mil + c_kim c_mjl at l
+            for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in rows[a][b]:
+                    _accumulate(jacobiator, x, rows[m][z])
+            if any(jacobiator.values()):
+                raise FrameError(
+                    "Jacobi identity fails on "
+                    f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
+        den, cols = self.j_columns()
+        entries = [dict(col) for col in cols]  # entries[i][p] = den * J[p][i]
+        gram = [[sum(v * e.get(p, 0) for p, v in col) for e in entries] for col in cols]
+        if gram != [[den * den * (i == k) for k in range(n)] for i in range(n)]:
             raise FrameError("J is not g-orthogonal (J^T J = Identity fails)")
-        # g(J., .) + g(., J.) = 0 means J^T = -J, so J^2 = -J^T J = -Identity
-        if any(not entry.is_zero for row in self.j_pair(identity) for entry in row):
+        # J^T = -J, which with J^T J = Identity means J^2 = -Identity
+        if any(entries[p].get(i) != -v for i, col in enumerate(cols) for p, v in col):
             raise FrameError("J^2 = -Identity fails")
 
     # -- small helpers ---------------------------------------------------
@@ -237,6 +259,18 @@ class FrameSpec(Memo):
     def dphi(self) -> "TwoForm":
         """d(phi) of the spec's Weyl form."""
         return self.memo(_dphi)
+
+    def bracket_rows(self) -> tuple[int, list]:
+        """The nonzero structure constants as ``(den, rows)``: ``rows[i][j]``
+        lists ``(k, den * c[i][j][k])`` for each nonzero ``c[i][j][k]``, ints
+        over one positive denominator."""
+        return self.memo(_bracket_rows)
+
+    def j_columns(self) -> tuple[int, list]:
+        """The nonzero entries of J as ``(den, cols)``: ``cols[i]`` lists
+        ``(p, den * J[p][i])``, the column ``J E_i``, ints over one positive
+        denominator."""
+        return self.memo(_j_columns)
 
     # -- contractions (see the module docstring) --------------------------
 
@@ -284,15 +318,19 @@ class FrameSpec(Memo):
 
     def restrict(self, assignment: Mapping[str, RationalLike]) -> "FrameSpec":
         """Spec with the assignment substituted into phi (same ring)."""
-        new_phi = tuple(p.substitute(assignment) for p in self.phi)
-        return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
-                         c=self.c, J=self.J, phi=new_phi, name=self.name)
+        return self._with(tuple(p.substitute(assignment) for p in self.phi))
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form (revalidated)."""
-        return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
-                         c=self.c, J=self.J, phi=_coerce_phi(self.ring, self.n, phi),
-                         name=self.name)
+        return self._with(_coerce_phi(self.ring, self.n, phi))
+
+    def _with(self, phi: Vector) -> "FrameSpec":
+        """The spec with Weyl form ``phi``; it shares the supports of c and J."""
+        spec = FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
+                         c=self.c, J=self.J, phi=phi, name=self.name)
+        memo = self.__dict__.get("_memo", {})
+        spec.__dict__["_memo"] = {key: memo[key] for key in _SUPPORTS if key in memo}
+        return spec
 
 
 def _coerce_phi(ring: Ring, n: int,
@@ -478,14 +516,25 @@ class ThreeForm:
         self.spec = spec
         self.comps = tuple(tuple(tuple(row) for row in plane) for plane in comps)
 
+    @staticmethod
+    def alternating(spec: FrameSpec, values: Iterable[Scalar]) -> "ThreeForm":
+        """The 3-form with ``values`` on the increasing triples, in the order of
+        ``combinations(range(n), 3)``, extended by antisymmetry."""
+        n, zero = spec.n, spec.zero()
+        comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), value in zip(combinations(range(n), 3), values):
+            if value:
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    comps[a][b][d], comps[b][a][d] = value, -value
+        return ThreeForm(spec, comps)
+
     def __call__(self, i: int, j: int, k: int) -> Scalar:
         return self.comps[i][j][k]
 
     def __sub__(self, other: "ThreeForm") -> "ThreeForm":
-        n = self.spec.n
-        return ThreeForm(self.spec, [[[self.comps[i][j][k] - other.comps[i][j][k]
-                                       for k in range(n)] for j in range(n)]
-                                     for i in range(n)])
+        a, b = self.comps, other.comps
+        return ThreeForm.alternating(self.spec, (a[i][j][k] - b[i][j][k] for i, j, k
+                                                 in combinations(range(self.spec.n), 3)))
 
     @property
     def is_zero(self) -> bool:
@@ -500,21 +549,59 @@ def _dphi(spec: FrameSpec) -> "TwoForm":
     return d_oneform(spec, spec.phi)
 
 
+# -- supports of the rational data -----------------------------------------
+
+def _nonzero(row, den: int) -> list[tuple[int, int]]:
+    """``(index, den * value)`` for each nonzero value of a rational row."""
+    return [(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
+
+
+def _bracket_rows(spec: FrameSpec) -> tuple[int, list]:
+    den = math.lcm(*(v.denominator for plane in spec.c for row in plane for v in row))
+    return den, [[_nonzero(row, den) for row in plane] for plane in spec.c]
+
+
+def _j_columns(spec: FrameSpec) -> tuple[int, list]:
+    den = math.lcm(*(v.denominator for row in spec.J for v in row))
+    return den, [_nonzero(col, den) for col in zip(*spec.J)]
+
+
+# memo keys of the values that depend on c and J alone
+_SUPPORTS = ((_bracket_rows,), (_j_columns,))
+
+
+def _accumulate(acc: dict, weight: int, row) -> None:
+    """``acc[k] += weight * v`` for each ``(k, v)`` of a support row."""
+    get = acc.get
+    for k, v in row:
+        acc[k] = get(k, 0) + weight * v
+
+
 # -- exterior calculus (constant components) ------------------------------
 
 def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> TwoForm:
-    """d omega with ``(d omega)(E_i, E_j) = -omega([E_i, E_j])``."""
-    return TwoForm(spec, [[-spec.dot(row, omega) for row in plane] for plane in spec.c])
+    """d omega with ``(d omega)(E_i, E_j) = -omega([E_i, E_j])``, contracted
+    over the nonzero bracket rows only."""
+    _, rows = spec.bracket_rows()
+    zero = spec.zero()
+    return TwoForm(spec, [[-spec.dot(c_ij, omega) if row_ij else zero
+                           for c_ij, row_ij in zip(c_i, rows_i)]
+                          for c_i, rows_i in zip(spec.c, rows)])
 
 
 def d_twoform(spec: FrameSpec, F: TwoForm) -> ThreeForm:
-    """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F."""
-    n = spec.n
-    # cf[i][j][k] = F([E_i, E_j], E_k)
-    cf = [[spec.left(row, F.comps) for row in plane] for plane in spec.c]
-    comps = [[[-cf[i][j][k] + cf[i][k][j] - cf[j][k][i]
-               for k in range(n)] for j in range(n)] for i in range(n)]
-    return ThreeForm(spec, comps)
+    """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
+
+    As F is antisymmetric, dF(E_i, E_j, E_k) is the cyclic sum
+    ``sum_m c[i][j][m] F[k][m] + c[j][k][m] F[i][m] + c[k][i][m] F[j][m]``: one
+    kernel call per increasing triple with a nonzero bracket row.
+    """
+    _, rows = spec.bracket_rows()
+    c, f, zero = spec.c, F.comps, spec.zero()
+    return ThreeForm.alternating(spec, (
+        spec.dot(c[i][j] + c[j][k] + c[k][i], f[k] + f[i] + f[j])
+        if rows[i][j] or rows[j][k] or rows[k][i] else zero
+        for i, j, k in combinations(range(spec.n), 3)))
 
 
 def eval_on_bivector(F: TwoForm, b: Bivector) -> Scalar:
@@ -541,12 +628,10 @@ def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar], beta: Sequence[Scal
 
 def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm) -> ThreeForm:
     """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)."""
-    n = spec.n
-    dot = spec.ring.dot
-    f = F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
-    comps = [[[dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
-               for k in range(n)] for j in range(n)] for i in range(n)]
-    return ThreeForm(spec, comps)
+    dot, f = spec.ring.dot, F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
+    return ThreeForm.alternating(spec, (
+        dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
+        for i, j, k in combinations(range(spec.n), 3)))
 
 
 # -- built-in geometries ---------------------------------------------------

@@ -19,20 +19,27 @@ Omega``.  Violations raise :class:`GateError` naming the failed assumption;
 the class lives in :mod:`wtw.frame`, so that the command line can catch it
 without loading this module, and is re-exported here.
 
-The Nijenhuis tensor, the Lee data, d(Omega) and the Lee-identity residual
-are computed once per spec and kept on it (see :class:`wtw.frame.Memo`), so
-the gate and every check that needs them share one computation.
+The fundamental form, the Nijenhuis tensor, the Lee data, d(Omega) and the
+Lee-identity residual are computed once per spec and kept on it (see
+:class:`wtw.frame.Memo`), so the gate and every check that needs them share
+one computation.  Omega and N are symbol-free: they are built from the
+spec's nonzero bracket rows and J columns (see :mod:`wtw.frame`), N as int
+numerators over one denominator from its four brackets, each nonzero entry
+lifted to a scalar once.  d(Omega) and the residual are evaluated on
+increasing triples over the nonzero bracket rows and extended by
+antisymmetry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from .connection import cov_deriv_endo, levi_civita, weyl
 from .curvature import codifferential_endo
 from .frame import (Bivector, FrameSpec, GateError, ThreeForm, TwoForm, Vector,
-                    d_oneform, d_twoform, wedge_one_two)
+                    _accumulate, d_oneform, d_twoform, wedge_one_two)
 from .reports import CheckReport
 
 
@@ -43,9 +50,12 @@ class LeeData(NamedTuple):
 
 def fundamental_form(spec: FrameSpec) -> TwoForm:
     """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i]."""
-    n = spec.n
-    return TwoForm(spec, [[spec.const(spec.J[j][i]) for j in range(n)]
-                          for i in range(n)])
+    return spec.memo(_fundamental_form)
+
+
+def _fundamental_form(spec: FrameSpec) -> TwoForm:
+    zero = spec.zero()
+    return TwoForm(spec, [[spec.const(x) if x else zero for x in col] for col in zip(*spec.J)])
 
 
 def nijenhuis(spec: FrameSpec):
@@ -54,17 +64,29 @@ def nijenhuis(spec: FrameSpec):
 
 
 def _nijenhuis(spec: FrameSpec):
-    n = spec.n
-    jc = [[spec.j_apply(row) for row in plane] for plane in spec.c]  # J[E_i, E_j]
-    comps = []
-    for k in range(n):
-        c_k = [[row[k] for row in plane] for plane in spec.c]
-        jc_k = [[row[k] for row in plane] for plane in jc]
-        # -[Y, Z] + [JY, JZ] - (J[Y, JZ] + J[JY, Z]), component k
-        twisted, paired = spec.twist(c_k), spec.j_pair(jc_k)
-        comps.append(tuple(tuple(twisted[i][j] - paired[i][j] - c_k[i][j] for j in range(n))
-                           for i in range(n)))
-    comps = tuple(comps)
+    n, zero = spec.n, spec.zero()
+    cden, rows = spec.bracket_rows()
+    jden, cols = spec.j_columns()
+    comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        # -[Y, Z] + [JY, JZ] - J([Y, JZ] + [JY, Z]) for Y = E_i, Z = E_j, as
+        # int numerators over cden * jden^2, the inner sum over cden * jden
+        value: dict[int, int] = {}
+        _accumulate(value, -jden * jden, rows[i][j])
+        inner: dict[int, int] = {}
+        for p, x in cols[i]:
+            for q, y in cols[j]:
+                _accumulate(value, x * y, rows[p][q])
+            _accumulate(inner, x, rows[p][j])
+        for q, y in cols[j]:
+            _accumulate(inner, y, rows[i][q])
+        for m, x in inner.items():
+            _accumulate(value, -x, cols[m])
+        for k, x in value.items():
+            if x:
+                entry = spec.const(Fraction(x, cden * jden * jden))
+                comps[k][i][j], comps[k][j][i] = entry, -entry
+    comps = tuple(tuple(tuple(row) for row in plane) for plane in comps)
     integrable = all(entry.is_zero for plane in comps for row in plane for entry in row)
     return comps, integrable
 

@@ -21,8 +21,8 @@ exponents are at most ``_MAX_EXPONENT``, the sum of two such fields never
 carries into the next one, and a product whose result has a guard bit set
 raises :class:`ExponentOverflowError`.  :meth:`Ring.parse` rejects a written
 exponent above the cap with a :class:`PolynomialParseError`, as it does a
-product or power whose size would pass ``_MAX_PARSE_TERMS`` terms or
-``_MAX_PARSE_BITS`` coefficient bits.  The public interface speaks exponent
+product or power whose estimated term count times coefficient bits would
+pass ``_MAX_PARSE_SIZE``.  The public interface speaks exponent
 tuples: :meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
 ``Scalar(ring, {exps: c})``, :meth:`Scalar.substitute` and
 :meth:`Scalar.total_degree`.
@@ -69,10 +69,10 @@ _MAX_PARSE_DEPTH = 100
 # bits per symbol in a packed monomial; the top bit of each field is a guard
 _FIELD_BITS = 16
 _MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
-# the largest term count and coefficient size (numerator plus denominator
-# bits) that one product or power in a polynomial string may reach
-_MAX_PARSE_TERMS = 1000
-_MAX_PARSE_BITS = 100_000
+# the largest term count times coefficient size (numerator plus denominator
+# bits) that one product or power in a polynomial string may reach: its cost
+# grows with both, so one bound on their product caps its time
+_MAX_PARSE_SIZE = 100_000
 
 
 class RingMismatchError(ValueError):
@@ -612,9 +612,8 @@ class _Parser:
     signs may nest at most ``_MAX_PARSE_DEPTH`` deep, so that no input
     exhausts the interpreter's recursion limit; a written exponent is at most
     ``_MAX_EXPONENT``, and a product or power is refused before it is
-    formed if its term count or coefficient size could pass
-    ``_MAX_PARSE_TERMS`` or ``_MAX_PARSE_BITS``, so that no short input
-    takes unbounded time.
+    formed if its term count times its coefficient size could pass
+    ``_MAX_PARSE_SIZE``, so that no short input takes unbounded time.
     """
 
     _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -666,11 +665,11 @@ class _Parser:
                 f"parentheses and signs nest deeper than {_MAX_PARSE_DEPTH} in {self.text!r}")
 
     def _limit(self, terms: int, bits: int) -> None:
-        """Refuse a product or power that could pass the size caps."""
-        if terms > _MAX_PARSE_TERMS or bits > _MAX_PARSE_BITS:
+        """Refuse a product or power that could pass the size cap."""
+        if terms * bits > _MAX_PARSE_SIZE:
             raise PolynomialParseError(
-                f"a product or power passes {_MAX_PARSE_TERMS} terms or "
-                f"{_MAX_PARSE_BITS} coefficient bits in {self.text!r}")
+                f"a product or power passes {_MAX_PARSE_SIZE} terms times "
+                f"coefficient bits in {self.text!r}")
 
     def parse(self) -> Scalar:
         value = self._expr()

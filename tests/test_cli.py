@@ -147,6 +147,27 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["nosuchverb"], "argument verb: invalid choice: 'nosuchverb' (choose from "),
+        (["validate", "--spec", "x", "--bogus"], "unrecognized arguments: --bogus"),
+        (["validate"], "one of the arguments --builtin --spec is required"),
+        ([], "the following arguments are required: verb"),
+        (["curvature", "--builtin", "inoue-s0", "--format", "xml"], "argument --format: "),
+        (["verify", "--builtin", "inoue-s0"], "verify requires --assign"),
+        (["lee", "--builtin", "inoue-s0", "--assign", "a1=1"], "--assign is not accepted"),
+        (["lee", "--builtin", "inoue-s0", "--b\nad"], "unrecognized arguments: --b\\nad"),
+    ])
+    def test_rejected_command_line_is_one_error_line(self, argv, message):
+        status, out, err = run(argv)
+        assert status == 2 and out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+        assert "usage" not in err
+
+    def test_help_still_prints_usage(self):
+        status, out, err = run(["--help"])
+        assert status == 0 and err == ""
+        assert out.startswith("usage: wtw ") and "--builtin" in out
+
 
 _VERBS = ("validate", "connection", "curvature", "ricci", "star-ricci", "lee", "lck",
           "conditions", "verify", "suite", "report")

@@ -14,7 +14,7 @@ from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deri
                  curvature, d_oneform, d_twoform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, sharp, weyl)
 from wtw.frame import Bivector, TwoForm, wedge_oneforms, wedge_one_two
-from wtw.hermitian import fundamental_form, lee_form
+from wtw.hermitian import _lee_residual, fundamental_form, lee_form, nijenhuis
 
 INOUE_DOC = """
 # frame document mirroring the inoue-s0 builtin
@@ -456,17 +456,24 @@ def _dense_j(n: int):
     return _matmul(_matmul(Q, J0), [list(col) for col in zip(*Q)])
 
 
-def _rotated_inoue() -> FrameSpec:
-    """inoue-s0 in the orthonormal basis F_i = sum_a Q[i][a] E_a, whose J is
-    ``_dense_j(4)``, with the Weyl form a1 .. a4 in the new basis."""
-    base, n = builtin("inoue-s0"), 4
+def _rotated(base: FrameSpec, name: str) -> FrameSpec:
+    """``base`` in the orthonormal basis F_i = sum_a Q[i][a] E_a of ``_cayley``,
+    with the Weyl form of the base's symbols in the new basis."""
+    n = base.n
     _, Q = _cayley(n)
     c, ix = base.c, range(n)
     brackets = {(i, j): {k: sum(Q[i][a] * Q[j][b] * c[a][b][m] * Q[k][m]
                                 for a in ix for b in ix for m in ix) for k in ix}
                 for i in ix for j in range(i + 1, n)}
+    J = _matmul(_matmul(Q, base.J), [list(col) for col in zip(*Q)])
     return FrameSpec.create(dimension=n, symbols=base.ring.symbols, brackets=brackets,
-                            J=_dense_j(n), phi=base.ring.symbols, name="inoue-s0 rotated")
+                            J=J, phi=base.ring.symbols, name=name)
+
+
+def _rotated_inoue() -> FrameSpec:
+    """inoue-s0 in the rotated basis, whose J is ``_dense_j(4)``, with the
+    Weyl form a1 .. a4 in the new basis."""
+    return _rotated(builtin("inoue-s0"), "inoue-s0 rotated")
 
 
 class TestContractionsOnDenseJ:
@@ -549,3 +556,166 @@ def test_cov_deriv_endo_matches_its_definition(frame):
                 assert derived[i].comps == tuple(tuple(
                     sum((g[i][k][l] * s[k][j] - s[l][k] * g[i][j][k] for k in range(n)), z)
                     for j in range(n)) for l in range(n))
+
+
+# -- the symbol-free layer against its definitions ---------------------------
+
+_J4 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+_J6 = [[0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0],
+       [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]]
+
+
+def _frames_with_constants():
+    """Every loadable tests/data document, the built-ins, a frame whose only
+    brackets are [E1, E3] = E5 and [E3, E4] = E6, and inoue-s0 and hyperbolic6
+    in a Cayley-rotated basis whose J is dense."""
+    specs = []
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.toml")):
+        try:
+            specs.append(load_spec_file(path))
+        except (FrameError, SpecFormatError):
+            pass
+    specs += [builtin("inoue-s0"), *(builtin("kodaira", signs)
+                                     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)))]
+    # d of a 2-form on (E1, E2, E3) comes from [E3, E1] alone, and on
+    # (E2, E3, E4) from [E3, E4] alone
+    symbols = [f"a{i}" for i in range(1, 7)]
+    specs.append(FrameSpec.create(dimension=6, symbols=symbols,
+                                  brackets={(0, 2): {4: 1}, (2, 3): {5: 1}},
+                                  J=_J6, phi=symbols, name="lone brackets"))
+    specs.append(_rotated_inoue())
+    hyperbolic = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
+    specs.append(_rotated(hyperbolic, "hyperbolic6 rotated"))
+    return specs
+
+
+FRAMES_WITH_CONSTANTS = _frames_with_constants()
+
+
+def _bracket(spec, u, v):
+    """[u, v] of two rational vectors, summed over every structure constant."""
+    ix = range(spec.n)
+    return [sum(u[a] * v[b] * spec.c[a][b][k] for a in ix for b in ix) for k in ix]
+
+
+def _apply_j(spec, v):
+    return [sum(spec.J[k][l] * v[l] for l in range(spec.n)) for k in range(spec.n)]
+
+
+def _d_two(spec, F):
+    """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X), summed densely."""
+    n, c, z = spec.n, spec.c, spec.zero()
+
+    def f_of(bracket, k):  # F([E_a, E_b], E_k)
+        return sum((c[bracket[0]][bracket[1]][m] * F[m][k] for m in range(n)), z)
+
+    return [[[-f_of((i, j), k) + f_of((i, k), j) - f_of((j, k), i) for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("spec", FRAMES_WITH_CONSTANTS, ids=lambda spec: spec.name)
+def test_symbol_free_layer_matches_its_definitions(spec):
+    n, c, J, ix = spec.n, spec.c, spec.J, range(spec.n)
+    const, z = spec.const, spec.zero()
+    if spec.name.endswith("rotated"):
+        assert all(J[i][j] for i in ix for j in ix if i != j)
+    # the Koszul formula in an orthonormal frame
+    assert levi_civita(spec).gamma == tuple(tuple(tuple(
+        const(Fraction(c[i][j][k] - c[i][k][j] - c[j][k][i], 2)) for k in ix) for j in ix)
+        for i in ix)
+    # N(Y, Z) = -[Y, Z] + [JY, JZ] - J[Y, JZ] - J[JY, Z], component k
+    basis = [[int(a == i) for a in ix] for i in ix]
+    cols = [_apply_j(spec, e) for e in basis]
+    table = [[[Fraction(0)] * n for _ in ix] for _ in ix]
+    for i in ix:
+        for j in ix:
+            value = [-x + y - p - q for x, y, p, q in zip(
+                _bracket(spec, basis[i], basis[j]), _bracket(spec, cols[i], cols[j]),
+                _apply_j(spec, _bracket(spec, basis[i], cols[j])),
+                _apply_j(spec, _bracket(spec, cols[i], basis[j])))]
+            for k in ix:
+                table[k][i][j] = value[k]
+    comps, integrable = nijenhuis(spec)
+    assert comps == tuple(tuple(tuple(const(x) for x in row) for row in plane)
+                          for plane in table)
+    assert integrable == (not any(x for plane in table for row in plane for x in row))
+    # d of the fundamental form, and the Lee residual d(Omega) - theta ^ Omega
+    omega = [[const(J[j][i]) for j in ix] for i in ix]
+    d_omega = _d_two(spec, omega)
+    assert d_twoform(spec, fundamental_form(spec)).comps == tuple(
+        tuple(tuple(row) for row in plane) for plane in d_omega)
+    theta = lee_form(spec).theta
+    assert _lee_residual(spec).comps == tuple(tuple(tuple(
+        d_omega[i][j][k] - theta[i] * omega[j][k] + theta[j] * omega[i][k]
+        - theta[k] * omega[i][j] for k in ix) for j in ix) for i in ix)
+    # d of the polynomial Weyl form, and of a polynomial 2-form
+    phi = spec.phi
+    assert spec.dphi().comps == tuple(tuple(
+        -sum((c[i][j][k] * phi[k] for k in ix), z) for j in ix) for i in ix)
+    jphi = spec.j_apply(phi)
+    F = [[phi[i] * jphi[j] - phi[j] * jphi[i] for j in ix] for i in ix]
+    assert d_twoform(spec, TwoForm(spec, F)).comps == tuple(
+        tuple(tuple(row) for row in plane) for plane in _d_two(spec, F))
+
+
+def _inoue_data():
+    """inoue-s0's structure constants and J as nested lists, to corrupt."""
+    base = builtin("inoue-s0")
+    return [[list(row) for row in plane] for plane in base.c], [list(row) for row in base.J]
+
+
+def _first_asymmetry(c):
+    n = len(c)
+    return next((i + 1, j + 1, k + 1) for i in range(n) for j in range(n) for k in range(n)
+                if c[i][j][k] != -c[j][i][k])
+
+
+@pytest.mark.parametrize("edits, first", [
+    ([((2, 1, 2), 0)], (2, 3, 3)),                    # one side of [E2, E3] lost
+    ([((3, 3, 1), 1)], (4, 4, 2)),                    # a nonzero [E4, E4]
+    ([((2, 1, 2), 0), ((3, 0, 2), 1)], (1, 4, 3)),    # the later row's fault comes first
+    ([((3, 2, 0), Fraction(1, 3)), ((2, 3, 0), Fraction(-1, 2))], (3, 4, 1)),
+])
+def test_validate_names_the_first_asymmetric_constant(edits, first):
+    c, J = _inoue_data()
+    for (i, j, k), value in edits:
+        c[i][j][k] = Fraction(value)
+    assert _first_asymmetry(c) == first
+    ring = Ring(())
+    spec = FrameSpec(4, ring, ("E1", "E2", "E3", "E4"),
+                     tuple(tuple(tuple(row) for row in plane) for plane in c),
+                     tuple(tuple(row) for row in J), (ring.zero(),) * 4)
+    with pytest.raises(FrameError) as info:
+        spec.validate()
+    assert str(info.value) == "structure constants not antisymmetric at ({},{},{})".format(*first)
+
+
+def _spec_from(brackets, J, n=4):
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), comps in brackets.items():
+        for k, value in comps.items():
+            c[i][j][k], c[j][i][k] = Fraction(value), -Fraction(value)
+    ring = Ring(())
+    return FrameSpec(n, ring, tuple(f"E{i + 1}" for i in range(n)),
+                     tuple(tuple(tuple(row) for row in plane) for plane in c),
+                     tuple(tuple(Fraction(x) for x in row) for row in J), (ring.zero(),) * n)
+
+
+@pytest.mark.parametrize("brackets, J, message", [
+    # bad_jacobi.toml: [E1, E2] = -E1, [E1, E3] = E3
+    ({(0, 1): {0: -1}, (0, 2): {2: 1}}, _J4, "Jacobi identity fails on (E1,E2,E3)"),
+    # the same two brackets on E4, E5, E6 at n = 6, beside a nilpotent pair
+    ({(3, 4): {3: -1}, (3, 5): {5: 1}, (0, 1): {2: 1}}, _J6,
+     "Jacobi identity fails on (E4,E5,E6)"),
+    ({}, [[0, -2, 0, 0], [Fraction(1, 2), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+     "J is not g-orthogonal (J^T J = Identity fails)"),
+    ({}, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+     "J is not g-orthogonal (J^T J = Identity fails)"),
+    ({}, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], "J^2 = -Identity fails"),
+    ({}, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "J^2 = -Identity fails"),
+])
+def test_validate_messages(brackets, J, message):
+    spec = _spec_from(brackets, J, n=len(J))
+    with pytest.raises(FrameError) as info:
+        spec.validate()
+    assert str(info.value) == message

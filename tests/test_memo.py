@@ -69,6 +69,11 @@ def test_new_specs_get_their_own_gammas():
     twin = spec.restrict({})
     assert twin == spec
     assert levi_civita(twin) is not levi_civita(spec)
+    # what they do share is the supports of c and J
+    fresh = spec.restrict({})
+    assert fresh.bracket_rows() is spec.bracket_rows()
+    assert fresh.j_columns() is spec.j_columns()
+    assert fresh.with_phi(spec.phi).bracket_rows() is spec.bracket_rows()
 
 
 def test_spec_is_freed_after_suite():

@@ -166,6 +166,16 @@ def test_parse_refuses_oversized_input(text):
         RING.parse(text)
 
 
+@pytest.mark.parametrize("text", ["(1/3*a1+2/7)^999", "(a1+1)^999"])
+def test_parse_bounds_terms_times_coefficient_bits(text):
+    # 1,000 terms of about 8,000 or 2,000 bits: neither count is large on its
+    # own, but the power's cost grows with their product
+    with pytest.raises(PolynomialParseError, match="terms times coefficient bits"):
+        RING.parse(text)
+    value = RING.parse("(a1+1)^20")
+    assert [c for _, c in value.terms()] == [math.comb(20, k) for k in range(21)]
+
+
 def test_extend_and_lift():
     bigger = RING.extend("t")
     t = bigger.sym("t")
