@@ -30,7 +30,8 @@ they produce is one call of the ring's multiply-accumulate kernel
 and reduces the sum once; ``left`` and ``right`` find the nonzero positions
 of their fixed vector once and pass the kernel only those, and return
 zeros without calling it when there are none.  ``Endo`` products and the
-wedge products use the same kernel:
+wedge products use the same kernel.  :class:`Endo` and :class:`TwoForm` share
+one private matrix base for their sums, scalings and comparisons:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
@@ -49,9 +50,8 @@ made by ``restrict`` or ``with_phi`` shares them.  The symbol-free layer
 walks only these supports: ``validate`` and, in the later layers, the
 Levi-Civita gammas and the Nijenhuis tensor accumulate ints and lift each
 nonzero result to a scalar once, leaving the ring's shared zero everywhere
-else; ``d_oneform`` and ``d_twoform`` call the kernel only where a bracket
-row is nonzero, and ``d_twoform`` and ``wedge_one_two`` compute increasing
-triples only and fill in the rest by antisymmetry.
+else; ``d_oneform`` calls the kernel only where a bracket row is nonzero.
+The 3-forms live in :mod:`wtw.hermitian`, their only user.
 
 Two names of later layers live here so that modules which need only them
 need not load those layers: :class:`GateError`, which the gate of
@@ -66,7 +66,7 @@ import math
 import tomllib
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike, _parse_rational
 
@@ -352,7 +352,40 @@ def _coerce_phi(ring: Ring, n: int,
     return tuple(vec)
 
 
-class Endo:
+class _Matrix:
+    """The n x n scalar array that :class:`Endo` and :class:`TwoForm` share;
+    results keep the subclass, and only equal arrays of one type are equal."""
+
+    __slots__ = ("spec", "comps")
+
+    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
+        self.spec = spec
+        self.comps = tuple(tuple(row) for row in comps)
+
+    def __add__(self, other):
+        return type(self)(self.spec, [[a + b for a, b in zip(r1, r2)]
+                                      for r1, r2 in zip(self.comps, other.comps)])
+
+    def __sub__(self, other):
+        return type(self)(self.spec, [[a - b for a, b in zip(r1, r2)]
+                                      for r1, r2 in zip(self.comps, other.comps)])
+
+    def scale(self, value):
+        return type(self)(self.spec, [[a * value if a else a for a in row]
+                                      for row in self.comps])
+
+    @property
+    def is_zero(self) -> bool:
+        return all(a.is_zero for row in self.comps for a in row)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.comps == other.comps
+
+    def __hash__(self) -> int:
+        return hash(self.comps)
+
+
+class Endo(_Matrix):
     """An endomorphism of the frame with scalar entries.
 
     Column convention: ``S(E_j) = sum_i comps[i][j] E_i``; composition is
@@ -360,11 +393,7 @@ class Endo:
     vertical twistor vectors.
     """
 
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
-        self.spec = spec
-        self.comps = tuple(tuple(row) for row in comps)
+    __slots__ = ()
 
     @staticmethod
     def from_rational(spec: FrameSpec, matrix: Sequence[Sequence[RationalLike]]) -> "Endo":
@@ -392,14 +421,6 @@ class Endo:
         i, j = key
         return self.comps[i][j]
 
-    def __add__(self, other: "Endo") -> "Endo":
-        return Endo(self.spec, [[a + b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "Endo") -> "Endo":
-        return Endo(self.spec, [[a - b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.comps, other.comps)])
-
     def __neg__(self) -> "Endo":
         return Endo(self.spec, [[-a for a in row] for row in self.comps])
 
@@ -413,22 +434,11 @@ class Endo:
         return Endo(self.spec, [[dot([row[m] for m in support], values)
                                  for support, values in cols] for row in self.comps])
 
-    def scale(self, value) -> "Endo":
-        return Endo(self.spec, [[a * value for a in row] for row in self.comps])
-
-    def transpose(self) -> "Endo":
-        n = self.spec.n
-        return Endo(self.spec, [[self.comps[j][i] for j in range(n)] for i in range(n)])
-
     def trace(self) -> Scalar:
         return self.spec.ring.sum(self.comps[i][i] for i in range(self.spec.n))
 
     def commutator(self, other: "Endo") -> "Endo":
         return (self @ other) - (other @ self)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.comps for a in row)
 
     @property
     def is_skew(self) -> bool:
@@ -439,26 +449,19 @@ class Endo:
     def anticommutes_with(self, other: "Endo") -> bool:
         return ((self @ other) + (other @ self)).is_zero
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Endo) and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash(self.comps)
-
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.comps)
         return f"Endo({rows})"
 
 
-class TwoForm:
+class TwoForm(_Matrix):
     """Antisymmetric scalar matrix: the 2-form F with ``F(E_i, E_j) = comps[i][j]``,
     or the bivector ``sum_{i<j} comps[i][j] E_i ^ E_j`` (alias :data:`Bivector`)."""
 
-    __slots__ = ("spec", "comps")
+    __slots__ = ()
 
     def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
-        self.spec = spec
-        self.comps = tuple(tuple(row) for row in comps)
+        super().__init__(spec, comps)
         n = spec.n
         # row-major order meets a failing (i, j) with i <= j before (j, i)
         for i in range(n):
@@ -466,34 +469,8 @@ class TwoForm:
                 if self.comps[i][j] != -self.comps[j][i]:
                     raise FrameError(f"2-form not antisymmetric at ({i+1},{j+1})")
 
-    @staticmethod
-    def wedge_vectors(spec: FrameSpec, u: Sequence[Scalar], v: Sequence[Scalar]) -> "TwoForm":
-        """The decomposable bivector u ^ v."""
-        return wedge_oneforms(spec, u, v)
-
     def __call__(self, i: int, j: int) -> Scalar:
         return self.comps[i][j]
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.spec, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.spec, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.comps, other.comps)])
-
-    def scale(self, value) -> "TwoForm":
-        return TwoForm(self.spec, [[a * value if a else a for a in row] for row in self.comps])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.comps for a in row)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoForm) and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash(self.comps)
 
 
 Bivector = TwoForm
@@ -505,40 +482,6 @@ def wedge_iso(a: Endo) -> Bivector:
         raise FrameError("wedge isomorphism requires a skew endomorphism")
     n = a.spec.n
     return Bivector(a.spec, [[a.comps[j][i] for j in range(n)] for i in range(n)])
-
-
-class ThreeForm:
-    """Fully antisymmetric 3-slot tensor of scalars."""
-
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec: FrameSpec, comps):
-        self.spec = spec
-        self.comps = tuple(tuple(tuple(row) for row in plane) for plane in comps)
-
-    @staticmethod
-    def alternating(spec: FrameSpec, values: Iterable[Scalar]) -> "ThreeForm":
-        """The 3-form with ``values`` on the increasing triples, in the order of
-        ``combinations(range(n), 3)``, extended by antisymmetry."""
-        n, zero = spec.n, spec.zero()
-        comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), value in zip(combinations(range(n), 3), values):
-            if value:
-                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                    comps[a][b][d], comps[b][a][d] = value, -value
-        return ThreeForm(spec, comps)
-
-    def __call__(self, i: int, j: int, k: int) -> Scalar:
-        return self.comps[i][j][k]
-
-    def __sub__(self, other: "ThreeForm") -> "ThreeForm":
-        a, b = self.comps, other.comps
-        return ThreeForm.alternating(self.spec, (a[i][j][k] - b[i][j][k] for i, j, k
-                                                 in combinations(range(self.spec.n), 3)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for plane in self.comps for row in plane for a in row)
 
 
 def _j_endo(spec: FrameSpec) -> Endo:
@@ -589,21 +532,6 @@ def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> TwoForm:
                           for c_i, rows_i in zip(spec.c, rows)])
 
 
-def d_twoform(spec: FrameSpec, F: TwoForm) -> ThreeForm:
-    """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
-
-    As F is antisymmetric, dF(E_i, E_j, E_k) is the cyclic sum
-    ``sum_m c[i][j][m] F[k][m] + c[j][k][m] F[i][m] + c[k][i][m] F[j][m]``: one
-    kernel call per increasing triple with a nonzero bracket row.
-    """
-    _, rows = spec.bracket_rows()
-    c, f, zero = spec.c, F.comps, spec.zero()
-    return ThreeForm.alternating(spec, (
-        spec.dot(c[i][j] + c[j][k] + c[k][i], f[k] + f[i] + f[j])
-        if rows[i][j] or rows[j][k] or rows[k][i] else zero
-        for i, j, k in combinations(range(spec.n), 3)))
-
-
 def eval_on_bivector(F: TwoForm, b: Bivector) -> Scalar:
     """``sum_{i<j} b[i][j] F(E_i, E_j)`` (pairing normalized so that
     ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1)."""
@@ -624,14 +552,6 @@ def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar], beta: Sequence[Scal
     minus_beta = [-b for b in beta]
     return TwoForm(spec, [[dot((alpha[i], alpha[j]), (beta[j], minus_beta[i]))
                            for j in range(n)] for i in range(n)])
-
-
-def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm) -> ThreeForm:
-    """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)."""
-    dot, f = spec.ring.dot, F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
-    return ThreeForm.alternating(spec, (
-        dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
-        for i, j, k in combinations(range(spec.n), 3)))
 
 
 # -- built-in geometries ---------------------------------------------------

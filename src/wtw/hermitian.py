@@ -28,19 +28,83 @@ numerators over one denominator from its four brackets, each nonzero entry
 lifted to a scalar once.  d(Omega) and the residual are evaluated on
 increasing triples over the nonzero bracket rows and extended by
 antisymmetry.
+
+:class:`ThreeForm`, ``d_twoform`` and ``wedge_one_two`` live here, with their
+only user.  J o nabla_X J for the Levi-Civita connection is formed once per
+spec and kept on it, for the nabla-J checks and the twistor layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .connection import cov_deriv_endo, levi_civita, weyl
 from .curvature import codifferential_endo
-from .frame import (Bivector, FrameSpec, GateError, ThreeForm, TwoForm, Vector,
-                    _accumulate, d_oneform, d_twoform, wedge_one_two)
+from .frame import (Endo, FrameSpec, GateError, TwoForm, Vector, _accumulate, d_oneform,
+                    wedge_iso, wedge_oneforms)
+from .polyalg import Scalar
 from .reports import CheckReport
+
+
+# -- 3-forms (constant components) ----------------------------------------
+
+class ThreeForm:
+    """Fully antisymmetric 3-slot tensor of scalars."""
+
+    __slots__ = ("spec", "comps")
+
+    def __init__(self, spec: FrameSpec, comps):
+        self.spec = spec
+        self.comps = tuple(tuple(tuple(row) for row in plane) for plane in comps)
+
+    @staticmethod
+    def alternating(spec: FrameSpec, values: Iterable[Scalar]) -> "ThreeForm":
+        """The 3-form with ``values`` on the increasing triples, in the order of
+        ``combinations(range(n), 3)``, extended by antisymmetry."""
+        n, zero = spec.n, spec.zero()
+        comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), value in zip(combinations(range(n), 3), values):
+            if value:
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    comps[a][b][d], comps[b][a][d] = value, -value
+        return ThreeForm(spec, comps)
+
+    def __call__(self, i: int, j: int, k: int) -> Scalar:
+        return self.comps[i][j][k]
+
+    def __sub__(self, other: "ThreeForm") -> "ThreeForm":
+        a, b = self.comps, other.comps
+        return ThreeForm.alternating(self.spec, (a[i][j][k] - b[i][j][k] for i, j, k
+                                                 in combinations(range(self.spec.n), 3)))
+
+    @property
+    def is_zero(self) -> bool:
+        return all(a.is_zero for plane in self.comps for row in plane for a in row)
+
+
+def d_twoform(spec: FrameSpec, F: TwoForm) -> ThreeForm:
+    """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
+
+    As F is antisymmetric, dF(E_i, E_j, E_k) is the cyclic sum
+    ``sum_m c[i][j][m] F[k][m] + c[j][k][m] F[i][m] + c[k][i][m] F[j][m]``: one
+    kernel call per increasing triple with a nonzero bracket row.
+    """
+    _, rows = spec.bracket_rows()
+    c, f, zero = spec.c, F.comps, spec.zero()
+    return ThreeForm.alternating(spec, (
+        spec.dot(c[i][j] + c[j][k] + c[k][i], f[k] + f[i] + f[j])
+        if rows[i][j] or rows[j][k] or rows[k][i] else zero
+        for i, j, k in combinations(range(spec.n), 3)))
+
+
+def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm) -> ThreeForm:
+    """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)."""
+    dot, f = spec.ring.dot, F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
+    return ThreeForm.alternating(spec, (
+        dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
+        for i, j, k in combinations(range(spec.n), 3)))
 
 
 class LeeData(NamedTuple):
@@ -149,6 +213,13 @@ def require_gate(spec: FrameSpec) -> LeeData:
     return lee
 
 
+def _j_nabla_j(spec: FrameSpec) -> tuple[Endo, ...]:
+    """J o nabla_{E_x} J for each frame vector E_x, nabla the Levi-Civita
+    connection: the one place it is formed."""
+    j_endo = spec.j_endo()
+    return tuple(j_endo @ d for d in cov_deriv_endo(levi_civita(spec), j_endo))
+
+
 def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     """Exact checks of the nabla-J identities for the Levi-Civita connection.
 
@@ -204,12 +275,11 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
         closed_form(x, y, l) for l in ix] for y in ix] for x in ix], axes)
 
     residual = []
-    for x, jx in enumerate(zip(*J)):
-        jn = j_endo @ nJ[x]
+    for x, (jn, jx) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
         ex = tuple(spec.const(1 if l == x else 0) for l in ix)
-        lhs = Bivector(spec, [[jn.comps[q][p] for q in ix] for p in ix])
-        rhs = (Bivector.wedge_vectors(spec, B, ex)
-               - Bivector.wedge_vectors(spec, JB, jx)).scale(Fraction(1, 2))
+        lhs = wedge_iso(jn)
+        rhs = (wedge_oneforms(spec, B, ex)
+               - wedge_oneforms(spec, JB, jx)).scale(Fraction(1, 2))
         residual.append((lhs - rhs).comps)
     report.require_zero("wedge image of J nabla-J through the Lee vector", residual, axes)
 

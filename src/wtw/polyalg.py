@@ -28,11 +28,12 @@ tuples: :meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
 :meth:`Scalar.total_degree`.
 
 Contractions do not go through ``+`` and ``*``: :meth:`Ring.dot` is the one
-multiply-accumulate kernel.  It takes two sequences of scalars, ints and
-Fractions, skips every pair with a zero side, multiplies integer numerators
-straight into one accumulator over one common denominator (rescaled only
-when a product brings a new denominator) and reduces the sum once, so it
-builds no scalar per product and never runs ``Fraction.__mul__``.
+multiply-accumulate kernel, and ``*`` of two non-constant polynomials is a
+one-term dot.  It takes two sequences of scalars, ints and Fractions, skips
+every pair with a zero side, multiplies integer numerators straight into one
+accumulator over one common denominator (rescaled only when a product
+brings a new denominator) and reduces the sum once, so it builds no scalar
+per product and never runs ``Fraction.__mul__``.
 :meth:`wtw.frame.FrameSpec.left` and ``right`` hand it only the nonzero
 positions of their fixed vector, and none at all when that vector is zero.
 :meth:`Ring.sum` is a dot against ones.  The accessors (:meth:`Scalar.terms`,
@@ -466,17 +467,8 @@ class Scalar:
             return self._scaled(right[0], other._den)
         if len(left) == 1 and 0 in left:
             return other._scaled(left[0], self._den)
-        if not left or not right:
-            return self.ring._zero
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        nums = {e: c for e, c in out.items() if c}
-        self.ring._check_exponents(nums)
-        return Scalar._reduced(self.ring, nums, self._den * other._den)
+        # two polynomials, or a zero: the kernel's product path and exponent check
+        return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
 

@@ -30,7 +30,10 @@ entries of ``b`` only.
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
 planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
 Gram matrix is 2*Identity); expansions divide by the norm squared instead of
-normalizing, keeping all arithmetic rational.
+normalizing, keeping all arithmetic rational.  They are built from J's
+columns, whose planes ``(E_i, J E_i = +-E_p)`` set each element's four nonzero
+entries, and kept on the spec, as is the wedge image b of each J o nabla_X J
+with R(b) and dphi(b), which the DJ pairing and the horizontal trace read.
 """
 
 from __future__ import annotations
@@ -39,12 +42,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .connection import (Connection, cov_deriv_endo, levi_civita,
-                         second_cov_deriv_endo, weyl)
+from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
 from .curvature import Curvature, codifferential_endo, curvature, ricci, star_ricci
 from .frame import (Bivector, Endo, FrameError, FrameSpec, d_oneform,
                     eval_on_bivector, wedge_iso, wedge_oneforms)
-from .hermitian import require_gate
+from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Ring, Scalar
 from .reports import CheckReport
 
@@ -134,53 +136,33 @@ class VerticalBasis(NamedTuple):
     norm_sq: Fraction
 
 
-def _adapted_frame(spec: FrameSpec) -> list[tuple[Fraction, ...]]:
-    """An orthonormal frame f with f_{2k+1} = J f_{2k}, as rows of rationals.
-
-    Works whenever J maps frame vectors to signed frame vectors (true for
-    the builtins); otherwise a rational adapted frame need not exist and a
-    FrameError is raised.
-    """
-    n = spec.n
-    used: set[int] = set()
-    frame: list[tuple[Fraction, ...]] = []
-    for i in range(n):
-        if i in used:
-            continue
-        column = [spec.J[l][i] for l in range(n)]
-        support = [l for l, v in enumerate(column) if v != 0]
-        if len(support) != 1 or abs(column[support[0]]) != 1 or support[0] in used:
-            raise FrameError(
-                "vertical basis construction needs J to map frame vectors to "
-                "signed frame vectors")
-        used.add(i)
-        used.add(support[0])
-        e_i = tuple(Fraction(1 if l == i else 0) for l in range(n))
-        frame.append(e_i)
-        frame.append(tuple(column))
-    return frame
-
-
 def vertical_basis(spec: FrameSpec) -> VerticalBasis:
-    """The plane-pairing family spanning the vertical space at J."""
-    n = spec.n
-    m = n // 2
-    frame = _adapted_frame(spec)
+    """The plane-pairing family spanning the vertical space at J, kept on the spec."""
+    return spec.memo(_vertical_basis)
 
-    def pair_endo(a: int, b: int) -> Endo:
-        # S_ab in the adapted frame, pushed to frame coordinates: f_b f_a^T - f_a f_b^T
-        fa, fb = frame[a], frame[b]
-        return Endo(spec, [[spec.const(fb[k] * fa[l] - fa[k] * fb[l])
-                            for l in range(n)] for k in range(n)])
 
-    elements: list[Endo] = []
-    labels: list[str] = []
-    for r in range(m - 1):
-        for s in range(r + 1, m):
-            elements.append(pair_endo(2 * r, 2 * s) - pair_endo(2 * r + 1, 2 * s + 1))
-            labels.append(f"A[{r+1},{s+1}]")
-            elements.append(pair_endo(2 * r, 2 * s + 1) + pair_endo(2 * r + 1, 2 * s))
-            labels.append(f"B[{r+1},{s+1}]")
+def _vertical_basis(spec: FrameSpec) -> VerticalBasis:
+    n, zero = spec.n, spec.zero()
+    den, cols = spec.j_columns()
+    planes, used = [], set()  # (i, p, s) with J E_i = s E_p, i the least index not yet paired
+    for i, col in enumerate(cols):
+        if i not in used:
+            if len(col) != 1 or abs(col[0][1]) != den or col[0][0] in used:
+                raise FrameError("vertical basis construction needs J to map frame vectors "
+                                 "to signed frame vectors")
+            used.update((i, col[0][0]))
+            planes.append((i, col[0][0], col[0][1] // den))
+    elements, labels = [], []
+    for (r, (i, p, si)), (s, (k, q, sk)) in combinations(enumerate(planes), 2):
+        # A = E_k E_i^T - E_i E_k^T minus the same on (J E_i, J E_k); B pairs E_i
+        # with J E_k and J E_i with E_k; each entry (x, y, v) sets S[y][x] = v = -S[x][y]
+        for name, entries in (("A", ((i, k, 1), (p, q, -si * sk))),
+                              ("B", ((i, q, sk), (p, k, si)))):
+            comps = [[zero] * n for _ in range(n)]
+            for x, y, v in entries:
+                comps[y][x], comps[x][y] = spec.const(v), spec.const(-v)
+            elements.append(Endo(spec, comps))
+            labels.append(f"{name}[{r+1},{s+1}]")
     basis = VerticalBasis(tuple(elements), tuple(labels), Fraction(2))
     _validate_vertical(spec, basis)
     return basis
@@ -195,10 +177,12 @@ def _validate_vertical(spec: FrameSpec, basis: VerticalBasis) -> None:
     for v in basis.elements:
         if not v.is_skew or not v.anticommutes_with(j_endo):
             raise AssertionError("vertical basis element not skew/anti-commuting")
-    for a in range(count):
+    # one pairing closure per element: G(a, b) is against[b](a)
+    against = [_g_against(v) for v in basis.elements]
+    for a, v in enumerate(basis.elements):
         for b in range(count):
             expected = basis.norm_sq if a == b else 0
-            if g_fiber(basis.elements[a], basis.elements[b]) != spec.const(expected):
+            if against[b](v) != spec.const(expected):
                 raise AssertionError("vertical basis is not G-orthogonal with norm^2 = 2")
 
 
@@ -274,7 +258,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     R = curvature(conn)
     j_endo = spec.j_endo()
     dj = cov_deriv_endo(conn, j_endo)
-    nj = cov_deriv_endo(levi_civita(spec), j_endo)
+    images = spec.memo(_dj_images)
     dphi = spec.dphi()
     act_j = endo_curvature_action(R, j_endo)
     half = Fraction(1, 2)
@@ -285,15 +269,12 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     phi_dphi = spec.right(dphi.comps, phi)         # dphi(., phi#)
 
     residual = []
-    for y, jy in enumerate(zip(*J)):
+    for y, (jn, jy) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
         against_dj = _g_against(dj[y])
-        jn = j_endo @ nj[y]
-        jn_wedge = wedge_iso(jn)
+        _, r_jn, dphi_jn = images[y]
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
-        bphi = Bivector.wedge_vectors(spec, phi, ey) - Bivector.wedge_vectors(spec, jphi, jy)
-        r_jn = curvature_on_bivector(R, jn_wedge)
+        bphi = wedge_oneforms(spec, phi, ey) - wedge_oneforms(spec, jphi, jy)
         r_bphi = curvature_on_bivector(R, bphi)
-        dphi_jn = eval_on_bivector(dphi, jn_wedge)
         dphi_bphi = eval_on_bivector(dphi, bphi)
         columns = list(zip(*jn.comps))
         dphi_jn_x = [spec.left(col, dphi.comps) for col in columns]    # [x][z]
@@ -323,6 +304,18 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)
     return report
+
+
+def _dj_images(spec: FrameSpec):
+    """(b, R(b), dphi(b)) for the wedge image b of each J o nabla_X J, X a frame
+    vector, nabla the Levi-Civita connection and R the Weyl curvature."""
+    R = curvature(weyl(spec))
+    dphi = spec.dphi()
+    images = []
+    for jn in spec.memo(_j_nabla_j):
+        b = wedge_iso(jn)
+        images.append((b, curvature_on_bivector(R, b), eval_on_bivector(dphi, b)))
+    return tuple(images)
 
 
 def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
@@ -395,14 +388,14 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
     gram = [[ring_t.zero()] * size for _ in range(size)]
     for i in range(n):
         gram[i][i] = ring_t.one()
+    against = [_g_against(v) for v in basis.elements]  # against[b](a) = G(a, V_b)
     for a in range(nv):
         for b in range(nv):
             # normalized pair: G(V_a, V_b) / norm_sq
-            value = g_fiber(basis.elements[a], basis.elements[b])
+            value = against[b](basis.elements[a])
             gram[n + a][n + b] = t * (value * Fraction(1, basis.norm_sq)).lift(ring_t)
 
     # paired[i][j][alpha] = G(R(E_i, E_j) J, V_alpha)
-    against = [_g_against(v) for v in basis.elements]
     paired = [[[g(a) for g in against] for a in row] for row in act_j]
     scale = Fraction(1, 2) / basis.norm_sq
     hh_vertical = tuple(tuple(tuple(p * scale for p in pairs) for pairs in row)
@@ -434,9 +427,7 @@ def h_trace(spec: FrameSpec):
     require_gate(spec)
     n = spec.n
     J = spec.J
-    lc = levi_civita(spec)
     j_endo = spec.j_endo()
-    nJ = cov_deriv_endo(lc, j_endo)
     R = curvature(weyl(spec))
     rho = ricci(R)
     rho_star = star_ricci(R)
@@ -446,10 +437,8 @@ def h_trace(spec: FrameSpec):
     delta_j = codifferential_endo(spec, j_endo)
     j_delta_j = spec.j_apply(delta_j)
     dphi_jwedge = eval_on_bivector(dphi, wedge_iso(j_endo))
-    jn = [j_endo @ nJ[x] for x in range(n)]
-    jn_wedge = [wedge_iso(m) for m in jn]
-
-    r_jn = [curvature_on_bivector(R, w) for w in jn_wedge]
+    jn = spec.memo(_j_nabla_j)
+    images = spec.memo(_dj_images)  # (b, R(b), dphi(b)) for b the wedge image of jn[x]
 
     rho_phi = spec.left(phi, rho)                                # rho(phi#, Z)
     rho_star_jphi_j = spec.left(spec.left(jphi, rho_star), J)    # rho*(J phi#, JZ)
@@ -462,9 +451,9 @@ def h_trace(spec: FrameSpec):
     dphi_jphi_j = spec.left(spec.left(jphi, dphi.comps), J)      # dphi(J phi#, JZ)
     out = []
     for k in range(n):
-        value = spec.ring.sum(r_jn[x].comps[k][x] for x in range(n)) * 2
+        value = spec.ring.sum(images[x][1].comps[k][x] for x in range(n)) * 2
         value = value + rho_phi[k] - rho_star_jphi_j[k]
-        value = value - eval_on_bivector(dphi, jn_wedge[k]) + dphi_jdj[k] - traced[k]
+        value = value - images[k][2] + dphi_jdj[k] - traced[k]
         value = value + phi_j[k] * dphi_jwedge
         value = value - dphi_phi[k] * (Fraction(n, 2) - 1) + dphi_jphi_j[k]
         out.append(value)

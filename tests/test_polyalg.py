@@ -355,3 +355,54 @@ def test_dot_rejects_a_foreign_ring_zero_or_not():
                  ([other.zero()], [A1]), ([0], [other.one()])):
         with pytest.raises(RingMismatchError):
             RING.dot(u, v)
+
+
+# -- the product against an independent reference ------------------------------
+#
+# ``*`` hands a product of two polynomials to ``Ring.dot``, so the kernel test
+# above compares the kernel with itself there; this reference multiplies
+# exponent-tuple dictionaries of Fractions term by term instead.
+
+def _naive_product(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return out
+
+
+def _naive_sum(*terms: dict) -> dict:
+    out: dict = {}
+    for t in terms:
+        for e, c in t.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@given(mixed_terms, mixed_terms, mixed_terms, mixed_terms)
+@settings(max_examples=150, deadline=None)
+def test_products_match_the_naive_product_of_term_dicts(p, q, r, s):
+    """p * q, and the kernel's p*q + r*s, against term-by-term products of
+    exponent tuples and Fractions, zero coefficients and all."""
+    P, Q, R, S = (Scalar(RING, t) for t in (p, q, r, s))
+    product = P * Q
+    assert dict(product.terms()) == _naive_sum(_naive_product(p, q))
+    assert_canonical(product)
+    assert product == Q * P
+    fused = RING.dot((P, R), (Q, S))
+    assert dict(fused.terms()) == _naive_sum(_naive_product(p, q), _naive_product(r, s))
+    assert_canonical(fused)
+
+
+def test_product_of_polynomials_checks_the_cap_and_the_ring():
+    top = A1 ** _MAX_EXPONENT + A2
+    assert (top * (A2 + A3)).total_degree() == _MAX_EXPONENT + 1
+    with pytest.raises(ExponentOverflowError, match=f"above the cap of {_MAX_EXPONENT}"):
+        top * (A1 + A3)
+    with pytest.raises(ExponentOverflowError):
+        (A1 + A3) * top
+    foreign = Ring(("a1", "b")).parse("a1 + b")
+    for left, right in (((A1 + A2), foreign), (foreign, (A1 + A2)), (A1 * A2, foreign)):
+        with pytest.raises(RingMismatchError):
+            left * right

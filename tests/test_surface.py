@@ -25,14 +25,14 @@ EXPORTS = {
     "polyalg": ("ExponentOverflowError", "PolynomialParseError", "Ring", "RingMismatchError",
                 "Scalar", "normalize_up_to_unit", "normalized_system"),
     "frame": ("Bivector", "Endo", "FrameError", "FrameSpec", "GateError", "SpecFormatError",
-              "ThreeForm", "TwoForm", "builtin", "d_oneform", "d_twoform", "eval_on_bivector",
-              "load_spec", "load_spec_file", "sharp", "wedge_iso"),
+              "TwoForm", "builtin", "d_oneform", "eval_on_bivector", "load_spec",
+              "load_spec_file", "sharp", "wedge_iso"),
     "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",
                    "reconstruct_weyl_form", "second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
                   "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
-    "hermitian": ("GateError", "LeeData", "fundamental_form", "lck_check", "lee_form",
-                  "nabla_j_checks", "nijenhuis", "require_gate"),
+    "hermitian": ("GateError", "LeeData", "ThreeForm", "d_twoform", "fundamental_form",
+                  "lck_check", "lee_form", "nabla_j_checks", "nijenhuis", "require_gate"),
     "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
                 "curvature_pairing_with_dj_check", "dprime_eval", "g_fiber", "h_trace",
                 "vertical_antisymmetry_check", "fiber_pairing_check", "v_trace",

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import collections
+import contextlib
+import io
+import pathlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from wtw import Endo, GateError, builtin, twistor
+from wtw import (Endo, FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo,
+                 levi_civita, load_spec_file, twistor)
 from wtw.frame import FrameError
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (dprime_eval, endo_curvature_consistency, g_fiber,
@@ -262,3 +267,200 @@ class TestTraces:
             values = normalized_system(h_trace(spec))
             report = pseudoharmonic.conditions(spec)
             assert values == set(report.condition_ii)
+
+
+# -- the vertical basis against the adapted-frame construction it replaced -----
+
+def _adapted_frame(spec):
+    """An orthonormal frame f with f_{2k+1} = J f_{2k}, as rows of rationals;
+    raises FrameError unless J maps frame vectors to signed frame vectors."""
+    n = spec.n
+    used = set()
+    frame = []
+    for i in range(n):
+        if i in used:
+            continue
+        column = [spec.J[l][i] for l in range(n)]
+        support = [l for l, v in enumerate(column) if v != 0]
+        if len(support) != 1 or abs(column[support[0]]) != 1 or support[0] in used:
+            raise FrameError(
+                "vertical basis construction needs J to map frame vectors to "
+                "signed frame vectors")
+        used.add(i)
+        used.add(support[0])
+        frame.append(tuple(Fraction(1 if l == i else 0) for l in range(n)))
+        frame.append(tuple(column))
+    return frame
+
+
+def _oracle_basis(spec):
+    """Elements and labels from dense rational plane pairings in the adapted frame."""
+    n = spec.n
+    frame = _adapted_frame(spec)
+
+    def pair_endo(a, b):
+        # S_ab in the adapted frame, pushed to frame coordinates: f_b f_a^T - f_a f_b^T
+        fa, fb = frame[a], frame[b]
+        return Endo(spec, [[spec.const(fb[k] * fa[l] - fa[k] * fb[l])
+                            for l in range(n)] for k in range(n)])
+
+    elements, labels = [], []
+    for r in range(n // 2 - 1):
+        for s in range(r + 1, n // 2):
+            elements.append(pair_endo(2 * r, 2 * s) - pair_endo(2 * r + 1, 2 * s + 1))
+            labels.append(f"A[{r+1},{s+1}]")
+            elements.append(pair_endo(2 * r, 2 * s + 1) + pair_endo(2 * r + 1, 2 * s))
+            labels.append(f"B[{r+1},{s+1}]")
+    return tuple(elements), tuple(labels)
+
+
+def _relabelled(base, order, signs, name):
+    """``base`` in the frame E'_a = signs[a] E_{order[a]}: a signed permutation,
+    so J stays a signed permutation with other planes and signs."""
+    n, ix = base.n, range(base.n)
+    o, s = order, signs
+    brackets = {(a, b): {d: s[a] * s[b] * s[d] * base.c[o[a]][o[b]][o[d]] for d in ix}
+                for a in ix for b in range(a + 1, n)}
+    J = [[s[a] * s[b] * base.J[o[a]][o[b]] for b in ix] for a in ix]
+    return FrameSpec.create(dimension=n, symbols=base.ring.symbols, brackets=brackets, J=J,
+                            phi=[base.phi[o[a]] * s[a] for a in ix], name=name)
+
+
+def _hyperbolic(n):
+    """[E_x, E_2] = -E_x for every x != 2, standard J, no Weyl-form symbols."""
+    J = [[0] * n for _ in range(n)]
+    for b in range(0, n, 2):
+        J[b + 1][b], J[b][b + 1] = 1, -1
+    return FrameSpec.create(dimension=n, symbols=(), brackets={(x, 1): {x: -1} for x in
+                                                                range(n) if x != 1},
+                            J=J, phi=(0,) * n, name=f"hyperbolic{n}")
+
+
+def _loadable_documents():
+    specs = []
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.toml")):
+        try:
+            specs.append(load_spec_file(path))
+        except (FrameError, SpecFormatError):
+            pass
+    return specs
+
+
+def _oracle_cases():
+    inoue = builtin("inoue-s0")
+    cases = [inoue, *(builtin("kodaira", signs) for signs in
+                      [(1, 1), (1, -1), (-1, 1), (-1, -1)])]
+    cases += _loadable_documents()
+    # J pairs E1 with E3 (and E2 with E4); then the same with planes and signs mixed
+    e1_e3 = _relabelled(inoue, (0, 2, 1, 3), (1, 1, 1, 1), "inoue-s0 E1-E3")
+    assert e1_e3.J[2][0] == 1  # J E1 = E3
+    cases.append(e1_e3)
+    cases.append(_relabelled(inoue, (3, 1, 0, 2), (1, -1, 1, -1), "inoue-s0 signed"))
+    rng = random.Random(12)
+    for n in (6, 8):
+        base = _hyperbolic(n)
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append(_relabelled(base, order, [rng.choice((1, -1)) for _ in range(n)],
+                                 f"hyperbolic{n} relabelled"))
+    cases.append(_hyperbolic(16))
+    return cases
+
+
+def test_vertical_basis_matches_the_adapted_frame_construction():
+    cases = _oracle_cases()
+    assert len(cases) == 5 + 10 + 2 + 2 + 1  # 10 loadable documents under tests/data
+    for spec in cases:
+        basis = vertical_basis(spec)
+        elements, labels = _oracle_basis(spec)
+        assert basis.elements == elements, spec.name
+        assert basis.labels == labels, spec.name
+        assert basis.norm_sq == Fraction(2) and type(basis.norm_sq) is Fraction
+
+
+def _document(spec) -> str:
+    """A frame document for ``spec``, in the format of ``tests/data``."""
+    n, names = spec.n, spec.basis
+    lines = ["[frame]", f"dimension = {n}",
+             "symbols = [" + ", ".join(f'"{s}"' for s in spec.ring.symbols) + "]",
+             "", "[brackets]"]
+    for i in range(n):
+        for j in range(i + 1, n):
+            comps = ", ".join(f'{names[k]} = "{v}"' for k, v in enumerate(spec.c[i][j]) if v)
+            if comps:
+                lines.append(f'"{names[i]},{names[j]}" = {{ {comps} }}')
+    rows = ", ".join("[" + ", ".join(f'"{x}"' for x in row) + "]" for row in spec.J)
+    lines += ["", "[complex_structure]", f"matrix = [{rows}]", "", "[weyl_form]"]
+    lines += [f'{name} = "{value}"' for name, value in zip(names, spec.phi)]
+    return "\n".join(lines) + "\n"
+
+
+def test_dense_j_is_still_refused(tmp_path, monkeypatch):
+    """A J that is no signed permutation has no adapted frame: the library
+    raises the same FrameError, and ``suite`` exits 2 with the same line."""
+    from test_frame import _rotated_inoue
+    from wtw.cli import main
+
+    spec = _rotated_inoue()
+    message = ("vertical basis construction needs J to map frame vectors to "
+               "signed frame vectors")
+    for build in (vertical_basis, _oracle_basis):
+        with pytest.raises(FrameError) as caught:
+            build(spec)
+        assert str(caught.value) == message
+    path = tmp_path / "inoue_dense.toml"
+    path.write_text(_document(spec), encoding="utf-8")
+    assert load_spec_file(path).J == spec.J
+    monkeypatch.setenv("WTW_COLOR", "0")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["suite", "--spec", str(path)])
+    assert (status, out.getvalue(), err.getvalue()) == (2, "", f"spec error: {message}\n")
+
+
+def test_vertical_basis_is_kept_on_the_spec():
+    spec = builtin("inoue-s0")
+    assert vertical_basis(spec) is vertical_basis(spec)
+    assert vertical_basis(spec.restrict({"a1": 0})) == vertical_basis(spec)
+
+
+def test_one_suite_builds_each_dj_image_once(monkeypatch):
+    """J o nabla_X J, its wedge image b, R(b) and dphi(b) are formed once per
+    spec: a whole ``suite`` forms J @ nabla_X J once per frame vector X and
+    hands each image to wedge_iso, curvature_on_bivector and eval_on_bivector
+    once, although the nabla-J checks, the DJ pairing and the horizontal trace
+    all read them."""
+    from wtw.cli import _suite_report
+
+    spec = builtin("inoue-s0")
+    j_endo = spec.j_endo()
+    nabla_j = cov_deriv_endo(levi_civita(spec), j_endo)  # kept: the suite reads these
+    products, images, calls = [], [], collections.Counter()
+    matmul = Endo.__matmul__
+
+    def counting_matmul(a, b):
+        out = matmul(a, b)
+        if a is j_endo and any(b is d for d in nabla_j):
+            products.append(out)
+        return out
+
+    def counting(name, position):
+        original = getattr(twistor, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            if name == "wedge_iso" and any(args[0] is p for p in products):
+                images.append(out)
+            if any(args[position] is b for b in (*products, *images)):
+                calls[name] += 1
+            return out
+        monkeypatch.setattr(twistor, name, wrapper)
+
+    monkeypatch.setattr(Endo, "__matmul__", counting_matmul)
+    counting("wedge_iso", 0)
+    counting("curvature_on_bivector", 1)
+    counting("eval_on_bivector", 1)
+    assert _suite_report(spec).ok
+    n = spec.n
+    assert len(products) == n
+    assert calls == {"wedge_iso": n, "curvature_on_bivector": n, "eval_on_bivector": n}
