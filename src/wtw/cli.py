@@ -398,9 +398,13 @@ def main(argv=None) -> int:
             raise ValueError("verify requires --assign")
         if args.verb != "verify" and args.assign and args.verb != "report":
             raise ValueError(f"--assign is not accepted by {args.verb}")
+        if args.signs is not None and not args.builtin:
+            raise ValueError("--signs requires --builtin")
+        if args.dim4 and args.verb not in ("conditions", "verify", "report"):
+            raise ValueError(f"--dim4 is not accepted by {args.verb}")
         return _run_verb(args, _Output(color=_want_color()))
     except GateError as exc:
-        sys.stderr.write(f"gate failure ({exc.assumption}): {exc}\n")
+        sys.stderr.write(f"gate failure: {exc}\n")
         return EXIT_CHECK_FAILED
     except (FrameError, SpecFormatError, PolynomialParseError) as exc:
         sys.stderr.write(f"spec error: {exc}\n")

@@ -20,8 +20,10 @@ Contracts (tested as exact identities):
     = -phi_i * delta_jk (Weyl), the frame form of D g = phi (x) g.
 
 Both connections are computed once per spec and kept on it, and the
-induced derivative of an endomorphism is kept on its connection (see
-:class:`wtw.frame.Memo`), so repeated calls return the same objects.
+induced first and second derivatives of an endomorphism are kept on its
+connection (see :class:`wtw.frame.Memo`), so repeated calls return the same
+objects.  The second-derivative table D2S is built only here: the twistor
+layer's curvature cross-check and its vertical trace both read it.
 """
 
 from __future__ import annotations
@@ -133,18 +135,18 @@ def _cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
 
 
 def second_cov_deriv_endo(conn: Connection, S: Endo):
-    """D2_{E_i E_j} S = D_{E_i}(D_{E_j} S) - D_{D_{E_i} E_j} S, an n x n array of endos."""
-    spec = conn.spec
-    n = spec.n
+    """D2_{E_i E_j} S = D_{E_i}(D_{E_j} S) - D_{D_{E_i} E_j} S, an n x n array of endos,
+    kept on the connection."""
+    return conn.memo(_second_cov_deriv_endo, S)
+
+
+def _second_cov_deriv_endo(conn: Connection, S: Endo):
+    n = conn.spec.n
     first = cov_deriv_endo(conn, S)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            along = Endo.combination(conn.gamma[i][j], first)  # sum_k gamma[i][j][k] D_k S
-            row.append(cov_deriv_endo(conn, first[j])[i] - along)
-        out.append(tuple(row))
-    return tuple(out)
+    second = [cov_deriv_endo(conn, d) for d in first]  # second[j][i] = D_{E_i}(D_{E_j} S)
+    # D_{D_{E_i} E_j} S = sum_k gamma[i][j][k] D_k S
+    return tuple(tuple(second[j][i] - Endo.combination(conn.gamma[i][j], first)
+                       for j in range(n)) for i in range(n))
 
 
 def torsion_residual(conn: Connection):

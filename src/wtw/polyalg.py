@@ -584,14 +584,13 @@ def normalize_up_to_unit(p: Scalar) -> Scalar:
     return Scalar._canonical(p.ring, {e: c // content for e, c in p._terms.items()}, 1)
 
 
-def normalized_system(polys) -> set[Scalar]:
-    """The set of nonzero normalized scalars of an iterable (zeros dropped)."""
-    out = set()
-    for p in polys:
-        q = normalize_up_to_unit(p)
-        if not q.is_zero:
-            out.add(q)
-    return out
+def normalized_system(polys) -> tuple[tuple[Scalar, ...], int]:
+    """The distinct nonzero normalized scalars of an iterable, sorted by
+    (total degree, rendering), and the number of entries that were zero."""
+    normalized = [normalize_up_to_unit(p) for p in polys]
+    nonzero = {q for q in normalized if not q.is_zero}
+    return (tuple(sorted(nonzero, key=lambda q: (q.total_degree(), str(q)))),
+            sum(q.is_zero for q in normalized))
 
 
 class _Parser:

@@ -5,15 +5,22 @@ structure, the section is pseudo-harmonic exactly when
 
   (i)  the 2-form  d(theta - phi) + n(n-4)/(2(n-2)) theta ^ phi
        is of type (1,1) with respect to J, and
-  (ii) for every Z:
-       (n/2 - 1) dphi((theta-phi)#, Z) - dphi(J(theta-phi)#, JZ)
-       - (theta-phi)(JZ) dphi(J^) - rho((theta-phi)#, Z)
-       + rho*(J(theta-phi)#, JZ) = 0.
+  (ii) L(theta - phi) = 0, where for a 1-form psi and every Z
+       L(psi)(Z) = (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ)
+                   - psi(JZ) dphi(J^) - rho(psi#, Z) + rho*(J psi#, JZ).
 
-Both conditions are produced as normalized polynomial systems (content and
-sign stripped, zero entries dropped with a count).  ``dim4`` evaluates the
-rearranged four-dimensional form of condition (ii), which keeps only its last
-three terms; when dphi is of type (1,1) (true for both built-in geometries
+Each formula has one builder here, which the twistor traces read.  The
+J-pairing P of the condition-(i) 2-form, the one place the coefficient
+c(n) = n(n-4)/(2(n-2)) is written, is kept on the spec
+(:func:`condition_i_pairing`); ``v_trace``'s closed form is -P.  The map L is
+:func:`condition_ii_map`: condition (ii) is L(theta - phi), also kept on the
+spec, and ``h_trace`` is its Levi-Civita part minus L(phi).
+
+Both conditions are produced as normalized polynomial systems
+(:func:`wtw.polyalg.normalized_system`: content and sign stripped, zero
+entries dropped with a count).  ``dim4`` evaluates the rearranged
+four-dimensional form of condition (ii), which keeps only the last three
+terms of L; when dphi is of type (1,1) (true for both built-in geometries
 after condition (i) is imposed) it generates the same normalized system.
 
 The engine never solves systems over the reals; ``verify_assignment``
@@ -24,6 +31,7 @@ polynomial vanishes identically in the remaining symbols.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, NamedTuple
 
 from .curvature import curvature, ricci, star_ricci
@@ -31,7 +39,7 @@ from .connection import weyl
 from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, wedge_iso,
                     wedge_oneforms)
 from .hermitian import require_gate
-from .polyalg import RationalLike, Scalar, normalize_up_to_unit
+from .polyalg import RationalLike, Scalar, normalized_system
 from .reports import CheckReport
 
 
@@ -54,71 +62,74 @@ class ConditionReport(NamedTuple):
         return not self.condition_i and not self.condition_ii
 
 
-def _normalize_list(values) -> tuple[tuple[Scalar, ...], int]:
-    seen: list[Scalar] = []
-    dropped = 0
-    for value in values:
-        norm = normalize_up_to_unit(value)
-        if norm.is_zero:
-            dropped += 1
-        elif norm not in seen:
-            seen.append(norm)
-    seen.sort(key=lambda p: (p.total_degree(), str(p)))
-    return tuple(seen), dropped
+def condition_i_pairing(spec: FrameSpec):
+    """P = j_pair(d(theta - phi) + n(n-4)/(2(n-2)) theta ^ phi), the condition-(i)
+    2-form paired with J as an n x n array; kept on the spec (gate enforced)."""
+    return spec.memo(_condition_i_pairing)
 
 
-def condition_i(spec: FrameSpec) -> list[Scalar]:
-    """(1,1)-type residuals of the condition-(i) 2-form, for k < l."""
+def _condition_i_pairing(spec: FrameSpec):
     theta = require_gate(spec).theta
     n = spec.n
     coeff = Fraction(n * (n - 4), 2 * (n - 2))
     tmf = tuple(t - p for t, p in zip(theta, spec.phi))
     form = d_oneform(spec, tmf) + wedge_oneforms(spec, theta, spec.phi).scale(coeff)
-    paired = spec.j_pair(form.comps)
-    return [paired[k][l] for k in range(n) for l in range(k + 1, n)]
+    return spec.j_pair(form.comps)
 
 
-def _condition_ii_values(spec: FrameSpec, theta, dim4_mode: bool) -> list[Scalar]:
-    """The condition-(ii) expression at Z = E_k for each k.
+def condition_i(spec: FrameSpec) -> list[Scalar]:
+    """(1,1)-type residuals of the condition-(i) 2-form: P at (k, l) for k < l."""
+    paired = condition_i_pairing(spec)
+    return [paired[k][l] for k, l in combinations(range(spec.n), 2)]
 
-    In ``dim4_mode`` only the last three terms are kept: up to sign they are
-    the rearranged four-dimensional form, and normalization strips the sign.
+
+def condition_ii_map(spec: FrameSpec, psi, dim4_mode: bool = False) -> tuple[Scalar, ...]:
+    """L(psi) at Z = E_k for each k, for a 1-form psi:
+
+        (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ) - psi(JZ) dphi(J^)
+        - rho(psi#, Z) + rho*(J psi#, JZ)
+
+    with rho and rho* of the Weyl connection.  In ``dim4_mode`` only the last
+    three terms are kept: up to sign they are the rearranged four-dimensional
+    form, and normalization strips the sign.
     """
     n = spec.n
     J = spec.J
     R = curvature(weyl(spec))
-    dphi = spec.dphi().comps
-    dphi_jwedge = eval_on_bivector(spec.dphi(), wedge_iso(spec.j_endo()))
-    tmf = tuple(t - p for t, p in zip(theta, spec.phi))
-    jt = spec.j_apply(tmf)
-    dphi_tmf = spec.left(tmf, dphi)                       # dphi((theta-phi)#, Z)
-    dphi_jt_j = spec.left(spec.left(jt, dphi), J)         # dphi(J(theta-phi)#, JZ)
-    tmf_j = spec.left(tmf, J)                             # (theta-phi)(JZ)
-    rho_tmf = spec.left(tmf, ricci(R))                    # rho((theta-phi)#, Z)
-    rho_star_jt_j = spec.left(spec.left(jt, star_ricci(R)), J)  # rho*(J(theta-phi)#, JZ)
-    out = []
-    for k in range(n):
-        value = spec.zero()
-        if not dim4_mode:
-            value = dphi_tmf[k] * (Fraction(n, 2) - 1) - dphi_jt_j[k]
-        out.append(value - tmf_j[k] * dphi_jwedge - rho_tmf[k] + rho_star_jt_j[k])
-    return out
+    dphi = spec.dphi()
+    dphi_jwedge = eval_on_bivector(dphi, wedge_iso(spec.j_endo()))
+    jpsi = spec.j_apply(psi)
+    psi_j = spec.left(psi, J)                                  # psi(JZ)
+    rho_psi = spec.left(psi, ricci(R))                         # rho(psi#, Z)
+    rho_star_jpsi_j = spec.left(spec.left(jpsi, star_ricci(R)), J)  # rho*(J psi#, JZ)
+    out = [rho_star_jpsi_j[k] - rho_psi[k] - psi_j[k] * dphi_jwedge for k in range(n)]
+    if dim4_mode:
+        return tuple(out)
+    dphi_psi = spec.left(psi, dphi.comps)                      # dphi(psi#, Z)
+    dphi_jpsi_j = spec.left(spec.left(jpsi, dphi.comps), J)    # dphi(J psi#, JZ)
+    lead = Fraction(n, 2) - 1
+    return tuple(value + dphi_psi[k] * lead - dphi_jpsi_j[k] for k, value in enumerate(out))
 
 
-def condition_ii(spec: FrameSpec) -> list[Scalar]:
-    """The condition-(ii) expression at Z = E_k for each k (raw, unnormalized)."""
+def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]:
     theta = require_gate(spec).theta
-    return _condition_ii_values(spec, theta, dim4_mode=False)
+    return condition_ii_map(spec, tuple(t - p for t, p in zip(theta, spec.phi)), dim4_mode)
+
+
+def condition_ii(spec: FrameSpec) -> tuple[Scalar, ...]:
+    """The condition-(ii) expression L(theta - phi) at Z = E_k for each k (raw,
+    unnormalized; gate enforced), kept on the spec."""
+    return spec.memo(_condition_ii_values, False)
 
 
 def conditions(spec: FrameSpec, dim4_mode: bool = False) -> ConditionReport:
     """Assemble both conditions as normalized systems (gate enforced)."""
-    lee = require_gate(spec)
+    require_gate(spec)
     if dim4_mode and spec.n != 4:
         raise GateError("dimension-four mode",
                         f"requires n = 4, got n = {spec.n}")
-    sys_i, dropped_i = _normalize_list(condition_i(spec))
-    sys_ii, dropped_ii = _normalize_list(_condition_ii_values(spec, lee.theta, dim4_mode))
+    sys_i, dropped_i = normalized_system(condition_i(spec))
+    sys_ii, dropped_ii = normalized_system(spec.memo(_condition_ii_values, dim4_mode))
     return ConditionReport(spec_name=spec.name,
                            condition_i=sys_i, condition_ii=sys_ii,
                            dropped_i=dropped_i, dropped_ii=dropped_ii,
@@ -165,23 +176,23 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     * h_trace components equal the condition-(ii) expressions (unit +1);
     * v_trace residuals at (E_k, E_l) equal the negated condition-(i)
       residuals entrywise (unit -1), and both trace paths agree.
+
+    The traces read the builders above: the first check compares h_trace's
+    Levi-Civita part with L(theta), and the last holds by construction.
     """
     from . import twistor  # only this check needs the twistor traces
 
     report = CheckReport(title="trace-condition equivalence")
-    lee = require_gate(spec)
-    n = spec.n
     basis = spec.basis
     h = twistor.h_trace(spec)
-    cii = _condition_ii_values(spec, lee.theta, dim4_mode=False)
     report.require_zero("horizontal trace equals condition (ii) componentwise",
-                        [a - b for a, b in zip(h, cii)], (basis,))
+                        [a - b for a, b in zip(h, condition_ii(spec))], (basis,))
     report.notes["h_unit"] = "+1"
     v = twistor.v_trace(spec)
     report.require_zero("vertical trace paths agree",
                         [[a - b for a, b in zip(ra, rb)]
                          for ra, rb in zip(v.direct, v.closed_form)], (basis,) * 2)
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    pairs = list(combinations(range(spec.n), 2))
     report.require_zero("vertical trace equals negated condition (i) residuals",
                         [v.closed_form[k][l] + c for (k, l), c in zip(pairs, condition_i(spec))],
                         ([f"{basis[k]},{basis[l]}" for k, l in pairs],))

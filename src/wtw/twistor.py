@@ -13,7 +13,9 @@ which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
-against the double-covariant-derivative definition and any mismatch raises.
+against the second covariant derivatives kept on the connection
+(:func:`wtw.connection.second_cov_deriv_endo`, the table ``v_trace`` also
+reads) and any mismatch raises.
 The action on an endomorphism is kept on its curvature tensor, and the
 cross-check runs once per connection and endomorphism (see
 :class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
@@ -34,6 +36,9 @@ normalizing, keeping all arithmetic rational.  They are built from J's
 columns, whose planes ``(E_i, J E_i = +-E_p)`` set each element's four nonzero
 entries, and kept on the spec, as is the wedge image b of each J o nabla_X J
 with R(b) and dphi(b), which the DJ pairing and the horizontal trace read.
+
+The traces form no condition terms: ``h_trace`` subtracts the condition-(ii)
+map L(phi) and ``v_trace``'s closed form is -P, both from :mod:`wtw.pseudoharmonic`.
 """
 
 from __future__ import annotations
@@ -43,11 +48,12 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
-from .curvature import Curvature, codifferential_endo, curvature, ricci, star_ricci
-from .frame import (Bivector, Endo, FrameError, FrameSpec, d_oneform,
-                    eval_on_bivector, wedge_iso, wedge_oneforms)
+from .curvature import Curvature, codifferential_endo, curvature
+from .frame import (Bivector, Endo, FrameError, FrameSpec, eval_on_bivector, wedge_iso,
+                    wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Ring, Scalar
+from .pseudoharmonic import condition_i_pairing, condition_ii_map
 from .reports import CheckReport
 
 
@@ -101,24 +107,22 @@ def _antisymmetric(n: int, zero, entry):
 def endo_curvature_consistency(spec: FrameSpec, conn: Connection, S: Endo) -> None:
     """Assert the commutator action equals the gamma-based curvature on Hom.
 
-    The gamma route: R(E_i,E_j)S = sum_m c[i][j][m] D_m S - D_i D_j S + D_j D_i S,
-    with every derivative the induced one on endomorphisms.  Raises on any
-    mismatch (sign conventions are the dominant failure mode).  A passed
-    check is kept on the connection and not repeated.
+    The gamma route: R(E_i,E_j)S = D2_{E_j E_i} S - D2_{E_i E_j} S, read from the
+    table kept on the connection; torsion-free, this is
+    sum_m c[i][j][m] D_m S - D_i D_j S + D_j D_i S, with every derivative the
+    induced one on endomorphisms.  Raises on any mismatch (sign conventions
+    are the dominant failure mode).  A passed check is kept on the
+    connection and not repeated.
     """
     conn.memo(_check_endo_curvature, spec, S)
 
 
 def _check_endo_curvature(conn: Connection, spec: FrameSpec, S: Endo) -> None:
-    n = spec.n
-    R = curvature(conn)
-    comm = endo_curvature_action(R, S)
-    first = cov_deriv_endo(conn, S)
-    second = [cov_deriv_endo(conn, first[j]) for j in range(n)]
+    comm = endo_curvature_action(curvature(conn), S)
+    second = second_cov_deriv_endo(conn, S)
     # both sides are antisymmetric in (i, j), so i < j suffices
-    for i, j in combinations(range(n), 2):
-        direct = Endo.combination(spec.c[i][j], first) - second[j][i] + second[i][j]
-        if not (direct - comm[i][j]).is_zero:
+    for i, j in combinations(range(spec.n), 2):
+        if not (second[j][i] - second[i][j] - comm[i][j]).is_zero:
             raise AssertionError(
                 "induced curvature mismatch between commutator action and "
                 f"double covariant derivative at ({i+1},{j+1})")
@@ -422,51 +426,36 @@ def h_trace(spec: FrameSpec):
         - (n/2 - 1) dphi(phi#, Z) + dphi(J phi#, JZ)
 
     with nabla the Levi-Civita connection and R, rho, rho* of the Weyl
-    connection.  Requires the gate (integrability and the Lee identity).
+    connection.  The phi-terms are -L(phi), formed by the condition-(ii) map
+    :func:`wtw.pseudoharmonic.condition_ii_map`; the other four, the
+    Levi-Civita part, are formed here.  Requires the gate (integrability and
+    the Lee identity).
     """
     require_gate(spec)
     n = spec.n
-    J = spec.J
-    j_endo = spec.j_endo()
-    R = curvature(weyl(spec))
-    rho = ricci(R)
-    rho_star = star_ricci(R)
     dphi = spec.dphi()
-    phi = spec.phi
-    jphi = spec.j_apply(phi)
-    delta_j = codifferential_endo(spec, j_endo)
-    j_delta_j = spec.j_apply(delta_j)
-    dphi_jwedge = eval_on_bivector(dphi, wedge_iso(j_endo))
+    j_delta_j = spec.j_apply(codifferential_endo(spec, spec.j_endo()))
     jn = spec.memo(_j_nabla_j)
     images = spec.memo(_dj_images)  # (b, R(b), dphi(b)) for b the wedge image of jn[x]
 
-    rho_phi = spec.left(phi, rho)                                # rho(phi#, Z)
-    rho_star_jphi_j = spec.left(spec.left(jphi, rho_star), J)    # rho*(J phi#, JZ)
     dphi_jdj = spec.left(j_delta_j, dphi.comps)                  # dphi(J delta J, Z)
     # Tr{X -> dphi(X, (J nabla_X J) Z)}
     traced = [spec.ring.sum(column) for column in
               zip(*(spec.left(dphi.comps[x], jn[x].comps) for x in range(n)))]
-    phi_j = spec.left(phi, J)                                    # phi(JZ)
-    dphi_phi = spec.left(phi, dphi.comps)                        # dphi(phi#, Z)
-    dphi_jphi_j = spec.left(spec.left(jphi, dphi.comps), J)      # dphi(J phi#, JZ)
-    out = []
-    for k in range(n):
-        value = spec.ring.sum(images[x][1].comps[k][x] for x in range(n)) * 2
-        value = value + rho_phi[k] - rho_star_jphi_j[k]
-        value = value - images[k][2] + dphi_jdj[k] - traced[k]
-        value = value + phi_j[k] * dphi_jwedge
-        value = value - dphi_phi[k] * (Fraction(n, 2) - 1) + dphi_jphi_j[k]
-        out.append(value)
-    return tuple(out)
+    l_phi = condition_ii_map(spec, spec.phi)
+    return tuple(spec.ring.sum(images[x][1].comps[k][x] for x in range(n)) * 2
+                 - images[k][2] + dphi_jdj[k] - traced[k] - l_phi[k] for k in range(n))
 
 
 class VTraceData(NamedTuple):
     """Vertical-trace residual (Z, U) -> scalar, computed two independent ways.
 
     direct: from the traced second covariant derivative of J for the Weyl
-      connection, anti-invariant part g((Tr D2 J)(Z), U) - g((Tr D2 J)(JZ), JU).
+      connection, anti-invariant part g((Tr D2 J)(Z), U) - g((Tr D2 J)(JZ), JU),
+      read from the table :func:`wtw.connection.second_cov_deriv_endo` keeps.
     closed_form: from the 2-form d(phi - theta) + n(n-4)/(2(n-2)) phi ^ theta
-      paired with JZ ^ U + Z ^ JU.
+      paired with JZ ^ U + Z ^ JU: the negated condition-(i) pairing P of
+      :func:`wtw.pseudoharmonic.condition_i_pairing`, which owns c(n).
     """
 
     direct: tuple
@@ -479,18 +468,12 @@ class VTraceData(NamedTuple):
 
 
 def v_trace(spec: FrameSpec) -> VTraceData:
-    lee = require_gate(spec)
+    require_gate(spec)
     n = spec.n
-    conn = weyl(spec)
-    j_endo = spec.j_endo()
-    second = second_cov_deriv_endo(conn, j_endo)
+    second = second_cov_deriv_endo(weyl(spec), spec.j_endo())
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
     form = Endo(spec, [[spec.ring.sum(second[i][i].comps[k][l] for i in range(n))
                         for k in range(n)] for l in range(n)])
     direct = (form - Endo(spec, spec.twist(form.comps))).comps
-
-    coeff = Fraction(n * (n - 4), 2 * (n - 2))
-    pmt = tuple(p - t for p, t in zip(spec.phi, lee.theta))
-    closed = spec.j_pair((d_oneform(spec, pmt)
-                          + wedge_oneforms(spec, spec.phi, lee.theta).scale(coeff)).comps)
+    closed = tuple(tuple(-value for value in row) for row in condition_i_pairing(spec))
     return VTraceData(direct=direct, closed_form=closed)

@@ -35,6 +35,8 @@ def _build() -> dict[str, list[str]]:
             cases[f"{spec_key}__{verb}"] = [verb, *source]
         cases[f"{spec_key}__verify"] = [
             "verify", *source, "--assign", VERIFY_ASSIGNMENTS[spec_key]]
+        # the n = 4 branch of the condition-(ii) map, which keeps three terms
+        cases[f"{spec_key}__conditions-dim4"] = ["conditions", *source, "--dim4"]
     # failing checks, which print their detail lines
     cases["heisenberg6__lck"] = ["lck", "--spec", str(DATA / "heisenberg6.toml")]
     cases["nonintegrable__suite"] = ["suite", "--spec", str(DATA / "nonintegrable.toml")]

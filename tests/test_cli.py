@@ -156,6 +156,13 @@ class TestExitCodes:
         (["verify", "--builtin", "inoue-s0"], "verify requires --assign"),
         (["lee", "--builtin", "inoue-s0", "--assign", "a1=1"], "--assign is not accepted"),
         (["lee", "--builtin", "inoue-s0", "--b\nad"], "unrecognized arguments: --b\\nad"),
+        (["validate", "--spec", str(DATA / "hyperbolic6.toml"), "--signs", "garbage"],
+         "--signs requires --builtin"),
+        (["conditions", "--spec", str(DATA / "inoue_lee.toml"), "--signs=+1,+1"],
+         "--signs requires --builtin"),
+        (["suite", "--builtin", "inoue-s0", "--dim4"], "--dim4 is not accepted by suite"),
+        (["lee", "--builtin", "kodaira", "--signs", "+1,-1", "--dim4", "--format", "json"],
+         "--dim4 is not accepted by lee"),
     ])
     def test_rejected_command_line_is_one_error_line(self, argv, message):
         status, out, err = run(argv)
@@ -222,7 +229,8 @@ class TestGateBehavior:
             argv += ["--assign", "a1=0"]
         status, _, err = run(argv)
         assert status == 1
-        assert "integrability assumption" in err
+        assert err == ("gate failure: integrability assumption: "
+                       "the Nijenhuis tensor of J does not vanish\n")
 
     def test_heisenberg_rejected_by_lee_identity(self):
         status, _, err = run(["conditions", "--spec", str(DATA / "heisenberg6.toml")])

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import importlib
+import io
 import weakref
 from unittest import mock
 
 from wtw import builtin, identity_suite, levi_civita, weyl
-from wtw import cli, connection, hermitian, twistor
+from wtw import cli, connection, hermitian, pseudoharmonic, twistor
 
 curvature_module = importlib.import_module("wtw.curvature")
 
@@ -23,7 +25,8 @@ def test_suite_computes_each_quantity_once():
             _counting(hermitian, "_lee_form") as lee, \
             _counting(connection, "_weyl") as weyl_gammas, \
             _counting(curvature_module, "_curvature") as curvature, \
-            _counting(twistor, "_check_endo_curvature") as consistency:
+            _counting(twistor, "_check_endo_curvature") as consistency, \
+            _counting(connection, "_second_cov_deriv_endo") as second:
         report = cli._suite_report(spec)
     assert report.ok
     assert nijenhuis.call_count == 1
@@ -34,6 +37,20 @@ def test_suite_computes_each_quantity_once():
         "levi-civita", "weyl"]
     # once for J, although the pairing check runs for every vertical direction
     assert consistency.call_count == 1
+    # D2 J, which the consistency check and the vertical trace both read
+    assert second.call_count == 1
+
+
+def test_report_builds_each_condition_once():
+    """One ``report`` forms the condition-(i) pairing and condition (ii) once,
+    although the condition systems and the trace equivalence both read them."""
+    with _counting(pseudoharmonic, "_condition_i_pairing") as pairing, \
+            _counting(pseudoharmonic, "_condition_ii_values") as values, \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        status = cli.main(["report", "--builtin", "inoue-s0"])
+    assert status == 1 and '"verdict": "conditional; see the condition systems"' in out.getvalue()
+    assert pairing.call_count == 1
+    assert values.call_count == 1
 
 
 def test_weyl_curvature_routes_stay_independent():

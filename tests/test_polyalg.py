@@ -90,7 +90,7 @@ def test_normalize_zero_and_scale_invariance():
 
 def test_normalized_system_drops_zeros_and_units():
     polys = [RING.zero(), 2 * A1, Fraction(-1, 3) * A1, A2 - A2]
-    assert normalized_system(polys) == {A1}
+    assert normalized_system(polys) == ((A1,), 2)
 
 
 def test_rendering_contract():

@@ -19,7 +19,7 @@ from wtw.twistor import (dprime_eval, endo_curvature_consistency, g_fiber,
                          vertical_basis, wedge_iso)
 from wtw.connection import weyl
 from wtw.curvature import curvature
-from wtw.hermitian import lee_form
+from wtw.hermitian import lee_form, require_gate
 from wtw import pseudoharmonic
 
 
@@ -120,6 +120,23 @@ class TestCurvatureOnEndomorphisms:
             conn = weyl(spec)
             endo_curvature_consistency(spec, conn, spec.j_endo())
             endo_curvature_consistency(spec, conn, _random_skew(spec, 2))
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
+    def test_consistency_raises_on_a_wrong_action(self, monkeypatch, pair):
+        """One perturbed entry of the stored commutator action must fail the
+        comparison with the second covariant derivatives, naming its pair."""
+        compute = twistor._endo_curvature_action
+
+        def perturbed(R, S):
+            action = [list(row) for row in compute(R, S)]
+            i, j = pair
+            action[i][j] = action[i][j] + Endo.identity(R.spec)
+            return tuple(tuple(row) for row in action)
+
+        monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
+        spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
+        with pytest.raises(AssertionError, match=rf"at \({pair[0] + 1},{pair[1] + 1}\)$"):
+            endo_curvature_consistency(spec, weyl(spec), spec.j_endo())
 
     def test_pairing_identity_flat_case(self, abelian):
         report = fiber_pairing_check(abelian, _random_skew(abelian, 3), _random_skew(abelian, 4))
@@ -238,10 +255,10 @@ class TestTraces:
     def test_inoue_vertical_trace_vanishes_iff_a3_a4_zero(self, inoue, inoue_reduced):
         full = v_trace(inoue)
         assert any(not entry.is_zero for row in full.direct for entry in row)
-        nonzero = normalized_system(entry for row in full.direct for entry in row)
+        nonzero, _ = normalized_system(entry for row in full.direct for entry in row)
         r = inoue.ring
-        assert nonzero == {normalize_up_to_unit(r.sym("a3")),
-                           normalize_up_to_unit(r.sym("a4"))}
+        assert nonzero == (normalize_up_to_unit(r.sym("a3")),
+                           normalize_up_to_unit(r.sym("a4")))
         reduced = v_trace(inoue_reduced)
         assert all(entry.is_zero for row in reduced.direct for entry in row)
 
@@ -264,9 +281,9 @@ class TestTraces:
 
     def test_horizontal_trace_matches_condition_system(self, kodairas):
         for signs, spec in kodairas.items():
-            values = normalized_system(h_trace(spec))
+            values, _ = normalized_system(h_trace(spec))
             report = pseudoharmonic.conditions(spec)
-            assert values == set(report.condition_ii)
+            assert values == report.condition_ii
 
 
 # -- the vertical basis against the adapted-frame construction it replaced -----
@@ -464,3 +481,34 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     n = spec.n
     assert len(products) == n
     assert calls == {"wedge_iso": n, "curvature_on_bivector": n, "eval_on_bivector": n}
+
+
+# -- the traces read the condition builders ------------------------------------
+
+def _gate_passing_frames():
+    """The 5 built-ins and the documents under tests/data that pass the gate."""
+    specs = [builtin("inoue-s0"), *(builtin("kodaira", signs) for signs in
+                                    [(1, 1), (1, -1), (-1, 1), (-1, -1)])]
+    for spec in _loadable_documents():
+        try:
+            require_gate(spec)
+        except GateError:
+            continue
+        specs.append(spec)
+    assert len(specs) == 5 + 8 and {spec.n for spec in specs} == {4, 6, 8}
+    return specs
+
+
+def test_vertical_closed_form_is_the_negated_condition_i_pairing():
+    for spec in _gate_passing_frames():
+        pairing = pseudoharmonic.condition_i_pairing(spec)
+        assert v_trace(spec).closed_form == tuple(tuple(-value for value in row)
+                                                  for row in pairing), spec.name
+        n = spec.n
+        assert pseudoharmonic.condition_i(spec) == [pairing[k][l] for k in range(n)
+                                                    for l in range(k + 1, n)], spec.name
+
+
+def test_horizontal_trace_is_condition_ii_entry_by_entry():
+    for spec in _gate_passing_frames():
+        assert h_trace(spec) == pseudoharmonic.condition_ii(spec), spec.name
