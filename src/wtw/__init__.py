@@ -32,14 +32,14 @@ __version__ = "0.1.0"
 
 # the names each layer loaded on first use exports here
 _LAZY_EXPORTS = {
-    "hermitian": ("LeeData", "ThreeForm", "d_twoform", "fundamental_form", "lck_check",
+    "hermitian": ("LeeData", "d_twoform", "fundamental_form", "lck_check",
                   "lee_form", "nabla_j_checks", "nijenhuis", "require_gate"),
     "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
-                "curvature_pairing_with_dj_check", "dprime_eval", "g_fiber", "h_trace",
-                "vertical_antisymmetry_check", "fiber_pairing_check", "v_trace",
-                "vertical_basis"),
+                "curvature_pairing_with_dj_check", "dprime_eval", "equivalence_check",
+                "g_fiber", "h_trace", "vertical_antisymmetry_check", "vertical_checks",
+                "fiber_pairing_check", "v_trace", "vertical_basis"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
-                       "conditions", "dim4", "equivalence_check", "verify_assignment"),
+                       "conditions", "dim4", "verify_assignment"),
 }
 # each lazy name, and each lazy submodule's own name, to that submodule
 _HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in (module, *names)}

@@ -175,9 +175,8 @@ def _conditions_data(spec: FrameSpec, dim4_mode: bool) -> dict:
 
 
 def _suite_report(spec: FrameSpec) -> CheckReport:
-    from . import twistor
     from .hermitian import lck_check, nabla_j_checks
-    from .pseudoharmonic import equivalence_check
+    from .twistor import curvature_pairing_with_dj_check, equivalence_check, vertical_checks
     total = CheckReport(title="full check suite")
     basis = spec.basis
     for conn in (levi_civita(spec), weyl(spec)):
@@ -193,17 +192,8 @@ def _suite_report(spec: FrameSpec) -> CheckReport:
     total.extend(lck_check(spec))
     try:
         total.extend(nabla_j_checks(spec))
-        vertical = twistor.vertical_basis(spec)
-        j_endo = spec.j_endo()
-        # index 0 names the vertical direction, as A[r,s] or B[r,s]
-        axes = (vertical.labels, basis, basis)
-        total.require_zero("fiber curvature pairing against every vertical direction",
-                           [twistor._fiber_pairing_residual(spec, j_endo, v)
-                            for v in vertical.elements], axes)
-        total.require_zero("vertical antisymmetry of the fiber curvature",
-                           [twistor._vertical_antisymmetry_residual(spec, v)
-                            for v in vertical.elements], axes)
-        total.extend(twistor.curvature_pairing_with_dj_check(spec))
+        total.extend(vertical_checks(spec))
+        total.extend(curvature_pairing_with_dj_check(spec))
         total.extend(equivalence_check(spec))
     except GateError as exc:
         total.add(f"gate ({exc.assumption})", False, str(exc))
@@ -262,9 +252,10 @@ def _run_verb(args, out: _Output) -> int:
         }
         status = EXIT_OK if verdict.holds else EXIT_CHECK_FAILED
     elif verb == "report":
-        data.update(_full_report(spec, args))
+        report_data, status = _full_report(spec, args)
+        data.update(report_data)
         _print_json(data)
-        return _report_status(data)
+        return status
     else:  # pragma: no cover - argparse restricts the choices
         raise AssertionError(verb)
 
@@ -276,50 +267,47 @@ def _run_verb(args, out: _Output) -> int:
     return status
 
 
-def _full_report(spec: FrameSpec, args) -> dict:
-    """The machine-readable document: validation, Lee data, tables, conditions."""
+def _full_report(spec: FrameSpec, args) -> tuple[dict, int]:
+    """The machine-readable document and its exit status: 0 exactly when the gate
+    passes and its four check reports and the conditions (or the assignment) hold."""
     from .hermitian import lck_check, lee_form
-    from .pseudoharmonic import equivalence_check, verify_assignment
+    from .pseudoharmonic import verify_assignment
+    from .twistor import equivalence_check
     assignment = _parse_assignment(args.assign, spec.ring) if args.assign else None
     data: dict = {}
     data["validation"] = {"ok": True}
     lee = lee_form(spec)
     data["lee"] = {"theta": [str(v) for v in lee.theta],
                    "B": [str(v) for v in lee.B]}
-    data["lck"] = _report_to_data(lck_check(spec))
+    lck = lck_check(spec)
+    data["lck"] = _report_to_data(lck)
     rw = curvature(weyl(spec))
     data["ricci"] = [[str(v) for v in row] for row in ricci(rw)]
     data["star_ricci"] = [[str(v) for v in row] for row in star_ricci(rw)]
-    data["identities"] = _report_to_data(identity_suite(spec))
-    data["ricci_formulas"] = _report_to_data(ricci_formula_check(spec))
+    identities, formulas = identity_suite(spec), ricci_formula_check(spec)
+    data["identities"] = _report_to_data(identities)
+    data["ricci_formulas"] = _report_to_data(formulas)
     try:
         cond, report = _conditions_data(spec, args.dim4)
         data["conditions"] = cond
-        data["equivalence"] = _report_to_data(equivalence_check(spec))
+        equivalence = equivalence_check(spec)
+        data["equivalence"] = _report_to_data(equivalence)
         data["verdict"] = ("pseudo-harmonic for all parameter values" if report.holds_identically
                            else "conditional; see the condition systems")
+        holds = report.holds_identically
         if assignment is not None:
             verdict = verify_assignment(report, assignment)
             data["assignment"] = {
                 "values": {name: str(value) for name, value in verdict.assignment},
                 "holds": verdict.holds,
             }
+            holds = verdict.holds
     except GateError as exc:
         data["conditions"] = {"gate_error": str(exc), "assumption": exc.assumption}
         data["verdict"] = "rejected by the standing assumptions"
-    return data
-
-
-def _report_status(data: dict) -> int:
-    conditions = data.get("conditions", {})
-    checks_ok = "gate_error" not in conditions and all(
-        section.get("ok", True) for key, section in data.items()
-        if isinstance(section, dict) and key != "conditions")
-    if "assignment" in data:
-        holds = data["assignment"]["holds"]
-    else:
-        holds = conditions.get("holds_identically", True)
-    return EXIT_OK if checks_ok and holds else EXIT_CHECK_FAILED
+        return data, EXIT_CHECK_FAILED
+    ok = holds and all(r.ok for r in (lck, identities, formulas, equivalence))
+    return data, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _render_table(verb: str, data: dict, out: _Output) -> None:

@@ -51,7 +51,7 @@ walks only these supports: ``validate`` and, in the later layers, the
 Levi-Civita gammas and the Nijenhuis tensor accumulate ints and lift each
 nonzero result to a scalar once, leaving the ring's shared zero everywhere
 else; ``d_oneform`` calls the kernel only where a bracket row is nonzero.
-The 3-forms live in :mod:`wtw.hermitian`, their only user.
+The 3-forms, plain nested tuples, live in :mod:`wtw.hermitian`, their only user.
 
 Two names of later layers live here so that modules which need only them
 need not load those layers: :class:`GateError`, which the gate of

@@ -29,9 +29,10 @@ lifted to a scalar once.  d(Omega) and the residual are evaluated on
 increasing triples over the nonzero bracket rows and extended by
 antisymmetry.
 
-:class:`ThreeForm`, ``d_twoform`` and ``wedge_one_two`` live here, with their
-only user.  J o nabla_X J for the Levi-Civita connection is formed once per
-spec and kept on it, for the nabla-J checks and the twistor layer.
+3-forms are plain n x n x n nested tuples, as N is; ``d_twoform`` and
+``wedge_one_two`` live here, with their only user.  J o nabla_X J for the
+Levi-Civita connection is formed once per spec and kept on it, for the
+nabla-J checks and the twistor layer.
 """
 
 from __future__ import annotations
@@ -50,41 +51,19 @@ from .reports import CheckReport
 
 # -- 3-forms (constant components) ----------------------------------------
 
-class ThreeForm:
-    """Fully antisymmetric 3-slot tensor of scalars."""
-
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec: FrameSpec, comps):
-        self.spec = spec
-        self.comps = tuple(tuple(tuple(row) for row in plane) for plane in comps)
-
-    @staticmethod
-    def alternating(spec: FrameSpec, values: Iterable[Scalar]) -> "ThreeForm":
-        """The 3-form with ``values`` on the increasing triples, in the order of
-        ``combinations(range(n), 3)``, extended by antisymmetry."""
-        n, zero = spec.n, spec.zero()
-        comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), value in zip(combinations(range(n), 3), values):
-            if value:
-                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                    comps[a][b][d], comps[b][a][d] = value, -value
-        return ThreeForm(spec, comps)
-
-    def __call__(self, i: int, j: int, k: int) -> Scalar:
-        return self.comps[i][j][k]
-
-    def __sub__(self, other: "ThreeForm") -> "ThreeForm":
-        a, b = self.comps, other.comps
-        return ThreeForm.alternating(self.spec, (a[i][j][k] - b[i][j][k] for i, j, k
-                                                 in combinations(range(self.spec.n), 3)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for plane in self.comps for row in plane for a in row)
+def _alternating(spec: FrameSpec, values: Iterable[Scalar]):
+    """The n x n x n 3-form with ``values`` on the increasing triples, in the
+    order of ``combinations(range(n), 3)``, extended by antisymmetry."""
+    n, zero = spec.n, spec.zero()
+    comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), value in zip(combinations(range(n), 3), values):
+        if value:
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                comps[a][b][d], comps[b][a][d] = value, -value
+    return tuple(tuple(tuple(row) for row in plane) for plane in comps)
 
 
-def d_twoform(spec: FrameSpec, F: TwoForm) -> ThreeForm:
+def d_twoform(spec: FrameSpec, F: TwoForm):
     """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
 
     As F is antisymmetric, dF(E_i, E_j, E_k) is the cyclic sum
@@ -93,16 +72,16 @@ def d_twoform(spec: FrameSpec, F: TwoForm) -> ThreeForm:
     """
     _, rows = spec.bracket_rows()
     c, f, zero = spec.c, F.comps, spec.zero()
-    return ThreeForm.alternating(spec, (
+    return _alternating(spec, (
         spec.dot(c[i][j] + c[j][k] + c[k][i], f[k] + f[i] + f[j])
         if rows[i][j] or rows[j][k] or rows[k][i] else zero
         for i, j, k in combinations(range(spec.n), 3)))
 
 
-def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm) -> ThreeForm:
+def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm):
     """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)."""
     dot, f = spec.ring.dot, F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
-    return ThreeForm.alternating(spec, (
+    return _alternating(spec, (
         dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
         for i, j, k in combinations(range(spec.n), 3)))
 
@@ -177,14 +156,16 @@ def _lee_form(spec: FrameSpec) -> LeeData:
     return LeeData(theta=theta, B=B)
 
 
-def _d_omega(spec: FrameSpec) -> ThreeForm:
+def _d_omega(spec: FrameSpec):
     return d_twoform(spec, fundamental_form(spec))
 
 
-def _lee_residual(spec: FrameSpec) -> ThreeForm:
+def _lee_residual(spec: FrameSpec):
     """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
-    return (spec.memo(_d_omega)
-            - wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec)))
+    d_omega = spec.memo(_d_omega)
+    wedge = wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec))
+    return _alternating(spec, (d_omega[i][j][k] - wedge[i][j][k]
+                               for i, j, k in combinations(range(spec.n), 3)))
 
 
 def lck_check(spec: FrameSpec) -> CheckReport:
@@ -192,7 +173,7 @@ def lck_check(spec: FrameSpec) -> CheckReport:
     tensor, indexed N[k][i][j]: the E_k component of N(E_i, E_j)."""
     report = CheckReport(title="locally conformally Kaehler identities")
     basis = spec.basis
-    report.require_zero("d(Omega) = theta ^ Omega", spec.memo(_lee_residual).comps,
+    report.require_zero("d(Omega) = theta ^ Omega", spec.memo(_lee_residual),
                         (basis,) * 3)
     dtheta = d_oneform(spec, lee_form(spec).theta)
     report.require_zero("d(theta) = 0", dtheta.comps, (basis,) * 2)
@@ -207,7 +188,7 @@ def require_gate(spec: FrameSpec) -> LeeData:
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")
     lee = lee_form(spec)
-    if not spec.memo(_lee_residual).is_zero:
+    if any(entry for plane in spec.memo(_lee_residual) for row in plane for entry in row):
         raise GateError("Lee identity assumption",
                         "d(Omega) differs from theta ^ Omega")
     return lee
@@ -245,10 +226,10 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
 
     residual = []
     for x, jx in enumerate(zip(*J)):
-        twisted = spec.twist(dom.comps[x])  # dOmega(X, J., J.)
+        twisted = spec.twist(dom[x])  # dOmega(X, J., J.)
         # g(N(Y, Z), JX)
         n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in ix]
-        residual.append([[spec.dot((nJ[x].comps[z][y], dom.comps[x][y][z], twisted[y][z],
+        residual.append([[spec.dot((nJ[x].comps[z][y], dom[x][y][z], twisted[y][z],
                                     n_jx[y][z]), (2, -1, 1, -1)) for z in ix] for y in ix])
     report.require_zero("nabla-J from d(Omega) and the Nijenhuis tensor", residual, axes)
 

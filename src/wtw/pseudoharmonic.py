@@ -14,7 +14,8 @@ J-pairing P of the condition-(i) 2-form, the one place the coefficient
 c(n) = n(n-4)/(2(n-2)) is written, is kept on the spec
 (:func:`condition_i_pairing`); ``v_trace``'s closed form is -P.  The map L is
 :func:`condition_ii_map`: condition (ii) is L(theta - phi), also kept on the
-spec, and ``h_trace`` is its Levi-Civita part minus L(phi).
+spec, and ``h_trace`` is its Levi-Civita part minus L(phi).  This module imports
+nothing from :mod:`wtw.twistor`, which owns the trace-condition equivalence check.
 
 Both conditions are produced as normalized polynomial systems
 (:func:`wtw.polyalg.normalized_system`: content and sign stripped, zero
@@ -40,7 +41,6 @@ from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, wedge_iso
                     wedge_oneforms)
 from .hermitian import require_gate
 from .polyalg import RationalLike, Scalar, normalized_system
-from .reports import CheckReport
 
 
 class ConditionReport(NamedTuple):
@@ -168,33 +168,3 @@ def verify_assignment(report: ConditionReport,
     return AssignmentVerdict(assignment=items, per_polynomial=tuple(per),
                              holds=all(ok for _, ok in per),
                              residual_symbols=tuple(sorted(leftover)))
-
-
-def equivalence_check(spec: FrameSpec) -> CheckReport:
-    """Tie the trace machinery to the condition systems, exactly.
-
-    * h_trace components equal the condition-(ii) expressions (unit +1);
-    * v_trace residuals at (E_k, E_l) equal the negated condition-(i)
-      residuals entrywise (unit -1), and both trace paths agree.
-
-    The traces read the builders above: the first check compares h_trace's
-    Levi-Civita part with L(theta), and the last holds by construction.
-    """
-    from . import twistor  # only this check needs the twistor traces
-
-    report = CheckReport(title="trace-condition equivalence")
-    basis = spec.basis
-    h = twistor.h_trace(spec)
-    report.require_zero("horizontal trace equals condition (ii) componentwise",
-                        [a - b for a, b in zip(h, condition_ii(spec))], (basis,))
-    report.notes["h_unit"] = "+1"
-    v = twistor.v_trace(spec)
-    report.require_zero("vertical trace paths agree",
-                        [[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(v.direct, v.closed_form)], (basis,) * 2)
-    pairs = list(combinations(range(spec.n), 2))
-    report.require_zero("vertical trace equals negated condition (i) residuals",
-                        [v.closed_form[k][l] + c for (k, l), c in zip(pairs, condition_i(spec))],
-                        ([f"{basis[k]},{basis[l]}" for k, l in pairs],))
-    report.notes["v_unit"] = "-1"
-    return report

@@ -37,8 +37,13 @@ columns, whose planes ``(E_i, J E_i = +-E_p)`` set each element's four nonzero
 entries, and kept on the spec, as is the wedge image b of each J o nabla_X J
 with R(b) and dphi(b), which the DJ pairing and the horizontal trace read.
 
+:func:`vertical_checks` runs both fiber checks against every vertical direction,
+from the residual builders of the single-direction checks.  The vertical Gram is
+checked once, as the basis is built; ``dprime_eval`` writes it without pairing.
+
 The traces form no condition terms: ``h_trace`` subtracts the condition-(ii)
-map L(phi) and ``v_trace``'s closed form is -P, both from :mod:`wtw.pseudoharmonic`.
+map L(phi) and ``v_trace``'s closed form is -P, both from :mod:`wtw.pseudoharmonic`;
+:func:`equivalence_check` ties them to the conditions, the paper's equivalence.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .frame import (Bivector, Endo, FrameError, FrameSpec, eval_on_bivector, wed
                     wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Ring, Scalar
-from .pseudoharmonic import condition_i_pairing, condition_ii_map
+from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii, condition_ii_map
 from .reports import CheckReport
 
 
@@ -351,14 +356,32 @@ def _vertical_antisymmetry_residual(spec: FrameSpec, V: Endo):
                           lambda i, j: against_v(act_j[i][j]) + against_vj(R.endo(i, j)))
 
 
+def vertical_checks(spec: FrameSpec) -> CheckReport:
+    """The fiber-pairing identity for a = J and the vertical antisymmetry, each
+    against every V of :func:`vertical_basis`, from the single-direction checks'
+    residual builders; index 0 of a failing entry names V, as A[r,s] or B[r,s]."""
+    report = CheckReport(title="vertical directions")
+    vertical = vertical_basis(spec)
+    j_endo = spec.j_endo()
+    axes = (vertical.labels, spec.basis, spec.basis)
+    report.require_zero("fiber curvature pairing against every vertical direction",
+                        [_fiber_pairing_residual(spec, j_endo, v) for v in vertical.elements],
+                        axes)
+    report.require_zero("vertical antisymmetry of the fiber curvature",
+                        [_vertical_antisymmetry_residual(spec, v) for v in vertical.elements],
+                        axes)
+    return report
+
+
 class TwistorEval(NamedTuple):
     """Pointwise data of the twistor metric and modified connection at J.
 
-    All scalars live in the ring extended by the fiber-scale symbol ``t``.
+    All scalars live in the ring extended by the fiber-scale symbol: ``t``, or
+    the first of ``t_``, ``t__``, ... that the spec does not declare.
 
     gram: Gram matrix of g~_t on horizontal lifts E_i^h followed by the
-      G-normalized vertical directions (diag(1,...,1, t,...,t) by construction;
-      computed, not assumed).
+      G-normalized vertical directions, diag(1,...,1, t,...,t); the vertical
+      block is checked once, by ``_validate_vertical`` as the basis is built.
     hh_horizontal: gamma coefficients of the horizontal part of D'_{X^h} Y^h
       (equal to the Weyl gammas).
     hh_vertical: coefficients of the vertical part of D'_{E_i^h} E_j^h on the
@@ -378,8 +401,11 @@ class TwistorEval(NamedTuple):
 
 def dprime_eval(spec: FrameSpec) -> TwistorEval:
     n = spec.n
-    ring_t = spec.ring.extend("t")
-    t = ring_t.sym("t")
+    name = "t"
+    while name in spec.ring.symbols:
+        name += "_"
+    ring_t = spec.ring.extend(name)
+    t = ring_t.sym(name)
     basis = vertical_basis(spec)
     nv = len(basis.elements)
     conn = weyl(spec)
@@ -390,15 +416,9 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
 
     size = n + nv
     gram = [[ring_t.zero()] * size for _ in range(size)]
-    for i in range(n):
-        gram[i][i] = ring_t.one()
+    for i in range(size):
+        gram[i][i] = ring_t.one() if i < n else t
     against = [_g_against(v) for v in basis.elements]  # against[b](a) = G(a, V_b)
-    for a in range(nv):
-        for b in range(nv):
-            # normalized pair: G(V_a, V_b) / norm_sq
-            value = against[b](basis.elements[a])
-            gram[n + a][n + b] = t * (value * Fraction(1, basis.norm_sq)).lift(ring_t)
-
     # paired[i][j][alpha] = G(R(E_i, E_j) J, V_alpha)
     paired = [[[g(a) for g in against] for a in row] for row in act_j]
     scale = Fraction(1, 2) / basis.norm_sq
@@ -477,3 +497,32 @@ def v_trace(spec: FrameSpec) -> VTraceData:
     direct = (form - Endo(spec, spec.twist(form.comps))).comps
     closed = tuple(tuple(-value for value in row) for row in condition_i_pairing(spec))
     return VTraceData(direct=direct, closed_form=closed)
+
+
+def equivalence_check(spec: FrameSpec) -> CheckReport:
+    """Tie the trace machinery to the condition systems, exactly.
+
+    * h_trace components equal the condition-(ii) expressions (unit +1);
+    * v_trace residuals at (E_k, E_l) equal the negated condition-(i)
+      residuals entrywise (unit -1), and both trace paths agree.
+
+    The traces read the builders of :mod:`wtw.pseudoharmonic`: the first
+    check compares h_trace's Levi-Civita part with L(theta), and the last
+    holds by construction.
+    """
+    report = CheckReport(title="trace-condition equivalence")
+    basis = spec.basis
+    h = h_trace(spec)
+    report.require_zero("horizontal trace equals condition (ii) componentwise",
+                        [a - b for a, b in zip(h, condition_ii(spec))], (basis,))
+    report.notes["h_unit"] = "+1"
+    v = v_trace(spec)
+    report.require_zero("vertical trace paths agree",
+                        [[a - b for a, b in zip(ra, rb)]
+                         for ra, rb in zip(v.direct, v.closed_form)], (basis,) * 2)
+    pairs = list(combinations(range(spec.n), 2))
+    report.require_zero("vertical trace equals negated condition (i) residuals",
+                        [v.closed_form[k][l] + c for (k, l), c in zip(pairs, condition_i(spec))],
+                        ([f"{basis[k]},{basis[l]}" for k, l in pairs],))
+    report.notes["v_unit"] = "-1"
+    return report

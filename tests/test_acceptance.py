@@ -17,8 +17,8 @@ from wtw.connection import cov_deriv_endo, levi_civita, weyl
 from wtw.curvature import curvature, identity_suite, ricci, ricci_formula_check, star_ricci
 from wtw.hermitian import lee_form, nabla_j_checks
 from wtw.polyalg import normalized_system
-from wtw.pseudoharmonic import conditions, equivalence_check, verify_assignment
-from wtw.twistor import (curvature_pairing_with_dj_check, h_trace,
+from wtw.pseudoharmonic import conditions, verify_assignment
+from wtw.twistor import (curvature_pairing_with_dj_check, equivalence_check, h_trace,
                          vertical_antisymmetry_check, fiber_pairing_check, v_trace,
                          vertical_basis)
 

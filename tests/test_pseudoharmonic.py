@@ -5,8 +5,8 @@ import pytest
 from wtw import FrameSpec, GateError
 from wtw.hermitian import lee_form
 from wtw.polyalg import normalized_system
-from wtw.pseudoharmonic import (condition_i, conditions, dim4,
-                                equivalence_check, verify_assignment)
+from wtw.pseudoharmonic import condition_i, conditions, dim4, verify_assignment
+from wtw.twistor import equivalence_check
 
 
 def _system_strings(polys):

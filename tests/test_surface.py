@@ -31,14 +31,14 @@ EXPORTS = {
                    "reconstruct_weyl_form", "second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
                   "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
-    "hermitian": ("GateError", "LeeData", "ThreeForm", "d_twoform", "fundamental_form",
+    "hermitian": ("GateError", "LeeData", "d_twoform", "fundamental_form",
                   "lck_check", "lee_form", "nabla_j_checks", "nijenhuis", "require_gate"),
     "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
-                "curvature_pairing_with_dj_check", "dprime_eval", "g_fiber", "h_trace",
-                "vertical_antisymmetry_check", "fiber_pairing_check", "v_trace",
-                "vertical_basis", "wedge_iso"),
+                "curvature_pairing_with_dj_check", "dprime_eval", "equivalence_check",
+                "g_fiber", "h_trace", "vertical_antisymmetry_check", "vertical_checks",
+                "fiber_pairing_check", "v_trace", "vertical_basis", "wedge_iso"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
-                       "conditions", "dim4", "equivalence_check", "verify_assignment"),
+                       "conditions", "dim4", "verify_assignment"),
 }
 
 LAZY = ("wtw.hermitian", "wtw.twistor", "wtw.pseudoharmonic")

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from wtw import (Endo, FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo,
-                 levi_civita, load_spec_file, twistor)
+                 levi_civita, load_spec, load_spec_file, twistor)
 from wtw.frame import FrameError
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (dprime_eval, endo_curvature_consistency, g_fiber,
@@ -198,6 +198,24 @@ class TestTwistorEval:
                 if a == b:
                     expected = te.ring_t.one() if a < 4 else t
                 assert te.gram[a][b] == expected
+
+    @pytest.mark.parametrize("renames, fiber", [({"a4": "t"}, "t_"),
+                                                 ({"a4": "t", "a3": "t_"}, "t__")])
+    def test_fiber_symbol_avoids_the_declared_symbols(self, renames, fiber):
+        """A document may declare ``t``: the fiber scale then takes the first of
+        ``t_``, ``t__``, ... that the document does not declare."""
+        text = _document(builtin("inoue-s0"))
+        for old, new in renames.items():
+            text = text.replace(f'"{old}"', f'"{new}"')
+        spec = load_spec(text, name="inoue-t")
+        assert set(renames.values()) <= set(spec.ring.symbols)
+        te = dprime_eval(spec)
+        assert te.ring_t.symbols == (*spec.ring.symbols, fiber)
+        s = te.ring_t.sym(fiber)
+        one, zero = te.ring_t.one(), te.ring_t.zero()
+        diagonal = (one, one, one, one, s, s)
+        assert te.gram == tuple(tuple(diagonal[a] if a == b else zero for b in range(6))
+                                for a in range(6))
 
     def test_flat_case_has_no_vertical_part(self, abelian):
         te = dprime_eval(abelian)
@@ -433,6 +451,29 @@ def test_dense_j_is_still_refused(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(["suite", "--spec", str(path)])
     assert (status, out.getvalue(), err.getvalue()) == (2, "", f"spec error: {message}\n")
+
+
+def test_vertical_checks_name_the_failing_direction_first(monkeypatch):
+    """The all-direction checks label index 0 with the vertical direction:
+    one nonzero entry of the antisymmetry residual for the second element,
+    B[1,2], is reported at (B[1,2], E_i, E_j)."""
+    spec = builtin("inoue-s0")
+    second = vertical_basis(spec).elements[1]
+    residual = twistor._vertical_antisymmetry_residual
+
+    def one_entry(spec, V):
+        out = [list(row) for row in residual(spec, V)]
+        if V is second:
+            out[0][2] = spec.ring.sym("a1")
+        return out
+
+    monkeypatch.setattr(twistor, "_vertical_antisymmetry_residual", one_entry)
+    report = twistor.vertical_checks(spec)
+    assert [check.name for check in report.checks] == [
+        "fiber curvature pairing against every vertical direction",
+        "vertical antisymmetry of the fiber curvature"]
+    assert report.checks[0].ok and not report.checks[1].ok
+    assert report.checks[1].detail == "1 nonzero entry, first at (B[1,2],E1,E3): a1"
 
 
 def test_vertical_basis_is_kept_on_the_spec():
