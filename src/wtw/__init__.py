@@ -18,9 +18,8 @@ from types import ModuleType as _ModuleType
 
 from .polyalg import (ExponentOverflowError, PolynomialParseError, Ring, RingMismatchError,
                       Scalar, normalize_up_to_unit, normalized_system)
-from .frame import (Bivector, Endo, FrameError, FrameSpec, GateError, SpecFormatError,
-                    TwoForm, builtin, d_oneform, eval_on_bivector, load_spec,
-                    load_spec_file, sharp, wedge_iso)
+from .frame import (Endo, FrameError, FrameSpec, GateError, SpecFormatError, builtin,
+                    d_oneform, eval_on_bivector, load_spec, load_spec_file, sharp, wedge_iso)
 from .connection import (Connection, cov_deriv_endo, cov_deriv_oneform,
                          levi_civita, reconstruct_weyl_form,
                          second_cov_deriv_endo, weyl)
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 
 # the names each layer loaded on first use exports here
 _LAZY_EXPORTS = {
-    "hermitian": ("LeeData", "d_twoform", "fundamental_form", "lck_check",
-                  "lee_form", "nabla_j_checks", "nijenhuis", "require_gate"),
+    "hermitian": ("LeeData", "fundamental_form", "lck_check", "lee_form", "nabla_j_checks",
+                  "nijenhuis", "require_gate"),
     "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
                 "curvature_pairing_with_dj_check", "dprime_eval", "equivalence_check",
                 "g_fiber", "h_trace", "vertical_antisymmetry_check", "vertical_checks",

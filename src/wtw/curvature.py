@@ -41,10 +41,6 @@ class Curvature(Memo):
         # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
         self.__dict__.update(spec=spec, r=r, kind=kind)
 
-    def __getitem__(self, key):
-        i, j, k, l = key
-        return self.r[i][j][k][l]
-
     def endo(self, i: int, j: int) -> Endo:
         """R(E_i, E_j) as an endomorphism (column convention)."""
         n = self.spec.n
@@ -183,7 +179,7 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     axes = (spec.basis,) * 4
     RD = curvature(weyl(spec))
     r = RD.r
-    dphi = spec.dphi().comps
+    dphi = spec.dphi()
     J = spec.J
 
     def pair_symmetry(i, j, k, l):

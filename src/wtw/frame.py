@@ -29,15 +29,16 @@ they produce is one call of the ring's multiply-accumulate kernel
 :meth:`wtw.polyalg.Ring.dot`, which skips zero entries, rational or scalar,
 and reduces the sum once; ``left`` and ``right`` find the nonzero positions
 of their fixed vector once and pass the kernel only those, and return
-zeros without calling it when there are none.  ``Endo`` products and the
-wedge products use the same kernel.  :class:`Endo` and :class:`TwoForm` share
-one private matrix base for their sums, scalings and comparisons:
+zeros without calling it when there are none:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
   * ``right(M, u)``  the vector M(., u), that is sum_q M[k][q] u[q];
   * ``twist(M)``     the matrix M(J., J.);
   * ``j_pair(M)``    the matrix M(J., .) + M(., J.).
+
+``Endo`` products, the wedge products and :func:`linear_combination`, which
+sums weighted n x n arrays, use the same kernel.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.
@@ -51,7 +52,13 @@ walks only these supports: ``validate`` and, in the later layers, the
 Levi-Civita gammas and the Nijenhuis tensor accumulate ints and lift each
 nonzero result to a scalar once, leaving the ring's shared zero everywhere
 else; ``d_oneform`` calls the kernel only where a bracket row is nonzero.
-The 3-forms, plain nested tuples, live in :mod:`wtw.hermitian`, their only user.
+:class:`Endo` is the one matrix class.  A 2-form F is an n x n nested tuple
+with ``F[i][j] = F(E_i, E_j)``, and a bivector ``b`` the n x n nested tuple
+of its components, ``sum_{i<j} b[i][j] E_i ^ E_j``.  The functions here build
+them antisymmetric with a zero diagonal, and the public functions that take
+one, :func:`eval_on_bivector` and ``wtw.twistor.curvature_on_bivector``, read
+only the entries with i < j.  The 3-forms, plain nested tuples too, live in
+:mod:`wtw.hermitian`, their only user.
 
 Two names of later layers live here so that modules which need only them
 need not load those layers: :class:`GateError`, which the gate of
@@ -173,8 +180,10 @@ class FrameSpec(Memo):
                name: str = "custom") -> "FrameSpec":
         """Build and validate a spec from bracket data ``{(i,j): {k: c_ijk}}``.
 
-        Bracket keys use 0-based ``i < j``; antisymmetry is filled in.
-        ``phi`` entries may be scalars, parse strings, or rational constants.
+        Bracket keys use 0-based ``i < j``; antisymmetry is filled in.  A key
+        ``(j, i)`` gives ``[E_j, E_i]``, and naming a pair in both orders is an
+        error.  ``phi`` entries may be scalars, parse strings, or rational
+        constants.
         """
         _check_dimension(dimension)
         ring = Ring(tuple(symbols))
@@ -186,9 +195,13 @@ class FrameSpec(Memo):
                 raise FrameError("basis must list n distinct vector names")
         n = dimension
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        key_of_pair: dict[frozenset[int], tuple[int, int]] = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise FrameError(f"bracket index out of range: {(i, j)}")
+            first = key_of_pair.setdefault(frozenset((i, j)), (i, j))
+            if first != (i, j):
+                raise FrameError(f"brackets {first} and {(i, j)} name the same pair")
             if any(not (0 <= k < n) for k in comps):
                 raise FrameError(f"bracket component index out of range in {(i, j)}")
             if i == j and any(Fraction(v) != 0 for v in comps.values()):
@@ -256,8 +269,8 @@ class FrameSpec(Memo):
         """The complex structure as an endomorphism with scalar entries."""
         return self.memo(_j_endo)
 
-    def dphi(self) -> "TwoForm":
-        """d(phi) of the spec's Weyl form."""
+    def dphi(self) -> tuple[Vector, ...]:
+        """d(phi) of the spec's Weyl form, as an n x n array."""
         return self.memo(_dphi)
 
     def bracket_rows(self) -> tuple[int, list]:
@@ -352,40 +365,7 @@ def _coerce_phi(ring: Ring, n: int,
     return tuple(vec)
 
 
-class _Matrix:
-    """The n x n scalar array that :class:`Endo` and :class:`TwoForm` share;
-    results keep the subclass, and only equal arrays of one type are equal."""
-
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
-        self.spec = spec
-        self.comps = tuple(tuple(row) for row in comps)
-
-    def __add__(self, other):
-        return type(self)(self.spec, [[a + b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        return type(self)(self.spec, [[a - b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.comps, other.comps)])
-
-    def scale(self, value):
-        return type(self)(self.spec, [[a * value if a else a for a in row]
-                                      for row in self.comps])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.comps for a in row)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash(self.comps)
-
-
-class Endo(_Matrix):
+class Endo:
     """An endomorphism of the frame with scalar entries.
 
     Column convention: ``S(E_j) = sum_i comps[i][j] E_i``; composition is
@@ -393,7 +373,11 @@ class Endo(_Matrix):
     vertical twistor vectors.
     """
 
-    __slots__ = ()
+    __slots__ = ("spec", "comps")
+
+    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
+        self.spec = spec
+        self.comps = tuple(tuple(row) for row in comps)
 
     @staticmethod
     def from_rational(spec: FrameSpec, matrix: Sequence[Sequence[RationalLike]]) -> "Endo":
@@ -408,21 +392,26 @@ class Endo(_Matrix):
     def combination(weights: Sequence, endos: Sequence["Endo"]) -> "Endo":
         """sum_m weights[m] endos[m], one kernel call per entry."""
         spec = endos[0].spec
-        # rows[k] holds row k of every endo; zip(*rows) walks entry (k, l) across them
-        return Endo(spec, [[spec.dot(weights, entry) for entry in zip(*rows)]
-                           for rows in zip(*(e.comps for e in endos))])
+        return Endo(spec, linear_combination(spec, weights, [e.comps for e in endos]))
 
     @staticmethod
     def identity(spec: FrameSpec) -> "Endo":
         return Endo(spec, [[spec.const(_kron(i, j)) for j in range(spec.n)]
                            for i in range(spec.n)])
 
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
-        i, j = key
-        return self.comps[i][j]
+    def __add__(self, other: "Endo") -> "Endo":
+        return Endo(self.spec, [[a + b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self.comps, other.comps)])
+
+    def __sub__(self, other: "Endo") -> "Endo":
+        return Endo(self.spec, [[a - b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self.comps, other.comps)])
 
     def __neg__(self) -> "Endo":
         return Endo(self.spec, [[-a for a in row] for row in self.comps])
+
+    def scale(self, value) -> "Endo":
+        return Endo(self.spec, [[a * value if a else a for a in row] for row in self.comps])
 
     def __matmul__(self, other: "Endo") -> "Endo":
         dot = self.spec.ring.dot
@@ -441,6 +430,10 @@ class Endo(_Matrix):
         return (self @ other) - (other @ self)
 
     @property
+    def is_zero(self) -> bool:
+        return all(a.is_zero for row in self.comps for a in row)
+
+    @property
     def is_skew(self) -> bool:
         n = self.spec.n
         return all(self.comps[i][j] == -self.comps[j][i]
@@ -449,46 +442,30 @@ class Endo(_Matrix):
     def anticommutes_with(self, other: "Endo") -> bool:
         return ((self @ other) + (other @ self)).is_zero
 
+    def __eq__(self, other) -> bool:
+        return type(other) is Endo and self.comps == other.comps
+
+    def __hash__(self) -> int:
+        return hash(self.comps)
+
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.comps)
         return f"Endo({rows})"
 
 
-class TwoForm(_Matrix):
-    """Antisymmetric scalar matrix: the 2-form F with ``F(E_i, E_j) = comps[i][j]``,
-    or the bivector ``sum_{i<j} comps[i][j] E_i ^ E_j`` (alias :data:`Bivector`)."""
-
-    __slots__ = ()
-
-    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
-        super().__init__(spec, comps)
-        n = spec.n
-        # row-major order meets a failing (i, j) with i <= j before (j, i)
-        for i in range(n):
-            for j in range(i, n):
-                if self.comps[i][j] != -self.comps[j][i]:
-                    raise FrameError(f"2-form not antisymmetric at ({i+1},{j+1})")
-
-    def __call__(self, i: int, j: int) -> Scalar:
-        return self.comps[i][j]
-
-
-Bivector = TwoForm
-
-
-def wedge_iso(a: Endo) -> Bivector:
-    """The bivector of a skew endomorphism: components g(a E_i, E_j)."""
+def wedge_iso(a: Endo) -> tuple[Vector, ...]:
+    """The bivector of a skew endomorphism: components g(a E_i, E_j), the
+    transpose of ``a``."""
     if not a.is_skew:
         raise FrameError("wedge isomorphism requires a skew endomorphism")
-    n = a.spec.n
-    return Bivector(a.spec, [[a.comps[j][i] for j in range(n)] for i in range(n)])
+    return tuple(zip(*a.comps))
 
 
 def _j_endo(spec: FrameSpec) -> Endo:
     return Endo.from_rational(spec, spec.J)
 
 
-def _dphi(spec: FrameSpec) -> "TwoForm":
+def _dphi(spec: FrameSpec) -> tuple[Vector, ...]:
     return d_oneform(spec, spec.phi)
 
 
@@ -522,22 +499,21 @@ def _accumulate(acc: dict, weight: int, row) -> None:
 
 # -- exterior calculus (constant components) ------------------------------
 
-def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> TwoForm:
-    """d omega with ``(d omega)(E_i, E_j) = -omega([E_i, E_j])``, contracted
-    over the nonzero bracket rows only."""
+def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> tuple[Vector, ...]:
+    """d omega with ``(d omega)(E_i, E_j) = -omega([E_i, E_j])``, as an n x n
+    array, contracted over the nonzero bracket rows only."""
     _, rows = spec.bracket_rows()
     zero = spec.zero()
-    return TwoForm(spec, [[-spec.dot(c_ij, omega) if row_ij else zero
-                           for c_ij, row_ij in zip(c_i, rows_i)]
-                          for c_i, rows_i in zip(spec.c, rows)])
+    return tuple(tuple(-spec.dot(c_ij, omega) if row_ij else zero
+                       for c_ij, row_ij in zip(c_i, rows_i))
+                 for c_i, rows_i in zip(spec.c, rows))
 
 
-def eval_on_bivector(F: TwoForm, b: Bivector) -> Scalar:
+def eval_on_bivector(spec: FrameSpec, F: Sequence[Sequence], b: Sequence[Sequence]) -> Scalar:
     """``sum_{i<j} b[i][j] F(E_i, E_j)`` (pairing normalized so that
-    ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1)."""
-    n = F.spec.n
-    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return F.spec.dot([b.comps[i][j] for i, j in planes], [F.comps[i][j] for i, j in planes])
+    ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1); reads only i < j."""
+    planes = list(combinations(range(spec.n), 2))
+    return spec.dot([b[i][j] for i, j in planes], [F[i][j] for i, j in planes])
 
 
 def sharp(spec: FrameSpec, omega: Sequence[Scalar]) -> Vector:
@@ -545,13 +521,22 @@ def sharp(spec: FrameSpec, omega: Sequence[Scalar]) -> Vector:
     return tuple(omega)
 
 
-def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar], beta: Sequence[Scalar]) -> TwoForm:
-    """(alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X)."""
+def linear_combination(spec: FrameSpec, weights: Sequence,
+                       arrays: Sequence[Sequence[Sequence]]) -> tuple[Vector, ...]:
+    """sum_m weights[m] arrays[m] for n x n arrays, one kernel call per entry."""
+    # rows[m] is row k of arrays[m]; zip(*rows) walks entry (k, l) across them
+    return tuple(tuple(spec.dot(weights, entry) for entry in zip(*rows))
+                 for rows in zip(*arrays))
+
+
+def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar],
+                   beta: Sequence[Scalar]) -> tuple[Vector, ...]:
+    """(alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X), as an n x n array."""
     n = spec.n
     dot = spec.ring.dot
     minus_beta = [-b for b in beta]
-    return TwoForm(spec, [[dot((alpha[i], alpha[j]), (beta[j], minus_beta[i]))
-                           for j in range(n)] for i in range(n)])
+    return tuple(tuple(dot((alpha[i], alpha[j]), (beta[j], minus_beta[i])) for j in range(n))
+                 for i in range(n))
 
 
 # -- built-in geometries ---------------------------------------------------

@@ -29,10 +29,12 @@ lifted to a scalar once.  d(Omega) and the residual are evaluated on
 increasing triples over the nonzero bracket rows and extended by
 antisymmetry.
 
-3-forms are plain n x n x n nested tuples, as N is; ``d_twoform`` and
-``wedge_one_two`` live here, with their only user.  J o nabla_X J for the
-Levi-Civita connection is formed once per spec and kept on it, for the
-nabla-J checks and the twistor layer.
+Omega, like every 2-form, is an n x n nested tuple, and 3-forms are plain
+n x n x n nested tuples, as N is.  The two 3-form builders ``_d_twoform`` and
+``_wedge_one_two`` are private: they read both halves of their 2-form, so they
+need it antisymmetric, and their only callers pass Omega, which is.  J o
+nabla_X J for the Levi-Civita connection is formed once per spec and kept on
+it, for the nabla-J checks and the twistor layer.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .connection import cov_deriv_endo, levi_civita, weyl
 from .curvature import codifferential_endo
-from .frame import (Endo, FrameSpec, GateError, TwoForm, Vector, _accumulate, d_oneform,
-                    wedge_iso, wedge_oneforms)
+from .frame import (Endo, FrameSpec, GateError, Vector, _accumulate, d_oneform,
+                    linear_combination, wedge_iso, wedge_oneforms)
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -63,26 +65,27 @@ def _alternating(spec: FrameSpec, values: Iterable[Scalar]):
     return tuple(tuple(tuple(row) for row in plane) for plane in comps)
 
 
-def d_twoform(spec: FrameSpec, F: TwoForm):
+def _d_twoform(spec: FrameSpec, F):
     """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
 
-    As F is antisymmetric, dF(E_i, E_j, E_k) is the cyclic sum
+    For an antisymmetric F, dF(E_i, E_j, E_k) is the cyclic sum
     ``sum_m c[i][j][m] F[k][m] + c[j][k][m] F[i][m] + c[k][i][m] F[j][m]``: one
     kernel call per increasing triple with a nonzero bracket row.
     """
     _, rows = spec.bracket_rows()
-    c, f, zero = spec.c, F.comps, spec.zero()
+    c, zero = spec.c, spec.zero()
     return _alternating(spec, (
-        spec.dot(c[i][j] + c[j][k] + c[k][i], f[k] + f[i] + f[j])
+        spec.dot(c[i][j] + c[j][k] + c[k][i], F[k] + F[i] + F[j])
         if rows[i][j] or rows[j][k] or rows[k][i] else zero
         for i, j, k in combinations(range(spec.n), 3)))
 
 
-def wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F: TwoForm):
-    """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)."""
-    dot, f = spec.ring.dot, F.comps  # antisymmetric: -F(X, Z) = F(Z, X)
+def _wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F):
+    """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)
+    for an antisymmetric F, where -F(X, Z) = F(Z, X)."""
+    dot = spec.ring.dot
     return _alternating(spec, (
-        dot((alpha[i], alpha[j], alpha[k]), (f[j][k], f[k][i], f[i][j]))
+        dot((alpha[i], alpha[j], alpha[k]), (F[j][k], F[k][i], F[i][j]))
         for i, j, k in combinations(range(spec.n), 3)))
 
 
@@ -91,14 +94,14 @@ class LeeData(NamedTuple):
     B: Vector       # dual Lee vector components (equal, orthonormal frame)
 
 
-def fundamental_form(spec: FrameSpec) -> TwoForm:
-    """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i]."""
+def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
+    """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i], as an n x n array."""
     return spec.memo(_fundamental_form)
 
 
-def _fundamental_form(spec: FrameSpec) -> TwoForm:
+def _fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
     zero = spec.zero()
-    return TwoForm(spec, [[spec.const(x) if x else zero for x in col] for col in zip(*spec.J)])
+    return tuple(tuple(spec.const(x) if x else zero for x in col) for col in zip(*spec.J))
 
 
 def nijenhuis(spec: FrameSpec):
@@ -144,8 +147,8 @@ def _lee_form(spec: FrameSpec) -> LeeData:
     lc = levi_civita(spec)
     omega = fundamental_form(spec)
     # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m]
-    parts = [spec.left(lc.gamma[i][i], omega.comps) for i in range(n)]
-    parts += [spec.right(lc.gamma[i], omega.comps[i]) for i in range(n)]
+    parts = [spec.left(lc.gamma[i][i], omega) for i in range(n)]
+    parts += [spec.right(lc.gamma[i], omega[i]) for i in range(n)]
     delta_omega = [spec.ring.sum(column) for column in zip(*parts)]
     factor = Fraction(-2, n - 2)
     theta = tuple(value * factor for value in spec.left(delta_omega, spec.J))
@@ -157,13 +160,13 @@ def _lee_form(spec: FrameSpec) -> LeeData:
 
 
 def _d_omega(spec: FrameSpec):
-    return d_twoform(spec, fundamental_form(spec))
+    return _d_twoform(spec, fundamental_form(spec))
 
 
 def _lee_residual(spec: FrameSpec):
     """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
     d_omega = spec.memo(_d_omega)
-    wedge = wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec))
+    wedge = _wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec))
     return _alternating(spec, (d_omega[i][j][k] - wedge[i][j][k]
                                for i, j, k in combinations(range(spec.n), 3)))
 
@@ -175,8 +178,7 @@ def lck_check(spec: FrameSpec) -> CheckReport:
     basis = spec.basis
     report.require_zero("d(Omega) = theta ^ Omega", spec.memo(_lee_residual),
                         (basis,) * 3)
-    dtheta = d_oneform(spec, lee_form(spec).theta)
-    report.require_zero("d(theta) = 0", dtheta.comps, (basis,) * 2)
+    report.require_zero("d(theta) = 0", d_oneform(spec, lee_form(spec).theta), (basis,) * 2)
     report.require_zero("Nijenhuis tensor vanishes", nijenhuis(spec)[0], (basis,) * 3)
     return report
 
@@ -256,12 +258,11 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
         closed_form(x, y, l) for l in ix] for y in ix] for x in ix], axes)
 
     residual = []
+    half = Fraction(1, 2)
     for x, (jn, jx) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
         ex = tuple(spec.const(1 if l == x else 0) for l in ix)
-        lhs = wedge_iso(jn)
-        rhs = (wedge_oneforms(spec, B, ex)
-               - wedge_oneforms(spec, JB, jx)).scale(Fraction(1, 2))
-        residual.append((lhs - rhs).comps)
+        residual.append(linear_combination(spec, (1, -half, half), (
+            wedge_iso(jn), wedge_oneforms(spec, B, ex), wedge_oneforms(spec, JB, jx))))
     report.require_zero("wedge image of J nabla-J through the Lee vector", residual, axes)
 
     lee_spec = spec.with_phi(lee.theta)

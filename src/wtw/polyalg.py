@@ -495,6 +495,8 @@ class Scalar:
                 and self._den == other._den and self._terms == other._terms)
 
     def __hash__(self) -> int:
+        if self.is_constant:  # equal to its rational, so hashed as it
+            return hash(Fraction(self._terms.get(0, 0), self._den))
         return hash((self.ring.symbols, self._den, tuple(sorted(self._terms.items()))))
 
     # -- substitution ----------------------------------------------------

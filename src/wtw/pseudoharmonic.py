@@ -37,8 +37,8 @@ from typing import Mapping, NamedTuple
 
 from .curvature import curvature, ricci, star_ricci
 from .connection import weyl
-from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, wedge_iso,
-                    wedge_oneforms)
+from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, linear_combination,
+                    wedge_iso, wedge_oneforms)
 from .hermitian import require_gate
 from .polyalg import RationalLike, Scalar, normalized_system
 
@@ -73,8 +73,8 @@ def _condition_i_pairing(spec: FrameSpec):
     n = spec.n
     coeff = Fraction(n * (n - 4), 2 * (n - 2))
     tmf = tuple(t - p for t, p in zip(theta, spec.phi))
-    form = d_oneform(spec, tmf) + wedge_oneforms(spec, theta, spec.phi).scale(coeff)
-    return spec.j_pair(form.comps)
+    return spec.j_pair(linear_combination(
+        spec, (1, coeff), (d_oneform(spec, tmf), wedge_oneforms(spec, theta, spec.phi))))
 
 
 def condition_i(spec: FrameSpec) -> list[Scalar]:
@@ -97,7 +97,7 @@ def condition_ii_map(spec: FrameSpec, psi, dim4_mode: bool = False) -> tuple[Sca
     J = spec.J
     R = curvature(weyl(spec))
     dphi = spec.dphi()
-    dphi_jwedge = eval_on_bivector(dphi, wedge_iso(spec.j_endo()))
+    dphi_jwedge = eval_on_bivector(spec, dphi, wedge_iso(spec.j_endo()))
     jpsi = spec.j_apply(psi)
     psi_j = spec.left(psi, J)                                  # psi(JZ)
     rho_psi = spec.left(psi, ricci(R))                         # rho(psi#, Z)
@@ -105,8 +105,8 @@ def condition_ii_map(spec: FrameSpec, psi, dim4_mode: bool = False) -> tuple[Sca
     out = [rho_star_jpsi_j[k] - rho_psi[k] - psi_j[k] * dphi_jwedge for k in range(n)]
     if dim4_mode:
         return tuple(out)
-    dphi_psi = spec.left(psi, dphi.comps)                      # dphi(psi#, Z)
-    dphi_jpsi_j = spec.left(spec.left(jpsi, dphi.comps), J)    # dphi(J psi#, JZ)
+    dphi_psi = spec.left(psi, dphi)                            # dphi(psi#, Z)
+    dphi_jpsi_j = spec.left(spec.left(jpsi, dphi), J)          # dphi(J psi#, JZ)
     lead = Fraction(n, 2) - 1
     return tuple(value + dphi_psi[k] * lead - dphi_jpsi_j[k] for k, value in enumerate(out))
 

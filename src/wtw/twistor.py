@@ -9,7 +9,9 @@ built.  The fiber metric on endomorphisms is
 which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 (:func:`wtw.frame.wedge_iso`, re-exported here) sends a skew endomorphism
 ``a`` to the bivector with components ``g(a E_i, E_j)``, normalized so that
-``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
+``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.  Bivectors
+and 2-forms are n x n nested tuples, as in :mod:`wtw.frame`; endomorphisms are
+:class:`wtw.frame.Endo`.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
@@ -27,7 +29,8 @@ action on a vertical direction V with J costs one commutator ``[V, J]`` per V
 rather than n^2 commutators; the vertical antisymmetry check evaluates its
 other side through the stored action on J, so the two sides stay different
 computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over the nonzero
-entries of ``b`` only.
+entries of ``b`` only.  As dphi is antisymmetric, ``dphi(X, MY)`` is read from
+``dphi(MY, X)``: each contraction of dphi with an endomorphism M is formed once.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
 planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
@@ -54,8 +57,8 @@ from typing import NamedTuple
 
 from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
 from .curvature import Curvature, codifferential_endo, curvature
-from .frame import (Bivector, Endo, FrameError, FrameSpec, eval_on_bivector, wedge_iso,
-                    wedge_oneforms)
+from .frame import (Endo, FrameError, FrameSpec, _kron, eval_on_bivector, linear_combination,
+                    wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Ring, Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii, condition_ii_map
@@ -77,13 +80,14 @@ def _g_against(b: Endo):
     return lambda a: dot([a.comps[k][l] for k, l in support], values) * half
 
 
-def curvature_on_bivector(R: Curvature, b: Bivector) -> Endo:
-    """R(b) = sum_{p<q} b[p][q] R(E_p, E_q) as an endomorphism."""
+def curvature_on_bivector(R: Curvature, b) -> Endo:
+    """R(b) = sum_{p<q} b[p][q] R(E_p, E_q) as an endomorphism, for an n x n
+    bivector array b; reads only p < q."""
     spec = R.spec
     n = spec.n
     # only the planes where b is nonzero contribute
-    planes = [(p, q) for p in range(n) for q in range(p + 1, n) if b.comps[p][q]]
-    coeffs = [b.comps[p][q] for p, q in planes]
+    planes = [(p, q) for p, q in combinations(range(n), 2) if b[p][q]]
+    coeffs = [b[p][q] for p, q in planes]
     comps = [[spec.dot(coeffs, [R.r[p][q][k][l] for p, q in planes])
               for k in range(n)] for l in range(n)]
     return Endo(spec, comps)
@@ -223,15 +227,14 @@ def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
     comm_wedge = wedge_iso(comm)
     r_of_wedge = curvature_on_bivector(R, comm_wedge)
     dphi = spec.dphi()
-    dphi_wedge = eval_on_bivector(dphi, comm_wedge)
-    columns = list(zip(*comm.comps))  # columns[i] = [a,b] E_i
-    dphi_comm = [spec.left(col, dphi.comps) for col in columns]   # [i][j]: dphi([a,b]X, Y)
-    comm_dphi = [spec.right(dphi.comps, col) for col in columns]  # [j][i]: dphi(X, [a,b]Y)
+    dphi_wedge = eval_on_bivector(spec, dphi, comm_wedge)
+    # [i][j]: dphi([a,b]X, Y); dphi(X, [a,b]Y) is -dphi([a,b]Y, X), its [j][i] negated
+    dphi_comm = [spec.left(col, dphi) for col in zip(*comm.comps)]
     half = Fraction(1, 2)
     against_b = _g_against(b)
 
     def entry(i, j):
-        corr = dphi_comm[i][j] + comm_dphi[j][i]
+        corr = dphi_comm[i][j] - dphi_comm[j][i]
         if i == j:
             corr = corr + dphi_wedge
         return against_b(action[i][j]) - r_of_wedge.comps[j][i] + corr * half
@@ -256,6 +259,8 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
     checked for every frame triple (X, Y, Z), indexed [Y][X][Z]; nabla is
     Levi-Civita, R and the fiber pairing belong to the Weyl connection.
+    As dphi is antisymmetric, the second bracket is minus the first at (Z, X)
+    and dphi(X, (J nabla_Y J) Z) = -dphi((J nabla_Y J) Z, X): each is formed once.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
     n = spec.n
@@ -272,41 +277,31 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     act_j = endo_curvature_action(R, j_endo)
     half = Fraction(1, 2)
     phi_j = spec.left(phi, J)                      # phi(J.)
-    dphi_jphi = spec.left(jphi, dphi.comps)        # dphi(J phi#, .)
-    dphi_phi = spec.left(phi, dphi.comps)          # dphi(phi#, .)
-    jphi_dphi = spec.right(dphi.comps, jphi)       # dphi(., J phi#)
-    phi_dphi = spec.right(dphi.comps, phi)         # dphi(., phi#)
+    dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
+    dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
 
     residual = []
     for y, (jn, jy) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
         against_dj = _g_against(dj[y])
         _, r_jn, dphi_jn = images[y]
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
-        bphi = wedge_oneforms(spec, phi, ey) - wedge_oneforms(spec, jphi, jy)
+        bphi = linear_combination(  # phi# ^ Y - J phi# ^ JY
+            spec, (1, -1), (wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy)))
         r_bphi = curvature_on_bivector(R, bphi)
-        dphi_bphi = eval_on_bivector(dphi, bphi)
-        columns = list(zip(*jn.comps))
-        dphi_jn_x = [spec.left(col, dphi.comps) for col in columns]    # [x][z]
-        dphi_jn_z = [spec.right(dphi.comps, col) for col in columns]   # [z][x]
-        dphi_jy = spec.left(jy, dphi.comps)        # dphi(JY, .)
-        jy_dphi = spec.right(dphi.comps, jy)       # dphi(., JY)
+        dphi_bphi = eval_on_bivector(spec, dphi, bphi)
+        dphi_jn_x = [spec.left(col, dphi) for col in zip(*jn.comps)]   # [x][z]
+        dphi_jy = spec.left(jy, dphi)              # dphi(JY, .)
+        # [x][z]: the first bracket; -J[y][x] = J[x][y], as J is skew
+        bracket = [[spec.dot((phi_j[x], phi[x], dphi_jphi[z], dphi_phi[z]),
+                             (dphi_jy[z], dphi[y][z], J[x][y], -_kron(x, y))) for z in ix]
+                   for x in ix]
 
         def entry(x, z):
             rhs = r_jn.comps[z][x] * 2 - r_bphi.comps[z][x]
             if x == z:
                 rhs = rhs - dphi_jn + dphi_bphi * half
-            rhs = rhs - dphi_jn_x[x][z] - dphi_jn_z[z][x]
-            # -J[y][x] = J[x][y]: J is skew
-            part = spec.dot((phi_j[x], phi[x], dphi_jphi[z]),
-                            (dphi_jy[z], dphi.comps[y][z], J[x][y]))
-            if y == x:
-                part = part - dphi_phi[z]
-            rhs = rhs + part * half
-            part = spec.dot((phi_j[z], phi[z], jphi_dphi[x]),
-                            (jy_dphi[x], dphi.comps[x][y], J[z][y]))
-            if y == z:
-                part = part - phi_dphi[x]
-            rhs = rhs + part * half
+            rhs = rhs - dphi_jn_x[x][z] + dphi_jn_x[z][x]
+            rhs = rhs + (bracket[x][z] - bracket[z][x]) * half
             return against_dj(act_j[x][z]) - rhs
 
         residual.append([[entry(x, z) for z in ix] for x in ix])
@@ -323,7 +318,7 @@ def _dj_images(spec: FrameSpec):
     images = []
     for jn in spec.memo(_j_nabla_j):
         b = wedge_iso(jn)
-        images.append((b, curvature_on_bivector(R, b), eval_on_bivector(dphi, b)))
+        images.append((b, curvature_on_bivector(R, b), eval_on_bivector(spec, dphi, b)))
     return tuple(images)
 
 
@@ -458,10 +453,10 @@ def h_trace(spec: FrameSpec):
     jn = spec.memo(_j_nabla_j)
     images = spec.memo(_dj_images)  # (b, R(b), dphi(b)) for b the wedge image of jn[x]
 
-    dphi_jdj = spec.left(j_delta_j, dphi.comps)                  # dphi(J delta J, Z)
+    dphi_jdj = spec.left(j_delta_j, dphi)                        # dphi(J delta J, Z)
     # Tr{X -> dphi(X, (J nabla_X J) Z)}
     traced = [spec.ring.sum(column) for column in
-              zip(*(spec.left(dphi.comps[x], jn[x].comps) for x in range(n)))]
+              zip(*(spec.left(dphi[x], jn[x].comps) for x in range(n)))]
     l_phi = condition_ii_map(spec, spec.phi)
     return tuple(spec.ring.sum(images[x][1].comps[k][x] for x in range(n)) * 2
                  - images[k][2] + dphi_jdj[k] - traced[k] - l_phi[k] for k in range(n))
@@ -492,9 +487,10 @@ def v_trace(spec: FrameSpec) -> VTraceData:
     n = spec.n
     second = second_cov_deriv_endo(weyl(spec), spec.j_endo())
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
-    form = Endo(spec, [[spec.ring.sum(second[i][i].comps[k][l] for i in range(n))
-                        for k in range(n)] for l in range(n)])
-    direct = (form - Endo(spec, spec.twist(form.comps))).comps
+    form = [[spec.ring.sum(second[i][i].comps[k][l] for i in range(n)) for k in range(n)]
+            for l in range(n)]
+    direct = tuple(tuple(a - b for a, b in zip(row, twisted))
+                   for row, twisted in zip(form, spec.twist(form)))
     closed = tuple(tuple(-value for value in row) for row in condition_i_pairing(spec))
     return VTraceData(direct=direct, closed_form=closed)
 

@@ -1,0 +1,102 @@
+"""Compare the command line of two source trees, run by run.
+
+Usage, from anywhere in the repository:
+
+    python tests/cli_diff.py OLD_SRC NEW_SRC
+
+Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
+(the ``src`` directory of a checkout).  Every run is ``python -m wtw`` with
+``WTW_COLOR=0`` and that directory on ``PYTHONPATH``, over the built-ins and
+every document under ``tests/data``:
+
+* every verb, in table and JSON format; ``verify`` gets ``--assign`` with the
+  source's first symbol set to 0, and runs without it where there is none;
+* ``--dim4`` on ``conditions``, ``verify`` and ``report`` at n = 4;
+* ``report`` with that ``--assign``.
+
+Two runs agree when their stdout, stderr and exit code are equal.  The script
+prints ``runs=N diffs=M`` and then each differing (verb, source, format) with
+its arguments, and exits 1 on any difference.  Standard library only; pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+import tomllib
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+VERBS = ("validate", "connection", "curvature", "ricci", "star-ricci", "lee", "lck",
+         "conditions", "verify", "suite", "report")
+
+BUILTIN_SYMBOLS = ("a1", "a2", "a3", "a4")
+BUILTINS = {
+    "inoue-s0": ["--builtin", "inoue-s0"],
+    **{f"kodaira{signs}": ["--builtin", "kodaira", f"--signs={signs}"]
+       for signs in ("+1,+1", "+1,-1", "-1,+1", "-1,-1")},
+}
+
+
+def _document_frame(path: pathlib.Path) -> tuple[list, object]:
+    """The symbols and dimension a document declares, or none if it does not parse."""
+    try:
+        frame = tomllib.loads(path.read_text(encoding="utf-8")).get("frame", {})
+    except tomllib.TOMLDecodeError:
+        return [], None
+    return frame.get("symbols", []), frame.get("dimension")
+
+
+def sources() -> list[tuple[str, list[str], list, object]]:
+    """(name, arguments, symbols, dimension) for each built-in and document."""
+    out = [(name, args, BUILTIN_SYMBOLS, 4) for name, args in BUILTINS.items()]
+    for path in sorted(DATA.glob("*.toml")):
+        symbols, dimension = _document_frame(path)
+        out.append((path.name, ["--spec", str(path)], symbols, dimension))
+    return out
+
+
+def cases() -> list[tuple[str, str, str, list[str]]]:
+    """(verb, source, format, argv) for every run."""
+    out = []
+    for name, source, symbols, dimension in sources():
+        assign = ["--assign", f"{symbols[0]}=0"] if symbols else []
+        for fmt in ("table", "json"):
+            tail = [*source, "--format", fmt]
+            for verb in VERBS:
+                out.append((verb, name, fmt, [verb, *tail, *(assign if verb == "verify" else [])]))
+            if dimension == 4:
+                for verb in ("conditions", "verify", "report"):
+                    extra = assign if verb == "verify" else []
+                    out.append((f"{verb} --dim4", name, fmt, [verb, *tail, "--dim4", *extra]))
+            if assign:
+                out.append(("report --assign", name, fmt, ["report", *tail, *assign]))
+    return out
+
+
+def run(src: str, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=src, WTW_COLOR="0", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "wtw", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write("usage: python tests/cli_diff.py OLD_SRC NEW_SRC\n")
+        return 2
+    old, new = (str(pathlib.Path(path).resolve()) for path in argv)
+    runs = cases()
+    diffs = [(verb, name, fmt, args) for verb, name, fmt, args in runs
+             if run(old, args) != run(new, args)]
+    print(f"runs={len(runs)} diffs={len(diffs)}")
+    for verb, name, fmt, args in diffs:
+        print(f"  {verb} | {name} | {fmt}: {' '.join(args)}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

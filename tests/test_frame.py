@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
-                 curvature, d_oneform, d_twoform, eval_on_bivector, levi_civita, load_spec,
+                 curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, sharp, weyl)
-from wtw.frame import Bivector, TwoForm, wedge_oneforms
-from wtw.hermitian import wedge_one_two
+from wtw.frame import wedge_iso, wedge_oneforms
+from wtw.polyalg import Scalar
+from wtw.hermitian import _d_twoform, _wedge_one_two
 from wtw.hermitian import _lee_residual, fundamental_form, lee_form, nijenhuis
 
 INOUE_DOC = """
@@ -94,6 +95,14 @@ class TestLoader:
         doc = INOUE_DOC.replace('["1", "0", "0", "0"]', '["1", "1", "0", "0"]')
         with pytest.raises(FrameError):
             load_spec(doc)
+
+    @pytest.mark.parametrize("first, second", [("E1,E2", "E2,E1"), ("E2,E1", "E1,E2")])
+    def test_rejects_a_pair_named_in_both_orders(self, first, second):
+        doc = INOUE_DOC.replace('"E1,E2" = { E1 = "-1" }',
+                                f'"{first}" = {{ E1 = "-1" }}\n"{second}" = {{ E1 = "5" }}')
+        with pytest.raises(SpecFormatError) as info:
+            load_spec(doc)
+        assert str(info.value) == f"[brackets] '{first}' and '{second}' name the same pair"
 
     def test_rejects_jacobi_violation(self):
         doc = INOUE_DOC.replace('"E2,E3" = { E3 = "-1/2" }',
@@ -319,25 +328,25 @@ class TestExteriorCalculus:
     def test_inoue_d_oneform(self, inoue):
         omega = (inoue.ring.sym("a1"), inoue.ring.sym("a2"), inoue.zero(), inoue.zero())
         d = d_oneform(inoue, omega)
-        assert str(d.comps[0][1]) == "a1"
-        assert all(d.comps[i][j].is_zero for i in range(4) for j in range(4)
+        assert str(d[0][1]) == "a1"
+        assert all(d[i][j].is_zero for i in range(4) for j in range(4)
                    if {i, j} != {0, 1})
 
     def test_kodaira_d_alpha4(self, kodairas):
         spec = kodairas[(1, 1)]
         omega = (spec.zero(), spec.zero(), spec.zero(), spec.const(1))
         d = d_oneform(spec, omega)
-        assert d.comps[0][1] == spec.const(2)
+        assert d[0][1] == spec.const(2)
 
     def test_abelian_d_is_zero(self, abelian):
         omega = tuple(abelian.const(k) for k in (3, -1, 2, 7))
-        assert d_oneform(abelian, omega).is_zero
+        assert all(x.is_zero for row in d_oneform(abelian, omega) for x in row)
 
     def test_d_composed_with_d_vanishes(self, inoue, kodairas):
         for spec in (inoue, kodairas[(1, -1)]):
             for k in range(4):
                 eta = tuple(spec.const(1 if i == k else 0) for i in range(4))
-                ddeta = d_twoform(spec, d_oneform(spec, eta))
+                ddeta = _d_twoform(spec, d_oneform(spec, eta))
                 assert all(x.is_zero for plane in ddeta for row in plane for x in row)
 
     def test_d_oneform_linearity(self, inoue):
@@ -346,8 +355,8 @@ class TestExteriorCalculus:
         b = (r.zero(), r.sym("a3"), r.sym("a4"), r.zero())
         combo = tuple(3 * x + Fraction(1, 2) * y for x, y in zip(a, b))
         da, db, dc = d_oneform(inoue, a), d_oneform(inoue, b), d_oneform(inoue, combo)
-        assert all((dc.comps[i][j] - 3 * da.comps[i][j]
-                    - Fraction(1, 2) * db.comps[i][j]).is_zero
+        assert all((dc[i][j] - 3 * da[i][j]
+                    - Fraction(1, 2) * db[i][j]).is_zero
                    for i in range(4) for j in range(4))
 
     def test_wedge_pairing_normalization(self, inoue):
@@ -356,15 +365,15 @@ class TestExteriorCalculus:
         form = wedge_oneforms(inoue, eta1, eta2)
         e1 = tuple(inoue.const(1 if i == 0 else 0) for i in range(4))
         e2 = tuple(inoue.const(1 if i == 1 else 0) for i in range(4))
-        assert eval_on_bivector(form, wedge_oneforms(inoue, e1, e2)) == inoue.const(1)
+        assert eval_on_bivector(inoue, form, wedge_oneforms(inoue, e1, e2)) == inoue.const(1)
 
     def test_dphi_on_j_bivector(self, inoue, kodairas):
         from wtw.twistor import wedge_iso
         dphi = d_oneform(inoue, inoue.phi)
-        assert str(eval_on_bivector(dphi, wedge_iso(inoue.j_endo()))) == "a1"
+        assert str(eval_on_bivector(inoue, dphi, wedge_iso(inoue.j_endo()))) == "a1"
         for (e1, e2), spec in kodairas.items():
             dphi = d_oneform(spec, spec.phi)
-            value = eval_on_bivector(dphi, wedge_iso(spec.j_endo()))
+            value = eval_on_bivector(spec, dphi, wedge_iso(spec.j_endo()))
             assert value == 2 * e1 * spec.ring.sym("a4")
 
     def test_sharp_is_identity_on_components(self, inoue):
@@ -376,12 +385,7 @@ class TestExteriorCalculus:
     def test_inoue_d_omega_equals_lee_wedge_omega(self, inoue):
         omega = fundamental_form(inoue)
         lee = lee_form(inoue)
-        assert d_twoform(inoue, omega) == wedge_one_two(inoue, lee.theta, omega)
-
-    def test_two_form_antisymmetry_enforced(self, inoue):
-        bad = [[inoue.const(1) for _ in range(4)] for _ in range(4)]
-        with pytest.raises(FrameError):
-            TwoForm(inoue, bad)
+        assert _d_twoform(inoue, omega) == _wedge_one_two(inoue, lee.theta, omega)
 
 
 class TestValidation:
@@ -414,6 +418,22 @@ class TestValidation:
         with pytest.raises(FrameError, match="out of range"):
             FrameSpec.create(dimension=4, symbols=(), brackets={(0, 1): {7: 1}},
                              J=J, phi=(0, 0, 0, 0))
+
+    @pytest.mark.parametrize("pairs", [((0, 1), (1, 0)), ((1, 0), (0, 1))])
+    def test_create_rejects_a_pair_given_in_both_orders(self, inoue, pairs):
+        half = Fraction(1, 2)
+        brackets = {pairs[0]: {0: -1}, pairs[1]: {0: 5}, (1, 2): {2: -half}, (1, 3): {3: -half}}
+        with pytest.raises(FrameError) as info:
+            FrameSpec.create(dimension=4, symbols=("a1", "a2", "a3", "a4"), brackets=brackets,
+                             J=inoue.J, phi=("a1", "a2", "a3", "a4"))
+        assert str(info.value) == f"brackets {pairs[0]} and {pairs[1]} name the same pair"
+
+    def test_create_accepts_a_single_reversed_pair(self, inoue):
+        half = Fraction(1, 2)
+        spec = FrameSpec.create(dimension=4, symbols=("a1", "a2", "a3", "a4"),
+                                brackets={(1, 0): {0: 1}, (1, 2): {2: -half}, (1, 3): {3: -half}},
+                                J=inoue.J, phi=("a1", "a2", "a3", "a4"), name="inoue-s0")
+        assert spec == inoue
 
 
 def _matmul(A, B):
@@ -614,6 +634,36 @@ def _d_two(spec, F):
              for j in range(n)] for i in range(n)]
 
 
+def _builtins_and_documents():
+    """The 5 built-ins and the 10 documents under tests/data that load."""
+    specs = [builtin("inoue-s0"), *(builtin("kodaira", signs)
+                                    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)))]
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.toml")):
+        try:
+            specs.append(load_spec_file(path))
+        except (FrameError, SpecFormatError):
+            pass
+    assert len(specs) == 15
+    return specs
+
+
+@pytest.mark.parametrize("spec", _builtins_and_documents(), ids=lambda spec: spec.name)
+def test_two_forms_and_bivectors_are_antisymmetric_arrays(spec):
+    """Each built 2-form and bivector is an n x n array of the spec's scalars,
+    antisymmetric with a zero diagonal; the 3-form builders and the twistor
+    checks, which read dphi(X, MY) as -dphi(MY, X), rely on it."""
+    n, phi = spec.n, spec.phi
+    arrays = {"dphi": spec.dphi(), "d theta": d_oneform(spec, lee_form(spec).theta),
+              "Omega": fundamental_form(spec),
+              "phi ^ J phi": wedge_oneforms(spec, phi, spec.j_apply(phi)),
+              "J^": wedge_iso(spec.j_endo())}
+    for name, F in arrays.items():
+        assert len(F) == n and all(len(row) == n for row in F), name
+        assert all(isinstance(x, Scalar) and x.ring == spec.ring for row in F for x in row), name
+        assert all(F[i][i].is_zero for i in range(n)), name
+        assert all(F[i][j] == -F[j][i] for i in range(n) for j in range(i + 1, n)), name
+
+
 @pytest.mark.parametrize("spec", FRAMES_WITH_CONSTANTS, ids=lambda spec: spec.name)
 def test_symbol_free_layer_matches_its_definitions(spec):
     n, c, J, ix = spec.n, spec.c, spec.J, range(spec.n)
@@ -643,7 +693,7 @@ def test_symbol_free_layer_matches_its_definitions(spec):
     # d of the fundamental form, and the Lee residual d(Omega) - theta ^ Omega
     omega = [[const(J[j][i]) for j in ix] for i in ix]
     d_omega = _d_two(spec, omega)
-    assert d_twoform(spec, fundamental_form(spec)) == tuple(
+    assert _d_twoform(spec, fundamental_form(spec)) == tuple(
         tuple(tuple(row) for row in plane) for plane in d_omega)
     theta = lee_form(spec).theta
     assert _lee_residual(spec) == tuple(tuple(tuple(
@@ -651,11 +701,11 @@ def test_symbol_free_layer_matches_its_definitions(spec):
         - theta[k] * omega[i][j] for k in ix) for j in ix) for i in ix)
     # d of the polynomial Weyl form, and of a polynomial 2-form
     phi = spec.phi
-    assert spec.dphi().comps == tuple(tuple(
+    assert spec.dphi() == tuple(tuple(
         -sum((c[i][j][k] * phi[k] for k in ix), z) for j in ix) for i in ix)
     jphi = spec.j_apply(phi)
     F = [[phi[i] * jphi[j] - phi[j] * jphi[i] for j in ix] for i in ix]
-    assert d_twoform(spec, TwoForm(spec, F)) == tuple(
+    assert _d_twoform(spec, F) == tuple(
         tuple(tuple(row) for row in plane) for plane in _d_two(spec, F))
 
 

@@ -321,6 +321,14 @@ def test_constructor_arithmetic_and_parse_agree(terms):
     assert dict(built.terms()) == {e: Fraction(c) for e, c in terms.items() if c}
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_a_constant_hashes_as_the_rational_it_equals(value):
+    for const in (RING.const(value), Ring(()).const(value)):
+        assert const == value and hash(const) == hash(value)
+        assert len({const, value}) == 1
+    assert len({RING.zero(), 0}) == 1 and len({RING.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
 # -- the multiply-accumulate kernel ------------------------------------------
 
 operands = st.one_of(mixed_scalars, st.sampled_from([RING.zero(), 0, Fraction(0)]),

@@ -25,8 +25,8 @@ class TestConditionI:
         raw = []
         for k in range(4):
             for l in range(k + 1, 4):
-                value = sum((J[p][k] * F.comps[p][l] for p in range(4)), inoue.zero())
-                value = value + sum((J[q][l] * F.comps[k][q] for q in range(4)),
+                value = sum((J[p][k] * F[p][l] for p in range(4)), inoue.zero())
+                value = value + sum((J[q][l] * F[k][q] for q in range(4)),
                                     inoue.zero())
                 raw.append(value)
         assert normalized_system(raw)[0] == conditions(inoue).condition_i

@@ -24,15 +24,15 @@ SRC = pathlib.Path(wtw.__file__).resolve().parent.parent
 EXPORTS = {
     "polyalg": ("ExponentOverflowError", "PolynomialParseError", "Ring", "RingMismatchError",
                 "Scalar", "normalize_up_to_unit", "normalized_system"),
-    "frame": ("Bivector", "Endo", "FrameError", "FrameSpec", "GateError", "SpecFormatError",
-              "TwoForm", "builtin", "d_oneform", "eval_on_bivector", "load_spec",
-              "load_spec_file", "sharp", "wedge_iso"),
+    "frame": ("Endo", "FrameError", "FrameSpec", "GateError", "SpecFormatError", "builtin",
+              "d_oneform", "eval_on_bivector", "load_spec", "load_spec_file", "sharp",
+              "wedge_iso"),
     "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",
                    "reconstruct_weyl_form", "second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
                   "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
-    "hermitian": ("GateError", "LeeData", "d_twoform", "fundamental_form",
-                  "lck_check", "lee_form", "nabla_j_checks", "nijenhuis", "require_gate"),
+    "hermitian": ("GateError", "LeeData", "fundamental_form", "lck_check", "lee_form",
+                  "nabla_j_checks", "nijenhuis", "require_gate"),
     "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
                 "curvature_pairing_with_dj_check", "dprime_eval", "equivalence_check",
                 "g_fiber", "h_trace", "vertical_antisymmetry_check", "vertical_checks",
