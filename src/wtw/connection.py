@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frame import Endo, FrameSpec, Memo, Vector
+from .frame import Endo, FrameSpec, Memo, Vector, linear_combination
 from .polyalg import Scalar
 
 
@@ -141,12 +141,16 @@ def second_cov_deriv_endo(conn: Connection, S: Endo):
 
 
 def _second_cov_deriv_endo(conn: Connection, S: Endo):
-    n = conn.spec.n
+    spec = conn.spec
     first = cov_deriv_endo(conn, S)
     second = [cov_deriv_endo(conn, d) for d in first]  # second[j][i] = D_{E_i}(D_{E_j} S)
-    # D_{D_{E_i} E_j} S = sum_k gamma[i][j][k] D_k S
-    return tuple(tuple(second[j][i] - Endo.combination(conn.gamma[i][j], first)
-                       for j in range(n)) for i in range(n))
+    comps = [d.comps for d in first]
+    # D_{D_{E_i} E_j} S = sum_k gamma[i][j][k] D_k S, subtracted in the same
+    # combination, which reads the nonzero gammas only
+    return tuple(tuple(Endo(spec, linear_combination(spec, (1, *weights),
+                                                     (second[j][i].comps, *comps)))
+                       for j, weights in enumerate(plane))
+                 for i, plane in enumerate(conn.negated()))
 
 
 def torsion_residual(conn: Connection):

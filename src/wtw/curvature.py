@@ -16,9 +16,10 @@ also verifies the pair-symmetry identities, the first Bianchi identity, the
 Ricci formulas in terms of Levi-Civita data, and both Ricci corollaries.
 
 Each curvature tensor is computed once per connection and kept on it, and
-rho and rho* are kept on their curvature tensor (see
-:class:`wtw.frame.Memo`); the Phi-correction route builds a new
-``Curvature`` every call, so the two routes never share a result.
+rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
+curvature tensor (see :class:`wtw.frame.Memo`); the Phi-correction route
+builds a new ``Curvature`` every call, so the two routes never share a
+result.
 
 Codifferential convention (used here and by the Lee form):
 ``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
@@ -42,10 +43,12 @@ class Curvature(Memo):
         self.__dict__.update(spec=spec, r=r, kind=kind)
 
     def endo(self, i: int, j: int) -> Endo:
-        """R(E_i, E_j) as an endomorphism (column convention)."""
-        n = self.spec.n
-        return Endo(self.spec, [[self.r[i][j][k][l] for k in range(n)]
-                                for l in range(n)])
+        """R(E_i, E_j) as an endomorphism (column convention), kept on the tensor."""
+        return self.memo(_endo, i, j)
+
+
+def _endo(R: Curvature, i: int, j: int) -> Endo:
+    return Endo(R.spec, zip(*R.r[i][j]))  # comps[l][k] = r[i][j][k][l]
 
 
 def curvature(conn: Connection) -> Curvature:

@@ -37,8 +37,13 @@ zeros without calling it when there are none:
   * ``twist(M)``     the matrix M(J., J.);
   * ``j_pair(M)``    the matrix M(J., .) + M(., J.).
 
-``Endo`` products, the wedge products and :func:`linear_combination`, which
-sums weighted n x n arrays, use the same kernel.
+``left`` and ``right`` are the only contractions that walk a support: an
+``Endo`` product is ``right`` applied to each column of its right factor,
+and :func:`linear_combination`, which sums weighted n x n arrays, is ``left``
+over the flattened arrays, so a zero weight never reaches the kernel.  The
+one other support walk is the fiber pairing of :mod:`wtw.twistor`, whose
+fixed endomorphism is reused across calls.  The wedge products call the
+kernel directly.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.
@@ -72,7 +77,7 @@ from __future__ import annotations
 import math
 import tomllib
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike, _parse_rational
@@ -389,12 +394,6 @@ class Endo:
         return Endo(spec, [[z] * spec.n for _ in range(spec.n)])
 
     @staticmethod
-    def combination(weights: Sequence, endos: Sequence["Endo"]) -> "Endo":
-        """sum_m weights[m] endos[m], one kernel call per entry."""
-        spec = endos[0].spec
-        return Endo(spec, linear_combination(spec, weights, [e.comps for e in endos]))
-
-    @staticmethod
     def identity(spec: FrameSpec) -> "Endo":
         return Endo(spec, [[spec.const(_kron(i, j)) for j in range(spec.n)]
                            for i in range(spec.n)])
@@ -414,14 +413,9 @@ class Endo:
         return Endo(self.spec, [[a * value if a else a for a in row] for row in self.comps])
 
     def __matmul__(self, other: "Endo") -> "Endo":
-        dot = self.spec.ring.dot
-        # only the nonzero entries of each column: J and the vertical basis are mostly zeros
-        cols = []
-        for col in zip(*other.comps):
-            support = [m for m, b in enumerate(col) if b]
-            cols.append((support, [col[m] for m in support]))
-        return Endo(self.spec, [[dot([row[m] for m in support], values)
-                                 for support, values in cols] for row in self.comps])
+        # column j of the product is self applied to column j of other
+        right = self.spec.right
+        return Endo(self.spec, zip(*[right(self.comps, col) for col in zip(*other.comps)]))
 
     def trace(self) -> Scalar:
         return self.spec.ring.sum(self.comps[i][i] for i in range(self.spec.n))
@@ -523,10 +517,11 @@ def sharp(spec: FrameSpec, omega: Sequence[Scalar]) -> Vector:
 
 def linear_combination(spec: FrameSpec, weights: Sequence,
                        arrays: Sequence[Sequence[Sequence]]) -> tuple[Vector, ...]:
-    """sum_m weights[m] arrays[m] for n x n arrays, one kernel call per entry."""
-    # rows[m] is row k of arrays[m]; zip(*rows) walks entry (k, l) across them
-    return tuple(tuple(spec.dot(weights, entry) for entry in zip(*rows))
-                 for rows in zip(*arrays))
+    """sum_m weights[m] arrays[m] for n x n arrays: ``left`` over the flattened
+    arrays, one kernel call per entry over the nonzero weights only."""
+    n = len(arrays[0])
+    flat = spec.left(weights, [tuple(chain.from_iterable(array)) for array in arrays])
+    return tuple(flat[k:k + n] for k in range(0, n * n, n))
 
 
 def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar],

@@ -286,7 +286,9 @@ class Scalar:
     positive ``int`` denominator in lowest terms; ``Scalar(ring, {exps:
     Fraction})`` builds one from exponent tuples and rational coefficients,
     and the accessors return exponent tuples and ``Fraction`` coefficients.
-    Zero is falsy and every other scalar truthy.
+    Zero is falsy and every other scalar truthy.  A constant equals, and
+    hashes as, the rational it holds, so two constants of different rings
+    are equal when their values are; other scalars of different rings never.
     Supports ``+ - * **`` with other scalars of the same ring and with plain
     integers or Fractions, which act as constants.  Sums of products go
     through :meth:`Ring.dot` instead, which reads ``_terms`` and ``_den``
@@ -491,7 +493,10 @@ class Scalar:
             other = self.ring.const(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return ((self.ring is other.ring or self.ring == other.ring)
+        # two constants are equal when their rationals are, whatever their
+        # rings, as their hashes are; other scalars only within one ring
+        return ((self.ring is other.ring or self.ring == other.ring
+                 or (self.is_constant and other.is_constant))
                 and self._den == other._den and self._terms == other._terms)
 
     def __hash__(self) -> int:

@@ -29,8 +29,14 @@ action on a vertical direction V with J costs one commutator ``[V, J]`` per V
 rather than n^2 commutators; the vertical antisymmetry check evaluates its
 other side through the stored action on J, so the two sides stay different
 computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over the nonzero
-entries of ``b`` only.  As dphi is antisymmetric, ``dphi(X, MY)`` is read from
-``dphi(MY, X)``: each contraction of dphi with an endomorphism M is formed once.
+entries of ``b`` only: ``_g_against`` finds them once per ``b`` and is the one
+support walk of this module, as ``b`` is reused across calls; every other
+contraction here walks its support in ``FrameSpec.left`` or ``right`` (see
+:mod:`wtw.frame`).  R applied to a bivector b is read in the layout the
+curvature tensor stores, ``g(R(b) E_k, E_l)`` at ``[k][l]``: one
+``linear_combination`` of the blocks ``R.r[p][q]``.  As dphi is antisymmetric,
+``dphi(X, MY)`` is read from ``dphi(MY, X)``: each contraction of dphi with an
+endomorphism M is formed once.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
 planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
@@ -80,17 +86,14 @@ def _g_against(b: Endo):
     return lambda a: dot([a.comps[k][l] for k, l in support], values) * half
 
 
-def curvature_on_bivector(R: Curvature, b) -> Endo:
-    """R(b) = sum_{p<q} b[p][q] R(E_p, E_q) as an endomorphism, for an n x n
-    bivector array b; reads only p < q."""
-    spec = R.spec
-    n = spec.n
-    # only the planes where b is nonzero contribute
-    planes = [(p, q) for p, q in combinations(range(n), 2) if b[p][q]]
-    coeffs = [b[p][q] for p, q in planes]
-    comps = [[spec.dot(coeffs, [R.r[p][q][k][l] for p, q in planes])
-              for k in range(n)] for l in range(n)]
-    return Endo(spec, comps)
+def curvature_on_bivector(R: Curvature, b):
+    """R(b) = sum_{p<q} b[p][q] R(E_p, E_q) for an n x n bivector array b, as
+    the n x n array with g(R(b) E_k, E_l) at [k][l], the layout of the blocks
+    ``R.r[p][q]``; reads only p < q, and only the planes where b is nonzero
+    reach the kernel."""
+    planes = list(combinations(range(R.spec.n), 2))
+    return linear_combination(R.spec, [b[p][q] for p, q in planes],
+                              [R.r[p][q] for p, q in planes])
 
 
 def endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
@@ -113,7 +116,7 @@ def _antisymmetric(n: int, zero, entry):
     return tuple(tuple(row) for row in out)
 
 
-def endo_curvature_consistency(spec: FrameSpec, conn: Connection, S: Endo) -> None:
+def endo_curvature_consistency(conn: Connection, S: Endo) -> None:
     """Assert the commutator action equals the gamma-based curvature on Hom.
 
     The gamma route: R(E_i,E_j)S = D2_{E_j E_i} S - D2_{E_i E_j} S, read from the
@@ -123,14 +126,14 @@ def endo_curvature_consistency(spec: FrameSpec, conn: Connection, S: Endo) -> No
     are the dominant failure mode).  A passed check is kept on the
     connection and not repeated.
     """
-    conn.memo(_check_endo_curvature, spec, S)
+    conn.memo(_check_endo_curvature, S)
 
 
-def _check_endo_curvature(conn: Connection, spec: FrameSpec, S: Endo) -> None:
+def _check_endo_curvature(conn: Connection, S: Endo) -> None:
     comm = endo_curvature_action(curvature(conn), S)
     second = second_cov_deriv_endo(conn, S)
     # both sides are antisymmetric in (i, j), so i < j suffices
-    for i, j in combinations(range(spec.n), 2):
+    for i, j in combinations(range(conn.spec.n), 2):
         if not (second[j][i] - second[i][j] - comm[i][j]).is_zero:
             raise AssertionError(
                 "induced curvature mismatch between commutator action and "
@@ -221,7 +224,7 @@ def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
     n = spec.n
     conn = weyl(spec)
     R = curvature(conn)
-    endo_curvature_consistency(spec, conn, a)
+    endo_curvature_consistency(conn, a)
     action = endo_curvature_action(R, a)
     comm = a.commutator(b)
     comm_wedge = wedge_iso(comm)
@@ -237,7 +240,7 @@ def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
         corr = dphi_comm[i][j] - dphi_comm[j][i]
         if i == j:
             corr = corr + dphi_wedge
-        return against_b(action[i][j]) - r_of_wedge.comps[j][i] + corr * half
+        return against_b(action[i][j]) - r_of_wedge[i][j] + corr * half
 
     return [[entry(i, j) for j in range(n)] for i in range(n)]
 
@@ -297,7 +300,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
                    for x in ix]
 
         def entry(x, z):
-            rhs = r_jn.comps[z][x] * 2 - r_bphi.comps[z][x]
+            rhs = r_jn[x][z] * 2 - r_bphi[x][z]
             if x == z:
                 rhs = rhs - dphi_jn + dphi_bphi * half
             rhs = rhs - dphi_jn_x[x][z] + dphi_jn_x[z][x]
@@ -312,7 +315,8 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
 def _dj_images(spec: FrameSpec):
     """(b, R(b), dphi(b)) for the wedge image b of each J o nabla_X J, X a frame
-    vector, nabla the Levi-Civita connection and R the Weyl curvature."""
+    vector, nabla the Levi-Civita connection and R the Weyl curvature; R(b) is
+    the array of :func:`curvature_on_bivector`."""
     R = curvature(weyl(spec))
     dphi = spec.dphi()
     images = []
@@ -406,7 +410,7 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
     conn = weyl(spec)
     R = curvature(conn)
     j_endo = spec.j_endo()
-    endo_curvature_consistency(spec, conn, j_endo)
+    endo_curvature_consistency(conn, j_endo)
     act_j = endo_curvature_action(R, j_endo)
 
     size = n + nv
@@ -458,7 +462,7 @@ def h_trace(spec: FrameSpec):
     traced = [spec.ring.sum(column) for column in
               zip(*(spec.left(dphi[x], jn[x].comps) for x in range(n)))]
     l_phi = condition_ii_map(spec, spec.phi)
-    return tuple(spec.ring.sum(images[x][1].comps[k][x] for x in range(n)) * 2
+    return tuple(spec.ring.sum(images[x][1][x][k] for x in range(n)) * 2
                  - images[k][2] + dphi_jdj[k] - traced[k] - l_phi[k] for k in range(n))
 
 

@@ -12,7 +12,9 @@ every document under ``tests/data``:
 * every verb, in table and JSON format; ``verify`` gets ``--assign`` with the
   source's first symbol set to 0, and runs without it where there is none;
 * ``--dim4`` on ``conditions``, ``verify`` and ``report`` at n = 4;
-* ``report`` with that ``--assign``.
+* ``report`` with that ``--assign``;
+* ``suite`` in table format on the n = 16 hyperbolic, Vaisman and Inoue-type
+  documents of ``tests/frame_families.py``, written to a temporary directory.
 
 Two runs agree when their stdout, stderr and exit code are equal.  The script
 prints ``runs=N diffs=M`` and then each differing (verb, source, format) with
@@ -26,7 +28,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tomllib
+
+import frame_families
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -59,8 +64,9 @@ def sources() -> list[tuple[str, list[str], list, object]]:
     return out
 
 
-def cases() -> list[tuple[str, str, str, list[str]]]:
-    """(verb, source, format, argv) for every run."""
+def cases(largest: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
+    """(verb, source, format, argv) for every run; ``largest`` holds the
+    documents of ``frame_families.LARGEST``."""
     out = []
     for name, source, symbols, dimension in sources():
         assign = ["--assign", f"{symbols[0]}=0"] if symbols else []
@@ -74,6 +80,8 @@ def cases() -> list[tuple[str, str, str, list[str]]]:
                     out.append((f"{verb} --dim4", name, fmt, [verb, *tail, "--dim4", *extra]))
             if assign:
                 out.append(("report --assign", name, fmt, ["report", *tail, *assign]))
+    for name in frame_families.LARGEST:
+        out.append(("suite", name, "table", ["suite", "--spec", str(largest / name)]))
     return out
 
 
@@ -89,9 +97,11 @@ def main(argv: list[str]) -> int:
         sys.stderr.write("usage: python tests/cli_diff.py OLD_SRC NEW_SRC\n")
         return 2
     old, new = (str(pathlib.Path(path).resolve()) for path in argv)
-    runs = cases()
-    diffs = [(verb, name, fmt, args) for verb, name, fmt, args in runs
-             if run(old, args) != run(new, args)]
+    with tempfile.TemporaryDirectory() as largest:
+        frame_families.write(pathlib.Path(largest), frame_families.LARGEST)
+        runs = cases(pathlib.Path(largest))
+        diffs = [(verb, name, fmt, args) for verb, name, fmt, args in runs
+                 if run(old, args) != run(new, args)]
     print(f"runs={len(runs)} diffs={len(diffs)}")
     for verb, name, fmt, args in diffs:
         print(f"  {verb} | {name} | {fmt}: {' '.join(args)}")

@@ -1,6 +1,6 @@
 """The builtin x verb command matrix covered by the golden-output tests, plus
 two spec documents whose failing checks pin the failure-detail format and
-the curvature tables of two sparse n = 6 frames."""
+the curvature tables of four sparse n = 6 frames."""
 
 from __future__ import annotations
 
@@ -40,9 +40,11 @@ def _build() -> dict[str, list[str]]:
     # failing checks, which print their detail lines
     cases["heisenberg6__lck"] = ["lck", "--spec", str(DATA / "heisenberg6.toml")]
     cases["nonintegrable__suite"] = ["suite", "--spec", str(DATA / "nonintegrable.toml")]
-    # the sparse n = 6 curvature path; conditions and suite wait on the
-    # vertical-trace coefficient above dimension 4
-    for frame in ("hyperbolic6", "heisenberg6"):
+    # the sparse n = 6 curvature path, on the diagonal almost-abelian shape, the
+    # complex Heisenberg frame, the Vaisman frame and the Inoue-type frame with
+    # rotation blocks; conditions and suite wait on the vertical-trace
+    # coefficient above dimension 4
+    for frame in ("hyperbolic6", "heisenberg6", "vaisman6", "inoue_rotation6"):
         for verb in ("curvature", "ricci", "star-ricci"):
             cases[f"{frame}__{verb}"] = [verb, "--spec", str(DATA / f"{frame}.toml")]
     return cases

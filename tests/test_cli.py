@@ -322,7 +322,9 @@ class TestSuiteVerb:
                           "the Nijenhuis tensor of J does not vanish")
 
     @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_like6", "inoue_like6_double",
-                                      "hyperbolic8", "inoue_like8", "inoue_like8_double"])
+                                      "vaisman6", "inoue_rotation6", "hyperbolic8",
+                                      "inoue_like8", "inoue_like8_double", "vaisman8",
+                                      "inoue_rotation8"])
     def test_six_dimensional_identities_hold(self, name):
         """Every identity holds at n = 6 and 8, where n(n-4)/(2(n-2)) is not zero;
         only the vertical-trace route comparison may fail, and then it names where."""

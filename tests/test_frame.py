@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, sharp, weyl)
-from wtw.frame import wedge_iso, wedge_oneforms
+from wtw.frame import Endo, linear_combination, wedge_iso, wedge_oneforms
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_twoform, _wedge_one_two
 from wtw.hermitian import _lee_residual, fundamental_form, lee_form, nijenhuis
@@ -558,6 +558,31 @@ class TestContractionsOnDenseJ:
         assert spec.left(nothing[:n], wide) == (z,) * (n + 1)
         assert spec.right(wide, nothing) == (z,) * n
 
+    def test_endo_product_and_linear_combination(self, data):
+        """``Endo @`` against the triple loop, on the dense J, the dense
+        orthogonal Q of ``_cayley`` and symbolic matrices, one with a zero
+        column; ``linear_combination`` against entrywise weighted sums, and
+        all-zero weights give the n x n zero array."""
+        spec, u, _, M = data
+        n, z = spec.n, spec.zero()
+        _, Q = _cayley(n)
+        assert all(Q[i][j] for i in range(n) for j in range(n))
+        gapped = [list(row) for row in M]
+        for row in gapped:
+            row[1] = z
+        endos = (spec.j_endo(), Endo.from_rational(spec, Q), Endo(spec, M), Endo(spec, gapped))
+        for a in endos:
+            for b in endos:
+                assert (a @ b).comps == tuple(tuple(
+                    sum((a.comps[i][m] * b.comps[m][j] for m in range(n)), z)
+                    for j in range(n)) for i in range(n))
+        arrays = (M, spec.J, Q)
+        for weights in ((u[0], 0, Fraction(-3, 2)), (z, u[1], 1)):
+            assert linear_combination(spec, weights, arrays) == tuple(tuple(
+                sum((w * A[k][l] for w, A in zip(weights, arrays)), z)
+                for l in range(n)) for k in range(n))
+        assert linear_combination(spec, (0, z, Fraction(0)), arrays) == ((z,) * n,) * n
+
 
 @pytest.mark.parametrize("frame", ["hyperbolic6", "inoue-s0 rotated"])
 def test_cov_deriv_endo_matches_its_definition(frame):
@@ -635,7 +660,7 @@ def _d_two(spec, F):
 
 
 def _builtins_and_documents():
-    """The 5 built-ins and the 10 documents under tests/data that load."""
+    """The 5 built-ins and the 14 documents under tests/data that load."""
     specs = [builtin("inoue-s0"), *(builtin("kodaira", signs)
                                     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)))]
     for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.toml")):
@@ -643,7 +668,7 @@ def _builtins_and_documents():
             specs.append(load_spec_file(path))
         except (FrameError, SpecFormatError):
             pass
-    assert len(specs) == 15
+    assert len(specs) == 19
     return specs
 
 

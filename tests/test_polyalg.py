@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -327,6 +328,26 @@ def test_a_constant_hashes_as_the_rational_it_equals(value):
         assert const == value and hash(const) == hash(value)
         assert len({const, value}) == 1
     assert len({RING.zero(), 0}) == 1 and len({RING.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+@pytest.mark.parametrize("value", [0, 1, Fraction(-2, 3)])
+def test_constants_of_different_rings_are_equal_in_every_order(value):
+    """Two constants are equal when their rationals are, whatever their rings,
+    as their hashes already are: equality is transitive, so a set of equal
+    constants has one element in every insertion order."""
+    a, b = Ring(("a1",)).const(value), Ring(("b1",)).const(value)
+    assert a == value == b and a == b and b == a and hash(a) == hash(b)
+    for order in itertools.permutations((a, value, b, Fraction(value))):
+        assert len(set(order)) == 1, order
+        assert len(dict.fromkeys(order)) == 1, order
+    assert a != Ring(("b1",)).const(value + 1)
+
+
+def test_non_constants_of_different_rings_stay_unequal():
+    assert Ring(("x",)).sym("x") != Ring(("y",)).sym("y")
+    assert Ring(("x",)).sym("x") != Ring(("x", "y")).sym("x")
+    assert Ring(("x",)).parse("x + 1") != Ring(("x", "y")).parse("x + 1")
+    assert Ring(("x",)).sym("x") != Ring(("y",)).const(1)
 
 
 # -- the multiply-accumulate kernel ------------------------------------------

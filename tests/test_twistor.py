@@ -117,8 +117,8 @@ class TestCurvatureOnEndomorphisms:
     def test_commutator_equals_double_derivative(self, inoue, kodairas):
         for spec in (inoue, kodairas[(1, -1)]):
             conn = weyl(spec)
-            endo_curvature_consistency(spec, conn, spec.j_endo())
-            endo_curvature_consistency(spec, conn, _random_skew(spec, 2))
+            endo_curvature_consistency(conn, spec.j_endo())
+            endo_curvature_consistency(conn, _random_skew(spec, 2))
 
     @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
     def test_consistency_raises_on_a_wrong_action(self, monkeypatch, pair):
@@ -135,7 +135,7 @@ class TestCurvatureOnEndomorphisms:
         monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
         spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
         with pytest.raises(AssertionError, match=rf"at \({pair[0] + 1},{pair[1] + 1}\)$"):
-            endo_curvature_consistency(spec, weyl(spec), spec.j_endo())
+            endo_curvature_consistency(weyl(spec), spec.j_endo())
 
     def test_pairing_identity_flat_case(self, abelian):
         report = fiber_pairing_check(abelian, _random_skew(abelian, 3), _random_skew(abelian, 4))
@@ -403,7 +403,7 @@ def _oracle_cases():
 
 def test_vertical_basis_matches_the_adapted_frame_construction():
     cases = _oracle_cases()
-    assert len(cases) == 5 + 10 + 2 + 2 + 1  # 10 loadable documents under tests/data
+    assert len(cases) == 5 + 14 + 2 + 2 + 1  # 14 loadable documents under tests/data
     for spec in cases:
         basis = vertical_basis(spec)
         elements, labels = _oracle_basis(spec)
@@ -523,6 +523,24 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     assert calls == {"wedge_iso": n, "curvature_on_bivector": n, "eval_on_bivector": n}
 
 
+@pytest.mark.parametrize("name", ["hyperbolic6", "inoue_rotation6"])
+def test_curvature_on_bivector_is_the_weighted_sum_of_the_stored_blocks(name):
+    """R(b) in the layout of the stored blocks: g(R(b) E_k, E_l) at [k][l] is
+    sum_{p<q} b[p][q] R.r[p][q][k][l], entry by entry, for a bivector on
+    four planes, one of them with a zero weight; the lower triangle of b,
+    which is not antisymmetric here, is not read."""
+    spec = load_spec_file(pathlib.Path(__file__).parent / "data" / f"{name}.toml")
+    R = curvature(weyl(spec))
+    n, z = spec.n, spec.zero()
+    weights = {(0, 1): spec.ring.sym("a1"), (1, 3): Fraction(3, 2), (2, 5): z, (3, 4): -2}
+    b = [[z] * n for _ in range(n)]
+    for (p, q), w in weights.items():
+        b[p][q], b[q][p] = w, spec.ring.sym("a6")
+    assert twistor.curvature_on_bivector(R, b) == tuple(tuple(
+        sum((w * R.r[p][q][k][l] for (p, q), w in weights.items()), z)
+        for l in range(n)) for k in range(n))
+
+
 # -- the traces read the condition builders ------------------------------------
 
 def _gate_passing_frames():
@@ -535,7 +553,7 @@ def _gate_passing_frames():
         except GateError:
             continue
         specs.append(spec)
-    assert len(specs) == 5 + 8 and {spec.n for spec in specs} == {4, 6, 8}
+    assert len(specs) == 5 + 12 and {spec.n for spec in specs} == {4, 6, 8}
     return specs
 
 
