@@ -33,7 +33,9 @@ one-term dot.  It takes two sequences of scalars, ints and Fractions, skips
 every pair with a zero side, multiplies integer numerators straight into one
 accumulator over one common denominator (rescaled only when a product
 brings a new denominator) and reduces the sum once, so it builds no scalar
-per product and never runs ``Fraction.__mul__``.
+per product and never runs ``Fraction.__mul__``.  It refuses a product of two
+polynomials whose term counts multiply past ``_MAX_PRODUCT_PAIRS``, as the
+parser refuses a written one past ``_MAX_PARSE_SIZE``.
 :meth:`wtw.frame.FrameSpec.left` and ``right`` hand it only the nonzero
 positions of their fixed vector, and none at all when that vector is zero.
 :meth:`Ring.sum` is a dot against ones.  The accessors (:meth:`Scalar.terms`,
@@ -74,6 +76,9 @@ _MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
 # bits) that one product or power in a polynomial string may reach: its cost
 # grows with both, so one bound on their product caps its time
 _MAX_PARSE_SIZE = 100_000
+# the most term pairs one product of two polynomials in Ring.dot may multiply,
+# so that arithmetic on large polynomials ends in an error, not in unbounded time
+_MAX_PRODUCT_PAIRS = 100_000
 
 
 class RingMismatchError(ValueError):
@@ -209,8 +214,10 @@ class Ring:
         rescaled only when a new denominator appears, and the sum is reduced
         once.  No intermediate scalar is built.  As with ``+`` and ``*``, a
         scalar of another ring raises :class:`RingMismatchError`, zero or not,
-        and a product past the exponent cap raises
-        :class:`ExponentOverflowError`.
+        a product past the exponent cap raises
+        :class:`ExponentOverflowError`, and a product of two polynomials whose
+        term counts multiply past ``_MAX_PRODUCT_PAIRS`` raises ``ValueError``
+        before it is formed.
         """
         acc: dict[int, int] = {}
         get = acc.get
@@ -254,6 +261,9 @@ class Ring:
                 for e, c in ta.items():
                     acc[e] = get(e, 0) + c * k
             else:
+                if len(ta) * len(tb) > _MAX_PRODUCT_PAIRS:
+                    raise ValueError(f"a product of {len(ta)} by {len(tb)} terms passes "
+                                     f"the cap of {_MAX_PRODUCT_PAIRS} term pairs")
                 product = True
                 for e1, c1 in ta.items():
                     c1 *= k

@@ -9,13 +9,14 @@ structure, the section is pseudo-harmonic exactly when
        L(psi)(Z) = (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ)
                    - psi(JZ) dphi(J^) - rho(psi#, Z) + rho*(J psi#, JZ).
 
-Each formula has one builder here, which the twistor traces read.  The
+Each formula has one builder here.  The
 J-pairing P of the condition-(i) 2-form, the one place the coefficient
 c(n) = n(n-4)/(2(n-2)) is written, is kept on the spec
-(:func:`condition_i_pairing`); ``v_trace``'s closed form is -P.  The map L is
-:func:`condition_ii_map`: condition (ii) is L(theta - phi), also kept on the
-spec, and ``h_trace`` is its Levi-Civita part minus L(phi).  This module imports
-nothing from :mod:`wtw.twistor`, which owns the trace-condition equivalence check.
+(:func:`condition_i_pairing`); ``v_trace``'s closed form is -P.  Condition
+(ii), L(theta - phi), has one builder, whose value is also kept on the spec
+(:func:`condition_ii`); ``h_trace`` reads none of it, as it traces the fiber
+pairing of the curvature with DJ.  This module imports nothing from
+:mod:`wtw.twistor`, which owns the trace-condition equivalence check.
 
 Both conditions are produced as normalized polynomial systems
 (:func:`wtw.polyalg.normalized_system`: content and sign stripped, zero
@@ -83,8 +84,8 @@ def condition_i(spec: FrameSpec) -> list[Scalar]:
     return [paired[k][l] for k, l in combinations(range(spec.n), 2)]
 
 
-def condition_ii_map(spec: FrameSpec, psi, dim4_mode: bool = False) -> tuple[Scalar, ...]:
-    """L(psi) at Z = E_k for each k, for a 1-form psi:
+def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]:
+    """L(psi) at Z = E_k for each k, for psi = theta - phi:
 
         (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ) - psi(JZ) dphi(J^)
         - rho(psi#, Z) + rho*(J psi#, JZ)
@@ -93,6 +94,8 @@ def condition_ii_map(spec: FrameSpec, psi, dim4_mode: bool = False) -> tuple[Sca
     three terms are kept: up to sign they are the rearranged four-dimensional
     form, and normalization strips the sign.
     """
+    theta = require_gate(spec).theta
+    psi = tuple(t - p for t, p in zip(theta, spec.phi))
     n = spec.n
     J = spec.J
     R = curvature(weyl(spec))
@@ -109,11 +112,6 @@ def condition_ii_map(spec: FrameSpec, psi, dim4_mode: bool = False) -> tuple[Sca
     dphi_jpsi_j = spec.left(spec.left(jpsi, dphi), J)          # dphi(J psi#, JZ)
     lead = Fraction(n, 2) - 1
     return tuple(value + dphi_psi[k] * lead - dphi_jpsi_j[k] for k, value in enumerate(out))
-
-
-def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]:
-    theta = require_gate(spec).theta
-    return condition_ii_map(spec, tuple(t - p for t, p in zip(theta, spec.phi)), dim4_mode)
 
 
 def condition_ii(spec: FrameSpec) -> tuple[Scalar, ...]:

@@ -43,16 +43,18 @@ planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
 Gram matrix is 2*Identity); expansions divide by the norm squared instead of
 normalizing, keeping all arithmetic rational.  They are built from J's
 columns, whose planes ``(E_i, J E_i = +-E_p)`` set each element's four nonzero
-entries, and kept on the spec, as is the wedge image b of each J o nabla_X J
-with R(b) and dphi(b), which the DJ pairing and the horizontal trace read.
+entries, and kept on the spec.  Only the DJ pairing reads the wedge images of
+J o nabla_X J, and it forms them, with R and dphi on them, in its own loop.
 
 :func:`vertical_checks` runs both fiber checks against every vertical direction,
 from the residual builders of the single-direction checks.  The vertical Gram is
 checked once, as the basis is built; ``dprime_eval`` writes it without pairing.
 
-The traces form no condition terms: ``h_trace`` subtracts the condition-(ii)
-map L(phi) and ``v_trace``'s closed form is -P, both from :mod:`wtw.pseudoharmonic`;
-:func:`equivalence_check` ties them to the conditions, the paper's equivalence.
+``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
+from the action on J and from D J; it forms no condition term, so comparing it
+with condition (ii) compares two computations.  ``v_trace``'s closed form is -P
+from :mod:`wtw.pseudoharmonic`.  :func:`equivalence_check` ties both traces to
+the conditions, the paper's equivalence.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
-from .curvature import Curvature, codifferential_endo, curvature
+from .curvature import Curvature, curvature
 from .frame import (Endo, FrameError, FrameSpec, _kron, eval_on_bivector, linear_combination,
                     wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Ring, Scalar
-from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii, condition_ii_map
+from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
 from .reports import CheckReport
 
 
@@ -275,7 +277,6 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     R = curvature(conn)
     j_endo = spec.j_endo()
     dj = cov_deriv_endo(conn, j_endo)
-    images = spec.memo(_dj_images)
     dphi = spec.dphi()
     act_j = endo_curvature_action(R, j_endo)
     half = Fraction(1, 2)
@@ -286,7 +287,9 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     residual = []
     for y, (jn, jy) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
         against_dj = _g_against(dj[y])
-        _, r_jn, dphi_jn = images[y]
+        b = wedge_iso(jn)
+        r_jn = curvature_on_bivector(R, b)
+        dphi_jn = eval_on_bivector(spec, dphi, b)
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
         bphi = linear_combination(  # phi# ^ Y - J phi# ^ JY
             spec, (1, -1), (wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy)))
@@ -311,19 +314,6 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)
     return report
-
-
-def _dj_images(spec: FrameSpec):
-    """(b, R(b), dphi(b)) for the wedge image b of each J o nabla_X J, X a frame
-    vector, nabla the Levi-Civita connection and R the Weyl curvature; R(b) is
-    the array of :func:`curvature_on_bivector`."""
-    R = curvature(weyl(spec))
-    dphi = spec.dphi()
-    images = []
-    for jn in spec.memo(_j_nabla_j):
-        b = wedge_iso(jn)
-        images.append((b, curvature_on_bivector(R, b), eval_on_bivector(spec, dphi, b)))
-    return tuple(images)
 
 
 def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
@@ -436,34 +426,23 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
 def h_trace(spec: FrameSpec):
     """Horizontal trace of the second fundamental form, as an n-vector.
 
-    Component k is the curvature-trace expansion (independent of the fiber
-    scale t by construction):
+    Component k is the domain trace of the fiber pairing that
+    :func:`curvature_pairing_with_dj_check` expands entry by entry,
 
-        2 Tr{X -> g(R((J nabla_X J)^) X, Z)} + rho(phi#, Z) - rho*(J phi#, JZ)
-        - dphi((J nabla_Z J)^) + dphi(J delta J, Z)
-        - Tr{X -> dphi(X, (J nabla_X J) Z)} + phi(JZ) dphi(J^)
-        - (n/2 - 1) dphi(phi#, Z) + dphi(J phi#, JZ)
+        Tr{X -> G(R(X, E_k) J, D_X J)},
 
-    with nabla the Levi-Civita connection and R, rho, rho* of the Weyl
-    connection.  The phi-terms are -L(phi), formed by the condition-(ii) map
-    :func:`wtw.pseudoharmonic.condition_ii_map`; the other four, the
-    Levi-Civita part, are formed here.  Requires the gate (integrability and
-    the Lee identity).
+    with R the Weyl curvature acting on J by commutator and D the Weyl
+    connection; it is independent of the fiber scale t.  It reads the action
+    on J kept on the curvature tensor and D J kept on the connection.  Requires
+    the gate (integrability and the Lee identity).
     """
     require_gate(spec)
-    n = spec.n
-    dphi = spec.dphi()
-    j_delta_j = spec.j_apply(codifferential_endo(spec, spec.j_endo()))
-    jn = spec.memo(_j_nabla_j)
-    images = spec.memo(_dj_images)  # (b, R(b), dphi(b)) for b the wedge image of jn[x]
-
-    dphi_jdj = spec.left(j_delta_j, dphi)                        # dphi(J delta J, Z)
-    # Tr{X -> dphi(X, (J nabla_X J) Z)}
-    traced = [spec.ring.sum(column) for column in
-              zip(*(spec.left(dphi[x], jn[x].comps) for x in range(n)))]
-    l_phi = condition_ii_map(spec, spec.phi)
-    return tuple(spec.ring.sum(images[x][1][x][k] for x in range(n)) * 2
-                 - images[k][2] + dphi_jdj[k] - traced[k] - l_phi[k] for k in range(n))
+    j_endo = spec.j_endo()
+    conn = weyl(spec)
+    act_j = endo_curvature_action(curvature(conn), j_endo)
+    against_dj = [_g_against(d) for d in cov_deriv_endo(conn, j_endo)]
+    return tuple(spec.ring.sum(g(row[k]) for g, row in zip(against_dj, act_j))
+                 for k in range(spec.n))
 
 
 class VTraceData(NamedTuple):
@@ -506,9 +485,10 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     * v_trace residuals at (E_k, E_l) equal the negated condition-(i)
       residuals entrywise (unit -1), and both trace paths agree.
 
-    The traces read the builders of :mod:`wtw.pseudoharmonic`: the first
-    check compares h_trace's Levi-Civita part with L(theta), and the last
-    holds by construction.
+    The first check compares the traced fiber pairing with the one builder
+    of condition (ii), two computations that share only the Weyl curvature;
+    the last holds by construction, as the closed form reads the
+    condition-(i) pairing.
     """
     report = CheckReport(title="trace-condition equivalence")
     basis = spec.basis

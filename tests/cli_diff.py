@@ -16,14 +16,17 @@ every document under ``tests/data``:
 * ``suite`` in table format on the n = 16 hyperbolic, Vaisman and Inoue-type
   documents of ``tests/frame_families.py``, written to a temporary directory.
 
-Two runs agree when their stdout, stderr and exit code are equal.  The script
-prints ``runs=N diffs=M`` and then each differing (verb, source, format) with
-its arguments, and exits 1 on any difference.  Standard library only; pytest
+Two runs agree when their stdout, stderr and exit code are equal.  The
+(old, new) pairs run on ``os.cpu_count()`` worker threads, each pair one
+after the other in its thread.  The script prints ``runs=N diffs=M`` and then
+each differing (verb, source, format) with its arguments, in case order, and
+exits 1 on any difference.  Standard library only; pytest
 does not collect it.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import pathlib
 import subprocess
@@ -100,8 +103,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as largest:
         frame_families.write(pathlib.Path(largest), frame_families.LARGEST)
         runs = cases(pathlib.Path(largest))
-        diffs = [(verb, name, fmt, args) for verb, name, fmt, args in runs
-                 if run(old, args) != run(new, args)]
+        with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
+            differs = list(pool.map(lambda case: run(old, case[3]) != run(new, case[3]), runs))
+        diffs = [case for case, differ in zip(runs, differs) if differ]
     print(f"runs={len(runs)} diffs={len(diffs)}")
     for verb, name, fmt, args in diffs:
         print(f"  {verb} | {name} | {fmt}: {' '.join(args)}")

@@ -147,6 +147,20 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    def test_product_past_the_term_pair_bound_is_one_line_error(self, tmp_path):
+        # 900 terms load, as the parser caps only written products; the Weyl
+        # curvature multiplies phi_1 by itself, 810,000 term pairs
+        text = (DATA / "hyperbolic6.toml").read_text()
+        assert 'E1 = "a1"' in text
+        wide = " + ".join(f"a1^{i}*a2^{j}" for i in range(30) for j in range(30))
+        path = tmp_path / "wide.toml"
+        path.write_text(text.replace('E1 = "a1"', f'E1 = "{wide}"'))
+        assert run(["validate", "--spec", str(path)])[0] == 0
+        status, out, err = run(["curvature", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("error: a product of 900 by 900 terms passes the cap")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, message", [
         (["nosuchverb"], "argument verb: invalid choice: 'nosuchverb' (choose from "),
         (["validate", "--spec", "x", "--bogus"], "unrecognized arguments: --bogus"),

@@ -1,0 +1,97 @@
+"""Mutation tests: each formula builder is caught by a check that shares no
+code with it.
+
+Each test applies one mutation to the engine with ``monkeypatch`` and runs the
+full check suite (``wtw suite``) on fresh gate-passing frames at n = 4, 6 and
+8.  The mutation is caught on a frame when the suite raises a consistency
+``AssertionError`` or fails a check that passes on the unmutated frame.  At
+n >= 6 the check ``vertical trace paths agree`` already fails (ROADMAP item
+1), so each frame's own failures are subtracted first.
+"""
+
+from __future__ import annotations
+
+import functools
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from wtw import builtin, connection, load_spec_file, pseudoharmonic, twistor
+from wtw.cli import _suite_report
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# two frames per dimension; each is loaded afresh for every run, so no value
+# kept on a spec outlives its mutation
+FRAMES = {
+    "inoue-s0": lambda: builtin("inoue-s0"),
+    "kodaira(+1,-1)": lambda: builtin("kodaira", (1, -1)),
+    **{name: functools.partial(load_spec_file, DATA / f"{name}.toml")
+       for name in ("hyperbolic6", "inoue_rotation6", "vaisman8", "inoue_rotation8")},
+}
+
+
+@functools.cache
+def _unmutated_failures(name: str) -> frozenset[str]:
+    return frozenset(check.name for check in _suite_report(FRAMES[name]()).failures)
+
+
+def _weyl_half(monkeypatch):
+    """The 1/2 of the Weyl gammas becomes 1/4: the mean of the Levi-Civita and
+    the Weyl gammas."""
+    weyl = connection._weyl
+
+    def mutated(spec):
+        half = Fraction(1, 2)
+        gamma = tuple(tuple(tuple((a + b) * half for a, b in zip(lc_row, weyl_row))
+                            for lc_row, weyl_row in zip(lc_plane, weyl_plane))
+                      for lc_plane, weyl_plane in zip(connection.levi_civita(spec).gamma,
+                                                      weyl(spec).gamma))
+        return connection.Connection(spec, gamma, "weyl")
+
+    monkeypatch.setattr(connection, "_weyl", mutated)
+
+
+def _rho_sign(monkeypatch):
+    """rho enters the condition-(ii) builder with the opposite sign."""
+    ricci = pseudoharmonic.ricci
+    monkeypatch.setattr(pseudoharmonic, "ricci",
+                        lambda R: tuple(tuple(-value for value in row) for row in ricci(R)))
+
+
+def _action_entry(monkeypatch):
+    """The curvature action on J gains the first vertical direction V at
+    (E1, E2), and -V at (E2, E1)."""
+    action = twistor._endo_curvature_action
+
+    def mutated(R, S):
+        out = action(R, S)
+        if S != R.spec.j_endo():
+            return out
+        v = twistor.vertical_basis(R.spec).elements[0]
+        rows = [list(row) for row in out]
+        rows[0][1], rows[1][0] = rows[0][1] + v, rows[1][0] - v
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(twistor, "_endo_curvature_action", mutated)
+
+
+def _norm_sq(monkeypatch):
+    """The vertical basis is declared with norm squared 4 instead of 2."""
+    basis = twistor.VerticalBasis
+    monkeypatch.setattr(twistor, "VerticalBasis",
+                        lambda elements, labels, norm_sq: basis(elements, labels, norm_sq * 2))
+
+
+@pytest.mark.parametrize("mutate", [_weyl_half, _rho_sign, _action_entry, _norm_sq],
+                         ids=lambda mutate: mutate.__name__.lstrip("_"))
+@pytest.mark.parametrize("name", FRAMES)
+def test_mutation_is_caught(monkeypatch, mutate, name):
+    baseline = _unmutated_failures(name)  # formed before the mutation
+    mutate(monkeypatch)
+    try:
+        report = _suite_report(FRAMES[name]())
+    except AssertionError:  # a consistency assertion caught it
+        return
+    assert {check.name for check in report.failures} - baseline

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtw.polyalg import (_MAX_EXPONENT, ExponentOverflowError, PolynomialParseError, Ring,
-                         RingMismatchError, Scalar, normalize_up_to_unit, normalized_system)
+from wtw.polyalg import (_MAX_EXPONENT, _MAX_PRODUCT_PAIRS, ExponentOverflowError,
+                         PolynomialParseError, Ring, RingMismatchError, Scalar,
+                         normalize_up_to_unit, normalized_system)
 
 RING = Ring(("a1", "a2", "a3"))
 A1, A2, A3 = RING.sym("a1"), RING.sym("a2"), RING.sym("a3")
@@ -422,6 +423,20 @@ def test_products_match_the_naive_product_of_term_dicts(p, q, r, s):
     fused = RING.dot((P, R), (Q, S))
     assert dict(fused.terms()) == _naive_sum(_naive_product(p, q), _naive_product(r, s))
     assert_canonical(fused)
+
+
+def test_product_of_polynomials_is_bounded_in_term_pairs():
+    assert _MAX_PRODUCT_PAIRS == 400 * 250
+    wide = RING.sum(A1 ** i for i in range(400))
+    narrow = RING.sum(A2 ** j for j in range(250))
+    assert len(list((wide * narrow).terms())) == _MAX_PRODUCT_PAIRS  # at the bound
+    past = narrow + A3
+    for product in (lambda: wide * past, lambda: past * wide,
+                    lambda: RING.dot([1, wide], [A1, past])):
+        with pytest.raises(ValueError, match="(400 by 251|251 by 400) terms passes the cap"):
+            product()
+    # a rational factor multiplies no term pairs
+    assert RING.dot([wide, 3], [Fraction(1, 2), past]) == wide * Fraction(1, 2) + past * 3
 
 
 def test_product_of_polynomials_checks_the_cap_and_the_ring():

@@ -482,11 +482,11 @@ def test_vertical_basis_is_kept_on_the_spec():
 
 
 def test_one_suite_builds_each_dj_image_once(monkeypatch):
-    """J o nabla_X J, its wedge image b, R(b) and dphi(b) are formed once per
-    spec: a whole ``suite`` forms J @ nabla_X J once per frame vector X and
+    """J o nabla_X J is formed once per spec, although the nabla-J checks and
+    the DJ pairing both read it: a whole ``suite`` forms J @ nabla_X J once per
+    frame vector X, and the DJ pairing, the one reader of the wedge images,
     hands each image to wedge_iso, curvature_on_bivector and eval_on_bivector
-    once, although the nabla-J checks, the DJ pairing and the horizontal trace
-    all read them."""
+    once."""
     from wtw.cli import _suite_report
 
     spec = builtin("inoue-s0")
@@ -570,3 +570,43 @@ def test_vertical_closed_form_is_the_negated_condition_i_pairing():
 def test_horizontal_trace_is_condition_ii_entry_by_entry():
     for spec in _gate_passing_frames():
         assert h_trace(spec) == pseudoharmonic.condition_ii(spec), spec.name
+
+
+def test_a_perturbed_action_on_j_fails_the_horizontal_equivalence(monkeypatch):
+    """h_trace reads the curvature action on J: adding a vertical V to the action
+    at (E_i, E_j) and -V at (E_j, E_i), with G(V, D_{E_i} J) != 0, moves h_trace
+    at E_j by that pairing, so the comparison with condition (ii) fails."""
+    name = "horizontal trace equals condition (ii) componentwise"
+    path = pathlib.Path(__file__).parent / "data" / "inoue_rotation6.toml"
+    assert name not in [check.name for check in twistor.equivalence_check(
+        load_spec_file(path)).failures]
+    spec = load_spec_file(path)
+    dj = cov_deriv_endo(weyl(spec), spec.j_endo())
+    i, v = next((i, v) for i, d in enumerate(dj) for v in vertical_basis(spec).elements
+                if not g_fiber(v, d).is_zero)
+    j = (i + 1) % spec.n
+    original = twistor._endo_curvature_action
+
+    def perturbed(R, S):
+        action = [list(row) for row in original(R, S)]
+        action[i][j], action[j][i] = action[i][j] + v, action[j][i] - v
+        return tuple(tuple(row) for row in action)
+
+    monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
+    assert name in [check.name for check in twistor.equivalence_check(spec).failures]
+
+
+@pytest.mark.parametrize("base", ["inoue-s0", "hyperbolic6", "vaisman6"])
+def test_horizontal_trace_is_condition_ii_on_dense_j_frames(base):
+    """The traced fiber pairing equals condition (ii) entry by entry on frames
+    whose J is no signed permutation: the base frame in the rotated basis of
+    ``test_frame._rotated``, with the Weyl form a1 .. an there."""
+    from test_frame import _rotated
+
+    spec = (builtin(base) if base == "inoue-s0" else
+            load_spec_file(pathlib.Path(__file__).parent / "data" / f"{base}.toml"))
+    rotated = _rotated(spec, f"{base} rotated")
+    assert not any(rotated.J[i][j] == 0 for i in range(spec.n) for j in range(spec.n) if i != j)
+    values = h_trace(rotated)
+    assert not any(value.is_zero for value in values)
+    assert values == pseudoharmonic.condition_ii(rotated)
