@@ -18,8 +18,8 @@ Ricci formulas in terms of Levi-Civita data, and both Ricci corollaries.
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
 curvature tensor (see :class:`wtw.frame.Memo`); the Phi-correction route
-builds a new ``Curvature`` every call, so the two routes never share a
-result.
+builds a new ``Curvature`` every call and :func:`ricci_via_formula` reads
+only Levi-Civita data, so neither shares a result with the direct route.
 
 Codifferential convention (used here and by the Lee form):
 ``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
@@ -149,6 +149,49 @@ def _star_ricci(R: Curvature):
     return tuple(out)
 
 
+def ricci_via_formula(spec: FrameSpec):
+    """(rho, rho*) of the Weyl connection from Levi-Civita data, kept on the spec:
+
+        rho(X, Z) = rho_g(X, Z) + (n-1)/2 (nabla_X phi)Z - 1/2 (nabla_Z phi)X
+                    + (n-2)/4 (phi(X) phi(Z) - |phi|^2 g(X, Z)) - 1/2 delta(phi) g(X, Z)
+        rho*(X, Z) = rho*_g(X, Z) + (nabla_X phi)Z - 1/2 (nabla_Z phi)X
+                     + 1/2 (nabla_JX phi)JZ + 1/4 (phi(X) phi(Z) + phi(JX) phi(JZ)
+                     - |phi|^2 g(X, Z)) - 1/2 (delta(J*phi) - phi(delta J)) g(X, JZ)
+
+    with rho_g and rho*_g traced from the Levi-Civita curvature, one
+    ``Ring.dot`` per entry.  It reads no Weyl gamma or Weyl curvature, so
+    :func:`ricci_formula_check` compares two computations.
+    """
+    return spec.memo(_ricci_via_formula)
+
+
+def _ricci_via_formula(spec: FrameSpec):
+    n, ix = spec.n, range(spec.n)
+    lc = levi_civita(spec)
+    Rg = curvature(lc)
+    rho_g, rho_star_g = ricci(Rg), star_ricci(Rg)
+    phi, J = spec.phi, spec.J
+    nphi = cov_deriv_oneform(lc, phi)
+    twisted, jphi = spec.twist(nphi), spec.j_apply(phi)
+    norm2 = spec.dot(phi, phi)
+    codiff = (codifferential_oneform(spec, spec.left(phi, J))
+              - spec.dot(phi, codifferential_endo(spec, spec.j_endo())))
+    lead, sq = Fraction(n - 1, 2), Fraction(n - 2, 4)  # of (nabla_X phi)Z and phi(X) phi(Z) in rho
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    sq_phi = [value * sq for value in phi]
+    quarter_phi, quarter_jphi = [value * quarter for value in phi], [v * quarter for v in jphi]
+    # the coefficients of g(X, Z) in rho and rho*, and of g(X, JZ) in rho*
+    g_rho = spec.dot((norm2, codifferential_oneform(spec, phi)), (-sq, -half))
+    g_rho_star, gj_rho_star = norm2 * -quarter, codiff * -half
+    rho = tuple(tuple(spec.dot((rho_g[i][k], nphi[i][k], nphi[k][i], sq_phi[i], g_rho),
+                               (1, lead, -half, phi[k], _kron(i, k))) for k in ix) for i in ix)
+    rho_star = tuple(tuple(spec.dot(
+        (rho_star_g[i][k], nphi[i][k], nphi[k][i], twisted[i][k], phi[i], jphi[i], g_rho_star,
+         gj_rho_star), (1, 1, -half, half, quarter_phi[k], quarter_jphi[k], _kron(i, k), J[i][k]))
+        for k in ix) for i in ix)
+    return rho, rho_star
+
+
 # -- codifferentials -------------------------------------------------------
 
 def codifferential_oneform(spec: FrameSpec, omega) -> Scalar:
@@ -237,60 +280,17 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
 
 
 def ricci_formula_check(spec: FrameSpec) -> CheckReport:
-    """Residuals of the two closed formulas expressing rho and rho* of the Weyl
-    connection through Levi-Civita data.
-
-    The rho* formula carries the term ``(delta(J*phi) - phi(delta J)) *
-    g(X, JZ)`` whose sign depends on the codifferential convention; with the
-    convention committed here the coefficient is -1/2, and only -1/2 is
-    checked: the check fails if that sign does not fit.  The notes record
-    the term as checked.
+    """Residuals of the closed formulas of :func:`ricci_via_formula` against the
+    traces of the directly computed Weyl curvature.  The coefficient -1/2 of
+    ``(delta(J*phi) - phi(delta J)) g(X, JZ)``, whose sign depends on the
+    codifferential convention, is the only one checked; the notes record it.
     """
     report = CheckReport(title="Ricci closed formulas")
-    n = spec.n
-    ix = range(n)
-    axes = (spec.basis,) * 2
-    lc = levi_civita(spec)
     RD = curvature(weyl(spec))
-    Rg = curvature(lc)
-    rho = ricci(RD)
-    rho_g = ricci(Rg)
-    rho_star = star_ricci(RD)
-    rho_star_g = star_ricci(Rg)
-    nphi = cov_deriv_oneform(lc, spec.phi)
-    norm2 = spec.dot(spec.phi, spec.phi)
-    delta_phi = codifferential_oneform(spec, spec.phi)
-    phi = spec.phi
-    J = spec.J
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-
-    def rho_residual(i, k):
-        value = rho_g[i][k] + nphi[i][k] * Fraction(n - 1, 2) - nphi[k][i] * half
-        if i == k:
-            value = value - norm2 * Fraction(n - 2, 4) - delta_phi * half
-        value = value + phi[i] * phi[k] * Fraction(n - 2, 4)
-        return rho[i][k] - value
-
-    report.require_zero("rho of the Weyl connection from Levi-Civita data",
-                        [[rho_residual(i, k) for k in ix] for i in ix], axes)
-
-    delta_jstar = codifferential_oneform(spec, spec.left(phi, J))
-    phi_delta_j = spec.dot(phi, codifferential_endo(spec, spec.j_endo()))
-    jphi = spec.j_apply(phi)
-    twisted = spec.twist(nphi)
-
-    def rho_star_residual(i, k):
-        value = rho_star_g[i][k] + nphi[i][k]
-        value = value - (nphi[k][i] - twisted[i][k]) * half
-        value = value + (phi[i] * phi[k] + jphi[i] * jphi[k]) * quarter
-        if i == k:
-            value = value - norm2 * quarter
-        if J[i][k]:
-            value = value - (delta_jstar - phi_delta_j) * (half * J[i][k])
-        return rho_star[i][k] - value
-
-    report.require_zero("rho* of the Weyl connection from Levi-Civita data",
-                        [[rho_star_residual(i, k) for k in ix] for i in ix], axes)
+    for name, traced, formula in zip(("rho", "rho*"), (ricci(RD), star_ricci(RD)),
+                                     ricci_via_formula(spec)):
+        report.require_zero(f"{name} of the Weyl connection from Levi-Civita data",
+                            [[a - b for a, b in zip(*rows)] for rows in zip(traced, formula)],
+                            (spec.basis,) * 2)
     report.notes["jstar_term_sign"] = "-1/2 * (delta(J*phi) - phi(delta J)) * g(X, JZ)"
     return report

@@ -36,8 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
-from .curvature import curvature, ricci, star_ricci
-from .connection import weyl
+from .curvature import ricci_via_formula
 from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, linear_combination,
                     wedge_iso, wedge_oneforms)
 from .hermitian import require_gate
@@ -90,7 +89,9 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
         (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ) - psi(JZ) dphi(J^)
         - rho(psi#, Z) + rho*(J psi#, JZ)
 
-    with rho and rho* of the Weyl connection.  In ``dim4_mode`` only the last
+    with rho and rho* of the Weyl connection read from
+    :func:`wtw.curvature.ricci_via_formula`, so neither the Weyl connection nor
+    its curvature tensor is formed.  In ``dim4_mode`` only the last
     three terms are kept: up to sign they are the rearranged four-dimensional
     form, and normalization strips the sign.
     """
@@ -98,13 +99,13 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
     psi = tuple(t - p for t, p in zip(theta, spec.phi))
     n = spec.n
     J = spec.J
-    R = curvature(weyl(spec))
+    rho, rho_star = ricci_via_formula(spec)
     dphi = spec.dphi()
     dphi_jwedge = eval_on_bivector(spec, dphi, wedge_iso(spec.j_endo()))
     jpsi = spec.j_apply(psi)
     psi_j = spec.left(psi, J)                                  # psi(JZ)
-    rho_psi = spec.left(psi, ricci(R))                         # rho(psi#, Z)
-    rho_star_jpsi_j = spec.left(spec.left(jpsi, star_ricci(R)), J)  # rho*(J psi#, JZ)
+    rho_psi = spec.left(psi, rho)                              # rho(psi#, Z)
+    rho_star_jpsi_j = spec.left(spec.left(jpsi, rho_star), J)  # rho*(J psi#, JZ)
     out = [rho_star_jpsi_j[k] - rho_psi[k] - psi_j[k] * dphi_jwedge for k in range(n)]
     if dim4_mode:
         return tuple(out)

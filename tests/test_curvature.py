@@ -1,11 +1,39 @@
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
+import frame_families
+from wtw import FrameError, SpecFormatError, builtin, load_spec, load_spec_file
 from wtw.connection import levi_civita, weyl
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
-                           ricci_formula_check, star_ricci,
+                           ricci_formula_check, ricci_via_formula, star_ricci,
                            weyl_curvature_via_formula)
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _route_frames():
+    """The built-ins, every loadable document under tests/data (gate failures
+    included) and the three frame families at n = 10, each by a loader."""
+    frames = {"inoue-s0": lambda: builtin("inoue-s0")}
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        frames[f"kodaira{signs}"] = lambda signs=signs: builtin("kodaira", signs)
+    for path in sorted(DATA.glob("*.toml")):
+        try:
+            load_spec_file(path)
+        except (FrameError, SpecFormatError):
+            continue
+        frames[path.stem] = lambda path=path: load_spec_file(path)
+    for name, text in (("hyperbolic10", frame_families.hyperbolic(10)),
+                       ("vaisman10", frame_families.vaisman(10)),
+                       ("inoue_rotation10", frame_families.inoue((1, 2, 3, 4)))):
+        frames[name] = lambda text=text: load_spec(text)
+    return frames
+
+
+ROUTE_FRAMES = _route_frames()
 
 
 def _nonzero_r(R):
@@ -169,6 +197,16 @@ class TestRicciFormulas:
         report = ricci_formula_check(table[which])
         assert report.ok, [c.name for c in report.failures]
         assert report.notes["jstar_term_sign"].startswith("-1/2")
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_closed_formulas_equal_the_traced_weyl_tensor(self, name):
+        # exactly, entry by entry; the formulas read no Weyl gamma or curvature
+        spec = ROUTE_FRAMES[name]()
+        RD = curvature(weyl(spec))
+        rho, rho_star = ricci_via_formula(spec)
+        assert _table(rho) == _table(ricci(RD))
+        assert _table(rho_star) == _table(star_ricci(RD))
+        assert ricci_via_formula(spec) is ricci_via_formula(spec)  # kept on the spec
 
     def test_zero_form_reduces_to_riemannian_tensors(self, kodairas):
         spec = kodairas[(1, 1)].with_phi((0, 0, 0, 0))

@@ -6,10 +6,12 @@ import contextlib
 import gc
 import importlib
 import io
+import pathlib
 import weakref
 from unittest import mock
 
-from wtw import builtin, identity_suite, levi_civita, weyl
+from wtw import (builtin, conditions, identity_suite, levi_civita, load_spec_file,
+                 ricci_formula_check, verify_assignment, weyl)
 from wtw import cli, connection, hermitian, pseudoharmonic, twistor
 
 curvature_module = importlib.import_module("wtw.curvature")
@@ -26,7 +28,8 @@ def test_suite_computes_each_quantity_once():
             _counting(connection, "_weyl") as weyl_gammas, \
             _counting(curvature_module, "_curvature") as curvature, \
             _counting(twistor, "_check_endo_curvature") as consistency, \
-            _counting(connection, "_second_cov_deriv_endo") as second:
+            _counting(connection, "_second_cov_deriv_endo") as second, \
+            _counting(curvature_module, "_ricci_via_formula") as formulas:
         report = cli._suite_report(spec)
     assert report.ok
     assert nijenhuis.call_count == 1
@@ -39,23 +42,41 @@ def test_suite_computes_each_quantity_once():
     assert consistency.call_count == 1
     # D2 J, which the consistency check and the vertical trace both read
     assert second.call_count == 1
+    # the closed Ricci formulas, which the Ricci check and condition (ii) both read
+    assert formulas.call_count == 1
 
 
 def test_report_builds_each_condition_once():
-    """One ``report`` forms the condition-(i) pairing and condition (ii) once,
-    although the condition systems and the trace equivalence both read them."""
+    """One ``report`` forms the condition-(i) pairing, condition (ii) and the
+    closed Ricci formulas once, although the condition systems, the trace
+    equivalence and the Ricci check read them."""
     with _counting(pseudoharmonic, "_condition_i_pairing") as pairing, \
             _counting(pseudoharmonic, "_condition_ii_values") as values, \
+            _counting(curvature_module, "_ricci_via_formula") as formulas, \
             contextlib.redirect_stdout(io.StringIO()) as out:
         status = cli.main(["report", "--builtin", "inoue-s0"])
     assert status == 1 and '"verdict": "conditional; see the condition systems"' in out.getvalue()
     assert pairing.call_count == 1
     assert values.call_count == 1
+    assert formulas.call_count == 1
+
+
+def test_conditions_form_no_weyl_curvature():
+    """Condition (ii) reads rho and rho* from Levi-Civita data: ``conditions``
+    and ``verify_assignment`` form neither the Weyl gammas nor any curvature
+    tensor but the Levi-Civita one."""
+    spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
+    with _counting(connection, "_weyl") as weyl_gammas, \
+            _counting(curvature_module, "_curvature") as curvature:
+        verify_assignment(conditions(spec), {"a1": 0})
+    assert weyl_gammas.call_count == 0
+    assert [call.args[0].kind for call in curvature.call_args_list] == ["levi-civita"]
 
 
 def test_weyl_curvature_routes_stay_independent():
-    # a wrong direct Weyl curvature must be caught by the Phi-correction route,
-    # which therefore may not read the direct route's stored result
+    # a wrong direct Weyl curvature must be caught by the Phi-correction route
+    # and by the closed Ricci formulas, which therefore may not read the direct
+    # route's stored result
     spec = builtin("inoue-s0")
     compute = curvature_module._curvature
 
@@ -64,15 +85,17 @@ def test_weyl_curvature_routes_stay_independent():
         if conn.kind != "weyl":
             return R
         r = [[[list(row) for row in plane] for plane in block] for block in R.r]
-        r[0][1][2][3] = r[0][1][2][3] + 1
+        r[0][1][2][1] = r[0][1][2][1] + 1  # rho[0][2] traces it
         frozen = tuple(tuple(tuple(tuple(row) for row in plane) for plane in block)
                        for block in r)
         return curvature_module.Curvature(R.spec, frozen, R.kind)
 
     with mock.patch.object(curvature_module, "_curvature", broken):
         report = identity_suite(spec)
+        report.extend(ricci_formula_check(spec))
     verdicts = {check.name: check.ok for check in report.checks}
     assert not verdicts["direct Weyl curvature equals Phi-correction formula"]
+    assert not verdicts["rho of the Weyl connection from Levi-Civita data"]
 
 
 def test_new_specs_get_their_own_gammas():

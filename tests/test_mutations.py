@@ -7,11 +7,17 @@ full check suite (``wtw suite``) on fresh gate-passing frames at n = 4, 6 and
 ``AssertionError`` or fails a check that passes on the unmutated frame.  At
 n >= 6 the check ``vertical trace paths agree`` already fails (ROADMAP item
 1), so each frame's own failures are subtracted first.
+
+A term of the closed Ricci formulas (``wtw.curvature.ricci_via_formula``) is
+mutated where the formulas are built, so the Ricci check sees it against the
+traced Weyl curvature; the sign of the rho or rho* term of L(psi) is mutated
+where condition (ii) reads the formulas, so only the trace equivalence sees it.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import pathlib
 from fractions import Fraction
 
@@ -20,6 +26,7 @@ import pytest
 from wtw import builtin, connection, load_spec_file, pseudoharmonic, twistor
 from wtw.cli import _suite_report
 
+curvature = importlib.import_module("wtw.curvature")
 DATA = pathlib.Path(__file__).parent / "data"
 
 # two frames per dimension; each is loaded afresh for every run, so no value
@@ -53,11 +60,62 @@ def _weyl_half(monkeypatch):
     monkeypatch.setattr(connection, "_weyl", mutated)
 
 
+def _condition_ii_reads_negated(monkeypatch, index):
+    """Condition (ii) reads entry ``index`` of (rho, rho*) negated."""
+    formulas = pseudoharmonic.ricci_via_formula
+
+    def mutated(spec):
+        pair = list(formulas(spec))
+        pair[index] = tuple(tuple(-value for value in row) for row in pair[index])
+        return tuple(pair)
+
+    monkeypatch.setattr(pseudoharmonic, "ricci_via_formula", mutated)
+
+
 def _rho_sign(monkeypatch):
     """rho enters the condition-(ii) builder with the opposite sign."""
-    ricci = pseudoharmonic.ricci
-    monkeypatch.setattr(pseudoharmonic, "ricci",
-                        lambda R: tuple(tuple(-value for value in row) for row in ricci(R)))
+    _condition_ii_reads_negated(monkeypatch, 0)
+
+
+def _rho_star_sign(monkeypatch):
+    """The term rho*(J psi#, JZ) of L(psi) enters with the opposite sign."""
+    _condition_ii_reads_negated(monkeypatch, 1)
+
+
+def _formula_terms(monkeypatch, rho_term, rho_star_term):
+    """The closed Ricci formulas gain rho_term(spec, i, k) and
+    rho_star_term(spec, i, k) at each entry (i, k)."""
+    formulas = curvature._ricci_via_formula
+
+    def mutated(spec):
+        ix = range(spec.n)
+        rho, rho_star = formulas(spec)
+        return tuple(tuple(tuple(matrix[i][k] + term(spec, i, k) for k in ix) for i in ix)
+                     for matrix, term in ((rho, rho_term), (rho_star, rho_star_term)))
+
+    monkeypatch.setattr(curvature, "_ricci_via_formula", mutated)
+
+
+def _nothing(spec, i, k):
+    return spec.zero()
+
+
+def _jstar_sign(monkeypatch):
+    """The term -1/2 (delta(J*phi) - phi(delta J)) g(X, JZ) of the rho* formula
+    enters with the opposite sign."""
+    def flipped(spec, i, k):
+        phi = spec.phi
+        codiff = (curvature.codifferential_oneform(spec, spec.left(phi, spec.J))
+                  - spec.dot(phi, curvature.codifferential_endo(spec, spec.j_endo())))
+        return codiff * spec.J[i][k]
+
+    _formula_terms(monkeypatch, _nothing, flipped)
+
+
+def _rho_square_coefficient(monkeypatch):
+    """The coefficient (n-2)/4 of phi(X) phi(Z) in the rho formula becomes (n-1)/4."""
+    _formula_terms(monkeypatch, lambda spec, i, k: spec.phi[i] * spec.phi[k] * Fraction(1, 4),
+                   _nothing)
 
 
 def _action_entry(monkeypatch):
@@ -84,7 +142,8 @@ def _norm_sq(monkeypatch):
                         lambda elements, labels, norm_sq: basis(elements, labels, norm_sq * 2))
 
 
-@pytest.mark.parametrize("mutate", [_weyl_half, _rho_sign, _action_entry, _norm_sq],
+@pytest.mark.parametrize("mutate", [_weyl_half, _rho_sign, _rho_star_sign, _jstar_sign,
+                                    _rho_square_coefficient, _action_entry, _norm_sq],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):
