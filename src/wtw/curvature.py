@@ -12,26 +12,26 @@ is symmetric in general.
 Two independent routes to the Weyl curvature are provided: directly from the
 Weyl gammas, and from the Levi-Civita curvature via the Phi-correction
 formula.  Their exact entrywise equality is part of the identity suite, which
-also verifies the pair-symmetry identities, the first Bianchi identity, the
-Ricci formulas in terms of Levi-Civita data, and both Ricci corollaries.
+also verifies the pair-symmetry identities, the first Bianchi identity and
+both Ricci corollaries.  The tensor Phi of :func:`phi_tensor`, which holds
+all the first-order phi data, feeds both Levi-Civita routes: the
+Phi-correction of the curvature, and the closed Ricci formulas of
+:func:`ricci_via_formula`, which are its traces.  :func:`ricci_formula_check`
+verifies those formulas against the traces of the direct route.
 
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
-curvature tensor (see :class:`wtw.frame.Memo`); the Phi-correction route
-builds a new ``Curvature`` every call and :func:`ricci_via_formula` reads
-only Levi-Civita data, so neither shares a result with the direct route.
-
-Codifferential convention (used here and by the Lee form):
-``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
-``delta J = -sum_i (nabla_{E_i} J)(E_i)``; the sign is pinned by the built-in
-geometries' Lee forms.
+curvature tensor (see :class:`wtw.frame.Memo`); Phi and the closed formulas
+are kept on the spec.  The Phi-correction route builds a new ``Curvature``
+every call, and neither it nor :func:`ricci_via_formula` reads a Weyl gamma,
+so neither shares a result with the direct route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
+from .connection import Connection, cov_deriv_oneform, levi_civita, weyl
 from .frame import Endo, FrameSpec, Memo, _kron
 from .polyalg import Scalar
 from .reports import CheckReport
@@ -78,17 +78,26 @@ def _curvature(conn: Connection) -> Curvature:
 
 
 def phi_tensor(spec: FrameSpec):
-    """Phi(E_i, E_j) = (nabla_{E_i} phi)(E_j) + 1/2 phi_i phi_j - 1/4 |phi|^2 delta_ij."""
-    n = spec.n
-    lc = levi_civita(spec)
-    nphi = cov_deriv_oneform(lc, spec.phi)
-    norm2 = spec.dot(spec.phi, spec.phi)
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    return tuple(tuple(
-        nphi[i][j] + spec.phi[i] * spec.phi[j] * half
-        - (norm2 * quarter if i == j else spec.zero())
-        for j in range(n)) for i in range(n))
+    """Phi(E_i, E_j) = (nabla_{E_i} phi)(E_j) + 1/2 phi_i phi_j - 1/4 |phi|^2 delta_ij,
+    kept on the spec."""
+    return spec.memo(_phi_tensor)
+
+
+def _phi_tensor(spec: FrameSpec):
+    n, phi = spec.n, spec.phi
+    nphi = cov_deriv_oneform(levi_civita(spec), phi)
+    half_phi = [value * Fraction(1, 2) for value in phi]
+    quarter_norm2 = spec.dot(phi, phi) * Fraction(1, 4)
+    return tuple(tuple(spec.dot((nphi[i][j], phi[i], quarter_norm2),
+                                (1, half_phi[j], -_kron(i, j))) for j in range(n))
+                 for i in range(n))
+
+
+def _phi_on_j(spec: FrameSpec) -> Scalar:
+    """<Phi, J> = sum_{p,q} J[p][q] Phi[p][q] = -sum_i (nabla_{E_i} phi)(J E_i),
+    which is delta(J*phi) - phi(delta J) by the Leibniz rule."""
+    return spec.dot([x for row in spec.J for x in row],
+                    [value for row in phi_tensor(spec) for value in row])
 
 
 def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
@@ -150,7 +159,19 @@ def _star_ricci(R: Curvature):
 
 
 def ricci_via_formula(spec: FrameSpec):
-    """(rho, rho*) of the Weyl connection from Levi-Civita data, kept on the spec:
+    """(rho, rho*) of the Weyl connection from Levi-Civita data, kept on the spec.
+
+    They are the traces of the Phi-correction that
+    :func:`weyl_curvature_via_formula` applies, summed over j for rho and over
+    the J-twisted (j, k) for rho*:
+
+        rho(X, Z) = rho_g(X, Z) + (n-1)/2 Phi(X, Z) - 1/2 Phi(Z, X)
+                    + 1/2 tr(Phi) g(X, Z)
+        rho*(X, Z) = rho*_g(X, Z) + Phi(X, Z) - 1/2 Phi(Z, X) + 1/2 Phi(JX, JZ)
+                     - 1/2 <Phi, J> g(X, JZ)
+
+    with ``<Phi, J> = sum_{p,q} J[p][q] Phi[p][q]``.  Expanded through Phi, they
+    are the formulas of the paper:
 
         rho(X, Z) = rho_g(X, Z) + (n-1)/2 (nabla_X phi)Z - 1/2 (nabla_Z phi)X
                     + (n-2)/4 (phi(X) phi(Z) - |phi|^2 g(X, Z)) - 1/2 delta(phi) g(X, Z)
@@ -158,8 +179,12 @@ def ricci_via_formula(spec: FrameSpec):
                      + 1/2 (nabla_JX phi)JZ + 1/4 (phi(X) phi(Z) + phi(JX) phi(JZ)
                      - |phi|^2 g(X, Z)) - 1/2 (delta(J*phi) - phi(delta J)) g(X, JZ)
 
-    with rho_g and rho*_g traced from the Levi-Civita curvature, one
-    ``Ring.dot`` per entry.  It reads no Weyl gamma or Weyl curvature, so
+    where ``tr(Phi) = -delta(phi) - (n-2)/4 |phi|^2`` and, as the phi phi and g
+    parts of Phi drop out against the skew J, the Leibniz rule gives
+    ``<Phi, J> = -sum_i (nabla_{E_i} phi)(J E_i) = delta(J*phi) - phi(delta J)``.
+
+    rho_g and rho*_g are traced from the Levi-Civita curvature, and each entry
+    is one ``Ring.dot``.  It reads no Weyl gamma or Weyl curvature, so
     :func:`ricci_formula_check` compares two computations.
     """
     return spec.memo(_ricci_via_formula)
@@ -167,46 +192,21 @@ def ricci_via_formula(spec: FrameSpec):
 
 def _ricci_via_formula(spec: FrameSpec):
     n, ix = spec.n, range(spec.n)
-    lc = levi_civita(spec)
-    Rg = curvature(lc)
+    Rg = curvature(levi_civita(spec))
     rho_g, rho_star_g = ricci(Rg), star_ricci(Rg)
-    phi, J = spec.phi, spec.J
-    nphi = cov_deriv_oneform(lc, phi)
-    twisted, jphi = spec.twist(nphi), spec.j_apply(phi)
-    norm2 = spec.dot(phi, phi)
-    codiff = (codifferential_oneform(spec, spec.left(phi, J))
-              - spec.dot(phi, codifferential_endo(spec, spec.j_endo())))
-    lead, sq = Fraction(n - 1, 2), Fraction(n - 2, 4)  # of (nabla_X phi)Z and phi(X) phi(Z) in rho
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
-    sq_phi = [value * sq for value in phi]
-    quarter_phi, quarter_jphi = [value * quarter for value in phi], [v * quarter for v in jphi]
-    # the coefficients of g(X, Z) in rho and rho*, and of g(X, JZ) in rho*
-    g_rho = spec.dot((norm2, codifferential_oneform(spec, phi)), (-sq, -half))
-    g_rho_star, gj_rho_star = norm2 * -quarter, codiff * -half
-    rho = tuple(tuple(spec.dot((rho_g[i][k], nphi[i][k], nphi[k][i], sq_phi[i], g_rho),
-                               (1, lead, -half, phi[k], _kron(i, k))) for k in ix) for i in ix)
+    Phi, J = phi_tensor(spec), spec.J
+    twisted = spec.twist(Phi)
+    half = Fraction(1, 2)
+    lead = Fraction(n - 1, 2)  # of Phi(X, Z) in rho
+    # the coefficient of g(X, Z) in rho, and of g(X, JZ) in rho*
+    g_rho = spec.ring.sum(Phi[i][i] for i in ix) * half
+    gj_rho_star = spec.memo(_phi_on_j) * -half
+    rho = tuple(tuple(spec.dot((rho_g[i][k], Phi[i][k], Phi[k][i], g_rho),
+                               (1, lead, -half, _kron(i, k))) for k in ix) for i in ix)
     rho_star = tuple(tuple(spec.dot(
-        (rho_star_g[i][k], nphi[i][k], nphi[k][i], twisted[i][k], phi[i], jphi[i], g_rho_star,
-         gj_rho_star), (1, 1, -half, half, quarter_phi[k], quarter_jphi[k], _kron(i, k), J[i][k]))
-        for k in ix) for i in ix)
+        (rho_star_g[i][k], Phi[i][k], Phi[k][i], twisted[i][k], gj_rho_star),
+        (1, 1, -half, half, J[i][k])) for k in ix) for i in ix)
     return rho, rho_star
-
-
-# -- codifferentials -------------------------------------------------------
-
-def codifferential_oneform(spec: FrameSpec, omega) -> Scalar:
-    """delta omega = -sum_i (nabla_{E_i} omega)(E_i) for the Levi-Civita connection."""
-    lc = levi_civita(spec)
-    nom = cov_deriv_oneform(lc, omega)
-    return -spec.ring.sum(nom[i][i] for i in range(spec.n))
-
-
-def codifferential_endo(spec: FrameSpec, S):
-    """delta S = -sum_i (nabla_{E_i} S)(E_i), a vector of scalars."""
-    lc = levi_civita(spec)
-    nS = cov_deriv_endo(lc, S)
-    n = spec.n
-    return tuple(-spec.ring.sum(nS[i].comps[l][i] for i in range(n)) for l in range(n))
 
 
 # -- identity suite ---------------------------------------------------------
@@ -259,9 +259,7 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
         rho[i][k] - rho[k][i] - dphi[i][k] * half_n for k in ix] for i in ix], axes)
 
     rho_star = star_ricci(RD)
-    jstar_phi = spec.left(spec.phi, J)
-    codiff_term = (codifferential_oneform(spec, jstar_phi)
-                   - spec.dot(spec.phi, codifferential_endo(spec, spec.j_endo())))
+    codiff_term = spec.memo(_phi_on_j)  # delta(J*phi) - phi(delta J)
     twisted = spec.twist(rho_star)
     jdphi = spec.twist(dphi)
 
@@ -280,10 +278,13 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
 
 
 def ricci_formula_check(spec: FrameSpec) -> CheckReport:
-    """Residuals of the closed formulas of :func:`ricci_via_formula` against the
-    traces of the directly computed Weyl curvature.  The coefficient -1/2 of
+    """Residuals of the closed formulas of :func:`ricci_via_formula`, which read
+    Phi and the Levi-Civita rho_g and rho*_g, against the traces of the
+    directly computed Weyl curvature, which read the Weyl gammas; every entry
+    of rho and rho* is compared.  The notes record the coefficient -1/2 of the
+    term ``<Phi, J> g(X, JZ)`` of rho*, in the paper's form
     ``(delta(J*phi) - phi(delta J)) g(X, JZ)``, whose sign depends on the
-    codifferential convention, is the only one checked; the notes record it.
+    codifferential convention of :mod:`wtw.hermitian`.
     """
     report = CheckReport(title="Ricci closed formulas")
     RD = curvature(weyl(spec))

@@ -6,12 +6,19 @@ The fundamental 2-form is ``Omega(X, Y) = g(JX, Y)``.  The Nijenhuis tensor
 
 vanishes identically exactly when J is integrable.  The Lee form is
 
-    theta = -2/(n-2) * (delta Omega) o J,
+    theta = -2/(n-2) * (delta Omega) o J;
 
-with the codifferential convention of :mod:`wtw.curvature`; its dual vector
-is ``B = 2/(n-2) * J(delta J)``, and the two expressions are required to
-agree.  A structure is locally conformally Kaehler when ``d Omega = theta ^
-Omega`` and ``d theta = 0``.
+its dual vector is ``B = 2/(n-2) * J(delta J)``, and the two expressions are
+required to agree.  A structure is locally conformally Kaehler when
+``d Omega = theta ^ Omega`` and ``d theta = 0``.
+
+Codifferential convention (used here and, through the Leibniz identity
+``delta(J*phi) - phi(delta J) = -sum_i (nabla_{E_i} phi)(J E_i)``, by the
+closed Ricci formulas of :mod:`wtw.curvature`):
+``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
+``delta J = -sum_i (nabla_{E_i} J)(E_i)``, the trace of the nabla J that
+:func:`wtw.connection.cov_deriv_endo` forms; the sign is pinned by the
+built-in geometries' Lee forms.
 
 `require_gate` enforces the standing hypotheses of the pseudo-harmonicity
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
@@ -22,12 +29,13 @@ without loading this module, and is re-exported here.
 The fundamental form, the Nijenhuis tensor, the Lee data, d(Omega) and the
 Lee-identity residual are computed once per spec and kept on it (see
 :class:`wtw.frame.Memo`), so the gate and every check that needs them share
-one computation.  Omega and N are symbol-free: they are built from the
-spec's nonzero bracket rows and J columns (see :mod:`wtw.frame`), N as int
-numerators over one denominator from its four brackets, each nonzero entry
-lifted to a scalar once.  d(Omega) and the residual are evaluated on
-increasing triples over the nonzero bracket rows and extended by
-antisymmetry.
+one computation.  Omega and N are symbol-free.  Omega is the wedge image of
+J (:func:`wtw.frame.wedge_iso`), the one builder of that array, which
+condition (ii) also reads as J^.  N is built from the spec's nonzero bracket
+rows and J columns (see :mod:`wtw.frame`), as int numerators over one
+denominator from its four brackets, each nonzero entry lifted to a scalar
+once.  d(Omega) and the residual are evaluated on increasing triples over
+the nonzero bracket rows and extended by antisymmetry.
 
 Omega, like every 2-form, is an n x n nested tuple, and 3-forms are plain
 n x n x n nested tuples, as N is.  The two 3-form builders ``_d_twoform`` and
@@ -44,7 +52,6 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .connection import cov_deriv_endo, levi_civita, weyl
-from .curvature import codifferential_endo
 from .frame import (Endo, FrameSpec, GateError, Vector, _accumulate, d_oneform,
                     linear_combination, wedge_iso, wedge_oneforms)
 from .polyalg import Scalar
@@ -95,13 +102,13 @@ class LeeData(NamedTuple):
 
 
 def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
-    """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i], as an n x n array."""
+    """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i], as an n x n array:
+    the wedge image of J."""
     return spec.memo(_fundamental_form)
 
 
 def _fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
-    zero = spec.zero()
-    return tuple(tuple(spec.const(x) if x else zero for x in col) for col in zip(*spec.J))
+    return wedge_iso(spec.j_endo())
 
 
 def nijenhuis(spec: FrameSpec):
@@ -152,7 +159,8 @@ def _lee_form(spec: FrameSpec) -> LeeData:
     delta_omega = [spec.ring.sum(column) for column in zip(*parts)]
     factor = Fraction(-2, n - 2)
     theta = tuple(value * factor for value in spec.left(delta_omega, spec.J))
-    delta_j = codifferential_endo(spec, spec.j_endo())
+    nabla_j = cov_deriv_endo(lc, spec.j_endo())
+    delta_j = [-spec.ring.sum(d.comps[l][i] for i, d in enumerate(nabla_j)) for l in range(n)]
     B = tuple(entry * Fraction(2, n - 2) for entry in spec.j_apply(delta_j))
     if any(not (t - b).is_zero for t, b in zip(theta, B)):
         raise AssertionError("Lee form routes disagree; codifferential convention broken")

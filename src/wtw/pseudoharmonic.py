@@ -38,8 +38,8 @@ from typing import Mapping, NamedTuple
 
 from .curvature import ricci_via_formula
 from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, linear_combination,
-                    wedge_iso, wedge_oneforms)
-from .hermitian import require_gate
+                    wedge_oneforms)
+from .hermitian import fundamental_form, require_gate
 from .polyalg import RationalLike, Scalar, normalized_system
 
 
@@ -101,7 +101,7 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
     J = spec.J
     rho, rho_star = ricci_via_formula(spec)
     dphi = spec.dphi()
-    dphi_jwedge = eval_on_bivector(spec, dphi, wedge_iso(spec.j_endo()))
+    dphi_jwedge = eval_on_bivector(spec, dphi, fundamental_form(spec))
     jpsi = spec.j_apply(psi)
     psi_j = spec.left(psi, J)                                  # psi(JZ)
     rho_psi = spec.left(psi, rho)                              # rho(psi#, Z)

@@ -1,22 +1,27 @@
 from __future__ import annotations
 
+import importlib
 import pathlib
 
 import pytest
 
 import frame_families
+from test_frame import _rotated
 from wtw import FrameError, SpecFormatError, builtin, load_spec, load_spec_file
-from wtw.connection import levi_civita, weyl
+from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
                            ricci_formula_check, ricci_via_formula, star_ricci,
                            weyl_curvature_via_formula)
 
+curvature_module = importlib.import_module("wtw.curvature")
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _route_frames():
     """The built-ins, every loadable document under tests/data (gate failures
-    included) and the three frame families at n = 10, each by a loader."""
+    included), the three frame families at n = 10 and copies of inoue-s0,
+    hyperbolic6 and vaisman6 in a rotated basis, where J has no zero entry off
+    the diagonal, each by a loader."""
     frames = {"inoue-s0": lambda: builtin("inoue-s0")}
     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         frames[f"kodaira{signs}"] = lambda signs=signs: builtin("kodaira", signs)
@@ -30,6 +35,8 @@ def _route_frames():
                        ("vaisman10", frame_families.vaisman(10)),
                        ("inoue_rotation10", frame_families.inoue((1, 2, 3, 4)))):
         frames[name] = lambda text=text: load_spec(text)
+    for base in ("inoue-s0", "hyperbolic6", "vaisman6"):
+        frames[f"{base} rotated"] = lambda base=base: _rotated(frames[base](), f"{base} rotated")
     return frames
 
 
@@ -207,6 +214,22 @@ class TestRicciFormulas:
         assert _table(rho) == _table(ricci(RD))
         assert _table(rho_star) == _table(star_ricci(RD))
         assert ricci_via_formula(spec) is ricci_via_formula(spec)  # kept on the spec
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_phi_on_j_is_the_codifferential_difference(self, name):
+        # the paper's delta(J*phi) - phi(delta J), formed from the public
+        # covariant derivatives of J*phi = phi o J and of J, equals the <Phi, J>
+        # that the rho* formula reads
+        spec = ROUTE_FRAMES[name]()
+        n, zero, lc = spec.n, spec.zero(), levi_civita(spec)
+        jstar_phi = tuple(sum((spec.phi[p] * spec.J[p][k] for p in range(n)), zero)
+                          for k in range(n))
+        nabla_jstar_phi = cov_deriv_oneform(lc, jstar_phi)
+        nabla_j = cov_deriv_endo(lc, spec.j_endo())
+        delta_jstar_phi = -sum((nabla_jstar_phi[i][i] for i in range(n)), zero)
+        delta_j = [-sum((nabla_j[i].comps[l][i] for i in range(n)), zero) for l in range(n)]
+        phi_delta_j = sum((spec.phi[l] * delta_j[l] for l in range(n)), zero)
+        assert spec.memo(curvature_module._phi_on_j) == delta_jstar_phi - phi_delta_j
 
     def test_zero_form_reduces_to_riemannian_tensors(self, kodairas):
         spec = kodairas[(1, 1)].with_phi((0, 0, 0, 0))

@@ -29,7 +29,8 @@ def test_suite_computes_each_quantity_once():
             _counting(curvature_module, "_curvature") as curvature, \
             _counting(twistor, "_check_endo_curvature") as consistency, \
             _counting(connection, "_second_cov_deriv_endo") as second, \
-            _counting(curvature_module, "_ricci_via_formula") as formulas:
+            _counting(curvature_module, "_ricci_via_formula") as formulas, \
+            _counting(curvature_module, "_phi_tensor") as phi_tensor:
         report = cli._suite_report(spec)
     assert report.ok
     assert nijenhuis.call_count == 1
@@ -44,21 +45,26 @@ def test_suite_computes_each_quantity_once():
     assert second.call_count == 1
     # the closed Ricci formulas, which the Ricci check and condition (ii) both read
     assert formulas.call_count == 1
+    # Phi, which the Phi-correction route, the closed formulas and the rho*
+    # defect check all read
+    assert phi_tensor.call_count == 1
 
 
 def test_report_builds_each_condition_once():
-    """One ``report`` forms the condition-(i) pairing, condition (ii) and the
-    closed Ricci formulas once, although the condition systems, the trace
-    equivalence and the Ricci check read them."""
+    """One ``report`` forms the condition-(i) pairing, condition (ii), the
+    closed Ricci formulas and Phi once, although the condition systems, the
+    trace equivalence, the identity suite and the Ricci check read them."""
     with _counting(pseudoharmonic, "_condition_i_pairing") as pairing, \
             _counting(pseudoharmonic, "_condition_ii_values") as values, \
             _counting(curvature_module, "_ricci_via_formula") as formulas, \
+            _counting(curvature_module, "_phi_tensor") as phi_tensor, \
             contextlib.redirect_stdout(io.StringIO()) as out:
         status = cli.main(["report", "--builtin", "inoue-s0"])
     assert status == 1 and '"verdict": "conditional; see the condition systems"' in out.getvalue()
     assert pairing.call_count == 1
     assert values.call_count == 1
     assert formulas.call_count == 1
+    assert phi_tensor.call_count == 1
 
 
 def test_conditions_form_no_weyl_curvature():
@@ -71,6 +77,19 @@ def test_conditions_form_no_weyl_curvature():
         verify_assignment(conditions(spec), {"a1": 0})
     assert weyl_gammas.call_count == 0
     assert [call.args[0].kind for call in curvature.call_args_list] == ["levi-civita"]
+
+
+def test_conditions_form_each_covariant_derivative_once():
+    """``conditions`` and ``verify_assignment`` form nabla J once, which the Lee
+    form traces for delta J, and nabla phi once, inside Phi, from which the
+    closed Ricci formulas read the codifferentials."""
+    spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
+    # curvature is the one module that calls cov_deriv_oneform
+    with _counting(connection, "_cov_deriv_endo") as nabla_endo, \
+            _counting(curvature_module, "cov_deriv_oneform") as nabla_oneform:
+        verify_assignment(conditions(spec), {"a1": 0})
+    assert nabla_endo.call_count == 1
+    assert nabla_oneform.call_count == 1
 
 
 def test_weyl_curvature_routes_stay_independent():

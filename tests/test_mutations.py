@@ -10,8 +10,10 @@ n >= 6 the check ``vertical trace paths agree`` already fails (ROADMAP item
 
 A term of the closed Ricci formulas (``wtw.curvature.ricci_via_formula``) is
 mutated where the formulas are built, so the Ricci check sees it against the
-traced Weyl curvature; the sign of the rho or rho* term of L(psi) is mutated
-where condition (ii) reads the formulas, so only the trace equivalence sees it.
+traced Weyl curvature.  The sign of the rho or rho* term of L(psi) is mutated
+where condition (ii) reads the formulas, and the sign of each of its three
+d(phi) terms where condition (ii) is built, so only the trace equivalence
+sees them.
 """
 
 from __future__ import annotations
@@ -102,12 +104,15 @@ def _nothing(spec, i, k):
 
 def _jstar_sign(monkeypatch):
     """The term -1/2 (delta(J*phi) - phi(delta J)) g(X, JZ) of the rho* formula
-    enters with the opposite sign."""
+    enters with the opposite sign.  The codifferential difference is formed by
+    the Leibniz rule as -sum_p (nabla_{E_p} phi)(J E_p), from the public
+    covariant derivative of phi."""
     def flipped(spec, i, k):
-        phi = spec.phi
-        codiff = (curvature.codifferential_oneform(spec, spec.left(phi, spec.J))
-                  - spec.dot(phi, curvature.codifferential_endo(spec, spec.j_endo())))
-        return codiff * spec.J[i][k]
+        nphi = connection.cov_deriv_oneform(connection.levi_civita(spec), spec.phi)
+        n, J = spec.n, spec.J
+        # J E_p = sum_q J[q][p] E_q
+        codiff = -spec.ring.sum(nphi[p][q] * J[q][p] for p in range(n) for q in range(n))
+        return codiff * J[i][k]
 
     _formula_terms(monkeypatch, _nothing, flipped)
 
@@ -116,6 +121,56 @@ def _rho_square_coefficient(monkeypatch):
     """The coefficient (n-2)/4 of phi(X) phi(Z) in the rho formula becomes (n-1)/4."""
     _formula_terms(monkeypatch, lambda spec, i, k: spec.phi[i] * spec.phi[k] * Fraction(1, 4),
                    _nothing)
+
+
+def _condition_ii_terms(monkeypatch, term):
+    """Condition (ii) in its full form, which the suite reads, gains
+    term(spec, psi, k) at each Z = E_k, for psi = theta - phi."""
+    values = pseudoharmonic._condition_ii_values
+
+    def mutated(spec, dim4_mode):
+        out = values(spec, dim4_mode)
+        if dim4_mode:
+            return out
+        psi = tuple(t - p for t, p in zip(pseudoharmonic.require_gate(spec).theta, spec.phi))
+        return tuple(value + term(spec, psi, k) for k, value in enumerate(out))
+
+    monkeypatch.setattr(pseudoharmonic, "_condition_ii_values", mutated)
+
+
+def _column(M, k):
+    return [row[k] for row in M]
+
+
+def _dphi_sign(monkeypatch):
+    """The term (n/2 - 1) dphi(psi#, Z) of L(psi) enters with the opposite sign."""
+    def flipped(spec, psi, k):
+        # -2 (n/2 - 1) dphi(psi#, E_k)
+        return spec.dot(psi, _column(spec.dphi(), k)) * (2 - spec.n)
+
+    _condition_ii_terms(monkeypatch, flipped)
+
+
+def _twisted_dphi_sign(monkeypatch):
+    """The term -dphi(J psi#, JZ) of L(psi) enters with the opposite sign."""
+    def flipped(spec, psi, k):
+        # dphi(J psi#, J E_k), where J E_k = sum_q J[q][k] E_q
+        jpsi = spec.j_apply(psi)
+        return spec.dot(jpsi, spec.right(spec.dphi(), _column(spec.J, k))) * 2
+
+    _condition_ii_terms(monkeypatch, flipped)
+
+
+def _dphi_j_sign(monkeypatch):
+    """The term -psi(JZ) dphi(J^) of L(psi) enters with the opposite sign."""
+    def flipped(spec, psi, k):
+        # dphi(J^) = sum_{p<q} g(J E_p, E_q) dphi(E_p, E_q), with g(J E_p, E_q) = J[q][p]
+        n, dphi = spec.n, spec.dphi()
+        dphi_j = spec.ring.sum(dphi[p][q] * spec.J[q][p]
+                               for p in range(n) for q in range(p + 1, n))
+        return spec.dot(psi, _column(spec.J, k)) * dphi_j * 2
+
+    _condition_ii_terms(monkeypatch, flipped)
 
 
 def _action_entry(monkeypatch):
@@ -143,7 +198,8 @@ def _norm_sq(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate", [_weyl_half, _rho_sign, _rho_star_sign, _jstar_sign,
-                                    _rho_square_coefficient, _action_entry, _norm_sq],
+                                    _rho_square_coefficient, _dphi_sign, _twisted_dphi_sign,
+                                    _dphi_j_sign, _action_entry, _norm_sq],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):
