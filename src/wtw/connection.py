@@ -23,7 +23,9 @@ Both connections are computed once per spec and kept on it, and the
 induced first and second derivatives of an endomorphism are kept on its
 connection (see :class:`wtw.frame.Memo`), so repeated calls return the same
 objects.  The second-derivative table D2S is built only here: the twistor
-layer's curvature cross-check and its vertical trace both read it.
+layer's curvature cross-check and its vertical trace both read it.  Its
+inner derivatives D_{E_i}(D_{E_j} S) are not kept: no other reader asks for
+them, and each would be keyed on the hash of a polynomial endomorphism.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ def second_cov_deriv_endo(conn: Connection, S: Endo):
 def _second_cov_deriv_endo(conn: Connection, S: Endo):
     spec = conn.spec
     first = cov_deriv_endo(conn, S)
-    second = [cov_deriv_endo(conn, d) for d in first]  # second[j][i] = D_{E_i}(D_{E_j} S)
+    # second[j][i] = D_{E_i}(D_{E_j} S); formed here only, so not kept
+    second = [_cov_deriv_endo(conn, d) for d in first]
     comps = [d.comps for d in first]
     # D_{D_{E_i} E_j} S = sum_k gamma[i][j][k] D_k S, subtracted in the same
     # combination, which reads the nonzero gammas only

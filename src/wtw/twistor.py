@@ -34,9 +34,14 @@ support walk of this module, as ``b`` is reused across calls; every other
 contraction here walks its support in ``FrameSpec.left`` or ``right`` (see
 :mod:`wtw.frame`).  R applied to a bivector b is read in the layout the
 curvature tensor stores, ``g(R(b) E_k, E_l)`` at ``[k][l]``: one
-``linear_combination`` of the blocks ``R.r[p][q]``.  As dphi is antisymmetric,
-``dphi(X, MY)`` is read from ``dphi(MY, X)``: each contraction of dphi with an
-endomorphism M is formed once.
+``linear_combination`` of the blocks ``R.r[p][q]``.  The two fiber pairings,
+the identity for G(R(X, Y)a, b) and the DJ pairing, read one builder per term
+of their right-hand sides: ``_bivector_terms(R, w)`` is
+``g(R(w) X, Y) - 1/2 dphi(w) g(X, Y)``, with R and dphi applied to the
+bivector w once each, and ``_endo_terms(spec, c)`` is
+``dphi(cX, Y) + dphi(X, cY)``.  As dphi is antisymmetric, ``dphi(X, cY)`` is
+read from ``dphi(cY, X)``: each contraction of dphi with an endomorphism c is
+formed once.  Each residual entry is then one ``FrameSpec.dot`` over the terms.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
 planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
@@ -44,7 +49,9 @@ Gram matrix is 2*Identity); expansions divide by the norm squared instead of
 normalizing, keeping all arithmetic rational.  They are built from J's
 columns, whose planes ``(E_i, J E_i = +-E_p)`` set each element's four nonzero
 entries, and kept on the spec.  Only the DJ pairing reads the wedge images of
-J o nabla_X J, and it forms them, with R and dphi on them, in its own loop.
+J o nabla_X J.  Per direction Y it adds the image and two wedges of phi into
+one bivector, ``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies
+R and dphi to that w alone, through ``_bivector_terms``.
 
 :func:`vertical_checks` runs both fiber checks against every vertical direction,
 from the residual builders of the single-direction checks.  The vertical Gram is
@@ -223,28 +230,34 @@ def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
     """The pairing identity's residual at (E_i, E_j), as an n x n array."""
     if not a.is_skew or not b.is_skew:
         raise FrameError("pairing identity requires skew endomorphisms")
-    n = spec.n
     conn = weyl(spec)
     R = curvature(conn)
     endo_curvature_consistency(conn, a)
     action = endo_curvature_action(R, a)
     comm = a.commutator(b)
-    comm_wedge = wedge_iso(comm)
-    r_of_wedge = curvature_on_bivector(R, comm_wedge)
-    dphi = spec.dphi()
-    dphi_wedge = eval_on_bivector(spec, dphi, comm_wedge)
-    # [i][j]: dphi([a,b]X, Y); dphi(X, [a,b]Y) is -dphi([a,b]Y, X), its [j][i] negated
-    dphi_comm = [spec.left(col, dphi) for col in zip(*comm.comps)]
-    half = Fraction(1, 2)
+    bivector = _bivector_terms(R, wedge_iso(comm))
+    endo = _endo_terms(spec, comm)
     against_b = _g_against(b)
+    weights = (1, -1, Fraction(1, 2))
+    ix = range(spec.n)
+    return [[spec.dot((against_b(action[i][j]), bivector[i][j], endo[i][j]), weights)
+             for j in ix] for i in ix]
 
-    def entry(i, j):
-        corr = dphi_comm[i][j] - dphi_comm[j][i]
-        if i == j:
-            corr = corr + dphi_wedge
-        return against_b(action[i][j]) - r_of_wedge[i][j] + corr * half
 
-    return [[entry(i, j) for j in range(n)] for i in range(n)]
+def _bivector_terms(R: Curvature, w):
+    """g(R(w) E_i, E_j) - 1/2 dphi(w) delta_ij at [i][j], for an n x n bivector
+    array w: R and dphi are each applied to w once."""
+    half_dphi = eval_on_bivector(R.spec, R.spec.dphi(), w) * Fraction(1, 2)
+    return [[r - half_dphi if i == j else r for j, r in enumerate(row)]
+            for i, row in enumerate(curvature_on_bivector(R, w))]
+
+
+def _endo_terms(spec: FrameSpec, c: Endo):
+    """dphi(c E_i, E_j) + dphi(E_i, c E_j) at [i][j].  As dphi is antisymmetric,
+    the second term is the first at [j][i], negated: each is formed once."""
+    first = [spec.left(col, spec.dphi()) for col in zip(*c.comps)]
+    return [[value - first[j][i] for j, value in enumerate(row)]
+            for i, row in enumerate(first)]
 
 
 def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
@@ -264,12 +277,19 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
     checked for every frame triple (X, Y, Z), indexed [Y][X][Z]; nabla is
     Levi-Civita, R and the fiber pairing belong to the Weyl connection.
-    As dphi is antisymmetric, the second bracket is minus the first at (Z, X)
-    and dphi(X, (J nabla_Y J) Z) = -dphi((J nabla_Y J) Z, X): each is formed once.
+    R and dphi are linear in the bivector, so the two R terms and the two
+    g(X,Z) terms are read from the one bivector
+
+      w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY
+
+    per Y, as 2 R(b) - R(b') = R(2b - b') and -dphi(b) + 1/2 dphi(b') =
+    -1/2 dphi(2b - b'): ``_bivector_terms`` applies R and dphi to w once, and
+    ``_endo_terms`` gives the two dphi terms with J nabla_Y J, the builders
+    the fiber-pairing identity reads too.  As dphi is antisymmetric, the
+    second bracket is minus the first at (Z, X), so it is formed once.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
-    n = spec.n
-    ix = range(n)
+    ix = range(spec.n)
     J = spec.J
     phi = spec.phi
     jphi = spec.j_apply(phi)
@@ -279,38 +299,27 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     dj = cov_deriv_endo(conn, j_endo)
     dphi = spec.dphi()
     act_j = endo_curvature_action(R, j_endo)
-    half = Fraction(1, 2)
     phi_j = spec.left(phi, J)                      # phi(J.)
     dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
     dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
+    weights = (1, -1, 1, Fraction(-1, 2), Fraction(1, 2))
 
     residual = []
     for y, (jn, jy) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
         against_dj = _g_against(dj[y])
-        b = wedge_iso(jn)
-        r_jn = curvature_on_bivector(R, b)
-        dphi_jn = eval_on_bivector(spec, dphi, b)
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
-        bphi = linear_combination(  # phi# ^ Y - J phi# ^ JY
-            spec, (1, -1), (wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy)))
-        r_bphi = curvature_on_bivector(R, bphi)
-        dphi_bphi = eval_on_bivector(spec, dphi, bphi)
-        dphi_jn_x = [spec.left(col, dphi) for col in zip(*jn.comps)]   # [x][z]
+        bivector = _bivector_terms(R, linear_combination(
+            spec, (2, -1, 1),
+            (wedge_iso(jn), wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy))))
+        endo = _endo_terms(spec, jn)
         dphi_jy = spec.left(jy, dphi)              # dphi(JY, .)
         # [x][z]: the first bracket; -J[y][x] = J[x][y], as J is skew
         bracket = [[spec.dot((phi_j[x], phi[x], dphi_jphi[z], dphi_phi[z]),
                              (dphi_jy[z], dphi[y][z], J[x][y], -_kron(x, y))) for z in ix]
                    for x in ix]
-
-        def entry(x, z):
-            rhs = r_jn[x][z] * 2 - r_bphi[x][z]
-            if x == z:
-                rhs = rhs - dphi_jn + dphi_bphi * half
-            rhs = rhs - dphi_jn_x[x][z] + dphi_jn_x[z][x]
-            rhs = rhs + (bracket[x][z] - bracket[z][x]) * half
-            return against_dj(act_j[x][z]) - rhs
-
-        residual.append([[entry(x, z) for z in ix] for x in ix])
+        residual.append([[spec.dot((against_dj(act_j[x][z]), bivector[x][z], endo[x][z],
+                                    bracket[x][z], bracket[z][x]), weights) for z in ix]
+                         for x in ix])
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)
     return report

@@ -92,6 +92,15 @@ def test_conditions_form_each_covariant_derivative_once():
     assert nabla_oneform.call_count == 1
 
 
+def test_second_derivatives_keep_only_the_first():
+    """D2 S keeps D S on the connection, and not the n derivatives
+    D_{E_i}(D_{E_j} S) it forms on the way, which no other reader asks for."""
+    conn = weyl(builtin("inoue-s0"))
+    connection.second_cov_deriv_endo(conn, conn.spec.j_endo())
+    kept = [key for key in conn.__dict__["_memo"] if key[0] is connection._cov_deriv_endo]
+    assert len(kept) == 1
+
+
 def test_weyl_curvature_routes_stay_independent():
     # a wrong direct Weyl curvature must be caught by the Phi-correction route
     # and by the closed Ricci formulas, which therefore may not read the direct

@@ -13,7 +13,9 @@ mutated where the formulas are built, so the Ricci check sees it against the
 traced Weyl curvature.  The sign of the rho or rho* term of L(psi) is mutated
 where condition (ii) reads the formulas, and the sign of each of its three
 d(phi) terms where condition (ii) is built, so only the trace equivalence
-sees them.
+sees them.  The two fiber pairings, the identity checked against every
+vertical direction and the DJ pairing, share the builder of their
+dphi(cX, Y) + dphi(X, cY) terms, which is mutated where it is built.
 """
 
 from __future__ import annotations
@@ -173,6 +175,18 @@ def _dphi_j_sign(monkeypatch):
     _condition_ii_terms(monkeypatch, flipped)
 
 
+def _endo_transpose_sign(monkeypatch):
+    """The term dphi(X, cY) of the fiber pairings' shared builder enters with
+    the opposite sign: dphi(cX, Y) - dphi(X, cY), which is dphi(cX, Y) +
+    dphi(cY, X) as dphi is antisymmetric."""
+    def mutated(spec, c):
+        first = [spec.left(col, spec.dphi()) for col in zip(*c.comps)]
+        return [[value + first[j][i] for j, value in enumerate(row)]
+                for i, row in enumerate(first)]
+
+    monkeypatch.setattr(twistor, "_endo_terms", mutated)
+
+
 def _action_entry(monkeypatch):
     """The curvature action on J gains the first vertical direction V at
     (E1, E2), and -V at (E2, E1)."""
@@ -199,7 +213,8 @@ def _norm_sq(monkeypatch):
 
 @pytest.mark.parametrize("mutate", [_weyl_half, _rho_sign, _rho_star_sign, _jstar_sign,
                                     _rho_square_coefficient, _dphi_sign, _twisted_dphi_sign,
-                                    _dphi_j_sign, _action_entry, _norm_sq],
+                                    _dphi_j_sign, _endo_transpose_sign, _action_entry,
+                                    _norm_sq],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):

@@ -485,42 +485,51 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     """J o nabla_X J is formed once per spec, although the nabla-J checks and
     the DJ pairing both read it: a whole ``suite`` forms J @ nabla_X J once per
     frame vector X, and the DJ pairing, the one reader of the wedge images,
-    hands each image to wedge_iso, curvature_on_bivector and eval_on_bivector
-    once."""
+    hands each image to wedge_iso once.  Per direction Y it forms phi# ^ Y
+    once, adds it, the image and J phi# ^ JY into one bivector, and hands
+    that bivector alone to curvature_on_bivector and eval_on_bivector: n calls
+    of each, where applying R and dphi to the image and to the phi wedges
+    apart made 2n."""
     from wtw.cli import _suite_report
 
     spec = builtin("inoue-s0")
     j_endo = spec.j_endo()
     nabla_j = cov_deriv_endo(levi_civita(spec), j_endo)  # kept: the suite reads these
-    products, images, calls = [], [], collections.Counter()
+    # phi, J @ nabla_X J and every value formed from them by the wrapped helpers
+    tracked, calls = [spec.phi], collections.Counter()
     matmul = Endo.__matmul__
 
     def counting_matmul(a, b):
         out = matmul(a, b)
         if a is j_endo and any(b is d for d in nabla_j):
-            products.append(out)
+            tracked.append(out)
+            calls["J @ nabla J"] += 1
         return out
 
-    def counting(name, position):
+    def counting(name, reads):
+        """Count the calls of twistor.<name> with a tracked value among
+        reads(args), and track what they return."""
         original = getattr(twistor, name)
 
         def wrapper(*args):
             out = original(*args)
-            if name == "wedge_iso" and any(args[0] is p for p in products):
-                images.append(out)
-            if any(args[position] is b for b in (*products, *images)):
+            if any(value is t for value in reads(args) for t in tracked):
+                tracked.append(out)
                 calls[name] += 1
             return out
         monkeypatch.setattr(twistor, name, wrapper)
 
     monkeypatch.setattr(Endo, "__matmul__", counting_matmul)
-    counting("wedge_iso", 0)
-    counting("curvature_on_bivector", 1)
-    counting("eval_on_bivector", 2)
+    counting("wedge_iso", lambda args: args[:1])
+    counting("wedge_oneforms", lambda args: args[1:2])
+    counting("linear_combination", lambda args: args[2])
+    counting("curvature_on_bivector", lambda args: args[1:2])
+    counting("eval_on_bivector", lambda args: args[2:])
     assert _suite_report(spec).ok
     n = spec.n
-    assert len(products) == n
-    assert calls == {"wedge_iso": n, "curvature_on_bivector": n, "eval_on_bivector": n}
+    assert calls == {"J @ nabla J": n, "wedge_iso": n, "wedge_oneforms": n,
+                     "linear_combination": n, "curvature_on_bivector": n,
+                     "eval_on_bivector": n}
 
 
 @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_rotation6"])
@@ -596,17 +605,39 @@ def test_a_perturbed_action_on_j_fails_the_horizontal_equivalence(monkeypatch):
     assert name in [check.name for check in twistor.equivalence_check(spec).failures]
 
 
-@pytest.mark.parametrize("base", ["inoue-s0", "hyperbolic6", "vaisman6"])
-def test_horizontal_trace_is_condition_ii_on_dense_j_frames(base):
-    """The traced fiber pairing equals condition (ii) entry by entry on frames
-    whose J is no signed permutation: the base frame in the rotated basis of
-    ``test_frame._rotated``, with the Weyl form a1 .. an there."""
+def _dense_j_frame(base: str) -> FrameSpec:
+    """The base frame in the rotated basis of ``test_frame._rotated``, with
+    the Weyl form a1 .. an there: its J has no zero entry off the diagonal."""
     from test_frame import _rotated
 
     spec = (builtin(base) if base == "inoue-s0" else
             load_spec_file(pathlib.Path(__file__).parent / "data" / f"{base}.toml"))
     rotated = _rotated(spec, f"{base} rotated")
     assert not any(rotated.J[i][j] == 0 for i in range(spec.n) for j in range(spec.n) if i != j)
+    return rotated
+
+
+DENSE_J_BASES = ["inoue-s0", "hyperbolic6", "vaisman6"]
+
+
+@pytest.mark.parametrize("base", DENSE_J_BASES)
+def test_horizontal_trace_is_condition_ii_on_dense_j_frames(base):
+    """The traced fiber pairing equals condition (ii) entry by entry on frames
+    whose J is no signed permutation."""
+    rotated = _dense_j_frame(base)
     values = h_trace(rotated)
     assert not any(value.is_zero for value in values)
     assert values == pseudoharmonic.condition_ii(rotated)
+
+
+@pytest.mark.parametrize("base", DENSE_J_BASES)
+def test_fiber_pairings_hold_on_dense_j_frames(base):
+    """Both readers of the builders ``_bivector_terms`` and ``_endo_terms``
+    pass on frames whose J is no signed permutation, where a transposed index
+    cannot hide behind J's zeros: the DJ pairing, and the pairing identity for
+    a = J against b = D_Y J for every Y."""
+    rotated = _dense_j_frame(base)
+    assert twistor.curvature_pairing_with_dj_check(rotated).ok
+    j_endo = rotated.j_endo()
+    for dj in cov_deriv_endo(weyl(rotated), j_endo):
+        assert fiber_pairing_check(rotated, j_endo, dj).ok
