@@ -8,8 +8,13 @@ gamma-contractions; this is relied on throughout the package.
 For the Levi-Civita connection of the identity Gram matrix the Koszul
 formula collapses to ``2 gamma[i][j][k] = c[i][j][k] - c[i][k][j] - c[j][k][i]``.
 Each nonzero structure constant enters three gammas, so the gammas are
-accumulated from the spec's nonzero bracket rows alone, and only the
-nonzero ones are lifted to scalars.
+accumulated from the spec's nonzero bracket rows alone, as the sparse int
+rows of :func:`gamma_rows` over twice the bracket denominator.  The rows
+depend on c alone: they are kept on the spec and handed on by ``restrict``
+and ``with_phi``.  The phi-free layer reads them in ints (the Levi-Civita
+curvature and its traces in :mod:`wtw.curvature`, the Lee form in
+:mod:`wtw.hermitian`), and the Levi-Civita connection lifts only their
+nonzero entries to scalars.
 The Weyl connection of the 1-form phi is
 
     D_X Y = nabla_X Y - 1/2 [phi(X) Y + phi(Y) X - g(X, Y) phi#].
@@ -33,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frame import Endo, FrameSpec, Memo, Vector, linear_combination
+from .frame import Endo, FrameSpec, Memo, Vector, _phi_free, linear_combination
 from .polyalg import Scalar
 
 
@@ -61,25 +66,34 @@ def _negated(conn: Connection):
     return tuple(tuple(tuple(-value for value in vec) for vec in plane) for plane in conn.gamma)
 
 
+def gamma_rows(spec: FrameSpec) -> tuple[int, list]:
+    """The nonzero Levi-Civita gammas as ``(den, rows)``: ``rows[i][j]`` lists
+    ``(k, den * gamma[i][j][k])``, ints over twice the bracket denominator."""
+    return spec.memo(_gamma_rows)
+
+
+@_phi_free
+def _gamma_rows(spec: FrameSpec) -> tuple[int, list]:
+    n = spec.n
+    den, rows = spec.bracket_rows()
+    twice: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    # c[a][b][m] enters gamma[a][b][m] with +1/2, gamma[a][m][b] and gamma[m][a][b] with -1/2
+    for a in range(n):
+        for b in range(n):
+            for m, v in rows[a][b]:
+                for i, j, k, value in ((a, b, m, v), (a, m, b, -v), (m, a, b, -v)):
+                    twice[i][j][k] = twice[i][j].get(k, 0) + value
+    return 2 * den, [[[(k, v) for k, v in sorted(row.items()) if v] for row in plane]
+                     for plane in twice]
+
+
 def levi_civita(spec: FrameSpec) -> Connection:
     return spec.memo(_levi_civita)
 
 
 def _levi_civita(spec: FrameSpec) -> Connection:
-    n = spec.n
-    den, rows = spec.bracket_rows()
-    # c[a][b][m] enters gamma[a][b][m] with +1/2, gamma[a][m][b] and gamma[m][a][b] with -1/2
-    twice: dict[tuple[int, int, int], int] = {}
-    for a in range(n):
-        for b in range(n):
-            for m, v in rows[a][b]:
-                for key, value in (((a, b, m), v), ((a, m, b), -v), ((m, a, b), -v)):
-                    twice[key] = twice.get(key, 0) + value
-    gamma = [[[spec.zero()] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), value in twice.items():
-        if value:
-            gamma[i][j][k] = spec.const(Fraction(value, 2 * den))
-    return Connection(spec, tuple(tuple(tuple(row) for row in plane) for plane in gamma),
+    den, rows = gamma_rows(spec)
+    return Connection(spec, tuple(tuple(spec.lift(row, den) for row in plane) for plane in rows),
                       "levi-civita")
 
 

@@ -19,6 +19,18 @@ Phi-correction of the curvature, and the closed Ricci formulas of
 :func:`ricci_via_formula`, which are its traces.  :func:`ricci_formula_check`
 verifies those formulas against the traces of the direct route.
 
+The Levi-Civita curvature R_g is rational.  It is formed once per spec in
+ints, from the bracket rows and the gamma rows of :mod:`wtw.connection`, over
+the one denominator ``(2 den_c)^2`` with ``den_c`` the bracket denominator;
+rho_g and rho*_g are traced from it in ints, rho*_g through the columns of
+J, and each is lifted to scalars once.  ``curvature(levi_civita(spec))`` is
+the lift of that tensor, and the closed formulas read the lifted traces, so
+the polynomial contraction of the gammas serves the Weyl connection alone.
+The three depend on c and J alone, so ``restrict`` and ``with_phi`` hand
+them on.  Each check therefore compares the two layers: the Phi-correction
+route and the closed formulas read the rational R_g, and the direct Weyl
+curvature and its traces the contraction of the Weyl gammas.
+
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
 curvature tensor (see :class:`wtw.frame.Memo`); Phi and the closed formulas
@@ -30,9 +42,10 @@ so neither shares a result with the direct route.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .connection import Connection, cov_deriv_oneform, levi_civita, weyl
-from .frame import Endo, FrameSpec, Memo, _kron
+from .connection import Connection, cov_deriv_oneform, gamma_rows, levi_civita, weyl
+from .frame import Endo, FrameSpec, Memo, _accumulate, _kron, _phi_free
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -53,12 +66,18 @@ def _endo(R: Curvature, i: int, j: int) -> Endo:
 
 def curvature(conn: Connection) -> Curvature:
     """R(E_i,E_j)E_k = sum_m c[i][j][m] nabla_{E_m} E_k
-    - nabla_{E_i} nabla_{E_j} E_k + nabla_{E_j} nabla_{E_i} E_k."""
+    - nabla_{E_i} nabla_{E_j} E_k + nabla_{E_j} nabla_{E_i} E_k; for the Levi-Civita
+    connection, the lift of the rational R_g kept on the spec."""
     return conn.memo(_curvature)
 
 
 def _curvature(conn: Connection) -> Curvature:
     spec = conn.spec
+    if conn.kind == "levi-civita":
+        # R_g is rational: the lift of the int tensor kept on the spec
+        den, rg = spec.memo(_levi_civita_r)
+        return Curvature(spec, tuple(tuple(tuple(spec.lift(row.items(), den) for row in block)
+                                           for block in plane) for plane in rg), conn.kind)
     n = spec.n
     g = conn.gamma
     neg = conn.negated()
@@ -75,6 +94,55 @@ def _curvature(conn: Connection) -> Curvature:
             r[i][j] = block
             r[j][i] = tuple(tuple(-value for value in row) for row in block)
     return Curvature(spec, tuple(tuple(row) for row in r), conn.kind)
+
+
+@_phi_free
+def _levi_civita_r(spec: FrameSpec) -> tuple[int, list]:
+    """R_g as ``(den, r)``, ints over ``den = (2 den_c)^2``: ``r[i][j][k]`` maps l
+    to den * g(R(E_i, E_j) E_k, E_l), read from the bracket and gamma rows."""
+    n = spec.n
+    _, c = spec.bracket_rows()
+    den, g = gamma_rows(spec)
+    r: list = [[[{}] * n for _ in range(n)] for _ in range(n)]
+    # sum_m c[i][j][m] g[m][k][l] - g[j][k][m] g[i][m][l] + g[i][k][m] g[j][m][l]
+    # for i < j, where c is over den / 2; r[j][i] = -r[i][j]
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            acc: dict[int, int] = {}
+            for m, x in c[i][j]:
+                _accumulate(acc, 2 * x, g[m][k])
+            for m, x in g[j][k]:
+                _accumulate(acc, -x, g[i][m])
+            for m, x in g[i][k]:
+                _accumulate(acc, x, g[j][m])
+            r[i][j][k] = acc
+            r[j][i][k] = {l: -v for l, v in acc.items()}
+    return den * den, r
+
+
+@_phi_free
+def _levi_civita_ricci(spec: FrameSpec):
+    """rho_g and rho*_g traced in ints from R_g and lifted once: rho_g[i][k] =
+    sum_j r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]
+    read through the columns of J."""
+    n = spec.n
+    den, r = spec.memo(_levi_civita_r)
+    jden, cols = spec.j_columns()
+    entries = [dict(col) for col in cols]  # entries[l][p] = jden * J[p][l]
+    # one pass over the nonzero entries r[p][i][q][l]: rho_g[p][q] takes those
+    # with l = i, and x[i][q] = sum_{p,l} J[p][l] r[p][i][q][l], over den * jden
+    rho = [[0] * n for _ in range(n)]
+    x = [[0] * n for _ in range(n)]
+    for p, plane in enumerate(r):
+        for i, block in enumerate(plane):
+            for q, row in enumerate(block):
+                for l, v in row.items():
+                    if l == i:
+                        rho[p][q] += v
+                    x[i][q] += entries[l].get(p, 0) * v
+    return (tuple(spec.lift(enumerate(row), den) for row in rho),
+            tuple(spec.lift(((k, sum(y * xi[q] for q, y in col)) for k, col in enumerate(cols)),
+                            den * jden * jden) for xi in x))
 
 
 def phi_tensor(spec: FrameSpec):
@@ -183,8 +251,8 @@ def ricci_via_formula(spec: FrameSpec):
     parts of Phi drop out against the skew J, the Leibniz rule gives
     ``<Phi, J> = -sum_i (nabla_{E_i} phi)(J E_i) = delta(J*phi) - phi(delta J)``.
 
-    rho_g and rho*_g are traced from the Levi-Civita curvature, and each entry
-    is one ``Ring.dot``.  It reads no Weyl gamma or Weyl curvature, so
+    rho_g and rho*_g are the lifted int traces of the rational Levi-Civita
+    curvature, and each entry is one ``Ring.dot``.  It reads no Weyl gamma or Weyl curvature, so
     :func:`ricci_formula_check` compares two computations.
     """
     return spec.memo(_ricci_via_formula)
@@ -192,8 +260,7 @@ def ricci_via_formula(spec: FrameSpec):
 
 def _ricci_via_formula(spec: FrameSpec):
     n, ix = spec.n, range(spec.n)
-    Rg = curvature(levi_civita(spec))
-    rho_g, rho_star_g = ricci(Rg), star_ricci(Rg)
+    rho_g, rho_star_g = spec.memo(_levi_civita_ricci)
     Phi, J = phi_tensor(spec), spec.J
     twisted = spec.twist(Phi)
     half = Fraction(1, 2)

@@ -52,11 +52,13 @@ Sparse supports: each spec keeps the nonzero part of its rational data once,
 as int numerators over one common denominator: ``bracket_rows()`` lists
 ``(k, c_ijk)`` for each pair (i, j), and ``j_columns()`` lists ``(p, J[p][i])``
 for each column ``J E_i``.  They depend on ``c`` and ``J`` alone, so a spec
-made by ``restrict`` or ``with_phi`` shares them.  The symbol-free layer
-walks only these supports: ``validate`` and, in the later layers, the
-Levi-Civita gammas and the Nijenhuis tensor accumulate ints and lift each
-nonzero result to a scalar once, leaving the ring's shared zero everywhere
-else; ``d_oneform`` calls the kernel only where a bracket row is nonzero.
+made by ``restrict`` or ``with_phi`` shares them, and so it does every memo
+of a later layer marked :func:`_phi_free`.  The symbol-free layer walks only
+these supports: ``validate`` and, in the later layers, the Levi-Civita
+gammas, their curvature and its traces, the Lee form and the Nijenhuis tensor
+accumulate ints and lift each nonzero result to a scalar once
+(:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else;
+``d_oneform`` calls the kernel only where a bracket row is nonzero.
 :class:`Endo` is the one matrix class.  A 2-form F is an n x n nested tuple
 with ``F[i][j] = F(E_i, E_j)``, and a bivector ``b`` the n x n nested tuple
 of its components, ``sum_{i<j} b[i][j] E_i ^ E_j``.  The functions here build
@@ -78,7 +80,7 @@ import math
 import tomllib
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike, _parse_rational
 
@@ -127,7 +129,7 @@ class Memo:
     quantity never share an entry.  The values live in the object's own
     ``__dict__``: they are freed with the object, and every new object
     starts with none, except that a spec made by ``restrict`` or
-    ``with_phi`` shares the supports of ``c`` and ``J``.
+    ``with_phi`` shares the values that depend on ``c`` and ``J`` alone.
 
     Assigning an attribute raises ``AttributeError``, so a subclass's
     ``__init__`` stores its fields in ``__dict__`` directly.
@@ -270,6 +272,15 @@ class FrameSpec(Memo):
     def const(self, value: RationalLike) -> Scalar:
         return self.ring.const(value)
 
+    def lift(self, entries: Iterable[tuple[int, int]], den: int) -> Vector:
+        """The vector with ``v / den`` at each ``(k, v)`` of ``entries``, int
+        numerators, and the ring's shared zero elsewhere."""
+        out = [self.ring.zero()] * self.n
+        for k, v in entries:
+            if v:
+                out[k] = self.ring.const(Fraction(v, den))
+        return tuple(out)
+
     def j_endo(self) -> "Endo":
         """The complex structure as an endomorphism with scalar entries."""
         return self.memo(_j_endo)
@@ -343,7 +354,8 @@ class FrameSpec(Memo):
         return self._with(_coerce_phi(self.ring, self.n, phi))
 
     def _with(self, phi: Vector) -> "FrameSpec":
-        """The spec with Weyl form ``phi``; it shares the supports of c and J."""
+        """The spec with Weyl form ``phi``; it shares the values that depend on
+        c and J alone."""
         spec = FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
                          c=self.c, J=self.J, phi=phi, name=self.name)
         memo = self.__dict__.get("_memo", {})
@@ -481,7 +493,14 @@ def _j_columns(spec: FrameSpec) -> tuple[int, list]:
 
 
 # memo keys of the values that depend on c and J alone
-_SUPPORTS = ((_bracket_rows,), (_j_columns,))
+_SUPPORTS = [(_bracket_rows,), (_j_columns,)]
+
+
+def _phi_free(compute):
+    """Mark a spec memo that reads c and J alone, so that ``restrict`` and
+    ``with_phi`` hand its value to the new spec."""
+    _SUPPORTS.append((compute,))
+    return compute
 
 
 def _accumulate(acc: dict, weight: int, row) -> None:

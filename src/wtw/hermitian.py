@@ -16,9 +16,13 @@ Codifferential convention (used here and, through the Leibniz identity
 ``delta(J*phi) - phi(delta J) = -sum_i (nabla_{E_i} phi)(J E_i)``, by the
 closed Ricci formulas of :mod:`wtw.curvature`):
 ``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
-``delta J = -sum_i (nabla_{E_i} J)(E_i)``, the trace of the nabla J that
-:func:`wtw.connection.cov_deriv_endo` forms; the sign is pinned by the
-built-in geometries' Lee forms.
+``delta J = -sum_i (nabla_{E_i} J)(E_i)``; the sign is pinned by the
+built-in geometries' Lee forms.  The Lee form forms no nabla J: delta Omega
+and delta J are summed in ints from the Levi-Civita gamma rows
+(:func:`wtw.connection.gamma_rows`) and the columns of J, theta and B are
+compared exactly as int numerators over one denominator, and each is lifted
+to scalars once.  The tests compare theta with the trace of the nabla J that
+:func:`wtw.connection.cov_deriv_endo` forms.
 
 `require_gate` enforces the standing hypotheses of the pseudo-harmonicity
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
@@ -29,7 +33,7 @@ without loading this module, and is re-exported here.
 The fundamental form, the Nijenhuis tensor, the Lee data, d(Omega) and the
 Lee-identity residual are computed once per spec and kept on it (see
 :class:`wtw.frame.Memo`), so the gate and every check that needs them share
-one computation.  Omega and N are symbol-free.  Omega is the wedge image of
+one computation.  Omega, N and the Lee data are symbol-free.  Omega is the wedge image of
 J (:func:`wtw.frame.wedge_iso`), the one builder of that array, which
 condition (ii) also reads as J^.  N is built from the spec's nonzero bracket
 rows and J columns (see :mod:`wtw.frame`), as int numerators over one
@@ -51,7 +55,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .connection import cov_deriv_endo, levi_civita, weyl
+from .connection import cov_deriv_endo, gamma_rows, levi_civita, weyl
 from .frame import (Endo, FrameSpec, GateError, Vector, _accumulate, d_oneform,
                     linear_combination, wedge_iso, wedge_oneforms)
 from .polyalg import Scalar
@@ -151,20 +155,36 @@ def lee_form(spec: FrameSpec) -> LeeData:
 
 def _lee_form(spec: FrameSpec) -> LeeData:
     n = spec.n
-    lc = levi_civita(spec)
-    omega = fundamental_form(spec)
-    # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m]
-    parts = [spec.left(lc.gamma[i][i], omega) for i in range(n)]
-    parts += [spec.right(lc.gamma[i], omega[i]) for i in range(n)]
-    delta_omega = [spec.ring.sum(column) for column in zip(*parts)]
-    factor = Fraction(-2, n - 2)
-    theta = tuple(value * factor for value in spec.left(delta_omega, spec.J))
-    nabla_j = cov_deriv_endo(lc, spec.j_endo())
-    delta_j = [-spec.ring.sum(d.comps[l][i] for i, d in enumerate(nabla_j)) for l in range(n)]
-    B = tuple(entry * Fraction(2, n - 2) for entry in spec.j_apply(delta_j))
-    if any(not (t - b).is_zero for t, b in zip(theta, B)):
+    gden, g = gamma_rows(spec)
+    jden, cols = spec.j_columns()
+    entries = [dict(col) for col in cols]  # entries[i][p] = jden * J[p][i]
+    # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m],
+    # so delta Omega(E_k) = sum_{i,m} gamma[i][i][m] J[k][m] + gamma[i][k][m] J[m][i]
+    delta_omega: dict[int, int] = {}
+    for i in range(n):
+        for m, x in g[i][i]:
+            _accumulate(delta_omega, x, cols[m])
+        for k, row in enumerate(g[i]):
+            delta_omega[k] = delta_omega.get(k, 0) + sum(x * entries[i].get(m, 0)
+                                                         for m, x in row)
+    # (nabla_i J) E_i = nabla_i (J E_i) - J nabla_i E_i, so delta J = -sum_i (nabla_i J) E_i
+    # = sum_{i,k} gamma[i][i][k] J E_k - J[k][i] nabla_i E_k
+    delta_j: dict[int, int] = {}
+    for i in range(n):
+        for k, x in g[i][i]:
+            _accumulate(delta_j, x, cols[k])
+        for k, y in cols[i]:
+            _accumulate(delta_j, -y, g[i][k])
+    # theta = -2/(n-2) delta Omega o J and B = 2/(n-2) J(delta J), both over
+    # (n - 2) * gden * jden^2
+    theta = [-2 * sum(delta_omega.get(k, 0) * x for k, x in col) for col in cols]
+    b: dict[int, int] = {}
+    for k, v in delta_j.items():
+        _accumulate(b, 2 * v, cols[k])
+    if theta != [b.get(l, 0) for l in range(n)]:
         raise AssertionError("Lee form routes disagree; codifferential convention broken")
-    return LeeData(theta=theta, B=B)
+    den = (n - 2) * gden * jden * jden
+    return LeeData(theta=spec.lift(enumerate(theta), den), B=spec.lift(b.items(), den))
 
 
 def _d_omega(spec: FrameSpec):

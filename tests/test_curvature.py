@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import importlib
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 import frame_families
 from test_frame import _rotated
-from wtw import FrameError, SpecFormatError, builtin, load_spec, load_spec_file
+from wtw import FrameError, SpecFormatError, builtin, lee_form, load_spec, load_spec_file
 from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
                            ricci_formula_check, ricci_via_formula, star_ricci,
@@ -94,6 +95,35 @@ class TestCurvatureTensor:
                 assert all((R.r[i][j][k][l] + R.r[j][i][k][l]).is_zero
                            for i in range(4) for j in range(4)
                            for k in range(4) for l in range(4))
+
+
+class TestRationalLayer:
+    """The phi-free layer, formed in ints and lifted once, against the
+    polynomial contraction and the public covariant derivative."""
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_levi_civita_curvature_equals_the_contraction(self, name):
+        # the Weyl connection of phi = 0 has the Levi-Civita gammas, and its
+        # curvature runs the Ring.dot contraction
+        spec = ROUTE_FRAMES[name]()
+        contracted = curvature(weyl(spec.with_phi((0,) * spec.n)))
+        assert contracted.kind == "weyl"
+        assert contracted.r == curvature(levi_civita(spec)).r  # entry by entry
+        rho_g, rho_star_g = spec.memo(curvature_module._levi_civita_ricci)
+        assert ricci(contracted) == rho_g
+        assert star_ricci(contracted) == rho_star_g
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_lee_form_equals_the_traced_nabla_j(self, name):
+        # theta = 2/(n-2) J(delta J), with delta J = -sum_i (nabla_{E_i} J)(E_i)
+        # traced from the public nabla J
+        spec = ROUTE_FRAMES[name]()
+        n, zero, J = spec.n, spec.zero(), spec.J
+        nabla_j = cov_deriv_endo(levi_civita(spec), spec.j_endo())
+        delta_j = [-sum((nabla_j[i].comps[l][i] for i in range(n)), zero) for l in range(n)]
+        b = [sum((delta_j[k] * J[l][k] for k in range(n)), zero) * Fraction(2, n - 2)
+             for l in range(n)]
+        assert lee_form(spec).theta == tuple(b)
 
 
 class TestPhiTensor:

@@ -68,27 +68,28 @@ def test_report_builds_each_condition_once():
 
 
 def test_conditions_form_no_weyl_curvature():
-    """Condition (ii) reads rho and rho* from Levi-Civita data: ``conditions``
-    and ``verify_assignment`` form neither the Weyl gammas nor any curvature
-    tensor but the Levi-Civita one."""
+    """Condition (ii) reads rho and rho* from Levi-Civita data, and rho_g and
+    rho*_g are traced in ints from the rational R_g: ``conditions`` and
+    ``verify_assignment`` form neither the Weyl gammas nor any curvature tensor
+    of scalars."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
     with _counting(connection, "_weyl") as weyl_gammas, \
             _counting(curvature_module, "_curvature") as curvature:
         verify_assignment(conditions(spec), {"a1": 0})
     assert weyl_gammas.call_count == 0
-    assert [call.args[0].kind for call in curvature.call_args_list] == ["levi-civita"]
+    assert curvature.call_count == 0
 
 
 def test_conditions_form_each_covariant_derivative_once():
-    """``conditions`` and ``verify_assignment`` form nabla J once, which the Lee
-    form traces for delta J, and nabla phi once, inside Phi, from which the
-    closed Ricci formulas read the codifferentials."""
+    """``conditions`` and ``verify_assignment`` form no nabla J, as the Lee form
+    reads delta J in ints from the gamma rows, and nabla phi once, inside Phi,
+    from which the closed Ricci formulas read the codifferentials."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
     # curvature is the one module that calls cov_deriv_oneform
     with _counting(connection, "_cov_deriv_endo") as nabla_endo, \
             _counting(curvature_module, "cov_deriv_oneform") as nabla_oneform:
         verify_assignment(conditions(spec), {"a1": 0})
-    assert nabla_endo.call_count == 1
+    assert nabla_endo.call_count == 0
     assert nabla_oneform.call_count == 1
 
 
@@ -137,11 +138,17 @@ def test_new_specs_get_their_own_gammas():
     twin = spec.restrict({})
     assert twin == spec
     assert levi_civita(twin) is not levi_civita(spec)
-    # what they do share is the supports of c and J
+    # what they do share is what depends on c and J alone: the supports, the
+    # gamma rows, the int R_g and its lifted traces
+    ricci_formula_check(spec)
     fresh = spec.restrict({})
     assert fresh.bracket_rows() is spec.bracket_rows()
     assert fresh.j_columns() is spec.j_columns()
     assert fresh.with_phi(spec.phi).bracket_rows() is spec.bracket_rows()
+    for child in (fresh, spec.with_phi((0, "a2", 0, 0))):
+        assert connection.gamma_rows(child) is connection.gamma_rows(spec)
+        for compute in (curvature_module._levi_civita_r, curvature_module._levi_civita_ricci):
+            assert child.memo(compute) is spec.memo(compute)
 
 
 def test_spec_is_freed_after_suite():

@@ -10,12 +10,16 @@ n >= 6 the check ``vertical trace paths agree`` already fails (ROADMAP item
 
 A term of the closed Ricci formulas (``wtw.curvature.ricci_via_formula``) is
 mutated where the formulas are built, so the Ricci check sees it against the
-traced Weyl curvature.  The sign of the rho or rho* term of L(psi) is mutated
-where condition (ii) reads the formulas, and the sign of each of its three
-d(phi) terms where condition (ii) is built, so only the trace equivalence
-sees them.  The two fiber pairings, the identity checked against every
-vertical direction and the DJ pairing, share the builder of their
-dphi(cX, Y) + dphi(X, cY) terms, which is mutated where it is built.
+traced Weyl curvature.  The bracket term sum_m c[i][j][m] gamma[m][k][l] is
+dropped from the int accumulation of the Levi-Civita curvature R_g, which the
+Phi-correction route and the closed formulas read, so the checks that compare
+them with the polynomial contraction of the Weyl gammas see it.  The sign of
+the rho or rho* term of L(psi) is mutated where condition (ii) reads the
+formulas, and the sign of each of its three d(phi) terms where condition (ii)
+is built, so only the trace equivalence sees them.  The two fiber pairings,
+the identity checked against every vertical direction and the DJ pairing,
+share the builder of their dphi(cX, Y) + dphi(X, cY) terms, which is mutated
+where it is built.
 """
 
 from __future__ import annotations
@@ -62,6 +66,27 @@ def _weyl_half(monkeypatch):
         return connection.Connection(spec, gamma, "weyl")
 
     monkeypatch.setattr(connection, "_weyl", mutated)
+
+
+def _rg_bracket_term(monkeypatch):
+    """The int R_g loses its bracket term sum_m c[i][j][m] gamma[m][k][l], which
+    enters over (2 den_c)^2 with weight 2."""
+    rg = curvature._levi_civita_r
+
+    def mutated(spec):
+        den, r = rg(spec)
+        _, c = spec.bracket_rows()
+        _, g = connection.gamma_rows(spec)
+        out = [[[dict(row) for row in block] for block in plane] for plane in r]
+        for i, plane in enumerate(out):
+            for j, block in enumerate(plane):
+                for k, row in enumerate(block):
+                    for m, x in c[i][j]:
+                        for l, y in g[m][k]:
+                            row[l] = row.get(l, 0) - 2 * x * y
+        return den, out
+
+    monkeypatch.setattr(curvature, "_levi_civita_r", mutated)
 
 
 def _condition_ii_reads_negated(monkeypatch, index):
@@ -211,7 +236,7 @@ def _norm_sq(monkeypatch):
                         lambda elements, labels, norm_sq: basis(elements, labels, norm_sq * 2))
 
 
-@pytest.mark.parametrize("mutate", [_weyl_half, _rho_sign, _rho_star_sign, _jstar_sign,
+@pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _rho_sign, _rho_star_sign, _jstar_sign,
                                     _rho_square_coefficient, _dphi_sign, _twisted_dphi_sign,
                                     _dphi_j_sign, _endo_transpose_sign, _action_entry,
                                     _norm_sq],
