@@ -273,7 +273,7 @@ def _full_report(spec: FrameSpec, args) -> tuple[dict, int]:
     from .hermitian import lck_check, lee_form
     from .pseudoharmonic import verify_assignment
     from .twistor import equivalence_check
-    assignment = _parse_assignment(args.assign, spec.ring) if args.assign else None
+    assignment = None if args.assign is None else _parse_assignment(args.assign, spec.ring)
     data: dict = {}
     data["validation"] = {"ok": True}
     lee = lee_form(spec)
@@ -382,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.verb == "verify" and not args.assign:
+        if args.verb == "verify" and args.assign is None:
             raise ValueError("verify requires --assign")
-        if args.verb != "verify" and args.assign and args.verb != "report":
+        if args.verb not in ("verify", "report") and args.assign is not None:
             raise ValueError(f"--assign is not accepted by {args.verb}")
         if args.signs is not None and not args.builtin:
             raise ValueError("--signs requires --builtin")

@@ -7,9 +7,8 @@ packed monomials to nonzero ``int`` numerators, and an ``int`` denominator,
 kept in lowest terms (no integer above 1 divides the denominator and every
 numerator).  The zero polynomial has an empty map and denominator 1, and it
 is the only falsy scalar; each ring hands out one shared zero.  All
-arithmetic keeps this canonical form, so ``+ - *`` are loops over Python
-ints and equality of polynomials is equality of denominators and
-dictionaries.
+arithmetic keeps this canonical form, so equality of polynomials is equality
+of denominators and dictionaries.
 
 Packed monomials
 ----------------
@@ -27,21 +26,22 @@ tuples: :meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
 ``Scalar(ring, {exps: c})``, :meth:`Scalar.substitute` and
 :meth:`Scalar.total_degree`.
 
-Contractions do not go through ``+`` and ``*``: :meth:`Ring.dot` is the one
-multiply-accumulate kernel, and ``*`` of two non-constant polynomials is a
-one-term dot.  It takes two sequences of scalars, ints and Fractions, skips
-every pair with a zero side, multiplies integer numerators straight into one
-accumulator over one common denominator (rescaled only when a product
-brings a new denominator) and reduces the sum once, so it builds no scalar
-per product and never runs ``Fraction.__mul__``.  It refuses a product of two
-polynomials whose term counts multiply past ``_MAX_PRODUCT_PAIRS``, as the
-parser refuses a written one past ``_MAX_PARSE_SIZE``.
-:meth:`wtw.frame.FrameSpec.left` and ``right`` hand it only the nonzero
-positions of their fixed vector, and none at all when that vector is zero.
-:meth:`Ring.sum` is a dot against ones.  The accessors (:meth:`Scalar.terms`,
-:meth:`Scalar.coefficient`, :meth:`Scalar.constant_value`) return
-:class:`fractions.Fraction` coefficients.  There is no floating point
-anywhere: identity tests are exact.
+:meth:`Ring.dot` is the one multiply-accumulate kernel and the one arithmetic
+path: every contraction is one call of it, and so is each operator, ``p + q``
+being ``dot((p, q), (1, 1))``, ``p - q`` being ``dot((p, q), (1, -1))`` and
+``p * q`` being ``dot((p,), (q,))``.  It takes two sequences of scalars, ints
+and Fractions, skips every pair with a zero side, multiplies integer
+numerators straight into one accumulator over one common denominator
+(rescaled only when a product brings a new denominator) and reduces the sum
+once, so it builds no scalar per product and never runs
+``Fraction.__mul__``.  It refuses a product of two polynomials whose term
+counts multiply past ``_MAX_PRODUCT_PAIRS``, as the parser refuses a written
+one past ``_MAX_PARSE_SIZE``.  :meth:`wtw.frame.FrameSpec.left` and ``right``
+hand it only the nonzero positions of their fixed vector, and none at all
+when that vector is zero.  :meth:`Ring.sum` is a dot against ones.  The
+accessors (:meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
+:meth:`Scalar.constant_value`) return :class:`fractions.Fraction`
+coefficients.  There is no floating point anywhere: identity tests are exact.
 
 Rendering contract
 ------------------
@@ -212,12 +212,12 @@ class Ring:
         zero side are skipped; the integer numerators of each product go
         straight into one accumulator over one common denominator, which is
         rescaled only when a new denominator appears, and the sum is reduced
-        once.  No intermediate scalar is built.  As with ``+`` and ``*``, a
-        scalar of another ring raises :class:`RingMismatchError`, zero or not,
-        a product past the exponent cap raises
-        :class:`ExponentOverflowError`, and a product of two polynomials whose
-        term counts multiply past ``_MAX_PRODUCT_PAIRS`` raises ``ValueError``
-        before it is formed.
+        once.  No intermediate scalar is built.  These checks live here alone,
+        for every contraction and every operator: a scalar of another ring
+        raises :class:`RingMismatchError`, zero or not, a product past the
+        exponent cap raises :class:`ExponentOverflowError`, and a product of
+        two polynomials whose term counts multiply past ``_MAX_PRODUCT_PAIRS``
+        raises ``ValueError`` before it is formed.
         """
         acc: dict[int, int] = {}
         get = acc.get
@@ -258,8 +258,11 @@ class Ring:
             if ta is None:  # both rational
                 acc[0] = get(0, 0) + k
             elif tb is None:  # a rational times a polynomial
-                for e, c in ta.items():
-                    acc[e] = get(e, 0) + c * k
+                if not acc:  # the first term: one copy, no lookups
+                    acc.update(ta if k == 1 else {e: c * k for e, c in ta.items()})
+                else:
+                    for e, c in ta.items():
+                        acc[e] = get(e, 0) + c * k
             else:
                 if len(ta) * len(tb) > _MAX_PRODUCT_PAIRS:
                     raise ValueError(f"a product of {len(ta)} by {len(tb)} terms passes "
@@ -272,12 +275,13 @@ class Ring:
                         acc[e] = get(e, 0) + c1 * c2
         if not acc:  # every pair had a zero side
             return self._zero
-        nums = {e: c for e, c in acc.items() if c}
-        if not nums:
-            return self._zero
+        if 0 in acc.values():  # terms cancelled
+            acc = {e: c for e, c in acc.items() if c}
+            if not acc:
+                return self._zero
         if product:
-            self._check_exponents(nums)
-        return Scalar._reduced(self, nums, den)
+            self._check_exponents(acc)
+        return Scalar._reduced(self, acc, den)
 
     def sum(self, values: Iterable) -> Scalar:
         """sum_p values[p] through :meth:`dot`: one reduction for the whole sum."""
@@ -300,9 +304,10 @@ class Scalar:
     hashes as, the rational it holds, so two constants of different rings
     are equal when their values are; other scalars of different rings never.
     Supports ``+ - * **`` with other scalars of the same ring and with plain
-    integers or Fractions, which act as constants.  Sums of products go
-    through :meth:`Ring.dot` instead, which reads ``_terms`` and ``_den``
-    directly and gives the same canonical result as the operators.
+    integers or Fractions, which act as constants.  Each of ``+ - *`` is one
+    call of :meth:`Ring.dot`, which reads ``_terms`` and ``_den`` directly, so
+    a sum of products written as one dot and the same sum written with the
+    operators give the same canonical result.
     """
 
     __slots__ = ("ring", "_terms", "_den")
@@ -379,72 +384,15 @@ class Scalar:
 
     # -- ring operations -------------------------------------------------
     #
-    # Every result is built canonical (no zero numerator, lowest terms), so it
-    # is wrapped without re-filtering; an operand that leaves the other
-    # unchanged (zero in a sum, one in a product) is returned as it is, which
-    # is safe because scalars are immutable.
-
-    def _same_ring(self, other: Scalar) -> None:
-        if other.ring is not self.ring:
-            self.ring._check(other)
-
-    def _operand(self, other) -> "tuple[dict[int, int], int] | None":
-        """Numerators and denominator of a same-ring scalar or a rational
-        constant, else None."""
-        if isinstance(other, Scalar):
-            self._same_ring(other)
-            return other._terms, other._den
-        if isinstance(other, int):
-            return ({0: other} if other else {}), 1
-        if isinstance(other, Fraction):
-            return ({0: other.numerator} if other else {}), other.denominator
-        return None
-
-    def _scaled(self, num: int, den: int) -> Scalar:
-        """self * num / den for ints with ``den > 0``."""
-        if not num or not self._terms:
-            return self.ring.zero()
-        if den == 1:
-            if num == 1:
-                return self
-            if num == -1:
-                return -self
-        return Scalar._reduced(self.ring, {e: c * num for e, c in self._terms.items()},
-                               self._den * den)
-
-    def _plus(self, nums: dict[int, int], den: int, negate: bool) -> Scalar:
-        """self + nums/den (or self - nums/den) for canonical numerators."""
-        if den == self._den:
-            out = dict(self._terms)
-            scale = -1 if negate else 1
-        else:
-            lcm = math.lcm(den, self._den)
-            up = lcm // self._den
-            out = {e: c * up for e, c in self._terms.items()}
-            scale = -(lcm // den) if negate else lcm // den
-            den = lcm
-        for exps, coeff in nums.items():
-            coeff *= scale
-            old = out.get(exps)
-            if old is None:
-                out[exps] = coeff
-                continue
-            new = old + coeff
-            if new:
-                out[exps] = new
-            else:
-                del out[exps]
-        return Scalar._reduced(self.ring, out, den)
+    # Each of ``+ - *`` is one call of :meth:`Ring.dot`, which checks the
+    # rings, the exponent cap and the product-pair cap and builds the
+    # canonical result; an operand that is not a scalar, an int or a Fraction
+    # is left to the other side.
 
     def __add__(self, other):
-        operand = self._operand(other)
-        if operand is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        if not operand[0]:
-            return self
-        if not self._terms and isinstance(other, Scalar):
-            return other
-        return self._plus(*operand, False)
+        return self.ring.dot((self, other), (1, 1))
 
     __radd__ = __add__
 
@@ -454,32 +402,18 @@ class Scalar:
         return Scalar._canonical(self.ring, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        operand = self._operand(other)
-        if operand is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        if not operand[0]:
-            return self
-        return self._plus(*operand, True)
+        return self.ring.dot((self, other), (1, -1))
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        return NotImplemented
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return self.ring.dot((other, self), (1, -1))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other, 1)
-        if isinstance(other, Fraction):
-            return self._scaled(other.numerator, other.denominator)
-        if not isinstance(other, Scalar):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        self._same_ring(other)
-        left, right = self._terms, other._terms
-        if len(right) == 1 and 0 in right:
-            return self._scaled(right[0], other._den)
-        if len(left) == 1 and 0 in left:
-            return other._scaled(left[0], self._den)
-        # two polynomials, or a zero: the kernel's product path and exponent check
         return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
@@ -582,6 +516,8 @@ class Scalar:
 # immutability guard's __setattr__ does not intercept.
 _new = object.__new__
 _set_ring, _set_terms, _set_den = Scalar.ring.__set__, Scalar._terms.__set__, Scalar._den.__set__
+# what the operators take as their other operand
+_OPERANDS = (Scalar, int, Fraction)
 
 
 def normalize_up_to_unit(p: Scalar) -> Scalar:

@@ -95,9 +95,24 @@ class TestExitCodes:
         status, _, _ = run(["verify", "--builtin", "inoue-s0"])
         assert status == 2
 
-    def test_assign_rejected_elsewhere(self):
-        status, _, _ = run(["ricci", "--builtin", "inoue-s0", "--assign", "a1=0"])
-        assert status == 2
+    @pytest.mark.parametrize("verb, value", [("ricci", "a1=0"), ("conditions", ""),
+                                             ("suite", ""), ("lee", " ")])
+    def test_assign_rejected_elsewhere(self, verb, value):
+        """Any --assign, an empty one too, is refused by a verb that takes none."""
+        status, out, err = run([verb, "--builtin", "inoue-s0", "--assign", value])
+        assert (status, out) == (2, "")
+        assert err == f"error: --assign is not accepted by {verb}\n"
+
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    def test_empty_assign_is_the_empty_assignment(self, verb):
+        """``--assign ""`` is the empty assignment, as ``--assign ","`` is:
+        verify runs on it and report prints its assignment section."""
+        outputs = [run([verb, "--builtin", "inoue-s0", "--assign", value, "--format", "json"])
+                   for value in ("", ",")]
+        assert outputs[0] == outputs[1]
+        status, out, err = outputs[0]
+        assert status in (0, 1) and err == ""
+        assert json.loads(out)["assignment"]["values"] == {}
 
     @pytest.mark.parametrize("verb", ["verify", "report"])
     @pytest.mark.parametrize("value", ["1/0", "x", "1e9999999", "0.5"])
@@ -215,8 +230,8 @@ def _argv(draw) -> list[str]:
     argv = [verb, *draw(st.sampled_from(_SOURCES))]
     if draw(st.booleans()):
         argv.append(f"--signs={draw(_hostile)}")
-    if verb == "verify":  # argparse itself rejects a verify without a value
-        argv.append(f"--assign={draw(_assign.filter(bool))}")
+    if verb == "verify":  # verify without --assign is refused before any work
+        argv.append(f"--assign={draw(_assign)}")
     elif verb == "report" and draw(st.booleans()):
         argv.append(f"--assign={draw(_assign)}")
     argv.append(f"--format={draw(st.sampled_from(['table', 'json']))}")

@@ -20,6 +20,14 @@ is built, so only the trace equivalence sees them.  The two fiber pairings,
 the identity checked against every vertical direction and the DJ pairing,
 share the builder of their dphi(cX, Y) + dphi(X, cY) terms, which is mutated
 where it is built.
+
+They also share the builder of their g(R(w)X, Y) - 1/2 dphi(w) g(X, Y) terms.
+Every bivector w they form is J-anti-invariant: [J, V] = 2JV for a vertical V,
+and the DJ pairing's w = 2(J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY.  So dropping
+the dphi(w) term changes nothing on a frame whose dphi is of type (1, 1),
+dphi(JX, JY) = dphi(X, Y); that mutation is required to be caught on every
+frame of ``FRAMES`` where dphi has a J-anti-invariant part, and to change no
+check on the others.
 """
 
 from __future__ import annotations
@@ -234,6 +242,40 @@ def _norm_sq(monkeypatch):
     basis = twistor.VerticalBasis
     monkeypatch.setattr(twistor, "VerticalBasis",
                         lambda elements, labels, norm_sq: basis(elements, labels, norm_sq * 2))
+
+
+def _bivector_dphi_term(monkeypatch):
+    """The fiber pairings' shared bivector builder loses its term
+    -1/2 dphi(w) delta_ij."""
+    monkeypatch.setattr(twistor, "_bivector_terms",
+                        lambda R, w: [list(row) for row in twistor.curvature_on_bivector(R, w)])
+
+
+@functools.cache
+def _dphi_is_of_type_11(name: str) -> bool:
+    """Whether dphi(J E_i, J E_j) = dphi(E_i, E_j) for all i, j, with
+    J E_i = sum_p J[p][i] E_p."""
+    spec = FRAMES[name]()
+    n, J, dphi = spec.n, spec.J, spec.dphi()
+    return all(spec.ring.sum(J[p][i] * J[q][j] * dphi[p][q] for p in range(n) for q in range(n))
+               == dphi[i][j] for i in range(n) for j in range(n))
+
+
+def test_dphi_has_a_j_anti_invariant_part_at_n4_and_n8():
+    """The bivector dphi term is tested where it changes something in both
+    the smallest and the largest dimension of ``FRAMES``."""
+    assert {FRAMES[name]().n for name in FRAMES if not _dphi_is_of_type_11(name)} >= {4, 8}
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_bivector_dphi_term_is_caught_where_dphi_is_not_of_type_11(monkeypatch, name):
+    if not _dphi_is_of_type_11(name):
+        test_mutation_is_caught(monkeypatch, _bivector_dphi_term, name)
+        return
+    # dphi vanishes on every bivector the pairings form, so no check moves
+    baseline = _unmutated_failures(name)
+    _bivector_dphi_term(monkeypatch)
+    assert {check.name for check in _suite_report(FRAMES[name]()).failures} == baseline
 
 
 @pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _rho_sign, _rho_star_sign, _jstar_sign,

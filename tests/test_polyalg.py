@@ -389,9 +389,11 @@ def test_dot_rejects_a_foreign_ring_zero_or_not():
 
 # -- the product against an independent reference ------------------------------
 #
-# ``*`` hands a product of two polynomials to ``Ring.dot``, so the kernel test
-# above compares the kernel with itself there; this reference multiplies
-# exponent-tuple dictionaries of Fractions term by term instead.
+# Every operator is one call of ``Ring.dot``, so the kernel test above compares
+# the kernel with itself; the independent references are substitution at a
+# rational point (``test_results_are_canonical_and_agree_with_substitute``) and
+# this one, which multiplies and adds exponent-tuple dictionaries of Fractions
+# term by term.
 
 def _naive_product(p: dict, q: dict) -> dict:
     out: dict = {}
@@ -450,3 +452,40 @@ def test_product_of_polynomials_checks_the_cap_and_the_ring():
     for left, right in (((A1 + A2), foreign), (foreign, (A1 + A2)), (A1 * A2, foreign)):
         with pytest.raises(RingMismatchError):
             left * right
+
+
+# -- the operators are one kernel call each -----------------------------------
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("other", [1.5, "a1", None])
+def test_operators_refuse_other_types_in_both_orders(op, other):
+    """A float, a str or None is neither a scalar nor a rational constant, so
+    both operand orders return NotImplemented and Python raises TypeError."""
+    with pytest.raises(TypeError):
+        op(A1 + 1, other)
+    with pytest.raises(TypeError):
+        op(other, A1 + 1)
+
+
+@pytest.mark.parametrize("name", ["__add__", "__radd__", "__sub__", "__rsub__",
+                                  "__mul__", "__rmul__"])
+def test_each_operator_is_one_kernel_call(name, monkeypatch):
+    """Ring checks, canonical form and both caps live in Ring.dot alone, so
+    every operator on two non-constant scalars makes exactly one call of it."""
+    p, q = A1 * A2 + 1, A2 - Fraction(1, 3) * A3
+    calls = []
+    dot = Ring.dot
+
+    def counted(ring, u, v):
+        calls.append(name)
+        return dot(ring, u, v)
+
+    monkeypatch.setattr(Ring, "dot", counted)
+    result = getattr(p, name)(q)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    expected = {"__add__": p.ring.dot((p, q), (1, 1)), "__radd__": p.ring.dot((q, p), (1, 1)),
+                "__sub__": p.ring.dot((p, q), (1, -1)), "__rsub__": p.ring.dot((q, p), (1, -1)),
+                "__mul__": p.ring.dot((p,), (q,)), "__rmul__": p.ring.dot((q,), (p,))}[name]
+    assert result == expected
+    assert_canonical(result)
