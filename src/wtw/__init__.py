@@ -18,8 +18,8 @@ from types import ModuleType as _ModuleType
 
 from .polyalg import (ExponentOverflowError, PolynomialParseError, Ring, RingMismatchError,
                       Scalar, normalize_up_to_unit, normalized_system)
-from .frame import (Endo, FrameError, FrameSpec, GateError, SpecFormatError, builtin,
-                    d_oneform, eval_on_bivector, load_spec, load_spec_file, sharp, wedge_iso)
+from .frame import (FrameError, FrameSpec, GateError, SpecFormatError, builtin, d_oneform,
+                    eval_on_bivector, load_spec, load_spec_file, sharp, wedge_iso)
 from .connection import (Connection, cov_deriv_endo, cov_deriv_oneform,
                          levi_civita, reconstruct_weyl_form,
                          second_cov_deriv_endo, weyl)

@@ -24,13 +24,16 @@ Contracts (tested as exact identities):
   * metric: gamma[i][j][k] + gamma[i][k][j] = 0 (Levi-Civita) and
     = -phi_i * delta_jk (Weyl), the frame form of D g = phi (x) g.
 
-Both connections are computed once per spec and kept on it, and the
-induced first and second derivatives of an endomorphism are kept on its
-connection (see :class:`wtw.frame.Memo`), so repeated calls return the same
-objects.  The second-derivative table D2S is built only here: the twistor
-layer's curvature cross-check and its vertical trace both read it.  Its
-inner derivatives D_{E_i}(D_{E_j} S) are not kept: no other reader asks for
-them, and each would be keyed on the hash of a polynomial endomorphism.
+An endomorphism S is an n x n nested tuple, ``S E_j = sum_i S[i][j] E_i``,
+as in :mod:`wtw.frame`.  Both connections are computed once per spec and
+kept on it, and the induced first and second derivatives of an endomorphism
+are kept on its connection, keyed by the tuple S itself (see
+:class:`wtw.frame.Memo`), so repeated calls return the same objects.  The
+second-derivative table D2S is built only here: the twistor layer's
+curvature cross-check and its vertical trace both read it, and its
+correction term is one ``linear_combination`` per entry.  Its inner
+derivatives D_{E_i}(D_{E_j} S) are not kept: no other reader asks for them,
+and each would be keyed on the hash of a polynomial endomorphism.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frame import Endo, FrameSpec, Memo, Vector, _phi_free, linear_combination
+from .frame import FrameSpec, Memo, Vector, _phi_free, linear_combination
 from .polyalg import Scalar
 
 
@@ -128,8 +131,9 @@ def cov_deriv_oneform(conn: Connection, omega: Sequence[Scalar]):
     return tuple(tuple(-value for value in spec.right(plane, omega)) for plane in conn.gamma)
 
 
-def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
-    """(D_{E_i} S)(E_j) = D_{E_i}(S E_j) - S(D_{E_i} E_j), one endo per direction.
+def cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], ...]:
+    """(D_{E_i} S)(E_j) = D_{E_i}(S E_j) - S(D_{E_i} E_j), one endomorphism per
+    direction; S is an n x n nested tuple, the key it is kept under.
 
     This is the connection induced on Hom(TM, TM) by the same gammas; for a
     Weyl connection it preserves skewness of constant skew sections, which is
@@ -138,34 +142,31 @@ def cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
     return conn.memo(_cov_deriv_endo, S)
 
 
-def _cov_deriv_endo(conn: Connection, S: Endo) -> tuple[Endo, ...]:
+def _cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], ...]:
     spec = conn.spec
     out = []
     for plane, neg_plane in zip(conn.gamma, conn.negated()):
         # entry (l, j): sum_k gamma[i][k][l] S[k][j] - S[l][k] gamma[i][j][k], one
         # contraction of (gamma column l, S row l) against (S column j, -gamma row j)
-        rows = S.comps + tuple(zip(*neg_plane))  # rows[n + k][j] = -gamma[i][j][k]
-        out.append(Endo(spec, [spec.left(col + row, rows)
-                               for col, row in zip(zip(*plane), S.comps)]))
+        rows = S + tuple(zip(*neg_plane))  # rows[n + k][j] = -gamma[i][j][k]
+        out.append(tuple(spec.left(col + row, rows) for col, row in zip(zip(*plane), S)))
     return tuple(out)
 
 
-def second_cov_deriv_endo(conn: Connection, S: Endo):
-    """D2_{E_i E_j} S = D_{E_i}(D_{E_j} S) - D_{D_{E_i} E_j} S, an n x n array of endos,
-    kept on the connection."""
+def second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]):
+    """D2_{E_i E_j} S = D_{E_i}(D_{E_j} S) - D_{D_{E_i} E_j} S, an n x n array of
+    endomorphisms, kept on the connection."""
     return conn.memo(_second_cov_deriv_endo, S)
 
 
-def _second_cov_deriv_endo(conn: Connection, S: Endo):
+def _second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]):
     spec = conn.spec
     first = cov_deriv_endo(conn, S)
     # second[j][i] = D_{E_i}(D_{E_j} S); formed here only, so not kept
     second = [_cov_deriv_endo(conn, d) for d in first]
-    comps = [d.comps for d in first]
     # D_{D_{E_i} E_j} S = sum_k gamma[i][j][k] D_k S, subtracted in the same
     # combination, which reads the nonzero gammas only
-    return tuple(tuple(Endo(spec, linear_combination(spec, (1, *weights),
-                                                     (second[j][i].comps, *comps)))
+    return tuple(tuple(linear_combination(spec, (1, *weights), (second[j][i], *first))
                        for j, weights in enumerate(plane))
                  for i, plane in enumerate(conn.negated()))
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .connection import Connection, cov_deriv_oneform, gamma_rows, levi_civita, weyl
-from .frame import Endo, FrameSpec, Memo, _accumulate, _kron, _phi_free
+from .frame import FrameSpec, Memo, _accumulate, _kron, _phi_free
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -55,13 +55,13 @@ class Curvature(Memo):
         # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
         self.__dict__.update(spec=spec, r=r, kind=kind)
 
-    def endo(self, i: int, j: int) -> Endo:
+    def endo(self, i: int, j: int) -> tuple:
         """R(E_i, E_j) as an endomorphism (column convention), kept on the tensor."""
         return self.memo(_endo, i, j)
 
 
-def _endo(R: Curvature, i: int, j: int) -> Endo:
-    return Endo(R.spec, zip(*R.r[i][j]))  # comps[l][k] = r[i][j][k][l]
+def _endo(R: Curvature, i: int, j: int) -> tuple:
+    return tuple(zip(*R.r[i][j]))  # entry [l][k] = r[i][j][k][l]
 
 
 def curvature(conn: Connection) -> Curvature:

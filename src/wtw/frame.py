@@ -23,23 +23,25 @@ Indices are 0-based internally; renderings are 1-based.
 
 Contractions: a vector is a sequence of n components and a matrix is a
 sequence of n rows, ``M[i][j] = M(E_i, E_j)`` for a bilinear form; entries
-may be scalars or rationals.  Pairings and J-twists go through five
-:class:`FrameSpec` methods, valid for any rational orthogonal J.  Each entry
-they produce is one call of the ring's multiply-accumulate kernel
-:meth:`wtw.polyalg.Ring.dot`, which skips zero entries, rational or scalar,
-and reduces the sum once; ``left`` and ``right`` find the nonzero positions
-of their fixed vector once and pass the kernel only those, and return
-zeros without calling it when there are none:
+may be scalars or rationals.  An endomorphism S is such a matrix too, in the
+column convention ``S E_j = sum_i S[i][j] E_i``.  Pairings, J-twists and
+products go through six :class:`FrameSpec` methods, valid for any rational
+orthogonal J.  Each entry they produce is one call of the ring's
+multiply-accumulate kernel :meth:`wtw.polyalg.Ring.dot`, which skips zero
+entries, rational or scalar, and reduces the sum once; ``left`` and
+``right`` find the nonzero positions of their fixed vector once and pass the
+kernel only those, and return zeros without calling it when there are none:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
   * ``right(M, u)``  the vector M(., u), that is sum_q M[k][q] u[q];
   * ``twist(M)``     the matrix M(J., J.);
-  * ``j_pair(M)``    the matrix M(J., .) + M(., J.).
+  * ``j_pair(M)``    the matrix M(J., .) + M(., J.);
+  * ``compose(a, b)`` the endomorphism a o b, that is sum_m a[i][m] b[m][j].
 
-``left`` and ``right`` are the only contractions that walk a support: an
-``Endo`` product is ``right`` applied to each column of its right factor,
-and :func:`linear_combination`, which sums weighted n x n arrays, is ``left``
+``left`` and ``right`` are the only contractions that walk a support:
+``compose`` is ``right`` applied to each column of its right factor, and
+:func:`linear_combination`, which sums weighted n x n arrays, is ``left``
 over the flattened arrays, so a zero weight never reaches the kernel.  The
 one other support walk is the fiber pairing of :mod:`wtw.twistor`, whose
 fixed endomorphism is reused across calls.  The wedge products call the
@@ -59,11 +61,13 @@ gammas, their curvature and its traces, the Lee form and the Nijenhuis tensor
 accumulate ints and lift each nonzero result to a scalar once
 (:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else;
 ``d_oneform`` calls the kernel only where a bracket row is nonzero.
-:class:`Endo` is the one matrix class.  A 2-form F is an n x n nested tuple
-with ``F[i][j] = F(E_i, E_j)``, and a bivector ``b`` the n x n nested tuple
-of its components, ``sum_{i<j} b[i][j] E_i ^ E_j``.  The functions here build
-them antisymmetric with a zero diagonal, and the public functions that take
-one, :func:`eval_on_bivector` and ``wtw.twistor.curvature_on_bivector``, read
+Endomorphisms, 2-forms and bivectors are all n x n nested tuples, with no
+class of their own: an endomorphism S as above, a 2-form F with ``F[i][j] =
+F(E_i, E_j)``, and a bivector ``b`` the array of its components, ``sum_{i<j}
+b[i][j] E_i ^ E_j``.  Every sum or difference of endomorphisms is one
+:func:`linear_combination`.  The functions here build 2-forms and bivectors
+antisymmetric with a zero diagonal, and the public functions that take one,
+:func:`eval_on_bivector` and ``wtw.twistor.curvature_on_bivector``, read
 only the entries with i < j.  The 3-forms, plain nested tuples too, live in
 :mod:`wtw.hermitian`, their only user.
 
@@ -281,7 +285,7 @@ class FrameSpec(Memo):
                 out[k] = self.ring.const(Fraction(v, den))
         return tuple(out)
 
-    def j_endo(self) -> "Endo":
+    def j_endo(self) -> tuple[Vector, ...]:
         """The complex structure as an endomorphism with scalar entries."""
         return self.memo(_j_endo)
 
@@ -326,6 +330,10 @@ class FrameSpec(Memo):
         dot = self.ring.dot
         values = [u[q] for q in support]
         return tuple(dot(values, map(row.__getitem__, support)) for row in M)
+
+    def compose(self, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[Vector, ...]:
+        """The endomorphism a o b: column j is ``right(a, .)`` on column j of b."""
+        return tuple(zip(*[self.right(a, col) for col in zip(*b)]))
 
     def twist(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
         """M(J., J.): entries sum_{p,q} J[p][i] J[q][k] M[p][q]."""
@@ -382,93 +390,22 @@ def _coerce_phi(ring: Ring, n: int,
     return tuple(vec)
 
 
-class Endo:
-    """An endomorphism of the frame with scalar entries.
-
-    Column convention: ``S(E_j) = sum_i comps[i][j] E_i``; composition is
-    ``@``.  Used for J, covariant derivatives of J, curvature actions and
-    vertical twistor vectors.
-    """
-
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec: FrameSpec, comps: Sequence[Sequence[Scalar]]):
-        self.spec = spec
-        self.comps = tuple(tuple(row) for row in comps)
-
-    @staticmethod
-    def from_rational(spec: FrameSpec, matrix: Sequence[Sequence[RationalLike]]) -> "Endo":
-        return Endo(spec, [[spec.const(x) for x in row] for row in matrix])
-
-    @staticmethod
-    def zero(spec: FrameSpec) -> "Endo":
-        z = spec.zero()
-        return Endo(spec, [[z] * spec.n for _ in range(spec.n)])
-
-    @staticmethod
-    def identity(spec: FrameSpec) -> "Endo":
-        return Endo(spec, [[spec.const(_kron(i, j)) for j in range(spec.n)]
-                           for i in range(spec.n)])
-
-    def __add__(self, other: "Endo") -> "Endo":
-        return Endo(self.spec, [[a + b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "Endo") -> "Endo":
-        return Endo(self.spec, [[a - b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.comps, other.comps)])
-
-    def __neg__(self) -> "Endo":
-        return Endo(self.spec, [[-a for a in row] for row in self.comps])
-
-    def scale(self, value) -> "Endo":
-        return Endo(self.spec, [[a * value if a else a for a in row] for row in self.comps])
-
-    def __matmul__(self, other: "Endo") -> "Endo":
-        # column j of the product is self applied to column j of other
-        right = self.spec.right
-        return Endo(self.spec, zip(*[right(self.comps, col) for col in zip(*other.comps)]))
-
-    def trace(self) -> Scalar:
-        return self.spec.ring.sum(self.comps[i][i] for i in range(self.spec.n))
-
-    def commutator(self, other: "Endo") -> "Endo":
-        return (self @ other) - (other @ self)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.comps for a in row)
-
-    @property
-    def is_skew(self) -> bool:
-        n = self.spec.n
-        return all(self.comps[i][j] == -self.comps[j][i]
-                   for i in range(n) for j in range(i, n))
-
-    def anticommutes_with(self, other: "Endo") -> bool:
-        return ((self @ other) + (other @ self)).is_zero
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Endo and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash(self.comps)
-
-    def __repr__(self) -> str:
-        rows = "; ".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.comps)
-        return f"Endo({rows})"
-
-
-def wedge_iso(a: Endo) -> tuple[Vector, ...]:
+def wedge_iso(a: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """The bivector of a skew endomorphism: components g(a E_i, E_j), the
     transpose of ``a``."""
-    if not a.is_skew:
+    if not _is_skew(a):
         raise FrameError("wedge isomorphism requires a skew endomorphism")
-    return tuple(zip(*a.comps))
+    return tuple(zip(*a))
 
 
-def _j_endo(spec: FrameSpec) -> Endo:
-    return Endo.from_rational(spec, spec.J)
+def _is_skew(a: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether the endomorphism a is skew, ``a[i][j] = -a[j][i]``."""
+    n = len(a)
+    return all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
+
+
+def _j_endo(spec: FrameSpec) -> tuple[Vector, ...]:
+    return tuple(tuple(spec.const(x) for x in row) for row in spec.J)
 
 
 def _dphi(spec: FrameSpec) -> tuple[Vector, ...]:
@@ -606,12 +543,15 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     Strict mode: unknown sections or keys are errors, as are non-constant
     structure constants, malformed matrices and any failed frame invariant.
     TOML booleans are rejected wherever an integer is accepted, although
-    Python counts them as integers.
+    Python counts them as integers.  Values nested too deeply for the parser
+    make the document malformed.
     """
     try:
         doc = tomllib.loads(text)
     except ValueError as exc:  # TOMLDecodeError, or an integer too long to convert
         raise SpecFormatError(str(exc)) from None
+    except RecursionError:  # arrays or inline tables nested past the parser's stack
+        raise SpecFormatError("values nest too deeply to parse") from None
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise SpecFormatError(f"unknown sections: {sorted(unknown)}")

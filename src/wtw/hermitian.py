@@ -56,8 +56,8 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .connection import cov_deriv_endo, gamma_rows, levi_civita, weyl
-from .frame import (Endo, FrameSpec, GateError, Vector, _accumulate, d_oneform,
-                    linear_combination, wedge_iso, wedge_oneforms)
+from .frame import (FrameSpec, GateError, Vector, _accumulate, d_oneform, linear_combination,
+                    wedge_iso, wedge_oneforms)
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -224,11 +224,11 @@ def require_gate(spec: FrameSpec) -> LeeData:
     return lee
 
 
-def _j_nabla_j(spec: FrameSpec) -> tuple[Endo, ...]:
+def _j_nabla_j(spec: FrameSpec) -> tuple[tuple[Vector, ...], ...]:
     """J o nabla_{E_x} J for each frame vector E_x, nabla the Levi-Civita
     connection: the one place it is formed."""
     j_endo = spec.j_endo()
-    return tuple(j_endo @ d for d in cov_deriv_endo(levi_civita(spec), j_endo))
+    return tuple(spec.compose(j_endo, d) for d in cov_deriv_endo(levi_civita(spec), j_endo))
 
 
 def nabla_j_checks(spec: FrameSpec) -> CheckReport:
@@ -259,14 +259,14 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
         twisted = spec.twist(dom[x])  # dOmega(X, J., J.)
         # g(N(Y, Z), JX)
         n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in ix]
-        residual.append([[spec.dot((nJ[x].comps[z][y], dom[x][y][z], twisted[y][z],
+        residual.append([[spec.dot((nJ[x][z][y], dom[x][y][z], twisted[y][z],
                                     n_jx[y][z]), (2, -1, 1, -1)) for z in ix] for y in ix])
     report.require_zero("nabla-J from d(Omega) and the Nijenhuis tensor", residual, axes)
 
     # twisted[z][x][y] = g((nabla_{JX} J)(JY), E_z)
-    twisted = [spec.twist([nJ[p].comps[z] for p in ix]) for z in ix]
+    twisted = [spec.twist([nJ[p][z] for p in ix]) for z in ix]
     report.require_zero("Gray integrability criterion", [[[
-        nJ[x].comps[z][y] - twisted[z][x][y] for z in ix] for y in ix] for x in ix], axes)
+        nJ[x][z][y] - twisted[z][x][y] for z in ix] for y in ix] for x in ix], axes)
 
     B = lee.B
     JB = spec.j_apply(B)
@@ -275,7 +275,7 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     def closed_form(x, y, l):
         # 2 (nabla_X J) Y - g(JX, Y) B + g(B, Y) JX, where g(J E_x, E_y) = J[y][x]
         # and -J[l][x] = J[x][l]
-        res = spec.dot((nJ[x].comps[l][y], J[y][x], J[x][l]), (2, minus_b[l], minus_b[y]))
+        res = spec.dot((nJ[x][l][y], J[y][x], J[x][l]), (2, minus_b[l], minus_b[y]))
         if x == y:
             res = res - JB[l]
         if l == x:
@@ -294,7 +294,6 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     report.require_zero("wedge image of J nabla-J through the Lee vector", residual, axes)
 
     lee_spec = spec.with_phi(lee.theta)
-    dj = cov_deriv_endo(weyl(lee_spec), lee_spec.j_endo())
     report.require_zero("J parallel for the Weyl connection of the Lee form",
-                        [direction.comps for direction in dj], axes)
+                        cov_deriv_endo(weyl(lee_spec), lee_spec.j_endo()), axes)
     return report

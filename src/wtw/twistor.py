@@ -9,9 +9,12 @@ built.  The fiber metric on endomorphisms is
 which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 (:func:`wtw.frame.wedge_iso`, re-exported here) sends a skew endomorphism
 ``a`` to the bivector with components ``g(a E_i, E_j)``, normalized so that
-``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.  Bivectors
-and 2-forms are n x n nested tuples, as in :mod:`wtw.frame`; endomorphisms are
-:class:`wtw.frame.Endo`.
+``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
+Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
+:mod:`wtw.frame`: products go through ``FrameSpec.compose``, and each sum or
+difference of endomorphisms, the commutator among them, is one
+``linear_combination``.  ``_is_vertical`` is the one test that an
+endomorphism is skew and anticommutes with J.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
@@ -54,8 +57,10 @@ one bivector, ``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies
 R and dphi to that w alone, through ``_bivector_terms``.
 
 :func:`vertical_checks` runs both fiber checks against every vertical direction,
-from the residual builders of the single-direction checks.  The vertical Gram is
-checked once, as the basis is built; ``dprime_eval`` writes it without pairing.
+from the residual builders of the single-direction checks.  The vertical Gram
+and the verticality of each element are checked once, as the basis is built;
+``dprime_eval`` writes the Gram without pairing, and only the public
+single-direction check tests the V it is given.
 
 ``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
 from the action on J and from D J; it forms no condition term, so comparing it
@@ -67,32 +72,45 @@ the conditions, the paper's equivalence.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
 from .curvature import Curvature, curvature
-from .frame import (Endo, FrameError, FrameSpec, _kron, eval_on_bivector, linear_combination,
-                    wedge_iso, wedge_oneforms)
+from .frame import (FrameError, FrameSpec, Vector, _is_skew, _kron, eval_on_bivector,
+                    linear_combination, wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Ring, Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
 from .reports import CheckReport
 
 
-def g_fiber(a: Endo, b: Endo) -> Scalar:
+def g_fiber(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...]) -> Scalar:
     """G(a, b) = 1/2 sum_i g(a E_i, b E_i)."""
-    return _g_against(b)(a)
+    return _g_against(spec, b)(a)
 
 
-def _g_against(b: Endo):
+def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
     """The map a -> G(a, b) for one b, summing over the nonzero entries of b only
     (the vertical directions and J are mostly zeros)."""
-    support = [(k, l) for k, row in enumerate(b.comps) for l, x in enumerate(row) if x]
-    values = [b.comps[k][l] for k, l in support]
-    dot = b.spec.ring.dot
+    support = [(k, l) for k, row in enumerate(b) for l, x in enumerate(row) if x]
+    values = [b[k][l] for k, l in support]
+    dot = spec.ring.dot
     half = Fraction(1, 2)
-    return lambda a: dot([a.comps[k][l] for k, l in support], values) * half
+    return lambda a: dot([a[k][l] for k, l in support], values) * half
+
+
+def _commutator(spec: FrameSpec, a: tuple[Vector, ...],
+                b: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """[a, b] = a o b - b o a."""
+    return linear_combination(spec, (1, -1), (spec.compose(a, b), spec.compose(b, a)))
+
+
+def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
+    """Whether V is vertical at J: skew, and V o J + J o V = 0."""
+    j_endo = spec.j_endo()
+    return _is_skew(V) and not any(chain.from_iterable(linear_combination(
+        spec, (1, 1), (spec.compose(V, j_endo), spec.compose(j_endo, V)))))
 
 
 def curvature_on_bivector(R: Curvature, b):
@@ -105,27 +123,30 @@ def curvature_on_bivector(R: Curvature, b):
                               [R.r[p][q] for p, q in planes])
 
 
-def endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
+def endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
     """R(E_i, E_j) acting on an endomorphism section: the commutator action."""
     return R.memo(_endo_curvature_action, S)
 
 
-def _endo_curvature_action(R: Curvature, S: Endo) -> "tuple[tuple[Endo, ...], ...]":
+def _endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
     # R(X, Y) = -R(Y, X)
-    return _antisymmetric(R.spec.n, Endo.zero(R.spec), lambda i, j: R.endo(i, j).commutator(S))
+    spec = R.spec
+    zero = ((spec.zero(),) * spec.n,) * spec.n
+    return _antisymmetric(spec.n, zero, lambda i, j: _commutator(spec, R.endo(i, j), S),
+                          lambda a: tuple(tuple(-x for x in row) for row in a))
 
 
-def _antisymmetric(n: int, zero, entry):
+def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):
     """The n x n array with entry(i, j) for i < j, its negative for i > j and
     ``zero`` on the diagonal; entry is called once per pair i < j."""
     out = [[zero] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         out[i][j] = entry(i, j)
-        out[j][i] = -out[i][j]
+        out[j][i] = negate(out[i][j])
     return tuple(tuple(row) for row in out)
 
 
-def endo_curvature_consistency(conn: Connection, S: Endo) -> None:
+def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
     """Assert the commutator action equals the gamma-based curvature on Hom.
 
     The gamma route: R(E_i,E_j)S = D2_{E_j E_i} S - D2_{E_i E_j} S, read from the
@@ -138,12 +159,14 @@ def endo_curvature_consistency(conn: Connection, S: Endo) -> None:
     conn.memo(_check_endo_curvature, S)
 
 
-def _check_endo_curvature(conn: Connection, S: Endo) -> None:
+def _check_endo_curvature(conn: Connection, S: tuple[Vector, ...]) -> None:
+    spec = conn.spec
     comm = endo_curvature_action(curvature(conn), S)
     second = second_cov_deriv_endo(conn, S)
     # both sides are antisymmetric in (i, j), so i < j suffices
-    for i, j in combinations(range(conn.spec.n), 2):
-        if not (second[j][i] - second[i][j] - comm[i][j]).is_zero:
+    for i, j in combinations(range(spec.n), 2):
+        residual = linear_combination(spec, (1, -1, -1), (second[j][i], second[i][j], comm[i][j]))
+        if any(chain.from_iterable(residual)):
             raise AssertionError(
                 "induced curvature mismatch between commutator action and "
                 f"double covariant derivative at ({i+1},{j+1})")
@@ -156,7 +179,7 @@ class VerticalBasis(NamedTuple):
     metric is ``2 * Identity``; expansions divide by ``norm_sq`` (= 2).
     """
 
-    elements: tuple[Endo, ...]
+    elements: tuple[tuple[Vector, ...], ...]
     labels: tuple[str, ...]
     norm_sq: Fraction
 
@@ -183,10 +206,10 @@ def _vertical_basis(spec: FrameSpec) -> VerticalBasis:
         # with J E_k and J E_i with E_k; each entry (x, y, v) sets S[y][x] = v = -S[x][y]
         for name, entries in (("A", ((i, k, 1), (p, q, -si * sk))),
                               ("B", ((i, q, sk), (p, k, si)))):
-            comps = [[zero] * n for _ in range(n)]
+            element = [[zero] * n for _ in range(n)]
             for x, y, v in entries:
-                comps[y][x], comps[x][y] = spec.const(v), spec.const(-v)
-            elements.append(Endo(spec, comps))
+                element[y][x], element[x][y] = spec.const(v), spec.const(-v)
+            elements.append(tuple(map(tuple, element)))
             labels.append(f"{name}[{r+1},{s+1}]")
     basis = VerticalBasis(tuple(elements), tuple(labels), Fraction(2))
     _validate_vertical(spec, basis)
@@ -194,16 +217,14 @@ def _vertical_basis(spec: FrameSpec) -> VerticalBasis:
 
 
 def _validate_vertical(spec: FrameSpec, basis: VerticalBasis) -> None:
-    j_endo = spec.j_endo()
     count = len(basis.elements)
     m = spec.n // 2
     if count != m * m - m:
         raise AssertionError(f"vertical basis has {count} elements, expected {m*m-m}")
-    for v in basis.elements:
-        if not v.is_skew or not v.anticommutes_with(j_endo):
-            raise AssertionError("vertical basis element not skew/anti-commuting")
+    if not all(_is_vertical(spec, v) for v in basis.elements):
+        raise AssertionError("vertical basis element not skew/anti-commuting")
     # one pairing closure per element: G(a, b) is against[b](a)
-    against = [_g_against(v) for v in basis.elements]
+    against = [_g_against(spec, v) for v in basis.elements]
     for a, v in enumerate(basis.elements):
         for b in range(count):
             expected = basis.norm_sq if a == b else 0
@@ -211,7 +232,8 @@ def _validate_vertical(spec: FrameSpec, basis: VerticalBasis) -> None:
                 raise AssertionError("vertical basis is not G-orthogonal with norm^2 = 2")
 
 
-def fiber_pairing_check(spec: FrameSpec, a: Endo, b: Endo) -> CheckReport:
+def fiber_pairing_check(spec: FrameSpec, a: tuple[Vector, ...],
+                        b: tuple[Vector, ...]) -> CheckReport:
     """Residual of the fiber-curvature pairing identity
 
     G(R(X,Y)a, b) = g(R([a,b]^) X, Y)
@@ -226,18 +248,18 @@ def fiber_pairing_check(spec: FrameSpec, a: Endo, b: Endo) -> CheckReport:
     return report
 
 
-def _fiber_pairing_residual(spec: FrameSpec, a: Endo, b: Endo):
+def _fiber_pairing_residual(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...]):
     """The pairing identity's residual at (E_i, E_j), as an n x n array."""
-    if not a.is_skew or not b.is_skew:
+    if not _is_skew(a) or not _is_skew(b):
         raise FrameError("pairing identity requires skew endomorphisms")
     conn = weyl(spec)
     R = curvature(conn)
     endo_curvature_consistency(conn, a)
     action = endo_curvature_action(R, a)
-    comm = a.commutator(b)
+    comm = _commutator(spec, a, b)
     bivector = _bivector_terms(R, wedge_iso(comm))
     endo = _endo_terms(spec, comm)
-    against_b = _g_against(b)
+    against_b = _g_against(spec, b)
     weights = (1, -1, Fraction(1, 2))
     ix = range(spec.n)
     return [[spec.dot((against_b(action[i][j]), bivector[i][j], endo[i][j]), weights)
@@ -252,10 +274,10 @@ def _bivector_terms(R: Curvature, w):
             for i, row in enumerate(curvature_on_bivector(R, w))]
 
 
-def _endo_terms(spec: FrameSpec, c: Endo):
+def _endo_terms(spec: FrameSpec, c: tuple[Vector, ...]):
     """dphi(c E_i, E_j) + dphi(E_i, c E_j) at [i][j].  As dphi is antisymmetric,
     the second term is the first at [j][i], negated: each is formed once."""
-    first = [spec.left(col, spec.dphi()) for col in zip(*c.comps)]
+    first = [spec.left(col, spec.dphi()) for col in zip(*c)]
     return [[value - first[j][i] for j, value in enumerate(row)]
             for i, row in enumerate(first)]
 
@@ -306,7 +328,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
     residual = []
     for y, (jn, jy) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
-        against_dj = _g_against(dj[y])
+        against_dj = _g_against(spec, dj[y])
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
         bivector = _bivector_terms(R, linear_combination(
             spec, (2, -1, 1),
@@ -325,7 +347,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     return report
 
 
-def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
+def vertical_antisymmetry_check(spec: FrameSpec, V: tuple[Vector, ...]) -> CheckReport:
     """Residual of G(R(X,Y)J, V) + G(R(X,Y)V, J) = 0 for vertical V.
 
     The two sides are computed differently.  G(R(X,Y)J, V) pairs V with the
@@ -334,21 +356,22 @@ def vertical_antisymmetry_check(spec: FrameSpec, V: Endo) -> CheckReport:
     G([R, V], J) = G(R, [V, J]) for skew V and any R, so it costs one
     commutator per V.  A wrong action on J therefore fails the check.
     """
+    if not _is_vertical(spec, V):
+        raise FrameError("V must be vertical at J (skew and anti-commuting)")
     report = CheckReport(title="vertical antisymmetry of the fiber curvature")
     report.require_zero("G(R(X,Y)J, V) = -G(R(X,Y)V, J)",
                         _vertical_antisymmetry_residual(spec, V), (spec.basis,) * 2)
     return report
 
 
-def _vertical_antisymmetry_residual(spec: FrameSpec, V: Endo):
-    """G(R(E_i,E_j)J, V) + G(R(E_i,E_j), [V, J]), as an n x n array."""
+def _vertical_antisymmetry_residual(spec: FrameSpec, V: tuple[Vector, ...]):
+    """G(R(E_i,E_j)J, V) + G(R(E_i,E_j), [V, J]), as an n x n array, for a V
+    known to be vertical."""
     j_endo = spec.j_endo()
-    if not V.is_skew or not V.anticommutes_with(j_endo):
-        raise FrameError("V must be vertical at J (skew and anti-commuting)")
     R = curvature(weyl(spec))
     act_j = endo_curvature_action(R, j_endo)
-    against_v = _g_against(V)
-    against_vj = _g_against(V.commutator(j_endo))
+    against_v = _g_against(spec, V)
+    against_vj = _g_against(spec, _commutator(spec, V, j_endo))
     # both sides are antisymmetric in (X, Y)
     return _antisymmetric(spec.n, spec.zero(),
                           lambda i, j: against_v(act_j[i][j]) + against_vj(R.endo(i, j)))
@@ -416,7 +439,7 @@ def dprime_eval(spec: FrameSpec) -> TwistorEval:
     gram = [[ring_t.zero()] * size for _ in range(size)]
     for i in range(size):
         gram[i][i] = ring_t.one() if i < n else t
-    against = [_g_against(v) for v in basis.elements]  # against[b](a) = G(a, V_b)
+    against = [_g_against(spec, v) for v in basis.elements]  # against[b](a) = G(a, V_b)
     # paired[i][j][alpha] = G(R(E_i, E_j) J, V_alpha)
     paired = [[[g(a) for g in against] for a in row] for row in act_j]
     scale = Fraction(1, 2) / basis.norm_sq
@@ -449,7 +472,7 @@ def h_trace(spec: FrameSpec):
     j_endo = spec.j_endo()
     conn = weyl(spec)
     act_j = endo_curvature_action(curvature(conn), j_endo)
-    against_dj = [_g_against(d) for d in cov_deriv_endo(conn, j_endo)]
+    against_dj = [_g_against(spec, d) for d in cov_deriv_endo(conn, j_endo)]
     return tuple(spec.ring.sum(g(row[k]) for g, row in zip(against_dj, act_j))
                  for k in range(spec.n))
 
@@ -479,10 +502,9 @@ def v_trace(spec: FrameSpec) -> VTraceData:
     n = spec.n
     second = second_cov_deriv_endo(weyl(spec), spec.j_endo())
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
-    form = [[spec.ring.sum(second[i][i].comps[k][l] for i in range(n)) for k in range(n)]
+    form = [[spec.ring.sum(second[i][i][k][l] for i in range(n)) for k in range(n)]
             for l in range(n)]
-    direct = tuple(tuple(a - b for a, b in zip(row, twisted))
-                   for row, twisted in zip(form, spec.twist(form)))
+    direct = linear_combination(spec, (1, -1), (form, spec.twist(form)))
     closed = tuple(tuple(-value for value in row) for row in condition_i_pairing(spec))
     return VTraceData(direct=direct, closed_form=closed)
 
@@ -507,8 +529,8 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     report.notes["h_unit"] = "+1"
     v = v_trace(spec)
     report.require_zero("vertical trace paths agree",
-                        [[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(v.direct, v.closed_form)], (basis,) * 2)
+                        linear_combination(spec, (1, -1), (v.direct, v.closed_form)),
+                        (basis,) * 2)
     pairs = list(combinations(range(spec.n), 2))
     report.require_zero("vertical trace equals negated condition (i) residuals",
                         [v.closed_form[k][l] + c for (k, l), c in zip(pairs, condition_i(spec))],

@@ -6,15 +6,17 @@ Usage, from anywhere in the repository:
 
 Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 (the ``src`` directory of a checkout).  Every run is ``python -m wtw`` with
-``WTW_COLOR=0`` and that directory on ``PYTHONPATH``, over the built-ins and
-every document under ``tests/data``:
+``WTW_COLOR=0`` and that directory on ``PYTHONPATH``, over the built-ins, every
+document under ``tests/data`` and the dense-J documents of
+``tests/frame_families.py`` (inoue-s0 and hyperbolic6 in a Cayley-rotated
+basis, where ``suite`` exits 2), written to a temporary directory:
 
 * every verb, in table and JSON format; ``verify`` gets ``--assign`` with the
   source's first symbol set to 0, and runs without it where there is none;
 * ``--dim4`` on ``conditions``, ``verify`` and ``report`` at n = 4;
 * ``report`` with that ``--assign``;
 * ``suite`` in table format on the n = 16 hyperbolic, Vaisman and Inoue-type
-  documents of ``tests/frame_families.py``, written to a temporary directory.
+  documents of ``tests/frame_families.py``, written to the same directory.
 
 Two runs agree when their stdout, stderr and exit code are equal.  The
 (old, new) pairs run on ``os.cpu_count()`` worker threads, each pair one
@@ -58,20 +60,21 @@ def _document_frame(path: pathlib.Path) -> tuple[list, object]:
     return frame.get("symbols", []), frame.get("dimension")
 
 
-def sources() -> list[tuple[str, list[str], list, object]]:
-    """(name, arguments, symbols, dimension) for each built-in and document."""
+def sources(dense: pathlib.Path) -> list[tuple[str, list[str], list, object]]:
+    """(name, arguments, symbols, dimension) for each built-in and document;
+    ``dense`` holds the documents of ``frame_families.DENSE_J``."""
     out = [(name, args, BUILTIN_SYMBOLS, 4) for name, args in BUILTINS.items()]
-    for path in sorted(DATA.glob("*.toml")):
+    for path in [*sorted(DATA.glob("*.toml")), *(dense / name for name in frame_families.DENSE_J)]:
         symbols, dimension = _document_frame(path)
         out.append((path.name, ["--spec", str(path)], symbols, dimension))
     return out
 
 
-def cases(largest: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
-    """(verb, source, format, argv) for every run; ``largest`` holds the
-    documents of ``frame_families.LARGEST``."""
+def cases(directory: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
+    """(verb, source, format, argv) for every run; ``directory`` holds the
+    documents of ``frame_families.DENSE_J`` and ``frame_families.LARGEST``."""
     out = []
-    for name, source, symbols, dimension in sources():
+    for name, source, symbols, dimension in sources(directory):
         assign = ["--assign", f"{symbols[0]}=0"] if symbols else []
         for fmt in ("table", "json"):
             tail = [*source, "--format", fmt]
@@ -84,7 +87,7 @@ def cases(largest: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
             if assign:
                 out.append(("report --assign", name, fmt, ["report", *tail, *assign]))
     for name in frame_families.LARGEST:
-        out.append(("suite", name, "table", ["suite", "--spec", str(largest / name)]))
+        out.append(("suite", name, "table", ["suite", "--spec", str(directory / name)]))
     return out
 
 
@@ -100,9 +103,10 @@ def main(argv: list[str]) -> int:
         sys.stderr.write("usage: python tests/cli_diff.py OLD_SRC NEW_SRC\n")
         return 2
     old, new = (str(pathlib.Path(path).resolve()) for path in argv)
-    with tempfile.TemporaryDirectory() as largest:
-        frame_families.write(pathlib.Path(largest), frame_families.LARGEST)
-        runs = cases(pathlib.Path(largest))
+    with tempfile.TemporaryDirectory() as directory:
+        frame_families.write(pathlib.Path(directory),
+                             {**frame_families.DENSE_J, **frame_families.LARGEST})
+        runs = cases(pathlib.Path(directory))
         with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
             differs = list(pool.map(lambda case: run(old, case[3]) != run(new, case[3]), runs))
         diffs = [case for case, differ in zip(runs, differs) if differ]

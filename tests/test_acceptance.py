@@ -292,7 +292,8 @@ def test_criterion_7_lee_weyl_form_trivial(inoue, kodairas):
     for base in (inoue, *kodairas.values()):
         spec = base.with_phi(lee_form(base).theta)
         dj = cov_deriv_endo(weyl(spec), spec.j_endo())
-        ok = ok and all(direction.is_zero for direction in dj)
+        ok = ok and all(entry.is_zero for direction in dj for row in direction
+                        for entry in row)
         ok = ok and all(entry.is_zero for entry in h_trace(spec))
         data = v_trace(spec)
         ok = ok and all(entry.is_zero for row in data.direct for entry in row)

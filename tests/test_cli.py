@@ -145,6 +145,21 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, nested", [("matrix", "[" * 1000 + "]" * 1000),
+                                             ("x", "{a = " * 400 + "1" + "}" * 400)],
+                             ids=["arrays", "inline-tables"])
+    def test_deeply_nested_document_is_one_line_spec_error(self, tmp_path, key, nested):
+        """A value nested past the depth the TOML parser's recursion reaches
+        makes the document malformed."""
+        text = (DATA / "inoue_lee.toml").read_text()
+        text = re.sub(r"matrix = \[.*?\n\]", lambda _: f"{key} = {nested}", text, flags=re.S)
+        assert nested in text
+        path = tmp_path / "nested.toml"
+        path.write_text(text)
+        status, out, err = run(["validate", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("spec error: ") and err.count("\n") == 1
+
     def test_exponent_overflow_is_one_line_error(self, tmp_path):
         # a1^20000 is below the exponent cap, so the document loads; the Weyl
         # curvature squares phi, which passes the cap

@@ -120,7 +120,7 @@ class TestRationalLayer:
         spec = ROUTE_FRAMES[name]()
         n, zero, J = spec.n, spec.zero(), spec.J
         nabla_j = cov_deriv_endo(levi_civita(spec), spec.j_endo())
-        delta_j = [-sum((nabla_j[i].comps[l][i] for i in range(n)), zero) for l in range(n)]
+        delta_j = [-sum((nabla_j[i][l][i] for i in range(n)), zero) for l in range(n)]
         b = [sum((delta_j[k] * J[l][k] for k in range(n)), zero) * Fraction(2, n - 2)
              for l in range(n)]
         assert lee_form(spec).theta == tuple(b)
@@ -257,7 +257,7 @@ class TestRicciFormulas:
         nabla_jstar_phi = cov_deriv_oneform(lc, jstar_phi)
         nabla_j = cov_deriv_endo(lc, spec.j_endo())
         delta_jstar_phi = -sum((nabla_jstar_phi[i][i] for i in range(n)), zero)
-        delta_j = [-sum((nabla_j[i].comps[l][i] for i in range(n)), zero) for l in range(n)]
+        delta_j = [-sum((nabla_j[i][l][i] for i in range(n)), zero) for l in range(n)]
         phi_delta_j = sum((spec.phi[l] * delta_j[l] for l in range(n)), zero)
         assert spec.memo(curvature_module._phi_on_j) == delta_jstar_phi - phi_delta_j
 

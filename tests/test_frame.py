@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frame_families
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, sharp, weyl)
-from wtw.frame import Endo, linear_combination, wedge_iso, wedge_oneforms
+from wtw.frame import linear_combination, wedge_iso, wedge_oneforms
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_twoform, _wedge_one_two
 from wtw.hermitian import _lee_residual, fundamental_form, lee_form, nijenhuis
@@ -436,58 +437,20 @@ class TestValidation:
         assert spec == inoue
 
 
-def _matmul(A, B):
-    return [[sum(A[i][m] * B[m][j] for m in range(len(B))) for j in range(len(B[0]))]
-            for i in range(len(A))]
-
-
-def _inverse(A):
-    """Gauss-Jordan inverse of an invertible rational matrix."""
-    n = len(A)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def _cayley(n: int):
-    """The standard J0 and the Cayley transform Q = (I - A)(I + A)^-1 of a
-    rational skew A that does not commute with J0; Q is orthogonal."""
-    J0 = [[Fraction(0)] * n for _ in range(n)]
-    for b in range(0, n, 2):
-        J0[b + 1][b], J0[b][b + 1] = Fraction(1), Fraction(-1)
-    A = [[Fraction(j - i, 2) if abs(j - i) == 1 else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    assert _matmul(A, J0) != _matmul(J0, A)
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    Q = _matmul([[e - a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)],
-                _inverse([[e + a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)]))
-    return J0, Q
-
-
 def _dense_j(n: int):
-    """Q J0 Q^T: orthogonal, J^2 = -I, and not a signed permutation."""
-    J0, Q = _cayley(n)
-    return _matmul(_matmul(Q, J0), [list(col) for col in zip(*Q)])
+    """Q J0 Q^T for the standard J0: orthogonal, J^2 = -I, and not a signed
+    permutation."""
+    Q = frame_families.cayley(n)
+    return frame_families.matmul(frame_families.matmul(Q, frame_families.standard_j(n)),
+                                 [list(col) for col in zip(*Q)])
 
 
 def _rotated(base: FrameSpec, name: str) -> FrameSpec:
-    """``base`` in the orthonormal basis F_i = sum_a Q[i][a] E_a of ``_cayley``,
-    with the Weyl form of the base's symbols in the new basis."""
-    n = base.n
-    _, Q = _cayley(n)
-    c, ix = base.c, range(n)
-    brackets = {(i, j): {k: sum(Q[i][a] * Q[j][b] * c[a][b][m] * Q[k][m]
-                                for a in ix for b in ix for m in ix) for k in ix}
-                for i in ix for j in range(i + 1, n)}
-    J = _matmul(_matmul(Q, base.J), [list(col) for col in zip(*Q)])
-    return FrameSpec.create(dimension=n, symbols=base.ring.symbols, brackets=brackets,
+    """``base`` in the orthonormal basis F_i = sum_a Q[i][a] E_a of
+    ``frame_families.cayley``, with the Weyl form of the base's symbols in the
+    new basis."""
+    brackets, J = frame_families.rotate(base.c, base.J)
+    return FrameSpec.create(dimension=base.n, symbols=base.ring.symbols, brackets=brackets,
                             J=J, phi=base.ring.symbols, name=name)
 
 
@@ -559,22 +522,20 @@ class TestContractionsOnDenseJ:
         assert spec.right(wide, nothing) == (z,) * n
 
     def test_endo_product_and_linear_combination(self, data):
-        """``Endo @`` against the triple loop, on the dense J, the dense
-        orthogonal Q of ``_cayley`` and symbolic matrices, one with a zero
-        column; ``linear_combination`` against entrywise weighted sums, and
-        all-zero weights give the n x n zero array."""
+        """``compose`` against the triple loop, on the dense J, the dense
+        orthogonal Q of ``frame_families.cayley`` and symbolic matrices, one
+        with a zero column; ``linear_combination`` against entrywise weighted
+        sums, and all-zero weights give the n x n zero array."""
         spec, u, _, M = data
         n, z = spec.n, spec.zero()
-        _, Q = _cayley(n)
+        Q = frame_families.cayley(n)
         assert all(Q[i][j] for i in range(n) for j in range(n))
-        gapped = [list(row) for row in M]
-        for row in gapped:
-            row[1] = z
-        endos = (spec.j_endo(), Endo.from_rational(spec, Q), Endo(spec, M), Endo(spec, gapped))
+        gapped = tuple(row[:1] + (z,) + row[2:] for row in M)
+        endos = (spec.j_endo(), tuple(tuple(spec.const(x) for x in row) for row in Q), M, gapped)
         for a in endos:
             for b in endos:
-                assert (a @ b).comps == tuple(tuple(
-                    sum((a.comps[i][m] * b.comps[m][j] for m in range(n)), z)
+                assert spec.compose(a, b) == tuple(tuple(
+                    sum((a[i][m] * b[m][j] for m in range(n)), z)
                     for j in range(n)) for i in range(n))
         arrays = (M, spec.J, Q)
         for weights in ((u[0], 0, Fraction(-3, 2)), (z, u[1], 1)):
@@ -597,10 +558,10 @@ def test_cov_deriv_endo_matches_its_definition(frame):
     for conn in (levi_civita(spec), weyl(spec)):
         g = conn.gamma
         for S in (spec.j_endo(), curvature(weyl(spec)).endo(0, 1)):
-            s, derived = S.comps, cov_deriv_endo(conn, S)
+            derived = cov_deriv_endo(conn, S)
             for i in range(n):
-                assert derived[i].comps == tuple(tuple(
-                    sum((g[i][k][l] * s[k][j] - s[l][k] * g[i][j][k] for k in range(n)), z)
+                assert derived[i] == tuple(tuple(
+                    sum((g[i][k][l] * S[k][j] - S[l][k] * g[i][j][k] for k in range(n)), z)
                     for j in range(n)) for l in range(n))
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 import frame_families
-from wtw import load_spec
+from wtw import builtin, load_spec
 from wtw.hermitian import lee_form, require_gate
 
 
@@ -35,3 +35,18 @@ def test_largest_members_pass_the_gate():
         spec = load_spec(text)
         assert spec.n == 16
         require_gate(spec)
+
+
+def test_dense_j_documents_are_the_rotated_frames():
+    """The dense-J documents are inoue-s0 and hyperbolic6 in the rotated basis
+    the library tests build in process, and J has no zero off the diagonal."""
+    from test_frame import _rotated
+
+    bases = {"inoue_s0_rotated.toml": builtin("inoue-s0"),
+             "hyperbolic6_rotated.toml": load_spec(frame_families.hyperbolic(6))}
+    assert set(bases) == set(frame_families.DENSE_J)
+    for name, base in bases.items():
+        spec = load_spec(frame_families.DENSE_J[name], name=name)
+        rotated = _rotated(base, name)
+        assert (spec.c, spec.J, spec.phi) == (rotated.c, rotated.J, rotated.phi)
+        assert all(spec.J[i][j] for i in range(spec.n) for j in range(spec.n) if i != j)

@@ -41,6 +41,7 @@ import pytest
 
 from wtw import builtin, connection, load_spec_file, pseudoharmonic, twistor
 from wtw.cli import _suite_report
+from wtw.frame import linear_combination
 
 curvature = importlib.import_module("wtw.curvature")
 DATA = pathlib.Path(__file__).parent / "data"
@@ -213,7 +214,7 @@ def _endo_transpose_sign(monkeypatch):
     the opposite sign: dphi(cX, Y) - dphi(X, cY), which is dphi(cX, Y) +
     dphi(cY, X) as dphi is antisymmetric."""
     def mutated(spec, c):
-        first = [spec.left(col, spec.dphi()) for col in zip(*c.comps)]
+        first = [spec.left(col, spec.dphi()) for col in zip(*c)]
         return [[value + first[j][i] for j, value in enumerate(row)]
                 for i, row in enumerate(first)]
 
@@ -231,7 +232,8 @@ def _action_entry(monkeypatch):
             return out
         v = twistor.vertical_basis(R.spec).elements[0]
         rows = [list(row) for row in out]
-        rows[0][1], rows[1][0] = rows[0][1] + v, rows[1][0] - v
+        rows[0][1] = linear_combination(R.spec, (1, 1), (rows[0][1], v))
+        rows[1][0] = linear_combination(R.spec, (1, -1), (rows[1][0], v))
         return tuple(tuple(row) for row in rows)
 
     monkeypatch.setattr(twistor, "_endo_curvature_action", mutated)

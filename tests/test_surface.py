@@ -24,7 +24,7 @@ SRC = pathlib.Path(wtw.__file__).resolve().parent.parent
 EXPORTS = {
     "polyalg": ("ExponentOverflowError", "PolynomialParseError", "Ring", "RingMismatchError",
                 "Scalar", "normalize_up_to_unit", "normalized_system"),
-    "frame": ("Endo", "FrameError", "FrameSpec", "GateError", "SpecFormatError", "builtin",
+    "frame": ("FrameError", "FrameSpec", "GateError", "SpecFormatError", "builtin",
               "d_oneform", "eval_on_bivector", "load_spec", "load_spec_file", "sharp",
               "wedge_iso"),
     "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",

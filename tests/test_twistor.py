@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from wtw import (Endo, FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo,
+from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo,
                  levi_civita, load_spec, load_spec_file, twistor)
-from wtw.frame import FrameError
+from wtw.frame import FrameError, linear_combination
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (dprime_eval, endo_curvature_consistency, g_fiber,
                          h_trace, vertical_antisymmetry_check, fiber_pairing_check, v_trace,
@@ -32,35 +32,49 @@ def _random_skew(spec, seed):
             value = spec.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
             comps[i][j] = value
             comps[j][i] = -value
-    return Endo(spec, comps)
+    return tuple(map(tuple, comps))
 
 
 def _pair_endo(spec, i, j):
     comps = [[spec.zero()] * spec.n for _ in range(spec.n)]
     comps[j][i] = spec.const(1)
     comps[i][j] = spec.const(-1)
-    return Endo(spec, comps)
+    return tuple(map(tuple, comps))
+
+
+def _identity(spec):
+    return tuple(tuple(spec.const(int(i == j)) for j in range(spec.n)) for i in range(spec.n))
+
+
+def _is_vertical(spec, a):
+    """Skew and anticommuting with J, entry by entry."""
+    j = spec.j_endo()
+    return (a == tuple(tuple(-x for x in col) for col in zip(*a))
+            and all((x + y).is_zero for ra, rb in zip(spec.compose(a, j), spec.compose(j, a))
+                    for x, y in zip(ra, rb)))
 
 
 class TestFiberMetric:
     def test_half_trace_of_j(self, inoue, heisenberg6):
-        assert g_fiber(inoue.j_endo(), inoue.j_endo()) == inoue.const(2)
-        assert g_fiber(heisenberg6.j_endo(), heisenberg6.j_endo()) == heisenberg6.const(3)
+        assert g_fiber(inoue, inoue.j_endo(), inoue.j_endo()) == inoue.const(2)
+        assert (g_fiber(heisenberg6, heisenberg6.j_endo(), heisenberg6.j_endo())
+                == heisenberg6.const(3))
 
     def test_plane_rotations_are_unit(self, inoue):
         s12 = _pair_endo(inoue, 0, 1)
-        assert g_fiber(s12, s12) == inoue.const(1)
+        assert g_fiber(inoue, s12, s12) == inoue.const(1)
 
     def test_vertical_orthogonal_to_j(self, inoue):
         j = inoue.j_endo()
         for v in vertical_basis(inoue).elements:
-            assert g_fiber(j, v).is_zero
+            assert g_fiber(inoue, j, v).is_zero
 
     def test_equals_negative_half_trace_of_composition_on_skew(self, inoue):
         a = _random_skew(inoue, 21)
         b = _random_skew(inoue, 22)
-        composed = a @ b
-        assert (g_fiber(a, b) + Fraction(1, 2) * composed.trace()).is_zero
+        composed = inoue.compose(a, b)
+        trace = sum((composed[i][i] for i in range(4)), inoue.zero())
+        assert (g_fiber(inoue, a, b) + Fraction(1, 2) * trace).is_zero
 
 
 class TestWedgeIso:
@@ -70,19 +84,19 @@ class TestWedgeIso:
         assert str(b[2][3]) == "1"
 
     def test_zero(self, inoue):
-        assert all(entry.is_zero for row in wedge_iso(Endo.zero(inoue)) for entry in row)
+        zero = ((inoue.zero(),) * 4,) * 4
+        assert all(entry.is_zero for row in wedge_iso(zero) for entry in row)
 
     def test_requires_skew(self, inoue):
         with pytest.raises(FrameError):
-            wedge_iso(Endo.identity(inoue))
+            wedge_iso(_identity(inoue))
 
     def test_commutator_with_vertical_is_plane_difference(self, inoue):
         # [J, V] for vertical V stays vertical, hence lands in the
         # anti-invariant bivectors Z ^ U - JZ ^ JU
         j = inoue.j_endo()
         for v in vertical_basis(inoue).elements:
-            comm = j.commutator(v)
-            b = wedge_iso(comm)
+            b = wedge_iso(twistor._commutator(inoue, j, v))
             J = inoue.J
             for p in range(4):
                 for q in range(4):
@@ -106,11 +120,10 @@ class TestVerticalBasis:
         basis = vertical_basis(spec)
         j = spec.j_endo()
         for a_idx, a in enumerate(basis.elements):
-            assert a.is_skew
-            assert a.anticommutes_with(j)
+            assert _is_vertical(spec, a)
             for b_idx, b in enumerate(basis.elements):
                 expected = basis.norm_sq if a_idx == b_idx else 0
-                assert g_fiber(a, b) == spec.const(expected)
+                assert g_fiber(spec, a, b) == spec.const(expected)
 
 
 class TestCurvatureOnEndomorphisms:
@@ -129,7 +142,8 @@ class TestCurvatureOnEndomorphisms:
         def perturbed(R, S):
             action = [list(row) for row in compute(R, S)]
             i, j = pair
-            action[i][j] = action[i][j] + Endo.identity(R.spec)
+            action[i][j] = linear_combination(R.spec, (1, 1),
+                                              (action[i][j], _identity(R.spec)))
             return tuple(tuple(row) for row in action)
 
         monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
@@ -165,7 +179,7 @@ class TestCurvatureOnEndomorphisms:
 
     def test_vertical_antisymmetry_rejects_non_vertical(self, inoue):
         with pytest.raises(FrameError):
-            vertical_antisymmetry_check(inoue, Endo.identity(inoue))
+            vertical_antisymmetry_check(inoue, _identity(inoue))
 
     def test_vertical_antisymmetry_fails_on_a_wrong_action(self, monkeypatch):
         """The two sides are computed differently: the action on J is read from
@@ -173,7 +187,7 @@ class TestCurvatureOnEndomorphisms:
         the commutator to [S, R] must fail the check, naming an index."""
         def reversed_action(R, S):
             n = R.spec.n
-            return tuple(tuple(S.commutator(R.endo(i, j)) for j in range(n))
+            return tuple(tuple(twistor._commutator(R.spec, S, R.endo(i, j)) for j in range(n))
                          for i in range(n))
 
         monkeypatch.setattr(twistor, "_endo_curvature_action", reversed_action)
@@ -237,11 +251,11 @@ class TestTwistorEval:
         j = inoue.j_endo()
         for i in range(4):
             for jdx in range(4):
-                action = R.endo(i, jdx).commutator(j)
-                rebuilt = Endo.zero(inoue)
-                for alpha, v in enumerate(basis.elements):
-                    rebuilt = rebuilt + v.scale(te.hh_vertical[i][jdx][alpha])
-                assert (rebuilt - action.scale(Fraction(1, 2))).is_zero
+                action = twistor._commutator(inoue, R.endo(i, jdx), j)
+                rebuilt = tuple(tuple(
+                    sum((c * v[k][l] for c, v in zip(te.hh_vertical[i][jdx], basis.elements)),
+                        inoue.zero()) for l in range(4)) for k in range(4))
+                assert rebuilt == tuple(tuple(x * Fraction(1, 2) for x in row) for row in action)
 
     def test_vh_pairing_value(self, inoue):
         te = dprime_eval(inoue)
@@ -252,7 +266,7 @@ class TestTwistorEval:
         for alpha, v in enumerate(basis.elements):
             for i in range(4):
                 for jdx in range(4):
-                    pairing = g_fiber(R.endo(i, jdx).commutator(j), v)
+                    pairing = g_fiber(inoue, twistor._commutator(inoue, R.endo(i, jdx), j), v)
                     expected = pairing.lift(te.ring_t) * t * Fraction(-1, 2)
                     assert te.vh_pairing[alpha][i][jdx] == expected
 
@@ -332,18 +346,20 @@ def _oracle_basis(spec):
     n = spec.n
     frame = _adapted_frame(spec)
 
-    def pair_endo(a, b):
-        # S_ab in the adapted frame, pushed to frame coordinates: f_b f_a^T - f_a f_b^T
-        fa, fb = frame[a], frame[b]
-        return Endo(spec, [[spec.const(fb[k] * fa[l] - fa[k] * fb[l])
-                            for l in range(n)] for k in range(n)])
+    def pair_endo(a, b, c, d, sign):
+        # S_ab + sign S_cd in the adapted frame, pushed to frame coordinates,
+        # where S_ab = f_b f_a^T - f_a f_b^T
+        fa, fb, fc, fd = frame[a], frame[b], frame[c], frame[d]
+        return tuple(tuple(spec.const(fb[k] * fa[l] - fa[k] * fb[l]
+                                      + sign * (fd[k] * fc[l] - fc[k] * fd[l]))
+                           for l in range(n)) for k in range(n))
 
     elements, labels = [], []
     for r in range(n // 2 - 1):
         for s in range(r + 1, n // 2):
-            elements.append(pair_endo(2 * r, 2 * s) - pair_endo(2 * r + 1, 2 * s + 1))
+            elements.append(pair_endo(2 * r, 2 * s, 2 * r + 1, 2 * s + 1, -1))
             labels.append(f"A[{r+1},{s+1}]")
-            elements.append(pair_endo(2 * r, 2 * s + 1) + pair_endo(2 * r + 1, 2 * s))
+            elements.append(pair_endo(2 * r, 2 * s + 1, 2 * r + 1, 2 * s, 1))
             labels.append(f"B[{r+1},{s+1}]")
     return tuple(elements), tuple(labels)
 
@@ -483,7 +499,7 @@ def test_vertical_basis_is_kept_on_the_spec():
 
 def test_one_suite_builds_each_dj_image_once(monkeypatch):
     """J o nabla_X J is formed once per spec, although the nabla-J checks and
-    the DJ pairing both read it: a whole ``suite`` forms J @ nabla_X J once per
+    the DJ pairing both read it: a whole ``suite`` forms J o nabla_X J once per
     frame vector X, and the DJ pairing, the one reader of the wedge images,
     hands each image to wedge_iso once.  Per direction Y it forms phi# ^ Y
     once, adds it, the image and J phi# ^ JY into one bivector, and hands
@@ -495,15 +511,15 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     spec = builtin("inoue-s0")
     j_endo = spec.j_endo()
     nabla_j = cov_deriv_endo(levi_civita(spec), j_endo)  # kept: the suite reads these
-    # phi, J @ nabla_X J and every value formed from them by the wrapped helpers
+    # phi, J o nabla_X J and every value formed from them by the wrapped helpers
     tracked, calls = [spec.phi], collections.Counter()
-    matmul = Endo.__matmul__
+    compose = FrameSpec.compose
 
-    def counting_matmul(a, b):
-        out = matmul(a, b)
+    def counting_compose(self, a, b):
+        out = compose(self, a, b)
         if a is j_endo and any(b is d for d in nabla_j):
             tracked.append(out)
-            calls["J @ nabla J"] += 1
+            calls["J o nabla J"] += 1
         return out
 
     def counting(name, reads):
@@ -519,7 +535,7 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
             return out
         monkeypatch.setattr(twistor, name, wrapper)
 
-    monkeypatch.setattr(Endo, "__matmul__", counting_matmul)
+    monkeypatch.setattr(FrameSpec, "compose", counting_compose)
     counting("wedge_iso", lambda args: args[:1])
     counting("wedge_oneforms", lambda args: args[1:2])
     counting("linear_combination", lambda args: args[2])
@@ -527,7 +543,7 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     counting("eval_on_bivector", lambda args: args[2:])
     assert _suite_report(spec).ok
     n = spec.n
-    assert calls == {"J @ nabla J": n, "wedge_iso": n, "wedge_oneforms": n,
+    assert calls == {"J o nabla J": n, "wedge_iso": n, "wedge_oneforms": n,
                      "linear_combination": n, "curvature_on_bivector": n,
                      "eval_on_bivector": n}
 
@@ -592,13 +608,14 @@ def test_a_perturbed_action_on_j_fails_the_horizontal_equivalence(monkeypatch):
     spec = load_spec_file(path)
     dj = cov_deriv_endo(weyl(spec), spec.j_endo())
     i, v = next((i, v) for i, d in enumerate(dj) for v in vertical_basis(spec).elements
-                if not g_fiber(v, d).is_zero)
+                if not g_fiber(spec, v, d).is_zero)
     j = (i + 1) % spec.n
     original = twistor._endo_curvature_action
 
     def perturbed(R, S):
         action = [list(row) for row in original(R, S)]
-        action[i][j], action[j][i] = action[i][j] + v, action[j][i] - v
+        action[i][j] = linear_combination(spec, (1, 1), (action[i][j], v))
+        action[j][i] = linear_combination(spec, (1, -1), (action[j][i], v))
         return tuple(tuple(row) for row in action)
 
     monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
