@@ -9,12 +9,10 @@ For the Levi-Civita connection of the identity Gram matrix the Koszul
 formula collapses to ``2 gamma[i][j][k] = c[i][j][k] - c[i][k][j] - c[j][k][i]``.
 Each nonzero structure constant enters three gammas, so the gammas are
 accumulated from the spec's nonzero bracket rows alone, as the sparse int
-rows of :func:`gamma_rows` over twice the bracket denominator.  The rows
-depend on c alone: they are kept on the spec and handed on by ``restrict``
-and ``with_phi``.  The phi-free layer reads them in ints (the Levi-Civita
-curvature and its traces in :mod:`wtw.curvature`, the Lee form in
-:mod:`wtw.hermitian`), and the Levi-Civita connection lifts only their
-nonzero entries to scalars.
+rows of :func:`gamma_rows` over twice the bracket denominator, kept on the
+spec.  The phi-free layer reads them in ints (the Levi-Civita curvature and
+its traces in :mod:`wtw.curvature`, the Lee form in :mod:`wtw.hermitian`),
+and the Levi-Civita connection lifts only their nonzero entries to scalars.
 The Weyl connection of the 1-form phi is
 
     D_X Y = nabla_X Y - 1/2 [phi(X) Y + phi(Y) X - g(X, Y) phi#].
@@ -41,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector, _phi_free, linear_combination
+from .frame import FrameSpec, Memo, Vector, linear_combination
 from .polyalg import Scalar
 
 
@@ -75,7 +73,6 @@ def gamma_rows(spec: FrameSpec) -> tuple[int, list]:
     return spec.memo(_gamma_rows)
 
 
-@_phi_free
 def _gamma_rows(spec: FrameSpec) -> tuple[int, list]:
     n = spec.n
     den, rows = spec.bracket_rows()
@@ -175,8 +172,9 @@ def torsion_residual(conn: Connection):
     """gamma[i][j][k] - gamma[j][i][k] - c[i][j][k]; identically zero."""
     spec = conn.spec
     n = spec.n
+    g = conn.gamma
     return tuple(tuple(tuple(
-        conn.gamma[i][j][k] - conn.gamma[j][i][k] - spec.c[i][j][k]
+        spec.dot((g[i][j][k], g[j][i][k], spec.c[i][j][k]), (1, -1, -1))
         for k in range(n)) for j in range(n)) for i in range(n))
 
 

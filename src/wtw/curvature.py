@@ -26,10 +26,9 @@ rho_g and rho*_g are traced from it in ints, rho*_g through the columns of
 J, and each is lifted to scalars once.  ``curvature(levi_civita(spec))`` is
 the lift of that tensor, and the closed formulas read the lifted traces, so
 the polynomial contraction of the gammas serves the Weyl connection alone.
-The three depend on c and J alone, so ``restrict`` and ``with_phi`` hand
-them on.  Each check therefore compares the two layers: the Phi-correction
-route and the closed formulas read the rational R_g, and the direct Weyl
-curvature and its traces the contraction of the Weyl gammas.
+Each check therefore compares the two layers: the Phi-correction route and
+the closed formulas read the rational R_g, and the direct Weyl curvature and
+its traces the contraction of the Weyl gammas.
 
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
@@ -45,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .connection import Connection, cov_deriv_oneform, gamma_rows, levi_civita, weyl
-from .frame import FrameSpec, Memo, _accumulate, _kron, _phi_free
+from .frame import FrameSpec, Memo, _accumulate, _kron
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -96,7 +95,6 @@ def _curvature(conn: Connection) -> Curvature:
     return Curvature(spec, tuple(tuple(row) for row in r), conn.kind)
 
 
-@_phi_free
 def _levi_civita_r(spec: FrameSpec) -> tuple[int, list]:
     """R_g as ``(den, r)``, ints over ``den = (2 den_c)^2``: ``r[i][j][k]`` maps l
     to den * g(R(E_i, E_j) E_k, E_l), read from the bracket and gamma rows."""
@@ -120,7 +118,6 @@ def _levi_civita_r(spec: FrameSpec) -> tuple[int, list]:
     return den * den, r
 
 
-@_phi_free
 def _levi_civita_ricci(spec: FrameSpec):
     """rho_g and rho*_g traced in ints from R_g and lifted once: rho_g[i][k] =
     sum_j r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]

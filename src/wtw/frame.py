@@ -53,11 +53,9 @@ and ``left(omega, J)`` is the 1-form ``omega o J``.
 Sparse supports: each spec keeps the nonzero part of its rational data once,
 as int numerators over one common denominator: ``bracket_rows()`` lists
 ``(k, c_ijk)`` for each pair (i, j), and ``j_columns()`` lists ``(p, J[p][i])``
-for each column ``J E_i``.  They depend on ``c`` and ``J`` alone, so a spec
-made by ``restrict`` or ``with_phi`` shares them, and so it does every memo
-of a later layer marked :func:`_phi_free`.  The symbol-free layer walks only
-these supports: ``validate`` and, in the later layers, the Levi-Civita
-gammas, their curvature and its traces, the Lee form and the Nijenhuis tensor
+for each column ``J E_i``.  The symbol-free layer walks only these
+supports: ``validate`` and, in the later layers, the Levi-Civita gammas,
+their curvature and its traces, the Lee form and the Nijenhuis tensor
 accumulate ints and lift each nonzero result to a scalar once
 (:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else;
 ``d_oneform`` calls the kernel only where a bracket row is nonzero.
@@ -131,9 +129,8 @@ class Memo:
     only on the first call with that key.  The key is the compute function
     with its arguments, never a label, so two independent routes to one
     quantity never share an entry.  The values live in the object's own
-    ``__dict__``: they are freed with the object, and every new object
-    starts with none, except that a spec made by ``restrict`` or
-    ``with_phi`` shares the values that depend on ``c`` and ``J`` alone.
+    ``__dict__``: they are freed with the object, and every new object,
+    a spec made by ``restrict`` or ``with_phi`` included, starts with none.
 
     Assigning an attribute raises ``AttributeError``, so a subclass's
     ``__init__`` stores its fields in ``__dict__`` directly.
@@ -355,20 +352,13 @@ class FrameSpec(Memo):
 
     def restrict(self, assignment: Mapping[str, RationalLike]) -> "FrameSpec":
         """Spec with the assignment substituted into phi (same ring)."""
-        return self._with(tuple(p.substitute(assignment) for p in self.phi))
+        return self.with_phi(tuple(p.substitute(assignment) for p in self.phi))
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form (revalidated)."""
-        return self._with(_coerce_phi(self.ring, self.n, phi))
-
-    def _with(self, phi: Vector) -> "FrameSpec":
-        """The spec with Weyl form ``phi``; it shares the values that depend on
-        c and J alone."""
-        spec = FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
-                         c=self.c, J=self.J, phi=phi, name=self.name)
-        memo = self.__dict__.get("_memo", {})
-        spec.__dict__["_memo"] = {key: memo[key] for key in _SUPPORTS if key in memo}
-        return spec
+        return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
+                         c=self.c, J=self.J, phi=_coerce_phi(self.ring, self.n, phi),
+                         name=self.name)
 
 
 def _coerce_phi(ring: Ring, n: int,
@@ -427,17 +417,6 @@ def _bracket_rows(spec: FrameSpec) -> tuple[int, list]:
 def _j_columns(spec: FrameSpec) -> tuple[int, list]:
     den = math.lcm(*(v.denominator for row in spec.J for v in row))
     return den, [_nonzero(col, den) for col in zip(*spec.J)]
-
-
-# memo keys of the values that depend on c and J alone
-_SUPPORTS = [(_bracket_rows,), (_j_columns,)]
-
-
-def _phi_free(compute):
-    """Mark a spec memo that reads c and J alone, so that ``restrict`` and
-    ``with_phi`` hand its value to the new spec."""
-    _SUPPORTS.append((compute,))
-    return compute
 
 
 def _accumulate(acc: dict, weight: int, row) -> None:

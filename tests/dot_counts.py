@@ -1,0 +1,121 @@
+"""Count the calls of the multiply-accumulate kernel in two source trees.
+
+Usage, from anywhere in the repository:
+
+    python tests/dot_counts.py OLD_SRC NEW_SRC
+
+Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
+(the ``src`` directory of a checkout).  For each tree one subprocess, with
+that directory on ``PYTHONPATH``, wraps :meth:`wtw.polyalg.Ring.dot` in a
+counter and runs ``wtw.cli._suite_report`` in process on two workloads:
+
+* ``suite-n4``: the six frames of ``perfbench/frames.py``'s
+  ``Drawer("suite-n4", 777)``, one rotated draw of each n = 4 algebra, loaded
+  from the document the benchmark writes; ``suite`` stops at the vertical
+  basis on their dense J, and the counts run up to there;
+* ``vaisman16``: the n = 16 Vaisman frame of ``tests/frame_families.py``.
+
+Only the calls made inside ``_suite_report`` are counted, not those of
+loading the spec.  For each tree and workload the script prints the number
+of calls and the number that returned zero, and both for each of the
+callers with the most calls, each named by the ``file:line`` of the first
+frame outside ``polyalg.py`` and ``frame.py``, so a contraction helper or an
+operator is charged to the code that asked for it.  Standard library only; pytest does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import collections
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+TOP = 8  # callers printed per workload
+
+
+def _count(workload) -> dict:
+    """Run ``workload()`` with ``Ring.dot`` counted; the calls, the zero
+    results and, for the callers with the most calls, both per caller."""
+    import wtw
+    from wtw.polyalg import Ring
+
+    package = pathlib.Path(wtw.__file__).resolve().parent
+    skip = {str(package / "polyalg.py"), str(package / "frame.py")}
+    dot = Ring.dot
+    calls: collections.Counter = collections.Counter()
+    zeros: collections.Counter = collections.Counter()
+
+    def counted(ring, u, v):
+        value = dot(ring, u, v)
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename in skip:
+            frame = frame.f_back
+        caller = f"{pathlib.Path(frame.f_code.co_filename).name}:{frame.f_lineno}"
+        calls[caller] += 1
+        if not value:
+            zeros[caller] += 1
+        return value
+
+    Ring.dot = counted
+    try:
+        workload()
+    finally:
+        Ring.dot = dot
+    top = calls.most_common(TOP)
+    return {"calls": sum(calls.values()), "zeros": sum(zeros.values()),
+            "callers": [(caller, count, zeros[caller]) for caller, count in top]}
+
+
+def _child() -> None:
+    """Count both workloads in this process and print them as JSON."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import frame_families
+    import frames
+    from wtw import cli, load_spec
+    from wtw.frame import FrameError
+
+    drawer = frames.Drawer("suite-n4", 777)
+    dense = [load_spec(frames.document(drawer.rotated_n4(name)))
+             for name in frames.N4_ALGEBRAS]
+
+    def suite_n4():
+        for spec in dense:
+            try:
+                cli._suite_report(spec)
+            except FrameError:  # no vertical basis for a dense J
+                pass
+
+    vaisman = load_spec(frame_families.vaisman(16), name="vaisman16")
+    print(json.dumps({"suite-n4": _count(suite_n4),
+                      "vaisman16": _count(lambda: cli._suite_report(vaisman))}))
+
+
+def _run(src: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--child"]:
+        _child()
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write("usage: python tests/dot_counts.py OLD_SRC NEW_SRC\n")
+        return 2
+    for src in (str(pathlib.Path(path).resolve()) for path in argv):
+        print(src)
+        for workload, counts in _run(src).items():
+            print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']}")
+            for caller, calls, zeros in counts["callers"]:
+                print(f"    {calls:>9} calls {zeros:>9} zero  {caller}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -12,7 +12,9 @@ from unittest import mock
 
 from wtw import (builtin, conditions, identity_suite, levi_civita, load_spec_file,
                  ricci_formula_check, verify_assignment, weyl)
-from wtw import cli, connection, hermitian, pseudoharmonic, twistor
+from wtw import cli, connection, frame, hermitian, pseudoharmonic, twistor
+from wtw.curvature import phi_tensor, ricci_via_formula
+from wtw.pseudoharmonic import condition_ii
 
 curvature_module = importlib.import_module("wtw.curvature")
 
@@ -138,17 +140,30 @@ def test_new_specs_get_their_own_gammas():
     twin = spec.restrict({})
     assert twin == spec
     assert levi_civita(twin) is not levi_civita(spec)
-    # what they do share is what depends on c and J alone: the supports, the
-    # gamma rows, the int R_g and its lifted traces
+    # not even what depends on c and J alone is handed on: each new spec
+    # starts with no memo entry and computes equal values of its own
     ricci_formula_check(spec)
-    fresh = spec.restrict({})
-    assert fresh.bracket_rows() is spec.bracket_rows()
-    assert fresh.j_columns() is spec.j_columns()
-    assert fresh.with_phi(spec.phi).bracket_rows() is spec.bracket_rows()
-    for child in (fresh, spec.with_phi((0, "a2", 0, 0))):
-        assert connection.gamma_rows(child) is connection.gamma_rows(spec)
-        for compute in (curvature_module._levi_civita_r, curvature_module._levi_civita_ricci):
-            assert child.memo(compute) is spec.memo(compute)
+    phi_free = (frame._bracket_rows, frame._j_columns, connection._gamma_rows,
+                curvature_module._levi_civita_r, curvature_module._levi_civita_ricci)
+    for child in (spec.restrict({}), spec.restrict({"a1": 0}),
+                  spec.with_phi(spec.phi), spec.with_phi((0, "a2", 0, 0))):
+        assert child.__dict__.get("_memo", {}) == {}
+        child.bracket_rows()
+        assert list(child.__dict__["_memo"]) == [(frame._bracket_rows,)]
+        for compute in phi_free:
+            assert child.memo(compute) == spec.memo(compute)
+            assert child.memo(compute) is not spec.memo(compute)
+
+
+def test_a_new_weyl_form_reads_none_of_the_parents_values():
+    # a value computed under one phi must never serve a spec with another
+    spec = builtin("inoue-s0")
+    readers = (phi_tensor, ricci_via_formula, condition_ii)
+    before = [read(spec) for read in readers]
+    child = spec.with_phi((0, "a2", 0, 0))
+    for read, value in zip(readers, before):
+        assert read(child) != value
+        assert read(spec) is value
 
 
 def test_spec_is_freed_after_suite():

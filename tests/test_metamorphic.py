@@ -18,14 +18,19 @@ so it goes through the same validation and gate as any frame.
   and phi component halves, so the entries of condition (i), quadratic in
   them, scale by exactly 1/4, as do those of rho and rho*, and those of
   condition (ii), cubic, by 1/8.
+* Writing the frame in the orthonormal basis F_i = sum_a Q[i][a] E_a, for a
+  rational orthogonal Q, changes no tensor, only its components: a 1-form
+  such as phi, theta or condition (ii) is multiplied by Q and a 2-form such
+  as the condition-(i) pairing P becomes Q P Q^T.
 
-Neither change alters any verdict of the full check suite: each check's
-residual is multiplied by a nonzero constant or, under J -> -J, is the same
-identity for the other complex structure.
+Neither of the first two changes alters any verdict of the full check
+suite: each check's residual is multiplied by a nonzero constant or, under
+J -> -J, is the same identity for the other complex structure.
 
 The frames are the 17 gate-passing ones (the 5 built-ins and 12 documents
 under ``tests/data``) and the hyperbolic, Vaisman and Inoue-type frames of
-``tests/frame_families.py`` at n = 10.
+``tests/frame_families.py`` at n = 10; the change of basis runs on those
+with n <= 6 and on vaisman8 and inoue_like8.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from test_twistor import _gate_passing_frames
 from wtw import (FrameSpec, curvature, lee_form, load_spec, ricci, star_ricci, weyl)
 from wtw.cli import _suite_report
 from wtw.curvature import ricci_via_formula
-from wtw.pseudoharmonic import condition_i, condition_ii
+from wtw.pseudoharmonic import condition_i, condition_i_pairing, condition_ii
 
 
 def _frames():
@@ -75,6 +80,43 @@ def test_a_homothety_scales_condition_i_by_a_quarter_and_condition_ii_by_an_eigh
         assert condition_i(half) == [value * quarter for value in condition_i(spec)], spec.name
         assert condition_ii(half) == tuple(value * eighth for value in condition_ii(spec)), \
             spec.name
+
+
+def _rotated(spec: FrameSpec) -> FrameSpec:
+    """``spec`` in the orthonormal basis F_i = sum_a Q[i][a] E_a of
+    ``frame_families.rotate``, Q = ``frame_families.cayley(n)``, with the same
+    Weyl form, through the public constructor."""
+    brackets, J = frame_families.rotate(spec.c, spec.J)
+    phi = _times(spec, frame_families.cayley(spec.n), spec.phi)
+    return FrameSpec.create(spec.n, spec.ring.symbols, brackets, J, phi,
+                            basis=spec.basis, name=spec.name)
+
+
+def _times(spec: FrameSpec, Q, vector):
+    """Q v for a vector of scalars."""
+    return tuple(spec.ring.dot(row, vector) for row in Q)
+
+
+def test_a_rational_change_of_basis_moves_the_conditions_as_tensors():
+    """The Cayley transform Q of ``frame_families.cayley`` makes the standard J
+    dense.  The 2-form P of condition (i) becomes Q P Q^T, the 1-form of
+    condition (ii) Q L and the Lee form Q theta, exactly."""
+    frames = [spec for spec in _gate_passing_frames()
+              if spec.n <= 6 or spec.name in ("vaisman8.toml", "inoue_like8.toml")]
+    assert len(frames) == 14
+    nonzero = 0
+    for spec in frames:
+        Q = frame_families.cayley(spec.n)
+        rotated = _rotated(spec)
+        assert rotated.J != spec.J, spec.name
+        assert lee_form(rotated).theta == _times(spec, Q, lee_form(spec).theta), spec.name
+        assert condition_ii(rotated) == _times(spec, Q, condition_ii(spec)), spec.name
+        # Q P Q^T: Q on each row of P, then Q on each column of the result
+        half = [_times(spec, Q, row) for row in condition_i_pairing(spec)]
+        expected = tuple(zip(*[_times(spec, Q, col) for col in zip(*half)]))
+        assert condition_i_pairing(rotated) == expected, spec.name
+        nonzero += any(any(row) for row in expected)
+    assert nonzero == 8  # P vanishes on the Kodaira frames, flat_torus and inoue_lee
 
 
 def _ricci_tables(spec: FrameSpec):
