@@ -44,6 +44,6 @@ spec = wtw.builtin("kodaira", (1, 1))
 basis = wtw.vertical_basis(spec)
 print(f"  vertical space dimension m^2 - m = {len(basis.elements)};"
       f" fiber Gram matrix = {basis.norm_sq} * Identity (unnormalized pairs)")
-te = wtw.dprime_eval(spec)
-print(f"  twistor metric Gram on lifted frame + normalized verticals:"
-      f" diag({', '.join(str(te.gram[i][i]) for i in range(len(te.gram)))})")
+vertical = wtw.vertical_checks(spec)  # both fiber checks, every vertical direction
+print(f"  fiber pairing and vertical antisymmetry against each direction:"
+      f" {'all hold' if vertical.ok else 'FAILURES'} ({len(vertical.checks)} exact checks)")

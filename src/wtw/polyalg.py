@@ -170,10 +170,6 @@ class Ring:
             raise KeyError(f"symbol {name!r} not declared in ring {self.symbols}") from None
         return Scalar._canonical(self, {1 << self._shifts[idx]: 1}, 1)
 
-    def extend(self, *names: str) -> Ring:
-        """Ring with extra symbols appended after the existing ones."""
-        return Ring(self.symbols + tuple(names))
-
     def parse(self, text: str) -> Scalar:
         """Parse ``text`` using ``+ - * / ^``, integer literals and symbols."""
         try:
@@ -475,15 +471,6 @@ class Scalar:
             key = tuple(new)
             out[key] = out.get(key, 0) + coeff
         return Scalar(self.ring, out)
-
-    def lift(self, ring: Ring) -> Scalar:
-        """Reinterpret in a ring whose symbols start with this ring's."""
-        if ring.symbols[: self.ring.nsymbols] != self.ring.symbols:
-            raise RingMismatchError(
-                f"{ring.symbols} does not extend {self.ring.symbols}")
-        shift = _FIELD_BITS * (ring.nsymbols - self.ring.nsymbols)
-        return Scalar._canonical(ring, {e << shift: c for e, c in self._terms.items()},
-                                 self._den)
 
     # -- rendering -------------------------------------------------------
 

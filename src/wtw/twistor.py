@@ -11,10 +11,11 @@ which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 ``a`` to the bivector with components ``g(a E_i, E_j)``, normalized so that
 ``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
-:mod:`wtw.frame`: products go through ``FrameSpec.compose``, and each sum or
-difference of endomorphisms, the commutator among them, is one
-``linear_combination``.  ``_is_vertical`` is the one test that an
-endomorphism is skew and anticommutes with J.
+:mod:`wtw.frame`: products go through ``FrameSpec.compose``, each sum or
+difference of endomorphisms is one ``linear_combination``, and each entry of a
+commutator is one kernel call over the terms of both products.
+``_is_vertical`` is the one test that an endomorphism is skew and anticommutes
+with J.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
@@ -58,9 +59,8 @@ R and dphi to that w alone, through ``_bivector_terms``.
 
 :func:`vertical_checks` runs both fiber checks against every vertical direction,
 from the residual builders of the single-direction checks.  The vertical Gram
-and the verticality of each element are checked once, as the basis is built;
-``dprime_eval`` writes the Gram without pairing, and only the public
-single-direction check tests the V it is given.
+and the verticality of each element are checked once, as the basis is built,
+and only the public single-direction check tests the V it is given.
 
 ``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
 from the action on J and from D J; it forms no condition term, so comparing it
@@ -80,7 +80,7 @@ from .curvature import Curvature, curvature
 from .frame import (FrameError, FrameSpec, Vector, _is_skew, _kron, eval_on_bivector,
                     linear_combination, wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
-from .polyalg import Ring, Scalar
+from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
 from .reports import CheckReport
 
@@ -102,8 +102,12 @@ def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
 
 def _commutator(spec: FrameSpec, a: tuple[Vector, ...],
                 b: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """[a, b] = a o b - b o a."""
-    return linear_combination(spec, (1, -1), (spec.compose(a, b), spec.compose(b, a)))
+    """[a, b] = a o b - b o a: entry (i, j) is one kernel call, the row
+    a[i] + (-b[i]) against column j of b followed by column j of a, read
+    only where that row is nonzero (``FrameSpec.right``)."""
+    cols = [(*col_b, *col_a) for col_b, col_a in zip(zip(*b), zip(*a))]
+    return tuple(spec.right(cols, (*row_a, *[-x for x in row_b]))
+                 for row_a, row_b in zip(a, b))
 
 
 def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
@@ -176,7 +180,7 @@ class VerticalBasis(NamedTuple):
     """Unnormalized vertical endomorphisms at the fiber point J.
 
     Every element is skew, anti-commutes with J, and the pairwise fiber
-    metric is ``2 * Identity``; expansions divide by ``norm_sq`` (= 2).
+    metric is ``norm_sq * Identity``, with ``norm_sq`` = 2.
     """
 
     elements: tuple[tuple[Vector, ...], ...]
@@ -351,8 +355,8 @@ def vertical_antisymmetry_check(spec: FrameSpec, V: tuple[Vector, ...]) -> Check
     """Residual of G(R(X,Y)J, V) + G(R(X,Y)V, J) = 0 for vertical V.
 
     The two sides are computed differently.  G(R(X,Y)J, V) pairs V with the
-    memoized commutator action of R on J, the one the twistor data and the
-    DJ pairing read.  G(R(X,Y)V, J) is taken by ad-invariance,
+    memoized commutator action of R on J, the one ``h_trace`` and the DJ
+    pairing read.  G(R(X,Y)V, J) is taken by ad-invariance,
     G([R, V], J) = G(R, [V, J]) for skew V and any R, so it costs one
     commutator per V.  A wrong action on J therefore fails the check.
     """
@@ -394,67 +398,6 @@ def vertical_checks(spec: FrameSpec) -> CheckReport:
     return report
 
 
-class TwistorEval(NamedTuple):
-    """Pointwise data of the twistor metric and modified connection at J.
-
-    All scalars live in the ring extended by the fiber-scale symbol: ``t``, or
-    the first of ``t_``, ``t__``, ... that the spec does not declare.
-
-    gram: Gram matrix of g~_t on horizontal lifts E_i^h followed by the
-      G-normalized vertical directions, diag(1,...,1, t,...,t); the vertical
-      block is checked once, by ``_validate_vertical`` as the basis is built.
-    hh_horizontal: gamma coefficients of the horizontal part of D'_{X^h} Y^h
-      (equal to the Weyl gammas).
-    hh_vertical: coefficients of the vertical part of D'_{E_i^h} E_j^h on the
-      unnormalized vertical basis (divide-by-norm-squared expansion of
-      1/2 R(E_i, E_j) J).
-    vh_pairing: values g~_t(D~_V X^h, Y^h) = -t/2 G(R(X, Y) J, V) indexed
-      [alpha][i][j] over the unnormalized basis.
-    """
-
-    ring_t: Ring
-    gram: tuple
-    hh_horizontal: tuple
-    hh_vertical: tuple
-    vh_pairing: tuple
-    vertical_labels: tuple[str, ...]
-
-
-def dprime_eval(spec: FrameSpec) -> TwistorEval:
-    n = spec.n
-    name = "t"
-    while name in spec.ring.symbols:
-        name += "_"
-    ring_t = spec.ring.extend(name)
-    t = ring_t.sym(name)
-    basis = vertical_basis(spec)
-    nv = len(basis.elements)
-    conn = weyl(spec)
-    R = curvature(conn)
-    j_endo = spec.j_endo()
-    endo_curvature_consistency(conn, j_endo)
-    act_j = endo_curvature_action(R, j_endo)
-
-    size = n + nv
-    gram = [[ring_t.zero()] * size for _ in range(size)]
-    for i in range(size):
-        gram[i][i] = ring_t.one() if i < n else t
-    against = [_g_against(spec, v) for v in basis.elements]  # against[b](a) = G(a, V_b)
-    # paired[i][j][alpha] = G(R(E_i, E_j) J, V_alpha)
-    paired = [[[g(a) for g in against] for a in row] for row in act_j]
-    scale = Fraction(1, 2) / basis.norm_sq
-    hh_vertical = tuple(tuple(tuple(p * scale for p in pairs) for pairs in row)
-                        for row in paired)
-
-    vh = tuple(tuple(tuple(
-        paired[i][j][alpha].lift(ring_t) * t * Fraction(-1, 2)
-        for j in range(n)) for i in range(n)) for alpha in range(nv))
-
-    return TwistorEval(ring_t=ring_t, gram=tuple(tuple(row) for row in gram),
-                       hh_horizontal=conn.gamma, hh_vertical=hh_vertical,
-                       vh_pairing=vh, vertical_labels=basis.labels)
-
-
 def h_trace(spec: FrameSpec):
     """Horizontal trace of the second fundamental form, as an n-vector.
 
@@ -490,11 +433,6 @@ class VTraceData(NamedTuple):
 
     direct: tuple
     closed_form: tuple
-
-    @property
-    def paths_agree(self) -> bool:
-        return all((a - b).is_zero for ra, rb in zip(self.direct, self.closed_form)
-                   for a, b in zip(ra, rb))
 
 
 def v_trace(spec: FrameSpec) -> VTraceData:

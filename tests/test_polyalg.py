@@ -178,17 +178,6 @@ def test_parse_bounds_terms_times_coefficient_bits(text):
     assert [c for _, c in value.terms()] == [math.comb(20, k) for k in range(21)]
 
 
-def test_extend_and_lift():
-    bigger = RING.extend("t")
-    t = bigger.sym("t")
-    lifted = (A1 * A2).lift(bigger)
-    assert str(lifted * t) == "a1*a2*t"
-    with pytest.raises(RingMismatchError):
-        A1.lift(Ring(("z", "a1", "a2", "a3")))
-    top = A1 ** _MAX_EXPONENT * A3
-    assert dict(top.lift(bigger.extend("s")).terms()) == {(_MAX_EXPONENT, 0, 1, 0, 0): 1}
-
-
 # -- randomized ring laws ---------------------------------------------------
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)

@@ -33,10 +33,10 @@ EXPORTS = {
                   "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
     "hermitian": ("GateError", "LeeData", "fundamental_form", "lck_check", "lee_form",
                   "nabla_j_checks", "nijenhuis", "require_gate"),
-    "twistor": ("TwistorEval", "VerticalBasis", "VTraceData",
-                "curvature_pairing_with_dj_check", "dprime_eval", "equivalence_check",
-                "g_fiber", "h_trace", "vertical_antisymmetry_check", "vertical_checks",
-                "fiber_pairing_check", "v_trace", "vertical_basis", "wedge_iso"),
+    "twistor": ("VerticalBasis", "VTraceData", "curvature_pairing_with_dj_check",
+                "equivalence_check", "g_fiber", "h_trace", "vertical_antisymmetry_check",
+                "vertical_checks", "fiber_pairing_check", "v_trace", "vertical_basis",
+                "wedge_iso"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
                        "conditions", "dim4", "verify_assignment"),
 }
@@ -132,7 +132,6 @@ def test_ring_rejects_bad_symbols(symbols):
 
 def test_records_refuse_assignment():
     from wtw import conditions, lck_check, lee_form, v_trace, verify_assignment, vertical_basis
-    from wtw.twistor import dprime_eval
     spec = builtin("inoue-s0")
     report = conditions(spec)
     records = [
@@ -140,8 +139,7 @@ def test_records_refuse_assignment():
         (curvature(levi_civita(spec)), "r"), (spec.phi[0], "ring"),
         (lck_check(spec).checks[0], "ok"), (lee_form(spec), "theta"),
         (report, "condition_i"), (verify_assignment(report, {"a1": Fraction(0)}), "holds"),
-        (vertical_basis(spec), "norm_sq"), (dprime_eval(spec), "gram"),
-        (v_trace(spec), "direct"),
+        (vertical_basis(spec), "norm_sq"), (v_trace(spec), "direct"),
     ]
     for record, field in records:
         for name in (field, "new_field"):

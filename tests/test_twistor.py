@@ -7,6 +7,7 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from itertools import chain, combinations
 
 import pytest
 
@@ -14,7 +15,7 @@ from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo,
                  levi_civita, load_spec, load_spec_file, twistor)
 from wtw.frame import FrameError, linear_combination
 from wtw.polyalg import normalize_up_to_unit, normalized_system
-from wtw.twistor import (dprime_eval, endo_curvature_consistency, g_fiber,
+from wtw.twistor import (endo_curvature_action, endo_curvature_consistency, g_fiber,
                          h_trace, vertical_antisymmetry_check, fiber_pairing_check, v_trace,
                          vertical_basis, wedge_iso)
 from wtw.connection import weyl
@@ -199,76 +200,37 @@ class TestCurvatureOnEndomorphisms:
             assert re.fullmatch(r"\d+ nonzero entr(y|ies), first at \(E\d,E\d\): .+", detail)
 
 
-class TestTwistorEval:
-    def test_gram_is_identity_and_t_blocks(self, inoue):
-        te = dprime_eval(inoue)
-        t = te.ring_t.sym("t")
-        size = len(te.gram)
-        assert size == 6
-        for a in range(size):
-            for b in range(size):
-                expected = te.ring_t.zero()
-                if a == b:
-                    expected = te.ring_t.one() if a < 4 else t
-                assert te.gram[a][b] == expected
-
-    @pytest.mark.parametrize("renames, fiber", [({"a4": "t"}, "t_"),
-                                                 ({"a4": "t", "a3": "t_"}, "t__")])
-    def test_fiber_symbol_avoids_the_declared_symbols(self, renames, fiber):
-        """A document may declare ``t``: the fiber scale then takes the first of
-        ``t_``, ``t__``, ... that the document does not declare."""
-        text = _document(builtin("inoue-s0"))
-        for old, new in renames.items():
-            text = text.replace(f'"{old}"', f'"{new}"')
-        spec = load_spec(text, name="inoue-t")
-        assert set(renames.values()) <= set(spec.ring.symbols)
-        te = dprime_eval(spec)
-        assert te.ring_t.symbols == (*spec.ring.symbols, fiber)
-        s = te.ring_t.sym(fiber)
-        one, zero = te.ring_t.one(), te.ring_t.zero()
-        diagonal = (one, one, one, one, s, s)
-        assert te.gram == tuple(tuple(diagonal[a] if a == b else zero for b in range(6))
-                                for a in range(6))
+class TestVerticalPart:
+    """The vertical part of D'_{X^h} Y^h is 1/2 R(X, Y) J, expanded on the
+    unnormalized vertical basis by G(R(X, Y) J, V_alpha) / norm_sq."""
 
     def test_flat_case_has_no_vertical_part(self, abelian):
-        te = dprime_eval(abelian)
-        assert all(entry.is_zero for plane in te.hh_vertical
-                   for row in plane for entry in row)
-        assert all(entry.is_zero for plane in te.vh_pairing
-                   for row in plane for entry in row)
+        act_j = endo_curvature_action(curvature(weyl(abelian)), abelian.j_endo())
+        basis = vertical_basis(abelian)
+        assert all(g_fiber(abelian, action, v).is_zero
+                   for row in act_j for action in row for v in basis.elements)
 
     def test_inoue_vertical_part_of_first_pair(self, inoue):
-        te = dprime_eval(inoue)
-        coeff_a, coeff_b = te.hh_vertical[0][1]
+        basis = vertical_basis(inoue)
+        action = endo_curvature_action(curvature(weyl(inoue)), inoue.j_endo())[0][1]
+        coeff_a, coeff_b = (g_fiber(inoue, action, v) * (Fraction(1, 2) / basis.norm_sq)
+                            for v in basis.elements)
         assert str(coeff_a) == "-1/8*a1*a3 + 1/8*a2*a4"
         assert str(coeff_b) == "-1/8*a1*a4 - 1/8*a2*a3"
 
-    def test_vertical_part_reconstructs_curvature_action(self, inoue):
-        # sum_alpha coeff * V_alpha must equal 1/2 R(E_i,E_j)J exactly
-        te = dprime_eval(inoue)
-        basis = vertical_basis(inoue)
-        R = curvature(weyl(inoue))
-        j = inoue.j_endo()
-        for i in range(4):
-            for jdx in range(4):
-                action = twistor._commutator(inoue, R.endo(i, jdx), j)
-                rebuilt = tuple(tuple(
-                    sum((c * v[k][l] for c, v in zip(te.hh_vertical[i][jdx], basis.elements)),
-                        inoue.zero()) for l in range(4)) for k in range(4))
-                assert rebuilt == tuple(tuple(x * Fraction(1, 2) for x in row) for row in action)
-
-    def test_vh_pairing_value(self, inoue):
-        te = dprime_eval(inoue)
-        basis = vertical_basis(inoue)
-        R = curvature(weyl(inoue))
-        j = inoue.j_endo()
-        t = te.ring_t.sym("t")
-        for alpha, v in enumerate(basis.elements):
-            for i in range(4):
-                for jdx in range(4):
-                    pairing = g_fiber(inoue, twistor._commutator(inoue, R.endo(i, jdx), j), v)
-                    expected = pairing.lift(te.ring_t) * t * Fraction(-1, 2)
-                    assert te.vh_pairing[alpha][i][jdx] == expected
+    @pytest.mark.parametrize("name, directions", [("inoue-s0", 2), ("vaisman6", 6)])
+    def test_vertical_part_reconstructs_curvature_action(self, name, directions):
+        # sum_alpha G(R(X,Y)J, V_alpha) / norm_sq * V_alpha must equal R(X,Y)J exactly
+        spec = (builtin(name) if name == "inoue-s0" else
+                load_spec_file(pathlib.Path(__file__).parent / "data" / f"{name}.toml"))
+        basis = vertical_basis(spec)
+        assert len(basis.elements) == directions
+        act_j = endo_curvature_action(curvature(weyl(spec)), spec.j_endo())
+        assert any(x for row in act_j for action in row for x in chain(*action))
+        for row in act_j:
+            for action in row:
+                weights = [g_fiber(spec, action, v) * (1 / basis.norm_sq) for v in basis.elements]
+                assert linear_combination(spec, weights, basis.elements) == action
 
 
 class TestTraces:
@@ -297,11 +259,12 @@ class TestTraces:
     def test_kodaira_vertical_trace_vanishes_identically(self, kodairas, signs):
         data = v_trace(kodairas[signs])
         assert all(entry.is_zero for row in data.direct for entry in row)
-        assert data.paths_agree
+        assert data.direct == data.closed_form
 
     def test_paths_agree_everywhere(self, inoue, kodairas, hyperbolic_like):
         for spec in (inoue, kodairas[(1, -1)], hyperbolic_like):
-            assert v_trace(spec).paths_agree
+            data = v_trace(spec)
+            assert data.direct == data.closed_form
 
     def test_traces_are_gated(self, nonintegrable, heisenberg6):
         for spec in (nonintegrable, heisenberg6):
@@ -658,3 +621,25 @@ def test_fiber_pairings_hold_on_dense_j_frames(base):
     j_endo = rotated.j_endo()
     for dj in cov_deriv_endo(weyl(rotated), j_endo):
         assert fiber_pairing_check(rotated, j_endo, dj).ok
+
+
+@pytest.mark.parametrize("base", DENSE_J_BASES)
+def test_commutator_is_the_difference_of_the_two_products(base):
+    """``_commutator`` against a o b - b o a formed by its definition, on
+    frames whose J has no zero off the diagonal: for general a and b with no
+    zero entry, polynomial entries included, and for every R(E_i, E_j) against J."""
+    spec = _dense_j_frame(base)
+    rng = random.Random(base)
+    values = ([spec.const(Fraction(p, q)) for p in (-3, -1, 2) for q in (1, 3)]
+              + [spec.ring.sym(s) + 1 for s in spec.ring.symbols])
+
+    def general():
+        return tuple(tuple(rng.choice(values) for _ in range(spec.n)) for _ in range(spec.n))
+
+    pairs = [(general(), general()) for _ in range(3)]
+    assert all(x for a, b in pairs for x in chain(*a, *b))
+    R = curvature(weyl(spec))
+    pairs += [(R.endo(i, j), spec.j_endo()) for i, j in combinations(range(spec.n), 2)]
+    for a, b in pairs:
+        expected = linear_combination(spec, (1, -1), (spec.compose(a, b), spec.compose(b, a)))
+        assert twistor._commutator(spec, a, b) == expected
