@@ -640,6 +640,26 @@ def test_commutator_is_the_difference_of_the_two_products(base):
     assert all(x for a, b in pairs for x in chain(*a, *b))
     R = curvature(weyl(spec))
     pairs += [(R.endo(i, j), spec.j_endo()) for i, j in combinations(range(spec.n), 2)]
+    _assert_commutator_is_its_definition(spec, pairs)
+
+
+@pytest.mark.parametrize("base", DENSE_J_BASES)
+def test_commutator_is_the_difference_of_the_two_products_on_sparse_frames(base):
+    """The same on the unrotated frames, whose J is a signed permutation: the
+    row a[i] + (-b[i]) then has zero entries, which ``FrameSpec.right``
+    skips, for every R(E_i, E_j) and every vertical V against J, in both orders."""
+    spec = (builtin(base) if base == "inoue-s0" else
+            load_spec_file(pathlib.Path(__file__).parent / "data" / f"{base}.toml"))
+    j_endo = spec.j_endo()
+    assert any(x == 0 for x in chain(*j_endo))
+    R = curvature(weyl(spec))
+    others = [R.endo(i, j) for i, j in combinations(range(spec.n), 2)]
+    others += vertical_basis(spec).elements
+    _assert_commutator_is_its_definition(
+        spec, [pair for a in others for pair in ((a, j_endo), (j_endo, a))])
+
+
+def _assert_commutator_is_its_definition(spec, pairs):
     for a, b in pairs:
         expected = linear_combination(spec, (1, -1), (spec.compose(a, b), spec.compose(b, a)))
         assert twistor._commutator(spec, a, b) == expected
