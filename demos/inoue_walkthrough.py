@@ -44,7 +44,7 @@ print("\ncondition (i) residual system:", [str(p) for p in report.condition_i])
 print("condition (ii) residual system:", [str(p) for p in report.condition_ii])
 
 # Condition (i) forces a3 = a4 = 0; substitute and redo condition (ii).
-reduced = spec.restrict({"a3": 0, "a4": 0})
+reduced = spec.with_phi([p.substitute({"a3": 0, "a4": 0}) for p in spec.phi])
 reduced_report = wtw.conditions(reduced)
 print("\nafter a3 = a4 = 0, condition (ii) becomes:",
       [str(p) for p in reduced_report.condition_ii])

@@ -19,7 +19,7 @@ from types import ModuleType as _ModuleType
 from .polyalg import (ExponentOverflowError, PolynomialParseError, Ring, RingMismatchError,
                       Scalar, normalize_up_to_unit, normalized_system)
 from .frame import (FrameError, FrameSpec, GateError, SpecFormatError, builtin, d_oneform,
-                    eval_on_bivector, load_spec, load_spec_file, sharp, wedge_iso)
+                    eval_on_bivector, load_spec, load_spec_file, wedge_iso)
 from .connection import (Connection, cov_deriv_endo, cov_deriv_oneform,
                          levi_civita, reconstruct_weyl_form,
                          second_cov_deriv_endo, weyl)
@@ -37,7 +37,7 @@ _LAZY_EXPORTS = {
                 "equivalence_check", "g_fiber", "h_trace", "vertical_antisymmetry_check",
                 "vertical_checks", "fiber_pairing_check", "v_trace", "vertical_basis"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
-                       "conditions", "dim4", "verify_assignment"),
+                       "conditions", "verify_assignment"),
 }
 # each lazy name, and each lazy submodule's own name, to that submodule
 _HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in (module, *names)}

@@ -50,9 +50,9 @@ from .reports import CheckReport
 
 
 class Curvature(Memo):
-    def __init__(self, spec: FrameSpec, r: tuple, kind: str):
+    def __init__(self, spec: FrameSpec, r: tuple):
         # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
-        self.__dict__.update(spec=spec, r=r, kind=kind)
+        self.__dict__.update(spec=spec, r=r)
 
     def endo(self, i: int, j: int) -> tuple:
         """R(E_i, E_j) as an endomorphism (column convention), kept on the tensor."""
@@ -76,7 +76,7 @@ def _curvature(conn: Connection) -> Curvature:
         # R_g is rational: the lift of the int tensor kept on the spec
         den, rg = spec.memo(_levi_civita_r)
         return Curvature(spec, tuple(tuple(tuple(spec.lift(row.items(), den) for row in block)
-                                           for block in plane) for plane in rg), conn.kind)
+                                           for block in plane) for plane in rg))
     n = spec.n
     g = conn.gamma
     neg = conn.negated()
@@ -92,7 +92,7 @@ def _curvature(conn: Connection) -> Curvature:
                           for k in range(n))
             r[i][j] = block
             r[j][i] = tuple(tuple(-value for value in row) for row in block)
-    return Curvature(spec, tuple(tuple(row) for row in r), conn.kind)
+    return Curvature(spec, tuple(tuple(row) for row in r))
 
 
 def _levi_civita_r(spec: FrameSpec) -> tuple[int, list]:
@@ -192,7 +192,7 @@ def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
 
     ix = range(n)
     return Curvature(spec, tuple(tuple(tuple(tuple(entry(i, j, k, l) for l in ix) for k in ix)
-                                       for j in ix) for i in ix), "weyl")
+                                       for j in ix) for i in ix))
 
 
 def ricci(R: Curvature):

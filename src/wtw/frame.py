@@ -130,7 +130,7 @@ class Memo:
     with its arguments, never a label, so two independent routes to one
     quantity never share an entry.  The values live in the object's own
     ``__dict__``: they are freed with the object, and every new object,
-    a spec made by ``restrict`` or ``with_phi`` included, starts with none.
+    a spec made by ``with_phi`` included, starts with none.
 
     Assigning an attribute raises ``AttributeError``, so a subclass's
     ``__init__`` stores its fields in ``__dict__`` directly.
@@ -350,10 +350,6 @@ class FrameSpec(Memo):
         """Componentwise J(v) for a vector of scalars."""
         return self.right(self.J, vec)
 
-    def restrict(self, assignment: Mapping[str, RationalLike]) -> "FrameSpec":
-        """Spec with the assignment substituted into phi (same ring)."""
-        return self.with_phi(tuple(p.substitute(assignment) for p in self.phi))
-
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form (revalidated)."""
         return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
@@ -443,11 +439,6 @@ def eval_on_bivector(spec: FrameSpec, F: Sequence[Sequence], b: Sequence[Sequenc
     ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1); reads only i < j."""
     planes = list(combinations(range(spec.n), 2))
     return spec.dot([b[i][j] for i, j in planes], [F[i][j] for i, j in planes])
-
-
-def sharp(spec: FrameSpec, omega: Sequence[Scalar]) -> Vector:
-    """Index raising; the identity on components in an orthonormal frame."""
-    return tuple(omega)
 
 
 def linear_combination(spec: FrameSpec, weights: Sequence,
@@ -615,9 +606,9 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
         return FrameSpec.create(dimension=dimension, symbols=symbols,
                                 brackets=brackets, J=matrix, phi=phi,
                                 basis=basis, name=name)
-    except (FrameError, ValueError) as exc:
-        if isinstance(exc, FrameError):
-            raise
+    except FrameError:
+        raise
+    except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
 
 

@@ -22,9 +22,8 @@ raises :class:`ExponentOverflowError`.  :meth:`Ring.parse` rejects a written
 exponent above the cap with a :class:`PolynomialParseError`, as it does a
 product or power whose estimated term count times coefficient bits would
 pass ``_MAX_PARSE_SIZE``.  The public interface speaks exponent
-tuples: :meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
-``Scalar(ring, {exps: c})``, :meth:`Scalar.substitute` and
-:meth:`Scalar.total_degree`.
+tuples: :meth:`Scalar.terms`, ``Scalar(ring, {exps: c})``,
+:meth:`Scalar.substitute` and :meth:`Scalar.total_degree`.
 
 :meth:`Ring.dot` is the one multiply-accumulate kernel and the one arithmetic
 path: every contraction is one call of it, and so is each operator, ``p + q``
@@ -39,9 +38,9 @@ counts multiply past ``_MAX_PRODUCT_PAIRS``, as the parser refuses a written
 one past ``_MAX_PARSE_SIZE``.  :meth:`wtw.frame.FrameSpec.left` and ``right``
 hand it only the nonzero positions of their fixed vector, and none at all
 when that vector is zero.  :meth:`Ring.sum` is a dot against ones.  The
-accessors (:meth:`Scalar.terms`, :meth:`Scalar.coefficient`,
-:meth:`Scalar.constant_value`) return :class:`fractions.Fraction`
-coefficients.  There is no floating point anywhere: identity tests are exact.
+accessors :meth:`Scalar.terms` and :meth:`Scalar.constant_value` return
+:class:`fractions.Fraction` coefficients.  There is no floating point
+anywhere: identity tests are exact.
 
 Rendering contract
 ------------------
@@ -146,10 +145,6 @@ class Ring:
 
     def __repr__(self) -> str:
         return f"Ring(symbols={self.symbols!r})"
-
-    @property
-    def nsymbols(self) -> int:
-        return len(self.symbols)
 
     def zero(self) -> Scalar:
         return self._zero
@@ -369,9 +364,6 @@ class Scalar:
         den, unpack = self._den, self.ring._unpack
         return ((unpack(e), Fraction(c, den))
                 for e, c in sorted(self._terms.items(), reverse=True))
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self._terms.get(self.ring._pack(tuple(exps)), 0), self._den)
 
     def total_degree(self) -> int:
         if self.is_zero:

@@ -20,10 +20,11 @@ pairing of the curvature with DJ.  This module imports nothing from
 
 Both conditions are produced as normalized polynomial systems
 (:func:`wtw.polyalg.normalized_system`: content and sign stripped, zero
-entries dropped with a count).  ``dim4`` evaluates the rearranged
-four-dimensional form of condition (ii), which keeps only the last three
-terms of L; when dphi is of type (1,1) (true for both built-in geometries
-after condition (i) is imposed) it generates the same normalized system.
+entries dropped with a count).  ``conditions(spec, dim4_mode=True)``
+evaluates the rearranged four-dimensional form of condition (ii), which
+keeps only the last three terms of L; when dphi is of type (1,1) (true for
+both built-in geometries after condition (i) is imposed) it generates the
+same normalized system.
 
 The engine never solves systems over the reals; ``verify_assignment``
 substitutes a (possibly partial) assignment and reports whether every
@@ -50,7 +51,6 @@ class ConditionReport(NamedTuple):
     identically-zero residuals are dropped and counted.
     """
 
-    spec_name: str
     condition_i: tuple[Scalar, ...]
     condition_ii: tuple[Scalar, ...]
     dropped_i: int
@@ -129,15 +129,9 @@ def conditions(spec: FrameSpec, dim4_mode: bool = False) -> ConditionReport:
                         f"requires n = 4, got n = {spec.n}")
     sys_i, dropped_i = normalized_system(condition_i(spec))
     sys_ii, dropped_ii = normalized_system(spec.memo(_condition_ii_values, dim4_mode))
-    return ConditionReport(spec_name=spec.name,
-                           condition_i=sys_i, condition_ii=sys_ii,
+    return ConditionReport(condition_i=sys_i, condition_ii=sys_ii,
                            dropped_i=dropped_i, dropped_ii=dropped_ii,
                            dim4_mode=dim4_mode)
-
-
-def dim4(spec: FrameSpec) -> ConditionReport:
-    """Condition report in the rearranged four-dimensional form."""
-    return conditions(spec, dim4_mode=True)
 
 
 class AssignmentVerdict(NamedTuple):

@@ -17,7 +17,7 @@ def inoue() -> FrameSpec:
 @pytest.fixture(scope="session")
 def inoue_reduced(inoue) -> FrameSpec:
     # the Weyl form left after condition (i) forces a3 = a4 = 0
-    return inoue.restrict({"a3": 0, "a4": 0})
+    return inoue.with_phi([p.substitute({"a3": 0, "a4": 0}) for p in inoue.phi])
 
 
 @pytest.fixture(scope="session")

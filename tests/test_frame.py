@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import frame_families
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
-                 load_spec_file, sharp, weyl)
+                 load_spec_file, weyl)
 from wtw.frame import linear_combination, wedge_iso, wedge_oneforms
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_twoform, _wedge_one_two
@@ -262,6 +262,35 @@ A4 = "1/2"
             load_spec(_inoue_with((old, new)))
 
 
+_FLAT_TORUS = (pathlib.Path(__file__).parent / "data" / "flat_torus.toml").read_text()
+
+
+@pytest.mark.parametrize("edits, error, message", [
+    pytest.param([("symbols = []", 'symbols = ["1a"]')], SpecFormatError,
+                 "invalid symbol name '1a'", id="symbol-name"),
+    pytest.param([("symbols = []", 'symbols = ["a"]'), ("[weyl_form]", '[weyl_form]\nE1 = "a +"')],
+                 SpecFormatError, "unexpected token '' in 'a +'", id="weyl-form-syntax"),
+    pytest.param([("symbols = []", 'symbols = ["a"]'), ("[weyl_form]", '[weyl_form]\nE1 = "b"')],
+                 SpecFormatError, "undeclared symbol 'b' in 'b'", id="weyl-form-symbol"),
+    pytest.param([('["0", "-1", "0", "0"]', '["0", "-2", "0", "0"]'),
+                  ('["1", "0", "0", "0"]', '["1/2", "0", "0", "0"]')],
+                 FrameError, "J is not g-orthogonal (J^T J = Identity fails)", id="j-orthogonal"),
+    pytest.param([("symbols = []", 'symbols = []\nbasis = ["E1", "E1", "E3", "E4"]')],
+                 FrameError, "basis must list n distinct vector names", id="basis-repeated"),
+])
+def test_load_spec_keeps_frame_errors_and_converts_value_errors(edits, error, message):
+    # FrameError is a ValueError too: a document that parses but fails
+    # FrameSpec's validation keeps it, any other ValueError becomes SpecFormatError
+    text = _FLAT_TORUS
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(ValueError) as info:
+        load_spec(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 _INOUE_TABLES = tomllib.loads(INOUE_DOC)
 _KEYS = sorted({key for table in _INOUE_TABLES.values() for key in table} | {"basis"})
 
@@ -377,11 +406,9 @@ class TestExteriorCalculus:
             value = eval_on_bivector(spec, dphi, wedge_iso(spec.j_endo()))
             assert value == 2 * e1 * spec.ring.sym("a4")
 
-    def test_sharp_is_identity_on_components(self, inoue):
-        omega = (inoue.ring.sym("a1"), inoue.ring.sym("a2"), inoue.zero(), inoue.zero())
-        assert sharp(inoue, omega) == omega
+    def test_lee_theta_equals_its_dual_vector(self, inoue):
         lee = lee_form(inoue)
-        assert sharp(inoue, lee.theta) == lee.B
+        assert lee.theta == lee.B
 
     def test_inoue_d_omega_equals_lee_wedge_omega(self, inoue):
         omega = fundamental_form(inoue)
@@ -390,8 +417,8 @@ class TestExteriorCalculus:
 
 
 class TestValidation:
-    def test_restrict_substitutes_weyl_form(self, inoue):
-        reduced = inoue.restrict({"a3": 0, "a4": 0})
+    def test_with_phi_takes_a_substituted_weyl_form(self, inoue):
+        reduced = inoue.with_phi([p.substitute({"a3": 0, "a4": 0}) for p in inoue.phi])
         assert [str(p) for p in reduced.phi] == ["a1", "a2", "0", "0"]
         assert reduced.c == inoue.c
 

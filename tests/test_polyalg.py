@@ -23,8 +23,7 @@ def test_additive_inverse():
 
 def test_disjoint_terms_add():
     p = A1 * A2 + A1
-    assert p.coefficient((1, 1, 0)) == 1
-    assert p.coefficient((1, 0, 0)) == 1
+    assert dict(p.terms()) == {(1, 1, 0): 1, (1, 0, 0): 1}
 
 
 def test_mul_identity_and_expansion():
@@ -140,7 +139,7 @@ def test_power_rejects_negative_exponent():
 def test_exponent_cap_in_arithmetic():
     top = A1 ** _MAX_EXPONENT
     assert top.total_degree() == _MAX_EXPONENT
-    assert (A1 ** 20000).coefficient((20000, 0, 0)) == 1  # no squaring past the last bit
+    assert dict((A1 ** 20000).terms()) == {(20000, 0, 0): 1}  # no squaring past the last bit
     assert top * A2 * 3 == Scalar(RING, {(_MAX_EXPONENT, 1, 0): 3})
     for overflow in (lambda: top * A1, lambda: A1 ** (_MAX_EXPONENT + 1),
                      lambda: RING.dot([0, top, A2], [A1, A1, A1]),
@@ -251,7 +250,7 @@ def test_parse_fuzz_gives_a_scalar_or_a_parse_error(text):
     except PolynomialParseError:
         return
     assert isinstance(value, Scalar) and value.ring is RING
-    assert value.total_degree() <= _MAX_EXPONENT * RING.nsymbols
+    assert value.total_degree() <= _MAX_EXPONENT * len(RING.symbols)
 
 
 wide_exponents = st.tuples(*[st.integers(0, _MAX_EXPONENT)] * 3)
@@ -265,7 +264,7 @@ def test_terms_descend_lexicographically_and_coefficients_round_trip(terms):
     keys = [e for e, _ in listed]
     assert keys == sorted((e for e, c in terms.items() if c), reverse=True)
     for e, c in listed:
-        assert p.coefficient(e) == c == terms[e]
+        assert c == terms[e]
     assert Scalar(RING, dict(listed)) == p
 
 

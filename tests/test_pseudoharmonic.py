@@ -5,7 +5,7 @@ import pytest
 from wtw import FrameSpec, GateError
 from wtw.hermitian import lee_form
 from wtw.polyalg import normalized_system
-from wtw.pseudoharmonic import condition_i, conditions, dim4, verify_assignment
+from wtw.pseudoharmonic import condition_i, conditions, verify_assignment
 from wtw.twistor import equivalence_check
 
 
@@ -81,24 +81,26 @@ class TestConditionII:
 class TestDim4:
     def test_requires_dimension_four(self, heisenberg6):
         with pytest.raises(GateError):
-            dim4(heisenberg6)
+            conditions(heisenberg6, dim4_mode=True)
 
     def test_matches_condition_ii_on_reduced_inoue(self, inoue_reduced):
-        assert dim4(inoue_reduced).condition_ii == conditions(inoue_reduced).condition_ii
+        report = conditions(inoue_reduced, dim4_mode=True)
+        assert report.condition_ii == conditions(inoue_reduced).condition_ii
 
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_matches_condition_ii_on_kodaira(self, kodairas, signs):
         spec = kodairas[signs]
-        assert dim4(spec).condition_ii == conditions(spec).condition_ii
+        assert conditions(spec, dim4_mode=True).condition_ii == conditions(spec).condition_ii
 
     def test_rearranged_form_differs_when_dphi_not_type_one_one(self, inoue):
         # with a3, a4 present d(phi) has an anti-invariant part; the two forms
         # then agree only modulo condition (i), not as normalized systems
-        assert set(dim4(inoue).condition_ii) != set(conditions(inoue).condition_ii)
+        report = conditions(inoue, dim4_mode=True)
+        assert set(report.condition_ii) != set(conditions(inoue).condition_ii)
 
     def test_lee_weyl_form_empty(self, kodairas):
         spec = kodairas[(1, 1)]
-        report = dim4(spec.with_phi(lee_form(spec).theta))
+        report = conditions(spec.with_phi(lee_form(spec).theta), dim4_mode=True)
         assert report.holds_identically
 
 

@@ -25,8 +25,7 @@ EXPORTS = {
     "polyalg": ("ExponentOverflowError", "PolynomialParseError", "Ring", "RingMismatchError",
                 "Scalar", "normalize_up_to_unit", "normalized_system"),
     "frame": ("FrameError", "FrameSpec", "GateError", "SpecFormatError", "builtin",
-              "d_oneform", "eval_on_bivector", "load_spec", "load_spec_file", "sharp",
-              "wedge_iso"),
+              "d_oneform", "eval_on_bivector", "load_spec", "load_spec_file", "wedge_iso"),
     "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",
                    "reconstruct_weyl_form", "second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
@@ -38,7 +37,7 @@ EXPORTS = {
                 "vertical_checks", "fiber_pairing_check", "v_trace", "vertical_basis",
                 "wedge_iso"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
-                       "conditions", "dim4", "verify_assignment"),
+                       "conditions", "verify_assignment"),
 }
 
 LAZY = ("wtw.hermitian", "wtw.twistor", "wtw.pseudoharmonic")
@@ -97,14 +96,27 @@ def test_every_export_is_its_modules_object():
         wtw.no_such_name  # noqa: B018
 
 
+# exports that no module reads, kept as oracles of the tests
+ORACLES = {"g_fiber", "fiber_pairing_check", "vertical_antisymmetry_check"}
+
+
+def test_every_export_is_read_inside_the_package():
+    # an export is read where a module loads its name; an attribute such as
+    # ``args.dim4`` in ``cli`` names something else
+    read = {node.id for path in (SRC / "wtw").glob("*.py") if path.name != "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert set(wtw.__all__) - read <= ORACLES
+
+
 def test_equal_specs_and_rings_hash_alike():
     spec = builtin("inoue-s0")
-    twin = spec.restrict({})
+    twin = spec.with_phi(spec.phi)
     assert twin == spec and twin is not spec
     assert hash(twin) == hash(spec)
     renamed = FrameSpec(spec.dimension, spec.ring, spec.basis, spec.c, spec.J, spec.phi,
                         name="other")
-    assert renamed != spec and spec.restrict({"a1": 0}) != spec
+    assert renamed != spec and spec.with_phi([p.substitute({"a1": 0}) for p in spec.phi]) != spec
     ring = Ring(("a1", "a2"))
     assert Ring(("a1", "a2")) == ring and hash(Ring(("a1", "a2"))) == hash(ring)
     assert Ring(("a2", "a1")) != ring
