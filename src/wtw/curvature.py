@@ -30,6 +30,13 @@ Each check therefore compares the two layers: the Phi-correction route and
 the closed formulas read the rational R_g, and the direct Weyl curvature and
 its traces the contraction of the Weyl gammas.
 
+R(X, Y) = -R(Y, X), so each curvature tensor is built by
+``wtw.frame._antisymmetric``, which forms the blocks of the pairs i < j and
+stores their negations at (j, i): the direct route (``_curvature``), R_g
+(``_levi_civita_r``) and the Phi-correction route, whose correction terms
+each change sign with (i, j) as R_g does.  The identity suite forms each of
+its n^4 residuals through the same builder (see :func:`identity_suite`).
+
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
 curvature tensor (see :class:`wtw.frame.Memo`); Phi and the closed formulas
@@ -41,10 +48,9 @@ so neither shares a result with the direct route.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .connection import Connection, cov_deriv_oneform, gamma_rows, levi_civita, weyl
-from .frame import FrameSpec, Memo, _accumulate, _kron
+from .frame import FrameSpec, Memo, _accumulate, _antisymmetric, _kron, _negative
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -81,41 +87,41 @@ def _curvature(conn: Connection) -> Curvature:
     g = conn.gamma
     neg = conn.negated()
     by_k = [tuple(g[m][k] for m in range(n)) for k in range(n)]  # by_k[k][m][l] = g[m][k][l]
-    zero = tuple((spec.zero(),) * n for _ in range(n))
-    r = [[zero] * n for _ in range(n)]
     # R(X, Y) = -R(Y, X): form each pair i < j once.  Entry l of row k is
     # sum_m c[i][j][m] g[m][k][l] - g[j][k][m] g[i][m][l] + g[i][k][m] g[j][m][l],
     # one contraction of the three coefficient rows against the three planes.
-    for i in range(n):
-        for j in range(i + 1, n):
-            block = tuple(spec.left(spec.c[i][j] + neg[j][k] + g[i][k], by_k[k] + g[i] + g[j])
-                          for k in range(n))
-            r[i][j] = block
-            r[j][i] = tuple(tuple(-value for value in row) for row in block)
-    return Curvature(spec, tuple(tuple(row) for row in r))
+    return Curvature(spec, _antisymmetric(n, _zero_block(spec), lambda i, j: tuple(
+        spec.left(spec.c[i][j] + neg[j][k] + g[i][k], by_k[k] + g[i] + g[j]) for k in range(n)),
+        _negative))
 
 
-def _levi_civita_r(spec: FrameSpec) -> tuple[int, list]:
+def _zero_block(spec: FrameSpec) -> tuple:
+    return ((spec.zero(),) * spec.n,) * spec.n
+
+
+def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
     """R_g as ``(den, r)``, ints over ``den = (2 den_c)^2``: ``r[i][j][k]`` maps l
     to den * g(R(E_i, E_j) E_k, E_l), read from the bracket and gamma rows."""
     n = spec.n
     _, c = spec.bracket_rows()
     den, g = gamma_rows(spec)
-    r: list = [[[{}] * n for _ in range(n)] for _ in range(n)]
-    # sum_m c[i][j][m] g[m][k][l] - g[j][k][m] g[i][m][l] + g[i][k][m] g[j][m][l]
-    # for i < j, where c is over den / 2; r[j][i] = -r[i][j]
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            acc: dict[int, int] = {}
-            for m, x in c[i][j]:
-                _accumulate(acc, 2 * x, g[m][k])
-            for m, x in g[j][k]:
-                _accumulate(acc, -x, g[i][m])
-            for m, x in g[i][k]:
-                _accumulate(acc, x, g[j][m])
-            r[i][j][k] = acc
-            r[j][i][k] = {l: -v for l, v in acc.items()}
-    return den * den, r
+
+    def row(i, j, k):
+        # sum_m c[i][j][m] g[m][k][l] - g[j][k][m] g[i][m][l] + g[i][k][m] g[j][m][l],
+        # where c is over den / 2
+        acc: dict[int, int] = {}
+        for m, x in c[i][j]:
+            _accumulate(acc, 2 * x, g[m][k])
+        for m, x in g[j][k]:
+            _accumulate(acc, -x, g[i][m])
+        for m, x in g[i][k]:
+            _accumulate(acc, x, g[j][m])
+        return acc
+
+    # R(X, Y) = -R(Y, X): form each pair i < j once
+    return den * den, _antisymmetric(
+        n, ({},) * n, lambda i, j: tuple(row(i, j, k) for k in range(n)),
+        lambda block: tuple({l: -v for l, v in acc.items()} for acc in block))
 
 
 def _levi_civita_ricci(spec: FrameSpec):
@@ -171,12 +177,12 @@ def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
     This is the second, independent route; it must agree entrywise with
     ``curvature(weyl(spec))`` and serves as that computation's oracle.
     """
-    n = spec.n
     rg = curvature(levi_civita(spec))
     half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
 
     def entry(i, j, k, l):
-        # the Phi-correction sits where two indices coincide
+        # the Phi-correction sits where two indices coincide; each of its terms
+        # at (j, i) is minus the same term at (i, j), as R_g is
         value = rg.r[i][j][k][l]
         if k == l:
             value = value + half_phi[i][j] - half_phi[j][i]
@@ -190,9 +196,15 @@ def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
             value = value - half_phi[i][l]
         return value
 
-    ix = range(n)
-    return Curvature(spec, tuple(tuple(tuple(tuple(entry(i, j, k, l) for l in ix) for k in ix)
-                                       for j in ix) for i in ix))
+    return Curvature(spec, _pair_antisymmetric(spec, entry))
+
+
+def _pair_antisymmetric(spec: FrameSpec, entry) -> tuple:
+    """The n^4 array of ``entry(i, j, k, l)`` when it is antisymmetric in
+    (i, j): the block (k, l) of each pair i < j is formed once and mirrored."""
+    ix = range(spec.n)
+    return _antisymmetric(spec.n, _zero_block(spec), lambda i, j: tuple(
+        tuple(entry(i, j, k, l) for l in ix) for k in ix), _negative)
 
 
 def ricci(R: Curvature):
@@ -282,6 +294,21 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     identity (XY-ZT), the first Bianchi identity, agreement of the two Weyl
     curvature routes, the antisymmetric part of rho being (n/2) d phi, and
     the twisted-symmetry defect of rho* being d phi(X,Z) + d phi(JX,JZ).
+
+    The four n^4 residuals are built by ``wtw.frame._antisymmetric``: one entry
+    of each mirrored pair is formed and the other is stored as its negation,
+    which it equals exactly, and the entries the builder sets to zero vanish
+    too.  So every residual array is the full one, and a failure prints the
+    same count, first index and residual as an entrywise evaluation would:
+
+    * pair symmetry, the first Bianchi identity and the two-route agreement
+      are antisymmetric in (i, j), as both curvature routes store r[j][i] =
+      -r[i][j] and ``d_oneform`` gives an antisymmetric d phi with a zero
+      diagonal; the Bianchi sum at (j, i, k) is its three terms at (i, j, k),
+      each negated;
+    * the exchange residual at (k, l, i, j) is minus its value at (i, j, k, l)
+      for any r, given d phi antisymmetric, so it is formed for the pair
+      index (i, j) < (k, l).
     """
     report = CheckReport(title="curvature identities")
     n = spec.n
@@ -295,8 +322,8 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     def pair_symmetry(i, j, k, l):
         return spec.dot((r[i][j][k][l], r[i][j][l][k], dphi[i][j]), (1, 1, -_kron(k, l)))
 
-    report.require_zero("pair-symmetry against d(phi) [Z-T]", [[[[
-        pair_symmetry(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
+    report.require_zero("pair-symmetry against d(phi) [Z-T]",
+                        _pair_antisymmetric(spec, pair_symmetry), axes)
 
     def exchange(i, j, k, l):
         # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
@@ -307,15 +334,23 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
             (2, -2, -_kron(k, l), _kron(i, j), -_kron(j, l), -_kron(i, k), _kron(i, l),
              _kron(j, k)))
 
-    report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", [[[[
-        exchange(i, j, k, l) for l in ix] for k in ix] for j in ix] for i in ix], axes)
-    report.require_zero("first Bianchi identity", [[[[
-        spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l]))
-        for l in ix] for k in ix] for j in ix] for i in ix], axes)
+    # antisymmetric in the pair index p = i n + j against q = k n + l
+    by_pair = _antisymmetric(n * n, spec.zero(),
+                             lambda p, q: exchange(*divmod(p, n), *divmod(q, n)))
+    report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", [[[
+        by_pair[i * n + j][k * n:k * n + n] for k in ix] for j in ix] for i in ix], axes)
+
+    def bianchi(i, j, k, l):
+        return spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l]))
+
+    report.require_zero("first Bianchi identity", _pair_antisymmetric(spec, bianchi), axes)
     via = weyl_curvature_via_formula(spec).r
-    report.require_zero("direct Weyl curvature equals Phi-correction formula", [[[[
-        spec.dot((r[i][j][k][l], via[i][j][k][l]), (1, -1))
-        for l in ix] for k in ix] for j in ix] for i in ix], axes)
+
+    def two_routes(i, j, k, l):
+        return spec.dot((r[i][j][k][l], via[i][j][k][l]), (1, -1))
+
+    report.require_zero("direct Weyl curvature equals Phi-correction formula",
+                        _pair_antisymmetric(spec, two_routes), axes)
 
     rho = ricci(RD)
     half_n = Fraction(n, 2)

@@ -63,11 +63,15 @@ Endomorphisms, 2-forms and bivectors are all n x n nested tuples, with no
 class of their own: an endomorphism S as above, a 2-form F with ``F[i][j] =
 F(E_i, E_j)``, and a bivector ``b`` the array of its components, ``sum_{i<j}
 b[i][j] E_i ^ E_j``.  Every sum or difference of endomorphisms is one
-:func:`linear_combination`.  The functions here build 2-forms and bivectors
-antisymmetric with a zero diagonal, and the public functions that take one,
-:func:`eval_on_bivector` and ``wtw.twistor.curvature_on_bivector``, read
-only the entries with i < j.  The 3-forms, plain nested tuples too, live in
-:mod:`wtw.hermitian`, their only user.
+:func:`linear_combination`.  Every array that the package computes
+antisymmetric in a pair of indices, here and in the later layers, is built
+by ``_antisymmetric``: it forms the entry of each pair i < j once, stores its
+negation at (j, i) (``_negative`` for n x n blocks) and zero on the diagonal.
+So the 2-forms and bivectors built here are antisymmetric with a zero
+diagonal, and the public functions that take one, :func:`eval_on_bivector`
+and ``wtw.twistor.curvature_on_bivector``, read only the entries with i < j.
+The 3-forms, plain nested tuples too, live in :mod:`wtw.hermitian`, their
+only user.
 
 Two names of later layers live here so that modules which need only them
 need not load those layers: :class:`GateError`, which the gate of
@@ -426,12 +430,11 @@ def _accumulate(acc: dict, weight: int, row) -> None:
 
 def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> tuple[Vector, ...]:
     """d omega with ``(d omega)(E_i, E_j) = -omega([E_i, E_j])``, as an n x n
-    array, contracted over the nonzero bracket rows only."""
+    array, contracted over the nonzero bracket rows i < j only."""
     _, rows = spec.bracket_rows()
     zero = spec.zero()
-    return tuple(tuple(-spec.dot(c_ij, omega) if row_ij else zero
-                       for c_ij, row_ij in zip(c_i, rows_i))
-                 for c_i, rows_i in zip(spec.c, rows))
+    return _antisymmetric(spec.n, zero,
+                          lambda i, j: -spec.dot(spec.c[i][j], omega) if rows[i][j] else zero)
 
 
 def eval_on_bivector(spec: FrameSpec, F: Sequence[Sequence], b: Sequence[Sequence]) -> Scalar:
@@ -450,14 +453,28 @@ def linear_combination(spec: FrameSpec, weights: Sequence,
     return tuple(flat[k:k + n] for k in range(0, n * n, n))
 
 
+def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):
+    """The n x n array with entry(i, j) for i < j, its ``negate`` for i > j and
+    ``zero`` on the diagonal; entry is called once per pair i < j.  Every array
+    that the package computes antisymmetric in a pair of indices is built here."""
+    out = [[zero] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        out[i][j] = entry(i, j)
+        out[j][i] = negate(out[i][j])
+    return tuple(tuple(row) for row in out)
+
+
+def _negative(a: Sequence[Sequence]) -> tuple[Vector, ...]:
+    """-a for an n x n array, the ``negate`` of arrays of n x n blocks."""
+    return tuple(tuple(-x for x in row) for row in a)
+
+
 def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar],
                    beta: Sequence[Scalar]) -> tuple[Vector, ...]:
     """(alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X), as an n x n array."""
-    n = spec.n
-    dot = spec.ring.dot
     minus_beta = [-b for b in beta]
-    return tuple(tuple(dot((alpha[i], alpha[j]), (beta[j], minus_beta[i])) for j in range(n))
-                 for i in range(n))
+    return _antisymmetric(spec.n, spec.zero(), lambda i, j: spec.dot(
+        (alpha[i], alpha[j]), (beta[j], minus_beta[i])))
 
 
 # -- built-in geometries ---------------------------------------------------

@@ -38,8 +38,10 @@ J (:func:`wtw.frame.wedge_iso`), the one builder of that array, which
 condition (ii) also reads as J^.  N is built from the spec's nonzero bracket
 rows and J columns (see :mod:`wtw.frame`), as int numerators over one
 denominator from its four brackets, each nonzero entry lifted to a scalar
-once.  d(Omega) and the residual are evaluated on increasing triples over
-the nonzero bracket rows and extended by antisymmetry.
+once; N(E_i, E_j) is formed for the pairs i < j and mirrored by
+``wtw.frame._antisymmetric``.  d(Omega) and the residual are evaluated on
+increasing triples over the nonzero bracket rows and extended by
+antisymmetry.
 
 Omega, like every 2-form, is an n x n nested tuple, and 3-forms are plain
 n x n x n nested tuples, as N is.  The two 3-form builders ``_d_twoform`` and
@@ -56,8 +58,8 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .connection import cov_deriv_endo, gamma_rows, levi_civita, weyl
-from .frame import (FrameSpec, GateError, Vector, _accumulate, d_oneform, linear_combination,
-                    wedge_iso, wedge_oneforms)
+from .frame import (FrameSpec, GateError, Vector, _accumulate, _antisymmetric, d_oneform,
+                    linear_combination, wedge_iso, wedge_oneforms)
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -121,11 +123,11 @@ def nijenhuis(spec: FrameSpec):
 
 
 def _nijenhuis(spec: FrameSpec):
-    n, zero = spec.n, spec.zero()
+    n, ix = spec.n, range(spec.n)
     cden, rows = spec.bracket_rows()
     jden, cols = spec.j_columns()
-    comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j in combinations(range(n), 2):
+
+    def pair(i, j):
         # -[Y, Z] + [JY, JZ] - J([Y, JZ] + [JY, Z]) for Y = E_i, Z = E_j, as
         # int numerators over cden * jden^2, the inner sum over cden * jden
         value: dict[int, int] = {}
@@ -139,11 +141,11 @@ def _nijenhuis(spec: FrameSpec):
             _accumulate(inner, y, rows[i][q])
         for m, x in inner.items():
             _accumulate(value, -x, cols[m])
-        for k, x in value.items():
-            if x:
-                entry = spec.const(Fraction(x, cden * jden * jden))
-                comps[k][i][j], comps[k][j][i] = entry, -entry
-    comps = tuple(tuple(tuple(row) for row in plane) for plane in comps)
+        return spec.lift(value.items(), cden * jden * jden)
+
+    # N(E_i, E_j) for the pairs i < j, stored as N[k][i][j]
+    by_pair = _antisymmetric(n, (spec.zero(),) * n, pair, lambda v: tuple(-x for x in v))
+    comps = tuple(tuple(tuple(by_pair[i][j][k] for j in ix) for i in ix) for k in ix)
     integrable = all(entry.is_zero for plane in comps for row in plane for entry in row)
     return comps, integrable
 

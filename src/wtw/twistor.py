@@ -25,7 +25,10 @@ reads) and any mismatch raises.
 The action on an endomorphism is kept on its curvature tensor, and the
 cross-check runs once per connection and endomorphism (see
 :class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
-formed for the frame pairs i < j only.
+formed for the frame pairs i < j only.  The action, the vertical
+antisymmetry residual and the dphi terms of ``_endo_terms`` are built by
+``wtw.frame._antisymmetric``, the one builder of arrays antisymmetric in a
+pair of indices.
 
 The checks form only what they need.  The fiber metric is ad-invariant,
 ``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so pairing the
@@ -77,8 +80,8 @@ from typing import NamedTuple
 
 from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
 from .curvature import Curvature, curvature
-from .frame import (FrameError, FrameSpec, Vector, _is_skew, _kron, eval_on_bivector,
-                    linear_combination, wedge_iso, wedge_oneforms)
+from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron,
+                    _negative, eval_on_bivector, linear_combination, wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -136,18 +139,7 @@ def _endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
     # R(X, Y) = -R(Y, X)
     spec = R.spec
     zero = ((spec.zero(),) * spec.n,) * spec.n
-    return _antisymmetric(spec.n, zero, lambda i, j: _commutator(spec, R.endo(i, j), S),
-                          lambda a: tuple(tuple(-x for x in row) for row in a))
-
-
-def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):
-    """The n x n array with entry(i, j) for i < j, its negative for i > j and
-    ``zero`` on the diagonal; entry is called once per pair i < j."""
-    out = [[zero] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        out[i][j] = entry(i, j)
-        out[j][i] = negate(out[i][j])
-    return tuple(tuple(row) for row in out)
+    return _antisymmetric(spec.n, zero, lambda i, j: _commutator(spec, R.endo(i, j), S), _negative)
 
 
 def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
@@ -280,10 +272,10 @@ def _bivector_terms(R: Curvature, w):
 
 def _endo_terms(spec: FrameSpec, c: tuple[Vector, ...]):
     """dphi(c E_i, E_j) + dphi(E_i, c E_j) at [i][j].  As dphi is antisymmetric,
-    the second term is the first at [j][i], negated: each is formed once."""
+    the second term is the first at [j][i], negated: each is formed once, and
+    the sum is antisymmetric in (i, j)."""
     first = [spec.left(col, spec.dphi()) for col in zip(*c)]
-    return [[value - first[j][i] for j, value in enumerate(row)]
-            for i, row in enumerate(first)]
+    return _antisymmetric(spec.n, spec.zero(), lambda i, j: first[i][j] - first[j][i])
 
 
 def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:

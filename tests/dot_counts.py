@@ -17,12 +17,13 @@ counter and runs ``wtw.cli._suite_report`` in process on two workloads:
 * ``vaisman16``: the n = 16 Vaisman frame of ``tests/frame_families.py``.
 
 Only the calls made inside ``_suite_report`` are counted, not those of
-loading the spec.  For each tree and workload the script prints the number
-of calls and the number that returned zero, and both for each of the
-callers with the most calls, each named by the ``file:line`` of the first
+loading the spec.  Each call is charged to the ``file:qualname`` of the first
 frame outside ``polyalg.py`` and ``frame.py``, so a contraction helper or an
-operator is charged to the code that asked for it.  Standard library only; pytest does
-not collect it.
+operator is charged to the function that asked for it, and a caller keeps its
+name when lines move.  For each tree and workload the script prints the
+number of calls and the number that returned zero, and both for each caller
+among the ones with the most calls in either tree, so the two trees list the
+same callers.  Standard library only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-TOP = 8  # callers printed per workload
+TOP = 8  # callers with the most calls, taken from each tree
 
 
 def _count(workload) -> dict:
-    """Run ``workload()`` with ``Ring.dot`` counted; the calls, the zero
-    results and, for the callers with the most calls, both per caller."""
+    """Run ``workload()`` with ``Ring.dot`` counted; the calls and the zero
+    results, in total and per caller."""
     import wtw
     from wtw.polyalg import Ring
 
@@ -55,7 +56,7 @@ def _count(workload) -> dict:
         frame = sys._getframe(1)
         while frame.f_code.co_filename in skip:
             frame = frame.f_back
-        caller = f"{pathlib.Path(frame.f_code.co_filename).name}:{frame.f_lineno}"
+        caller = f"{pathlib.Path(frame.f_code.co_filename).name}:{frame.f_code.co_qualname}"
         calls[caller] += 1
         if not value:
             zeros[caller] += 1
@@ -66,9 +67,8 @@ def _count(workload) -> dict:
         workload()
     finally:
         Ring.dot = dot
-    top = calls.most_common(TOP)
     return {"calls": sum(calls.values()), "zeros": sum(zeros.values()),
-            "callers": [(caller, count, zeros[caller]) for caller, count in top]}
+            "callers": [(caller, count, zeros[caller]) for caller, count in calls.most_common()]}
 
 
 def _child() -> None:
@@ -105,11 +105,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.stderr.write("usage: python tests/dot_counts.py OLD_SRC NEW_SRC\n")
         return 2
-    for src in (str(pathlib.Path(path).resolve()) for path in argv):
+    runs = [(src, _run(src)) for src in (str(pathlib.Path(path).resolve()) for path in argv)]
+    for src, run in runs:
         print(src)
-        for workload, counts in _run(src).items():
+        for workload, counts in run.items():
             print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']}")
-            for caller, calls, zeros in counts["callers"]:
+            # the top callers of either tree, so that both trees list the same ones
+            shown = {row[0] for _, other in runs for row in other[workload]["callers"][:TOP]}
+            rows = {caller: (calls, zeros) for caller, calls, zeros in counts["callers"]}
+            for caller in sorted(shown, key=lambda caller: (-rows.get(caller, (0,))[0], caller)):
+                calls, zeros = rows.get(caller, (0, 0))
                 print(f"    {calls:>9} calls {zeros:>9} zero  {caller}")
     return 0
 

@@ -56,6 +56,26 @@ def _nonzero_r(R):
     return out
 
 
+def _phi_correction(spec):
+    """The Weyl curvature by the Phi-correction formula at every (i, j, k, l), with
+    R_g contracted in rationals from the Koszul gammas at every pair (i, j), so
+    that no entry is the mirror of another."""
+    c, ix = spec.c, range(spec.n)
+    g = [[[Fraction(c[i][j][k] - c[i][k][j] - c[j][k][i], 2) for k in ix] for j in ix]
+         for i in ix]
+    half = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
+
+    def entry(i, j, k, l):
+        rg = sum(c[i][j][m] * g[m][k][l] - g[j][k][m] * g[i][m][l] + g[i][k][m] * g[j][m][l]
+                 for m in ix)
+        return spec.dot((rg, half[i][j], half[j][i], half[i][k], half[j][k], half[j][l],
+                         half[i][l]),
+                        (1, k == l, -(k == l), j == l, -(i == l), i == k, -(j == k)))
+
+    return tuple(tuple(tuple(tuple(entry(i, j, k, l) for l in ix) for k in ix) for j in ix)
+                 for i in ix)
+
+
 def _table(matrix):
     return [[str(entry) for entry in row] for row in matrix]
 
@@ -74,13 +94,14 @@ class TestCurvatureTensor:
         assert not _nonzero_r(curvature(weyl(abelian)))
 
     def test_two_weyl_curvature_routes_agree(self, inoue, kodairas, hyperbolic_like):
-        for spec in (inoue, kodairas[(1, 1)], kodairas[(-1, -1)], hyperbolic_like):
-            direct = curvature(weyl(spec))
-            formula = weyl_curvature_via_formula(spec)
-            n = spec.n
-            assert all((direct.r[i][j][k][l] - formula.r[i][j][k][l]).is_zero
-                       for i in range(n) for j in range(n)
-                       for k in range(n) for l in range(n))
+        """Both routes equal the Phi-correction formula evaluated at every (i, j, k, l)
+        in the test, on the n = 6 and 8 frame families too: the library forms
+        the pairs i < j only and mirrors them."""
+        families = [load_spec(text, name) for name, text in frame_families.COMMITTED.items()]
+        for spec in (inoue, kodairas[(1, 1)], kodairas[(-1, -1)], hyperbolic_like, *families):
+            expected = _phi_correction(spec)
+            assert curvature(weyl(spec)).r == expected, spec.name
+            assert weyl_curvature_via_formula(spec).r == expected, spec.name
 
     def test_zero_form_reduces_to_levi_civita_curvature(self, kodairas):
         spec = kodairas[(1, 1)].with_phi((0, 0, 0, 0))
@@ -223,6 +244,39 @@ class TestIdentitySuite:
     def test_identity_suite_on_lck_fixture(self, hyperbolic_like):
         report = identity_suite(hyperbolic_like)
         assert report.ok, [c.name for c in report.failures]
+
+    def test_failure_details_count_every_entry(self, monkeypatch):
+        """A fault a1 - 2 at r[1][2][0][3] of the Weyl curvature of inoue-s0, with
+        its negative at the mirror r[2][1][0][3], breaks the four n^4 checks and
+        the rho* defect together; each detail counts the nonzero entries of the
+        whole array, both halves of the formed pairs included, and names the
+        first."""
+        weyl_curvature = curvature_module._curvature
+
+        def faulty(conn):
+            R = weyl_curvature(conn)
+            if conn.kind != "weyl":
+                return R
+            fault = conn.spec.ring.parse("a1 - 2")
+            r = [[[list(row) for row in block] for block in plane] for plane in R.r]
+            r[1][2][0][3] += fault
+            r[2][1][0][3] -= fault
+            return curvature_module.Curvature(conn.spec, r)
+
+        monkeypatch.setattr(curvature_module, "_curvature", faulty)
+        report = identity_suite(builtin("inoue-s0"))
+        assert [(check.name, check.detail) for check in report.checks] == [
+            ("pair-symmetry against d(phi) [Z-T]",
+             "4 nonzero entries, first at (E2,E3,E1,E4): a1 - 2"),
+            ("argument-pair exchange against d(phi) [XY-ZT]",
+             "4 nonzero entries, first at (E1,E4,E2,E3): -2*a1 + 4"),
+            ("first Bianchi identity", "6 nonzero entries, first at (E1,E2,E3,E4): a1 - 2"),
+            ("direct Weyl curvature equals Phi-correction formula",
+             "2 nonzero entries, first at (E2,E3,E1,E4): a1 - 2"),
+            ("antisymmetric part of rho equals (n/2) d(phi)", ""),
+            ("twisted-symmetry defect of rho* from d(phi) and codifferentials",
+             "2 nonzero entries, first at (E1,E1): a1 - 2"),
+        ]
 
 
 class TestRicciFormulas:

@@ -14,7 +14,8 @@ import frame_families
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, weyl)
-from wtw.frame import linear_combination, wedge_iso, wedge_oneforms
+from wtw.frame import (_antisymmetric, _negative, linear_combination, wedge_iso,
+                       wedge_oneforms)
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_twoform, _wedge_one_two
 from wtw.hermitian import _lee_residual, fundamental_form, lee_form, nijenhuis
@@ -675,6 +676,39 @@ def test_two_forms_and_bivectors_are_antisymmetric_arrays(spec):
         assert all(isinstance(x, Scalar) and x.ring == spec.ring for row in F for x in row), name
         assert all(F[i][i].is_zero for i in range(n)), name
         assert all(F[i][j] == -F[j][i] for i in range(n) for j in range(i + 1, n)), name
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("kind", ["scalar", "array"])
+def test_antisymmetric_forms_each_pair_once_and_mirrors_it(n, kind):
+    """``_antisymmetric`` calls entry once per pair i < j, stores the ``negate``
+    of that entry at (j, i) and ``zero`` on the diagonal: with scalar entries
+    and the default negation, and with n x n arrays and ``_negative``."""
+    ring = Ring(("a",))
+    a, ix = ring.sym("a"), range(n)
+    calls = []
+
+    def entry(i, j):
+        calls.append((i, j))
+        if kind == "scalar":
+            return a * (n * i + j) + 1
+        return tuple(tuple(a * (n * i + j) + (k - l) for l in ix) for k in ix)
+
+    if kind == "scalar":
+        zero = ring.zero()
+        out = _antisymmetric(n, zero, entry)
+    else:
+        zero = ((ring.zero(),) * n,) * n
+        out = _antisymmetric(n, zero, entry, _negative)
+    pairs = [(i, j) for i in ix for j in ix if i < j]
+    assert sorted(calls) == pairs
+    assert len(out) == n and all(type(row) is tuple and len(row) == n for row in out)
+    assert all(out[i][i] is zero for i in ix)
+    assert all(out[i][j] == entry(i, j) for i, j in pairs)
+    if kind == "scalar":
+        assert all(out[j][i] == -out[i][j] for i, j in pairs)
+    else:
+        assert all(out[j][i][k][l] == -out[i][j][k][l] for i, j in pairs for k in ix for l in ix)
 
 
 @pytest.mark.parametrize("spec", FRAMES_WITH_CONSTANTS, ids=lambda spec: spec.name)
