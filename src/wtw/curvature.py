@@ -35,7 +35,9 @@ R(X, Y) = -R(Y, X), so each curvature tensor is built by
 stores their negations at (j, i): the direct route (``_curvature``), R_g
 (``_levi_civita_r``) and the Phi-correction route, whose correction terms
 each change sign with (i, j) as R_g does.  The identity suite forms each of
-its n^4 residuals through the same builder (see :func:`identity_suite`).
+its n^4 residuals through the same builder, except the first Bianchi
+residual, which alternates in three indices and is built by
+``wtw.frame._alternating`` (see :func:`identity_suite`).
 
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
@@ -50,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connection import Connection, cov_deriv_oneform, gamma_rows, levi_civita, weyl
-from .frame import FrameSpec, Memo, _accumulate, _antisymmetric, _kron, _negative
+from .frame import FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _kron, _negative
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -295,17 +297,20 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     curvature routes, the antisymmetric part of rho being (n/2) d phi, and
     the twisted-symmetry defect of rho* being d phi(X,Z) + d phi(JX,JZ).
 
-    The four n^4 residuals are built by ``wtw.frame._antisymmetric``: one entry
-    of each mirrored pair is formed and the other is stored as its negation,
-    which it equals exactly, and the entries the builder sets to zero vanish
-    too.  So every residual array is the full one, and a failure prints the
-    same count, first index and residual as an entrywise evaluation would:
+    The four n^4 residuals are built by ``wtw.frame._antisymmetric`` and
+    ``_alternating``: one entry of each mirrored set is formed and the others
+    are stored as it or as its negation, which they equal exactly, and the
+    entries the builders set to zero vanish too.  So every residual array is
+    the full one, and a failure prints the same count, first index and
+    residual as an entrywise evaluation would:
 
-    * pair symmetry, the first Bianchi identity and the two-route agreement
-      are antisymmetric in (i, j), as both curvature routes store r[j][i] =
-      -r[i][j] and ``d_oneform`` gives an antisymmetric d phi with a zero
-      diagonal; the Bianchi sum at (j, i, k) is its three terms at (i, j, k),
-      each negated;
+    * pair symmetry and the two-route agreement are antisymmetric in (i, j),
+      as both curvature routes store r[j][i] = -r[i][j] and ``d_oneform``
+      gives an antisymmetric d phi with a zero diagonal;
+    * the first Bianchi sum alternates in (i, j, k), so it is formed for
+      i < j < k: at a cyclic image it is the same three terms, at (j, i, k)
+      its three terms each negated, and with two indices equal a term r[i][i]
+      = 0 and two opposite ones;
     * the exchange residual at (k, l, i, j) is minus its value at (i, j, k, l)
       for any r, given d phi antisymmetric, so it is formed for the pair
       index (i, j) < (k, l).
@@ -340,10 +345,12 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", [[[
         by_pair[i * n + j][k * n:k * n + n] for k in ix] for j in ix] for i in ix], axes)
 
-    def bianchi(i, j, k, l):
-        return spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l]))
+    def bianchi(i, j, k):
+        return tuple(spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l])) for l in ix)
 
-    report.require_zero("first Bianchi identity", _pair_antisymmetric(spec, bianchi), axes)
+    report.require_zero("first Bianchi identity",
+                        _alternating(n, (spec.zero(),) * n, bianchi,
+                                     lambda row: tuple(-x for x in row)), axes)
     via = weyl_curvature_via_formula(spec).r
 
     def two_routes(i, j, k, l):

@@ -70,8 +70,9 @@ negation at (j, i) (``_negative`` for n x n blocks) and zero on the diagonal.
 So the 2-forms and bivectors built here are antisymmetric with a zero
 diagonal, and the public functions that take one, :func:`eval_on_bivector`
 and ``wtw.twistor.curvature_on_bivector``, read only the entries with i < j.
-The 3-forms, plain nested tuples too, live in :mod:`wtw.hermitian`, their
-only user.
+Arrays alternating in three indices, the 3-forms of :mod:`wtw.hermitian` and
+the first Bianchi residual of :mod:`wtw.curvature`, are built by
+``_alternating``, which forms the entry of each triple i < j < k once.
 
 Two names of later layers live here so that modules which need only them
 need not load those layers: :class:`GateError`, which the gate of
@@ -279,11 +280,12 @@ class FrameSpec(Memo):
 
     def lift(self, entries: Iterable[tuple[int, int]], den: int) -> Vector:
         """The vector with ``v / den`` at each ``(k, v)`` of ``entries``, int
-        numerators, and the ring's shared zero elsewhere."""
+        numerators over a positive ``den``, and the ring's shared zero
+        elsewhere; each constant is reduced by one gcd, with no Fraction."""
         out = [self.ring.zero()] * self.n
         for k, v in entries:
             if v:
-                out[k] = self.ring.const(Fraction(v, den))
+                out[k] = Scalar._reduced(self.ring, {0: v}, den)
         return tuple(out)
 
     def j_endo(self) -> tuple[Vector, ...]:
@@ -462,6 +464,20 @@ def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):
         out[i][j] = entry(i, j)
         out[j][i] = negate(out[i][j])
     return tuple(tuple(row) for row in out)
+
+
+def _alternating(n: int, zero, entry, negate=lambda x: -x):
+    """The n x n x n array with entry(i, j, k) for i < j < k and at its cyclic
+    images, its ``negate`` at the odd images and ``zero`` where two indices
+    agree; entry is called once per increasing triple.  The 3-forms and the
+    first Bianchi residual are built here."""
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in combinations(range(n), 3):
+        value = entry(i, j, k)
+        minus = negate(value)
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            out[a][b][d], out[b][a][d] = value, minus
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
 
 
 def _negative(a: Sequence[Sequence]) -> tuple[Vector, ...]:

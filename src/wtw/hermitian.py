@@ -41,7 +41,7 @@ denominator from its four brackets, each nonzero entry lifted to a scalar
 once; N(E_i, E_j) is formed for the pairs i < j and mirrored by
 ``wtw.frame._antisymmetric``.  d(Omega) and the residual are evaluated on
 increasing triples over the nonzero bracket rows and extended by
-antisymmetry.
+antisymmetry (``wtw.frame._alternating``).
 
 Omega, like every 2-form, is an n x n nested tuple, and 3-forms are plain
 n x n x n nested tuples, as N is.  The two 3-form builders ``_d_twoform`` and
@@ -54,29 +54,16 @@ it, for the nabla-J checks and the twistor layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .connection import cov_deriv_endo, gamma_rows, levi_civita, weyl
-from .frame import (FrameSpec, GateError, Vector, _accumulate, _antisymmetric, d_oneform,
-                    linear_combination, wedge_iso, wedge_oneforms)
+from .frame import (FrameSpec, GateError, Vector, _accumulate, _alternating, _antisymmetric,
+                    d_oneform, linear_combination, wedge_iso, wedge_oneforms)
 from .polyalg import Scalar
 from .reports import CheckReport
 
 
 # -- 3-forms (constant components) ----------------------------------------
-
-def _alternating(spec: FrameSpec, values: Iterable[Scalar]):
-    """The n x n x n 3-form with ``values`` on the increasing triples, in the
-    order of ``combinations(range(n), 3)``, extended by antisymmetry."""
-    n, zero = spec.n, spec.zero()
-    comps = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), value in zip(combinations(range(n), 3), values):
-        if value:
-            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                comps[a][b][d], comps[b][a][d] = value, -value
-    return tuple(tuple(tuple(row) for row in plane) for plane in comps)
-
 
 def _d_twoform(spec: FrameSpec, F):
     """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
@@ -87,19 +74,17 @@ def _d_twoform(spec: FrameSpec, F):
     """
     _, rows = spec.bracket_rows()
     c, zero = spec.c, spec.zero()
-    return _alternating(spec, (
+    return _alternating(spec.n, zero, lambda i, j, k: (
         spec.dot(c[i][j] + c[j][k] + c[k][i], F[k] + F[i] + F[j])
-        if rows[i][j] or rows[j][k] or rows[k][i] else zero
-        for i, j, k in combinations(range(spec.n), 3)))
+        if rows[i][j] or rows[j][k] or rows[k][i] else zero))
 
 
 def _wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F):
     """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)
     for an antisymmetric F, where -F(X, Z) = F(Z, X)."""
     dot = spec.ring.dot
-    return _alternating(spec, (
-        dot((alpha[i], alpha[j], alpha[k]), (F[j][k], F[k][i], F[i][j]))
-        for i, j, k in combinations(range(spec.n), 3)))
+    return _alternating(spec.n, spec.zero(), lambda i, j, k: dot(
+        (alpha[i], alpha[j], alpha[k]), (F[j][k], F[k][i], F[i][j])))
 
 
 class LeeData(NamedTuple):
@@ -197,8 +182,8 @@ def _lee_residual(spec: FrameSpec):
     """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
     d_omega = spec.memo(_d_omega)
     wedge = _wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec))
-    return _alternating(spec, (d_omega[i][j][k] - wedge[i][j][k]
-                               for i, j, k in combinations(range(spec.n), 3)))
+    return _alternating(spec.n, spec.zero(),
+                        lambda i, j, k: d_omega[i][j][k] - wedge[i][j][k])
 
 
 def lck_check(spec: FrameSpec) -> CheckReport:

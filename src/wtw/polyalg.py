@@ -37,9 +37,16 @@ once, so it builds no scalar per product and never runs
 counts multiply past ``_MAX_PRODUCT_PAIRS``, as the parser refuses a written
 one past ``_MAX_PARSE_SIZE``.  :meth:`wtw.frame.FrameSpec.left` and ``right``
 hand it only the nonzero positions of their fixed vector, and none at all
-when that vector is zero.  :meth:`Ring.sum` is a dot against ones.  The
-accessors :meth:`Scalar.terms` and :meth:`Scalar.constant_value` return
-:class:`fractions.Fraction` coefficients.  There is no floating point
+when that vector is zero.  :meth:`Ring.sum` is a dot against ones.
+
+:meth:`Scalar.substitute` and ``str()`` read the int numerators over the one
+denominator as well: substitution multiplies each numerator by a power table
+of each assigned value and reduces the sum once, and rendering reduces each
+coefficient by one gcd, so neither forms a Fraction per term.
+:meth:`Ring.const` reads the numerator and denominator of an int or a
+Fraction, and the rational constants of specs and assignments are read as two
+ints.  The accessors :meth:`Scalar.terms` and :meth:`Scalar.constant_value`
+still return :class:`fractions.Fraction` coefficients.  There is no floating point
 anywhere: identity tests are exact.
 
 Rendering contract
@@ -97,14 +104,16 @@ class ExponentOverflowError(ValueError):
 
 def _parse_rational(text: str) -> Fraction:
     """A rational constant ``[+-]digits[/digits]``, surrounding spaces allowed;
-    anything else, or a zero denominator, raises ValueError.  ``Fraction`` alone
-    takes exponent notation and spends unbounded time on ``"1e9999999"``."""
+    anything else, a zero denominator or a part longer than ``int()`` converts
+    raises ValueError.  ``Fraction`` alone takes exponent notation and spends
+    unbounded time on ``"1e9999999"``."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational constant: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    num, _, den = text.partition("/")  # int() reads the sign and the spaces
+    den = int(den) if den else 1
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
 class Ring:
@@ -153,10 +162,11 @@ class Ring:
         return self.const(1)
 
     def const(self, value: RationalLike) -> Scalar:
-        coeff = Fraction(value)
-        if coeff == 0:
-            return self.zero()
-        return Scalar._canonical(self, {0: coeff.numerator}, coeff.denominator)
+        if not isinstance(value, _RATIONALS):
+            value = Fraction(value)
+        if not value:
+            return self._zero
+        return Scalar._canonical(self, {0: value.numerator}, value.denominator)
 
     def sym(self, name: str) -> Scalar:
         try:
@@ -443,48 +453,62 @@ class Scalar:
 
         Substitution is a ring homomorphism, so it commutes with ``+``/``*``.
         The result lives in the same ring (a polynomial in the remaining
-        symbols).
+        symbols).  It is formed on the int numerators: for each assigned
+        symbol, of value p/q and highest exponent ``top`` here, a term's
+        numerator is multiplied by ``p^e q^(top - e)`` for its exponent e, the
+        symbol's field is masked out of the monomial, and the sum is reduced
+        once over ``den * prod(q^top)``.
         """
-        values: dict[int, Fraction] = {}
+        ring, terms, den = self.ring, self._terms, self._den
+        mask, tables = 0, []  # tables: (shift, [p^e q^(top - e) for e <= top])
         for name, value in assignment.items():
-            if name not in self.ring.symbols:
+            if name not in ring.symbols:
                 raise KeyError(f"unknown symbol {name!r}")
-            values[self.ring.symbols.index(name)] = Fraction(value)
-        if not values:
+            shift = ring._shifts[ring.symbols.index(name)]
+            top = max(((key >> shift) & _MAX_EXPONENT for key in terms), default=0)
+            if top:
+                if not isinstance(value, _RATIONALS):
+                    value = Fraction(value)
+                p, q = value.numerator, value.denominator
+                tables.append((shift, [p ** e * q ** (top - e) for e in range(top + 1)]))
+                mask |= _MAX_EXPONENT << shift
+                den *= q ** top
+        if not tables:  # no assigned symbol occurs
             return self
-        out: dict[Exponents, Fraction] = {}
-        for key, num in self._terms.items():
-            exps = self.ring._unpack(key)
-            coeff = Fraction(num, self._den)
-            new = list(exps)
-            for idx, val in values.items():
-                coeff = coeff * val ** exps[idx]
-                new[idx] = 0
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coeff
-        return Scalar(self.ring, out)
+        acc: dict[int, int] = {}
+        get = acc.get
+        keep = ~mask
+        for key, num in terms.items():
+            for shift, table in tables:
+                num *= table[(key >> shift) & _MAX_EXPONENT]
+            key &= keep
+            acc[key] = get(key, 0) + num
+        acc = {e: c for e, c in acc.items() if c}  # zero values and cancellations
+        return Scalar._reduced(ring, acc, den) if acc else ring._zero
 
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self._terms:
             return "0"
+        den, symbols, unpack = self._den, self.ring.symbols, self.ring._unpack
         parts: list[str] = []
-        for exps, coeff in self.terms():
+        for key, num in sorted(self._terms.items(), reverse=True):
             monomial = "*".join(
                 name if power == 1 else f"{name}^{power}"
-                for name, power in zip(self.ring.symbols, exps) if power)
-            mag = abs(coeff)
+                for name, power in zip(symbols, unpack(key)) if power)
+            g = math.gcd(num, den)  # |num| / den in lowest terms
+            mag = f"{abs(num) // g}" if g == den else f"{abs(num) // g}/{den // g}"
             if not monomial:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = monomial
             else:
                 body = f"{mag}*{monomial}"
             if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
+                parts.append(f"-{body}" if num < 0 else body)
             else:
-                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+                parts.append(f"- {body}" if num < 0 else f"+ {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -495,8 +519,10 @@ class Scalar:
 # immutability guard's __setattr__ does not intercept.
 _new = object.__new__
 _set_ring, _set_terms, _set_den = Scalar.ring.__set__, Scalar._terms.__set__, Scalar._den.__set__
-# what the operators take as their other operand
-_OPERANDS = (Scalar, int, Fraction)
+# the rationals read through their numerator and denominator, and what the
+# operators take as their other operand
+_RATIONALS = (int, Fraction)
+_OPERANDS = (Scalar, *_RATIONALS)
 
 
 def normalize_up_to_unit(p: Scalar) -> Scalar:

@@ -93,7 +93,8 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
     :func:`wtw.curvature.ricci_via_formula`, so neither the Weyl connection nor
     its curvature tensor is formed.  In ``dim4_mode`` only the last
     three terms are kept: up to sign they are the rearranged four-dimensional
-    form, and normalization strips the sign.
+    form, and normalization strips the sign.  Each entry is one kernel call
+    over its terms.
     """
     theta = require_gate(spec).theta
     psi = tuple(t - p for t, p in zip(theta, spec.phi))
@@ -106,13 +107,13 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
     psi_j = spec.left(psi, J)                                  # psi(JZ)
     rho_psi = spec.left(psi, rho)                              # rho(psi#, Z)
     rho_star_jpsi_j = spec.left(spec.left(jpsi, rho_star), J)  # rho*(J psi#, JZ)
-    out = [rho_star_jpsi_j[k] - rho_psi[k] - psi_j[k] * dphi_jwedge for k in range(n)]
-    if dim4_mode:
-        return tuple(out)
-    dphi_psi = spec.left(psi, dphi)                            # dphi(psi#, Z)
-    dphi_jpsi_j = spec.left(spec.left(jpsi, dphi), J)          # dphi(J psi#, JZ)
-    lead = Fraction(n, 2) - 1
-    return tuple(value + dphi_psi[k] * lead - dphi_jpsi_j[k] for k, value in enumerate(out))
+    terms = [rho_star_jpsi_j, rho_psi, psi_j]
+    weights = [1, -1, -dphi_jwedge]
+    if not dim4_mode:
+        terms += [spec.left(psi, dphi),                        # dphi(psi#, Z)
+                  spec.left(spec.left(jpsi, dphi), J)]         # dphi(J psi#, JZ)
+        weights += [Fraction(n, 2) - 1, -1]
+    return tuple(spec.dot([term[k] for term in terms], weights) for k in range(n))
 
 
 def condition_ii(spec: FrameSpec) -> tuple[Scalar, ...]:
@@ -146,11 +147,12 @@ def verify_assignment(report: ConditionReport,
     """Substitute an assignment into both systems; holds means every polynomial
     vanishes identically in the remaining symbols (partial assignments allowed)."""
     items = tuple(sorted((name, Fraction(value)) for name, value in assignment.items()))
+    point = dict(items)
     per = []
     leftover: set[str] = set()
     for label, system in (("i", report.condition_i), ("ii", report.condition_ii)):
         for idx, poly in enumerate(system, start=1):
-            value = poly.substitute(dict(items))
+            value = poly.substitute(point)
             ok = value.is_zero
             per.append((f"condition_{label}[{idx}]", ok))
             if not ok:

@@ -13,9 +13,9 @@ which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
 :mod:`wtw.frame`: products go through ``FrameSpec.compose``, each sum or
 difference of endomorphisms is one ``linear_combination``, and each entry of a
-commutator is one kernel call over the terms of both products.
-``_is_vertical`` is the one test that an endomorphism is skew and anticommutes
-with J.
+commutator, or of the anticommutator V o J + J o V, is one kernel call over
+the terms of both products.  ``_is_vertical`` is the one test that an
+endomorphism is skew and anticommutes with J.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
@@ -103,21 +103,21 @@ def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
     return lambda a: dot([a[k][l] for k, l in support], values) * half
 
 
-def _commutator(spec: FrameSpec, a: tuple[Vector, ...],
-                b: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """[a, b] = a o b - b o a: entry (i, j) is one kernel call, the row
-    a[i] + (-b[i]) against column j of b followed by column j of a, read
-    only where that row is nonzero (``FrameSpec.right``)."""
+def _commutator(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...],
+                anti: bool = False) -> tuple[Vector, ...]:
+    """[a, b] = a o b - b o a, or a o b + b o a when ``anti``: entry (i, j) is
+    one kernel call, the row a[i] + (-b[i]) (or + b[i]) against column j of b
+    followed by column j of a, read only where that row is nonzero
+    (``FrameSpec.right``)."""
     cols = [(*col_b, *col_a) for col_b, col_a in zip(zip(*b), zip(*a))]
-    return tuple(spec.right(cols, (*row_a, *[-x for x in row_b]))
+    return tuple(spec.right(cols, (*row_a, *(row_b if anti else [-x for x in row_b])))
                  for row_a, row_b in zip(a, b))
 
 
 def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
     """Whether V is vertical at J: skew, and V o J + J o V = 0."""
-    j_endo = spec.j_endo()
-    return _is_skew(V) and not any(chain.from_iterable(linear_combination(
-        spec, (1, 1), (spec.compose(V, j_endo), spec.compose(j_endo, V)))))
+    return _is_skew(V) and not any(chain.from_iterable(
+        _commutator(spec, V, spec.j_endo(), anti=True)))
 
 
 def curvature_on_bivector(R: Curvature, b):

@@ -13,6 +13,8 @@ basis, where ``suite`` exits 2), written to a temporary directory:
 
 * every verb, in table and JSON format; ``verify`` gets ``--assign`` with the
   source's first symbol set to 0, and runs without it where there is none;
+* ``verify`` once more with the first symbol at -3/2 and the second, where
+  there is one, at 5/7, so substitution meets negative and non-integer values;
 * ``--dim4`` on ``conditions``, ``verify`` and ``report`` at n = 4;
 * ``report`` with that ``--assign``;
 * ``suite`` in table format on the n = 16 hyperbolic, Vaisman and Inoue-type
@@ -76,10 +78,14 @@ def cases(directory: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
     out = []
     for name, source, symbols, dimension in sources(directory):
         assign = ["--assign", f"{symbols[0]}=0"] if symbols else []
+        rational = ",".join(f"{s}={v}" for s, v in zip(symbols, ("-3/2", "5/7")))
         for fmt in ("table", "json"):
             tail = [*source, "--format", fmt]
             for verb in VERBS:
                 out.append((verb, name, fmt, [verb, *tail, *(assign if verb == "verify" else [])]))
+            if symbols:
+                out.append(("verify --assign rational", name, fmt,
+                            ["verify", *tail, "--assign", rational]))
             if dimension == 4:
                 for verb in ("conditions", "verify", "report"):
                     extra = assign if verb == "verify" else []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import pathlib
 import tomllib
@@ -14,7 +15,7 @@ import frame_families
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, weyl)
-from wtw.frame import (_antisymmetric, _negative, linear_combination, wedge_iso,
+from wtw.frame import (_alternating, _antisymmetric, _negative, linear_combination, wedge_iso,
                        wedge_oneforms)
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_twoform, _wedge_one_two
@@ -709,6 +710,40 @@ def test_antisymmetric_forms_each_pair_once_and_mirrors_it(n, kind):
         assert all(out[j][i] == -out[i][j] for i, j in pairs)
     else:
         assert all(out[j][i][k][l] == -out[i][j][k][l] for i, j in pairs for k in ix for l in ix)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("kind", ["scalar", "row"])
+def test_alternating_forms_each_triple_once_and_permutes_it(n, kind):
+    """``_alternating`` calls entry once per triple i < j < k, stores it at
+    the even permutations of the triple, its ``negate`` at the odd ones and
+    ``zero`` wherever two indices agree: with scalar entries and the default
+    negation, and with rows of scalars and a row negation."""
+    ring = Ring(("a",))
+    a, ix = ring.sym("a"), range(n)
+    calls = []
+
+    def entry(i, j, k):
+        calls.append((i, j, k))
+        value = a * (n * n * i + n * j + k) + 1
+        return value if kind == "scalar" else tuple(value + l for l in ix)
+
+    if kind == "scalar":
+        zero, negate = ring.zero(), (lambda x: -x)
+        out = _alternating(n, zero, entry)
+    else:
+        zero, negate = (ring.zero(),) * n, (lambda row: tuple(-x for x in row))
+        out = _alternating(n, zero, entry, negate)
+    triples = list(itertools.combinations(ix, 3))
+    assert sorted(calls) == triples
+    for i, j, k in itertools.product(ix, repeat=3):
+        if len({i, j, k}) < 3:
+            assert out[i][j][k] is zero
+            continue
+        sorted_triple = tuple(sorted((i, j, k)))
+        even = (i, j, k) in [sorted_triple[m:] + sorted_triple[:m] for m in range(3)]
+        value = entry(*sorted_triple)
+        assert out[i][j][k] == (value if even else negate(value))
 
 
 @pytest.mark.parametrize("spec", FRAMES_WITH_CONSTANTS, ids=lambda spec: spec.name)

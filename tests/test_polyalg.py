@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import operator
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wtw import SpecFormatError, load_spec
+from wtw.cli import main
 from wtw.polyalg import (_MAX_EXPONENT, _MAX_PRODUCT_PAIRS, ExponentOverflowError,
-                         PolynomialParseError, Ring, RingMismatchError, Scalar,
+                         PolynomialParseError, Ring, RingMismatchError, Scalar, _parse_rational,
                          normalize_up_to_unit, normalized_system)
 
 RING = Ring(("a1", "a2", "a3"))
@@ -413,6 +418,128 @@ def test_products_match_the_naive_product_of_term_dicts(p, q, r, s):
     fused = RING.dot((P, R), (Q, S))
     assert dict(fused.terms()) == _naive_sum(_naive_product(p, q), _naive_product(r, s))
     assert_canonical(fused)
+
+
+# -- substitution, rendering and rational constants against Fraction oracles --
+#
+# ``substitute``, ``str`` and ``_parse_rational`` work on int numerators and
+# never form a Fraction per term; these references do everything in Fractions
+# from exponent tuples, ``terms()`` and ``Fraction(text)``.
+
+def _naive_substitute(terms: dict, point: dict) -> dict:
+    """sum c * prod(v^e) over the terms, the assigned symbols evaluated and the
+    others kept, as an exponent-tuple dictionary without zero coefficients."""
+    out: dict = {}
+    for exps, c in terms.items():
+        coeff = Fraction(c)
+        rest = list(exps)
+        for idx, name in enumerate(RING.symbols):
+            if name in point:
+                coeff *= Fraction(point[name]) ** exps[idx]
+                rest[idx] = 0
+        out[tuple(rest)] = out.get(tuple(rest), Fraction(0)) + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+deep_terms = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), mixed, max_size=6)
+point_values = st.one_of(
+    st.sampled_from([0, 1, -1, 2, Fraction(-3, 2), Fraction(5, 7)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9))
+partial_points = st.dictionaries(st.sampled_from(RING.symbols), point_values)
+
+
+@given(deep_terms, partial_points)
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_a_naive_fraction_evaluator(terms, point):
+    """Full, partial and empty assignments; zero, negative and non-integer
+    values; exponents up to 5."""
+    value = Scalar(RING, terms).substitute(point)
+    assert value.ring is RING
+    assert dict(value.terms()) == _naive_substitute(terms, point)
+    assert_canonical(value)
+
+
+@given(deep_terms, point_values, partial_points)
+@settings(max_examples=100, deadline=None)
+def test_substitute_cancels_to_zero_at_a_root(terms, root, rest):
+    """p * (a1 - root)^2 vanishes with a1 = root, whatever else is assigned;
+    p * (a1 - root) + root * a2 keeps only what the root leaves of it."""
+    p = Scalar(RING, terms)
+    point = {**rest, "a1": root}
+    value = (p * (A1 - root) ** 2).substitute(point)
+    assert value.is_zero and value == 0
+    assert_canonical(value)
+    shifted = (p * (A1 - root) + A2 * root).substitute(point)
+    assert shifted == (A2 * root).substitute(point)
+    assert_canonical(shifted)
+
+
+def _reference_render(p: Scalar) -> str:
+    """The rendering contract, from ``terms()`` and Fraction coefficients."""
+    text = ""
+    for exps, c in p.terms():
+        monomial = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(p.ring.symbols, exps) if e)
+        mag = str(abs(c))
+        body = mag if not monomial else monomial if mag == "1" else f"{mag}*{monomial}"
+        if not text:
+            text = f"-{body}" if c < 0 else body
+        else:
+            text += f" - {body}" if c < 0 else f" + {body}"
+    return text or "0"
+
+
+@given(st.dictionaries(st.one_of(exponents, wide_exponents),
+                       st.one_of(mixed, st.fractions(max_denominator=10 ** 12)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_rendering_matches_a_reference_built_from_terms(terms):
+    p = Scalar(RING, terms)
+    assert str(p) == _reference_render(p)
+    assert str(-p) == _reference_render(-p)
+
+
+@given(st.integers(-10 ** 40, 10 ** 40), st.one_of(st.none(), st.integers(1, 10 ** 40)),
+       st.booleans(), st.sampled_from(["", " ", "  ", "\t", "\n "]),
+       st.sampled_from(["", " ", "\t "]))
+@settings(max_examples=200, deadline=None)
+def test_parse_rational_matches_fraction(num, den, plus, lead, trail):
+    """Signs, an optional denominator and surrounding spaces, as Fraction reads them."""
+    text = f"{lead}{'+' if plus and num >= 0 else ''}{num}{'' if den is None else f'/{den}'}{trail}"
+    value = _parse_rational(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-0/0", " 5/00 ", "1.5", "1e3", "1 /2", "", "+-1",
+                                  "1_000", "0x1", "9" * 5000, "1/" + "9" * 5000])
+def test_parse_rational_refuses_what_fraction_would_not_read_exactly(text):
+    """A zero denominator, a part past int()'s 4,300 digits and anything but
+    ``[+-]digits[/digits]`` raise ValueError."""
+    with pytest.raises(ValueError):
+        _parse_rational(text)
+
+
+_LEE_DOC = (pathlib.Path(__file__).parent / "data" / "inoue_lee.toml").read_text()
+
+
+@pytest.mark.parametrize("text, value", [
+    (" -7/2 ", Fraction(-7, 2)), ("+3", 3), ("-14/4", Fraction(-7, 2)), ("0/5", 0),
+    ("9" * 4300, 10 ** 4300 - 1), ("1/0", None), ("-0/0", None), ("9" * 5000, None), ("1/" + "9" * 5000, None)])
+def test_rational_constants_through_load_spec_and_assign(text, value):
+    """A bracket constant through ``load_spec`` and an ``--assign`` value
+    through ``verify``: read as Fraction reads it, or refused with
+    SpecFormatError and exit status 2."""
+    doc = _LEE_DOC.replace('{ E3 = "-1/2" }', f'{{ E3 = "{text}" }}')
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["verify", "--builtin", "inoue-s0", "--assign", f"a1={text}"])
+    if value is None:
+        with pytest.raises(SpecFormatError, match="not a rational constant"):
+            load_spec(doc)
+        assert status == 2 and out.getvalue() == ""
+        assert err.getvalue().endswith("does not have a rational value\n")
+    else:
+        assert load_spec(doc).c[1][2][2] == value
+        assert status in (0, 1) and err.getvalue() == ""
 
 
 def test_product_of_polynomials_is_bounded_in_term_pairs():

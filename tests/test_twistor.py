@@ -661,6 +661,13 @@ def test_commutator_is_the_difference_of_the_two_products_on_sparse_frames(base)
 
 
 def _assert_commutator_is_its_definition(spec, pairs):
+    """Both the commutator and the anticommutator, and ``twistor._is_vertical``
+    against the entrywise test, on every endomorphism paired with J."""
+    j_endo = spec.j_endo()
     for a, b in pairs:
-        expected = linear_combination(spec, (1, -1), (spec.compose(a, b), spec.compose(b, a)))
-        assert twistor._commutator(spec, a, b) == expected
+        ab, ba = spec.compose(a, b), spec.compose(b, a)
+        assert twistor._commutator(spec, a, b) == linear_combination(spec, (1, -1), (ab, ba))
+        assert twistor._commutator(spec, a, b, anti=True) == linear_combination(
+            spec, (1, 1), (ab, ba))
+        if b is j_endo:
+            assert twistor._is_vertical(spec, a) == _is_vertical(spec, a)
