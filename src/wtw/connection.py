@@ -28,10 +28,10 @@ kept on it, and the induced first and second derivatives of an endomorphism
 are kept on its connection, keyed by the tuple S itself (see
 :class:`wtw.frame.Memo`), so repeated calls return the same objects.  The
 second-derivative table D2S is built only here: the twistor layer's
-curvature cross-check and its vertical trace both read it, and its
-correction term is one ``linear_combination`` per entry.  Its inner
-derivatives D_{E_i}(D_{E_j} S) are not kept: no other reader asks for them,
-and each would be keyed on the hash of a polynomial endomorphism.
+curvature cross-check and its vertical trace both read it.  Each of its
+entries is one kernel call over 3n pairs, which fuses the derivative of
+D_{E_j} S along E_i with the correction -D_{D_{E_i} E_j} S, so the
+derivatives D_{E_i}(D_{E_j} S) are never formed as arrays of their own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector, linear_combination
+from .frame import FrameSpec, Memo, Vector
 from .polyalg import Scalar
 
 
@@ -152,20 +152,29 @@ def _cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vect
 
 def second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]):
     """D2_{E_i E_j} S = D_{E_i}(D_{E_j} S) - D_{D_{E_i} E_j} S, an n x n array of
-    endomorphisms, kept on the connection."""
+    endomorphisms, kept on the connection; entry (l, m) is
+
+        sum_k gamma[i][k][l] (D_j S)[k][m] - (D_j S)[l][k] gamma[i][m][k]
+              - gamma[i][j][k] (D_k S)[l][m],
+
+    one kernel call over the nonzero positions of its left factors."""
     return conn.memo(_second_cov_deriv_endo, S)
 
 
 def _second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]):
     spec = conn.spec
     first = cov_deriv_endo(conn, S)
-    # second[j][i] = D_{E_i}(D_{E_j} S); formed here only, so not kept
-    second = [_cov_deriv_endo(conn, d) for d in first]
-    # D_{D_{E_i} E_j} S = sum_k gamma[i][j][k] D_k S, subtracted in the same
-    # combination, which reads the nonzero gammas only
-    return tuple(tuple(linear_combination(spec, (1, *weights), (second[j][i], *first))
-                       for j, weights in enumerate(plane))
-                 for i, plane in enumerate(conn.negated()))
+    at = tuple(zip(*first))  # at[l][k] = row l of D_k S
+    out = []
+    for plane, neg_plane in zip(conn.gamma, conn.negated()):
+        cols = tuple(zip(*plane))  # cols[l][k] = gamma[i][k][l]
+        neg_rows = tuple(zip(*neg_plane))  # neg_rows[k][m] = -gamma[i][m][k]
+        # row l of D2_{E_i E_j} S: (gamma column l, row l of D_j S, -gamma row j)
+        # against (the rows of D_j S, neg_rows, the rows l of each D_k S)
+        out.append(tuple(tuple(spec.left(col + d[l] + neg_j, d + neg_rows + at[l])
+                               for l, col in enumerate(cols))
+                         for d, neg_j in zip(first, neg_plane)))
+    return tuple(out)
 
 
 def torsion_residual(conn: Connection):

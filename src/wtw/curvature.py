@@ -274,16 +274,16 @@ def _ricci_via_formula(spec: FrameSpec):
     rho_g, rho_star_g = spec.memo(_levi_civita_ricci)
     Phi, J = phi_tensor(spec), spec.J
     twisted = spec.twist(Phi)
-    half = Fraction(1, 2)
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
     lead = Fraction(n - 1, 2)  # of Phi(X, Z) in rho
     # the coefficient of g(X, Z) in rho, and of g(X, JZ) in rho*
     g_rho = spec.ring.sum(Phi[i][i] for i in ix) * half
-    gj_rho_star = spec.memo(_phi_on_j) * -half
+    gj_rho_star = spec.memo(_phi_on_j) * minus_half
     rho = tuple(tuple(spec.dot((rho_g[i][k], Phi[i][k], Phi[k][i], g_rho),
-                               (1, lead, -half, _kron(i, k))) for k in ix) for i in ix)
+                               (1, lead, minus_half, _kron(i, k))) for k in ix) for i in ix)
     rho_star = tuple(tuple(spec.dot(
         (rho_star_g[i][k], Phi[i][k], Phi[k][i], twisted[i][k], gj_rho_star),
-        (1, 1, -half, half, J[i][k])) for k in ix) for i in ix)
+        (1, 1, minus_half, half, J[i][k])) for k in ix) for i in ix)
     return rho, rho_star
 
 

@@ -207,7 +207,8 @@ class FrameSpec(Memo):
             if len(basis) != dimension or len(set(basis)) != dimension:
                 raise FrameError("basis must list n distinct vector names")
         n = dimension
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        zero = Fraction(0)
+        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
         key_of_pair: dict[frozenset[int], tuple[int, int]] = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < n and 0 <= j < n):
@@ -220,10 +221,10 @@ class FrameSpec(Memo):
             if i == j and any(Fraction(v) != 0 for v in comps.values()):
                 raise FrameError(f"[E_{i+1}, E_{i+1}] must vanish")
             for k, value in comps.items():
-                value = Fraction(value)
+                value = _fraction(value)
                 c[i][j][k] = value
                 c[j][i][k] = -value
-        jm = tuple(tuple(Fraction(x) for x in row) for row in J)
+        jm = tuple(tuple(map(_fraction, row)) for row in J)
         if len(jm) != n or any(len(row) != n for row in jm):
             raise FrameError("complex structure must be an n x n matrix")
         spec = FrameSpec(dimension=n, ring=ring, basis=basis,
@@ -361,6 +362,11 @@ class FrameSpec(Memo):
         return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
                          c=self.c, J=self.J, phi=_coerce_phi(self.ring, self.n, phi),
                          name=self.name)
+
+
+def _fraction(value) -> Fraction:
+    """A rational constant as a Fraction; a Fraction is kept, not rebuilt."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _coerce_phi(ring: Ring, n: int,

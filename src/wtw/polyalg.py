@@ -29,13 +29,16 @@ tuples: :meth:`Scalar.terms`, ``Scalar(ring, {exps: c})``,
 path: every contraction is one call of it, and so is each operator, ``p + q``
 being ``dot((p, q), (1, 1))``, ``p - q`` being ``dot((p, q), (1, -1))`` and
 ``p * q`` being ``dot((p,), (q,))``.  It takes two sequences of scalars, ints
-and Fractions, skips every pair with a zero side, multiplies integer
-numerators straight into one accumulator over one common denominator
-(rescaled only when a product brings a new denominator) and reduces the sum
-once, so it builds no scalar per product and never runs
-``Fraction.__mul__``.  It refuses a product of two polynomials whose term
-counts multiply past ``_MAX_PRODUCT_PAIRS``, as the parser refuses a written
-one past ``_MAX_PARSE_SIZE``.  :meth:`wtw.frame.FrameSpec.left` and ``right``
+and Fractions and resolves each operand with one type dispatch: a scalar's
+ring is checked, and a constant scalar acts as the rational it equals.  It
+skips every pair with a zero side, multiplies integer numerators straight
+into one accumulator over one common denominator (rescaled only when a
+product brings a new denominator) and reduces the sum once, so it builds no
+scalar per product and never runs ``Fraction.__mul__``.  It refuses a product
+of two non-constant polynomials whose term counts multiply past
+``_MAX_PRODUCT_PAIRS``, as the parser refuses a written one past
+``_MAX_PARSE_SIZE``; a constant scales the other side, as a rational does,
+and counts for no cap.  :meth:`wtw.frame.FrameSpec.left` and ``right``
 hand it only the nonzero positions of their fixed vector, and none at all
 when that vector is zero.  :meth:`Ring.sum` is a dot against ones.
 
@@ -65,7 +68,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, ...]
@@ -82,8 +87,9 @@ _MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
 # bits) that one product or power in a polynomial string may reach: its cost
 # grows with both, so one bound on their product caps its time
 _MAX_PARSE_SIZE = 100_000
-# the most term pairs one product of two polynomials in Ring.dot may multiply,
-# so that arithmetic on large polynomials ends in an error, not in unbounded time
+# the most term pairs one product of two non-constant polynomials in Ring.dot
+# may multiply, so that arithmetic on large polynomials ends in an error, not
+# in unbounded time
 _MAX_PRODUCT_PAIRS = 100_000
 
 
@@ -199,52 +205,49 @@ class Ring:
         """The exponent tuple of a packed monomial."""
         return tuple((key >> shift) & _MAX_EXPONENT for shift in self._shifts)
 
-    def _check_exponents(self, keys: Iterable[int]) -> None:
-        """Raise if a packed monomial formed by a product passed the cap."""
-        guard = self._guard
-        for key in keys:
-            if key & guard:
-                raise ExponentOverflowError()
-
     def dot(self, u: Iterable, v: Iterable) -> Scalar:
         """sum_p u[p] * v[p] for scalars of this ring, ints and Fractions.
 
-        The multiply-accumulate kernel of every contraction.  Pairs with a
-        zero side are skipped; the integer numerators of each product go
-        straight into one accumulator over one common denominator, which is
-        rescaled only when a new denominator appears, and the sum is reduced
-        once.  No intermediate scalar is built.  These checks live here alone,
-        for every contraction and every operator: a scalar of another ring
-        raises :class:`RingMismatchError`, zero or not, a product past the
-        exponent cap raises :class:`ExponentOverflowError`, and a product of
-        two polynomials whose term counts multiply past ``_MAX_PRODUCT_PAIRS``
-        raises ``ValueError`` before it is formed.
+        The multiply-accumulate kernel of every contraction.  Each operand
+        is resolved by one type dispatch, and a constant scalar is scaled like
+        the int or Fraction it equals.  Pairs with a zero side are skipped;
+        the integer numerators of each product go straight into one
+        accumulator over one common denominator, which is rescaled only when
+        a new denominator appears, and the sum is reduced once.  No
+        intermediate scalar is built.  These checks live here alone, for every
+        contraction and every operator: a scalar of another ring raises
+        :class:`RingMismatchError`, zero or not and in either position, a
+        product past the exponent cap raises :class:`ExponentOverflowError`,
+        and a product of two non-constant polynomials whose term counts
+        multiply past ``_MAX_PRODUCT_PAIRS`` raises ``ValueError`` before it
+        is formed.
         """
         acc: dict[int, int] = {}
         get = acc.get
         den = 1
         product = False  # whether two polynomials were multiplied
         for a, b in zip(u, v):
-            if type(b) is Scalar and b.ring is not self:
-                self._check(b)
-            # each factor as an integer factor, numerators (None for a
-            # rational) and a denominator; a zero factor skips the pair
+            # one type dispatch per operand: an integer factor k (0 for a
+            # zero), numerators t (None for a rational) and a denominator d; a
+            # scalar's ring is checked before a zero on either side skips the pair
             if type(a) is Scalar:
                 if a.ring is not self:
                     self._check(a)
-                if not a._terms:
-                    continue
-                ka, ta, da = 1, a._terms, a._den
-            elif a:
-                ka, ta, da = a.numerator, None, a.denominator
+                ta, da = a._terms, a._den
+                ka = 1 if ta else 0
             else:
-                continue
+                ka, ta, da = a.numerator, None, a.denominator
             if type(b) is Scalar:
-                if not b._terms:
+                if b.ring is not self:
+                    self._check(b)
+                tb = b._terms
+                if not (ka and tb):
                     continue
-                kb, tb, db = 1, b._terms, b._den
-            elif b:
+                kb, db = 1, b._den
+            elif ka:
                 kb, tb, db = b.numerator, None, b.denominator
+                if not kb:
+                    continue
             else:
                 continue
             d = da * db
@@ -256,6 +259,11 @@ class Ring:
             k = ka * kb * (den // d)
             if ta is None:
                 ta, tb = tb, ta
+            elif tb is not None:  # two scalars: a constant acts as its rational
+                if len(tb) == 1 and 0 in tb:
+                    k, tb = k * tb[0], None
+                elif len(ta) == 1 and 0 in ta:
+                    k, ta, tb = k * ta[0], tb, None
             if ta is None:  # both rational
                 acc[0] = get(0, 0) + k
             elif tb is None:  # a rational times a polynomial
@@ -280,8 +288,9 @@ class Ring:
             acc = {e: c for e, c in acc.items() if c}
             if not acc:
                 return self._zero
-        if product:
-            self._check_exponents(acc)
+        # a guard bit set in any monomial of a product: an exponent passed the cap
+        if product and reduce(or_, acc) & self._guard:
+            raise ExponentOverflowError()
         return Scalar._reduced(self, acc, den)
 
     def sum(self, values: Iterable) -> Scalar:

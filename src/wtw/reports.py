@@ -1,17 +1,28 @@
 """Tiny result types shared by the check suites and the command line tool.
 
 Every check that asserts "this residual vanishes" is added through
-:meth:`CheckReport.require_zero`, which walks the residual once.  When the
-check fails, its ``detail`` holds the number of nonzero entries, the first
-nonzero index written with the axis labels (usually basis vector names, as
-in ``(E1,E2,E1,E2)``) and that entry's residual polynomial, for example
-``2 nonzero entries, first at (E1,E3): -a1 + 1/2*a2``.  A passing check has
-an empty detail; the gate check carries the violated assumption instead.
+:meth:`CheckReport.require_zero`, which tests the residual with one ``any``
+per innermost row and walks its indexed entries only when one is nonzero.
+When the check fails, its ``detail`` holds the number of nonzero entries,
+the first nonzero index written with the axis labels (usually basis vector
+names, as in ``(E1,E2,E1,E2)``) and that entry's residual polynomial, for
+example ``2 nonzero entries, first at (E1,E3): -a1 + 1/2*a2``.  A passing
+check has an empty detail; the gate check carries the violated assumption
+instead.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
+
+
+def _has_nonzero(entry) -> bool:
+    """Whether a nested residual has a nonzero leaf: one ``any`` per innermost row."""
+    if not isinstance(entry, (tuple, list)):
+        return bool(entry)
+    if entry and isinstance(entry[0], (tuple, list)):
+        return any(map(_has_nonzero, entry))
+    return any(entry)
 
 
 def _nonzero(entry, index=()):
@@ -47,7 +58,8 @@ class CheckReport:
         ``residual`` nests tuples or lists to any depth, with scalars (or
         rationals) at the leaves; ``labels[d]`` names the indices of depth d.
         """
-        nonzero = list(_nonzero(residual))
+        # only a failing check walks the indexed entries
+        nonzero = list(_nonzero(residual)) if _has_nonzero(residual) else []
         if not nonzero:
             self.add(name, True)
             return

@@ -26,9 +26,11 @@ The action on an endomorphism is kept on its curvature tensor, and the
 cross-check runs once per connection and endomorphism (see
 :class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
 formed for the frame pairs i < j only.  The action, the vertical
-antisymmetry residual and the dphi terms of ``_endo_terms`` are built by
-``wtw.frame._antisymmetric``, the one builder of arrays antisymmetric in a
-pair of indices.
+antisymmetry residual, the dphi terms of ``_endo_terms`` and the pairings
+of the action with a fixed endomorphism (D_Y J in the DJ pairing, b in the
+pairing identity) are built by ``wtw.frame._antisymmetric``, the one
+builder of arrays antisymmetric in a pair of indices: as the action at
+(Y, X) is stored as the negation of the one at (X, Y), so is its pairing.
 
 The checks form only what they need.  The fiber metric is ad-invariant,
 ``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so pairing the
@@ -256,9 +258,10 @@ def _fiber_pairing_residual(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vec
     bivector = _bivector_terms(R, wedge_iso(comm))
     endo = _endo_terms(spec, comm)
     against_b = _g_against(spec, b)
+    paired = _antisymmetric(spec.n, spec.zero(), lambda i, j: against_b(action[i][j]))
     weights = (1, -1, Fraction(1, 2))
     ix = range(spec.n)
-    return [[spec.dot((against_b(action[i][j]), bivector[i][j], endo[i][j]), weights)
+    return [[spec.dot((paired[i][j], bivector[i][j], endo[i][j]), weights)
              for j in ix] for i in ix]
 
 
@@ -304,7 +307,10 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     -1/2 dphi(2b - b'): ``_bivector_terms`` applies R and dphi to w once, and
     ``_endo_terms`` gives the two dphi terms with J nabla_Y J, the builders
     the fiber-pairing identity reads too.  As dphi is antisymmetric, the
-    second bracket is minus the first at (Z, X), so it is formed once.
+    second bracket is minus the first at (Z, X), so it is formed once.  The
+    left-hand side is antisymmetric in (X, Z), as the action on J is, so it
+    is paired for X < Z only and mirrored; every residual entry is still
+    formed.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
     ix = range(spec.n)
@@ -335,7 +341,9 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
         bracket = [[spec.dot((phi_j[x], phi[x], dphi_jphi[z], dphi_phi[z]),
                              (dphi_jy[z], dphi[y][z], J[x][y], -_kron(x, y))) for z in ix]
                    for x in ix]
-        residual.append([[spec.dot((against_dj(act_j[x][z]), bivector[x][z], endo[x][z],
+        # G(R(X, Z)J, D_Y J), paired for x < z: act_j[z][x] is -act_j[x][z]
+        paired = _antisymmetric(spec.n, spec.zero(), lambda x, z: against_dj(act_j[x][z]))
+        residual.append([[spec.dot((paired[x][z], bivector[x][z], endo[x][z],
                                     bracket[x][z], bracket[z][x]), weights) for z in ix]
                          for x in ix])
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",

@@ -21,7 +21,8 @@ loading the spec.  Each call is charged to the ``file:qualname`` of the first
 frame outside ``polyalg.py`` and ``frame.py``, so a contraction helper or an
 operator is charged to the function that asked for it, and a caller keeps its
 name when lines move.  For each tree and workload the script prints the
-number of calls and the number that returned zero, and both for each caller
+number of calls, the number that returned zero and the number of operand
+pairs the calls passed (zero pairs included), and all three for each caller
 among the ones with the most calls in either tree, so the two trees list the
 same callers.  Standard library only; pytest does not collect it.
 """
@@ -40,8 +41,8 @@ TOP = 8  # callers with the most calls, taken from each tree
 
 
 def _count(workload) -> dict:
-    """Run ``workload()`` with ``Ring.dot`` counted; the calls and the zero
-    results, in total and per caller."""
+    """Run ``workload()`` with ``Ring.dot`` counted; the calls, the zero
+    results and the operand pairs, in total and per caller."""
     import wtw
     from wtw.polyalg import Ring
 
@@ -50,14 +51,17 @@ def _count(workload) -> dict:
     dot = Ring.dot
     calls: collections.Counter = collections.Counter()
     zeros: collections.Counter = collections.Counter()
+    pairs: collections.Counter = collections.Counter()
 
     def counted(ring, u, v):
-        value = dot(ring, u, v)
+        zipped = list(zip(u, v))  # v may be endless, as in Ring.sum
+        value = dot(ring, [a for a, _ in zipped], [b for _, b in zipped])
         frame = sys._getframe(1)
         while frame.f_code.co_filename in skip:
             frame = frame.f_back
         caller = f"{pathlib.Path(frame.f_code.co_filename).name}:{frame.f_code.co_qualname}"
         calls[caller] += 1
+        pairs[caller] += len(zipped)
         if not value:
             zeros[caller] += 1
         return value
@@ -68,7 +72,9 @@ def _count(workload) -> dict:
     finally:
         Ring.dot = dot
     return {"calls": sum(calls.values()), "zeros": sum(zeros.values()),
-            "callers": [(caller, count, zeros[caller]) for caller, count in calls.most_common()]}
+            "pairs": sum(pairs.values()),
+            "callers": [(caller, count, zeros[caller], pairs[caller])
+                        for caller, count in calls.most_common()]}
 
 
 def _child() -> None:
@@ -109,13 +115,14 @@ def main(argv: list[str]) -> int:
     for src, run in runs:
         print(src)
         for workload, counts in run.items():
-            print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']}")
+            print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']} "
+                  f"pairs={counts['pairs']}")
             # the top callers of either tree, so that both trees list the same ones
             shown = {row[0] for _, other in runs for row in other[workload]["callers"][:TOP]}
-            rows = {caller: (calls, zeros) for caller, calls, zeros in counts["callers"]}
+            rows = {caller: row for caller, *row in counts["callers"]}
             for caller in sorted(shown, key=lambda caller: (-rows.get(caller, (0,))[0], caller)):
-                calls, zeros = rows.get(caller, (0, 0))
-                print(f"    {calls:>9} calls {zeros:>9} zero  {caller}")
+                calls, zeros, pairs = rows.get(caller, (0, 0, 0))
+                print(f"    {calls:>9} calls {zeros:>9} zero {pairs:>10} pairs  {caller}")
     return 0
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from wtw import g_fiber
+import frame_families
+from wtw import builtin, g_fiber, load_spec, load_spec_file
 from wtw.connection import (cov_deriv_endo, cov_deriv_oneform, levi_civita,
                             metric_residual, reconstruct_weyl_form,
                             second_cov_deriv_endo, torsion_residual, weyl)
@@ -146,3 +148,44 @@ class TestSecondDerivatives:
         traced = tuple(tuple(sum((table[i][i][k][l] for i in range(4)), spec.zero())
                              for l in range(4)) for k in range(4))
         assert traced == tuple(tuple(spec.const(-2 * x) for x in row) for row in spec.J)
+
+
+def _second_by_definition(conn, S, i, j):
+    """D2_{E_i E_j} S in two steps: the induced derivative along E_i of
+    D_{E_j} S, then minus sum_k gamma[i][j][k] D_{E_k} S, with the operators."""
+    first = cov_deriv_endo(conn, S)
+    inner = cov_deriv_endo(conn, first[j])[i]
+    n = conn.spec.n
+    return tuple(tuple(inner[l][m] - sum((conn.gamma[i][j][k] * first[k][l][m]
+                                          for k in range(n)), conn.spec.zero())
+                       for m in range(n)) for l in range(n))
+
+
+def _fused_table_frames():
+    """A rotated dense n = 4 frame, hyperbolic6, vaisman6 and a dense-J frame
+    of ``tests/frame_families.py``."""
+    from test_frame import _rotated
+
+    data = pathlib.Path(__file__).parent / "data"
+    return [_rotated(builtin("kodaira", (1, -1)), "kodaira rotated"),
+            load_spec_file(data / "hyperbolic6.toml"), load_spec_file(data / "vaisman6.toml"),
+            load_spec(frame_families.DENSE_J["hyperbolic6_rotated.toml"], "hyperbolic6 rotated")]
+
+
+@pytest.mark.parametrize("spec", _fused_table_frames(), ids=lambda spec: spec.name)
+def test_fused_second_derivative_table_is_its_two_step_definition(spec):
+    """Each entry of the D2 table, one kernel call over 3n pairs, equals the
+    derivative of D_j S along E_i minus the gamma-weighted D_k S, for S = J and
+    for a non-skew rational S, under both connections."""
+    n = spec.n
+    S = tuple(tuple(spec.const(Fraction((l + 1) * (m + 2) - 5, l + 2 * m + 1)) for m in range(n))
+              for l in range(n))
+    assert S[0][1] != -S[1][0]
+    for conn in (weyl(spec), levi_civita(spec)):
+        for endo in (spec.j_endo(), S):
+            table = second_cov_deriv_endo(conn, endo)
+            assert any(entry for row in table for block in row for line in block
+                       for entry in line)
+            for i in range(n):
+                for j in range(n):
+                    assert table[i][j] == _second_by_definition(conn, endo, i, j), (i, j)

@@ -380,6 +380,49 @@ def test_dot_rejects_a_foreign_ring_zero_or_not():
             RING.dot(u, v)
 
 
+@given(st.lists(operands, min_size=1, max_size=6), st.lists(operands, min_size=1, max_size=6),
+       st.fractions(max_denominator=12).filter(bool), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_a_constant_scalar_acts_as_its_rational_in_either_position(u, v, q, at):
+    """``ring.const(q)`` in place of ``q``, on either side of any pair, gives
+    the same canonical result: the kernel scales by a constant scalar as by
+    the rational it equals."""
+    at %= min(len(u), len(v))
+    for side, other in ((u, v), (v, u)):
+        rational = [*side[:at], q, *side[at + 1:]]
+        constant = [*side[:at], RING.const(q), *side[at + 1:]]
+        for expected, got in ((RING.dot(rational, other), RING.dot(constant, other)),
+                              (RING.dot(other, rational), RING.dot(other, constant))):
+            assert got._terms == expected._terms and got._den == expected._den
+            assert_canonical(got)
+
+
+def test_the_kernel_checks_rings_and_caps_with_constants_as_rationals(monkeypatch):
+    """A zero scalar of another ring raises in either position, whatever the
+    other side; a product past the exponent cap raises, with or without a
+    constant factor; and a constant factor counts for no product-pair cap,
+    while a product of two polynomials past it still raises."""
+    foreign = Ring(("x",)).zero()
+    for other in (0, Fraction(0), 3, RING.zero(), RING.const(2), A1 + A2):
+        for u, v in (([foreign], [other]), ([other], [foreign]),
+                     ([A1, foreign], [A2, other]), ([A1, other], [A2, foreign])):
+            with pytest.raises(RingMismatchError):
+                RING.dot(u, v)
+    top = A1 ** _MAX_EXPONENT
+    for u, v in (([top], [A1]), ([A1], [top]), ([RING.const(3), top], [A2, A1 * 2]),
+                 ([A1 + A2 ** _MAX_EXPONENT], [A2]),  # past the cap in a lower field
+                 ([top * 2, A2], [A1 + 1, RING.const(Fraction(1, 2))])):
+        with pytest.raises(ExponentOverflowError, match=f"above the cap of {_MAX_EXPONENT}"):
+            RING.dot(u, v)
+    assert RING.dot([RING.const(3)], [top]) == top * 3
+    monkeypatch.setattr("wtw.polyalg._MAX_PRODUCT_PAIRS", 4)
+    wide = A1 + A2 + A3 + 1
+    assert RING.dot([RING.const(5), wide], [wide, RING.const(Fraction(-1, 3))]) == \
+        RING.dot([5, wide], [wide, Fraction(-1, 3)])
+    for u, v in (([wide], [A1 + A2]), ([A1 - A3], [wide]), ([RING.const(2), wide], [A1, A2 + 1])):
+        with pytest.raises(ValueError, match="passes the cap of 4 term pairs"):
+            RING.dot(u, v)
+
 # -- the product against an independent reference ------------------------------
 #
 # Every operator is one call of ``Ring.dot``, so the kernel test above compares

@@ -625,6 +625,46 @@ def test_fiber_pairings_hold_on_dense_j_frames(base):
 
 
 @pytest.mark.parametrize("base", DENSE_J_BASES)
+def test_dj_residual_pairs_every_entry_of_the_action(base, monkeypatch):
+    """The DJ pairing pairs D_Y J with the action on J at X < Z only and
+    mirrors it.  With a skew V added to the action at (E_3, E_1) and -V at
+    (E_1, E_3), the residual it reports equals an entrywise evaluation that
+    pairs every entry of the action, X > Z included: the pairing with the
+    perturbed action minus the pairing with the true one, as the check holds
+    for the true action."""
+    name = "pairing of the fiber curvature with DJ through Levi-Civita data"
+    assert twistor.curvature_pairing_with_dj_check(_dense_j_frame(base)).ok
+    spec = _dense_j_frame(base)
+    n, v = spec.n, _random_skew(spec, 29)
+    original = twistor._endo_curvature_action
+
+    def perturbed(R, S):
+        action = [list(row) for row in original(R, S)]
+        action[2][0] = linear_combination(spec, (1, 1), (action[2][0], v))
+        action[0][2] = linear_combination(spec, (1, -1), (action[0][2], v))
+        return tuple(tuple(row) for row in action)
+
+    residuals = []
+    require_zero = twistor.CheckReport.require_zero
+
+    def captured(report, check, residual, labels):
+        if check == name:
+            residuals.append(residual)
+        require_zero(report, check, residual, labels)
+
+    monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
+    monkeypatch.setattr(twistor.CheckReport, "require_zero", captured)
+    assert not twistor.curvature_pairing_with_dj_check(spec).ok
+    R, j_endo = curvature(weyl(spec)), spec.j_endo()
+    action, true_action = endo_curvature_action(R, j_endo), original(R, j_endo)
+    dj = cov_deriv_endo(weyl(spec), j_endo)
+    expected = [[[g_fiber(spec, action[x][z], dj[y]) - g_fiber(spec, true_action[x][z], dj[y])
+                  for z in range(n)] for x in range(n)] for y in range(n)]
+    assert [[list(row) for row in plane] for plane in residuals[0]] == expected
+    assert any(expected[y][2][0] for y in range(n))
+
+
+@pytest.mark.parametrize("base", DENSE_J_BASES)
 def test_commutator_is_the_difference_of_the_two_products(base):
     """``_commutator`` against a o b - b o a formed by its definition, on
     frames whose J has no zero off the diagonal: for general a and b with no
