@@ -40,7 +40,7 @@ E4 = "a4"
 spec = wtw.load_spec(HYPERBOLIC, name="hyperbolic-like")
 print(f"loaded {spec.name}: n = {spec.dimension}")
 lee = wtw.lee_form(spec)
-print("Lee form:", ", ".join(str(v) for v in lee.theta))
+print("Lee form:", ", ".join(str(v) for v in lee))
 print("identity suite:", "all hold" if wtw.identity_suite(spec).ok else "FAILURES")
 
 report = wtw.conditions(spec)

@@ -27,7 +27,7 @@ for i, j, k, value in wtw.levi_civita(spec).nonzero():
     print(f"  nabla_{spec.basis[i]} {spec.basis[j]} has {spec.basis[k]}-component {value}")
 
 lee = wtw.lee_form(spec)
-print("\nLee form:", ", ".join(f"theta[{k+1}] = {v}" for k, v in enumerate(lee.theta)))
+print("\nLee form:", ", ".join(f"theta[{k+1}] = {v}" for k, v in enumerate(lee)))
 print("locally conformally Kaehler checks:")
 for check in wtw.lck_check(spec).checks:
     print(f"  {check.name}: {'ok' if check.ok else 'FAIL'}")

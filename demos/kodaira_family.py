@@ -17,7 +17,7 @@ for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
     spec = wtw.builtin("kodaira", signs)
     print(f"== {spec.name}")
     lee = wtw.lee_form(spec)
-    print("   Lee form:", ", ".join(str(v) for v in lee.theta),
+    print("   Lee form:", ", ".join(str(v) for v in lee),
           "  (the unique 1-form with d(Omega) = theta ^ Omega)")
 
     suite = wtw.identity_suite(spec)

@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 # the names each layer loaded on first use exports here
 _LAZY_EXPORTS = {
-    "hermitian": ("LeeData", "fundamental_form", "lck_check", "lee_form", "nabla_j_checks",
-                  "nijenhuis", "require_gate"),
+    "hermitian": ("fundamental_form", "lck_check", "lee_form", "nabla_j_checks", "nijenhuis",
+                  "require_gate"),
     "twistor": ("VerticalBasis", "VTraceData", "curvature_pairing_with_dj_check",
                 "equivalence_check", "g_fiber", "h_trace", "vertical_antisymmetry_check",
                 "vertical_checks", "fiber_pairing_check", "v_trace", "vertical_basis"),

@@ -225,9 +225,9 @@ def _run_verb(args, out: _Output) -> int:
         data["star_ricci"] = _matrix_table("rho_star", star_ricci(curvature(weyl(spec))))
     elif verb == "lee":
         from .hermitian import lee_form
-        lee = lee_form(spec)
-        data["theta"] = [f"theta[{k+1}] = {value}" for k, value in enumerate(lee.theta)]
-        data["lee_vector"] = [f"B[{k+1}] = {value}" for k, value in enumerate(lee.B)]
+        theta = lee_form(spec)  # the Lee vector B has theta's components
+        data["theta"] = [f"theta[{k+1}] = {value}" for k, value in enumerate(theta)]
+        data["lee_vector"] = [f"B[{k+1}] = {value}" for k, value in enumerate(theta)]
     elif verb in ("lck", "suite"):
         from .hermitian import lck_check
         report = lck_check(spec) if verb == "lck" else _suite_report(spec)
@@ -276,9 +276,8 @@ def _full_report(spec: FrameSpec, args) -> tuple[dict, int]:
     assignment = None if args.assign is None else _parse_assignment(args.assign, spec.ring)
     data: dict = {}
     data["validation"] = {"ok": True}
-    lee = lee_form(spec)
-    data["lee"] = {"theta": [str(v) for v in lee.theta],
-                   "B": [str(v) for v in lee.B]}
+    theta = [str(v) for v in lee_form(spec)]
+    data["lee"] = {"theta": theta, "B": theta}
     lck = lck_check(spec)
     data["lck"] = _report_to_data(lck)
     rw = curvature(weyl(spec))

@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector
+from .frame import FrameSpec, Memo, Vector, _kron
 from .polyalg import Scalar
 
 
@@ -103,19 +103,15 @@ def weyl(spec: FrameSpec) -> Connection:
 
 
 def _weyl(spec: FrameSpec) -> Connection:
-    n = spec.n
+    n, phi = spec.n, spec.phi
     lc = levi_civita(spec)
     half = Fraction(1, 2)
 
     def entry(i, j, k):
-        value = lc.gamma[i][j][k]
-        if j == k:
-            value = value - spec.phi[i] * half
-        if i == k:
-            value = value - spec.phi[j] * half
-        if i == j:
-            value = value + spec.phi[k] * half
-        return value
+        if i != j != k != i:  # no Kronecker delta applies
+            return lc.gamma[i][j][k]
+        return spec.dot((lc.gamma[i][j][k], phi[i], phi[j], phi[k]),
+                        (1, -half * _kron(j, k), -half * _kron(i, k), half * _kron(i, j)))
 
     gamma = tuple(tuple(tuple(entry(i, j, k) for k in range(n))
                         for j in range(n)) for i in range(n))
@@ -190,13 +186,11 @@ def torsion_residual(conn: Connection):
 def metric_residual(conn: Connection):
     """gamma[i][j][k] + gamma[i][k][j] (+ phi_i delta_jk for Weyl); identically zero."""
     spec = conn.spec
-    n = spec.n
+    n, g = spec.n, conn.gamma
+    phi_weight = 1 if conn.kind == "weyl" else 0
 
     def entry(i, j, k):
-        value = conn.gamma[i][j][k] + conn.gamma[i][k][j]
-        if conn.kind == "weyl" and j == k:
-            value = value + spec.phi[i]
-        return value
+        return spec.dot((g[i][j][k], g[i][k][j], spec.phi[i]), (1, 1, phi_weight * _kron(j, k)))
 
     return tuple(tuple(tuple(entry(i, j, k) for k in range(n))
                        for j in range(n)) for i in range(n))

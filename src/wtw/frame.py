@@ -48,7 +48,10 @@ fixed endomorphism is reused across calls.  The wedge products call the
 kernel directly.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
-and ``left(omega, J)`` is the 1-form ``omega o J``.
+and ``left(omega, J)`` is the 1-form ``omega o J``.  J has one array,
+``spec.J``, of rationals: the later layers pass it as it is wherever they
+take an endomorphism, and the values derived from it are kept under that
+key, which compares and hashes as a copy of constant scalars would.
 
 Sparse supports: each spec keeps the nonzero part of its rational data once,
 as int numerators over one common denominator: ``bracket_rows()`` lists
@@ -57,8 +60,11 @@ for each column ``J E_i``.  The symbol-free layer walks only these
 supports: ``validate`` and, in the later layers, the Levi-Civita gammas,
 their curvature and its traces, the Lee form and the Nijenhuis tensor
 accumulate ints and lift each nonzero result to a scalar once
-(:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else;
-``d_oneform`` calls the kernel only where a bracket row is nonzero.
+(:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else.
+The Lee vector B has the Lee form theta's components in this orthonormal
+frame, so its route B = 2/(n-2) J(delta J) is compared with theta in ints
+and only theta is lifted.  ``d_oneform`` calls the kernel only where a
+bracket row is nonzero.
 Endomorphisms, 2-forms and bivectors are all n x n nested tuples, with no
 class of their own: an endomorphism S as above, a 2-form F with ``F[i][j] =
 F(E_i, E_j)``, and a bivector ``b`` the array of its components, ``sum_{i<j}
@@ -218,7 +224,7 @@ class FrameSpec(Memo):
                 raise FrameError(f"brackets {first} and {(i, j)} name the same pair")
             if any(not (0 <= k < n) for k in comps):
                 raise FrameError(f"bracket component index out of range in {(i, j)}")
-            if i == j and any(Fraction(v) != 0 for v in comps.values()):
+            if i == j and any(_fraction(v) for v in comps.values()):
                 raise FrameError(f"[E_{i+1}, E_{i+1}] must vanish")
             for k, value in comps.items():
                 value = _fraction(value)
@@ -289,10 +295,6 @@ class FrameSpec(Memo):
                 out[k] = Scalar._reduced(self.ring, {0: v}, den)
         return tuple(out)
 
-    def j_endo(self) -> tuple[Vector, ...]:
-        """The complex structure as an endomorphism with scalar entries."""
-        return self.memo(_j_endo)
-
     def dphi(self) -> tuple[Vector, ...]:
         """d(phi) of the spec's Weyl form, as an n x n array."""
         return self.memo(_dphi)
@@ -358,15 +360,19 @@ class FrameSpec(Memo):
         return self.right(self.J, vec)
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
-        """Spec with a replacement Weyl form (revalidated)."""
+        """Spec with a replacement Weyl form: c and J are kept as validated, and
+        only phi is checked, as ``create`` checks it."""
         return FrameSpec(dimension=self.dimension, ring=self.ring, basis=self.basis,
                          c=self.c, J=self.J, phi=_coerce_phi(self.ring, self.n, phi),
                          name=self.name)
 
 
 def _fraction(value) -> Fraction:
-    """A rational constant as a Fraction; a Fraction is kept, not rebuilt."""
-    return value if type(value) is Fraction else Fraction(value)
+    """A rational constant as a Fraction; a Fraction is kept, not rebuilt, and a
+    string is read by ``_parse_rational``, so exponent notation is refused."""
+    if type(value) is Fraction:
+        return value
+    return _parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _coerce_phi(ring: Ring, n: int,
@@ -400,10 +406,6 @@ def _is_skew(a: Sequence[Sequence[Scalar]]) -> bool:
     """Whether the endomorphism a is skew, ``a[i][j] = -a[j][i]``."""
     n = len(a)
     return all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
-
-
-def _j_endo(spec: FrameSpec) -> tuple[Vector, ...]:
-    return tuple(tuple(spec.const(x) for x in row) for row in spec.J)
 
 
 def _dphi(spec: FrameSpec) -> tuple[Vector, ...]:

@@ -6,10 +6,11 @@ The fundamental 2-form is ``Omega(X, Y) = g(JX, Y)``.  The Nijenhuis tensor
 
 vanishes identically exactly when J is integrable.  The Lee form is
 
-    theta = -2/(n-2) * (delta Omega) o J;
+    theta = -2/(n-2) * (delta Omega) o J.
 
-its dual vector is ``B = 2/(n-2) * J(delta J)``, and the two expressions are
-required to agree.  A structure is locally conformally Kaehler when
+In the orthonormal frame its dual vector, the Lee vector B, has theta's
+components, so B is theta itself; the route ``B = 2/(n-2) * J(delta J)`` is
+required to agree with it.  A structure is locally conformally Kaehler when
 ``d Omega = theta ^ Omega`` and ``d theta = 0``.
 
 Codifferential convention (used here and, through the Leibniz identity
@@ -19,8 +20,8 @@ closed Ricci formulas of :mod:`wtw.curvature`):
 ``delta J = -sum_i (nabla_{E_i} J)(E_i)``; the sign is pinned by the
 built-in geometries' Lee forms.  The Lee form forms no nabla J: delta Omega
 and delta J are summed in ints from the Levi-Civita gamma rows
-(:func:`wtw.connection.gamma_rows`) and the columns of J, theta and B are
-compared exactly as int numerators over one denominator, and each is lifted
+(:func:`wtw.connection.gamma_rows`) and the columns of J, the two routes are
+compared exactly as int numerators over one denominator, and theta is lifted
 to scalars once.  The tests compare theta with the trace of the nabla J that
 :func:`wtw.connection.cov_deriv_endo` forms.
 
@@ -30,13 +31,15 @@ Omega``.  Violations raise :class:`GateError` naming the failed assumption;
 the class lives in :mod:`wtw.frame`, so that the command line can catch it
 without loading this module, and is re-exported here.
 
-The fundamental form, the Nijenhuis tensor, the Lee data, d(Omega) and the
+The fundamental form, the Nijenhuis tensor, the Lee form, d(Omega) and the
 Lee-identity residual are computed once per spec and kept on it (see
 :class:`wtw.frame.Memo`), so the gate and every check that needs them share
-one computation.  Omega, N and the Lee data are symbol-free.  Omega is the wedge image of
-J (:func:`wtw.frame.wedge_iso`), the one builder of that array, which
-condition (ii) also reads as J^.  N is built from the spec's nonzero bracket
-rows and J columns (see :mod:`wtw.frame`), as int numerators over one
+one computation.  Omega, N and theta are symbol-free.  Omega is the wedge
+image of J (:func:`wtw.frame.wedge_iso`) lifted to scalars once, the one
+builder of that array, which condition (ii) also reads as J^.  J itself is
+``spec.J``, its rationals, wherever an endomorphism is taken: the nabla-J
+checks and J o nabla J pass it as it is.  N is built from the spec's nonzero
+bracket rows and J columns (see :mod:`wtw.frame`), as int numerators over one
 denominator from its four brackets, each nonzero entry lifted to a scalar
 once; N(E_i, E_j) is formed for the pairs i < j and mirrored by
 ``wtw.frame._antisymmetric``.  d(Omega) and the residual are evaluated on
@@ -54,7 +57,7 @@ it, for the nabla-J checks and the twistor layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .connection import cov_deriv_endo, gamma_rows, levi_civita, weyl
 from .frame import (FrameSpec, GateError, Vector, _accumulate, _alternating, _antisymmetric,
@@ -87,11 +90,6 @@ def _wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F):
         (alpha[i], alpha[j], alpha[k]), (F[j][k], F[k][i], F[i][j])))
 
 
-class LeeData(NamedTuple):
-    theta: Vector   # Lee form coefficients in the coframe
-    B: Vector       # dual Lee vector components (equal, orthonormal frame)
-
-
 def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
     """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i], as an n x n array:
     the wedge image of J."""
@@ -99,7 +97,7 @@ def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
 
 
 def _fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
-    return wedge_iso(spec.j_endo())
+    return tuple(tuple(map(spec.const, row)) for row in wedge_iso(spec.J))
 
 
 def nijenhuis(spec: FrameSpec):
@@ -135,12 +133,13 @@ def _nijenhuis(spec: FrameSpec):
     return comps, integrable
 
 
-def lee_form(spec: FrameSpec) -> LeeData:
-    """Lee form from delta Omega composed with J; cross-checked against J(delta J)."""
+def lee_form(spec: FrameSpec) -> Vector:
+    """The Lee form theta from delta Omega composed with J, cross-checked
+    against B = 2/(n-2) J(delta J); theta's components are B's."""
     return spec.memo(_lee_form)
 
 
-def _lee_form(spec: FrameSpec) -> LeeData:
+def _lee_form(spec: FrameSpec) -> Vector:
     n = spec.n
     gden, g = gamma_rows(spec)
     jden, cols = spec.j_columns()
@@ -170,8 +169,7 @@ def _lee_form(spec: FrameSpec) -> LeeData:
         _accumulate(b, 2 * v, cols[k])
     if theta != [b.get(l, 0) for l in range(n)]:
         raise AssertionError("Lee form routes disagree; codifferential convention broken")
-    den = (n - 2) * gden * jden * jden
-    return LeeData(theta=spec.lift(enumerate(theta), den), B=spec.lift(b.items(), den))
+    return spec.lift(enumerate(theta), (n - 2) * gden * jden * jden)
 
 
 def _d_omega(spec: FrameSpec):
@@ -181,7 +179,7 @@ def _d_omega(spec: FrameSpec):
 def _lee_residual(spec: FrameSpec):
     """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
     d_omega = spec.memo(_d_omega)
-    wedge = _wedge_one_two(spec, lee_form(spec).theta, fundamental_form(spec))
+    wedge = _wedge_one_two(spec, lee_form(spec), fundamental_form(spec))
     return _alternating(spec.n, spec.zero(),
                         lambda i, j, k: d_omega[i][j][k] - wedge[i][j][k])
 
@@ -193,29 +191,28 @@ def lck_check(spec: FrameSpec) -> CheckReport:
     basis = spec.basis
     report.require_zero("d(Omega) = theta ^ Omega", spec.memo(_lee_residual),
                         (basis,) * 3)
-    report.require_zero("d(theta) = 0", d_oneform(spec, lee_form(spec).theta), (basis,) * 2)
+    report.require_zero("d(theta) = 0", d_oneform(spec, lee_form(spec)), (basis,) * 2)
     report.require_zero("Nijenhuis tensor vanishes", nijenhuis(spec)[0], (basis,) * 3)
     return report
 
 
-def require_gate(spec: FrameSpec) -> LeeData:
-    """Enforce the standing assumptions; returns the Lee data on success."""
+def require_gate(spec: FrameSpec) -> Vector:
+    """Enforce the standing assumptions; returns the Lee form on success."""
     _, integrable = nijenhuis(spec)
     if not integrable:
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")
-    lee = lee_form(spec)
     if any(entry for plane in spec.memo(_lee_residual) for row in plane for entry in row):
         raise GateError("Lee identity assumption",
                         "d(Omega) differs from theta ^ Omega")
-    return lee
+    return lee_form(spec)
 
 
 def _j_nabla_j(spec: FrameSpec) -> tuple[tuple[Vector, ...], ...]:
     """J o nabla_{E_x} J for each frame vector E_x, nabla the Levi-Civita
     connection: the one place it is formed."""
-    j_endo = spec.j_endo()
-    return tuple(spec.compose(j_endo, d) for d in cov_deriv_endo(levi_civita(spec), j_endo))
+    J = spec.J
+    return tuple(spec.compose(J, d) for d in cov_deriv_endo(levi_civita(spec), J))
 
 
 def nabla_j_checks(spec: FrameSpec) -> CheckReport:
@@ -233,11 +230,10 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     n = spec.n
     ix = range(n)
     axes = (spec.basis,) * 3
-    lee = require_gate(spec)
+    B = require_gate(spec)  # theta's components are the Lee vector's
     lc = levi_civita(spec)
     J = spec.J
-    j_endo = spec.j_endo()
-    nJ = cov_deriv_endo(lc, j_endo)
+    nJ = cov_deriv_endo(lc, J)
     dom = spec.memo(_d_omega)
     ncomp, _ = nijenhuis(spec)
 
@@ -255,7 +251,6 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     report.require_zero("Gray integrability criterion", [[[
         nJ[x][z][y] - twisted[z][x][y] for z in ix] for y in ix] for x in ix], axes)
 
-    B = lee.B
     JB = spec.j_apply(B)
     minus_b = [-b for b in B]
 
@@ -280,7 +275,6 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
             wedge_iso(jn), wedge_oneforms(spec, B, ex), wedge_oneforms(spec, JB, jx))))
     report.require_zero("wedge image of J nabla-J through the Lee vector", residual, axes)
 
-    lee_spec = spec.with_phi(lee.theta)
     report.require_zero("J parallel for the Weyl connection of the Lee form",
-                        cov_deriv_endo(weyl(lee_spec), lee_spec.j_endo()), axes)
+                        cov_deriv_endo(weyl(spec.with_phi(B)), J), axes)
     return report

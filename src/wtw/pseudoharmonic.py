@@ -69,7 +69,7 @@ def condition_i_pairing(spec: FrameSpec):
 
 
 def _condition_i_pairing(spec: FrameSpec):
-    theta = require_gate(spec).theta
+    theta = require_gate(spec)
     n = spec.n
     coeff = Fraction(n * (n - 4), 2 * (n - 2))
     tmf = tuple(t - p for t, p in zip(theta, spec.phi))
@@ -96,7 +96,7 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
     form, and normalization strips the sign.  Each entry is one kernel call
     over its terms.
     """
-    theta = require_gate(spec).theta
+    theta = require_gate(spec)
     psi = tuple(t - p for t, p in zip(theta, spec.phi))
     n = spec.n
     J = spec.J

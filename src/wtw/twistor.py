@@ -119,7 +119,7 @@ def _commutator(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...],
 def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
     """Whether V is vertical at J: skew, and V o J + J o V = 0."""
     return _is_skew(V) and not any(chain.from_iterable(
-        _commutator(spec, V, spec.j_endo(), anti=True)))
+        _commutator(spec, V, spec.J, anti=True)))
 
 
 def curvature_on_bivector(R: Curvature, b):
@@ -319,10 +319,9 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     jphi = spec.j_apply(phi)
     conn = weyl(spec)
     R = curvature(conn)
-    j_endo = spec.j_endo()
-    dj = cov_deriv_endo(conn, j_endo)
+    dj = cov_deriv_endo(conn, J)
     dphi = spec.dphi()
-    act_j = endo_curvature_action(R, j_endo)
+    act_j = endo_curvature_action(R, J)
     phi_j = spec.left(phi, J)                      # phi(J.)
     dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
     dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
@@ -371,11 +370,10 @@ def vertical_antisymmetry_check(spec: FrameSpec, V: tuple[Vector, ...]) -> Check
 def _vertical_antisymmetry_residual(spec: FrameSpec, V: tuple[Vector, ...]):
     """G(R(E_i,E_j)J, V) + G(R(E_i,E_j), [V, J]), as an n x n array, for a V
     known to be vertical."""
-    j_endo = spec.j_endo()
     R = curvature(weyl(spec))
-    act_j = endo_curvature_action(R, j_endo)
+    act_j = endo_curvature_action(R, spec.J)
     against_v = _g_against(spec, V)
-    against_vj = _g_against(spec, _commutator(spec, V, j_endo))
+    against_vj = _g_against(spec, _commutator(spec, V, spec.J))
     # both sides are antisymmetric in (X, Y)
     return _antisymmetric(spec.n, spec.zero(),
                           lambda i, j: against_v(act_j[i][j]) + against_vj(R.endo(i, j)))
@@ -387,10 +385,9 @@ def vertical_checks(spec: FrameSpec) -> CheckReport:
     residual builders; index 0 of a failing entry names V, as A[r,s] or B[r,s]."""
     report = CheckReport(title="vertical directions")
     vertical = vertical_basis(spec)
-    j_endo = spec.j_endo()
     axes = (vertical.labels, spec.basis, spec.basis)
     report.require_zero("fiber curvature pairing against every vertical direction",
-                        [_fiber_pairing_residual(spec, j_endo, v) for v in vertical.elements],
+                        [_fiber_pairing_residual(spec, spec.J, v) for v in vertical.elements],
                         axes)
     report.require_zero("vertical antisymmetry of the fiber curvature",
                         [_vertical_antisymmetry_residual(spec, v) for v in vertical.elements],
@@ -412,10 +409,9 @@ def h_trace(spec: FrameSpec):
     the gate (integrability and the Lee identity).
     """
     require_gate(spec)
-    j_endo = spec.j_endo()
     conn = weyl(spec)
-    act_j = endo_curvature_action(curvature(conn), j_endo)
-    against_dj = [_g_against(spec, d) for d in cov_deriv_endo(conn, j_endo)]
+    act_j = endo_curvature_action(curvature(conn), spec.J)
+    against_dj = [_g_against(spec, d) for d in cov_deriv_endo(conn, spec.J)]
     return tuple(spec.ring.sum(g(row[k]) for g, row in zip(against_dj, act_j))
                  for k in range(spec.n))
 
@@ -438,7 +434,7 @@ class VTraceData(NamedTuple):
 def v_trace(spec: FrameSpec) -> VTraceData:
     require_gate(spec)
     n = spec.n
-    second = second_cov_deriv_endo(weyl(spec), spec.j_endo())
+    second = second_cov_deriv_endo(weyl(spec), spec.J)
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
     form = [[spec.ring.sum(second[i][i][k][l] for i in range(n)) for k in range(n)]
             for l in range(n)]

@@ -266,9 +266,9 @@ def test_criterion_6_identity_suite(key, inoue, kodairas):
                    nabla_j_checks(spec), curvature_pairing_with_dj_check(spec)):
         failures.extend(c.name for c in report.failures)
     basis = vertical_basis(spec)
-    j_endo = spec.j_endo()
+    J = spec.J
     for v in basis.elements:
-        if not fiber_pairing_check(spec, j_endo, v).ok:
+        if not fiber_pairing_check(spec, J, v).ok:
             failures.append("fiber curvature pairing")
         if not vertical_antisymmetry_check(spec, v).ok:
             failures.append("vertical antisymmetry")
@@ -290,8 +290,8 @@ def test_criterion_7_trace_equivalence(key, inoue, kodairas):
 def test_criterion_7_lee_weyl_form_trivial(inoue, kodairas):
     ok = True
     for base in (inoue, *kodairas.values()):
-        spec = base.with_phi(lee_form(base).theta)
-        dj = cov_deriv_endo(weyl(spec), spec.j_endo())
+        spec = base.with_phi(lee_form(base))
+        dj = cov_deriv_endo(weyl(spec), spec.J)
         ok = ok and all(entry.is_zero for direction in dj for row in direction
                         for entry in row)
         ok = ok and all(entry.is_zero for entry in h_trace(spec))

@@ -94,7 +94,7 @@ class TestCovariantDerivatives:
                 assert str(table[i][j]) == expect.get((i, j), "0")
 
     def test_inoue_lee_derivative(self, inoue):
-        theta = lee_form(inoue).theta
+        theta = lee_form(inoue)
         table = cov_deriv_oneform(levi_civita(inoue), theta)
         assert str(table[0][0]) == "-1"
 
@@ -109,15 +109,15 @@ class TestCovariantDerivatives:
             assert _is_zero(direction)
 
     def test_j_parallel_for_lee_weyl_connection(self, inoue):
-        spec = inoue.with_phi(lee_form(inoue).theta)
-        for direction in cov_deriv_endo(weyl(spec), spec.j_endo()):
+        spec = inoue.with_phi(lee_form(inoue))
+        for direction in cov_deriv_endo(weyl(spec), spec.J):
             assert _is_zero(direction)
 
     @pytest.mark.parametrize("signs", [(1, 1), (-1, -1)])
     def test_kodaira_nabla_j(self, kodairas, signs):
         spec = kodairas[signs]
         e1 = signs[0]
-        nj = cov_deriv_endo(levi_civita(spec), spec.j_endo())
+        nj = cov_deriv_endo(levi_civita(spec), spec.J)
         # (nabla_{A1} J)(A1) = -e1 A4
         column = [str(nj[0][l][0]) for l in range(4)]
         assert column == ["0", "0", "0", str(-e1)]
@@ -133,18 +133,18 @@ class TestCovariantDerivatives:
 
 class TestSecondDerivatives:
     def test_abelian_second_derivative_vanishes(self, abelian):
-        table = second_cov_deriv_endo(levi_civita(abelian), abelian.j_endo())
+        table = second_cov_deriv_endo(levi_civita(abelian), abelian.J)
         assert all(_is_zero(entry) for row in table for entry in row)
 
     def test_parallel_j_second_derivative_vanishes(self, inoue):
-        spec = inoue.with_phi(lee_form(inoue).theta)
-        table = second_cov_deriv_endo(weyl(spec), spec.j_endo())
+        spec = inoue.with_phi(lee_form(inoue))
+        table = second_cov_deriv_endo(weyl(spec), spec.J)
         assert all(_is_zero(entry) for row in table for entry in row)
 
     def test_kodaira_traced_second_derivative(self, kodairas):
         # closed form for the Levi-Civita connection: Tr nabla^2 J = -|B|^2/2 * 2J = -2J
         spec = kodairas[(1, 1)]
-        table = second_cov_deriv_endo(levi_civita(spec), spec.j_endo())
+        table = second_cov_deriv_endo(levi_civita(spec), spec.J)
         traced = tuple(tuple(sum((table[i][i][k][l] for i in range(4)), spec.zero())
                              for l in range(4)) for k in range(4))
         assert traced == tuple(tuple(spec.const(-2 * x) for x in row) for row in spec.J)
@@ -182,7 +182,7 @@ def test_fused_second_derivative_table_is_its_two_step_definition(spec):
               for l in range(n))
     assert S[0][1] != -S[1][0]
     for conn in (weyl(spec), levi_civita(spec)):
-        for endo in (spec.j_endo(), S):
+        for endo in (spec.J, S):
             table = second_cov_deriv_endo(conn, endo)
             assert any(entry for row in table for block in row for line in block
                        for entry in line)

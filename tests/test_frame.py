@@ -84,7 +84,7 @@ class TestBuiltins:
 
     def test_inoue_lee_form_is_second_coframe_vector(self, inoue):
         lee = lee_form(inoue)
-        assert [str(t) for t in lee.theta] == ["0", "1", "0", "0"]
+        assert [str(t) for t in lee] == ["0", "1", "0", "0"]
 
 
 class TestLoader:
@@ -402,20 +402,16 @@ class TestExteriorCalculus:
     def test_dphi_on_j_bivector(self, inoue, kodairas):
         from wtw.twistor import wedge_iso
         dphi = d_oneform(inoue, inoue.phi)
-        assert str(eval_on_bivector(inoue, dphi, wedge_iso(inoue.j_endo()))) == "a1"
+        assert str(eval_on_bivector(inoue, dphi, wedge_iso(inoue.J))) == "a1"
         for (e1, e2), spec in kodairas.items():
             dphi = d_oneform(spec, spec.phi)
-            value = eval_on_bivector(spec, dphi, wedge_iso(spec.j_endo()))
+            value = eval_on_bivector(spec, dphi, wedge_iso(spec.J))
             assert value == 2 * e1 * spec.ring.sym("a4")
-
-    def test_lee_theta_equals_its_dual_vector(self, inoue):
-        lee = lee_form(inoue)
-        assert lee.theta == lee.B
 
     def test_inoue_d_omega_equals_lee_wedge_omega(self, inoue):
         omega = fundamental_form(inoue)
         lee = lee_form(inoue)
-        assert _d_twoform(inoue, omega) == _wedge_one_two(inoue, lee.theta, omega)
+        assert _d_twoform(inoue, omega) == _wedge_one_two(inoue, lee, omega)
 
 
 class TestValidation:
@@ -463,6 +459,27 @@ class TestValidation:
         spec = FrameSpec.create(dimension=4, symbols=("a1", "a2", "a3", "a4"),
                                 brackets={(1, 0): {0: 1}, (1, 2): {2: -half}, (1, 3): {3: -half}},
                                 J=inoue.J, phi=("a1", "a2", "a3", "a4"), name="inoue-s0")
+        assert spec == inoue
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", "1e9999999"])
+    def test_create_refuses_rational_strings_in_other_notations(self, text):
+        """Exponent, decimal and underscore notation are refused at once, in a
+        bracket, on the diagonal of the brackets and in J, as ``load_spec``
+        refuses them; ``Fraction`` alone would spend unbounded time on
+        ``"1e9999999"``."""
+        J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+        for brackets, matrix in (({(0, 1): {0: text}}, J), ({(2, 2): {0: text}}, J),
+                                 ({}, [[text, *J[0][1:]], *J[1:]])):
+            with pytest.raises(ValueError, match="not a rational constant"):
+                FrameSpec.create(dimension=4, symbols=(), brackets=brackets, J=matrix,
+                                 phi=(0, 0, 0, 0))
+
+    def test_create_takes_rational_strings_ints_and_fractions(self, inoue):
+        J = [["0", " -1 ", 0, 0], [Fraction(1), 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+        spec = FrameSpec.create(dimension=4, symbols=("a1", "a2", "a3", "a4"),
+                                brackets={(0, 1): {0: " -1 "}, (1, 2): {2: " -1/2 "},
+                                          (1, 3): {3: Fraction(-1, 2)}, (2, 2): {0: "0"}},
+                                J=J, phi=("a1", "a2", "a3", "a4"), name="inoue-s0")
         assert spec == inoue
 
 
@@ -560,7 +577,7 @@ class TestContractionsOnDenseJ:
         Q = frame_families.cayley(n)
         assert all(Q[i][j] for i in range(n) for j in range(n))
         gapped = tuple(row[:1] + (z,) + row[2:] for row in M)
-        endos = (spec.j_endo(), tuple(tuple(spec.const(x) for x in row) for row in Q), M, gapped)
+        endos = (spec.J, tuple(tuple(spec.const(x) for x in row) for row in Q), M, gapped)
         for a in endos:
             for b in endos:
                 assert spec.compose(a, b) == tuple(tuple(
@@ -586,7 +603,7 @@ def test_cov_deriv_endo_matches_its_definition(frame):
     n, z = spec.n, spec.zero()
     for conn in (levi_civita(spec), weyl(spec)):
         g = conn.gamma
-        for S in (spec.j_endo(), curvature(weyl(spec)).endo(0, 1)):
+        for S in (spec.J, curvature(weyl(spec)).endo(0, 1)):
             derived = cov_deriv_endo(conn, S)
             for i in range(n):
                 assert derived[i] == tuple(tuple(
@@ -668,10 +685,9 @@ def test_two_forms_and_bivectors_are_antisymmetric_arrays(spec):
     antisymmetric with a zero diagonal; the 3-form builders and the twistor
     checks, which read dphi(X, MY) as -dphi(MY, X), rely on it."""
     n, phi = spec.n, spec.phi
-    arrays = {"dphi": spec.dphi(), "d theta": d_oneform(spec, lee_form(spec).theta),
+    arrays = {"dphi": spec.dphi(), "d theta": d_oneform(spec, lee_form(spec)),
               "Omega": fundamental_form(spec),
-              "phi ^ J phi": wedge_oneforms(spec, phi, spec.j_apply(phi)),
-              "J^": wedge_iso(spec.j_endo())}
+              "phi ^ J phi": wedge_oneforms(spec, phi, spec.j_apply(phi))}
     for name, F in arrays.items():
         assert len(F) == n and all(len(row) == n for row in F), name
         assert all(isinstance(x, Scalar) and x.ring == spec.ring for row in F for x in row), name
@@ -777,7 +793,7 @@ def test_symbol_free_layer_matches_its_definitions(spec):
     d_omega = _d_two(spec, omega)
     assert _d_twoform(spec, fundamental_form(spec)) == tuple(
         tuple(tuple(row) for row in plane) for plane in d_omega)
-    theta = lee_form(spec).theta
+    theta = lee_form(spec)
     assert _lee_residual(spec) == tuple(tuple(tuple(
         d_omega[i][j][k] - theta[i] * omega[j][k] + theta[j] * omega[i][k]
         - theta[k] * omega[i][j] for k in ix) for j in ix) for i in ix)

@@ -26,7 +26,7 @@ def test_every_family_member_passes_the_gate(n):
         assert spec.n == n
         require_gate(spec)
     vaisman = load_spec(frame_families.vaisman(n))
-    theta = lee_form(vaisman).theta
+    theta = lee_form(vaisman)
     assert [str(x) for x in theta] == ["0"] * (n - 2) + ["-2", "0"]
 
 

@@ -54,8 +54,7 @@ class TestNijenhuis:
 class TestLeeForm:
     def test_inoue(self, inoue):
         lee = lee_form(inoue)
-        assert [str(t) for t in lee.theta] == ["0", "1", "0", "0"]
-        assert lee.B == lee.theta
+        assert [str(t) for t in lee] == ["0", "1", "0", "0"]
 
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_kodaira(self, kodairas, signs):
@@ -63,15 +62,15 @@ class TestLeeForm:
         e1, e2 = signs
         lee = lee_form(kodairas[signs])
         expected = ["0", "0", str(-2 * e1 * e2), "0"]
-        assert [str(t) for t in lee.theta] == expected
+        assert [str(t) for t in lee] == expected
 
     def test_abelian_kaehler(self, abelian):
         lee = lee_form(abelian)
-        assert all(t.is_zero for t in lee.theta)
+        assert all(t.is_zero for t in lee)
 
     def test_hyperbolic_like(self, hyperbolic_like):
         lee = lee_form(hyperbolic_like)
-        assert [str(t) for t in lee.theta] == ["0", "-2", "0", "0"]
+        assert [str(t) for t in lee] == ["0", "-2", "0", "0"]
 
 
 class TestLckCheck:
@@ -123,4 +122,4 @@ class TestNablaJ:
 
     def test_dtheta_zero_on_builtins(self, inoue, kodairas):
         for spec in (inoue, *kodairas.values()):
-            assert all(x.is_zero for row in d_oneform(spec, lee_form(spec).theta) for x in row)
+            assert all(x.is_zero for row in d_oneform(spec, lee_form(spec)) for x in row)

@@ -10,8 +10,11 @@ import pathlib
 import weakref
 from unittest import mock
 
-from wtw import (builtin, conditions, identity_suite, levi_civita, load_spec_file,
-                 ricci_formula_check, verify_assignment, weyl)
+import pytest
+
+import frame_families
+from wtw import (builtin, conditions, curvature, identity_suite, levi_civita, load_spec,
+                 load_spec_file, ricci_formula_check, verify_assignment, weyl)
 from wtw import cli, connection, frame, hermitian, pseudoharmonic, twistor
 from wtw.curvature import phi_tensor, ricci_via_formula
 from wtw.pseudoharmonic import condition_ii
@@ -99,9 +102,26 @@ def test_second_derivatives_keep_only_the_first():
     """D2 S keeps D S on the connection, and not the n derivatives
     D_{E_i}(D_{E_j} S) it forms on the way, which no other reader asks for."""
     conn = weyl(builtin("inoue-s0"))
-    connection.second_cov_deriv_endo(conn, conn.spec.j_endo())
+    connection.second_cov_deriv_endo(conn, conn.spec.J)
     kept = [key for key in conn.__dict__["_memo"] if key[0] is connection._cov_deriv_endo]
     assert len(kept) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    builtin("kodaira", (1, -1)),
+    load_spec(frame_families.DENSE_J["inoue_s0_rotated.toml"], "inoue-s0 rotated")],
+    ids=["signed-permutation", "dense-J"])
+def test_j_and_a_constant_scalar_copy_share_one_kept_value(spec):
+    """J is passed as ``spec.J``, its rationals; an equal array of constant
+    scalars compares and hashes alike, so it finds the same kept value."""
+    scalar_j = tuple(tuple(map(spec.const, row)) for row in spec.J)
+    assert scalar_j == spec.J and hash(scalar_j) == hash(spec.J)
+    conn = weyl(spec)
+    R = curvature(conn)
+    for derive, source in ((connection.cov_deriv_endo, conn),
+                           (connection.second_cov_deriv_endo, conn),
+                           (twistor.endo_curvature_action, R)):
+        assert derive(source, scalar_j) is derive(source, spec.J), derive.__name__
 
 
 def test_weyl_curvature_routes_stay_independent():

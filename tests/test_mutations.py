@@ -168,7 +168,7 @@ def _condition_ii_terms(monkeypatch, term):
         out = values(spec, dim4_mode)
         if dim4_mode:
             return out
-        psi = tuple(t - p for t, p in zip(pseudoharmonic.require_gate(spec).theta, spec.phi))
+        psi = tuple(t - p for t, p in zip(pseudoharmonic.require_gate(spec), spec.phi))
         return tuple(value + term(spec, psi, k) for k, value in enumerate(out))
 
     monkeypatch.setattr(pseudoharmonic, "_condition_ii_values", mutated)
@@ -228,7 +228,7 @@ def _action_entry(monkeypatch):
 
     def mutated(R, S):
         out = action(R, S)
-        if S != R.spec.j_endo():
+        if S != R.spec.J:
             return out
         v = twistor.vertical_basis(R.spec).elements[0]
         rows = [list(row) for row in out]

@@ -18,7 +18,7 @@ class TestConditionI:
         # n = 4 kills the theta ^ phi coefficient, so the residuals are those
         # of d(theta - phi) alone
         from wtw.frame import d_oneform
-        theta = lee_form(inoue).theta
+        theta = lee_form(inoue)
         tmf = tuple(theta[i] - inoue.phi[i] for i in range(4))
         F = d_oneform(inoue, tmf)
         J = inoue.J
@@ -47,7 +47,7 @@ class TestConditionI:
 
 class TestConditionII:
     def test_lee_weyl_form_empty(self, inoue):
-        spec = inoue.with_phi(lee_form(inoue).theta)
+        spec = inoue.with_phi(lee_form(inoue))
         report = conditions(spec)
         assert report.condition_ii == ()
         assert report.holds_identically
@@ -100,7 +100,7 @@ class TestDim4:
 
     def test_lee_weyl_form_empty(self, kodairas):
         spec = kodairas[(1, 1)]
-        report = conditions(spec.with_phi(lee_form(spec).theta), dim4_mode=True)
+        report = conditions(spec.with_phi(lee_form(spec)), dim4_mode=True)
         assert report.holds_identically
 
 

@@ -49,7 +49,7 @@ def _identity(spec):
 
 def _is_vertical(spec, a):
     """Skew and anticommuting with J, entry by entry."""
-    j = spec.j_endo()
+    j = spec.J
     return (a == tuple(tuple(-x for x in col) for col in zip(*a))
             and all((x + y).is_zero for ra, rb in zip(spec.compose(a, j), spec.compose(j, a))
                     for x, y in zip(ra, rb)))
@@ -57,8 +57,8 @@ def _is_vertical(spec, a):
 
 class TestFiberMetric:
     def test_half_trace_of_j(self, inoue, heisenberg6):
-        assert g_fiber(inoue, inoue.j_endo(), inoue.j_endo()) == inoue.const(2)
-        assert (g_fiber(heisenberg6, heisenberg6.j_endo(), heisenberg6.j_endo())
+        assert g_fiber(inoue, inoue.J, inoue.J) == inoue.const(2)
+        assert (g_fiber(heisenberg6, heisenberg6.J, heisenberg6.J)
                 == heisenberg6.const(3))
 
     def test_plane_rotations_are_unit(self, inoue):
@@ -66,7 +66,7 @@ class TestFiberMetric:
         assert g_fiber(inoue, s12, s12) == inoue.const(1)
 
     def test_vertical_orthogonal_to_j(self, inoue):
-        j = inoue.j_endo()
+        j = inoue.J
         for v in vertical_basis(inoue).elements:
             assert g_fiber(inoue, j, v).is_zero
 
@@ -80,7 +80,7 @@ class TestFiberMetric:
 
 class TestWedgeIso:
     def test_j_wedge_components(self, inoue):
-        b = wedge_iso(inoue.j_endo())
+        b = wedge_iso(inoue.J)
         assert str(b[0][1]) == "1"
         assert str(b[2][3]) == "1"
 
@@ -95,7 +95,7 @@ class TestWedgeIso:
     def test_commutator_with_vertical_is_plane_difference(self, inoue):
         # [J, V] for vertical V stays vertical, hence lands in the
         # anti-invariant bivectors Z ^ U - JZ ^ JU
-        j = inoue.j_endo()
+        j = inoue.J
         for v in vertical_basis(inoue).elements:
             b = wedge_iso(twistor._commutator(inoue, j, v))
             J = inoue.J
@@ -119,7 +119,7 @@ class TestVerticalBasis:
     def test_invariants(self, kodairas, signs):
         spec = kodairas[signs]
         basis = vertical_basis(spec)
-        j = spec.j_endo()
+        j = spec.J
         for a_idx, a in enumerate(basis.elements):
             assert _is_vertical(spec, a)
             for b_idx, b in enumerate(basis.elements):
@@ -131,7 +131,7 @@ class TestCurvatureOnEndomorphisms:
     def test_commutator_equals_double_derivative(self, inoue, kodairas):
         for spec in (inoue, kodairas[(1, -1)]):
             conn = weyl(spec)
-            endo_curvature_consistency(conn, spec.j_endo())
+            endo_curvature_consistency(conn, spec.J)
             endo_curvature_consistency(conn, _random_skew(spec, 2))
 
     @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
@@ -150,7 +150,7 @@ class TestCurvatureOnEndomorphisms:
         monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
         spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
         with pytest.raises(AssertionError, match=rf"at \({pair[0] + 1},{pair[1] + 1}\)$"):
-            endo_curvature_consistency(weyl(spec), spec.j_endo())
+            endo_curvature_consistency(weyl(spec), spec.J)
 
     def test_pairing_identity_flat_case(self, abelian):
         report = fiber_pairing_check(abelian, _random_skew(abelian, 3), _random_skew(abelian, 4))
@@ -163,7 +163,7 @@ class TestCurvatureOnEndomorphisms:
         assert fiber_pairing_check(spec, _random_skew(spec, 8), _random_skew(spec, 9)).ok
 
     def test_pairing_identity_j_against_verticals(self, inoue):
-        j = inoue.j_endo()
+        j = inoue.J
         for v in vertical_basis(inoue).elements:
             assert fiber_pairing_check(inoue, j, v).ok
 
@@ -205,14 +205,14 @@ class TestVerticalPart:
     unnormalized vertical basis by G(R(X, Y) J, V_alpha) / norm_sq."""
 
     def test_flat_case_has_no_vertical_part(self, abelian):
-        act_j = endo_curvature_action(curvature(weyl(abelian)), abelian.j_endo())
+        act_j = endo_curvature_action(curvature(weyl(abelian)), abelian.J)
         basis = vertical_basis(abelian)
         assert all(g_fiber(abelian, action, v).is_zero
                    for row in act_j for action in row for v in basis.elements)
 
     def test_inoue_vertical_part_of_first_pair(self, inoue):
         basis = vertical_basis(inoue)
-        action = endo_curvature_action(curvature(weyl(inoue)), inoue.j_endo())[0][1]
+        action = endo_curvature_action(curvature(weyl(inoue)), inoue.J)[0][1]
         coeff_a, coeff_b = (g_fiber(inoue, action, v) * (Fraction(1, 2) / basis.norm_sq)
                             for v in basis.elements)
         assert str(coeff_a) == "-1/8*a1*a3 + 1/8*a2*a4"
@@ -225,7 +225,7 @@ class TestVerticalPart:
                 load_spec_file(pathlib.Path(__file__).parent / "data" / f"{name}.toml"))
         basis = vertical_basis(spec)
         assert len(basis.elements) == directions
-        act_j = endo_curvature_action(curvature(weyl(spec)), spec.j_endo())
+        act_j = endo_curvature_action(curvature(weyl(spec)), spec.J)
         assert any(x for row in act_j for action in row for x in chain(*action))
         for row in act_j:
             for action in row:
@@ -236,7 +236,7 @@ class TestVerticalPart:
 class TestTraces:
     def test_lee_weyl_form_gives_zero_traces(self, inoue, kodairas):
         for base in (inoue, kodairas[(1, 1)], kodairas[(-1, -1)]):
-            spec = base.with_phi(lee_form(base).theta)
+            spec = base.with_phi(lee_form(base))
             assert all(entry.is_zero for entry in h_trace(spec))
             data = v_trace(spec)
             assert all(entry.is_zero for row in data.direct for entry in row)
@@ -473,15 +473,15 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     from wtw.cli import _suite_report
 
     spec = builtin("inoue-s0")
-    j_endo = spec.j_endo()
-    nabla_j = cov_deriv_endo(levi_civita(spec), j_endo)  # kept: the suite reads these
+    J = spec.J
+    nabla_j = cov_deriv_endo(levi_civita(spec), J)  # kept: the suite reads these
     # phi, J o nabla_X J and every value formed from them by the wrapped helpers
     tracked, calls = [spec.phi], collections.Counter()
     compose = FrameSpec.compose
 
     def counting_compose(self, a, b):
         out = compose(self, a, b)
-        if a is j_endo and any(b is d for d in nabla_j):
+        if a is J and any(b is d for d in nabla_j):
             tracked.append(out)
             calls["J o nabla J"] += 1
         return out
@@ -570,7 +570,7 @@ def test_a_perturbed_action_on_j_fails_the_horizontal_equivalence(monkeypatch):
     assert name not in [check.name for check in twistor.equivalence_check(
         load_spec_file(path)).failures]
     spec = load_spec_file(path)
-    dj = cov_deriv_endo(weyl(spec), spec.j_endo())
+    dj = cov_deriv_endo(weyl(spec), spec.J)
     i, v = next((i, v) for i, d in enumerate(dj) for v in vertical_basis(spec).elements
                 if not g_fiber(spec, v, d).is_zero)
     j = (i + 1) % spec.n
@@ -619,9 +619,9 @@ def test_fiber_pairings_hold_on_dense_j_frames(base):
     a = J against b = D_Y J for every Y."""
     rotated = _dense_j_frame(base)
     assert twistor.curvature_pairing_with_dj_check(rotated).ok
-    j_endo = rotated.j_endo()
-    for dj in cov_deriv_endo(weyl(rotated), j_endo):
-        assert fiber_pairing_check(rotated, j_endo, dj).ok
+    J = rotated.J
+    for dj in cov_deriv_endo(weyl(rotated), J):
+        assert fiber_pairing_check(rotated, J, dj).ok
 
 
 @pytest.mark.parametrize("base", DENSE_J_BASES)
@@ -655,9 +655,9 @@ def test_dj_residual_pairs_every_entry_of_the_action(base, monkeypatch):
     monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
     monkeypatch.setattr(twistor.CheckReport, "require_zero", captured)
     assert not twistor.curvature_pairing_with_dj_check(spec).ok
-    R, j_endo = curvature(weyl(spec)), spec.j_endo()
-    action, true_action = endo_curvature_action(R, j_endo), original(R, j_endo)
-    dj = cov_deriv_endo(weyl(spec), j_endo)
+    R, J = curvature(weyl(spec)), spec.J
+    action, true_action = endo_curvature_action(R, J), original(R, J)
+    dj = cov_deriv_endo(weyl(spec), J)
     expected = [[[g_fiber(spec, action[x][z], dj[y]) - g_fiber(spec, true_action[x][z], dj[y])
                   for z in range(n)] for x in range(n)] for y in range(n)]
     assert [[list(row) for row in plane] for plane in residuals[0]] == expected
@@ -680,7 +680,7 @@ def test_commutator_is_the_difference_of_the_two_products(base):
     pairs = [(general(), general()) for _ in range(3)]
     assert all(x for a, b in pairs for x in chain(*a, *b))
     R = curvature(weyl(spec))
-    pairs += [(R.endo(i, j), spec.j_endo()) for i, j in combinations(range(spec.n), 2)]
+    pairs += [(R.endo(i, j), spec.J) for i, j in combinations(range(spec.n), 2)]
     _assert_commutator_is_its_definition(spec, pairs)
 
 
@@ -691,23 +691,23 @@ def test_commutator_is_the_difference_of_the_two_products_on_sparse_frames(base)
     skips, for every R(E_i, E_j) and every vertical V against J, in both orders."""
     spec = (builtin(base) if base == "inoue-s0" else
             load_spec_file(pathlib.Path(__file__).parent / "data" / f"{base}.toml"))
-    j_endo = spec.j_endo()
-    assert any(x == 0 for x in chain(*j_endo))
+    J = spec.J
+    assert any(x == 0 for x in chain(*J))
     R = curvature(weyl(spec))
     others = [R.endo(i, j) for i, j in combinations(range(spec.n), 2)]
     others += vertical_basis(spec).elements
     _assert_commutator_is_its_definition(
-        spec, [pair for a in others for pair in ((a, j_endo), (j_endo, a))])
+        spec, [pair for a in others for pair in ((a, J), (J, a))])
 
 
 def _assert_commutator_is_its_definition(spec, pairs):
     """Both the commutator and the anticommutator, and ``twistor._is_vertical``
     against the entrywise test, on every endomorphism paired with J."""
-    j_endo = spec.j_endo()
+    J = spec.J
     for a, b in pairs:
         ab, ba = spec.compose(a, b), spec.compose(b, a)
         assert twistor._commutator(spec, a, b) == linear_combination(spec, (1, -1), (ab, ba))
         assert twistor._commutator(spec, a, b, anti=True) == linear_combination(
             spec, (1, 1), (ab, ba))
-        if b is j_endo:
+        if b is J:
             assert twistor._is_vertical(spec, a) == _is_vertical(spec, a)
