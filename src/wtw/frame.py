@@ -95,7 +95,7 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
-from .polyalg import Ring, Scalar, RationalLike, _parse_rational
+from .polyalg import Ring, Scalar, RationalLike, _fraction
 
 Vector = tuple[Scalar, ...]
 
@@ -367,14 +367,6 @@ class FrameSpec(Memo):
                          name=self.name)
 
 
-def _fraction(value) -> Fraction:
-    """A rational constant as a Fraction; a Fraction is kept, not rebuilt, and a
-    string is read by ``_parse_rational``, so exponent notation is refused."""
-    if type(value) is Fraction:
-        return value
-    return _parse_rational(value) if isinstance(value, str) else Fraction(value)
-
-
 def _coerce_phi(ring: Ring, n: int,
                 phi: Sequence[Scalar | str | RationalLike]) -> Vector:
     """Weyl-form coefficients as scalars of ``ring``: scalars are kept, strings
@@ -595,14 +587,12 @@ def load_spec(text: str, name: str = "custom") -> FrameSpec:
     index = {bname: i for i, bname in enumerate(basis)}
 
     def to_fraction(value, where: str) -> Fraction:
-        if _is_int(value):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return _parse_rational(value)
-            except ValueError:
-                raise SpecFormatError(f"{where}: not a rational constant: {value!r}") from None
-        raise SpecFormatError(f"{where}: expected integer or rational string, got {value!r}")
+        if not (_is_int(value) or isinstance(value, str)):
+            raise SpecFormatError(f"{where}: expected integer or rational string, got {value!r}")
+        try:
+            return _fraction(value)
+        except ValueError:
+            raise SpecFormatError(f"{where}: not a rational constant: {value!r}") from None
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     key_of_pair: dict[frozenset[int], str] = {}

@@ -48,9 +48,25 @@ of each assigned value and reduces the sum once, and rendering reduces each
 coefficient by one gcd, so neither forms a Fraction per term.
 :meth:`Ring.const` reads the numerator and denominator of an int or a
 Fraction, and the rational constants of specs and assignments are read as two
-ints.  The accessors :meth:`Scalar.terms` and :meth:`Scalar.constant_value`
-still return :class:`fractions.Fraction` coefficients.  There is no floating point
+ints.  :func:`_fraction` is the one reader of a rational constant in any
+other form: a string must be ``[+-]digits[/digits]`` (:func:`_parse_rational`),
+so ``Ring.const``, ``Scalar.substitute``, ``FrameSpec.create`` and
+``verify_assignment`` refuse ``"1e3"``, ``"1.5"`` and ``"1_000"``.  The
+accessors :meth:`Scalar.terms` and :meth:`Scalar.constant_value` still return
+:class:`fractions.Fraction` coefficients.  There is no floating point
 anywhere: identity tests are exact.
+
+Polynomial strings
+------------------
+:meth:`Ring.parse` reads a string with :func:`ast.parse` once ``^`` is
+rewritten to ``**``, and a walker that accepts only ``+ - * / **`` between
+terms, unary ``+ -``, declared symbols and integer literals.  Whitespace
+separates tokens, literals may have leading zeros, and symbols may be named
+like Python keywords (``lambda``, ``None``).  Refused: any other character
+(``#``, ``.``, ``;``, a backslash), ``**``, an exponent that is not one integer
+literal (``a^(2)``, ``a^-2``, ``a^2^3``), Python's other literal forms
+(``0x10``, ``1_000``, ``1e3``, ``1j``), division by anything but a nonzero
+constant, and nesting past the depth cap; see :func:`_parse`.
 
 Rendering contract
 ------------------
@@ -58,13 +74,16 @@ Rendering contract
 exponent tuples (symbol order is the ring's declared order), coefficients as
 ``p`` or ``p/q``, powers with ``^``, e.g. ``-1/2*a2^2 - a2``.  This string is
 part of the golden-output contract of the command line tool, so it must stay
-byte-stable.
+byte-stable.  A coefficient with more decimal digits than the interpreter
+converts to a string (4,300 by default) raises a one-line ``ValueError`` that
+names its size in bits.
 
 Values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from fractions import Fraction
@@ -78,6 +97,14 @@ RationalLike = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+# a character that no polynomial string holds, or "**"
+_REFUSED_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^()]|\*\*")
+# a "^" not followed by an integer literal, or whose literal is raised in turn
+_BAD_EXPONENT_RE = re.compile(r"\^(?!\s*+\d++(?!\s*\^))")
+# a name or an integer literal of a polynomial string
+_WORD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\d+")
+# the token at a syntax error in the rewritten string, without a name's "_"
+_TOKEN_RE = re.compile(r"_?(\w+|\S?)")
 # deepest nesting of parentheses and unary signs that Ring.parse accepts
 _MAX_PARSE_DEPTH = 100
 # bits per symbol in a packed monomial; the top bit of each field is a guard
@@ -120,6 +147,15 @@ def _parse_rational(text: str) -> Fraction:
     if not den:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(int(num), den)
+
+
+def _fraction(value) -> Fraction:
+    """The one reader of rational constants: a Fraction is kept, not rebuilt,
+    a string is read by ``_parse_rational``, so exponent and decimal notation
+    are refused, and anything else goes through ``Fraction``."""
+    if type(value) is Fraction:
+        return value
+    return _parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 class Ring:
@@ -169,7 +205,7 @@ class Ring:
 
     def const(self, value: RationalLike) -> Scalar:
         if not isinstance(value, _RATIONALS):
-            value = Fraction(value)
+            value = _fraction(value)
         if not value:
             return self._zero
         return Scalar._canonical(self, {0: value.numerator}, value.denominator)
@@ -182,11 +218,9 @@ class Ring:
         return Scalar._canonical(self, {1 << self._shifts[idx]: 1}, 1)
 
     def parse(self, text: str) -> Scalar:
-        """Parse ``text`` using ``+ - * / ^``, integer literals and symbols."""
-        try:
-            return _Parser(self, text).parse()
-        except ExponentOverflowError as exc:
-            raise PolynomialParseError(f"{exc} in {text!r}") from None
+        """Parse ``text`` using ``+ - * / ^``, integer literals and symbols:
+        see :func:`_parse`."""
+        return _parse(self, text)
 
     def _pack(self, exps: Exponents) -> int:
         """The packed monomial of an exponent tuple."""
@@ -477,7 +511,7 @@ class Scalar:
             top = max(((key >> shift) & _MAX_EXPONENT for key in terms), default=0)
             if top:
                 if not isinstance(value, _RATIONALS):
-                    value = Fraction(value)
+                    value = _fraction(value)
                 p, q = value.numerator, value.denominator
                 tables.append((shift, [p ** e * q ** (top - e) for e in range(top + 1)]))
                 mask |= _MAX_EXPONENT << shift
@@ -507,7 +541,12 @@ class Scalar:
                 name if power == 1 else f"{name}^{power}"
                 for name, power in zip(symbols, unpack(key)) if power)
             g = math.gcd(num, den)  # |num| / den in lowest terms
-            mag = f"{abs(num) // g}" if g == den else f"{abs(num) // g}/{den // g}"
+            try:
+                mag = f"{abs(num) // g}" if g == den else f"{abs(num) // g}/{den // g}"
+            except ValueError:  # past the interpreter's limit on int-to-str digits
+                size = max(abs(num) // g, den // g).bit_length()
+                raise ValueError(f"cannot print a coefficient of {size} bits: it has more "
+                                 "decimal digits than the interpreter converts") from None
             if not monomial:
                 body = mag
             elif mag == "1":
@@ -560,149 +599,140 @@ def normalized_system(polys) -> tuple[tuple[Scalar, ...], int]:
             sum(q.is_zero for q in normalized))
 
 
-class _Parser:
-    """Recursive-descent parser for polynomial strings.
-
-    Grammar: ``expr := term (('+'|'-') term)*``;
-    ``term := unary (('*'|'/') unary)*``; ``unary := ('-'|'+') unary | power``;
-    ``power := atom ('^' INT)?``; ``atom := INT | NAME | '(' expr ')'``.
-    Division requires a nonzero constant divisor.  Parentheses and unary
-    signs may nest at most ``_MAX_PARSE_DEPTH`` deep, so that no input
-    exhausts the interpreter's recursion limit; a written exponent is at most
-    ``_MAX_EXPONENT``, and a product or power is refused before it is
-    formed if its term count times its coefficient size could pass
-    ``_MAX_PARSE_SIZE``, so that no short input takes unbounded time.
-    """
-
-    _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
-
-    def __init__(self, ring: Ring, text: str):
-        self.ring = ring
-        self.text = text
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def _tokenize(self, text: str):
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            match = self._TOKEN_RE.match(text, pos)
-            if not match or match.end() == pos:
-                if text[pos:].strip():
-                    raise PolynomialParseError(
-                        f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
-                break
-            if match.group(1) is not None:
-                try:
-                    tokens.append(("int", int(match.group(1))))
-                except ValueError:  # longer than int() converts
-                    raise PolynomialParseError(
-                        f"integer literal too long in {text!r}") from None
-            elif match.group(2) is not None:
-                tokens.append(("name", match.group(2)))
-            else:
-                tokens.append(("op", match.group(3)))
-            pos = match.end()
-        tokens.append(("end", ""))
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos]
-
-    def _next(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def _nest(self) -> None:
-        """Enter one level of parentheses or unary sign."""
-        self.depth += 1
-        if self.depth > _MAX_PARSE_DEPTH:
-            raise PolynomialParseError(
-                f"parentheses and signs nest deeper than {_MAX_PARSE_DEPTH} in {self.text!r}")
-
-    def _limit(self, terms: int, bits: int) -> None:
-        """Refuse a product or power that could pass the size cap."""
-        if terms * bits > _MAX_PARSE_SIZE:
-            raise PolynomialParseError(
-                f"a product or power passes {_MAX_PARSE_SIZE} terms times "
-                f"coefficient bits in {self.text!r}")
-
-    def parse(self) -> Scalar:
-        value = self._expr()
-        if self._peek()[0] != "end":
-            raise PolynomialParseError(f"trailing input in {self.text!r}")
-        return value
-
-    def _expr(self) -> Scalar:
-        value = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._next()[1]
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _term(self) -> Scalar:
-        value = self._unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._next()[1]
-            rhs = self._unary()
-            if op == "*":
-                self._limit(len(value._terms) * len(rhs._terms), _bits(value) + _bits(rhs))
-                value = value * rhs
-            else:
-                if not rhs.is_constant or rhs.is_zero:
-                    raise PolynomialParseError(
-                        f"division only by nonzero constants in {self.text!r}")
-                value = value * (1 / rhs.constant_value())
-        return value
-
-    def _unary(self) -> Scalar:
-        if self._peek() == ("op", "-") or self._peek() == ("op", "+"):
-            op = self._next()[1]
-            self._nest()
-            value = self._unary()
-            self.depth -= 1
-            return -value if op == "-" else value
-        return self._power()
-
-    def _power(self) -> Scalar:
-        value = self._atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            kind, exponent = self._next()
-            if kind != "int":
-                raise PolynomialParseError(f"exponent must be an integer in {self.text!r}")
-            if exponent > _MAX_EXPONENT:
-                raise PolynomialParseError(
-                    f"exponent {exponent} above the cap of {_MAX_EXPONENT} in {self.text!r}")
-            if value:  # at most comb(k + t - 1, k) terms for t terms to the power k
-                self._limit(math.comb(exponent + len(value._terms) - 1, exponent),
-                            exponent * _bits(value))
-            return value ** exponent
-        return value
-
-    def _atom(self) -> Scalar:
-        kind, token = self._next()
-        if kind == "int":
-            return self.ring.const(token)
-        if kind == "name":
-            try:
-                return self.ring.sym(token)
-            except KeyError:
-                raise PolynomialParseError(
-                    f"undeclared symbol {token!r} in {self.text!r}") from None
-        if (kind, token) == ("op", "("):
-            self._nest()
-            value = self._expr()
-            if self._next() != ("op", ")"):
-                raise PolynomialParseError(f"unbalanced parentheses in {self.text!r}")
-            self.depth -= 1
-            return value
-        raise PolynomialParseError(f"unexpected token {token!r} in {self.text!r}")
-
-
 def _bits(p: Scalar) -> int:
     """Bits of the largest numerator plus those of the denominator."""
     return max((c.bit_length() for c in p._terms.values()), default=0) + p._den.bit_length()
+
+
+def _parse(ring: Ring, text: str) -> Scalar:
+    """The scalar a polynomial string writes, read by :func:`ast.parse`.
+
+    Grammar, as Python reads it once ``^`` is ``**``: sums and differences of
+    products and quotients of signed powers; a power is an integer literal, a
+    declared symbol or a parenthesized expression, raised by ``^`` to at most
+    one integer literal of at most ``_MAX_EXPONENT``; division is only by a
+    nonzero constant.
+
+    Refused before ``ast`` reads the text: any character but names, digits,
+    ``+ - * / ^ ( )`` and whitespace, and ``**``; an exponent that is not one
+    integer literal (``a^(2)``, ``a^-2``, ``a^2^3``), which also keeps
+    ``ast`` from nesting a chain of powers; a literal longer than ``int()``
+    converts, leading zeros counted.  Then whitespace runs become one space,
+    each literal loses its leading zeros and each name gets a leading ``_``,
+    so that a symbol may be named ``lambda`` or ``None`` while ``0x10``,
+    ``1_000``, ``1e3`` and ``1j`` are syntax errors.  :func:`_terms` refuses
+    nesting past ``_MAX_PARSE_DEPTH`` and cuts the text into its terms outside
+    parentheses.  Each term is read by its own ``ast.parse``, so a sum of any
+    length meets no recursion limit, and :func:`_walk` accepts only a
+    ``BinOp`` with ``+ - * / **``, a ``UnaryOp`` with ``+ -``, a ``Name`` and
+    an int ``Constant``.  A chain of products or of parenthesized sums long
+    enough to reach the interpreter's recursion limit (about 900 operators)
+    is refused.  A product or power is refused before it is formed if its
+    term count times its coefficient size could pass ``_MAX_PARSE_SIZE``, so
+    that no short input takes unbounded time.  Every refusal is a one-line
+    :class:`PolynomialParseError`; input that ends early reads ``unexpected
+    token ''``.
+    """
+    refused = _REFUSED_RE.search(text)
+    if refused:
+        raise PolynomialParseError(f"unexpected {refused[0]!r} in {text!r}")
+    if _BAD_EXPONENT_RE.search(text):
+        raise PolynomialParseError(f"exponent must be an integer in {text!r}")
+    try:
+        source = " ".join(_WORD_RE.sub(
+            lambda word: f" _{word[0]} " if word[1] else f" {int(word[0])} ", text).split())
+    except ValueError:  # longer than int() converts
+        raise PolynomialParseError(f"integer literal too long in {text!r}") from None
+    try:
+        return ring.sum(_walk(ring, text, _tree(term, text))
+                        for term in _terms(source.replace("^", "**"), text))
+    except ExponentOverflowError as exc:
+        raise PolynomialParseError(f"{exc} in {text!r}") from None
+    except RecursionError:  # a chain of products, or of sums in parentheses
+        raise PolynomialParseError(f"too long a chain of operators in {text!r}") from None
+
+
+def _terms(source: str, text: str) -> list[str]:
+    """The terms of the rewritten ``source``, cut before each binary ``+`` or
+    ``-`` outside parentheses, by one scan that refuses ``(`` after an
+    operand (a call to Python), ``)`` after an operator, and parentheses and
+    unary signs nested past ``_MAX_PARSE_DEPTH``: as in the grammar, a run of
+    signs stays open until the operand after it ends, and a parenthesis until
+    it closes.  Unbalanced parentheses are left to ``ast``."""
+    outer: list[int] = []  # the depth outside each open parenthesis
+    depth = run = 0  # open parentheses with the signs before them; the current run
+    operand = False  # whether the last token ends an operand
+    cuts = [0]
+    for at, ch in enumerate(source):
+        if ch == " ":
+            continue
+        if ch in "+-" and not operand:
+            run += 1
+        else:
+            if ch in "()" and operand == (ch == "("):  # a call, or ")" after an operator
+                raise PolynomialParseError(f"unexpected token {ch!r} in {text!r}")
+            if ch == "(":
+                outer.append(depth)
+                depth += run + 1
+            elif ch == ")":  # an unbalanced one is left to ast
+                depth = outer.pop() if outer else 0
+            elif ch in "+-" and not outer:
+                cuts.append(at)
+            run = 0
+        if depth + run > _MAX_PARSE_DEPTH:
+            raise PolynomialParseError(
+                f"parentheses and signs nest deeper than {_MAX_PARSE_DEPTH} in {text!r}")
+        operand = ch.isalnum() or ch in "_)"
+    return [source[start:end] for start, end in zip(cuts, [*cuts[1:], None])]
+
+
+def _tree(term: str, text: str) -> ast.expr:
+    """The expression ``ast.parse`` reads from one term of a rewritten string."""
+    try:
+        return ast.parse(term, mode="eval").body
+    except SyntaxError as exc:  # offset 0: the input ended early
+        token = _TOKEN_RE.match(term, exc.offset - 1 if exc.offset else len(term))[1]
+        raise PolynomialParseError(f"unexpected token {token!r} in {text!r}") from None
+
+
+def _walk(ring: Ring, text: str, node: ast.expr) -> Scalar:
+    """The scalar of one whitelisted node; any other node is refused."""
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) is int:
+        return ring.const(node.value)
+    if kind is ast.Name:  # without the "_" put before each name
+        if node.id[1:] not in ring.symbols:
+            raise PolynomialParseError(f"undeclared symbol {node.id[1:]!r} in {text!r}")
+        return ring.sym(node.id[1:])
+    op = type(getattr(node, "op", None))
+    if kind is ast.UnaryOp and op in (ast.UAdd, ast.USub):
+        value = _walk(ring, text, node.operand)
+        return -value if op is ast.USub else value
+    if kind is not ast.BinOp or op not in (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow):
+        raise PolynomialParseError(f"unexpected operator in {text!r}")
+    left = _walk(ring, text, node.left)
+    if op is ast.Pow:
+        if type(node.right) is not ast.Constant:
+            raise PolynomialParseError(f"exponent must be an integer in {text!r}")
+        k = node.right.value
+        if k > _MAX_EXPONENT:
+            raise PolynomialParseError(f"exponent {k} above the cap of {_MAX_EXPONENT} in {text!r}")
+        if left:  # at most comb(k + t - 1, k) terms for t terms to the power k
+            _limit(text, math.comb(k + len(left._terms) - 1, k), k * _bits(left))
+        return left ** k
+    right = _walk(ring, text, node.right)
+    if op is ast.Mult:
+        _limit(text, len(left._terms) * len(right._terms), _bits(left) + _bits(right))
+        return left * right
+    if op is ast.Div:
+        if not right.is_constant or right.is_zero:
+            raise PolynomialParseError(f"division only by nonzero constants in {text!r}")
+        return left * (1 / right.constant_value())
+    return left + right if op is ast.Add else left - right
+
+
+def _limit(text: str, terms: int, bits: int) -> None:
+    """Refuse a product or power in ``text`` that could pass the size cap."""
+    if terms * bits > _MAX_PARSE_SIZE:
+        raise PolynomialParseError(f"a product or power passes {_MAX_PARSE_SIZE} terms times "
+                                   f"coefficient bits in {text!r}")

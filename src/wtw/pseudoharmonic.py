@@ -41,7 +41,7 @@ from .curvature import ricci_via_formula
 from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, linear_combination,
                     wedge_oneforms)
 from .hermitian import fundamental_form, require_gate
-from .polyalg import RationalLike, Scalar, normalized_system
+from .polyalg import RationalLike, Scalar, _fraction, normalized_system
 
 
 class ConditionReport(NamedTuple):
@@ -146,7 +146,7 @@ def verify_assignment(report: ConditionReport,
                       assignment: Mapping[str, RationalLike]) -> AssignmentVerdict:
     """Substitute an assignment into both systems; holds means every polynomial
     vanishes identically in the remaining symbols (partial assignments allowed)."""
-    items = tuple(sorted((name, Fraction(value)) for name, value in assignment.items()))
+    items = tuple(sorted((name, _fraction(value)) for name, value in assignment.items()))
     point = dict(items)
     per = []
     leftover: set[str] = set()

@@ -7,9 +7,12 @@ Usage, from anywhere in the repository:
 Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 (the ``src`` directory of a checkout).  Every run is ``python -m wtw`` with
 ``WTW_COLOR=0`` and that directory on ``PYTHONPATH``, over the built-ins, every
-document under ``tests/data`` and the dense-J documents of
+document under ``tests/data``, the dense-J documents of
 ``tests/frame_families.py`` (inoue-s0 and hyperbolic6 in a Cayley-rotated
-basis, where ``suite`` exits 2), written to a temporary directory:
+basis, where ``suite`` exits 2) and ``EDGE_FORMS``, an inoue-s0 document whose
+Weyl form is written in the edge forms the polynomial reader accepts (leading
+and inner whitespace, a tab, ``007``, ``^ 2``, parentheses 100 deep and a
+symbol named ``lambda``), all written to a temporary directory:
 
 * every verb, in table and JSON format; ``verify`` gets ``--assign`` with the
   source's first symbol set to 0, and runs without it where there is none;
@@ -45,6 +48,25 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 VERBS = ("validate", "connection", "curvature", "ricci", "star-ricci", "lee", "lck",
          "conditions", "verify", "suite", "report")
 
+EDGE_FORMS = {"edge_forms.toml": f"""[frame]
+dimension = 4
+symbols = ["lambda", "a2"]
+
+[brackets]
+"E1,E2" = {{ E1 = "-1" }}
+"E2,E3" = {{ E3 = "-1/2" }}
+"E2,E4" = {{ E4 = "-1/2" }}
+
+[complex_structure]
+matrix = [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+
+[weyl_form]
+E1 = "  lambda"
+E2 = "007 *  a2 ^ 2 -\\tlambda"
+E3 = "{"(" * 100}lambda - 1/2*a2{")" * 100}"
+E4 = "\\n-3 * lambda*a2 + 1"
+"""}
+
 BUILTIN_SYMBOLS = ("a1", "a2", "a3", "a4")
 BUILTINS = {
     "inoue-s0": ["--builtin", "inoue-s0"],
@@ -62,11 +84,13 @@ def _document_frame(path: pathlib.Path) -> tuple[list, object]:
     return frame.get("symbols", []), frame.get("dimension")
 
 
-def sources(dense: pathlib.Path) -> list[tuple[str, list[str], list, object]]:
+def sources(written: pathlib.Path) -> list[tuple[str, list[str], list, object]]:
     """(name, arguments, symbols, dimension) for each built-in and document;
-    ``dense`` holds the documents of ``frame_families.DENSE_J``."""
+    ``written`` holds the documents of ``frame_families.DENSE_J`` and
+    ``EDGE_FORMS``."""
     out = [(name, args, BUILTIN_SYMBOLS, 4) for name, args in BUILTINS.items()]
-    for path in [*sorted(DATA.glob("*.toml")), *(dense / name for name in frame_families.DENSE_J)]:
+    for path in [*sorted(DATA.glob("*.toml")),
+                 *(written / name for name in [*frame_families.DENSE_J, *EDGE_FORMS])]:
         symbols, dimension = _document_frame(path)
         out.append((path.name, ["--spec", str(path)], symbols, dimension))
     return out
@@ -74,7 +98,8 @@ def sources(dense: pathlib.Path) -> list[tuple[str, list[str], list, object]]:
 
 def cases(directory: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
     """(verb, source, format, argv) for every run; ``directory`` holds the
-    documents of ``frame_families.DENSE_J`` and ``frame_families.LARGEST``."""
+    documents of ``frame_families.DENSE_J``, ``frame_families.LARGEST`` and
+    ``EDGE_FORMS``."""
     out = []
     for name, source, symbols, dimension in sources(directory):
         assign = ["--assign", f"{symbols[0]}=0"] if symbols else []
@@ -111,7 +136,7 @@ def main(argv: list[str]) -> int:
     old, new = (str(pathlib.Path(path).resolve()) for path in argv)
     with tempfile.TemporaryDirectory() as directory:
         frame_families.write(pathlib.Path(directory),
-                             {**frame_families.DENSE_J, **frame_families.LARGEST})
+                             {**frame_families.DENSE_J, **frame_families.LARGEST, **EDGE_FORMS})
         runs = cases(pathlib.Path(directory))
         with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
             differs = list(pool.map(lambda case: run(old, case[3]) != run(new, case[3]), runs))

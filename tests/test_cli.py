@@ -177,6 +177,21 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["curvature", "conditions"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_coefficient_past_the_int_digit_limit_is_one_line_error(self, tmp_path, verb, fmt):
+        # 10^2200*a1 loads and prints; the Weyl curvature squares phi, and a
+        # coefficient near 10^4400 has more digits than int-to-str converts
+        text = (DATA / "inoue_lee.toml").read_text()
+        path = tmp_path / "long.toml"
+        path.write_text(text.replace("symbols = []", 'symbols = ["a1"]')
+                        .replace('E2 = "1"', 'E2 = "10^2200*a1"'))
+        assert run(["connection", "--spec", str(path)])[0] == 0
+        status, out, err = run([verb, "--spec", str(path), "--format", fmt])
+        assert status == 2 and out == ""
+        assert re.fullmatch(r"error: cannot print a coefficient of 146\d\d bits: it has more "
+                            r"decimal digits than the interpreter converts\n", err)
+
     def test_product_past_the_term_pair_bound_is_one_line_error(self, tmp_path):
         # 900 terms load, as the parser caps only written products; the Weyl
         # curvature multiplies phi_1 by itself, 810,000 term pairs

@@ -6,10 +6,11 @@ import itertools
 import math
 import operator
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wtw import SpecFormatError, load_spec
@@ -115,10 +116,23 @@ def test_parse_roundtrip_and_operators():
     assert str(RING.parse(str(p))) == str(p)
 
 
-@pytest.mark.parametrize("bad", ["a1 +", "b2", "a1^a2", "1/(a1)", "a1**2", "(a1"])
+@pytest.mark.parametrize("bad", ["a1 +", "b2", "a1^a2", "1/(a1)", "a1**2", "(a1",
+                                 "a1^(2)", "a1^2^3", "a1^-2", "0x10", "1_000", "1e3", "1.5", "1j",
+                                 "True", "a1 # c", "a1;a2", "a1\\\n+a2", "a1(a2)", "()", "a1//2"])
 def test_parse_errors(bad):
     with pytest.raises(PolynomialParseError):
         RING.parse(bad)
+
+
+@pytest.mark.parametrize("symbols, text, expected", [
+    (RING.symbols, " a1", "a1"), (RING.symbols, "a1 ^ 2", "a1^2"),
+    (RING.symbols, "007*a1", "7*a1"), (RING.symbols, "a1\n+ a2", "a1 + a2"),
+    (("lambda", "None"), "lambda + None", "lambda + None"),
+    (("True", "_", "e3"), "\tTrue*_ - e3^ 03", "True*_ - e3^3")])
+def test_parse_accepts_whitespace_leading_zeros_and_keyword_names(symbols, text, expected):
+    """Whitespace, tabs and line breaks separate tokens; a literal may have
+    leading zeros; a symbol may be named as a Python keyword or constant."""
+    assert str(Ring(symbols).parse(text)) == expected
 
 
 @pytest.mark.parametrize("depth, ok", [(100, True), (101, False)])
@@ -239,12 +253,20 @@ def test_results_are_canonical_and_agree_with_substitute(p, q, point, frac):
 
 
 # Tokens of polynomial strings: declared and undeclared names, operators,
-# spaces, short and over-long integer literals and exponents about the cap.
-parse_tokens = st.one_of(
-    st.sampled_from(["a1", "a2", "a3", "b", "a1a2", "+", "-", "*", "/", "^", "(", ")", " "]),
+# whitespace, short and over-long integer literals, exponents about the cap,
+# and what Python would read as something else: keywords and constants,
+# comments, attributes, underscores, exponent, hexadecimal and zero-led
+# literals, "**", commas and brackets.
+parse_names = st.sampled_from(["a1", "a2", "a3", "b", "a1a2", "lambda", "None", "True", "_"])
+parse_literals = st.one_of(
     st.integers(0, 10 ** 6).map(str),
     st.integers(_MAX_EXPONENT - 2, _MAX_EXPONENT + 2).map(str),
-    st.integers(4290, 4310).map(lambda size: "9" * size))
+    st.integers(4290, 4310).map(lambda size: "9" * size),
+    st.sampled_from(["007", "e3", "0x1"]))
+parse_tokens = st.one_of(
+    parse_names, parse_literals,
+    st.sampled_from(["+", "-", "*", "/", "^", "(", ")", " ", "\t", "\n", "**", "#", ".", ",",
+                     "["]))
 
 
 @given(st.lists(parse_tokens, max_size=24).map("".join))
@@ -256,6 +278,42 @@ def test_parse_fuzz_gives_a_scalar_or_a_parse_error(text):
         return
     assert isinstance(value, Scalar) and value.ring is RING
     assert value.total_degree() <= _MAX_EXPONENT * len(RING.symbols)
+
+
+# Polynomial strings built from the names, literals and whitespace of
+# ``parse_tokens`` by the grammar, so that most of them parse.
+_spaces = st.sampled_from(["", " ", "\t", "\n "])
+polynomial_strings = st.recursive(
+    st.one_of(parse_names, parse_literals),
+    lambda inner: st.one_of(
+        st.tuples(inner, _spaces, st.sampled_from("+-*/"), _spaces, inner).map("".join),
+        st.tuples(st.sampled_from("+-"), inner).map("".join),
+        st.tuples(inner, st.integers(0, 4)).map(lambda pair: f"({pair[0]})^{pair[1]}")),
+    max_leaves=8)
+
+
+@given(polynomial_strings)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_parse_agrees_with_sympy(text):
+    """A value oracle: sympy reads the string, once ``^`` is ``**``, whitespace
+    runs are single spaces and leading zeros are gone, and expands it; the
+    parsed scalar must be that polynomial.  Strings whose coefficients reach
+    4,300 digits are skipped, so that no int is printed past its limit."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    try:
+        value = RING.parse(text)
+    except PolynomialParseError:
+        assume(False)
+    assume(all(max(abs(c.numerator), c.denominator) < 10 ** 4299 for _, c in value.terms()))
+    symbols = sympy.symbols(RING.symbols)
+    built = sum((sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+                 for exps, c in value.terms()), sympy.Integer(0))
+    written = re.sub(r"\b0+(?=\d)", "", " ".join(text.split())).replace("^", "**")
+    local = {name: s for name, s in zip(RING.symbols, symbols)}
+    assert sympy.expand(parse_expr(written, local_dict=local) - built) == 0
 
 
 wide_exponents = st.tuples(*[st.integers(0, _MAX_EXPONENT)] * 3)
@@ -541,6 +599,15 @@ def test_rendering_matches_a_reference_built_from_terms(terms):
     assert str(-p) == _reference_render(-p)
 
 
+def test_rendering_a_coefficient_past_the_int_digit_limit_names_its_size():
+    """Python converts at most 4,300 digits of an int to a string by default."""
+    assert str(RING.const(10 ** 4299) * A1) == "1" + "0" * 4299 + "*a1"
+    for value in (10 ** 4300 * A1 + 1, A1 * Fraction(1, 10 ** 4400)):
+        with pytest.raises(ValueError, match=r"^cannot print a coefficient of 14\d{3} bits: "
+                                             r"it has more decimal digits than"):
+            str(value)
+
+
 @given(st.integers(-10 ** 40, 10 ** 40), st.one_of(st.none(), st.integers(1, 10 ** 40)),
        st.booleans(), st.sampled_from(["", " ", "  ", "\t", "\n "]),
        st.sampled_from(["", " ", "\t "]))
@@ -559,6 +626,21 @@ def test_parse_rational_refuses_what_fraction_would_not_read_exactly(text):
     ``[+-]digits[/digits]`` raise ValueError."""
     with pytest.raises(ValueError):
         _parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1_000"])
+def test_const_and_substitute_refuse_rational_strings_in_other_notations(text):
+    """A string constant is read as ``[+-]digits[/digits]``, as documents and
+    ``--assign`` read it, never by ``Fraction``, which takes these."""
+    with pytest.raises(ValueError, match="not a rational constant"):
+        RING.const(text)
+    with pytest.raises(ValueError, match="not a rational constant"):
+        (A1 + A2).substitute({"a1": text})
+
+
+def test_const_and_substitute_read_rational_strings_exactly():
+    assert RING.const("-1/2") == RING.const(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert (A1 * A2 + 1).substitute({"a1": "-1/2"}) == A2 * Fraction(-1, 2) + 1
 
 
 _LEE_DOC = (pathlib.Path(__file__).parent / "data" / "inoue_lee.toml").read_text()

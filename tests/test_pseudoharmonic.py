@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from wtw import FrameSpec, GateError
@@ -142,6 +144,19 @@ class TestVerifyAssignment:
         report = conditions(inoue)
         with pytest.raises(KeyError):
             verify_assignment(report, {"b7": 0})
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", "1_000"])
+    def test_rational_strings_in_other_notations_are_refused(self, inoue_reduced, text):
+        """A string value is read as ``[+-]digits[/digits]``, as ``--assign`` reads it."""
+        report = conditions(inoue_reduced)
+        with pytest.raises(ValueError, match="not a rational constant"):
+            verify_assignment(report, {"a1": 0, "a2": text})
+
+    def test_rational_strings_are_read_exactly(self, inoue_reduced):
+        report = conditions(inoue_reduced)
+        verdict = verify_assignment(report, {"a1": "0", "a2": "-1/2"})
+        assert verdict.assignment == (("a1", 0), ("a2", Fraction(-1, 2)))
+        assert verdict == verify_assignment(report, {"a1": 0, "a2": Fraction(-1, 2)})
 
 
 class TestEquivalence:
