@@ -17,7 +17,9 @@ both Ricci corollaries.  The tensor Phi of :func:`phi_tensor`, which holds
 all the first-order phi data, feeds both Levi-Civita routes: the
 Phi-correction of the curvature, and the closed Ricci formulas of
 :func:`ricci_via_formula`, which are its traces.  :func:`ricci_formula_check`
-verifies those formulas against the traces of the direct route.
+verifies those formulas against the traces of the direct route.  Phi reads
+nabla phi from the nonzero gamma rows of :func:`wtw.connection.gamma_rows`,
+each entry one kernel call, so the closed formulas lift no Levi-Civita gamma.
 
 The Levi-Civita curvature R_g is rational.  It is formed once per spec in
 ints, from the bracket rows and the gamma rows of :mod:`wtw.connection`, over
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, cov_deriv_oneform, gamma_rows, levi_civita, weyl
+from .connection import Connection, gamma_rows, levi_civita, weyl
 from .frame import FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _kron, _negative
 from .polyalg import Scalar
 from .reports import CheckReport
@@ -157,13 +159,15 @@ def phi_tensor(spec: FrameSpec):
 
 
 def _phi_tensor(spec: FrameSpec):
+    """Each entry is one kernel call, with (nabla_{E_i} phi)(E_j) =
+    -sum_k gamma[i][j][k] phi_k read from the nonzero gamma row (i, j)."""
     n, phi = spec.n, spec.phi
-    nphi = cov_deriv_oneform(levi_civita(spec), phi)
+    den, g = gamma_rows(spec)
     half_phi = [value * Fraction(1, 2) for value in phi]
     quarter_norm2 = spec.dot(phi, phi) * Fraction(1, 4)
-    return tuple(tuple(spec.dot((nphi[i][j], phi[i], quarter_norm2),
-                                (1, half_phi[j], -_kron(i, j))) for j in range(n))
-                 for i in range(n))
+    return tuple(tuple(spec.dot([phi[k] for k, _ in row] + [phi[i], quarter_norm2],
+                                [Fraction(-v, den) for _, v in row] + [half_phi[j], -_kron(i, j)])
+                       for j, row in enumerate(g[i])) for i in range(n))
 
 
 def _phi_on_j(spec: FrameSpec) -> Scalar:

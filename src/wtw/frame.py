@@ -25,27 +25,34 @@ Contractions: a vector is a sequence of n components and a matrix is a
 sequence of n rows, ``M[i][j] = M(E_i, E_j)`` for a bilinear form; entries
 may be scalars or rationals.  An endomorphism S is such a matrix too, in the
 column convention ``S E_j = sum_i S[i][j] E_i``.  Pairings, J-twists and
-products go through six :class:`FrameSpec` methods, valid for any rational
-orthogonal J.  Each entry they produce is one call of the ring's
+products go through seven :class:`FrameSpec` methods, valid for any rational
+J.  Each entry they produce, and each entry of the vectors M(., J E_k) that
+``twist`` forms on the way, is at most one call of the ring's
 multiply-accumulate kernel :meth:`wtw.polyalg.Ring.dot`, which skips zero
-entries, rational or scalar, and reduces the sum once; ``left`` and
-``right`` find the nonzero positions of their fixed vector once and pass the
-kernel only those, and return zeros without calling it when there are none:
+entries, rational or scalar, and reduces the sum once:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
   * ``right(M, u)``  the vector M(., u), that is sum_q M[k][q] u[q];
-  * ``twist(M)``     the matrix M(J., J.);
+  * ``twist(M)``     the matrix M(J., J.), through the vectors M(., J E_k);
   * ``j_pair(M)``    the matrix M(J., .) + M(., J.);
+  * ``j_apply(v)``   the vector J v;
   * ``compose(a, b)`` the endomorphism a o b, that is sum_m a[i][m] b[m][j].
 
-``left`` and ``right`` are the only contractions that walk a support:
-``compose`` is ``right`` applied to each column of its right factor, and
-:func:`linear_combination`, which sums weighted n x n arrays, is ``left``
-over the flattened arrays, so a zero weight never reaches the kernel.  The
-one other support walk is the fiber pairing of :mod:`wtw.twistor`, whose
-fixed endomorphism is reused across calls.  The wedge products call the
-kernel directly.
+All but ``dot`` walk a support.  ``left`` and ``right`` pass the kernel only
+the nonzero positions of their fixed vector; ``compose`` is ``right`` on each
+column of its right factor, and :func:`linear_combination`, which sums
+weighted n x n arrays, is ``left`` over the flattened arrays.  The three J
+contractions read the supports of J's columns and rows (see below) with
+weights built once per spec: ``twist`` forms each M(., J E_k) over the support
+of J E_k and pairs it with J E_i over the support of J E_i, so a dense J costs
+2n^3 products, an entry of ``j_pair`` walks the union of the supports of
+``J E_i`` and ``J E_k``, and one of ``j_apply`` the support of row k of J.  An
+entry with only zero values, or with one scalar of weight 1 or -1, is the
+shared zero or that scalar or its negation, with no call; so on a J that maps
+frame vectors to signed frame vectors ``twist`` and ``j_apply`` make none.  The
+fiber pairing of :mod:`wtw.twistor` walks its fixed endomorphism's support; the
+wedge products call the kernel directly.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.  J has one array,
@@ -342,22 +349,28 @@ class FrameSpec(Memo):
         return tuple(zip(*[self.right(a, col) for col in zip(*b)]))
 
     def twist(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
-        """M(J., J.): entries sum_{p,q} J[p][i] J[q][k] M[p][q]."""
-        cols = tuple(zip(*self.J))  # cols[i] = J E_i
-        m_j = [self.right(M, col) for col in cols]  # m_j[k] = M(., J E_k)
-        return tuple(tuple(self.dot(col, v) for v in m_j) for col in cols)
+        """M(J., J.): entries sum_p J[p][i] m_k[p] with m_k = M(., J E_k), each
+        m_k[p] = sum_q M[p][q] J[q][k] a ``_walk`` over the support of J E_k and
+        each entry a ``_walk`` of m_k over the support of J E_i."""
+        ring, cols = self.ring, self.memo(_j_weights)
+        m_j = [[_walk(ring, [row[q] for q in at_k], w_k) for row in M] for at_k, w_k in cols]
+        return tuple(tuple(_walk(ring, [m_k[p] for p in at_i], w_i) for m_k in m_j)
+                     for at_i, w_i in cols)
 
     def j_pair(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
-        """M(J., .) + M(., J.): entries sum_p J[p][i] M[p][k] + sum_q M[i][q] J[q][k]."""
-        cols = tuple(zip(*self.J))
-        j_m = [self.left(col, M) for col in cols]  # j_m[i] = M(J E_i, .)
-        m_j = [self.right(M, col) for col in cols]  # m_j[k] = M(., J E_k)
-        return tuple(tuple(a + m_j[k][i] for k, a in enumerate(row))
-                     for i, row in enumerate(j_m))
+        """M(J., .) + M(., J.): entries sum_p J[p][i] M[p][k] + sum_q M[i][q] J[q][k],
+        each a ``_walk`` over the supports of J E_i and J E_k."""
+        ring, cols = self.ring, self.memo(_j_weights)
+        return tuple(tuple(
+            _walk(ring, [M[p][k] for p in at_i] + [row[q] for q in at_k], w_i + w_k)
+            for k, (at_k, w_k) in enumerate(cols)) for row, (at_i, w_i) in zip(M, cols))
 
     def j_apply(self, vec: Sequence[Scalar]) -> Vector:
-        """Componentwise J(v) for a vector of scalars."""
-        return self.right(self.J, vec)
+        """Componentwise J(v) for a vector of scalars: entry k is
+        sum_q J[k][q] v[q], a ``_walk`` over the support of row k of J."""
+        ring = self.ring
+        return tuple(_walk(ring, [vec[q] for q in at], weights)
+                     for at, weights in self.memo(_j_row_weights))
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form: c and J are kept as validated, and
@@ -419,6 +432,42 @@ def _bracket_rows(spec: FrameSpec) -> tuple[int, list]:
 def _j_columns(spec: FrameSpec) -> tuple[int, list]:
     den = math.lcm(*(v.denominator for row in spec.J for v in row))
     return den, [_nonzero(col, den) for col in zip(*spec.J)]
+
+
+def _weights(den: int, supports: list) -> list[tuple[list[int], list]]:
+    """``(positions, weights)`` for each support of ``(position, den * value)``
+    lists: the values as ints when ``den`` is 1 and as Fractions otherwise."""
+    return [([p for p, _ in sup], [v if den == 1 else Fraction(v, den) for _, v in sup])
+            for sup in supports]
+
+
+def _j_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
+    """The rows p where J[p][i] is nonzero and those entries, for each column
+    ``J E_i``."""
+    return _weights(*spec.j_columns())
+
+
+def _j_row_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
+    """The columns q where J[k][q] is nonzero and those entries, for each row k
+    of J."""
+    den, cols = spec.j_columns()
+    rows = [[] for _ in cols]
+    for i, col in enumerate(cols):
+        for p, v in col:
+            rows[p].append((i, v))
+    return _weights(den, rows)
+
+
+def _walk(ring: Ring, values: list, weights: list) -> Scalar:
+    """``ring.dot(values, weights)`` against nonzero weights, without a kernel
+    call when every value is zero (the shared zero) or when the one value is a
+    scalar of the ring and its weight is 1 or -1 (the value or its negation)."""
+    if len(values) == 1 and type(values[0]) is Scalar and values[0].ring is ring:
+        if weights[0] == 1:
+            return values[0]
+        if weights[0] == -1:
+            return -values[0]
+    return ring.dot(values, weights) if any(values) else ring.zero()
 
 
 def _accumulate(acc: dict, weight: int, row) -> None:

@@ -29,7 +29,9 @@ to scalars once.  The tests compare theta with the trace of the nabla J that
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
 Omega``.  Violations raise :class:`GateError` naming the failed assumption;
 the class lives in :mod:`wtw.frame`, so that the command line can catch it
-without loading this module, and is re-exported here.
+without loading this module, and is re-exported here.  A passing verdict is
+kept on the spec, so the n^3 Lee residual is scanned once however many
+builders ask for the gate; a failing one is not kept and raises every time.
 
 The fundamental form, the Nijenhuis tensor, the Lee form, d(Omega) and the
 Lee-identity residual are computed once per spec and kept on it (see
@@ -44,7 +46,11 @@ denominator from its four brackets, each nonzero entry lifted to a scalar
 once; N(E_i, E_j) is formed for the pairs i < j and mirrored by
 ``wtw.frame._antisymmetric``.  d(Omega) and the residual are evaluated on
 increasing triples over the nonzero bracket rows and extended by
-antisymmetry (``wtw.frame._alternating``).
+antisymmetry (``wtw.frame._alternating``).  Each of the three makes a kernel
+call only on a triple where some product has two nonzero sides: d(Omega)
+over the positions of the bracket rows where Omega is nonzero, theta ^ Omega
+where a component of theta meets a nonzero entry of Omega, and the residual
+where either side is nonzero; every other entry is the shared zero.
 
 Omega, like every 2-form, is an n x n nested tuple, and 3-forms are plain
 n x n x n nested tuples, as N is.  The two 3-form builders ``_d_twoform`` and
@@ -73,21 +79,31 @@ def _d_twoform(spec: FrameSpec, F):
 
     For an antisymmetric F, dF(E_i, E_j, E_k) is the cyclic sum
     ``sum_m c[i][j][m] F[k][m] + c[j][k][m] F[i][m] + c[k][i][m] F[j][m]``: one
-    kernel call per increasing triple with a nonzero bracket row.
+    kernel call per increasing triple over the nonzero bracket rows, made only
+    where F is nonzero at one of their positions.
     """
     _, rows = spec.bracket_rows()
-    c, zero = spec.c, spec.zero()
-    return _alternating(spec.n, zero, lambda i, j, k: (
-        spec.dot(c[i][j] + c[j][k] + c[k][i], F[k] + F[i] + F[j])
-        if rows[i][j] or rows[j][k] or rows[k][i] else zero))
+    c, zero, dot = spec.c, spec.zero(), spec.ring.dot
+
+    def entry(i, j, k):
+        pairs = [(F[z][m], c[a][b][m]) for a, b, z in ((i, j, k), (j, k, i), (k, i, j))
+                 for m, _ in rows[a][b] if F[z][m]]
+        return dot(*zip(*pairs)) if pairs else zero
+
+    return _alternating(spec.n, zero, entry)
 
 
 def _wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F):
     """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)
-    for an antisymmetric F, where -F(X, Z) = F(Z, X)."""
-    dot = spec.ring.dot
-    return _alternating(spec.n, spec.zero(), lambda i, j, k: dot(
-        (alpha[i], alpha[j], alpha[k]), (F[j][k], F[k][i], F[i][j])))
+    for an antisymmetric F, where -F(X, Z) = F(Z, X); one kernel call per
+    increasing triple where one of the three products has two nonzero sides."""
+    dot, zero = spec.ring.dot, spec.zero()
+
+    def entry(i, j, k):
+        pairs = ((alpha[i], F[j][k]), (alpha[j], F[k][i]), (alpha[k], F[i][j]))
+        return dot(*zip(*pairs)) if any(a and f for a, f in pairs) else zero
+
+    return _alternating(spec.n, zero, entry)
 
 
 def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
@@ -180,8 +196,9 @@ def _lee_residual(spec: FrameSpec):
     """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
     d_omega = spec.memo(_d_omega)
     wedge = _wedge_one_two(spec, lee_form(spec), fundamental_form(spec))
-    return _alternating(spec.n, spec.zero(),
-                        lambda i, j, k: d_omega[i][j][k] - wedge[i][j][k])
+    zero = spec.zero()
+    return _alternating(spec.n, zero, lambda i, j, k: (
+        d_omega[i][j][k] - wedge[i][j][k] if d_omega[i][j][k] or wedge[i][j][k] else zero))
 
 
 def lck_check(spec: FrameSpec) -> CheckReport:
@@ -197,7 +214,12 @@ def lck_check(spec: FrameSpec) -> CheckReport:
 
 
 def require_gate(spec: FrameSpec) -> Vector:
-    """Enforce the standing assumptions; returns the Lee form on success."""
+    """Enforce the standing assumptions; returns the Lee form on success.  A
+    passing verdict is kept on the spec; a failing one raises on every call."""
+    return spec.memo(_gate)
+
+
+def _gate(spec: FrameSpec) -> Vector:
     _, integrable = nijenhuis(spec)
     if not integrable:
         raise GateError("integrability assumption",

@@ -34,13 +34,15 @@ ring is checked, and a constant scalar acts as the rational it equals.  It
 skips every pair with a zero side, multiplies integer numerators straight
 into one accumulator over one common denominator (rescaled only when a
 product brings a new denominator) and reduces the sum once, so it builds no
-scalar per product and never runs ``Fraction.__mul__``.  It refuses a product
+scalar per product and never runs ``Fraction.__mul__``; the result is built
+in one step by :meth:`Scalar._reduced`.  It refuses a product
 of two non-constant polynomials whose term counts multiply past
 ``_MAX_PRODUCT_PAIRS``, as the parser refuses a written one past
 ``_MAX_PARSE_SIZE``; a constant scales the other side, as a rational does,
-and counts for no cap.  :meth:`wtw.frame.FrameSpec.left` and ``right``
-hand it only the nonzero positions of their fixed vector, and none at all
-when that vector is zero.  :meth:`Ring.sum` is a dot against ones.
+and counts for no cap.  The contractions of :class:`wtw.frame.FrameSpec`
+hand it only the nonzero positions of their fixed factor, and make no call
+when those positions hold only zeros.  :meth:`Ring.sum` is a dot against
+ones.
 
 :meth:`Scalar.substitute` and ``str()`` read the int numerators over the one
 denominator as well: substitution multiplies each numerator by a power table
@@ -98,11 +100,11 @@ RationalLike = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 # a character that no polynomial string holds, or "**"
-_REFUSED_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^()]|\*\*")
+_REFUSED_RE = re.compile(r"[^\s0-9A-Za-z_+\-*/^()]|\*\*")
 # a "^" not followed by an integer literal, or whose literal is raised in turn
-_BAD_EXPONENT_RE = re.compile(r"\^(?!\s*+\d++(?!\s*\^))")
+_BAD_EXPONENT_RE = re.compile(r"\^(?!\s*+[0-9]++(?!\s*\^))")
 # a name or an integer literal of a polynomial string
-_WORD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\d+")
+_WORD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[0-9]+")
 # the token at a syntax error in the rewritten string, without a name's "_"
 _TOKEN_RE = re.compile(r"_?(\w+|\S?)")
 # deepest nesting of parentheses and unary signs that Ring.parse accepts
@@ -380,16 +382,25 @@ class Scalar:
     @staticmethod
     def _reduced(ring: Ring, nums: dict[int, int], den: int) -> Scalar:
         """Wrap nonzero numerators over a positive ``den``, cancelling their
-        common factor with it."""
+        common factor with it: every kernel result is built here, in one step."""
         if den != 1:
             g = math.gcd(den, *nums.values())
             if g != 1:
                 den //= g
                 nums = {e: c // g for e, c in nums.items()}
-        return Scalar._canonical(ring, nums, den)
+        self = _new(Scalar)
+        _set_ring(self, ring)
+        _set_terms(self, nums)
+        _set_den(self, den)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
+
+    def _halved(self) -> Scalar:
+        """self / 2 without a kernel call: the numerators over twice the
+        denominator, reduced once; for a fixed operand of many kernel calls."""
+        return Scalar._reduced(self.ring, self._terms, 2 * self._den) if self._terms else self
 
     # -- inspection ------------------------------------------------------
 

@@ -9,14 +9,19 @@ structure, the section is pseudo-harmonic exactly when
        L(psi)(Z) = (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ)
                    - psi(JZ) dphi(J^) - rho(psi#, Z) + rho*(J psi#, JZ).
 
-Each formula has one builder here.  The
-J-pairing P of the condition-(i) 2-form, the one place the coefficient
-c(n) = n(n-4)/(2(n-2)) is written, is kept on the spec
-(:func:`condition_i_pairing`); ``v_trace``'s closed form is -P.  Condition
-(ii), L(theta - phi), has one builder, whose value is also kept on the spec
-(:func:`condition_ii`); ``h_trace`` reads none of it, as it traces the fiber
-pairing of the curvature with DJ.  This module imports nothing from
-:mod:`wtw.twistor`, which owns the trace-condition equivalence check.
+Each formula has one builder here.  The condition-(i) 2-form is built by
+``_condition_i_form``, the one place the coefficient c(n) = n(n-4)/(2(n-2))
+is written: as theta is symbol-free, each entry i < j is one kernel call over
+the nonzero bracket row (i, j) and the two wedge terms, so d(theta - phi)
+and theta ^ phi are never formed as arrays of their own.  Its J-pairing P is
+kept on the spec (:func:`condition_i_pairing`); ``v_trace``'s closed form is
+-P.  Condition (ii), L(theta - phi), has one builder, whose value is also
+kept on the spec (:func:`condition_ii`): each entry is one kernel call, and
+its terms x(JZ) for a 1-form x are read as -(J x)(Z) through
+``FrameSpec.j_apply``, which walks the support of J (see :mod:`wtw.frame`).
+``h_trace`` reads none of it, as it traces
+the fiber pairing of the curvature with DJ.  This module imports nothing
+from :mod:`wtw.twistor`, which owns the trace-condition equivalence check.
 
 Both conditions are produced as normalized polynomial systems
 (:func:`wtw.polyalg.normalized_system`: content and sign stripped, zero
@@ -38,8 +43,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple
 
 from .curvature import ricci_via_formula
-from .frame import (FrameSpec, GateError, d_oneform, eval_on_bivector, linear_combination,
-                    wedge_oneforms)
+from .frame import FrameSpec, GateError, _antisymmetric, eval_on_bivector
 from .hermitian import fundamental_form, require_gate
 from .polyalg import RationalLike, Scalar, _fraction, normalized_system
 
@@ -69,12 +73,36 @@ def condition_i_pairing(spec: FrameSpec):
 
 
 def _condition_i_pairing(spec: FrameSpec):
+    return spec.j_pair(_condition_i_form(spec))
+
+
+def _condition_i_form(spec: FrameSpec):
+    """The condition-(i) 2-form d(theta - phi) + c(n) theta ^ phi, with
+    c(n) = n(n-4)/(2(n-2)), as an n x n array.  As theta is symbol-free, the
+    entry at i < j is one kernel call over the nonzero bracket row (i, j),
+
+        sum_k c[i][j][k] phi_k + c[j][i][k] theta_k + c(n) (theta_i phi_j - theta_j phi_i),
+
+    the first two terms being -(theta - phi)([E_i, E_j]) as c[j][i] = -c[i][j],
+    with the wedge terms only where theta_i or theta_j is nonzero; an entry
+    with neither is zero without a call."""
     theta = require_gate(spec)
-    n = spec.n
+    n, phi, c = spec.n, spec.phi, spec.c
     coeff = Fraction(n * (n - 4), 2 * (n - 2))
-    tmf = tuple(t - p for t, p in zip(theta, spec.phi))
-    return spec.j_pair(linear_combination(
-        spec, (1, coeff), (d_oneform(spec, tmf), wedge_oneforms(spec, theta, spec.phi))))
+    c_theta = [coeff * t.constant_value() for t in theta]
+    _, rows = spec.bracket_rows()
+    dot, zero = spec.ring.dot, spec.zero()
+
+    def entry(i, j):
+        at = [k for k, _ in rows[i][j]]
+        values = [phi[k] for k in at] + [theta[k] for k in at]
+        weights = [c[i][j][k] for k in at] + [c[j][i][k] for k in at]
+        if c_theta[i] or c_theta[j]:
+            values += [phi[j], phi[i]]
+            weights += [c_theta[i], -c_theta[j]]
+        return dot(values, weights) if values else zero
+
+    return _antisymmetric(n, zero, entry)
 
 
 def condition_i(spec: FrameSpec) -> list[Scalar]:
@@ -94,25 +122,23 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
     its curvature tensor is formed.  In ``dim4_mode`` only the last
     three terms are kept: up to sign they are the rearranged four-dimensional
     form, and normalization strips the sign.  Each entry is one kernel call
-    over its terms.
+    over its terms, and a term x(JZ) is read as -(J x)(Z), as J^T = -J.
     """
     theta = require_gate(spec)
     psi = tuple(t - p for t, p in zip(theta, spec.phi))
     n = spec.n
-    J = spec.J
     rho, rho_star = ricci_via_formula(spec)
     dphi = spec.dphi()
     dphi_jwedge = eval_on_bivector(spec, dphi, fundamental_form(spec))
     jpsi = spec.j_apply(psi)
-    psi_j = spec.left(psi, J)                                  # psi(JZ)
-    rho_psi = spec.left(psi, rho)                              # rho(psi#, Z)
-    rho_star_jpsi_j = spec.left(spec.left(jpsi, rho_star), J)  # rho*(J psi#, JZ)
-    terms = [rho_star_jpsi_j, rho_psi, psi_j]
-    weights = [1, -1, -dphi_jwedge]
+    terms = [spec.left(psi, rho),                          # rho(psi#, Z)
+             jpsi,                                         # -psi(JZ)
+             spec.j_apply(spec.left(jpsi, rho_star))]      # -rho*(J psi#, JZ)
+    weights = [-1, dphi_jwedge, -1]
     if not dim4_mode:
-        terms += [spec.left(psi, dphi),                        # dphi(psi#, Z)
-                  spec.left(spec.left(jpsi, dphi), J)]         # dphi(J psi#, JZ)
-        weights += [Fraction(n, 2) - 1, -1]
+        terms += [spec.left(psi, dphi),                    # dphi(psi#, Z)
+                  spec.j_apply(spec.left(jpsi, dphi))]     # -dphi(J psi#, JZ)
+        weights += [Fraction(n, 2) - 1, 1]
     return tuple(spec.dot([term[k] for term in terms], weights) for k in range(n))
 
 

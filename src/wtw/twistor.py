@@ -38,9 +38,10 @@ action on a vertical direction V with J costs one commutator ``[V, J]`` per V
 rather than n^2 commutators; the vertical antisymmetry check evaluates its
 other side through the stored action on J, so the two sides stay different
 computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over the nonzero
-entries of ``b`` only: ``_g_against`` finds them once per ``b`` and is the one
-support walk of this module, as ``b`` is reused across calls; every other
-contraction here walks its support in ``FrameSpec.left`` or ``right`` (see
+entries of ``b`` only: ``_g_against`` finds them and halves them once per
+``b``, so that each pairing is one kernel call, and is the one support walk
+of this module, as ``b`` is reused across calls; every other contraction
+here walks its support in a ``FrameSpec`` contraction (see
 :mod:`wtw.frame`).  R applied to a bivector b is read in the layout the
 curvature tensor stores, ``g(R(b) E_k, E_l)`` at ``[k][l]``: one
 ``linear_combination`` of the blocks ``R.r[p][q]``.  The two fiber pairings,
@@ -97,12 +98,14 @@ def g_fiber(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...]) -> Sc
 
 def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
     """The map a -> G(a, b) for one b, summing over the nonzero entries of b only
-    (the vertical directions and J are mostly zeros)."""
+    (the vertical directions and J are mostly zeros).  Each is halved once per
+    b, a scalar by ``Scalar._halved`` and a rational as a Fraction, so that a
+    pairing is one kernel call."""
+    values = [x._halved() if type(x) is Scalar else Fraction(x, 2)
+              for row in b for x in row if x]
     support = [(k, l) for k, row in enumerate(b) for l, x in enumerate(row) if x]
-    values = [b[k][l] for k, l in support]
     dot = spec.ring.dot
-    half = Fraction(1, 2)
-    return lambda a: dot([a[k][l] for k, l in support], values) * half
+    return lambda a: dot([a[k][l] for k, l in support], values)
 
 
 def _commutator(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...],
@@ -322,7 +325,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     dj = cov_deriv_endo(conn, J)
     dphi = spec.dphi()
     act_j = endo_curvature_action(R, J)
-    phi_j = spec.left(phi, J)                      # phi(J.)
+    phi_j = [-x for x in jphi]                     # phi(J.) = -(J phi), as J^T = -J
     dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
     dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
     weights = (1, -1, 1, Fraction(-1, 2), Fraction(1, 2))
@@ -424,7 +427,7 @@ class VTraceData(NamedTuple):
       read from the table :func:`wtw.connection.second_cov_deriv_endo` keeps.
     closed_form: from the 2-form d(phi - theta) + n(n-4)/(2(n-2)) phi ^ theta
       paired with JZ ^ U + Z ^ JU: the negated condition-(i) pairing P of
-      :func:`wtw.pseudoharmonic.condition_i_pairing`, which owns c(n).
+      :func:`wtw.pseudoharmonic.condition_i_pairing`, whose 2-form builder owns c(n).
     """
 
     direct: tuple

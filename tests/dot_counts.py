@@ -7,24 +7,32 @@ Usage, from anywhere in the repository:
 Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 (the ``src`` directory of a checkout).  For each tree one subprocess, with
 that directory on ``PYTHONPATH``, wraps :meth:`wtw.polyalg.Ring.dot` in a
-counter and runs ``wtw.cli._suite_report`` in process on two workloads:
+counter and runs three workloads in process:
 
-* ``suite-n4``: the six frames of ``perfbench/frames.py``'s
-  ``Drawer("suite-n4", 777)``, one rotated draw of each n = 4 algebra, loaded
-  from the document the benchmark writes; their J is a signed permutation,
-  so ``suite`` runs every check on them, and any exception it raises stops
-  the script;
-* ``vaisman16``: the n = 16 Vaisman frame of ``tests/frame_families.py``.
+* ``suite-n4``: ``wtw.cli._suite_report`` on the six frames of
+  ``perfbench/frames.py``'s ``Drawer("suite-n4", 777)``, one rotated draw of
+  each n = 4 algebra, loaded from the document the benchmark writes; their J
+  is a signed permutation, so ``suite`` runs every check on them, and any
+  exception it raises stops the script;
+* ``vaisman16``: ``wtw.cli._suite_report`` on the n = 16 Vaisman frame of
+  ``tests/frame_families.py``;
+* ``scan-n6``: the 20 operations of ``perfbench/run.py``'s scan workload for
+  ``Drawer("scan-n6", 777)``, each ``load_spec``, ``conditions`` and
+  ``verify_assignment`` on a sparse n = 6 frame, as the benchmark runs them
+  at ``--seconds 20``.
 
-Only the calls made inside ``_suite_report`` are counted, not those of
-loading the spec.  Each call is charged to the ``file:qualname`` of the first
-frame outside ``polyalg.py`` and ``frame.py``, so a contraction helper or an
-operator is charged to the function that asked for it, and a caller keeps its
-name when lines move.  For each tree and workload the script prints the
-number of calls, the number that returned zero and the number of operand
-pairs the calls passed (zero pairs included), and all three for each caller
-among the ones with the most calls in either tree, so the two trees list the
-same callers.  Standard library only; pytest does not collect it.
+For the two suite workloads only the calls made inside ``_suite_report`` are
+counted, not those of loading the spec; a scan operation is counted whole.
+Each call is charged to the ``file:qualname`` of the first frame outside
+``polyalg.py`` and ``frame.py``, so a contraction helper or an operator is
+charged to the function that asked for it, and a caller keeps its name when
+lines move.  For each tree and workload the script prints the number of
+calls, the number that returned zero, the number of structural calls, in
+which no operand pair has two nonzero sides, so that a walk of the operands'
+supports would skip them, and the number of operand pairs the calls passed
+(zero pairs included); then all four for each caller among the ones with
+the most calls or the most structural calls in either tree, so the two trees
+list the same callers.  Standard library only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TOP = 8  # callers with the most calls, taken from each tree
@@ -42,7 +51,8 @@ TOP = 8  # callers with the most calls, taken from each tree
 
 def _count(workload) -> dict:
     """Run ``workload()`` with ``Ring.dot`` counted; the calls, the zero
-    results and the operand pairs, in total and per caller."""
+    results, the structural calls and the operand pairs, in total and per
+    caller."""
     import wtw
     from wtw.polyalg import Ring
 
@@ -51,6 +61,7 @@ def _count(workload) -> dict:
     dot = Ring.dot
     calls: collections.Counter = collections.Counter()
     zeros: collections.Counter = collections.Counter()
+    structural: collections.Counter = collections.Counter()
     pairs: collections.Counter = collections.Counter()
 
     def counted(ring, u, v):
@@ -64,6 +75,8 @@ def _count(workload) -> dict:
         pairs[caller] += len(zipped)
         if not value:
             zeros[caller] += 1
+        if not any(a and b for a, b in zipped):
+            structural[caller] += 1
         return value
 
     Ring.dot = counted
@@ -72,16 +85,18 @@ def _count(workload) -> dict:
     finally:
         Ring.dot = dot
     return {"calls": sum(calls.values()), "zeros": sum(zeros.values()),
-            "pairs": sum(pairs.values()),
-            "callers": [(caller, count, zeros[caller], pairs[caller])
+            "structural": sum(structural.values()), "pairs": sum(pairs.values()),
+            "callers": [(caller, count, zeros[caller], structural[caller], pairs[caller])
                         for caller, count in calls.most_common()]}
 
 
 def _child() -> None:
-    """Count both workloads in this process and print them as JSON."""
+    """Count the three workloads in this process and print them as JSON."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import frame_families
     import frames
+    import run
+    import wtw
     from wtw import cli, load_spec
 
     drawer = frames.Drawer("suite-n4", 777)
@@ -93,8 +108,18 @@ def _child() -> None:
             cli._suite_report(spec)
 
     vaisman = load_spec(frame_families.vaisman(16), name="vaisman16")
-    print(json.dumps({"suite-n4": _count(suite_n4),
-                      "vaisman16": _count(lambda: cli._suite_report(vaisman))}))
+    counts = {"suite-n4": _count(suite_n4),
+              "vaisman16": _count(lambda: cli._suite_report(vaisman))}
+    with tempfile.TemporaryDirectory() as workdir:
+        scan = run.ScanWorkload(wtw, pathlib.Path(workdir))
+        ops = scan.make_ops(frames.Drawer(scan.name, 777), "A", 20)
+
+        def scan_n6():
+            for op in ops:
+                scan.run(op)
+
+        counts["scan-n6"] = _count(scan_n6)
+    print(json.dumps(counts))
 
 
 def _run(src: str) -> dict:
@@ -116,13 +141,19 @@ def main(argv: list[str]) -> int:
         print(src)
         for workload, counts in run.items():
             print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']} "
-                  f"pairs={counts['pairs']}")
-            # the top callers of either tree, so that both trees list the same ones
-            shown = {row[0] for _, other in runs for row in other[workload]["callers"][:TOP]}
+                  f"structural={counts['structural']} pairs={counts['pairs']}")
+            # the top callers of either tree, by calls and by structural calls,
+            # so that both trees list the same ones
+            shown = set()
+            for _, other in runs:
+                callers = other[workload]["callers"]
+                shown.update(row[0] for row in callers[:TOP])
+                shown.update(row[0] for row in sorted(callers, key=lambda row: -row[3])[:TOP])
             rows = {caller: row for caller, *row in counts["callers"]}
             for caller in sorted(shown, key=lambda caller: (-rows.get(caller, (0,))[0], caller)):
-                calls, zeros, pairs = rows.get(caller, (0, 0, 0))
-                print(f"    {calls:>9} calls {zeros:>9} zero {pairs:>10} pairs  {caller}")
+                calls, zeros, structural, pairs = rows.get(caller, (0, 0, 0, 0))
+                print(f"    {calls:>9} calls {zeros:>9} zero {structural:>9} structural "
+                      f"{pairs:>10} pairs  {caller}")
     return 0
 
 

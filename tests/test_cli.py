@@ -145,6 +145,18 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    def test_non_ascii_digit_in_weyl_form_is_one_line_spec_error(self, tmp_path):
+        """"\u0663*a1" is not 3*a1: polynomial strings take ASCII digits only, as
+        brackets, J and ``--assign`` do."""
+        text = (DATA / "hyperbolic6.toml").read_text()
+        assert 'E1 = "a1"' in text
+        path = tmp_path / "digit.toml"
+        path.write_text(text.replace('E1 = "a1"', 'E1 = "\u0663*a1"'), encoding="utf-8")
+        status, out, err = run(["validate", "--spec", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("spec error: ") and err.count("\n") == 1
+        assert "\u0663" in err
+
     @pytest.mark.parametrize("key, nested", [("matrix", "[" * 1000 + "]" * 1000),
                                              ("x", "{a = " * 400 + "1" + "}" * 400)],
                              ids=["arrays", "inline-tables"])

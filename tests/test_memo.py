@@ -88,14 +88,17 @@ def test_conditions_form_no_weyl_curvature():
 def test_conditions_form_each_covariant_derivative_once():
     """``conditions`` and ``verify_assignment`` form no nabla J, as the Lee form
     reads delta J in ints from the gamma rows, and nabla phi once, inside Phi,
-    from which the closed Ricci formulas read the codifferentials."""
+    from which the closed Ricci formulas read the codifferentials.  Phi reads
+    nabla phi from the gamma rows too, so the Levi-Civita connection is never
+    lifted to scalars."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
-    # curvature is the one module that calls cov_deriv_oneform
     with _counting(connection, "_cov_deriv_endo") as nabla_endo, \
-            _counting(curvature_module, "cov_deriv_oneform") as nabla_oneform:
+            _counting(connection, "_levi_civita") as lifted, \
+            _counting(curvature_module, "_phi_tensor") as phi:
         verify_assignment(conditions(spec), {"a1": 0})
     assert nabla_endo.call_count == 0
-    assert nabla_oneform.call_count == 1
+    assert lifted.call_count == 0
+    assert phi.call_count == 1
 
 
 def test_second_derivatives_keep_only_the_first():

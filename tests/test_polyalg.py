@@ -124,6 +124,19 @@ def test_parse_errors(bad):
         RING.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["\u0663", "a1 + \u0663", "\u0663*a1", "a1^\u0663",
+                                  "a1^2\u0663", "\uff11", "\u0661\u0660"])
+def test_parse_refuses_non_ascii_digits(text):
+    """Digits are ASCII only, as ``_parse_rational`` reads them in brackets, in
+    J and in ``--assign``: "\u0663" (ARABIC-INDIC DIGIT THREE) is not 3, and
+    the refusal is one line."""
+    with pytest.raises(PolynomialParseError) as info:
+        RING.parse(text)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError):
+        _parse_rational("\u0663")
+
+
 @pytest.mark.parametrize("symbols, text, expected", [
     (RING.symbols, " a1", "a1"), (RING.symbols, "a1 ^ 2", "a1^2"),
     (RING.symbols, "007*a1", "7*a1"), (RING.symbols, "a1\n+ a2", "a1 + a2"),

@@ -96,8 +96,10 @@ def test_every_export_is_its_modules_object():
         wtw.no_such_name  # noqa: B018
 
 
-# exports that no module reads, kept as oracles of the tests
-ORACLES = {"g_fiber", "fiber_pairing_check", "vertical_antisymmetry_check"}
+# exports that no module reads, kept as oracles of the tests; Phi reads nabla
+# phi from the gamma rows, and the tests compare it with cov_deriv_oneform
+ORACLES = {"cov_deriv_oneform", "g_fiber", "fiber_pairing_check",
+           "vertical_antisymmetry_check"}
 
 
 def test_every_export_is_read_inside_the_package():
