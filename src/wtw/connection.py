@@ -11,11 +11,16 @@ Each nonzero structure constant enters three gammas, so the gammas are
 accumulated from the spec's nonzero bracket rows alone, as the sparse int
 rows of :func:`gamma_rows` over twice the bracket denominator, kept on the
 spec.  The phi-free layer reads them in ints (the Levi-Civita curvature and
-its traces in :mod:`wtw.curvature`, the Lee form in :mod:`wtw.hermitian`),
-and the Levi-Civita connection lifts only their nonzero entries to scalars.
-The Weyl connection of the 1-form phi is
+its traces in :mod:`wtw.curvature`, the Lee form, nabla J and J o nabla J in
+:mod:`wtw.hermitian`), and the Levi-Civita connection lifts only their
+nonzero entries to scalars.  The Weyl connection of the 1-form phi is
 
     D_X Y = nabla_X Y - 1/2 [phi(X) Y + phi(Y) X - g(X, Y) phi#].
+
+Its Kronecker terms are written once, in ``_weyl_shift``: :func:`weyl` adds
+them to the lifted gammas for the spec's phi, one kernel call per entry they
+touch, and :func:`weyl_rows` adds them in ints for a rational 1-form, the
+rows from which the nabla-J checks read D J for phi = theta.
 
 Contracts (tested as exact identities):
   * torsion-free: gamma[i][j][k] - gamma[j][i][k] = c[i][j][k];
@@ -36,7 +41,9 @@ derivatives D_{E_i}(D_{E_j} S) are never formed as arrays of their own.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .frame import FrameSpec, Memo, Vector, _kron
@@ -102,20 +109,37 @@ def weyl(spec: FrameSpec) -> Connection:
     return spec.memo(_weyl)
 
 
+def _weyl_shift(n: int, i: int, j: int):
+    """The Kronecker terms of 2 (D_{E_i} E_j - nabla_{E_i} E_j) = -phi_i E_j -
+    phi_j E_i + delta_ij phi#, as ``(k, a, w)``: weight w of phi_a at E_k."""
+    return [(j, i, -1), (i, j, -1), *((k, k, 1) for k in range(n) if i == j)]
+
+
 def _weyl(spec: FrameSpec) -> Connection:
-    n, phi = spec.n, spec.phi
-    lc = levi_civita(spec)
-    half = Fraction(1, 2)
+    n, phi, lc, half = spec.n, spec.phi, levi_civita(spec), Fraction(1, 2)
 
-    def entry(i, j, k):
-        if i != j != k != i:  # no Kronecker delta applies
-            return lc.gamma[i][j][k]
-        return spec.dot((lc.gamma[i][j][k], phi[i], phi[j], phi[k]),
-                        (1, -half * _kron(j, k), -half * _kron(i, k), half * _kron(i, j)))
+    def row(i, j):
+        # one kernel call per entry where a Kronecker delta applies
+        terms: dict[int, list] = {}
+        for k, a, w in _weyl_shift(n, i, j):
+            terms.setdefault(k, [(lc.gamma[i][j][k], 1)]).append((phi[a], half * w))
+        return tuple(spec.dot(*zip(*terms[k])) if k in terms else value
+                     for k, value in enumerate(lc.gamma[i][j]))
 
-    gamma = tuple(tuple(tuple(entry(i, j, k) for k in range(n))
-                        for j in range(n)) for i in range(n))
-    return Connection(spec, gamma, "weyl")
+    return Connection(spec, tuple(tuple(row(i, j) for j in range(n)) for i in range(n)), "weyl")
+
+
+def weyl_rows(spec: FrameSpec, den: int, phi: Sequence[int]) -> tuple[int, list]:
+    """The Weyl gammas of the rational 1-form ``phi[k] / den`` as ``(wden,
+    rows)``, laid out as :func:`gamma_rows`, ints over ``wden``."""
+    gden, g = gamma_rows(spec)
+    wden = 2 * math.lcm(gden, den)
+    scale, half = wden // gden, wden // (2 * den)
+    rows = [[{k: scale * v for k, v in row} for row in plane] for plane in g]
+    for i, j in product(range(spec.n), repeat=2):
+        for k, a, w in _weyl_shift(spec.n, i, j):
+            rows[i][j][k] = rows[i][j].get(k, 0) + w * half * phi[a]
+    return wden, [[[(k, v) for k, v in row.items() if v] for row in plane] for plane in rows]
 
 
 def cov_deriv_oneform(conn: Connection, omega: Sequence[Scalar]):

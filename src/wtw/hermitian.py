@@ -33,77 +33,84 @@ without loading this module, and is re-exported here.  A passing verdict is
 kept on the spec, so the n^3 Lee residual is scanned once however many
 builders ask for the gate; a failing one is not kept and raises every time.
 
-The fundamental form, the Nijenhuis tensor, the Lee form, d(Omega) and the
-Lee-identity residual are computed once per spec and kept on it (see
-:class:`wtw.frame.Memo`), so the gate and every check that needs them share
-one computation.  Omega, N and theta are symbol-free.  Omega is the wedge
-image of J (:func:`wtw.frame.wedge_iso`) lifted to scalars once, the one
-builder of that array, which condition (ii) also reads as J^.  J itself is
-``spec.J``, its rationals, wherever an endomorphism is taken: the nabla-J
-checks and J o nabla J pass it as it is.  N is built from the spec's nonzero
-bracket rows and J columns (see :mod:`wtw.frame`), as int numerators over one
-denominator from its four brackets, each nonzero entry lifted to a scalar
-once; N(E_i, E_j) is formed for the pairs i < j and mirrored by
-``wtw.frame._antisymmetric``.  d(Omega) and the residual are evaluated on
-increasing triples over the nonzero bracket rows and extended by
-antisymmetry (``wtw.frame._alternating``).  Each of the three makes a kernel
-call only on a triple where some product has two nonzero sides: d(Omega)
-over the positions of the bracket rows where Omega is nonzero, theta ^ Omega
-where a component of theta meets a nonzero entry of Omega, and the residual
-where either side is nonzero; every other entry is the shared zero.
+The whole layer is symbol-free, and every array of it is formed as int
+numerators over one denominator, read from the spec's nonzero bracket rows
+and J columns (see :mod:`wtw.frame`), the gamma rows and theta's ints; none
+calls the polynomial kernel.  Each is computed once per spec and kept on it
+(see :class:`wtw.frame.Memo`), so the gate and every check that needs it
+share one computation:
 
-Omega, like every 2-form, is an n x n nested tuple, and 3-forms are plain
-n x n x n nested tuples, as N is.  The two 3-form builders ``_d_twoform`` and
-``_wedge_one_two`` are private: they read both halves of their 2-form, so they
-need it antisymmetric, and their only callers pass Omega, which is.  J o
-nabla_X J for the Levi-Civita connection is formed once per spec and kept on
-it, for the nabla-J checks and the twistor layer.
+  * N, from its four brackets, formed for the pairs i < j and mirrored by
+    ``wtw.frame._antisymmetric``;
+  * theta, as above;
+  * d(Omega), the cyclic bracket sum, and the Lee residual d(Omega) - theta ^
+    Omega, formed on increasing triples and extended by
+    ``wtw.frame._alternating``; the gate and :func:`lck_check` read the
+    residual, and ``lck_check`` forms d(theta) in ints too;
+  * the Levi-Civita nabla J, ``(nabla_{E_x} J) E_j = nabla_{E_x}(J E_j) -
+    J(nabla_{E_x} E_j)`` from the gamma rows, and J o nabla_X J.
+
+:func:`nabla_j_checks` forms its five residuals from these arrays in ints,
+and reads D J for the Weyl connection of theta from the int Weyl rows of
+theta (:func:`wtw.connection.weyl_rows`, which shares its Kronecker terms
+with the Weyl connection), so it builds no second spec.  A residual is handed
+to :meth:`wtw.reports.CheckReport.require_zero` with its denominator, and
+only the first nonzero entry of a failing one is lifted, to a Fraction, which
+prints as the constant scalar of that value.  Scalars are lifted where a
+reader takes them: N and theta, each nonzero entry once; Omega, the wedge
+image of J (:func:`wtw.frame.wedge_iso`) and the one builder of that array,
+which condition (ii) also reads as J^; and J o nabla_X J, once per spec, for
+the DJ pairing of :mod:`wtw.twistor`.  J itself is ``spec.J``, its
+rationals.  Omega, like every 2-form, is an n x n nested tuple, and 3-forms
+are n x n x n nested tuples, as N is.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+import math
 
-from .connection import cov_deriv_endo, gamma_rows, levi_civita, weyl
+from .connection import gamma_rows, weyl_rows
 from .frame import (FrameSpec, GateError, Vector, _accumulate, _alternating, _antisymmetric,
-                    d_oneform, linear_combination, wedge_iso, wedge_oneforms)
-from .polyalg import Scalar
+                    wedge_iso)
 from .reports import CheckReport
 
 
-# -- 3-forms (constant components) ----------------------------------------
-
-def _d_twoform(spec: FrameSpec, F):
-    """dF(X,Y,Z) = -F([X,Y],Z) + F([X,Z],Y) - F([Y,Z],X) for invariant F.
-
-    For an antisymmetric F, dF(E_i, E_j, E_k) is the cyclic sum
-    ``sum_m c[i][j][m] F[k][m] + c[j][k][m] F[i][m] + c[k][i][m] F[j][m]``: one
-    kernel call per increasing triple over the nonzero bracket rows, made only
-    where F is nonzero at one of their positions.
-    """
-    _, rows = spec.bracket_rows()
-    c, zero, dot = spec.c, spec.zero(), spec.ring.dot
-
-    def entry(i, j, k):
-        pairs = [(F[z][m], c[a][b][m]) for a, b, z in ((i, j, k), (j, k, i), (k, i, j))
-                 for m, _ in rows[a][b] if F[z][m]]
-        return dot(*zip(*pairs)) if pairs else zero
-
-    return _alternating(spec.n, zero, entry)
+def _common(*dens: int) -> tuple[int, list[int]]:
+    """The least common multiple of ``dens`` and the factor that brings each to it."""
+    den = math.lcm(*dens)
+    return den, [den // d for d in dens]
 
 
-def _wedge_one_two(spec: FrameSpec, alpha: Sequence[Scalar], F):
-    """(alpha ^ F)(X,Y,Z) = alpha(X)F(Y,Z) - alpha(Y)F(X,Z) + alpha(Z)F(X,Y)
-    for an antisymmetric F, where -F(X, Z) = F(Z, X); one kernel call per
-    increasing triple where one of the three products has two nonzero sides."""
-    dot, zero = spec.ring.dot, spec.zero()
+def _j_ints(spec: FrameSpec) -> tuple[int, list]:
+    """J as ``(den, J)``, ``J[p][q]`` = den * J[p][q], over the denominator of
+    ``spec.j_columns()``."""
+    den, _ = spec.j_columns()
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in spec.J]
 
-    def entry(i, j, k):
-        pairs = ((alpha[i], F[j][k]), (alpha[j], F[k][i]), (alpha[k], F[i][j]))
-        return dot(*zip(*pairs)) if any(a and f for a, f in pairs) else zero
 
-    return _alternating(spec.n, zero, entry)
+def _twist(cols: list, M) -> list:
+    """M(J., J.) for an n x n int matrix M, over den_J^2 times M's denominator:
+    entry (y, z) is sum_p J[p][y] m_z[p] with m_z = M(., J E_z), each sum walked
+    over the support of a column of J as :meth:`wtw.frame.FrameSpec.twist` walks it."""
+    m = [[sum(x * row[q] for q, x in col) for col in cols] for row in M]
+    return [[sum(x * m[p][z] for p, x in col) for z in range(len(cols))] for col in cols]
+
+
+def _derivative(rows: list, cols: list) -> list:
+    """(D_{E_i} J) E_j = D_{E_i}(J E_j) - J(D_{E_i} E_j) for the connection with the
+    int gamma rows ``rows``, laid out as :func:`wtw.connection.gamma_rows`:
+    ``d[i][l][j]`` is entry (l, j) of D_{E_i} J over the product of the rows' and
+    J's denominators, in the layout of :func:`wtw.connection.cov_deriv_endo`."""
+    d = [[[0] * len(cols) for _ in cols] for _ in cols]
+    for plane, out in zip(rows, d):
+        for j, col in enumerate(cols):
+            for k, x in col:  # J[k][j] D_{E_i} E_k
+                for l, y in plane[k]:
+                    out[l][j] += x * y
+            for k, x in plane[j]:  # -gamma[i][j][k] J E_k
+                for l, y in cols[k]:
+                    out[l][j] -= x * y
+    return d
 
 
 def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
@@ -122,6 +129,13 @@ def nijenhuis(spec: FrameSpec):
 
 
 def _nijenhuis(spec: FrameSpec):
+    den, comps = spec.memo(_nijenhuis_ints)
+    lifted = tuple(tuple(spec.lift(enumerate(row), den) for row in plane) for plane in comps)
+    return lifted, not any(v for plane in comps for row in plane for v in row)
+
+
+def _nijenhuis_ints(spec: FrameSpec) -> tuple[int, tuple]:
+    """N as ``(den, comps)``, ``comps[k][i][j]`` = den * N[k][i][j]."""
     n, ix = spec.n, range(spec.n)
     cden, rows = spec.bracket_rows()
     jden, cols = spec.j_columns()
@@ -140,13 +154,12 @@ def _nijenhuis(spec: FrameSpec):
             _accumulate(inner, y, rows[i][q])
         for m, x in inner.items():
             _accumulate(value, -x, cols[m])
-        return spec.lift(value.items(), cden * jden * jden)
+        return tuple(value.get(k, 0) for k in ix)
 
     # N(E_i, E_j) for the pairs i < j, stored as N[k][i][j]
-    by_pair = _antisymmetric(n, (spec.zero(),) * n, pair, lambda v: tuple(-x for x in v))
-    comps = tuple(tuple(tuple(by_pair[i][j][k] for j in ix) for i in ix) for k in ix)
-    integrable = all(entry.is_zero for plane in comps for row in plane for entry in row)
-    return comps, integrable
+    by_pair = _antisymmetric(n, (0,) * n, pair, lambda v: tuple(-x for x in v))
+    return cden * jden * jden, tuple(tuple(tuple(by_pair[i][j][k] for j in ix) for i in ix)
+                                     for k in ix)
 
 
 def lee_form(spec: FrameSpec) -> Vector:
@@ -156,6 +169,12 @@ def lee_form(spec: FrameSpec) -> Vector:
 
 
 def _lee_form(spec: FrameSpec) -> Vector:
+    den, theta = spec.memo(_lee_ints)
+    return spec.lift(enumerate(theta), den)
+
+
+def _lee_ints(spec: FrameSpec) -> tuple[int, list]:
+    """theta as ``(den, theta)``, int numerators over (n - 2) * den_gamma * den_J^2."""
     n = spec.n
     gden, g = gamma_rows(spec)
     jden, cols = spec.j_columns()
@@ -185,20 +204,28 @@ def _lee_form(spec: FrameSpec) -> Vector:
         _accumulate(b, 2 * v, cols[k])
     if theta != [b.get(l, 0) for l in range(n)]:
         raise AssertionError("Lee form routes disagree; codifferential convention broken")
-    return spec.lift(enumerate(theta), (n - 2) * gden * jden * jden)
+    return (n - 2) * gden * jden * jden, theta
 
 
-def _d_omega(spec: FrameSpec):
-    return _d_twoform(spec, fundamental_form(spec))
+def _d_omega(spec: FrameSpec) -> tuple[int, tuple]:
+    """d(Omega) as ``(den, w)``, ``w[i][j][k]`` = den * dOmega(E_i, E_j, E_k): the cyclic
+    sum of c[i][j][m] Omega[k][m] = c[i][j][m] J[m][k] over the nonzero bracket rows."""
+    cden, rows = spec.bracket_rows()
+    jden, J = spec.memo(_j_ints)
+    return cden * jden, _alternating(spec.n, 0, lambda i, j, k: sum(
+        x * J[m][z] for a, b, z in ((i, j, k), (j, k, i), (k, i, j)) for m, x in rows[a][b]))
 
 
-def _lee_residual(spec: FrameSpec):
-    """d(Omega) - theta ^ Omega, zero exactly when the Lee identity holds."""
-    d_omega = spec.memo(_d_omega)
-    wedge = _wedge_one_two(spec, lee_form(spec), fundamental_form(spec))
-    zero = spec.zero()
-    return _alternating(spec.n, zero, lambda i, j, k: (
-        d_omega[i][j][k] - wedge[i][j][k] if d_omega[i][j][k] or wedge[i][j][k] else zero))
+def _lee_residual(spec: FrameSpec) -> tuple[int, tuple]:
+    """d(Omega) - theta ^ Omega as ``(den, r)``, zero exactly when the Lee identity
+    holds; (theta ^ Omega)(E_i, E_j, E_k) = theta_i J[k][j] + theta_j J[i][k] +
+    theta_k J[j][i]."""
+    dden, d_omega = spec.memo(_d_omega)
+    tden, theta = spec.memo(_lee_ints)
+    jden, J = spec.memo(_j_ints)
+    den, (scale, _) = _common(dden, tden * jden)
+    return den, _alternating(spec.n, 0, lambda i, j, k: scale * d_omega[i][j][k] - (
+        theta[i] * J[k][j] + theta[j] * J[i][k] + theta[k] * J[j][i]))
 
 
 def lck_check(spec: FrameSpec) -> CheckReport:
@@ -206,10 +233,15 @@ def lck_check(spec: FrameSpec) -> CheckReport:
     tensor, indexed N[k][i][j]: the E_k component of N(E_i, E_j)."""
     report = CheckReport(title="locally conformally Kaehler identities")
     basis = spec.basis
-    report.require_zero("d(Omega) = theta ^ Omega", spec.memo(_lee_residual),
-                        (basis,) * 3)
-    report.require_zero("d(theta) = 0", d_oneform(spec, lee_form(spec)), (basis,) * 2)
-    report.require_zero("Nijenhuis tensor vanishes", nijenhuis(spec)[0], (basis,) * 3)
+    den, residual = spec.memo(_lee_residual)
+    report.require_zero("d(Omega) = theta ^ Omega", residual, (basis,) * 3, den)
+    cden, rows = spec.bracket_rows()
+    tden, theta = spec.memo(_lee_ints)
+    # d theta(E_i, E_j) = -theta([E_i, E_j])
+    d_theta = _antisymmetric(spec.n, 0, lambda i, j: -sum(x * theta[k] for k, x in rows[i][j]))
+    report.require_zero("d(theta) = 0", d_theta, (basis,) * 2, cden * tden)
+    den, comps = spec.memo(_nijenhuis_ints)
+    report.require_zero("Nijenhuis tensor vanishes", comps, (basis,) * 3, den)
     return report
 
 
@@ -224,17 +256,37 @@ def _gate(spec: FrameSpec) -> Vector:
     if not integrable:
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")
-    if any(entry for plane in spec.memo(_lee_residual) for row in plane for entry in row):
+    if any(v for plane in spec.memo(_lee_residual)[1] for row in plane for v in row):
         raise GateError("Lee identity assumption",
                         "d(Omega) differs from theta ^ Omega")
     return lee_form(spec)
 
 
+def _nabla_j(spec: FrameSpec) -> tuple[int, list]:
+    """The Levi-Civita nabla J as ``(den, d)``: ``d[x][l][j]`` = den * (nabla_{E_x} J)[l][j],
+    read from the gamma rows and the columns of J."""
+    gden, g = gamma_rows(spec)
+    jden, cols = spec.j_columns()
+    return gden * jden, _derivative(g, cols)
+
+
+def _j_nabla_j_ints(spec: FrameSpec) -> tuple[int, list]:
+    """J o nabla_{E_x} J as ``(den, jd)``, laid out as :func:`_nabla_j`."""
+    den, d = spec.memo(_nabla_j)
+    jden, cols = spec.j_columns()
+    jd = [[[0] * spec.n for _ in cols] for _ in cols]
+    for plane, out in zip(d, jd):
+        for m, row in enumerate(plane):  # row m of nabla_{E_x} J enters J E_m
+            for l, y in cols[m]:
+                out[l] = [a + y * b for a, b in zip(out[l], row)]
+    return den * jden, jd
+
+
 def _j_nabla_j(spec: FrameSpec) -> tuple[tuple[Vector, ...], ...]:
     """J o nabla_{E_x} J for each frame vector E_x, nabla the Levi-Civita
-    connection: the one place it is formed."""
-    J = spec.J
-    return tuple(spec.compose(J, d) for d in cov_deriv_endo(levi_civita(spec), J))
+    connection, lifted to scalars once for the twistor layer."""
+    den, jd = spec.memo(_j_nabla_j_ints)
+    return tuple(tuple(spec.lift(enumerate(row), den) for row in plane) for plane in jd)
 
 
 def nabla_j_checks(spec: FrameSpec) -> CheckReport:
@@ -247,56 +299,53 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
         - g(JB,Y) X, valid under the Lee identity;
       * (J nabla_X J)^wedge = 1/2 (B ^ X - JB ^ JX);
       * D J = 0 for the Weyl connection built from phi = theta.
+
+    Every residual is formed in ints (see the module docstring).
     """
     report = CheckReport(title="nabla-J identities")
-    n = spec.n
-    ix = range(n)
+    ix = range(spec.n)
     axes = (spec.basis,) * 3
-    B = require_gate(spec)  # theta's components are the Lee vector's
-    lc = levi_civita(spec)
-    J = spec.J
-    nJ = cov_deriv_endo(lc, J)
-    dom = spec.memo(_d_omega)
-    ncomp, _ = nijenhuis(spec)
+    require_gate(spec)
+    tden, B = spec.memo(_lee_ints)  # theta's components are the Lee vector's
+    jden, J = spec.memo(_j_ints)
+    _, cols = spec.j_columns()
+    nden, nj = spec.memo(_nabla_j)
+    dden, dom = spec.memo(_d_omega)
+    mden, ncomp = spec.memo(_nijenhuis_ints)
 
-    residual = []
-    for x, jx in enumerate(zip(*J)):
-        twisted = spec.twist(dom[x])  # dOmega(X, J., J.)
-        # g(N(Y, Z), JX)
-        n_jx = [spec.left(jx, [plane[y] for plane in ncomp]) for y in ix]
-        residual.append([[spec.dot((nJ[x][z][y], dom[x][y][z], twisted[y][z],
-                                    n_jx[y][z]), (2, -1, 1, -1)) for z in ix] for y in ix])
-    report.require_zero("nabla-J from d(Omega) and the Nijenhuis tensor", residual, axes)
+    # dOmega(X, J., J.) is over dden * jden^2, and so dOmega is read there too
+    twisted = [_twist(cols, plane) for plane in dom]
+    den, (a, b, c) = _common(nden, dden * jden * jden, mden * jden)
+    report.require_zero("nabla-J from d(Omega) and the Nijenhuis tensor", [[[
+        2 * a * nj[x][z][y] - b * (jden * jden * dom[x][y][z] - twisted[x][y][z])
+        - c * sum(v * ncomp[k][y][z] for k, v in cols[x])  # g(N(Y, Z), JX)
+        for z in ix] for y in ix] for x in ix], axes, den)
 
     # twisted[z][x][y] = g((nabla_{JX} J)(JY), E_z)
-    twisted = [spec.twist([nJ[p][z] for p in ix]) for z in ix]
+    twisted = [_twist(cols, [plane[z] for plane in nj]) for z in ix]
     report.require_zero("Gray integrability criterion", [[[
-        nJ[x][z][y] - twisted[z][x][y] for z in ix] for y in ix] for x in ix], axes)
+        jden * jden * nj[x][z][y] - twisted[z][x][y] for z in ix] for y in ix] for x in ix],
+        axes, nden * jden * jden)
 
-    JB = spec.j_apply(B)
-    minus_b = [-b for b in B]
-
-    def closed_form(x, y, l):
-        # 2 (nabla_X J) Y - g(JX, Y) B + g(B, Y) JX, where g(J E_x, E_y) = J[y][x]
-        # and -J[l][x] = J[x][l]
-        res = spec.dot((nJ[x][l][y], J[y][x], J[x][l]), (2, minus_b[l], minus_b[y]))
-        if x == y:
-            res = res - JB[l]
-        if l == x:
-            res = res + JB[y]
-        return res
-
+    JB = [sum(x * y for x, y in zip(row, B)) for row in J]  # over jden * tden
+    den, (a, b) = _common(nden, jden * tden)
+    # 2 (nabla_X J) Y - g(JX, Y) B + g(B, Y) JX - g(X, Y) JB + g(JB, Y) X at E_l,
+    # where g(J E_x, E_y) = J[y][x]
     report.require_zero("closed form of nabla-J through the Lee vector", [[[
-        closed_form(x, y, l) for l in ix] for y in ix] for x in ix], axes)
+        2 * a * nj[x][l][y] + b * (B[y] * J[l][x] - J[y][x] * B[l] - (x == y) * JB[l]
+                                   + (l == x) * JB[y]) for l in ix] for y in ix] for x in ix],
+        axes, den)
 
-    residual = []
-    half = Fraction(1, 2)
-    for x, (jn, jx) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
-        ex = tuple(spec.const(1 if l == x else 0) for l in ix)
-        residual.append(linear_combination(spec, (1, -half, half), (
-            wedge_iso(jn), wedge_oneforms(spec, B, ex), wedge_oneforms(spec, JB, jx))))
-    report.require_zero("wedge image of J nabla-J through the Lee vector", residual, axes)
+    jnden, jd = spec.memo(_j_nabla_j_ints)
+    den, (a, b, c) = _common(jnden, 2 * tden, 2 * tden * jden * jden)
+    # (J nabla_X J)^ - 1/2 B ^ X + 1/2 JB ^ JX at (E_i, E_j); the wedge image is
+    # the transpose
+    report.require_zero("wedge image of J nabla-J through the Lee vector", [[[
+        a * jd[x][j][i] - b * (B[i] * (j == x) - B[j] * (i == x))
+        + c * (JB[i] * J[j][x] - JB[j] * J[i][x]) for j in ix] for i in ix] for x in ix],
+        axes, den)
 
+    wden, rows = weyl_rows(spec, tden, B)
     report.require_zero("J parallel for the Weyl connection of the Lee form",
-                        cov_deriv_endo(weyl(spec.with_phi(B)), J), axes)
+                        _derivative(rows, cols), axes, wden * jden)
     return report

@@ -13,6 +13,7 @@ instead.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 
@@ -52,11 +53,14 @@ class CheckReport:
         self.checks.append(Check(name, ok, detail))
 
     def require_zero(self, name: str, residual: Sequence,
-                     labels: Sequence[Sequence[str]]) -> None:
+                     labels: Sequence[Sequence[str]], den: int = 1) -> None:
         """Add the check that every entry of ``residual`` vanishes.
 
         ``residual`` nests tuples or lists to any depth, with scalars (or
         rationals) at the leaves; ``labels[d]`` names the indices of depth d.
+        With ``den``, the leaves are int numerators over it, and the detail
+        prints the first nonzero one as their Fraction, as a constant scalar
+        of that value prints.
         """
         # only a failing check walks the indexed entries
         nonzero = list(_nonzero(residual)) if _has_nonzero(residual) else []
@@ -64,6 +68,7 @@ class CheckReport:
             self.add(name, True)
             return
         index, value = nonzero[0]
+        value = Fraction(value, den) if den != 1 else value
         where = ",".join(labels[depth][i] for depth, i in enumerate(index))
         noun = "entry" if len(nonzero) == 1 else "entries"
         self.add(name, False, f"{len(nonzero)} nonzero {noun}, first at ({where}): {value}")

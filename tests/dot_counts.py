@@ -29,10 +29,13 @@ charged to the function that asked for it, and a caller keeps its name when
 lines move.  For each tree and workload the script prints the number of
 calls, the number that returned zero, the number of structural calls, in
 which no operand pair has two nonzero sides, so that a walk of the operands'
-supports would skip them, and the number of operand pairs the calls passed
-(zero pairs included); then all four for each caller among the ones with
-the most calls or the most structural calls in either tree, so the two trees
-list the same callers.  Standard library only; pytest does not collect it.
+supports would skip them, the number of symbol-free calls, whose operands
+are all rationals or constant scalars, so that the same sum in ints would
+need no polynomial, and the number of operand pairs the calls passed (zero
+pairs included); then all five for each caller among the ones with the most
+calls, structural calls or symbol-free calls in either tree, so the two
+trees list the same callers.  Standard library only; pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -51,10 +54,10 @@ TOP = 8  # callers with the most calls, taken from each tree
 
 def _count(workload) -> dict:
     """Run ``workload()`` with ``Ring.dot`` counted; the calls, the zero
-    results, the structural calls and the operand pairs, in total and per
-    caller."""
+    results, the structural calls, the symbol-free calls and the operand
+    pairs, in total and per caller."""
     import wtw
-    from wtw.polyalg import Ring
+    from wtw.polyalg import Ring, Scalar
 
     package = pathlib.Path(wtw.__file__).resolve().parent
     skip = {str(package / "polyalg.py"), str(package / "frame.py")}
@@ -62,6 +65,7 @@ def _count(workload) -> dict:
     calls: collections.Counter = collections.Counter()
     zeros: collections.Counter = collections.Counter()
     structural: collections.Counter = collections.Counter()
+    symbol_free: collections.Counter = collections.Counter()
     pairs: collections.Counter = collections.Counter()
 
     def counted(ring, u, v):
@@ -77,6 +81,8 @@ def _count(workload) -> dict:
             zeros[caller] += 1
         if not any(a and b for a, b in zipped):
             structural[caller] += 1
+        if all(type(x) is not Scalar or x.is_constant for pair in zipped for x in pair):
+            symbol_free[caller] += 1
         return value
 
     Ring.dot = counted
@@ -85,8 +91,10 @@ def _count(workload) -> dict:
     finally:
         Ring.dot = dot
     return {"calls": sum(calls.values()), "zeros": sum(zeros.values()),
-            "structural": sum(structural.values()), "pairs": sum(pairs.values()),
-            "callers": [(caller, count, zeros[caller], structural[caller], pairs[caller])
+            "structural": sum(structural.values()),
+            "symbol_free": sum(symbol_free.values()), "pairs": sum(pairs.values()),
+            "callers": [(caller, count, zeros[caller], structural[caller],
+                         symbol_free[caller], pairs[caller])
                         for caller, count in calls.most_common()]}
 
 
@@ -141,19 +149,22 @@ def main(argv: list[str]) -> int:
         print(src)
         for workload, counts in run.items():
             print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']} "
-                  f"structural={counts['structural']} pairs={counts['pairs']}")
-            # the top callers of either tree, by calls and by structural calls,
-            # so that both trees list the same ones
+                  f"structural={counts['structural']} symbol-free={counts['symbol_free']} "
+                  f"pairs={counts['pairs']}")
+            # the top callers of either tree, by calls, by structural calls and
+            # by symbol-free calls, so that both trees list the same ones
             shown = set()
             for _, other in runs:
                 callers = other[workload]["callers"]
                 shown.update(row[0] for row in callers[:TOP])
-                shown.update(row[0] for row in sorted(callers, key=lambda row: -row[3])[:TOP])
+                for column in (3, 4):
+                    shown.update(row[0] for row in
+                                 sorted(callers, key=lambda row: -row[column])[:TOP])
             rows = {caller: row for caller, *row in counts["callers"]}
             for caller in sorted(shown, key=lambda caller: (-rows.get(caller, (0,))[0], caller)):
-                calls, zeros, structural, pairs = rows.get(caller, (0, 0, 0, 0))
+                calls, zeros, structural, free, pairs = rows.get(caller, (0,) * 5)
                 print(f"    {calls:>9} calls {zeros:>9} zero {structural:>9} structural "
-                      f"{pairs:>10} pairs  {caller}")
+                      f"{free:>9} symbol-free {pairs:>10} pairs  {caller}")
     return 0
 
 

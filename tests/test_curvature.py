@@ -8,8 +8,9 @@ import pytest
 
 import frame_families
 from test_frame import _rotated
-from wtw import FrameError, SpecFormatError, builtin, lee_form, load_spec, load_spec_file
-from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl
+from wtw import (FrameError, SpecFormatError, builtin, hermitian, lee_form, load_spec,
+                 load_spec_file)
+from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl, weyl_rows
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
                            ricci_formula_check, ricci_via_formula, star_ricci,
                            weyl_curvature_via_formula)
@@ -74,6 +75,13 @@ def _phi_correction(spec):
 
     return tuple(tuple(tuple(tuple(entry(i, j, k, l) for l in ix) for k in ix) for j in ix)
                  for i in ix)
+
+
+def _over(den, array):
+    """A nested array of int numerators over ``den`` as nested tuples of Fractions."""
+    if isinstance(array, (list, tuple)):
+        return tuple(_over(den, inner) for inner in array)
+    return Fraction(array, den)
 
 
 def _table(matrix):
@@ -144,6 +152,39 @@ class TestRationalLayer:
         b = [sum((delta_j[k] * J[l][k] for k in range(n)), zero) * Fraction(2, n - 2)
              for l in range(n)]
         assert lee_form(spec) == tuple(b)
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_int_nabla_j_tables_equal_the_public_derivative(self, name):
+        # the Levi-Civita nabla J and J o nabla J that the nabla-J checks read in
+        # ints, and the J o nabla J that the twistor layer reads lifted
+        spec = ROUTE_FRAMES[name]()
+        nabla_j = cov_deriv_endo(levi_civita(spec), spec.J)
+        assert _over(*spec.memo(hermitian._nabla_j)) == nabla_j
+        j_nabla_j = tuple(spec.compose(spec.J, d) for d in nabla_j)
+        assert _over(*spec.memo(hermitian._j_nabla_j_ints)) == j_nabla_j
+        assert spec.memo(hermitian._j_nabla_j) == j_nabla_j
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_int_weyl_derivative_of_j_equals_the_public_derivative(self, name):
+        # D J for the Weyl connection of the Lee form, read from the int Weyl
+        # rows of theta, against the scalar Weyl connection of phi = theta
+        spec = ROUTE_FRAMES[name]()
+        tden, theta = spec.memo(hermitian._lee_ints)
+        wden, rows = weyl_rows(spec, tden, theta)
+        jden, cols = spec.j_columns()
+        expected = cov_deriv_endo(weyl(spec.with_phi(lee_form(spec))), spec.J)
+        assert _over(wden * jden, hermitian._derivative(rows, cols)) == expected
+
+    @pytest.mark.parametrize("name", ROUTE_FRAMES)
+    def test_int_d_omega_is_the_cyclic_bracket_sum(self, name):
+        # dOmega(E_i, E_j, E_k) = -Omega([E_i, E_j], E_k) + Omega([E_i, E_k], E_j)
+        # - Omega([E_j, E_k], E_i), with Omega(E_a, E_b) = J[b][a]
+        spec = ROUTE_FRAMES[name]()
+        c, J, ix = spec.c, spec.J, range(spec.n)
+        expected = tuple(tuple(tuple(sum(
+            -c[i][j][m] * J[k][m] + c[i][k][m] * J[j][m] - c[j][k][m] * J[i][m] for m in ix)
+            for k in ix) for j in ix) for i in ix)
+        assert _over(*spec.memo(hermitian._d_omega)) == expected
 
 
 class TestPhiTensor:

@@ -18,8 +18,7 @@ from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deri
 from wtw.frame import (_alternating, _antisymmetric, _negative, linear_combination, wedge_iso,
                        wedge_oneforms)
 from wtw.polyalg import Scalar
-from wtw.hermitian import _d_twoform, _wedge_one_two
-from wtw.hermitian import _lee_residual, fundamental_form, lee_form, nijenhuis
+from wtw.hermitian import _d_omega, _lee_residual, fundamental_form, lee_form, nijenhuis
 
 INOUE_DOC = """
 # frame document mirroring the inoue-s0 builtin
@@ -378,7 +377,7 @@ class TestExteriorCalculus:
         for spec in (inoue, kodairas[(1, -1)]):
             for k in range(4):
                 eta = tuple(spec.const(1 if i == k else 0) for i in range(4))
-                ddeta = _d_twoform(spec, d_oneform(spec, eta))
+                ddeta = _d_two(spec, d_oneform(spec, eta))
                 assert all(x.is_zero for plane in ddeta for row in plane for x in row)
 
     def test_d_oneform_linearity(self, inoue):
@@ -409,9 +408,12 @@ class TestExteriorCalculus:
             assert value == 2 * e1 * spec.ring.sym("a4")
 
     def test_inoue_d_omega_equals_lee_wedge_omega(self, inoue):
-        omega = fundamental_form(inoue)
-        lee = lee_form(inoue)
-        assert _d_twoform(inoue, omega) == _wedge_one_two(inoue, lee, omega)
+        omega, lee, ix = fundamental_form(inoue), lee_form(inoue), range(4)
+        assert _d_two(inoue, omega) == [[[
+            lee[i] * omega[j][k] - lee[j] * omega[i][k] + lee[k] * omega[i][j] for k in ix]
+            for j in ix] for i in ix]
+        _, residual = inoue.memo(_lee_residual)
+        assert not any(v for plane in residual for row in plane for v in row)
 
 
 class TestValidation:
@@ -788,23 +790,24 @@ def test_symbol_free_layer_matches_its_definitions(spec):
     assert comps == tuple(tuple(tuple(const(x) for x in row) for row in plane)
                           for plane in table)
     assert integrable == (not any(x for plane in table for row in plane for x in row))
-    # d of the fundamental form, and the Lee residual d(Omega) - theta ^ Omega
+    # d of the fundamental form, and the Lee residual d(Omega) - theta ^ Omega,
+    # each formed as int numerators over one denominator
     omega = [[const(J[j][i]) for j in ix] for i in ix]
     d_omega = _d_two(spec, omega)
-    assert _d_twoform(spec, fundamental_form(spec)) == tuple(
-        tuple(tuple(row) for row in plane) for plane in d_omega)
+    assert _fractions(*spec.memo(_d_omega)) == d_omega
     theta = lee_form(spec)
-    assert _lee_residual(spec) == tuple(tuple(tuple(
+    assert _fractions(*spec.memo(_lee_residual)) == [[[
         d_omega[i][j][k] - theta[i] * omega[j][k] + theta[j] * omega[i][k]
-        - theta[k] * omega[i][j] for k in ix) for j in ix) for i in ix)
-    # d of the polynomial Weyl form, and of a polynomial 2-form
+        - theta[k] * omega[i][j] for k in ix] for j in ix] for i in ix]
+    # d of the polynomial Weyl form
     phi = spec.phi
     assert spec.dphi() == tuple(tuple(
         -sum((c[i][j][k] * phi[k] for k in ix), z) for j in ix) for i in ix)
-    jphi = spec.j_apply(phi)
-    F = [[phi[i] * jphi[j] - phi[j] * jphi[i] for j in ix] for i in ix]
-    assert _d_twoform(spec, F) == tuple(
-        tuple(tuple(row) for row in plane) for plane in _d_two(spec, F))
+
+
+def _fractions(den, form):
+    """A 3-form of int numerators over ``den`` as nested lists of Fractions."""
+    return [[[Fraction(v, den) for v in row] for row in plane] for plane in form]
 
 
 def _inoue_data():

@@ -7,6 +7,7 @@ import gc
 import importlib
 import io
 import pathlib
+import sys
 import weakref
 from unittest import mock
 
@@ -17,6 +18,7 @@ from wtw import (builtin, conditions, curvature, identity_suite, levi_civita, lo
                  load_spec_file, ricci_formula_check, verify_assignment, weyl)
 from wtw import cli, connection, frame, hermitian, pseudoharmonic, twistor
 from wtw.curvature import phi_tensor, ricci_via_formula
+from wtw.polyalg import Ring
 from wtw.pseudoharmonic import condition_ii
 
 curvature_module = importlib.import_module("wtw.curvature")
@@ -40,7 +42,8 @@ def test_suite_computes_each_quantity_once():
     assert report.ok
     assert nijenhuis.call_count == 1
     assert lee.call_count == 1
-    # nabla-J checks build a second spec (phi = theta) with its own connection
+    # the Weyl gammas of the spec's own phi only: the nabla-J checks read D J
+    # for the Weyl connection of theta from its int rows, with no second spec
     assert [call.args[0] for call in weyl_gammas.call_args_list].count(spec) == 1
     assert sorted(call.args[0].kind for call in curvature.call_args_list) == [
         "levi-civita", "weyl"]
@@ -53,6 +56,37 @@ def test_suite_computes_each_quantity_once():
     # Phi, which the Phi-correction route, the closed formulas and the rho*
     # defect check all read
     assert phi_tensor.call_count == 1
+
+
+def _suite_n4_draw():
+    """One rotated draw of the benchmark's suite-n4 workload: dense brackets,
+    and J a signed permutation."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    with mock.patch.object(sys, "path", [str(path), *sys.path]):
+        frames = importlib.import_module("frames")
+    return load_spec(frames.document(frames.Drawer("suite-n4", 777).rotated_n4("hyperbolic")))
+
+
+@pytest.mark.parametrize("load", [
+    lambda: builtin("kodaira", (1, -1)), lambda: builtin("inoue-s0"), _suite_n4_draw,
+    lambda: load_spec(frame_families.DENSE_J["inoue_s0_rotated.toml"])],
+    ids=["kodaira(+1,-1)", "inoue-s0", "suite-n4 draw", "dense-J"])
+def test_hermitian_checks_make_no_kernel_call(monkeypatch, load):
+    """N, theta, d(Omega), the Lee residual, nabla J, J o nabla J and D J for the
+    Weyl connection of theta are formed in ints: on a fresh spec,
+    ``lck_check`` and ``nabla_j_checks``, the gate included, never call
+    ``Ring.dot``."""
+    spec = load()
+    calls = []
+    dot = Ring.dot
+
+    def counted(ring, u, v):
+        calls.append(ring)
+        return dot(ring, u, v)
+
+    monkeypatch.setattr(Ring, "dot", counted)
+    assert hermitian.lck_check(spec).ok and hermitian.nabla_j_checks(spec).ok
+    assert not calls
 
 
 def test_report_builds_each_condition_once():

@@ -13,7 +13,11 @@ mutated where the formulas are built, so the Ricci check sees it against the
 traced Weyl curvature.  The bracket term sum_m c[i][j][m] gamma[m][k][l] is
 dropped from the int accumulation of the Levi-Civita curvature R_g, which the
 Phi-correction route and the closed formulas read, so the checks that compare
-them with the polynomial contraction of the Weyl gammas see it.  The sign of
+them with the polynomial contraction of the Weyl gammas see it.  The term
+-J(nabla_{E_i} E_j) is dropped from the int Levi-Civita nabla J, which the
+nabla-J checks compare with d(Omega), the Lee vector and J o nabla J, and one
+Kronecker weight is flipped in the int Weyl rows of theta only, from which the
+check that J is parallel for the Weyl connection of the Lee form reads D J.  The sign of
 the rho or rho* term of L(psi) is mutated where condition (ii) reads the
 formulas, and the sign of each of its three d(phi) terms where condition (ii)
 is built, so only the trace equivalence sees them.  The two fiber pairings,
@@ -39,7 +43,7 @@ from fractions import Fraction
 
 import pytest
 
-from wtw import builtin, connection, load_spec_file, pseudoharmonic, twistor
+from wtw import builtin, connection, hermitian, load_spec_file, pseudoharmonic, twistor
 from wtw.cli import _suite_report
 from wtw.frame import linear_combination
 
@@ -96,6 +100,44 @@ def _rg_bracket_term(monkeypatch):
         return den, out
 
     monkeypatch.setattr(curvature, "_levi_civita_r", mutated)
+
+
+def _nabla_j_gamma_term(monkeypatch):
+    """The int Levi-Civita nabla J loses its term -J(nabla_{E_i} E_j) =
+    -sum_k gamma[i][j][k] J E_k, which enters over den_gamma * den_J."""
+    nabla_j = hermitian._nabla_j
+
+    def mutated(spec):
+        den, d = nabla_j(spec)
+        _, g = connection.gamma_rows(spec)
+        _, cols = spec.j_columns()
+        out = [[list(row) for row in plane] for plane in d]
+        for i, plane in enumerate(out):
+            for j in range(spec.n):
+                for k, x in g[i][j]:
+                    for l, y in cols[k]:
+                        plane[l][j] += x * y
+        return den, out
+
+    monkeypatch.setattr(hermitian, "_nabla_j", mutated)
+
+
+def _theta_weyl_weight(monkeypatch):
+    """The int Weyl rows of theta, from which the nabla-J checks read D J, take
+    the Kronecker term -1/2 phi_j delta_ik with weight +1/2; the scalar Weyl
+    connection of the spec's phi keeps its weights."""
+    shift, rows = connection._weyl_shift, hermitian.weyl_rows
+
+    def flipped(n, i, j):
+        for position, (k, a, w) in enumerate(shift(n, i, j)):
+            yield k, a, -w if position == 1 else w
+
+    def mutated(spec, den, phi):
+        with monkeypatch.context() as patch:
+            patch.setattr(connection, "_weyl_shift", flipped)
+            return rows(spec, den, phi)
+
+    monkeypatch.setattr(hermitian, "weyl_rows", mutated)
 
 
 def _condition_ii_reads_negated(monkeypatch, index):
@@ -280,7 +322,8 @@ def test_bivector_dphi_term_is_caught_where_dphi_is_not_of_type_11(monkeypatch, 
     assert {check.name for check in _suite_report(FRAMES[name]()).failures} == baseline
 
 
-@pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _rho_sign, _rho_star_sign, _jstar_sign,
+@pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _nabla_j_gamma_term,
+                                    _theta_weyl_weight, _rho_sign, _rho_star_sign, _jstar_sign,
                                     _rho_square_coefficient, _dphi_sign, _twisted_dphi_sign,
                                     _dphi_j_sign, _endo_transpose_sign, _action_entry,
                                     _norm_sq],

@@ -4,8 +4,8 @@ Levi-Civita gammas, against their definitions as sums over every entry.
 ``FrameSpec.twist``, ``j_pair`` and ``j_apply`` read only the nonzero entries
 of J's columns; the condition-(i) 2-form reads only the nonzero bracket rows
 and the nonzero components of theta; Phi reads nabla phi from the nonzero
-gamma rows; the 3-forms of the Lee identity form only the triples where a
-product has two nonzero sides.  Each is compared entry by entry with the
+gamma rows; d(Omega) and the Lee residual sum ints over the nonzero bracket
+rows and the entries of J and theta.  Each is compared entry by entry with the
 plain sum over all indices, on J a signed permutation (the built-ins and the
 gate-passing documents) and on the dense J of the Cayley-rotated frames of
 ``tests/frame_families.py``, whose entries are not integers.
@@ -22,7 +22,7 @@ from test_twistor import _gate_passing_frames
 from wtw import (FrameSpec, Ring, RingMismatchError, builtin, cov_deriv_oneform, d_oneform,
                  fundamental_form, lee_form, levi_civita, load_spec, phi_tensor)
 from wtw.frame import linear_combination, wedge_oneforms
-from wtw.hermitian import _d_twoform, _wedge_one_two
+from wtw.hermitian import _d_omega, _lee_residual
 from wtw.pseudoharmonic import _condition_i_form
 
 DENSE = [load_spec(text, name) for name, text in frame_families.DENSE_J.items()]
@@ -142,21 +142,19 @@ def test_phi_is_its_definition_from_the_levi_civita_connection(spec):
 
 @pytest.mark.parametrize("spec", FRAMES + _gated(), ids=lambda spec: spec.name)
 def test_lee_identity_three_forms_are_their_definitions(spec):
-    """dF(E_i, E_j, E_k) = -F([E_i, E_j], E_k) + F([E_i, E_k], E_j) - F([E_j, E_k], E_i)
-    and (alpha ^ F)(E_i, E_j, E_k) = alpha_i F_jk - alpha_j F_ik + alpha_k F_ij,
-    summed over all entries, for Omega, for the polynomial 2-form d(phi), and for
-    alpha = theta and alpha = phi."""
+    """dOmega(E_i, E_j, E_k) = -Omega([E_i, E_j], E_k) + Omega([E_i, E_k], E_j)
+    - Omega([E_j, E_k], E_i) and (theta ^ Omega)(E_i, E_j, E_k) = theta_i Omega_jk
+    - theta_j Omega_ik + theta_k Omega_ij, summed over all entries, against the
+    int d(Omega) and the int Lee residual d(Omega) - theta ^ Omega."""
     n, c = spec.n, spec.c
     ix = range(n)
     triples = [(i, j, k) for i in ix for j in ix for k in ix]
-    for F in (fundamental_form(spec), spec.dphi()):
-        d_f = _d_twoform(spec, F)
-        assert [d_f[i][j][k] for i, j, k in triples] == [_sum(spec, (
-            F[m][k] * -c[i][j][m] + F[m][j] * c[i][k][m] - F[m][i] * c[j][k][m] for m in ix))
-            for i, j, k in triples]
-        for alpha in (lee_form(spec), spec.phi):
-            wedge = _wedge_one_two(spec, alpha, F)
-            assert [wedge[i][j][k] for i, j, k in triples] == [_sum(spec, (
-                alpha[i] * F[j][k], -alpha[j] * F[i][k], alpha[k] * F[i][j]))
-                for i, j, k in triples]
-
+    F, theta = fundamental_form(spec), lee_form(spec)
+    d_f = [_sum(spec, (F[m][k] * -c[i][j][m] + F[m][j] * c[i][k][m] - F[m][i] * c[j][k][m]
+                       for m in ix)) for i, j, k in triples]
+    den, d_omega = spec.memo(_d_omega)
+    assert [Fraction(d_omega[i][j][k], den) for i, j, k in triples] == d_f
+    den, residual = spec.memo(_lee_residual)
+    assert [Fraction(residual[i][j][k], den) for i, j, k in triples] == [
+        d - _sum(spec, (theta[i] * F[j][k], -theta[j] * F[i][k], theta[k] * F[i][j]))
+        for d, (i, j, k) in zip(d_f, triples)]

@@ -111,8 +111,10 @@ def test_every_export_is_read_inside_the_package():
     assert set(wtw.__all__) - read <= ORACLES
 
 
-# public class members that no module reads, kept as oracles of the tests
-MEMBER_ORACLES = {"CheckReport.failures"}
+# public class members that no module reads, kept as oracles of the tests:
+# the tests compare J o nabla J with ``compose`` and D J for the Weyl
+# connection of the Lee form with the connection of a ``with_phi`` spec
+MEMBER_ORACLES = {"CheckReport.failures", "FrameSpec.compose", "FrameSpec.with_phi"}
 
 
 def _public_members(tree):
