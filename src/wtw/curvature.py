@@ -54,7 +54,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connection import Connection, gamma_rows, levi_civita, weyl
-from .frame import FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _kron, _negative
+from .frame import (FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _j_ints, _kron,
+                    _negative)
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -131,11 +132,10 @@ def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
 def _levi_civita_ricci(spec: FrameSpec):
     """rho_g and rho*_g traced in ints from R_g and lifted once: rho_g[i][k] =
     sum_j r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]
-    read through the columns of J."""
+    read from the int J."""
     n = spec.n
     den, r = spec.memo(_levi_civita_r)
-    jden, cols = spec.j_columns()
-    entries = [dict(col) for col in cols]  # entries[l][p] = jden * J[p][l]
+    jden, J = spec.memo(_j_ints)
     # one pass over the nonzero entries r[p][i][q][l]: rho_g[p][q] takes those
     # with l = i, and x[i][q] = sum_{p,l} J[p][l] r[p][i][q][l], over den * jden
     rho = [[0] * n for _ in range(n)]
@@ -146,9 +146,9 @@ def _levi_civita_ricci(spec: FrameSpec):
                 for l, v in row.items():
                     if l == i:
                         rho[p][q] += v
-                    x[i][q] += entries[l].get(p, 0) * v
+                    x[i][q] += J[p][l] * v
     return (tuple(spec.lift(enumerate(row), den) for row in rho),
-            tuple(spec.lift(((k, sum(y * xi[q] for q, y in col)) for k, col in enumerate(cols)),
+            tuple(spec.lift(enumerate(sum(a * b for a, b in zip(xi, col)) for col in zip(*J)),
                             den * jden * jden) for xi in x))
 
 

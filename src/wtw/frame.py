@@ -63,11 +63,12 @@ key, which compares and hashes as a copy of constant scalars would.
 Sparse supports: each spec keeps the nonzero part of its rational data once,
 as int numerators over one common denominator: ``bracket_rows()`` lists
 ``(k, c_ijk)`` for each pair (i, j), and ``j_columns()`` lists ``(p, J[p][i])``
-for each column ``J E_i``.  The symbol-free layer walks only these
-supports: ``validate`` and, in the later layers, the Levi-Civita gammas,
-their curvature and its traces, the Lee form and the Nijenhuis tensor
-accumulate ints and lift each nonzero result to a scalar once
-(:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else.
+for each column ``J E_i``, from ``_j_ints``, the dense int J later layers read
+too.  The symbol-free layer walks only these supports: ``validate`` and, in
+the later layers, the Levi-Civita gammas, their curvature and its traces, the
+Lee form and the Nijenhuis tensor accumulate ints and lift each nonzero result
+to a scalar once (:meth:`FrameSpec.lift`), leaving the ring's shared zero
+everywhere else.
 The Lee vector B has the Lee form theta's components in this orthonormal
 frame, so its route B = 2/(n-2) J(delta J) is compared with theta in ints
 and only theta is lifted.  ``d_oneform`` calls the kernel only where a
@@ -271,13 +272,13 @@ class FrameSpec(Memo):
                 raise FrameError(
                     "Jacobi identity fails on "
                     f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
-        den, cols = self.j_columns()
-        entries = [dict(col) for col in cols]  # entries[i][p] = den * J[p][i]
-        gram = [[sum(v * e.get(p, 0) for p, v in col) for e in entries] for col in cols]
+        den, J = self.memo(_j_ints)
+        _, cols = self.j_columns()
+        gram = [[sum(v * J[p][k] for p, v in col) for k in range(n)] for col in cols]
         if gram != [[den * den * (i == k) for k in range(n)] for i in range(n)]:
             raise FrameError("J is not g-orthogonal (J^T J = Identity fails)")
         # J^T = -J, which with J^T J = Identity means J^2 = -Identity
-        if any(entries[p].get(i) != -v for i, col in enumerate(cols) for p, v in col):
+        if not _is_skew(J):
             raise FrameError("J^2 = -Identity fails")
 
     # -- small helpers ---------------------------------------------------
@@ -419,19 +420,21 @@ def _dphi(spec: FrameSpec) -> tuple[Vector, ...]:
 
 # -- supports of the rational data -----------------------------------------
 
-def _nonzero(row, den: int) -> list[tuple[int, int]]:
-    """``(index, den * value)`` for each nonzero value of a rational row."""
-    return [(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
-
-
 def _bracket_rows(spec: FrameSpec) -> tuple[int, list]:
     den = math.lcm(*(v.denominator for plane in spec.c for row in plane for v in row))
-    return den, [[_nonzero(row, den) for row in plane] for plane in spec.c]
+    return den, [[[(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
+                  for row in plane] for plane in spec.c]
+
+
+def _j_ints(spec: FrameSpec) -> tuple[int, list]:
+    """J as dense ints ``(den, J)``, ``J[p][q]`` = den * J[p][q]."""
+    den = math.lcm(*(v.denominator for row in spec.J for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in spec.J]
 
 
 def _j_columns(spec: FrameSpec) -> tuple[int, list]:
-    den = math.lcm(*(v.denominator for row in spec.J for v in row))
-    return den, [_nonzero(col, den) for col in zip(*spec.J)]
+    den, J = spec.memo(_j_ints)
+    return den, [[(p, v) for p, v in enumerate(col) if v] for col in zip(*J)]
 
 
 def _weights(den: int, supports: list) -> list[tuple[list[int], list]]:
@@ -450,12 +453,8 @@ def _j_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
 def _j_row_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
     """The columns q where J[k][q] is nonzero and those entries, for each row k
     of J."""
-    den, cols = spec.j_columns()
-    rows = [[] for _ in cols]
-    for i, col in enumerate(cols):
-        for p, v in col:
-            rows[p].append((i, v))
-    return _weights(den, rows)
+    den, J = spec.memo(_j_ints)
+    return _weights(den, [[(q, v) for q, v in enumerate(row) if v] for row in J])
 
 
 def _walk(ring: Ring, values: list, weights: list) -> Scalar:

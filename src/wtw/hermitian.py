@@ -71,7 +71,7 @@ import math
 
 from .connection import gamma_rows, weyl_rows
 from .frame import (FrameSpec, GateError, Vector, _accumulate, _alternating, _antisymmetric,
-                    wedge_iso)
+                    _j_ints, wedge_iso)
 from .reports import CheckReport
 
 
@@ -79,13 +79,6 @@ def _common(*dens: int) -> tuple[int, list[int]]:
     """The least common multiple of ``dens`` and the factor that brings each to it."""
     den = math.lcm(*dens)
     return den, [den // d for d in dens]
-
-
-def _j_ints(spec: FrameSpec) -> tuple[int, list]:
-    """J as ``(den, J)``, ``J[p][q]`` = den * J[p][q], over the denominator of
-    ``spec.j_columns()``."""
-    den, _ = spec.j_columns()
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in spec.J]
 
 
 def _twist(cols: list, M) -> list:
@@ -178,7 +171,7 @@ def _lee_ints(spec: FrameSpec) -> tuple[int, list]:
     n = spec.n
     gden, g = gamma_rows(spec)
     jden, cols = spec.j_columns()
-    entries = [dict(col) for col in cols]  # entries[i][p] = jden * J[p][i]
+    _, J = spec.memo(_j_ints)
     # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m],
     # so delta Omega(E_k) = sum_{i,m} gamma[i][i][m] J[k][m] + gamma[i][k][m] J[m][i]
     delta_omega: dict[int, int] = {}
@@ -186,8 +179,7 @@ def _lee_ints(spec: FrameSpec) -> tuple[int, list]:
         for m, x in g[i][i]:
             _accumulate(delta_omega, x, cols[m])
         for k, row in enumerate(g[i]):
-            delta_omega[k] = delta_omega.get(k, 0) + sum(x * entries[i].get(m, 0)
-                                                         for m, x in row)
+            delta_omega[k] = delta_omega.get(k, 0) + sum(x * J[m][i] for m, x in row)
     # (nabla_i J) E_i = nabla_i (J E_i) - J nabla_i E_i, so delta J = -sum_i (nabla_i J) E_i
     # = sum_{i,k} gamma[i][i][k] J E_k - J[k][i] nabla_i E_k
     delta_j: dict[int, int] = {}

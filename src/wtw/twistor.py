@@ -13,9 +13,9 @@ which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
 :mod:`wtw.frame`: products go through ``FrameSpec.compose``, each sum or
 difference of endomorphisms is one ``linear_combination``, and each entry of a
-commutator, or of the anticommutator V o J + J o V, is one kernel call over
-the terms of both products.  ``_is_vertical`` is the one test that an
-endomorphism is skew and anticommutes with J.
+commutator is one kernel call over the terms of both products.
+``_is_vertical`` tests that V is skew and J^T V J = -V (``FrameSpec.twist``),
+which for an orthogonal J says that V anticommutes with J.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
@@ -33,15 +33,16 @@ builder of arrays antisymmetric in a pair of indices: as the action at
 (Y, X) is stored as the negation of the one at (X, Y), so is its pairing.
 
 The checks form only what they need.  The fiber metric is ad-invariant,
-``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so pairing the
-action on a vertical direction V with J costs one commutator ``[V, J]`` per V
-rather than n^2 commutators; the vertical antisymmetry check evaluates its
-other side through the stored action on J, so the two sides stay different
-computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over the nonzero
-entries of ``b`` only: ``_g_against`` finds them and halves them once per
-``b``, so that each pairing is one kernel call, and is the one support walk
-of this module, as ``b`` is reused across calls; every other contraction
-here walks its support in a ``FrameSpec`` contraction (see
+``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so the one
+builder of a skew pair's residuals, ``_pairing_residuals``, reads
+``G(R(X, Y)b, a)`` as ``-G(R(X, Y), [a, b])`` from the commutator the pairing
+identity reads too, not from n^2 commutators, and pairs the stored action on
+``a`` with ``b`` once for both residuals; the antisymmetry's two sides stay
+different computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over
+the nonzero entries of ``b`` only: ``_g_against`` finds them and halves them
+once per ``b``, so that each pairing is one kernel call, and is the one
+support walk of this module, as ``b`` is reused across calls; every other
+contraction here walks its support in a ``FrameSpec`` contraction (see
 :mod:`wtw.frame`).  R applied to a bivector b is read in the layout the
 curvature tensor stores, ``g(R(b) E_k, E_l)`` at ``[k][l]``: one
 ``linear_combination`` of the blocks ``R.r[p][q]``.  The two fiber pairings,
@@ -63,10 +64,12 @@ J o nabla_X J.  Per direction Y it adds the image and two wedges of phi into
 one bivector, ``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies
 R and dphi to that w alone, through ``_bivector_terms``.
 
-:func:`vertical_checks` runs both fiber checks against every vertical direction,
-from the residual builders of the single-direction checks.  The vertical Gram
-and the verticality of each element are checked once, as the basis is built,
-and only the public single-direction check tests the V it is given.
+:func:`vertical_checks` calls that builder once per vertical direction V, for
+(J, V), after one cross-check of the action on J, which
+``vertical_antisymmetry_check`` never runs: a wrong action on J fails that
+check instead of raising.  The vertical Gram and the verticality of each
+element are checked once, as the basis is built, and only the public
+single-direction check tests the V it is given.
 
 ``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
 from the action on J and from D J; it forms no condition term, so comparing it
@@ -108,21 +111,19 @@ def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
     return lambda a: dot([a[k][l] for k, l in support], values)
 
 
-def _commutator(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...],
-                anti: bool = False) -> tuple[Vector, ...]:
-    """[a, b] = a o b - b o a, or a o b + b o a when ``anti``: entry (i, j) is
-    one kernel call, the row a[i] + (-b[i]) (or + b[i]) against column j of b
-    followed by column j of a, read only where that row is nonzero
-    (``FrameSpec.right``)."""
+def _commutator(spec: FrameSpec, a: tuple[Vector, ...],
+                b: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """[a, b] = a o b - b o a: entry (i, j) is one kernel call, the row
+    a[i] + (-b[i]) against column j of b followed by column j of a, read only
+    where that row is nonzero (``FrameSpec.right``)."""
     cols = [(*col_b, *col_a) for col_b, col_a in zip(zip(*b), zip(*a))]
-    return tuple(spec.right(cols, (*row_a, *(row_b if anti else [-x for x in row_b])))
-                 for row_a, row_b in zip(a, b))
+    return tuple(spec.right(cols, (*row_a, *[-x for x in row_b])) for row_a, row_b in zip(a, b))
 
 
 def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
-    """Whether V is vertical at J: skew, and V o J + J o V = 0."""
-    return _is_skew(V) and not any(chain.from_iterable(
-        _commutator(spec, V, spec.J, anti=True)))
+    """Whether V is vertical at J: skew, and J^T V J = -V, which for an
+    orthogonal J says V o J + J o V = 0."""
+    return _is_skew(V) and spec.twist(V) == _negative(V)
 
 
 def curvature_on_bivector(R: Curvature, b):
@@ -243,29 +244,35 @@ def fiber_pairing_check(spec: FrameSpec, a: tuple[Vector, ...],
     for all frame pairs (X, Y), where R is the Weyl curvature acting on
     endomorphisms by commutator.
     """
+    residual = _pairing_residuals(spec, a, b)[0]
+    endo_curvature_consistency(weyl(spec), a)
     report = CheckReport(title="fiber curvature pairing")
-    report.require_zero("curvature pairing identity on endomorphisms",
-                        _fiber_pairing_residual(spec, a, b), (spec.basis,) * 2)
+    report.require_zero("curvature pairing identity on endomorphisms", residual,
+                        (spec.basis,) * 2)
     return report
 
 
-def _fiber_pairing_residual(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...]):
-    """The pairing identity's residual at (E_i, E_j), as an n x n array."""
+def _pairing_residuals(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...]):
+    """Two n x n arrays at (E_i, E_j) for a skew pair (a, b), from one
+    commutator [a, b] and one pairing G(R(E_i, E_j)a, b): the pairing identity's
+    residual, and G(R(E_i, E_j)a, b) + G(R(E_i, E_j)b, a), whose second term is
+    read by ad-invariance as -G(R(E_i, E_j), [a, b])."""
     if not _is_skew(a) or not _is_skew(b):
         raise FrameError("pairing identity requires skew endomorphisms")
-    conn = weyl(spec)
-    R = curvature(conn)
-    endo_curvature_consistency(conn, a)
+    R = curvature(weyl(spec))
     action = endo_curvature_action(R, a)
     comm = _commutator(spec, a, b)
     bivector = _bivector_terms(R, wedge_iso(comm))
     endo = _endo_terms(spec, comm)
-    against_b = _g_against(spec, b)
+    against_b, against_comm = _g_against(spec, b), _g_against(spec, comm)
     paired = _antisymmetric(spec.n, spec.zero(), lambda i, j: against_b(action[i][j]))
     weights = (1, -1, Fraction(1, 2))
     ix = range(spec.n)
-    return [[spec.dot((paired[i][j], bivector[i][j], endo[i][j]), weights)
-             for j in ix] for i in ix]
+    # the second is antisymmetric in (X, Y), as both its sides are
+    return ([[spec.dot((paired[i][j], bivector[i][j], endo[i][j]), weights) for j in ix]
+             for i in ix],
+            _antisymmetric(spec.n, spec.zero(),
+                           lambda i, j: paired[i][j] - against_comm(R.endo(i, j))))
 
 
 def _bivector_terms(R: Curvature, w):
@@ -359,42 +366,32 @@ def vertical_antisymmetry_check(spec: FrameSpec, V: tuple[Vector, ...]) -> Check
     The two sides are computed differently.  G(R(X,Y)J, V) pairs V with the
     memoized commutator action of R on J, the one ``h_trace`` and the DJ
     pairing read.  G(R(X,Y)V, J) is taken by ad-invariance,
-    G([R, V], J) = G(R, [V, J]) for skew V and any R, so it costs one
-    commutator per V.  A wrong action on J therefore fails the check.
+    G([R, V], J) = -G(R, [J, V]) for skew V and any R, from the commutator the
+    pairing identity for (J, V) reads too.  A wrong action on J therefore fails
+    the check.
     """
     if not _is_vertical(spec, V):
         raise FrameError("V must be vertical at J (skew and anti-commuting)")
     report = CheckReport(title="vertical antisymmetry of the fiber curvature")
     report.require_zero("G(R(X,Y)J, V) = -G(R(X,Y)V, J)",
-                        _vertical_antisymmetry_residual(spec, V), (spec.basis,) * 2)
+                        _pairing_residuals(spec, spec.J, V)[1], (spec.basis,) * 2)
     return report
-
-
-def _vertical_antisymmetry_residual(spec: FrameSpec, V: tuple[Vector, ...]):
-    """G(R(E_i,E_j)J, V) + G(R(E_i,E_j), [V, J]), as an n x n array, for a V
-    known to be vertical."""
-    R = curvature(weyl(spec))
-    act_j = endo_curvature_action(R, spec.J)
-    against_v = _g_against(spec, V)
-    against_vj = _g_against(spec, _commutator(spec, V, spec.J))
-    # both sides are antisymmetric in (X, Y)
-    return _antisymmetric(spec.n, spec.zero(),
-                          lambda i, j: against_v(act_j[i][j]) + against_vj(R.endo(i, j)))
 
 
 def vertical_checks(spec: FrameSpec) -> CheckReport:
     """The fiber-pairing identity for a = J and the vertical antisymmetry, each
-    against every V of :func:`vertical_basis`, from the single-direction checks'
-    residual builders; index 0 of a failing entry names V, as A[r,s] or B[r,s]."""
+    against every V of :func:`vertical_basis`, both from one call of the
+    single-direction checks' residual builder per V, after one cross-check of
+    the action on J; index 0 of a failing entry names V, as A[r,s] or B[r,s]."""
     report = CheckReport(title="vertical directions")
     vertical = vertical_basis(spec)
+    endo_curvature_consistency(weyl(spec), spec.J)
+    pairing, antisymmetry = zip(*(_pairing_residuals(spec, spec.J, v)
+                                  for v in vertical.elements))
     axes = (vertical.labels, spec.basis, spec.basis)
     report.require_zero("fiber curvature pairing against every vertical direction",
-                        [_fiber_pairing_residual(spec, spec.J, v) for v in vertical.elements],
-                        axes)
-    report.require_zero("vertical antisymmetry of the fiber curvature",
-                        [_vertical_antisymmetry_residual(spec, v) for v in vertical.elements],
-                        axes)
+                        pairing, axes)
+    report.require_zero("vertical antisymmetry of the fiber curvature", antisymmetry, axes)
     return report
 
 

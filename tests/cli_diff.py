@@ -9,7 +9,9 @@ Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 ``WTW_COLOR=0`` and that directory on ``PYTHONPATH``, over the built-ins, every
 document under ``tests/data``, the dense-J documents of
 ``tests/frame_families.py`` (inoue-s0 and hyperbolic6 in a Cayley-rotated
-basis, where ``suite`` exits 2) and ``EDGE_FORMS``, an inoue-s0 document whose
+basis, where ``suite`` exits 2), its ``UNITARY`` document (hyperbolic6 in a
+basis where J stays standard and the brackets are dense) and ``EDGE_FORMS``,
+an inoue-s0 document whose
 Weyl form is written in the edge forms the polynomial reader accepts (leading
 and inner whitespace, a tab, ``007``, ``^ 2``, parentheses 100 deep and a
 symbol named ``lambda``), all written to a temporary directory:
@@ -86,11 +88,11 @@ def _document_frame(path: pathlib.Path) -> tuple[list, object]:
 
 def sources(written: pathlib.Path) -> list[tuple[str, list[str], list, object]]:
     """(name, arguments, symbols, dimension) for each built-in and document;
-    ``written`` holds the documents of ``frame_families.DENSE_J`` and
-    ``EDGE_FORMS``."""
+    ``written`` holds the documents of ``frame_families.DENSE_J``,
+    ``frame_families.UNITARY`` and ``EDGE_FORMS``."""
     out = [(name, args, BUILTIN_SYMBOLS, 4) for name, args in BUILTINS.items()]
-    for path in [*sorted(DATA.glob("*.toml")),
-                 *(written / name for name in [*frame_families.DENSE_J, *EDGE_FORMS])]:
+    written_names = [*frame_families.DENSE_J, *frame_families.UNITARY, *EDGE_FORMS]
+    for path in [*sorted(DATA.glob("*.toml")), *(written / name for name in written_names)]:
         symbols, dimension = _document_frame(path)
         out.append((path.name, ["--spec", str(path)], symbols, dimension))
     return out
@@ -98,8 +100,8 @@ def sources(written: pathlib.Path) -> list[tuple[str, list[str], list, object]]:
 
 def cases(directory: pathlib.Path) -> list[tuple[str, str, str, list[str]]]:
     """(verb, source, format, argv) for every run; ``directory`` holds the
-    documents of ``frame_families.DENSE_J``, ``frame_families.LARGEST`` and
-    ``EDGE_FORMS``."""
+    documents of ``frame_families.DENSE_J``, ``frame_families.UNITARY``,
+    ``frame_families.LARGEST`` and ``EDGE_FORMS``."""
     out = []
     for name, source, symbols, dimension in sources(directory):
         assign = ["--assign", f"{symbols[0]}=0"] if symbols else []
@@ -136,7 +138,8 @@ def main(argv: list[str]) -> int:
     old, new = (str(pathlib.Path(path).resolve()) for path in argv)
     with tempfile.TemporaryDirectory() as directory:
         frame_families.write(pathlib.Path(directory),
-                             {**frame_families.DENSE_J, **frame_families.LARGEST, **EDGE_FORMS})
+                             {**frame_families.DENSE_J, **frame_families.UNITARY,
+                              **frame_families.LARGEST, **EDGE_FORMS})
         runs = cases(pathlib.Path(directory))
         with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
             differs = list(pool.map(lambda case: run(old, case[3]) != run(new, case[3]), runs))

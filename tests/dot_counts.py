@@ -7,7 +7,7 @@ Usage, from anywhere in the repository:
 Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 (the ``src`` directory of a checkout).  For each tree one subprocess, with
 that directory on ``PYTHONPATH``, wraps :meth:`wtw.polyalg.Ring.dot` in a
-counter and runs three workloads in process:
+counter and runs four workloads in process:
 
 * ``suite-n4``: ``wtw.cli._suite_report`` on the six frames of
   ``perfbench/frames.py``'s ``Drawer("suite-n4", 777)``, one rotated draw of
@@ -16,12 +16,15 @@ counter and runs three workloads in process:
   exception it raises stops the script;
 * ``vaisman16``: ``wtw.cli._suite_report`` on the n = 16 Vaisman frame of
   ``tests/frame_families.py``;
+* ``hyperbolic6-unitary``: ``wtw.cli._suite_report`` on the document of
+  ``tests/frame_families.py``'s ``UNITARY``, hyperbolic6 in a basis where J
+  stays standard and the brackets are dense;
 * ``scan-n6``: the 20 operations of ``perfbench/run.py``'s scan workload for
   ``Drawer("scan-n6", 777)``, each ``load_spec``, ``conditions`` and
   ``verify_assignment`` on a sparse n = 6 frame, as the benchmark runs them
   at ``--seconds 20``.
 
-For the two suite workloads only the calls made inside ``_suite_report`` are
+For the three suite workloads only the calls made inside ``_suite_report`` are
 counted, not those of loading the spec; a scan operation is counted whole.
 Each call is charged to the ``file:qualname`` of the first frame outside
 ``polyalg.py`` and ``frame.py``, so a contraction helper or an operator is
@@ -99,7 +102,7 @@ def _count(workload) -> dict:
 
 
 def _child() -> None:
-    """Count the three workloads in this process and print them as JSON."""
+    """Count the four workloads in this process and print them as JSON."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import frame_families
     import frames
@@ -116,8 +119,10 @@ def _child() -> None:
             cli._suite_report(spec)
 
     vaisman = load_spec(frame_families.vaisman(16), name="vaisman16")
+    unitary = load_spec(*frame_families.UNITARY.values(), name="hyperbolic6-unitary")
     counts = {"suite-n4": _count(suite_n4),
-              "vaisman16": _count(lambda: cli._suite_report(vaisman))}
+              "vaisman16": _count(lambda: cli._suite_report(vaisman)),
+              "hyperbolic6-unitary": _count(lambda: cli._suite_report(unitary))}
     with tempfile.TemporaryDirectory() as workdir:
         scan = run.ScanWorkload(wtw, pathlib.Path(workdir))
         ops = scan.make_ops(frames.Drawer(scan.name, 777), "A", 20)

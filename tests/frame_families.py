@@ -18,15 +18,17 @@ each function returns the document for one even dimension n from 4 to 16:
   = -b_k E_{2k+1} - 1/2 E_{2k+2}``, of dimension 2 + 2 len(b).
 
 :func:`rotate` writes structure constants and J in the orthonormal basis
-``F_i = sum_a Q[i][a] E_a`` of a rational Cayley transform Q
-(:func:`cayley`), in which the standard J has no zero off the diagonal;
-:data:`DENSE_J` holds inoue-s0 and the six-dimensional hyperbolic frame in
-that basis.
+``F_i = sum_a Q[i][a] E_a`` of a rational Cayley transform Q.  In the basis
+of :func:`cayley` the standard J has no zero off the diagonal; :data:`DENSE_J`
+holds inoue-s0 and the six-dimensional hyperbolic frame in that basis.  The
+Q of :func:`unitary` commutes with the standard J, so J stays standard while
+the brackets become dense; :data:`UNITARY` holds the six-dimensional
+hyperbolic frame in that basis.
 
 ``tests/test_frame_families.py`` checks that the committed documents equal
 this output, and ``tests/cli_diff.py`` runs every verb on :data:`DENSE_J` and
-``suite`` on the n = 16 documents of :data:`LARGEST`.  Standard library only;
-pytest does not collect it.
+:data:`UNITARY` and ``suite`` on the n = 16 documents of :data:`LARGEST`.
+Standard library only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -137,24 +139,43 @@ def _inverse(A):
     return [row[n:] for row in rows]
 
 
-def cayley(n: int) -> list[list[Fraction]]:
-    """The Cayley transform Q = (I - A)(I + A)^-1 of a rational skew A that
-    does not commute with the standard J; Q is orthogonal."""
-    A = [[Fraction(j - i, 2) if abs(j - i) == 1 else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    J0 = standard_j(n)
-    assert matmul(A, J0) != matmul(J0, A)
+def _cayley(A) -> list[list[Fraction]]:
+    """Q = (I - A)(I + A)^-1, orthogonal for a rational skew A."""
+    n = len(A)
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     return matmul([[e - a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)],
                   _inverse([[e + a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)]))
 
 
-def rotate(c, J) -> tuple[dict, list[list[Fraction]]]:
-    """Structure constants ``c[a][b][m]`` and J, 0-based, in the basis F_i =
-    sum_a Q[i][a] E_a of :func:`cayley`: the brackets ``{(i, j): {k: c'_ijk}}``
-    for i < j, nonzero entries only, and Q J Q^T."""
+def cayley(n: int) -> list[list[Fraction]]:
+    """The Cayley transform Q of a rational skew A that does not commute with
+    the standard J; Q is orthogonal."""
+    A = [[Fraction(j - i, 2) if abs(j - i) == 1 else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    J0 = standard_j(n)
+    assert matmul(A, J0) != matmul(J0, A)
+    return _cayley(A)
+
+
+def unitary(n: int) -> list[list[Fraction]]:
+    """The Cayley transform Q of A = 1/2 (S - J S J), the part of the skew S
+    with entries (j - i)/3 for |j - i| in {1, 2} that commutes with the
+    standard J; Q is orthogonal and commutes with J, so Q J Q^T = J."""
+    S = [[Fraction(j - i, 3) if abs(j - i) in (1, 2) else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    J0 = standard_j(n)
+    jsj = matmul(matmul(J0, S), J0)
+    A = [[(s - t) / 2 for s, t in zip(r1, r2)] for r1, r2 in zip(S, jsj)]
+    assert matmul(A, J0) == matmul(J0, A)
+    return _cayley(A)
+
+
+def rotate(c, J, Q) -> tuple[dict, list[list[Fraction]]]:
+    """Structure constants ``c[a][b][m]`` and J, 0-based, in the orthonormal
+    basis F_i = sum_a Q[i][a] E_a: the brackets ``{(i, j): {k: c'_ijk}}`` for
+    i < j, nonzero entries only, and Q J Q^T."""
     n = len(J)
-    Q, ix = cayley(n), range(n)
+    ix = range(n)
     brackets = {}
     for i in ix:
         for j in range(i + 1, n):
@@ -165,16 +186,17 @@ def rotate(c, J) -> tuple[dict, list[list[Fraction]]]:
     return brackets, matmul(matmul(Q, J), [list(col) for col in zip(*Q)])
 
 
-def _rotated(name: str, n: int, brackets: list[tuple[int, int, dict]]) -> str:
+def _rotated(name: str, n: int, brackets: list[tuple[int, int, dict]], Q) -> str:
     """The document of the frame with these 1-based brackets and the standard
-    J in the basis of :func:`rotate`, with phi = a1 eta1 + ... + an etan there."""
+    J in the basis F_i = sum_a Q[i][a] E_a of :func:`rotate`, with phi = a1 eta1
+    + ... + an etan there."""
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i, j, comps in brackets:
         for k, value in comps.items():
             c[i - 1][j - 1][k - 1], c[j - 1][i - 1][k - 1] = Fraction(value), -Fraction(value)
-    rotated, J = rotate(c, standard_j(n))
-    header = [f"{name} in a Cayley-rotated orthonormal basis, where J has no zero off the "
-              "diagonal,", f"phi = a1 eta1 + ... + a{n} eta{n} in that basis"]
+    rotated, J = rotate(c, standard_j(n), Q)
+    header = [f"{name} in the orthonormal basis of a rational Cayley transform,",
+              f"phi = a1 eta1 + ... + a{n} eta{n} in that basis"]
     return _document(n, header, [(i + 1, j + 1, {k + 1: v for k, v in comps.items()})
                                  for (i, j), comps in rotated.items()], J)
 
@@ -199,9 +221,15 @@ LARGEST = {
 
 # inoue-s0 and the six-dimensional hyperbolic frame with a dense J
 DENSE_J = {
-    "inoue_s0_rotated.toml": _rotated("inoue-s0", 4, _inoue_brackets((0,))),
+    "inoue_s0_rotated.toml": _rotated("inoue-s0", 4, _inoue_brackets((0,)), cayley(4)),
     "hyperbolic6_rotated.toml": _rotated("the six-dimensional real hyperbolic frame", 6,
-                                         _hyperbolic_brackets(6)),
+                                         _hyperbolic_brackets(6), cayley(6)),
+}
+
+# the six-dimensional hyperbolic frame with the standard J and dense brackets
+UNITARY = {
+    "hyperbolic6_unitary.toml": _rotated("the six-dimensional real hyperbolic frame", 6,
+                                         _hyperbolic_brackets(6), unitary(6)),
 }
 
 

@@ -497,7 +497,7 @@ def _rotated(base: FrameSpec, name: str) -> FrameSpec:
     """``base`` in the orthonormal basis F_i = sum_a Q[i][a] E_a of
     ``frame_families.cayley``, with the Weyl form of the base's symbols in the
     new basis."""
-    brackets, J = frame_families.rotate(base.c, base.J)
+    brackets, J = frame_families.rotate(base.c, base.J, frame_families.cayley(base.n))
     return FrameSpec.create(dimension=base.n, symbols=base.ring.symbols, brackets=brackets,
                             J=J, phi=base.ring.symbols, name=name)
 

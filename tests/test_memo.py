@@ -58,6 +58,25 @@ def test_suite_computes_each_quantity_once():
     assert phi_tensor.call_count == 1
 
 
+@pytest.mark.parametrize("name", ["inoue-s0", "vaisman6.toml", "hyperbolic8.toml"])
+def test_vertical_checks_form_one_commutator_per_direction(name):
+    """With the action on J and the vertical basis already kept, one
+    ``vertical_checks`` cross-checks the action on J once and forms one
+    commutator [J, V] per vertical direction V, m^2 - m for m = n/2, which
+    both the pairing identity and the antisymmetry read."""
+    spec = (builtin(name) if name == "inoue-s0" else
+            load_spec_file(pathlib.Path(__file__).parent / "data" / name))
+    twistor.endo_curvature_action(curvature(weyl(spec)), spec.J)
+    twistor.vertical_basis(spec)
+    with _counting(twistor, "_check_endo_curvature") as consistency, \
+            _counting(twistor, "_commutator") as commutator:
+        assert twistor.vertical_checks(spec).ok
+    m = spec.n // 2
+    assert consistency.call_count == 1
+    assert commutator.call_count == m * m - m
+    assert {call.args[1] for call in commutator.call_args_list} == {spec.J}
+
+
 def _suite_n4_draw():
     """One rotated draw of the benchmark's suite-n4 workload: dense brackets,
     and J a signed permutation."""

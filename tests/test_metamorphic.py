@@ -25,7 +25,9 @@ so it goes through the same validation and gate as any frame.
 
 Neither of the first two changes alters any verdict of the full check
 suite: each check's residual is multiplied by a nonzero constant or, under
-J -> -J, is the same identity for the other complex structure.
+J -> -J, is the same identity for the other complex structure.  Nor does a
+change of basis by the Q of ``frame_families.unitary``, which commutes with
+J: J stays standard, so ``suite`` runs, and the brackets become dense.
 
 The frames are the 17 gate-passing ones (the 5 built-ins and 12 documents
 under ``tests/data``) and the hyperbolic, Vaisman and Inoue-type frames of
@@ -36,6 +38,7 @@ with n <= 6 and on vaisman8 and inoue_like8.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 import frame_families
 from test_twistor import _gate_passing_frames
@@ -82,12 +85,12 @@ def test_a_homothety_scales_condition_i_by_a_quarter_and_condition_ii_by_an_eigh
             spec.name
 
 
-def _rotated(spec: FrameSpec) -> FrameSpec:
+def _rotated(spec: FrameSpec, Q) -> FrameSpec:
     """``spec`` in the orthonormal basis F_i = sum_a Q[i][a] E_a of
-    ``frame_families.rotate``, Q = ``frame_families.cayley(n)``, with the same
-    Weyl form, through the public constructor."""
-    brackets, J = frame_families.rotate(spec.c, spec.J)
-    phi = _times(spec, frame_families.cayley(spec.n), spec.phi)
+    ``frame_families.rotate``, with the same Weyl form, through the public
+    constructor."""
+    brackets, J = frame_families.rotate(spec.c, spec.J, Q)
+    phi = _times(spec, Q, spec.phi)
     return FrameSpec.create(spec.n, spec.ring.symbols, brackets, J, phi,
                             basis=spec.basis, name=spec.name)
 
@@ -107,7 +110,7 @@ def test_a_rational_change_of_basis_moves_the_conditions_as_tensors():
     nonzero = 0
     for spec in frames:
         Q = frame_families.cayley(spec.n)
-        rotated = _rotated(spec)
+        rotated = _rotated(spec, Q)
         assert rotated.J != spec.J, spec.name
         assert lee_form(rotated) == _times(spec, Q, lee_form(spec)), spec.name
         assert condition_ii(rotated) == _times(spec, Q, condition_ii(spec)), spec.name
@@ -158,3 +161,20 @@ def test_suite_verdicts_survive_a_homothety_and_negated_j():
         assert _verdicts(_rebuilt(spec, scale=Fraction(1, 2))) == verdicts, spec.name
         assert _verdicts(_rebuilt(spec, j_sign=-1)) == verdicts, spec.name
     assert failing == 5
+
+
+def test_suite_verdicts_survive_a_unitary_change_of_basis():
+    """On hyperbolic6, the n = 6 Inoue-type frame and hyperbolic8 in the basis
+    of ``frame_families.unitary``, J is standard and the brackets are denser,
+    and ``suite`` gives the same check names and ok flags as on the frame
+    itself: "vertical trace paths agree" fails on both sides, the open defect
+    of the vertical trace."""
+    for text in (frame_families.hyperbolic(6), frame_families.inoue((1, 2)),
+                 frame_families.hyperbolic(8)):
+        spec = load_spec(text)
+        rotated = _rotated(spec, frame_families.unitary(spec.n))
+        assert rotated.J == spec.J
+        assert sum(map(any, chain(*rotated.c))) > sum(map(any, chain(*spec.c)))
+        verdicts = _verdicts(spec)
+        assert [name for name, ok in verdicts if not ok] == ["vertical trace paths agree"]
+        assert _verdicts(rotated) == verdicts

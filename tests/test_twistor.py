@@ -11,6 +11,7 @@ from itertools import chain, combinations
 
 import pytest
 
+import frame_families
 from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo, load_spec,
                  load_spec_file, twistor)
 from wtw.frame import FrameError, linear_combination
@@ -437,15 +438,16 @@ def test_vertical_checks_name_the_failing_direction_first(monkeypatch):
     B[1,2], is reported at (B[1,2], E_i, E_j)."""
     spec = builtin("inoue-s0")
     second = vertical_basis(spec).elements[1]
-    residual = twistor._vertical_antisymmetry_residual
+    residuals = twistor._pairing_residuals
 
-    def one_entry(spec, V):
-        out = [list(row) for row in residual(spec, V)]
-        if V is second:
+    def one_entry(spec, a, b):
+        pairing, antisymmetry = residuals(spec, a, b)
+        out = [list(row) for row in antisymmetry]
+        if b is second:
             out[0][2] = spec.ring.sym("a1")
-        return out
+        return pairing, out
 
-    monkeypatch.setattr(twistor, "_vertical_antisymmetry_residual", one_entry)
+    monkeypatch.setattr(twistor, "_pairing_residuals", one_entry)
     report = twistor.vertical_checks(spec)
     assert [check.name for check in report.checks] == [
         "fiber curvature pairing against every vertical direction",
@@ -698,13 +700,31 @@ def test_commutator_is_the_difference_of_the_two_products_on_sparse_frames(base)
 
 
 def _assert_commutator_is_its_definition(spec, pairs):
-    """Both the commutator and the anticommutator, and ``twistor._is_vertical``
-    against the entrywise test, on every endomorphism paired with J."""
+    """The commutator, and ``twistor._is_vertical`` against the entrywise
+    test, on every endomorphism paired with J."""
     J = spec.J
     for a, b in pairs:
         ab, ba = spec.compose(a, b), spec.compose(b, a)
         assert twistor._commutator(spec, a, b) == linear_combination(spec, (1, -1), (ab, ba))
-        assert twistor._commutator(spec, a, b, anti=True) == linear_combination(
-            spec, (1, 1), (ab, ba))
         if b is J:
             assert twistor._is_vertical(spec, a) == _is_vertical(spec, a)
+
+
+@pytest.mark.parametrize("name", sorted(frame_families.DENSE_J))
+def test_is_vertical_is_more_than_skewness(name):
+    """On each dense-J frame and its unrotated base, ``_is_vertical`` accepts
+    1/2 (X + J X J) for every elementary skew X and refuses J and X itself,
+    all skew: a verticality test that reduced to skewness would accept them."""
+    rotated = load_spec(frame_families.DENSE_J[name])
+    base = builtin("inoue-s0") if rotated.n == 4 else load_spec(frame_families.hyperbolic(6))
+    for spec in (rotated, base):
+        J, half = spec.J, Fraction(1, 2)
+        assert not twistor._is_vertical(spec, J)
+        nonzero = 0
+        for i, j in combinations(range(spec.n), 2):
+            X = _pair_endo(spec, i, j)
+            V = linear_combination(spec, (half, half), (X, spec.compose(spec.compose(J, X), J)))
+            assert twistor._is_vertical(spec, V) and _is_vertical(spec, V)
+            assert not twistor._is_vertical(spec, X) and not _is_vertical(spec, X)
+            nonzero += any(chain(*V))
+        assert nonzero >= spec.n * (spec.n - 2) // 2
