@@ -43,7 +43,7 @@ print("vertical geometry at the section point:")
 spec = wtw.builtin("kodaira", (1, 1))
 basis = wtw.vertical_basis(spec)
 print(f"  vertical space dimension m^2 - m = {len(basis.elements)};"
-      f" fiber Gram matrix = {basis.norm_sq} * Identity (unnormalized pairs)")
+      f" fiber Gram matrix = diag({', '.join(map(str, basis.norm_sq))}) (unnormalized pairs)")
 vertical = wtw.vertical_checks(spec)  # both fiber checks, every vertical direction
 print(f"  fiber pairing and vertical antisymmetry against each direction:"
       f" {'all hold' if vertical.ok else 'FAILURES'} ({len(vertical.checks)} exact checks)")

@@ -34,8 +34,8 @@ _LAZY_EXPORTS = {
     "hermitian": ("fundamental_form", "lck_check", "lee_form", "nabla_j_checks", "nijenhuis",
                   "require_gate"),
     "twistor": ("VerticalBasis", "VTraceData", "curvature_pairing_with_dj_check",
-                "equivalence_check", "g_fiber", "h_trace", "vertical_antisymmetry_check",
-                "vertical_checks", "fiber_pairing_check", "v_trace", "vertical_basis"),
+                "equivalence_check", "g_fiber", "h_trace", "vertical_checks",
+                "fiber_pairing_check", "v_trace", "vertical_basis"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
                        "conditions", "verify_assignment"),
 }

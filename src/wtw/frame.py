@@ -49,8 +49,8 @@ of J E_k and pairs it with J E_i over the support of J E_i, so a dense J costs
 2n^3 products, an entry of ``j_pair`` walks the union of the supports of
 ``J E_i`` and ``J E_k``, and one of ``j_apply`` the support of row k of J.  An
 entry with only zero values, or with one scalar of weight 1 or -1, is the
-shared zero or that scalar or its negation, with no call; so on a J that maps
-frame vectors to signed frame vectors ``twist`` and ``j_apply`` make none.  The
+shared zero or that scalar or its negation, with no call; so on a J that is a
+signed permutation ``twist`` and ``j_apply`` make none.  The
 fiber pairing of :mod:`wtw.twistor` walks its fixed endomorphism's support; the
 wedge products call the kernel directly.
 

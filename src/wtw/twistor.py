@@ -54,22 +54,31 @@ bivector w once each, and ``_endo_terms(spec, c)`` is
 read from ``dphi(cY, X)``: each contraction of dphi with an endomorphism c is
 formed once.  Each residual entry is then one ``FrameSpec.dot`` over the terms.
 
-Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-frame
-planes are stored *unnormalized* (each has G-norm-squared 2, so the family's
-Gram matrix is 2*Identity); expansions divide by the norm squared instead of
-normalizing, keeping all arithmetic rational.  They are built from J's
-columns, whose planes ``(E_i, J E_i = +-E_p)`` set each element's four nonzero
-entries, and kept on the spec.  Only the DJ pairing reads the wedge images of
-J o nabla_X J.  Per direction Y it adds the image and two wedges of phi into
-one bivector, ``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies
-R and dphi to that w alone, through ``_bivector_terms``.
+Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-planes
+of a rational orthogonal basis are stored *unnormalized*; expansions divide
+by the norm squared instead of normalizing, keeping all arithmetic rational.
+The planes come from any orthogonal J: u_r is E_i less its projections onto
+the u and J u of each earlier plane, divided by |u|^2, kept where it is
+nonzero.  For each pair of planes r < s, with w(a, b) = a b^T - b a^T,
+
+    A[r,s] = w(u_s, u_r) - w(J u_s, J u_r),
+    B[r,s] = w(J u_s, u_r) + w(u_s, J u_r),
+
+and the Gram matrix of the family is diagonal, with the entry
+2 |u_r|^2 |u_s|^2 in ``norm_sq``.  The vectors are sparse, so on a J that is
+a signed permutation each u_r is a frame vector, each element sets four
+entries and each norm is 2.  The basis is kept on the spec.
+
+Only the DJ pairing reads the wedge images of J o nabla_X J.  Per direction Y
+it adds the image and two wedges of phi into one bivector,
+``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies R and dphi to
+that w alone, through ``_bivector_terms``.
 
 :func:`vertical_checks` calls that builder once per vertical direction V, for
-(J, V), after one cross-check of the action on J, which
-``vertical_antisymmetry_check`` never runs: a wrong action on J fails that
-check instead of raising.  The vertical Gram and the verticality of each
-element are checked once, as the basis is built, and only the public
-single-direction check tests the V it is given.
+(J, V), after one cross-check of the action on J.  By ad-invariance it covers
+the antisymmetry G(R(X, Y)J, V) + G(R(X, Y)V, J) = 0 for every vertical V, as
+the basis spans the vertical space.  The vertical Gram and the verticality of
+each element are checked once, as the basis is built.
 
 ``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
 from the action on J and from D J; it forms no condition term, so comparing it
@@ -80,8 +89,9 @@ the conditions, the paper's equivalence.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
@@ -177,13 +187,13 @@ def _check_endo_curvature(conn: Connection, S: tuple[Vector, ...]) -> None:
 class VerticalBasis(NamedTuple):
     """Unnormalized vertical endomorphisms at the fiber point J.
 
-    Every element is skew, anti-commutes with J, and the pairwise fiber
-    metric is ``norm_sq * Identity``, with ``norm_sq`` = 2.
+    Every element is skew and anti-commutes with J, and the pairwise fiber
+    metric is diagonal, with ``norm_sq[a]`` the G-norm squared of element a.
     """
 
     elements: tuple[tuple[Vector, ...], ...]
     labels: tuple[str, ...]
-    norm_sq: Fraction
+    norm_sq: tuple[Fraction, ...]
 
 
 def vertical_basis(spec: FrameSpec) -> VerticalBasis:
@@ -193,29 +203,39 @@ def vertical_basis(spec: FrameSpec) -> VerticalBasis:
 
 def _vertical_basis(spec: FrameSpec) -> VerticalBasis:
     n, zero = spec.n, spec.zero()
-    den, cols = spec.j_columns()
-    planes, used = [], set()  # (i, p, s) with J E_i = s E_p, i the least index not yet paired
-    for i, col in enumerate(cols):
-        if i not in used:
-            if len(col) != 1 or abs(col[0][1]) != den or col[0][0] in used:
-                raise FrameError("vertical basis construction needs J to map frame vectors "
-                                 "to signed frame vectors")
-            used.update((i, col[0][0]))
-            planes.append((i, col[0][0], col[0][1] // den))
-    elements, labels = [], []
-    for (r, (i, p, si)), (s, (k, q, sk)) in combinations(enumerate(planes), 2):
-        # A = E_k E_i^T - E_i E_k^T minus the same on (J E_i, J E_k); B pairs E_i
-        # with J E_k and J E_i with E_k; each entry (x, y, v) sets S[y][x] = v = -S[x][y]
-        for name, entries in (("A", ((i, k, 1), (p, q, -si * sk))),
-                              ("B", ((i, q, sk), (p, k, si)))):
+    rows = []  # (element, label, norm squared); n >= 4, so there is one at least
+    for (r, (ur, jr, nr)), (s, (us, js, ns)) in combinations(enumerate(_planes(spec)), 2):
+        # w(a, b) = a b^T - b a^T, so that -w(J u_s, J u_r) = w(J u_r, J u_s)
+        for name, pairs in (("A", ((us, ur), (jr, js))), ("B", ((js, ur), (us, jr)))):
+            entries = defaultdict(int)  # the sum of w(a, b) over the pairs
+            for a, b in pairs:
+                for (x, ax), (y, by) in product(a.items(), b.items()):
+                    entries[x, y] += ax * by
+                    entries[y, x] -= ax * by
             element = [[zero] * n for _ in range(n)]
-            for x, y, v in entries:
-                element[y][x], element[x][y] = spec.const(v), spec.const(-v)
-            elements.append(tuple(map(tuple, element)))
-            labels.append(f"{name}[{r+1},{s+1}]")
-    basis = VerticalBasis(tuple(elements), tuple(labels), Fraction(2))
+            for (x, y), v in entries.items():
+                element[x][y] = spec.const(v)
+            rows.append((tuple(map(tuple, element)), f"{name}[{r+1},{s+1}]", 2 * nr * ns))
+    basis = VerticalBasis(*map(tuple, zip(*rows)))
     _validate_vertical(spec, basis)
     return basis
+
+
+def _planes(spec: FrameSpec) -> list[tuple[dict, dict, Fraction]]:
+    """``(u, J u, |u|^2)`` for each J-plane of an orthogonal rational basis, as
+    sparse ``{index: Fraction}`` vectors: E_i less its projections onto the u
+    and J u of each earlier plane, kept where it is nonzero."""
+    planes = []
+    for i in range(spec.n):
+        u = defaultdict(int, {i: Fraction(1)})
+        # the u and J u of the earlier planes where E_i has a component
+        for v, norm in [(v, norm) for *pair, norm in planes for v in pair if i in v]:
+            for p, x in v.items():
+                u[p] -= v[i] * x / norm
+        if u := {p: x for p, x in u.items() if x}:
+            ju = {p: y for p, row in enumerate(spec.J) if (y := sum(row[q] * u[q] for q in u))}
+            planes.append((u, ju, sum(x * x for x in u.values())))
+    return planes
 
 
 def _validate_vertical(spec: FrameSpec, basis: VerticalBasis) -> None:
@@ -229,9 +249,9 @@ def _validate_vertical(spec: FrameSpec, basis: VerticalBasis) -> None:
     against = [_g_against(spec, v) for v in basis.elements]
     for a, v in enumerate(basis.elements):
         for b in range(count):
-            expected = basis.norm_sq if a == b else 0
+            expected = basis.norm_sq[a] if a == b else 0
             if against[b](v) != spec.const(expected):
-                raise AssertionError("vertical basis is not G-orthogonal with norm^2 = 2")
+                raise AssertionError("vertical basis is not G-orthogonal with norms norm_sq")
 
 
 def fiber_pairing_check(spec: FrameSpec, a: tuple[Vector, ...],
@@ -360,29 +380,11 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     return report
 
 
-def vertical_antisymmetry_check(spec: FrameSpec, V: tuple[Vector, ...]) -> CheckReport:
-    """Residual of G(R(X,Y)J, V) + G(R(X,Y)V, J) = 0 for vertical V.
-
-    The two sides are computed differently.  G(R(X,Y)J, V) pairs V with the
-    memoized commutator action of R on J, the one ``h_trace`` and the DJ
-    pairing read.  G(R(X,Y)V, J) is taken by ad-invariance,
-    G([R, V], J) = -G(R, [J, V]) for skew V and any R, from the commutator the
-    pairing identity for (J, V) reads too.  A wrong action on J therefore fails
-    the check.
-    """
-    if not _is_vertical(spec, V):
-        raise FrameError("V must be vertical at J (skew and anti-commuting)")
-    report = CheckReport(title="vertical antisymmetry of the fiber curvature")
-    report.require_zero("G(R(X,Y)J, V) = -G(R(X,Y)V, J)",
-                        _pairing_residuals(spec, spec.J, V)[1], (spec.basis,) * 2)
-    return report
-
-
 def vertical_checks(spec: FrameSpec) -> CheckReport:
     """The fiber-pairing identity for a = J and the vertical antisymmetry, each
-    against every V of :func:`vertical_basis`, both from one call of the
-    single-direction checks' residual builder per V, after one cross-check of
-    the action on J; index 0 of a failing entry names V, as A[r,s] or B[r,s]."""
+    against every V of :func:`vertical_basis`, both from one call of
+    ``_pairing_residuals`` per V, after one cross-check of the action on J;
+    index 0 of a failing entry names V, as A[r,s] or B[r,s]."""
     report = CheckReport(title="vertical directions")
     vertical = vertical_basis(spec)
     endo_curvature_consistency(weyl(spec), spec.J)

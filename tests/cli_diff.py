@@ -9,12 +9,12 @@ Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 ``WTW_COLOR=0`` and that directory on ``PYTHONPATH``, over the built-ins, every
 document under ``tests/data``, the dense-J documents of
 ``tests/frame_families.py`` (inoue-s0 and hyperbolic6 in a Cayley-rotated
-basis, where ``suite`` exits 2), its ``UNITARY`` document (hyperbolic6 in a
-basis where J stays standard and the brackets are dense) and ``EDGE_FORMS``,
-an inoue-s0 document whose
-Weyl form is written in the edge forms the polynomial reader accepts (leading
-and inner whitespace, a tab, ``007``, ``^ 2``, parentheses 100 deep and a
-symbol named ``lambda``), all written to a temporary directory:
+basis, where J is dense), its ``UNITARY`` document (hyperbolic6 in a basis
+where J stays standard and the brackets are dense) and ``EDGE_FORMS``, an
+inoue-s0 document whose Weyl form is written in the edge forms the polynomial
+reader accepts (leading and inner whitespace, a tab, ``007``, ``^ 2``,
+parentheses 100 deep and a symbol named ``lambda``), all written to a
+temporary directory:
 
 * every verb, in table and JSON format; ``verify`` gets ``--assign`` with the
   source's first symbol set to 0, and runs without it where there is none;

@@ -7,24 +7,28 @@ Usage, from anywhere in the repository:
 Each of OLD_SRC and NEW_SRC is a directory that holds the ``wtw`` package
 (the ``src`` directory of a checkout).  For each tree one subprocess, with
 that directory on ``PYTHONPATH``, wraps :meth:`wtw.polyalg.Ring.dot` in a
-counter and runs four workloads in process:
+counter and runs five workloads in process:
 
 * ``suite-n4``: ``wtw.cli._suite_report`` on the six frames of
   ``perfbench/frames.py``'s ``Drawer("suite-n4", 777)``, one rotated draw of
   each n = 4 algebra, loaded from the document the benchmark writes; their J
-  is a signed permutation, so ``suite`` runs every check on them, and any
-  exception it raises stops the script;
+  is a signed permutation, and any exception ``suite`` raises stops the
+  script;
 * ``vaisman16``: ``wtw.cli._suite_report`` on the n = 16 Vaisman frame of
   ``tests/frame_families.py``;
 * ``hyperbolic6-unitary``: ``wtw.cli._suite_report`` on the document of
   ``tests/frame_families.py``'s ``UNITARY``, hyperbolic6 in a basis where J
   stays standard and the brackets are dense;
+* ``hyperbolic6-rotated``: ``wtw.cli._suite_report`` on hyperbolic6 in the
+  basis of ``tests/frame_families.py``'s ``cayley``, where J is dense; a tree
+  whose vertical basis refuses such a J raises ``FrameError``, which is
+  printed as ``refused`` in place of the counts;
 * ``scan-n6``: the 20 operations of ``perfbench/run.py``'s scan workload for
   ``Drawer("scan-n6", 777)``, each ``load_spec``, ``conditions`` and
   ``verify_assignment`` on a sparse n = 6 frame, as the benchmark runs them
   at ``--seconds 20``.
 
-For the three suite workloads only the calls made inside ``_suite_report`` are
+For the four suite workloads only the calls made inside ``_suite_report`` are
 counted, not those of loading the spec; a scan operation is counted whole.
 Each call is charged to the ``file:qualname`` of the first frame outside
 ``polyalg.py`` and ``frame.py``, so a contraction helper or an operator is
@@ -102,7 +106,7 @@ def _count(workload) -> dict:
 
 
 def _child() -> None:
-    """Count the four workloads in this process and print them as JSON."""
+    """Count the five workloads in this process and print them as JSON."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import frame_families
     import frames
@@ -123,6 +127,12 @@ def _child() -> None:
     counts = {"suite-n4": _count(suite_n4),
               "vaisman16": _count(lambda: cli._suite_report(vaisman)),
               "hyperbolic6-unitary": _count(lambda: cli._suite_report(unitary))}
+    dense = load_spec(frame_families.DENSE_J["hyperbolic6_rotated.toml"],
+                      name="hyperbolic6-rotated")
+    try:
+        counts["hyperbolic6-rotated"] = _count(lambda: cli._suite_report(dense))
+    except wtw.FrameError as exc:
+        counts["hyperbolic6-rotated"] = {"refused": str(exc)}
     with tempfile.TemporaryDirectory() as workdir:
         scan = run.ScanWorkload(wtw, pathlib.Path(workdir))
         ops = scan.make_ops(frames.Drawer(scan.name, 777), "A", 20)
@@ -153,6 +163,9 @@ def main(argv: list[str]) -> int:
     for src, run in runs:
         print(src)
         for workload, counts in run.items():
+            if "refused" in counts:
+                print(f"  {workload}: refused: {counts['refused']}")
+                continue
             print(f"  {workload}: calls={counts['calls']} zeros={counts['zeros']} "
                   f"structural={counts['structural']} symbol-free={counts['symbol_free']} "
                   f"pairs={counts['pairs']}")
@@ -160,7 +173,7 @@ def main(argv: list[str]) -> int:
             # by symbol-free calls, so that both trees list the same ones
             shown = set()
             for _, other in runs:
-                callers = other[workload]["callers"]
+                callers = other[workload].get("callers", [])
                 shown.update(row[0] for row in callers[:TOP])
                 for column in (3, 4):
                     shown.update(row[0] for row in

@@ -19,8 +19,7 @@ from wtw.hermitian import lee_form, nabla_j_checks
 from wtw.polyalg import normalized_system
 from wtw.pseudoharmonic import conditions, verify_assignment
 from wtw.twistor import (curvature_pairing_with_dj_check, equivalence_check, h_trace,
-                         vertical_antisymmetry_check, fiber_pairing_check, v_trace,
-                         vertical_basis)
+                         fiber_pairing_check, v_trace, vertical_basis, vertical_checks)
 
 SIGN_PAIRS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -263,15 +262,14 @@ def test_criterion_6_identity_suite(key, inoue, kodairas):
     spec = table[key]
     failures = []
     for report in (identity_suite(spec), ricci_formula_check(spec),
-                   nabla_j_checks(spec), curvature_pairing_with_dj_check(spec)):
+                   nabla_j_checks(spec), curvature_pairing_with_dj_check(spec),
+                   vertical_checks(spec)):
         failures.extend(c.name for c in report.failures)
     basis = vertical_basis(spec)
     J = spec.J
     for v in basis.elements:
         if not fiber_pairing_check(spec, J, v).ok:
             failures.append("fiber curvature pairing")
-        if not vertical_antisymmetry_check(spec, v).ok:
-            failures.append("vertical antisymmetry")
     check(f"6. identity suite with fully symbolic Weyl form [{key}]",
           not failures)
 

@@ -27,7 +27,8 @@ Neither of the first two changes alters any verdict of the full check
 suite: each check's residual is multiplied by a nonzero constant or, under
 J -> -J, is the same identity for the other complex structure.  Nor does a
 change of basis by the Q of ``frame_families.unitary``, which commutes with
-J: J stays standard, so ``suite`` runs, and the brackets become dense.
+J, so that J stays standard and the brackets become dense, or by the Q of
+``frame_families.cayley``, which makes J dense.
 
 The frames are the 17 gate-passing ones (the 5 built-ins and 12 documents
 under ``tests/data``) and the hyperbolic, Vaisman and Inoue-type frames of
@@ -178,3 +179,22 @@ def test_suite_verdicts_survive_a_unitary_change_of_basis():
         verdicts = _verdicts(spec)
         assert [name for name, ok in verdicts if not ok] == ["vertical trace paths agree"]
         assert _verdicts(rotated) == verdicts
+
+
+def test_suite_verdicts_survive_a_change_of_basis_that_makes_j_dense():
+    """On the 12 frames with n <= 6 in the basis of ``frame_families.cayley``,
+    J is no signed permutation, and ``suite`` gives the same check names
+    and ok flags as on the frame itself: the vertical-direction checks run on
+    both sides, and "vertical trace paths agree" fails on both sides of the
+    five n = 6 frames, the open defect of the vertical trace."""
+    small = [spec for spec in _frames() if spec.n <= 6]
+    assert len(small) == 12
+    failing = 0
+    for spec in small:
+        rotated = _rotated(spec, frame_families.cayley(spec.n))
+        assert any(sum(map(bool, col)) > 1 for col in zip(*rotated.J)), spec.name
+        verdicts = _verdicts(spec)
+        assert ("vertical antisymmetry of the fiber curvature", True) in verdicts
+        failing += ("vertical trace paths agree", False) in verdicts
+        assert _verdicts(rotated) == verdicts, spec.name
+    assert failing == 5

@@ -32,18 +32,25 @@ the dphi(w) term changes nothing on a frame whose dphi is of type (1, 1),
 dphi(JX, JY) = dphi(X, Y); that mutation is required to be caught on every
 frame of ``FRAMES`` where dphi has a J-anti-invariant part, and to change no
 check on the others.
+
+The planes of the vertical basis divide each projection by |u|^2, which is 1
+on a J that is a signed permutation, as on every frame of ``FRAMES``.  So
+dropping that division is required to be caught on both dense-J frames of
+``frame_families.DENSE_J`` and to change no check on ``FRAMES``.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from wtw import builtin, connection, hermitian, load_spec_file, pseudoharmonic, twistor
+import frame_families
+from wtw import builtin, connection, hermitian, load_spec, load_spec_file, pseudoharmonic, twistor
 from wtw.cli import _suite_report
 from wtw.frame import linear_combination
 
@@ -282,10 +289,21 @@ def _action_entry(monkeypatch):
 
 
 def _norm_sq(monkeypatch):
-    """The vertical basis is declared with norm squared 4 instead of 2."""
+    """The vertical basis is declared with each norm squared doubled."""
     basis = twistor.VerticalBasis
-    monkeypatch.setattr(twistor, "VerticalBasis",
-                        lambda elements, labels, norm_sq: basis(elements, labels, norm_sq * 2))
+    monkeypatch.setattr(twistor, "VerticalBasis", lambda elements, labels, norm_sq: basis(
+        elements, labels, tuple(norm * 2 for norm in norm_sq)))
+
+
+def _projection_division(monkeypatch):
+    """The projection step of the vertical basis's planes drops its division
+    by |u|^2: the one ``/ norm`` of ``twistor._planes`` is cut from its source,
+    which is compiled again in the module's namespace."""
+    source = inspect.getsource(twistor._planes)
+    assert source.count(" / norm") == 1
+    namespace = dict(vars(twistor))
+    exec(source.replace(" / norm", ""), namespace)
+    monkeypatch.setattr(twistor, "_planes", namespace["_planes"])
 
 
 def _bivector_dphi_term(monkeypatch):
@@ -319,6 +337,20 @@ def test_bivector_dphi_term_is_caught_where_dphi_is_not_of_type_11(monkeypatch, 
     # dphi vanishes on every bivector the pairings form, so no check moves
     baseline = _unmutated_failures(name)
     _bivector_dphi_term(monkeypatch)
+    assert {check.name for check in _suite_report(FRAMES[name]()).failures} == baseline
+
+
+@pytest.mark.parametrize("name", [*FRAMES, *frame_families.DENSE_J])
+def test_projection_division_is_caught_where_j_is_dense(monkeypatch, name):
+    """On a J that is a signed permutation every |u|^2 is 1, so no check moves;
+    on both dense-J frames the vertical basis fails its Gram check."""
+    if name in frame_families.DENSE_J:
+        _projection_division(monkeypatch)
+        with pytest.raises(AssertionError, match="vertical basis"):
+            _suite_report(load_spec(frame_families.DENSE_J[name], name))
+        return
+    baseline = _unmutated_failures(name)
+    _projection_division(monkeypatch)
     assert {check.name for check in _suite_report(FRAMES[name]()).failures} == baseline
 
 

@@ -33,9 +33,8 @@ EXPORTS = {
     "hermitian": ("GateError", "fundamental_form", "lck_check", "lee_form", "nabla_j_checks",
                   "nijenhuis", "require_gate"),
     "twistor": ("VerticalBasis", "VTraceData", "curvature_pairing_with_dj_check",
-                "equivalence_check", "g_fiber", "h_trace", "vertical_antisymmetry_check",
-                "vertical_checks", "fiber_pairing_check", "v_trace", "vertical_basis",
-                "wedge_iso"),
+                "equivalence_check", "g_fiber", "h_trace", "vertical_checks",
+                "fiber_pairing_check", "v_trace", "vertical_basis", "wedge_iso"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
                        "conditions", "verify_assignment"),
 }
@@ -98,8 +97,7 @@ def test_every_export_is_its_modules_object():
 
 # exports that no module reads, kept as oracles of the tests; Phi reads nabla
 # phi from the gamma rows, and the tests compare it with cov_deriv_oneform
-ORACLES = {"cov_deriv_oneform", "g_fiber", "fiber_pairing_check",
-           "vertical_antisymmetry_check"}
+ORACLES = {"cov_deriv_oneform", "g_fiber", "fiber_pairing_check"}
 
 
 def test_every_export_is_read_inside_the_package():
