@@ -22,7 +22,7 @@ from .frame import (FrameError, FrameSpec, GateError, SpecFormatError, builtin, 
                     eval_on_bivector, load_spec, load_spec_file, wedge_iso)
 from .connection import (Connection, cov_deriv_endo, cov_deriv_oneform,
                          levi_civita, reconstruct_weyl_form,
-                         second_cov_deriv_endo, weyl)
+                         traced_second_cov_deriv_endo, weyl)
 from .curvature import (Curvature, curvature, identity_suite, phi_tensor,
                         ricci, ricci_formula_check, star_ricci,
                         weyl_curvature_via_formula)

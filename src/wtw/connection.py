@@ -29,14 +29,9 @@ Contracts (tested as exact identities):
 
 An endomorphism S is an n x n nested tuple, ``S E_j = sum_i S[i][j] E_i``,
 as in :mod:`wtw.frame`.  Both connections are computed once per spec and
-kept on it, and the induced first and second derivatives of an endomorphism
-are kept on its connection, keyed by the tuple S itself (see
-:class:`wtw.frame.Memo`), so repeated calls return the same objects.  The
-second-derivative table D2S is built only here: the twistor layer's
-curvature cross-check and its vertical trace both read it.  Each of its
-entries is one kernel call over 3n pairs, which fuses the derivative of
-D_{E_j} S along E_i with the correction -D_{D_{E_i} E_j} S, so the
-derivatives D_{E_i}(D_{E_j} S) are never formed as arrays of their own.
+kept on it, and the induced derivative D S of an endomorphism is kept on its
+connection, keyed by the tuple S itself (see :class:`wtw.frame.Memo`), so
+repeated calls return the same objects.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector, _kron
+from .frame import FrameSpec, Memo, Vector, _kron, linear_combination
 from .polyalg import Scalar
 
 
@@ -160,41 +155,26 @@ def cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vecto
 
 
 def _cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], ...]:
-    spec = conn.spec
-    out = []
-    for plane, neg_plane in zip(conn.gamma, conn.negated()):
-        # entry (l, j): sum_k gamma[i][k][l] S[k][j] - S[l][k] gamma[i][j][k], one
-        # contraction of (gamma column l, S row l) against (S column j, -gamma row j)
-        rows = S + tuple(zip(*neg_plane))  # rows[n + k][j] = -gamma[i][j][k]
-        out.append(tuple(spec.left(col + row, rows) for col, row in zip(zip(*plane), S)))
-    return tuple(out)
+    return tuple(_derivative_along(conn, S, i) for i in range(conn.spec.n))
 
 
-def second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]):
-    """D2_{E_i E_j} S = D_{E_i}(D_{E_j} S) - D_{D_{E_i} E_j} S, an n x n array of
-    endomorphisms, kept on the connection; entry (l, m) is
-
-        sum_k gamma[i][k][l] (D_j S)[k][m] - (D_j S)[l][k] gamma[i][m][k]
-              - gamma[i][j][k] (D_k S)[l][m],
-
-    one kernel call over the nonzero positions of its left factors."""
-    return conn.memo(_second_cov_deriv_endo, S)
+def _derivative_along(conn: Connection, S: tuple[Vector, ...], i: int) -> tuple[Vector, ...]:
+    """D_{E_i} S, not kept: entry (l, j) is sum_k gamma[i][k][l] S[k][j] -
+    S[l][k] gamma[i][j][k], one contraction of (gamma column l, S row l)
+    against (S column j, -gamma row j)."""
+    rows = S + tuple(zip(*conn.negated()[i]))  # rows[n + k][j] = -gamma[i][j][k]
+    return tuple(conn.spec.left(col + row, rows) for col, row in zip(zip(*conn.gamma[i]), S))
 
 
-def _second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]):
-    spec = conn.spec
-    first = cov_deriv_endo(conn, S)
-    at = tuple(zip(*first))  # at[l][k] = row l of D_k S
-    out = []
-    for plane, neg_plane in zip(conn.gamma, conn.negated()):
-        cols = tuple(zip(*plane))  # cols[l][k] = gamma[i][k][l]
-        neg_rows = tuple(zip(*neg_plane))  # neg_rows[k][m] = -gamma[i][m][k]
-        # row l of D2_{E_i E_j} S: (gamma column l, row l of D_j S, -gamma row j)
-        # against (the rows of D_j S, neg_rows, the rows l of each D_k S)
-        out.append(tuple(tuple(spec.left(col + d[l] + neg_j, d + neg_rows + at[l])
-                               for l, col in enumerate(cols))
-                         for d, neg_j in zip(first, neg_plane)))
-    return tuple(out)
+def traced_second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """Tr D2 S = sum_i D_{E_i}(D_{E_i} S) - D_{sum_i D_{E_i} E_i} S, an n x n
+    endomorphism, not kept; it reads D S, which is."""
+    n, first = conn.spec.n, cov_deriv_endo(conn, S)
+    # sum_i D_{E_i} E_i = sum_k (sum_i gamma[i][i][k]) E_k
+    weights = [conn.spec.ring.sum(conn.gamma[i][i][k] for i in range(n)) for k in range(n)]
+    return linear_combination(conn.spec, (*([1] * n), *(-w for w in weights)),
+                              (*(_derivative_along(conn, d, i) for i, d in enumerate(first)),
+                               *first))
 
 
 def torsion_residual(conn: Connection):

@@ -19,9 +19,11 @@ which for an orthogonal J says that V anticommutes with J.
 
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
-against the second covariant derivatives kept on the connection
-(:func:`wtw.connection.second_cov_deriv_endo`, the table ``v_trace`` also
-reads) and any mismatch raises.
+against D_{[X, Y]} a - D_X D_Y a + D_Y D_X a, formed from the derivative D a
+kept on the connection, and any mismatch raises.  The cross-check forms the
+second derivatives D_i D_j a for i != j and ``v_trace`` the diagonal ones
+D_i D_i J (:func:`wtw.connection.traced_second_cov_deriv_endo`); neither
+keeps them.
 The action on an endomorphism is kept on its curvature tensor, and the
 cross-check runs once per connection and endomorphism (see
 :class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
@@ -94,7 +96,8 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from .connection import Connection, cov_deriv_endo, second_cov_deriv_endo, weyl
+from .connection import (Connection, _derivative_along, cov_deriv_endo,
+                         traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
 from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron,
                     _negative, eval_on_bivector, linear_combination, wedge_iso, wedge_oneforms)
@@ -161,12 +164,12 @@ def _endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
 def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
     """Assert the commutator action equals the gamma-based curvature on Hom.
 
-    The gamma route: R(E_i,E_j)S = D2_{E_j E_i} S - D2_{E_i E_j} S, read from the
-    table kept on the connection; torsion-free, this is
+    The gamma route: R(E_i,E_j)S = D_{[E_i,E_j]} S - D_i D_j S + D_j D_i S =
     sum_m c[i][j][m] D_m S - D_i D_j S + D_j D_i S, with every derivative the
-    induced one on endomorphisms.  Raises on any mismatch (sign conventions
-    are the dominant failure mode).  A passed check is kept on the
-    connection and not repeated.
+    induced one on endomorphisms; D_i D_j S and D_j D_i S are formed from the
+    D S kept on the connection, one ``linear_combination`` per pair i < j.
+    Raises on any mismatch (sign conventions are the dominant failure mode).
+    A passed check is kept on the connection and not repeated.
     """
     conn.memo(_check_endo_curvature, S)
 
@@ -174,10 +177,13 @@ def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
 def _check_endo_curvature(conn: Connection, S: tuple[Vector, ...]) -> None:
     spec = conn.spec
     comm = endo_curvature_action(curvature(conn), S)
-    second = second_cov_deriv_endo(conn, S)
+    first = cov_deriv_endo(conn, S)
     # both sides are antisymmetric in (i, j), so i < j suffices
     for i, j in combinations(range(spec.n), 2):
-        residual = linear_combination(spec, (1, -1, -1), (second[j][i], second[i][j], comm[i][j]))
+        residual = linear_combination(
+            spec, (*spec.c[i][j], -1, 1, -1),
+            (*first, _derivative_along(conn, first[j], i), _derivative_along(conn, first[i], j),
+             comm[i][j]))
         if any(chain.from_iterable(residual)):
             raise AssertionError(
                 "induced curvature mismatch between commutator action and "
@@ -423,7 +429,7 @@ class VTraceData(NamedTuple):
 
     direct: from the traced second covariant derivative of J for the Weyl
       connection, anti-invariant part g((Tr D2 J)(Z), U) - g((Tr D2 J)(JZ), JU),
-      read from the table :func:`wtw.connection.second_cov_deriv_endo` keeps.
+      with Tr D2 J from :func:`wtw.connection.traced_second_cov_deriv_endo`.
     closed_form: from the 2-form d(phi - theta) + n(n-4)/(2(n-2)) phi ^ theta
       paired with JZ ^ U + Z ^ JU: the negated condition-(i) pairing P of
       :func:`wtw.pseudoharmonic.condition_i_pairing`, whose 2-form builder owns c(n).
@@ -435,11 +441,8 @@ class VTraceData(NamedTuple):
 
 def v_trace(spec: FrameSpec) -> VTraceData:
     require_gate(spec)
-    n = spec.n
-    second = second_cov_deriv_endo(weyl(spec), spec.J)
-    # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) minus its J-twist
-    form = [[spec.ring.sum(second[i][i][k][l] for i in range(n)) for k in range(n)]
-            for l in range(n)]
+    # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) is the transpose of Tr D2 J
+    form = tuple(zip(*traced_second_cov_deriv_endo(weyl(spec), spec.J)))
     direct = linear_combination(spec, (1, -1), (form, spec.twist(form)))
     closed = tuple(tuple(-value for value in row) for row in condition_i_pairing(spec))
     return VTraceData(direct=direct, closed_form=closed)

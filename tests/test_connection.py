@@ -9,9 +9,10 @@ import pytest
 import frame_families
 from wtw import builtin, g_fiber, load_spec, load_spec_file
 from wtw.connection import (cov_deriv_endo, cov_deriv_oneform, levi_civita,
-                            metric_residual, reconstruct_weyl_form,
-                            second_cov_deriv_endo, torsion_residual, weyl)
+                            metric_residual, reconstruct_weyl_form, torsion_residual,
+                            traced_second_cov_deriv_endo, weyl)
 from wtw.hermitian import lee_form
+from wtw.twistor import endo_curvature_consistency
 
 
 def _gamma_dict(conn):
@@ -133,20 +134,16 @@ class TestCovariantDerivatives:
 
 class TestSecondDerivatives:
     def test_abelian_second_derivative_vanishes(self, abelian):
-        table = second_cov_deriv_endo(levi_civita(abelian), abelian.J)
-        assert all(_is_zero(entry) for row in table for entry in row)
+        assert _is_zero(traced_second_cov_deriv_endo(levi_civita(abelian), abelian.J))
 
     def test_parallel_j_second_derivative_vanishes(self, inoue):
         spec = inoue.with_phi(lee_form(inoue))
-        table = second_cov_deriv_endo(weyl(spec), spec.J)
-        assert all(_is_zero(entry) for row in table for entry in row)
+        assert _is_zero(traced_second_cov_deriv_endo(weyl(spec), spec.J))
 
     def test_kodaira_traced_second_derivative(self, kodairas):
         # closed form for the Levi-Civita connection: Tr nabla^2 J = -|B|^2/2 * 2J = -2J
         spec = kodairas[(1, 1)]
-        table = second_cov_deriv_endo(levi_civita(spec), spec.J)
-        traced = tuple(tuple(sum((table[i][i][k][l] for i in range(4)), spec.zero())
-                             for l in range(4)) for k in range(4))
+        traced = traced_second_cov_deriv_endo(levi_civita(spec), spec.J)
         assert traced == tuple(tuple(spec.const(-2 * x) for x in row) for row in spec.J)
 
 
@@ -161,7 +158,7 @@ def _second_by_definition(conn, S, i, j):
                        for m in range(n)) for l in range(n))
 
 
-def _fused_table_frames():
+def _second_derivative_frames():
     """A rotated dense n = 4 frame, hyperbolic6, vaisman6 and a dense-J frame
     of ``tests/frame_families.py``."""
     from test_frame import _rotated
@@ -172,20 +169,21 @@ def _fused_table_frames():
             load_spec(frame_families.DENSE_J["hyperbolic6_rotated.toml"], "hyperbolic6 rotated")]
 
 
-@pytest.mark.parametrize("spec", _fused_table_frames(), ids=lambda spec: spec.name)
-def test_fused_second_derivative_table_is_its_two_step_definition(spec):
-    """Each entry of the D2 table, one kernel call over 3n pairs, equals the
-    derivative of D_j S along E_i minus the gamma-weighted D_k S, for S = J and
-    for a non-skew rational S, under both connections."""
+@pytest.mark.parametrize("spec", _second_derivative_frames(), ids=lambda spec: spec.name)
+def test_second_derivatives_agree_with_their_two_step_definition(spec):
+    """For S = J and for a non-skew rational S, under both connections, the
+    curvature cross-check, which reads D_{E_i}(D_{E_j} S) for i != j, passes,
+    and the trace of D2 S, which reads them for i = j, equals the sum of the
+    two-step D2_{E_i E_i} S."""
     n = spec.n
     S = tuple(tuple(spec.const(Fraction((l + 1) * (m + 2) - 5, l + 2 * m + 1)) for m in range(n))
               for l in range(n))
     assert S[0][1] != -S[1][0]
     for conn in (weyl(spec), levi_civita(spec)):
         for endo in (spec.J, S):
-            table = second_cov_deriv_endo(conn, endo)
-            assert any(entry for row in table for block in row for line in block
-                       for entry in line)
-            for i in range(n):
-                for j in range(n):
-                    assert table[i][j] == _second_by_definition(conn, endo, i, j), (i, j)
+            endo_curvature_consistency(conn, endo)
+            diagonal = [_second_by_definition(conn, endo, i, i) for i in range(n)]
+            expected = tuple(tuple(sum((d[l][m] for d in diagonal), spec.zero())
+                                   for m in range(n)) for l in range(n))
+            assert any(any(row) for row in expected)
+            assert traced_second_cov_deriv_endo(conn, endo) == expected

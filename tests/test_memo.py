@@ -35,7 +35,6 @@ def test_suite_computes_each_quantity_once():
             _counting(connection, "_weyl") as weyl_gammas, \
             _counting(curvature_module, "_curvature") as curvature, \
             _counting(twistor, "_check_endo_curvature") as consistency, \
-            _counting(connection, "_second_cov_deriv_endo") as second, \
             _counting(curvature_module, "_ricci_via_formula") as formulas, \
             _counting(curvature_module, "_phi_tensor") as phi_tensor:
         report = cli._suite_report(spec)
@@ -49,8 +48,6 @@ def test_suite_computes_each_quantity_once():
         "levi-civita", "weyl"]
     # once for J, although the pairing check runs for every vertical direction
     assert consistency.call_count == 1
-    # D2 J, which the consistency check and the vertical trace both read
-    assert second.call_count == 1
     # the closed Ricci formulas, which the Ricci check and condition (ii) both read
     assert formulas.call_count == 1
     # Phi, which the Phi-correction route, the closed formulas and the rho*
@@ -155,12 +152,15 @@ def test_conditions_form_each_covariant_derivative_once():
 
 
 def test_second_derivatives_keep_only_the_first():
-    """D2 S keeps D S on the connection, and not the n derivatives
-    D_{E_i}(D_{E_j} S) it forms on the way, which no other reader asks for."""
-    conn = weyl(builtin("inoue-s0"))
-    connection.second_cov_deriv_endo(conn, conn.spec.J)
+    """The curvature cross-check and the vertical trace read D S, kept on the
+    connection, and form the derivatives D_{E_i}(D_{E_j} S) without keeping
+    them: after both, the Weyl connection keeps one D S, the one for J."""
+    spec = builtin("inoue-s0")
+    conn = weyl(spec)
+    twistor.endo_curvature_consistency(conn, spec.J)
+    twistor.v_trace(spec)
     kept = [key for key in conn.__dict__["_memo"] if key[0] is connection._cov_deriv_endo]
-    assert len(kept) == 1
+    assert kept == [(connection._cov_deriv_endo, spec.J)]
 
 
 @pytest.mark.parametrize("spec", [
@@ -175,7 +175,6 @@ def test_j_and_a_constant_scalar_copy_share_one_kept_value(spec):
     conn = weyl(spec)
     R = curvature(conn)
     for derive, source in ((connection.cov_deriv_endo, conn),
-                           (connection.second_cov_deriv_endo, conn),
                            (twistor.endo_curvature_action, R)):
         assert derive(source, scalar_j) is derive(source, spec.J), derive.__name__
 

@@ -20,8 +20,9 @@ so it goes through the same validation and gate as any frame.
   condition (ii), cubic, by 1/8.
 * Writing the frame in the orthonormal basis F_i = sum_a Q[i][a] E_a, for a
   rational orthogonal Q, changes no tensor, only its components: a 1-form
-  such as phi, theta or condition (ii) is multiplied by Q and a 2-form such
-  as the condition-(i) pairing P becomes Q P Q^T.
+  such as phi, theta or condition (ii) is multiplied by Q and a 2-form M,
+  such as the condition-(i) pairing P or ``v_trace``'s direct route, becomes
+  Q M Q^T.
 
 Neither of the first two changes alters any verdict of the full check
 suite: each check's residual is multiplied by a nonzero constant or, under
@@ -47,6 +48,7 @@ from wtw import (FrameSpec, curvature, lee_form, load_spec, ricci, star_ricci, w
 from wtw.cli import _suite_report
 from wtw.curvature import ricci_via_formula
 from wtw.pseudoharmonic import condition_i, condition_i_pairing, condition_ii
+from wtw.twistor import v_trace
 
 
 def _frames():
@@ -101,26 +103,36 @@ def _times(spec: FrameSpec, Q, vector):
     return tuple(spec.ring.dot(row, vector) for row in Q)
 
 
+def _congruent(spec: FrameSpec, Q, M):
+    """Q M Q^T: Q on each row of M, then Q on each column of the result."""
+    half = [_times(spec, Q, row) for row in M]
+    return tuple(zip(*[_times(spec, Q, col) for col in zip(*half)]))
+
+
 def test_a_rational_change_of_basis_moves_the_conditions_as_tensors():
     """The Cayley transform Q of ``frame_families.cayley`` makes the standard J
     dense.  The 2-form P of condition (i) becomes Q P Q^T, the 1-form of
-    condition (ii) Q L and the Lee form Q theta, exactly."""
+    condition (ii) Q L and the Lee form Q theta, exactly.  So does
+    ``v_trace``'s direct route, the anti-invariant part of the bilinear form
+    of Tr D2 J, become Q direct Q^T."""
     frames = [spec for spec in _gate_passing_frames()
               if spec.n <= 6 or spec.name in ("vaisman8.toml", "inoue_like8.toml")]
     assert len(frames) == 14
-    nonzero = 0
+    nonzero = nonzero_direct = 0
     for spec in frames:
         Q = frame_families.cayley(spec.n)
         rotated = _rotated(spec, Q)
         assert rotated.J != spec.J, spec.name
         assert lee_form(rotated) == _times(spec, Q, lee_form(spec)), spec.name
         assert condition_ii(rotated) == _times(spec, Q, condition_ii(spec)), spec.name
-        # Q P Q^T: Q on each row of P, then Q on each column of the result
-        half = [_times(spec, Q, row) for row in condition_i_pairing(spec)]
-        expected = tuple(zip(*[_times(spec, Q, col) for col in zip(*half)]))
+        expected = _congruent(spec, Q, condition_i_pairing(spec))
         assert condition_i_pairing(rotated) == expected, spec.name
         nonzero += any(any(row) for row in expected)
+        direct = _congruent(spec, Q, v_trace(spec).direct)
+        assert v_trace(rotated).direct == direct, spec.name
+        nonzero_direct += any(any(row) for row in direct)
     assert nonzero == 8  # P vanishes on the Kodaira frames, flat_torus and inoue_lee
+    assert nonzero_direct == 6
 
 
 def _ricci_tables(spec: FrameSpec):

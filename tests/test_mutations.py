@@ -33,6 +33,14 @@ dphi(JX, JY) = dphi(X, Y); that mutation is required to be caught on every
 frame of ``FRAMES`` where dphi has a J-anti-invariant part, and to change no
 check on the others.
 
+The curvature cross-check on endomorphisms, R(E_i, E_j)S = sum_m c[i][j][m]
+D_m S - D_i D_j S + D_j D_i S, is mutated by negating its bracket weights,
+which its own assertion catches.  The trace of D2 S, sum_i D_i D_i S minus
+D S along sum_i D_{E_i} E_i, is read by ``vertical trace paths agree`` alone;
+as that check already fails at n >= 6, flipping the sign of the divergence
+term is required to be caught at n = 4 only.  Both are mutated by recompiling
+the builder's source with one piece of it replaced.
+
 The planes of the vertical basis divide each projection by |u|^2, which is 1
 on a J that is a signed permutation, as on every frame of ``FRAMES``.  So
 dropping that division is required to be caught on both dense-J frames of
@@ -295,15 +303,36 @@ def _norm_sq(monkeypatch):
         elements, labels, tuple(norm * 2 for norm in norm_sq)))
 
 
+def _recompiled(module, function, old: str, new: str):
+    """``function`` with its one ``old`` cut from its source and ``new`` put in
+    its place, compiled again in ``module``'s namespace."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
 def _projection_division(monkeypatch):
     """The projection step of the vertical basis's planes drops its division
-    by |u|^2: the one ``/ norm`` of ``twistor._planes`` is cut from its source,
-    which is compiled again in the module's namespace."""
-    source = inspect.getsource(twistor._planes)
-    assert source.count(" / norm") == 1
-    namespace = dict(vars(twistor))
-    exec(source.replace(" / norm", ""), namespace)
-    monkeypatch.setattr(twistor, "_planes", namespace["_planes"])
+    by |u|^2, the one ``/ norm`` of ``twistor._planes``."""
+    monkeypatch.setattr(twistor, "_planes", _recompiled(twistor, twistor._planes, " / norm", ""))
+
+
+def _check_bracket_term(monkeypatch):
+    """The curvature cross-check on endomorphisms weights each D_{E_m} S by
+    -c[i][j][m] instead of c[i][j][m]: the term D_{[E_i, E_j]} S enters with
+    the opposite sign."""
+    monkeypatch.setattr(twistor, "_check_endo_curvature", _recompiled(
+        twistor, twistor._check_endo_curvature, "(*spec.c[i][j],",
+        "(*(-x for x in spec.c[i][j]),"))
+
+
+def _trace_divergence_sign(monkeypatch):
+    """The trace of D2 S gains +D_{sum_i D_{E_i} E_i} S instead of -D_{sum_i D_{E_i} E_i} S."""
+    monkeypatch.setattr(twistor, "traced_second_cov_deriv_endo", _recompiled(
+        connection, connection.traced_second_cov_deriv_endo, "-w for w in weights",
+        "w for w in weights"))
 
 
 def _bivector_dphi_term(monkeypatch):
@@ -354,11 +383,23 @@ def test_projection_division_is_caught_where_j_is_dense(monkeypatch, name):
     assert {check.name for check in _suite_report(FRAMES[name]()).failures} == baseline
 
 
+@pytest.mark.parametrize("name", [name for name in FRAMES if FRAMES[name]().n == 4])
+def test_trace_divergence_sign_is_caught_at_n4(monkeypatch, name):
+    """The vertical trace is read only by ``vertical trace paths agree``, which
+    already fails on every n >= 6 frame of ``FRAMES`` (ROADMAP item 1), so the
+    mutation cannot add a failure there; at n = 4 that check passes and must
+    fail."""
+    assert not _unmutated_failures(name)
+    _trace_divergence_sign(monkeypatch)
+    failures = {check.name for check in _suite_report(FRAMES[name]()).failures}
+    assert "vertical trace paths agree" in failures
+
+
 @pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _nabla_j_gamma_term,
                                     _theta_weyl_weight, _rho_sign, _rho_star_sign, _jstar_sign,
                                     _rho_square_coefficient, _dphi_sign, _twisted_dphi_sign,
                                     _dphi_j_sign, _endo_transpose_sign, _action_entry,
-                                    _norm_sq],
+                                    _check_bracket_term, _norm_sq],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):

@@ -27,7 +27,7 @@ EXPORTS = {
     "frame": ("FrameError", "FrameSpec", "GateError", "SpecFormatError", "builtin",
               "d_oneform", "eval_on_bivector", "load_spec", "load_spec_file", "wedge_iso"),
     "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",
-                   "reconstruct_weyl_form", "second_cov_deriv_endo", "weyl"),
+                   "reconstruct_weyl_form", "traced_second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
                   "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
     "hermitian": ("GateError", "fundamental_form", "lck_check", "lee_form", "nabla_j_checks",
