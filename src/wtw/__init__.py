@@ -24,8 +24,7 @@ from .connection import (Connection, cov_deriv_endo, cov_deriv_oneform,
                          levi_civita, reconstruct_weyl_form,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import (Curvature, curvature, identity_suite, phi_tensor,
-                        ricci, ricci_formula_check, star_ricci,
-                        weyl_curvature_via_formula)
+                        ricci, ricci_formula_check, star_ricci)
 
 __version__ = "0.1.0"
 

@@ -9,17 +9,17 @@ Weyl connection D is ``rho(X, Z) = Trace{Y -> g(R(X, Y) Z, Y)}`` and the
 *-Ricci tensor is ``rho*(X, Z) = Trace{Y -> g(R(J Y, X) J Z, Y)}``; neither
 is symmetric in general.
 
-Two independent routes to the Weyl curvature are provided: directly from the
-Weyl gammas, and from the Levi-Civita curvature via the Phi-correction
-formula.  Their exact entrywise equality is part of the identity suite, which
-also verifies the pair-symmetry identities, the first Bianchi identity and
-both Ricci corollaries.  The tensor Phi of :func:`phi_tensor`, which holds
-all the first-order phi data, feeds both Levi-Civita routes: the
-Phi-correction of the curvature, and the closed Ricci formulas of
-:func:`ricci_via_formula`, which are its traces.  :func:`ricci_formula_check`
-verifies those formulas against the traces of the direct route.  Phi reads
-nabla phi from the nonzero gamma rows of :func:`wtw.connection.gamma_rows`,
-each entry one kernel call, so the closed formulas lift no Levi-Civita gamma.
+The Weyl curvature is formed directly from the Weyl gammas.  The identity
+suite checks it entry by entry against the Phi-correction formula, the
+Levi-Civita curvature plus terms of Phi where two indices coincide, and also
+verifies the pair-symmetry identities, the first Bianchi identity and both
+Ricci corollaries.  The tensor Phi of :func:`phi_tensor`, which holds all the
+first-order phi data, feeds both Levi-Civita routes: the Phi-correction of
+the curvature, and the closed Ricci formulas of :func:`ricci_via_formula`,
+which are its traces.  :func:`ricci_formula_check` verifies those formulas
+against the traces of the direct route.  Phi reads nabla phi from the nonzero
+gamma rows of :func:`wtw.connection.gamma_rows`, each entry one kernel call,
+so the closed formulas lift no Levi-Civita gamma.
 
 The Levi-Civita curvature R_g is rational.  It is formed once per spec in
 ints, from the bracket rows and the gamma rows of :mod:`wtw.connection`, over
@@ -28,25 +28,24 @@ rho_g and rho*_g are traced from it in ints, rho*_g through the columns of
 J, and each is lifted to scalars once.  ``curvature(levi_civita(spec))`` is
 the lift of that tensor, and the closed formulas read the lifted traces, so
 the polynomial contraction of the gammas serves the Weyl connection alone.
-Each check therefore compares the two layers: the Phi-correction route and
-the closed formulas read the rational R_g, and the direct Weyl curvature and
-its traces the contraction of the Weyl gammas.
+Each check therefore compares the two layers: the Phi-correction and the
+closed formulas read the rational R_g, and the direct Weyl curvature and its
+traces the contraction of the Weyl gammas.
 
 R(X, Y) = -R(Y, X), so each curvature tensor is built by
 ``wtw.frame._antisymmetric``, which forms the blocks of the pairs i < j and
-stores their negations at (j, i): the direct route (``_curvature``), R_g
-(``_levi_civita_r``) and the Phi-correction route, whose correction terms
-each change sign with (i, j) as R_g does.  The identity suite forms each of
-its n^4 residuals through the same builder, except the first Bianchi
-residual, which alternates in three indices and is built by
-``wtw.frame._alternating`` (see :func:`identity_suite`).
+stores their negations at (j, i): the direct route (``_curvature``) and R_g
+(``_levi_civita_r``).  The identity suite forms each of its n^4 residuals
+through the same builder, except the first Bianchi residual, which
+alternates in three indices and is built by ``wtw.frame._alternating`` (see
+:func:`identity_suite`).
 
 Each curvature tensor is computed once per connection and kept on it, and
 rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
 curvature tensor (see :class:`wtw.frame.Memo`); Phi and the closed formulas
-are kept on the spec.  The Phi-correction route builds a new ``Curvature``
-every call, and neither it nor :func:`ricci_via_formula` reads a Weyl gamma,
-so neither shares a result with the direct route.
+are kept on the spec.  Neither the Phi-correction nor
+:func:`ricci_via_formula` reads a Weyl gamma, so neither shares a result
+with the direct route.
 """
 
 from __future__ import annotations
@@ -177,34 +176,6 @@ def _phi_on_j(spec: FrameSpec) -> Scalar:
                     [value for row in phi_tensor(spec) for value in row])
 
 
-def weyl_curvature_via_formula(spec: FrameSpec) -> Curvature:
-    """Weyl curvature assembled from the Levi-Civita curvature and Phi.
-
-    This is the second, independent route; it must agree entrywise with
-    ``curvature(weyl(spec))`` and serves as that computation's oracle.
-    """
-    rg = curvature(levi_civita(spec))
-    half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
-
-    def entry(i, j, k, l):
-        # the Phi-correction sits where two indices coincide; each of its terms
-        # at (j, i) is minus the same term at (i, j), as R_g is
-        value = rg.r[i][j][k][l]
-        if k == l:
-            value = value + half_phi[i][j] - half_phi[j][i]
-        if j == l:
-            value = value + half_phi[i][k]
-        if i == l:
-            value = value - half_phi[j][k]
-        if i == k:
-            value = value + half_phi[j][l]
-        if j == k:
-            value = value - half_phi[i][l]
-        return value
-
-    return Curvature(spec, _pair_antisymmetric(spec, entry))
-
-
 def _pair_antisymmetric(spec: FrameSpec, entry) -> tuple:
     """The n^4 array of ``entry(i, j, k, l)`` when it is antisymmetric in
     (i, j): the block (k, l) of each pair i < j is formed once and mirrored."""
@@ -244,9 +215,9 @@ def _star_ricci(R: Curvature):
 def ricci_via_formula(spec: FrameSpec):
     """(rho, rho*) of the Weyl connection from Levi-Civita data, kept on the spec.
 
-    They are the traces of the Phi-correction that
-    :func:`weyl_curvature_via_formula` applies, summed over j for rho and over
-    the J-twisted (j, k) for rho*:
+    They are the traces of the Phi-correction of the Weyl curvature, which
+    :func:`identity_suite` checks entry by entry, summed over j for rho and
+    over the J-twisted (j, k) for rho*:
 
         rho(X, Z) = rho_g(X, Z) + (n-1)/2 Phi(X, Z) - 1/2 Phi(Z, X)
                     + 1/2 tr(Phi) g(X, Z)
@@ -267,8 +238,8 @@ def ricci_via_formula(spec: FrameSpec):
     ``<Phi, J> = -sum_i (nabla_{E_i} phi)(J E_i) = delta(J*phi) - phi(delta J)``.
 
     rho_g and rho*_g are the lifted int traces of the rational Levi-Civita
-    curvature, and each entry is one ``Ring.dot``.  It reads no Weyl gamma or Weyl curvature, so
-    :func:`ricci_formula_check` compares two computations.
+    curvature, and each entry is one ``Ring.dot``.  It reads no Weyl gamma or
+    Weyl curvature, so :func:`ricci_formula_check` compares two computations.
     """
     return spec.memo(_ricci_via_formula)
 
@@ -297,9 +268,15 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     """Exact residuals of the curvature identities for the Weyl connection.
 
     Checks: pair symmetry traded for d phi (Z-T), the six-term exchange
-    identity (XY-ZT), the first Bianchi identity, agreement of the two Weyl
-    curvature routes, the antisymmetric part of rho being (n/2) d phi, and
-    the twisted-symmetry defect of rho* being d phi(X,Z) + d phi(JX,JZ).
+    identity (XY-ZT), the first Bianchi identity, the direct Weyl curvature
+    against the Phi-correction formula, the antisymmetric part of rho being
+    (n/2) d phi, and the twisted-symmetry defect of rho* being
+    d phi(X,Z) + d phi(JX,JZ).  Each formed entry of each residual is one
+    kernel call.  The Phi-correction side reads R_g and Phi, and no Weyl gamma:
+
+        R(E_i, E_j, E_k, E_l) = R_g(E_i, E_j, E_k, E_l)
+            + 1/2 (Phi_ij - Phi_ji) d_kl + 1/2 Phi_ik d_jl - 1/2 Phi_jk d_il
+            + 1/2 Phi_jl d_ik - 1/2 Phi_il d_jk.
 
     The four n^4 residuals are built by ``wtw.frame._antisymmetric`` and
     ``_alternating``: one entry of each mirrored set is formed and the others
@@ -308,16 +285,18 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     the full one, and a failure prints the same count, first index and
     residual as an entrywise evaluation would:
 
-    * pair symmetry and the two-route agreement are antisymmetric in (i, j),
-      as both curvature routes store r[j][i] = -r[i][j] and ``d_oneform``
-      gives an antisymmetric d phi with a zero diagonal;
+    * pair symmetry and the Phi-correction residual are antisymmetric in
+      (i, j), as the direct Weyl curvature and R_g store r[j][i] = -r[i][j],
+      each Phi term changes sign with (i, j), and ``d_oneform`` gives an
+      antisymmetric d phi with a zero diagonal;
     * the first Bianchi sum alternates in (i, j, k), so it is formed for
       i < j < k: at a cyclic image it is the same three terms, at (j, i, k)
       its three terms each negated, and with two indices equal a term r[i][i]
       = 0 and two opposite ones;
     * the exchange residual at (k, l, i, j) is minus its value at (i, j, k, l)
       for any r, given d phi antisymmetric, so it is formed for the pair
-      index (i, j) < (k, l).
+      index (i, j) < (k, l) and checked as an n^2 x n^2 array labelled by
+      the pairs, which prints the same index as the n^4 one.
     """
     report = CheckReport(title="curvature identities")
     n = spec.n
@@ -344,10 +323,9 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
              _kron(j, k)))
 
     # antisymmetric in the pair index p = i n + j against q = k n + l
-    by_pair = _antisymmetric(n * n, spec.zero(),
-                             lambda p, q: exchange(*divmod(p, n), *divmod(q, n)))
-    report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", [[[
-        by_pair[i * n + j][k * n:k * n + n] for k in ix] for j in ix] for i in ix], axes)
+    pairs = [f"{a},{b}" for a in spec.basis for b in spec.basis]
+    report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", _antisymmetric(
+        n * n, spec.zero(), lambda p, q: exchange(*divmod(p, n), *divmod(q, n))), (pairs,) * 2)
 
     def bianchi(i, j, k):
         return tuple(spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l])) for l in ix)
@@ -355,18 +333,23 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     report.require_zero("first Bianchi identity",
                         _alternating(n, (spec.zero(),) * n, bianchi,
                                      lambda row: tuple(-x for x in row)), axes)
-    via = weyl_curvature_via_formula(spec).r
+    rg = curvature(levi_civita(spec)).r
+    half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
 
-    def two_routes(i, j, k, l):
-        return spec.dot((r[i][j][k][l], via[i][j][k][l]), (1, -1))
+    def phi_correction(i, j, k, l):
+        return spec.dot((r[i][j][k][l], rg[i][j][k][l], half_phi[i][j], half_phi[j][i],
+                         half_phi[i][k], half_phi[j][k], half_phi[j][l], half_phi[i][l]),
+                        (1, -1, -_kron(k, l), _kron(k, l), -_kron(j, l), _kron(i, l),
+                         -_kron(i, k), _kron(j, k)))
 
     report.require_zero("direct Weyl curvature equals Phi-correction formula",
-                        _pair_antisymmetric(spec, two_routes), axes)
+                        _pair_antisymmetric(spec, phi_correction), axes)
 
     rho = ricci(RD)
     half_n = Fraction(n, 2)
     report.require_zero("antisymmetric part of rho equals (n/2) d(phi)", [[
-        rho[i][k] - rho[k][i] - dphi[i][k] * half_n for k in ix] for i in ix], axes)
+        spec.dot((rho[i][k], rho[k][i], dphi[i][k]), (1, -1, -half_n)) for k in ix]
+        for i in ix], axes)
 
     rho_star = star_ricci(RD)
     codiff_term = spec.memo(_phi_on_j)  # delta(J*phi) - phi(delta J)
@@ -376,8 +359,8 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     def star_defect(i, k):
         # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
         #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
-        res = rho_star[i][k] - twisted[k][i] - dphi[i][k] - jdphi[i][k]
-        return res + codiff_term * J[i][k] if J[i][k] else res
+        return spec.dot((rho_star[i][k], twisted[k][i], dphi[i][k], jdphi[i][k], codiff_term),
+                        (1, -1, -1, -1, J[i][k]))
 
     report.require_zero("twisted-symmetry defect of rho* from d(phi) and codifferentials",
                         [[star_defect(i, k) for k in ix] for i in ix], axes)

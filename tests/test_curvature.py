@@ -12,8 +12,7 @@ from wtw import (FrameError, SpecFormatError, builtin, hermitian, lee_form, load
                  load_spec_file)
 from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl, weyl_rows
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
-                           ricci_formula_check, ricci_via_formula, star_ricci,
-                           weyl_curvature_via_formula)
+                           ricci_formula_check, ricci_via_formula, star_ricci)
 
 curvature_module = importlib.import_module("wtw.curvature")
 DATA = pathlib.Path(__file__).parent / "data"
@@ -102,20 +101,20 @@ class TestCurvatureTensor:
         assert not _nonzero_r(curvature(weyl(abelian)))
 
     def test_two_weyl_curvature_routes_agree(self, inoue, kodairas, hyperbolic_like):
-        """Both routes equal the Phi-correction formula evaluated at every (i, j, k, l)
-        in the test, on the n = 6 and 8 frame families too: the library forms
-        the pairs i < j only and mirrors them."""
+        """The direct Weyl curvature equals the Phi-correction formula evaluated
+        at every (i, j, k, l) in the test, on the n = 6 and 8 frame families too:
+        the library forms the pairs i < j only and mirrors them.  The identity
+        suite's check of the same formula passes on each frame."""
         families = [load_spec(text, name) for name, text in frame_families.COMMITTED.items()]
         for spec in (inoue, kodairas[(1, 1)], kodairas[(-1, -1)], hyperbolic_like, *families):
-            expected = _phi_correction(spec)
-            assert curvature(weyl(spec)).r == expected, spec.name
-            assert weyl_curvature_via_formula(spec).r == expected, spec.name
+            assert curvature(weyl(spec)).r == _phi_correction(spec), spec.name
+            checks = {check.name: check for check in identity_suite(spec).checks}
+            assert checks["direct Weyl curvature equals Phi-correction formula"].ok, spec.name
 
     def test_zero_form_reduces_to_levi_civita_curvature(self, kodairas):
         spec = kodairas[(1, 1)].with_phi((0, 0, 0, 0))
         lc = curvature(levi_civita(spec))
-        via = weyl_curvature_via_formula(spec)
-        assert _nonzero_r(lc) == _nonzero_r(via)
+        assert _nonzero_r(lc) == _nonzero_r(curvature(weyl(spec)))
 
     def test_antisymmetry_in_first_pair(self, inoue, kodairas):
         for spec in (inoue, kodairas[(1, -1)]):
@@ -317,6 +316,43 @@ class TestIdentitySuite:
             ("antisymmetric part of rho equals (n/2) d(phi)", ""),
             ("twisted-symmetry defect of rho* from d(phi) and codifferentials",
              "2 nonzero entries, first at (E1,E1): a1 - 2"),
+        ]
+
+    @pytest.mark.parametrize("text", [
+        (DATA / "hyperbolic6.toml").read_text(encoding="utf-8"),
+        *frame_families.UNITARY.values()], ids=["hyperbolic6", "hyperbolic6-unitary"])
+    def test_failure_details_count_every_entry_at_n6(self, monkeypatch, text):
+        """A fault a3*a5 - 1/2 at r[2][5][4][5] of the Weyl curvature of
+        hyperbolic6, with its negative at the mirror r[5][2][4][5], breaks the four
+        n^4 checks and, through rho[2][4], the antisymmetry of rho; the same in
+        the basis where the brackets are dense.  The exchange residual names its
+        pair index (E3,E6) against (E5,E6)."""
+        weyl_curvature = curvature_module._curvature
+
+        def faulty(conn):
+            R = weyl_curvature(conn)
+            if conn.kind != "weyl":
+                return R
+            fault = conn.spec.ring.parse("a3*a5 - 1/2")
+            r = [[[list(row) for row in block] for block in plane] for plane in R.r]
+            r[2][5][4][5] += fault
+            r[5][2][4][5] -= fault
+            return curvature_module.Curvature(conn.spec, r)
+
+        monkeypatch.setattr(curvature_module, "_curvature", faulty)
+        report = identity_suite(load_spec(text))
+        assert [(check.name, check.detail) for check in report.checks] == [
+            ("pair-symmetry against d(phi) [Z-T]",
+             "4 nonzero entries, first at (E3,E6,E5,E6): a3*a5 - 1/2"),
+            ("argument-pair exchange against d(phi) [XY-ZT]",
+             "4 nonzero entries, first at (E3,E6,E5,E6): 2*a3*a5 - 1"),
+            ("first Bianchi identity",
+             "6 nonzero entries, first at (E3,E5,E6,E6): -a3*a5 + 1/2"),
+            ("direct Weyl curvature equals Phi-correction formula",
+             "2 nonzero entries, first at (E3,E6,E5,E6): a3*a5 - 1/2"),
+            ("antisymmetric part of rho equals (n/2) d(phi)",
+             "2 nonzero entries, first at (E3,E5): a3*a5 - 1/2"),
+            ("twisted-symmetry defect of rho* from d(phi) and codifferentials", ""),
         ]
 
 

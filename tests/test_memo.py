@@ -50,7 +50,7 @@ def test_suite_computes_each_quantity_once():
     assert consistency.call_count == 1
     # the closed Ricci formulas, which the Ricci check and condition (ii) both read
     assert formulas.call_count == 1
-    # Phi, which the Phi-correction route, the closed formulas and the rho*
+    # Phi, which the Phi-correction check, the closed formulas and the rho*
     # defect check all read
     assert phi_tensor.call_count == 1
 
@@ -180,7 +180,7 @@ def test_j_and_a_constant_scalar_copy_share_one_kept_value(spec):
 
 
 def test_weyl_curvature_routes_stay_independent():
-    # a wrong direct Weyl curvature must be caught by the Phi-correction route
+    # a wrong direct Weyl curvature must be caught by the Phi-correction check
     # and by the closed Ricci formulas, which therefore may not read the direct
     # route's stored result
     spec = builtin("inoue-s0")

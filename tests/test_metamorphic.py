@@ -48,7 +48,7 @@ from wtw import (FrameSpec, curvature, lee_form, load_spec, ricci, star_ricci, w
 from wtw.cli import _suite_report
 from wtw.curvature import ricci_via_formula
 from wtw.pseudoharmonic import condition_i, condition_i_pairing, condition_ii
-from wtw.twistor import v_trace
+from wtw.twistor import h_trace, v_trace
 
 
 def _frames():
@@ -114,11 +114,13 @@ def test_a_rational_change_of_basis_moves_the_conditions_as_tensors():
     dense.  The 2-form P of condition (i) becomes Q P Q^T, the 1-form of
     condition (ii) Q L and the Lee form Q theta, exactly.  So does
     ``v_trace``'s direct route, the anti-invariant part of the bilinear form
-    of Tr D2 J, become Q direct Q^T."""
+    of Tr D2 J, become Q direct Q^T, and so do rho and rho*, both from the
+    closed formulas and as traces of the Weyl curvature; the horizontal trace
+    becomes Q h."""
     frames = [spec for spec in _gate_passing_frames()
               if spec.n <= 6 or spec.name in ("vaisman8.toml", "inoue_like8.toml")]
     assert len(frames) == 14
-    nonzero = nonzero_direct = 0
+    nonzero = nonzero_direct = nonzero_ricci = nonzero_h = 0
     for spec in frames:
         Q = frame_families.cayley(spec.n)
         rotated = _rotated(spec, Q)
@@ -131,8 +133,17 @@ def test_a_rational_change_of_basis_moves_the_conditions_as_tensors():
         direct = _congruent(spec, Q, v_trace(spec).direct)
         assert v_trace(rotated).direct == direct, spec.name
         nonzero_direct += any(any(row) for row in direct)
+        ricci_tables = [_congruent(spec, Q, M) for M in ricci_via_formula(spec)]
+        assert list(ricci_via_formula(rotated)) == ricci_tables, spec.name
+        R = curvature(weyl(rotated))
+        assert [ricci(R), star_ricci(R)] == ricci_tables, spec.name
+        nonzero_ricci += any(any(row) for M in ricci_tables for row in M)
+        h = _times(spec, Q, h_trace(spec))
+        assert h_trace(rotated) == h, spec.name
+        nonzero_h += any(h)
     assert nonzero == 8  # P vanishes on the Kodaira frames, flat_torus and inoue_lee
     assert nonzero_direct == 6
+    assert (nonzero_ricci, nonzero_h) == (13, 12)
 
 
 def _ricci_tables(spec: FrameSpec):

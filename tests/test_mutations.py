@@ -12,9 +12,10 @@ A term of the closed Ricci formulas (``wtw.curvature.ricci_via_formula``) is
 mutated where the formulas are built, so the Ricci check sees it against the
 traced Weyl curvature.  The bracket term sum_m c[i][j][m] gamma[m][k][l] is
 dropped from the int accumulation of the Levi-Civita curvature R_g, which the
-Phi-correction route and the closed formulas read, so the checks that compare
-them with the polynomial contraction of the Weyl gammas see it.  The term
--J(nabla_{E_i} E_j) is dropped from the int Levi-Civita nabla J, which the
+Phi-correction residual and the closed formulas read, so the checks that
+compare them with the polynomial contraction of the Weyl gammas see it; so
+is the term 1/2 phi_i phi_j of Phi, which both read too, where Phi is built.
+The term -J(nabla_{E_i} E_j) is dropped from the int Levi-Civita nabla J, which the
 nabla-J checks compare with d(Omega), the Lee vector and J o nabla J, and one
 Kronecker weight is flipped in the int Weyl rows of theta only, from which the
 check that J is parallel for the Weyl connection of the Lee form reads D J.  The sign of
@@ -115,6 +116,13 @@ def _rg_bracket_term(monkeypatch):
         return den, out
 
     monkeypatch.setattr(curvature, "_levi_civita_r", mutated)
+
+
+def _phi_square_term(monkeypatch):
+    """Phi loses its term 1/2 phi_i phi_j, the one ``half_phi[j]`` of
+    ``curvature._phi_tensor``."""
+    monkeypatch.setattr(curvature, "_phi_tensor", _recompiled(
+        curvature, curvature._phi_tensor, "[half_phi[j], ", "[0, "))
 
 
 def _nabla_j_gamma_term(monkeypatch):
@@ -395,11 +403,12 @@ def test_trace_divergence_sign_is_caught_at_n4(monkeypatch, name):
     assert "vertical trace paths agree" in failures
 
 
-@pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _nabla_j_gamma_term,
-                                    _theta_weyl_weight, _rho_sign, _rho_star_sign, _jstar_sign,
-                                    _rho_square_coefficient, _dphi_sign, _twisted_dphi_sign,
-                                    _dphi_j_sign, _endo_transpose_sign, _action_entry,
-                                    _check_bracket_term, _norm_sq],
+@pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _phi_square_term,
+                                    _nabla_j_gamma_term, _theta_weyl_weight, _rho_sign,
+                                    _rho_star_sign, _jstar_sign, _rho_square_coefficient,
+                                    _dphi_sign, _twisted_dphi_sign, _dphi_j_sign,
+                                    _endo_transpose_sign, _action_entry, _check_bracket_term,
+                                    _norm_sq],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):

@@ -29,7 +29,7 @@ EXPORTS = {
     "connection": ("Connection", "cov_deriv_endo", "cov_deriv_oneform", "levi_civita",
                    "reconstruct_weyl_form", "traced_second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
-                  "ricci_formula_check", "star_ricci", "weyl_curvature_via_formula"),
+                  "ricci_formula_check", "star_ricci"),
     "hermitian": ("GateError", "fundamental_form", "lck_check", "lee_form", "nabla_j_checks",
                   "nijenhuis", "require_gate"),
     "twistor": ("VerticalBasis", "VTraceData", "curvature_pairing_with_dj_check",
