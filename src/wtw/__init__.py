@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 _LAZY_EXPORTS = {
     "hermitian": ("fundamental_form", "lck_check", "lee_form", "nabla_j_checks", "nijenhuis",
                   "require_gate"),
-    "twistor": ("VerticalBasis", "VTraceData", "curvature_pairing_with_dj_check",
+    "twistor": ("VerticalBasis", "curvature_pairing_with_dj_check",
                 "equivalence_check", "g_fiber", "h_trace", "vertical_checks",
                 "fiber_pairing_check", "v_trace", "vertical_basis"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",

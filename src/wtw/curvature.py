@@ -41,9 +41,10 @@ alternates in three indices and is built by ``wtw.frame._alternating`` (see
 :func:`identity_suite`).
 
 Each curvature tensor is computed once per connection and kept on it, and
-rho, rho* and each R(E_i, E_j) as an endomorphism are kept on their
-curvature tensor (see :class:`wtw.frame.Memo`); Phi and the closed formulas
-are kept on the spec.  Neither the Phi-correction nor
+rho and rho* are kept on their curvature tensor (see :class:`wtw.frame.Memo`),
+whose blocks ``r[i][j]`` are the one array of R(E_i, E_j): the twistor layer
+reads R(E_i, E_j) as an endomorphism as their transpose.  Phi and the closed
+formulas are kept on the spec.  Neither the Phi-correction nor
 :func:`ricci_via_formula` reads a Weyl gamma, so neither shares a result
 with the direct route.
 """
@@ -63,14 +64,6 @@ class Curvature(Memo):
     def __init__(self, spec: FrameSpec, r: tuple):
         # r[i][j][k][l] = g(R(E_i,E_j)E_k, E_l)
         self.__dict__.update(spec=spec, r=r)
-
-    def endo(self, i: int, j: int) -> tuple:
-        """R(E_i, E_j) as an endomorphism (column convention), kept on the tensor."""
-        return self.memo(_endo, i, j)
-
-
-def _endo(R: Curvature, i: int, j: int) -> tuple:
-    return tuple(zip(*R.r[i][j]))  # entry [l][k] = r[i][j][k][l]
 
 
 def curvature(conn: Connection) -> Curvature:

@@ -48,7 +48,8 @@ share one computation:
     ``wtw.frame._alternating``; the gate and :func:`lck_check` read the
     residual, and ``lck_check`` forms d(theta) in ints too;
   * the Levi-Civita nabla J, ``(nabla_{E_x} J) E_j = nabla_{E_x}(J E_j) -
-    J(nabla_{E_x} E_j)`` from the gamma rows, and J o nabla_X J.
+    J(nabla_{E_x} E_j)`` from the gamma rows, and J o nabla_X J, which the
+    DJ pairing of :mod:`wtw.twistor` reads in ints too.
 
 :func:`nabla_j_checks` forms its five residuals from these arrays in ints,
 and reads D J for the Weyl connection of theta from the int Weyl rows of
@@ -59,8 +60,7 @@ only the first nonzero entry of a failing one is lifted, to a Fraction, which
 prints as the constant scalar of that value.  Scalars are lifted where a
 reader takes them: N and theta, each nonzero entry once; Omega, the wedge
 image of J (:func:`wtw.frame.wedge_iso`) and the one builder of that array,
-which condition (ii) also reads as J^; and J o nabla_X J, once per spec, for
-the DJ pairing of :mod:`wtw.twistor`.  J itself is ``spec.J``, its
+which condition (ii) also reads as J^.  J itself is ``spec.J``, its
 rationals.  Omega, like every 2-form, is an n x n nested tuple, and 3-forms
 are n x n x n nested tuples, as N is.
 """
@@ -272,13 +272,6 @@ def _j_nabla_j_ints(spec: FrameSpec) -> tuple[int, list]:
             for l, y in cols[m]:
                 out[l] = [a + y * b for a, b in zip(out[l], row)]
     return den * jden, jd
-
-
-def _j_nabla_j(spec: FrameSpec) -> tuple[tuple[Vector, ...], ...]:
-    """J o nabla_{E_x} J for each frame vector E_x, nabla the Levi-Civita
-    connection, lifted to scalars once for the twistor layer."""
-    den, jd = spec.memo(_j_nabla_j_ints)
-    return tuple(tuple(spec.lift(enumerate(row), den) for row in plane) for plane in jd)
 
 
 def nabla_j_checks(spec: FrameSpec) -> CheckReport:

@@ -14,13 +14,13 @@ Each formula has one builder here.  The condition-(i) 2-form is built by
 is written: as theta is symbol-free, each entry i < j is one kernel call over
 the nonzero bracket row (i, j) and the two wedge terms, so d(theta - phi)
 and theta ^ phi are never formed as arrays of their own.  Its J-pairing P is
-kept on the spec (:func:`condition_i_pairing`); ``v_trace``'s closed form is
--P.  Condition (ii), L(theta - phi), has one builder, whose value is also
-kept on the spec (:func:`condition_ii`): each entry is one kernel call, and
-its terms x(JZ) for a 1-form x are read as -(J x)(Z) through
-``FrameSpec.j_apply``, which walks the support of J (see :mod:`wtw.frame`).
-``h_trace`` reads none of it, as it traces
-the fiber pairing of the curvature with DJ.  This module imports nothing
+kept on the spec (:func:`condition_i_pairing`), and the equivalence check
+compares -P with ``v_trace``.  Condition (ii), L(theta - phi), has one
+builder, whose value is also kept on the spec (:func:`condition_ii`): each
+entry is one kernel call, and its terms x(JZ) for a 1-form x are read as
+-(J x)(Z) through ``FrameSpec.j_apply``, which walks the support of J (see
+:mod:`wtw.frame`).  ``h_trace`` reads none of it, as it traces the fiber
+pairing of the curvature with DJ.  This module imports nothing
 from :mod:`wtw.twistor`, which owns the trace-condition equivalence check.
 
 Both conditions are produced as normalized polynomial systems

@@ -18,7 +18,8 @@ commutator is one kernel call over the terms of both products.
 which for an orthogonal J says that V anticommutes with J.
 
 The curvature of the induced connection on endomorphism sections acts as the
-commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``; this is cross-checked
+commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``, with R(E_i, E_j) the
+transpose of the stored block ``R.r[i][j]``; this is cross-checked
 against D_{[X, Y]} a - D_X D_Y a + D_Y D_X a, formed from the derivative D a
 kept on the connection, and any mismatch raises.  The cross-check forms the
 second derivatives D_i D_j a for i != j and ``v_trace`` the diagonal ones
@@ -37,11 +38,12 @@ builder of arrays antisymmetric in a pair of indices: as the action at
 The checks form only what they need.  The fiber metric is ad-invariant,
 ``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so the one
 builder of a skew pair's residuals, ``_pairing_residuals``, reads
-``G(R(X, Y)b, a)`` as ``-G(R(X, Y), [a, b])`` from the commutator the pairing
-identity reads too, not from n^2 commutators, and pairs the stored action on
-``a`` with ``b`` once for both residuals; the antisymmetry's two sides stay
-different computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over
-the nonzero entries of ``b`` only: ``_g_against`` finds them and halves them
+``G(R(X, Y)b, a)`` as ``-G(R(X, Y), [a, b])``, which is ``G(r[i][j], [a, b])``
+as [a, b] is skew, from the commutator the pairing identity reads too, not
+from n^2 commutators, and pairs the stored action on ``a`` with ``b`` once
+for both residuals; the antisymmetry's two sides stay different
+computations.  A pairing ``G(., b)`` with a fixed ``b`` sums over the
+nonzero entries of ``b`` only: ``_g_against`` finds them and halves them
 once per ``b``, so that each pairing is one kernel call, and is the one
 support walk of this module, as ``b`` is reused across calls; every other
 contraction here walks its support in a ``FrameSpec`` contraction (see
@@ -71,8 +73,9 @@ and the Gram matrix of the family is diagonal, with the entry
 a signed permutation each u_r is a frame vector, each element sets four
 entries and each norm is 2.  The basis is kept on the spec.
 
-Only the DJ pairing reads the wedge images of J o nabla_X J.  Per direction Y
-it adds the image and two wedges of phi into one bivector,
+Only the DJ pairing reads the wedge images of J o nabla_X J, from the int
+numerators :mod:`wtw.hermitian` keeps, with their denominator in its weights.
+Per direction Y it adds the image and two wedges of phi into one bivector,
 ``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies R and dphi to
 that w alone, through ``_bivector_terms``.
 
@@ -84,9 +87,10 @@ each element are checked once, as the basis is built.
 
 ``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
 from the action on J and from D J; it forms no condition term, so comparing it
-with condition (ii) compares two computations.  ``v_trace``'s closed form is -P
-from :mod:`wtw.pseudoharmonic`.  :func:`equivalence_check` ties both traces to
-the conditions, the paper's equivalence.
+with condition (ii) compares two computations.  ``v_trace`` is the
+anti-invariant part of Tr D2 J.  :func:`equivalence_check` ties both traces to
+the conditions, the paper's equivalence, comparing ``v_trace`` with -P, the
+negated condition-(i) pairing of :mod:`wtw.pseudoharmonic`.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ from .connection import (Connection, _derivative_along, cov_deriv_endo,
 from .curvature import Curvature, curvature
 from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron,
                     _negative, eval_on_bivector, linear_combination, wedge_iso, wedge_oneforms)
-from .hermitian import _j_nabla_j, require_gate
+from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
 from .reports import CheckReport
@@ -155,10 +159,11 @@ def endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
 
 
 def _endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
-    # R(X, Y) = -R(Y, X)
+    # R(X, Y) = -R(Y, X); R(E_i, E_j) as an endomorphism is the transpose of r[i][j]
     spec = R.spec
     zero = ((spec.zero(),) * spec.n,) * spec.n
-    return _antisymmetric(spec.n, zero, lambda i, j: _commutator(spec, R.endo(i, j), S), _negative)
+    return _antisymmetric(spec.n, zero, lambda i, j: _commutator(
+        spec, tuple(zip(*R.r[i][j])), S), _negative)
 
 
 def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
@@ -268,13 +273,15 @@ def fiber_pairing_check(spec: FrameSpec, a: tuple[Vector, ...],
                     - 1/2 [ dphi([a,b]^) g(X,Y) + dphi([a,b]X, Y) + dphi(X, [a,b]Y) ]
 
     for all frame pairs (X, Y), where R is the Weyl curvature acting on
-    endomorphisms by commutator.
+    endomorphisms by commutator, and the antisymmetry G(R(X,Y)a, b) +
+    G(R(X,Y)b, a) = 0, both from one call of ``_pairing_residuals``.
     """
-    residual = _pairing_residuals(spec, a, b)[0]
+    pairing, antisymmetry = _pairing_residuals(spec, a, b)
     endo_curvature_consistency(weyl(spec), a)
     report = CheckReport(title="fiber curvature pairing")
-    report.require_zero("curvature pairing identity on endomorphisms", residual,
-                        (spec.basis,) * 2)
+    axes = (spec.basis,) * 2
+    report.require_zero("curvature pairing identity on endomorphisms", pairing, axes)
+    report.require_zero("antisymmetry of the fiber curvature pairing", antisymmetry, axes)
     return report
 
 
@@ -282,7 +289,7 @@ def _pairing_residuals(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, 
     """Two n x n arrays at (E_i, E_j) for a skew pair (a, b), from one
     commutator [a, b] and one pairing G(R(E_i, E_j)a, b): the pairing identity's
     residual, and G(R(E_i, E_j)a, b) + G(R(E_i, E_j)b, a), whose second term is
-    read by ad-invariance as -G(R(E_i, E_j), [a, b])."""
+    read by ad-invariance as G(r[i][j], [a, b]) (see the module docstring)."""
     if not _is_skew(a) or not _is_skew(b):
         raise FrameError("pairing identity requires skew endomorphisms")
     R = curvature(weyl(spec))
@@ -298,7 +305,7 @@ def _pairing_residuals(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, 
     return ([[spec.dot((paired[i][j], bivector[i][j], endo[i][j]), weights) for j in ix]
              for i in ix],
             _antisymmetric(spec.n, spec.zero(),
-                           lambda i, j: paired[i][j] - against_comm(R.endo(i, j))))
+                           lambda i, j: paired[i][j] + against_comm(R.r[i][j])))
 
 
 def _bivector_terms(R: Curvature, w):
@@ -361,14 +368,15 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     phi_j = [-x for x in jphi]                     # phi(J.) = -(J phi), as J^T = -J
     dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
     dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
-    weights = (1, -1, 1, Fraction(-1, 2), Fraction(1, 2))
+    den, jd = spec.memo(_j_nabla_j_ints)           # J nabla_Y J, ints over den
+    weights = (1, -1, Fraction(1, den), Fraction(-1, 2), Fraction(1, 2))
 
     residual = []
-    for y, (jn, jy) in enumerate(zip(spec.memo(_j_nabla_j), zip(*J))):
+    for y, (jn, jy) in enumerate(zip(jd, zip(*J))):
         against_dj = _g_against(spec, dj[y])
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
         bivector = _bivector_terms(R, linear_combination(
-            spec, (2, -1, 1),
+            spec, (Fraction(2, den), -1, 1),
             (wedge_iso(jn), wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy))))
         endo = _endo_terms(spec, jn)
         dphi_jy = spec.left(jy, dphi)              # dphi(JY, .)
@@ -424,41 +432,30 @@ def h_trace(spec: FrameSpec):
                  for k in range(spec.n))
 
 
-class VTraceData(NamedTuple):
-    """Vertical-trace residual (Z, U) -> scalar, computed two independent ways.
-
-    direct: from the traced second covariant derivative of J for the Weyl
-      connection, anti-invariant part g((Tr D2 J)(Z), U) - g((Tr D2 J)(JZ), JU),
-      with Tr D2 J from :func:`wtw.connection.traced_second_cov_deriv_endo`.
-    closed_form: from the 2-form d(phi - theta) + n(n-4)/(2(n-2)) phi ^ theta
-      paired with JZ ^ U + Z ^ JU: the negated condition-(i) pairing P of
-      :func:`wtw.pseudoharmonic.condition_i_pairing`, whose 2-form builder owns c(n).
-    """
-
-    direct: tuple
-    closed_form: tuple
-
-
-def v_trace(spec: FrameSpec) -> VTraceData:
+def v_trace(spec: FrameSpec) -> tuple[Vector, ...]:
+    """Vertical-trace residual at (E_k, E_l), from the traced second covariant
+    derivative of J for the Weyl connection: the anti-invariant part
+    g((Tr D2 J)(Z), U) - g((Tr D2 J)(JZ), JU), with Tr D2 J from
+    :func:`wtw.connection.traced_second_cov_deriv_endo`.  Requires the gate."""
     require_gate(spec)
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) is the transpose of Tr D2 J
     form = tuple(zip(*traced_second_cov_deriv_endo(weyl(spec), spec.J)))
-    direct = linear_combination(spec, (1, -1), (form, spec.twist(form)))
-    closed = tuple(tuple(-value for value in row) for row in condition_i_pairing(spec))
-    return VTraceData(direct=direct, closed_form=closed)
+    return linear_combination(spec, (1, -1), (form, spec.twist(form)))
 
 
 def equivalence_check(spec: FrameSpec) -> CheckReport:
     """Tie the trace machinery to the condition systems, exactly.
 
     * h_trace components equal the condition-(ii) expressions (unit +1);
-    * v_trace residuals at (E_k, E_l) equal the negated condition-(i)
-      residuals entrywise (unit -1), and both trace paths agree.
+    * v_trace equals -P, the negated condition-(i) pairing of
+      :func:`wtw.pseudoharmonic.condition_i_pairing` (the two paths agree);
+    * the condition-(i) residuals are the entries P[k][l], k < l, so v_trace
+      at (E_k, E_l) equals them negated (unit -1).
 
-    The first check compares the traced fiber pairing with the one builder
-    of condition (ii), two computations that share only the Weyl curvature;
-    the last holds by construction, as the closed form reads the
-    condition-(i) pairing.
+    The first two checks compare two computations: the traced fiber pairing
+    with the one builder of condition (ii), which share only the Weyl
+    curvature, and the traced D2 J with P.  The last holds by construction,
+    as condition (i) reads P.
     """
     report = CheckReport(title="trace-condition equivalence")
     basis = spec.basis
@@ -466,13 +463,12 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     report.require_zero("horizontal trace equals condition (ii) componentwise",
                         [a - b for a, b in zip(h, condition_ii(spec))], (basis,))
     report.notes["h_unit"] = "+1"
-    v = v_trace(spec)
+    pairing = condition_i_pairing(spec)
     report.require_zero("vertical trace paths agree",
-                        linear_combination(spec, (1, -1), (v.direct, v.closed_form)),
-                        (basis,) * 2)
+                        linear_combination(spec, (1, 1), (v_trace(spec), pairing)), (basis,) * 2)
     pairs = list(combinations(range(spec.n), 2))
     report.require_zero("vertical trace equals negated condition (i) residuals",
-                        [v.closed_form[k][l] + c for (k, l), c in zip(pairs, condition_i(spec))],
+                        [c - pairing[k][l] for (k, l), c in zip(pairs, condition_i(spec))],
                         ([f"{basis[k]},{basis[l]}" for k, l in pairs],))
     report.notes["v_unit"] = "-1"
     return report

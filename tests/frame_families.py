@@ -21,9 +21,9 @@ each function returns the document for one even dimension n from 4 to 16:
 ``F_i = sum_a Q[i][a] E_a`` of a rational Cayley transform Q.  In the basis
 of :func:`cayley` the standard J has no zero off the diagonal; :data:`DENSE_J`
 holds inoue-s0 and the six-dimensional hyperbolic frame in that basis.  The
-Q of :func:`unitary` commutes with the standard J, so J stays standard while
-the brackets become dense; :data:`UNITARY` holds the six-dimensional
-hyperbolic frame in that basis.
+Q of :func:`unitary` commutes with a given J, by default the standard one, so
+J stays as it is while the brackets become dense; :data:`UNITARY` holds the
+six-dimensional hyperbolic frame in that basis.
 
 ``tests/test_frame_families.py`` checks that the committed documents equal
 this output, and ``tests/cli_diff.py`` runs every verb on :data:`DENSE_J` and
@@ -157,16 +157,17 @@ def cayley(n: int) -> list[list[Fraction]]:
     return _cayley(A)
 
 
-def unitary(n: int) -> list[list[Fraction]]:
+def unitary(n: int, J=None) -> list[list[Fraction]]:
     """The Cayley transform Q of A = 1/2 (S - J S J), the part of the skew S
-    with entries (j - i)/3 for |j - i| in {1, 2} that commutes with the
-    standard J; Q is orthogonal and commutes with J, so Q J Q^T = J."""
+    with entries (j - i)/3 for |j - i| in {1, 2} that commutes with J, for a
+    rational J with J^2 = -1 (by default the standard J); Q is orthogonal and
+    commutes with J, so Q J Q^T = J."""
     S = [[Fraction(j - i, 3) if abs(j - i) in (1, 2) else Fraction(0) for j in range(n)]
          for i in range(n)]
-    J0 = standard_j(n)
-    jsj = matmul(matmul(J0, S), J0)
+    J = standard_j(n) if J is None else [[Fraction(x) for x in row] for row in J]
+    jsj = matmul(matmul(J, S), J)
     A = [[(s - t) / 2 for s, t in zip(r1, r2)] for r1, r2 in zip(S, jsj)]
-    assert matmul(A, J0) == matmul(J0, A)
+    assert matmul(A, J) == matmul(J, A)
     return _cayley(A)
 
 

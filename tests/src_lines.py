@@ -14,11 +14,18 @@ that add up to that total:
   included;
 * comment: a line that holds only a comment;
 * blank: a line that holds nothing.
+
+The last line counts the public names, the concepts a reader of the
+library meets: the exports of ``wtw.__all__`` and the public members of the
+public classes, found by :func:`public_members`, the walk that
+``tests/test_surface.py`` checks them with.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
+import sys
 import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wtw"
@@ -55,6 +62,32 @@ def split(path: pathlib.Path) -> dict[str, int]:
     return counts
 
 
+def public_members(tree: ast.AST):
+    """``Class.member`` for each public method, property and annotated field
+    (a ``NamedTuple`` field) of each public class defined in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}"
+
+
+def public_names() -> tuple[int, int]:
+    """The number of exports of ``wtw.__all__`` and of public class members."""
+    sys.path.insert(0, str(SRC.parent))
+    import wtw
+
+    members = {member for path in SRC.glob("*.py")
+               for member in public_members(ast.parse(path.read_text(encoding="utf-8")))}
+    return len(wtw.__all__), len(members)
+
+
 def main() -> None:
     files = sorted(SRC.glob("*.py"))
     rows = [(path.name, split(path)) for path in files]
@@ -63,6 +96,8 @@ def main() -> None:
     print(f"{'file':<20}" + "".join(f"{name:>10}" for name in KINDS))
     for name, counts in (*rows, ("total", totals)):
         print(f"{name:<20}" + "".join(f"{counts[kind]:>10}" for kind in KINDS))
+    exports, members = public_names()
+    print(f"{exports + members} public names ({exports} exports, {members} class members)")
 
 
 if __name__ == "__main__":

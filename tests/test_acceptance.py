@@ -293,8 +293,7 @@ def test_criterion_7_lee_weyl_form_trivial(inoue, kodairas):
         ok = ok and all(entry.is_zero for direction in dj for row in direction
                         for entry in row)
         ok = ok and all(entry.is_zero for entry in h_trace(spec))
-        data = v_trace(spec)
-        ok = ok and all(entry.is_zero for row in data.direct for entry in row)
+        ok = ok and all(entry.is_zero for row in v_trace(spec) for entry in row)
     check("7b. Weyl form = Lee form gives DJ = 0 and vanishing traces", ok)
 
 

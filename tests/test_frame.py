@@ -605,7 +605,7 @@ def test_cov_deriv_endo_matches_its_definition(frame):
     n, z = spec.n, spec.zero()
     for conn in (levi_civita(spec), weyl(spec)):
         g = conn.gamma
-        for S in (spec.J, curvature(weyl(spec)).endo(0, 1)):
+        for S in (spec.J, tuple(zip(*curvature(weyl(spec)).r[0][1]))):
             derived = cov_deriv_endo(conn, S)
             for i in range(n):
                 assert derived[i] == tuple(tuple(

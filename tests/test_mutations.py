@@ -42,6 +42,14 @@ as that check already fails at n >= 6, flipping the sign of the divergence
 term is required to be caught at n = 4 only.  Both are mutated by recompiling
 the builder's source with one piece of it replaced.
 
+Two sites read an array in the layout its owner keeps.  The antisymmetry
+residual of ``twistor._pairing_residuals`` reads G(R(X, Y)b, a) as
+G(r[i][j], [a, b]), from the stored block r[i][j], which is the transpose of
+R(E_i, E_j); its sign is flipped.  The DJ pairing reads J o nabla_Y J as int
+numerators over one denominator, which its weights carry; the weight 1/den of
+its dphi terms becomes 1.  Both are recompiled, and each is required to be
+caught on all six frames.
+
 The planes of the vertical basis divide each projection by |u|^2, which is 1
 on a J that is a signed permutation, as on every frame of ``FRAMES``.  So
 dropping that division is required to be caught on both dense-J frames of
@@ -336,6 +344,22 @@ def _check_bracket_term(monkeypatch):
         "(*(-x for x in spec.c[i][j]),"))
 
 
+def _block_pairing_sign(monkeypatch):
+    """The antisymmetry residual of a skew pair subtracts the block pairing
+    G(r[i][j], [a, b]) instead of adding it, so G(R(E_i, E_j)b, a) enters
+    with the opposite sign."""
+    monkeypatch.setattr(twistor, "_pairing_residuals", _recompiled(
+        twistor, twistor._pairing_residuals, "paired[i][j] + against_comm",
+        "paired[i][j] - against_comm"))
+
+
+def _dj_endo_weight(monkeypatch):
+    """The DJ pairing weights its dphi terms of J nabla_Y J by 1 instead of
+    1/den, so the int numerators enter unscaled."""
+    monkeypatch.setattr(twistor, "curvature_pairing_with_dj_check", _recompiled(
+        twistor, twistor.curvature_pairing_with_dj_check, "Fraction(1, den)", "1"))
+
+
 def _trace_divergence_sign(monkeypatch):
     """The trace of D2 S gains +D_{sum_i D_{E_i} E_i} S instead of -D_{sum_i D_{E_i} E_i} S."""
     monkeypatch.setattr(twistor, "traced_second_cov_deriv_endo", _recompiled(
@@ -408,7 +432,7 @@ def test_trace_divergence_sign_is_caught_at_n4(monkeypatch, name):
                                     _rho_star_sign, _jstar_sign, _rho_square_coefficient,
                                     _dphi_sign, _twisted_dphi_sign, _dphi_j_sign,
                                     _endo_transpose_sign, _action_entry, _check_bracket_term,
-                                    _norm_sq],
+                                    _norm_sq, _block_pairing_sign, _dj_endo_weight],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):

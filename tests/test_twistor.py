@@ -21,7 +21,7 @@ from wtw.twistor import (endo_curvature_action, endo_curvature_consistency, g_fi
 from wtw.connection import weyl
 from wtw.curvature import curvature
 from wtw.hermitian import lee_form, require_gate
-from wtw import pseudoharmonic
+from wtw import hermitian, pseudoharmonic
 
 
 def _random_skew(spec, seed):
@@ -165,13 +165,13 @@ class TestCurvatureOnEndomorphisms:
     def test_pairing_identity_j_against_verticals(self, inoue):
         j = inoue.J
         for v in vertical_basis(inoue).elements:
-            assert fiber_pairing_check(inoue, j, v).ok
+            _assert_both_pairing_checks_hold(fiber_pairing_check(inoue, j, v))
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_pairing_identity_random(self, kodairas, seed):
         spec = kodairas[(-1, 1)]
-        assert fiber_pairing_check(spec, _random_skew(spec, seed),
-                               _random_skew(spec, seed + 100)).ok
+        _assert_both_pairing_checks_hold(fiber_pairing_check(
+            spec, _random_skew(spec, seed), _random_skew(spec, seed + 100)))
 
     def test_vertical_antisymmetry(self, inoue, kodairas):
         for spec in (inoue, *kodairas.values()):
@@ -184,12 +184,7 @@ class TestCurvatureOnEndomorphisms:
         the commutator to [S, R] must make the antisymmetry residual nonzero,
         reported at an index; the cross-check of the action on J, which would
         raise first, is not run."""
-        def reversed_action(R, S):
-            n = R.spec.n
-            return tuple(tuple(twistor._commutator(R.spec, S, R.endo(i, j)) for j in range(n))
-                         for i in range(n))
-
-        monkeypatch.setattr(twistor, "_endo_curvature_action", reversed_action)
+        monkeypatch.setattr(twistor, "_endo_curvature_action", _reversed_action)
         spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
         for v in vertical_basis(spec).elements:
             report = twistor.CheckReport(title="vertical antisymmetry")
@@ -198,6 +193,31 @@ class TestCurvatureOnEndomorphisms:
             assert not report.ok
             detail = report.failures[0].detail
             assert re.fullmatch(r"\d+ nonzero entr(y|ies), first at \(E\d,E\d\): .+", detail)
+
+    def test_pairing_check_reports_the_antisymmetry_of_a_wrong_action(self, monkeypatch):
+        """``fiber_pairing_check`` reports the antisymmetry residual as its own
+        check, which the reversed commutator fails against every vertical V;
+        the cross-check of the action, which would raise first, is not run."""
+        monkeypatch.setattr(twistor, "_endo_curvature_action", _reversed_action)
+        monkeypatch.setattr(twistor, "endo_curvature_consistency", lambda conn, S: None)
+        spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
+        for v in vertical_basis(spec).elements:
+            failures = [check.name for check in fiber_pairing_check(spec, spec.J, v).failures]
+            assert "antisymmetry of the fiber curvature pairing" in failures
+
+
+def _reversed_action(R, S):
+    """The commutator action reversed, [S, R(E_i, E_j)], with R(E_i, E_j) the
+    transpose of the block r[i][j]."""
+    n = R.spec.n
+    return tuple(tuple(twistor._commutator(R.spec, S, tuple(zip(*R.r[i][j]))) for j in range(n))
+                 for i in range(n))
+
+
+def _assert_both_pairing_checks_hold(report):
+    assert [(check.name, check.ok) for check in report.checks] == [
+        ("curvature pairing identity on endomorphisms", True),
+        ("antisymmetry of the fiber curvature pairing", True)]
 
 
 class TestVerticalPart:
@@ -237,13 +257,17 @@ class TestVerticalPart:
                 assert linear_combination(spec, weights, basis.elements) == action
 
 
+def _negated_pairing(spec):
+    """-P, the negated condition-(i) pairing."""
+    return tuple(tuple(-value for value in row) for row in pseudoharmonic.condition_i_pairing(spec))
+
+
 class TestTraces:
     def test_lee_weyl_form_gives_zero_traces(self, inoue, kodairas):
         for base in (inoue, kodairas[(1, 1)], kodairas[(-1, -1)]):
             spec = base.with_phi(lee_form(base))
             assert all(entry.is_zero for entry in h_trace(spec))
-            data = v_trace(spec)
-            assert all(entry.is_zero for row in data.direct for entry in row)
+            assert all(entry.is_zero for row in v_trace(spec) for entry in row)
 
     def test_inoue_reduced_horizontal_trace(self, inoue_reduced):
         values = [str(entry) for entry in h_trace(inoue_reduced)]
@@ -251,24 +275,22 @@ class TestTraces:
 
     def test_inoue_vertical_trace_vanishes_iff_a3_a4_zero(self, inoue, inoue_reduced):
         full = v_trace(inoue)
-        assert any(not entry.is_zero for row in full.direct for entry in row)
-        nonzero, _ = normalized_system(entry for row in full.direct for entry in row)
+        assert any(not entry.is_zero for row in full for entry in row)
+        nonzero, _ = normalized_system(entry for row in full for entry in row)
         r = inoue.ring
         assert nonzero == (normalize_up_to_unit(r.sym("a3")),
                            normalize_up_to_unit(r.sym("a4")))
-        reduced = v_trace(inoue_reduced)
-        assert all(entry.is_zero for row in reduced.direct for entry in row)
+        assert all(entry.is_zero for row in v_trace(inoue_reduced) for entry in row)
 
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_kodaira_vertical_trace_vanishes_identically(self, kodairas, signs):
-        data = v_trace(kodairas[signs])
-        assert all(entry.is_zero for row in data.direct for entry in row)
-        assert data.direct == data.closed_form
+        spec = kodairas[signs]
+        assert all(entry.is_zero for row in v_trace(spec) for entry in row)
+        assert v_trace(spec) == _negated_pairing(spec)
 
     def test_paths_agree_everywhere(self, inoue, kodairas, hyperbolic_like):
         for spec in (inoue, kodairas[(1, -1)], hyperbolic_like):
-            data = v_trace(spec)
-            assert data.direct == data.closed_form
+            assert v_trace(spec) == _negated_pairing(spec)
 
     def test_traces_are_gated(self, nonintegrable, heisenberg6):
         for spec in (nonintegrable, heisenberg6):
@@ -470,10 +492,10 @@ def test_vertical_basis_is_kept_on_the_spec():
 
 
 def test_one_suite_builds_each_dj_image_once(monkeypatch):
-    """J o nabla_X J is formed once per spec, in ints, which the nabla-J checks
-    read, and the DJ pairing lifts it once: a whole ``suite`` lifts J o nabla_X J
-    once per frame vector X, and the DJ pairing, the one reader of the wedge
-    images, hands each image to wedge_iso once.  Per direction Y it forms
+    """J o nabla_X J is formed once per spec, in ints, which both the nabla-J
+    checks and the DJ pairing read: a whole ``suite`` forms it once, and the
+    DJ pairing, the one reader of the wedge images, hands each int image to
+    wedge_iso once, with no lift.  Per direction Y it forms
     phi# ^ Y once, adds it, the image and J phi# ^ JY into one bivector, and
     hands that bivector alone to curvature_on_bivector and eval_on_bivector: n
     calls of each, where applying R and dphi to the image and to the phi wedges
@@ -483,13 +505,13 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     spec = builtin("inoue-s0")
     # phi, J o nabla_X J and every value formed from them by the wrapped helpers
     tracked, calls = [spec.phi], collections.Counter()
-    lift = twistor._j_nabla_j
+    build = hermitian._j_nabla_j_ints
 
-    def counting_lift(spec):
-        out = lift(spec)
+    def counting_build(spec):
+        den, out = build(spec)
         tracked.extend(out)
-        calls["J o nabla J"] += len(out)
-        return out
+        calls["J o nabla J"] += 1
+        return den, out
 
     def counting(name, reads):
         """Count the calls of twistor.<name> with a tracked value among
@@ -504,7 +526,9 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
             return out
         monkeypatch.setattr(twistor, name, wrapper)
 
-    monkeypatch.setattr(twistor, "_j_nabla_j", counting_lift)
+    # one function under both names, so that both readers share its memo
+    monkeypatch.setattr(hermitian, "_j_nabla_j_ints", counting_build)
+    monkeypatch.setattr(twistor, "_j_nabla_j_ints", counting_build)
     counting("wedge_iso", lambda args: args[:1])
     counting("wedge_oneforms", lambda args: args[1:2])
     counting("linear_combination", lambda args: args[2])
@@ -512,7 +536,7 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     counting("eval_on_bivector", lambda args: args[2:])
     assert _suite_report(spec).ok
     n = spec.n
-    assert calls == {"J o nabla J": n, "wedge_iso": n, "wedge_oneforms": n,
+    assert calls == {"J o nabla J": 1, "wedge_iso": n, "wedge_oneforms": n,
                      "linear_combination": n, "curvature_on_bivector": n,
                      "eval_on_bivector": n}
 
@@ -551,11 +575,17 @@ def _gate_passing_frames():
     return specs
 
 
-def test_vertical_closed_form_is_the_negated_condition_i_pairing():
-    for spec in _gate_passing_frames():
+def test_vertical_trace_is_the_negated_condition_i_pairing_at_n4():
+    """Two computations: the traced D2 J of ``v_trace`` against the 2-form
+    builder of condition (i), on every gate-passing frame with n = 4 and on
+    the dense-J inoue-s0; condition (i) is P[k][l], k < l, on all 17."""
+    frames = _gate_passing_frames()
+    n4 = [spec for spec in frames if spec.n == 4]
+    assert len(n4) == 7
+    for spec in [*n4, load_spec(frame_families.DENSE_J["inoue_s0_rotated.toml"])]:
+        assert v_trace(spec) == _negated_pairing(spec), spec.name
+    for spec in frames:
         pairing = pseudoharmonic.condition_i_pairing(spec)
-        assert v_trace(spec).closed_form == tuple(tuple(-value for value in row)
-                                                  for row in pairing), spec.name
         n = spec.n
         assert pseudoharmonic.condition_i(spec) == [pairing[k][l] for k in range(n)
                                                     for l in range(k + 1, n)], spec.name
@@ -685,7 +715,7 @@ def test_commutator_is_the_difference_of_the_two_products(base):
     pairs = [(general(), general()) for _ in range(3)]
     assert all(x for a, b in pairs for x in chain(*a, *b))
     R = curvature(weyl(spec))
-    pairs += [(R.endo(i, j), spec.J) for i, j in combinations(range(spec.n), 2)]
+    pairs += [(tuple(zip(*R.r[i][j])), spec.J) for i, j in combinations(range(spec.n), 2)]
     _assert_commutator_is_its_definition(spec, pairs)
 
 
@@ -699,7 +729,7 @@ def test_commutator_is_the_difference_of_the_two_products_on_sparse_frames(base)
     J = spec.J
     assert any(x == 0 for x in chain(*J))
     R = curvature(weyl(spec))
-    others = [R.endo(i, j) for i, j in combinations(range(spec.n), 2)]
+    others = [tuple(zip(*R.r[i][j])) for i, j in combinations(range(spec.n), 2)]
     others += vertical_basis(spec).elements
     _assert_commutator_is_its_definition(
         spec, [pair for a in others for pair in ((a, J), (J, a))])
