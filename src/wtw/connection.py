@@ -32,16 +32,24 @@ as in :mod:`wtw.frame`.  Both connections are computed once per spec and
 kept on it, and the induced derivative D S of an endomorphism is kept on its
 connection, keyed by the tuple S itself (see :class:`wtw.frame.Memo`), so
 repeated calls return the same objects.
+
+The derivative along one direction, D_{E_i} S, is read from the terms of its
+rows (``_along_terms``): row l is one contraction of column l of gamma[i] and
+row l of S against the rows of S and of gamma[i] transposed.  A sum of
+derivatives joins their terms, so each of its rows is one ``FrameSpec.left``:
+:func:`traced_second_cov_deriv_endo` forms Tr D2 S this way from D S, and so
+does the curvature cross-check of :mod:`wtw.twistor`, so no second
+derivative D_i D_j S is formed as an array.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector, _kron, linear_combination
+from .frame import FrameSpec, Memo, Vector, _kron
 from .polyalg import Scalar
 
 
@@ -159,22 +167,38 @@ def _cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vect
 
 
 def _derivative_along(conn: Connection, S: tuple[Vector, ...], i: int) -> tuple[Vector, ...]:
-    """D_{E_i} S, not kept: entry (l, j) is sum_k gamma[i][k][l] S[k][j] -
-    S[l][k] gamma[i][j][k], one contraction of (gamma column l, S row l)
-    against (S column j, -gamma row j)."""
-    rows = S + tuple(zip(*conn.negated()[i]))  # rows[n + k][j] = -gamma[i][j][k]
-    return tuple(conn.spec.left(col + row, rows) for col, row in zip(zip(*conn.gamma[i]), S))
+    """D_{E_i} S, not kept: row l is one ``FrameSpec.left`` over the terms of
+    :func:`_along_terms`."""
+    rows, coefficients = _along_terms(conn, S, i)
+    return tuple(conn.spec.left(u, rows) for u in coefficients)
+
+
+def _along_terms(conn: Connection, S: tuple[Vector, ...], i: int, sign: int = 1):
+    """sign * D_{E_i} S as the terms of its rows, ``(rows, coefficients)``: row l
+    is sum_m coefficients[l][m] rows[m].  Entry (l, j) of D_{E_i} S is
+    sum_k gamma[i][k][l] S[k][j] - S[l][k] gamma[i][j][k], so the rows are those
+    of S and of -sign * gamma[i] transposed, and the coefficients of row l are
+    column l of sign * gamma[i] and row l of S.  A reader that sums several
+    derivatives joins their terms into one contraction per row."""
+    up, down = zip(*conn.gamma[i]), zip(*conn.negated()[i])
+    if sign < 0:
+        up, down = down, up
+    return (*S, *down), [(*column, *row) for column, row in zip(up, S)]
 
 
 def traced_second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[Vector, ...]:
     """Tr D2 S = sum_i D_{E_i}(D_{E_i} S) - D_{sum_i D_{E_i} E_i} S, an n x n
-    endomorphism, not kept; it reads D S, which is."""
-    n, first = conn.spec.n, cov_deriv_endo(conn, S)
+    endomorphism, not kept; it reads D S, which is.  Row l is one
+    ``FrameSpec.left`` over the terms of every D_{E_i}(D_{E_i} S) and of the
+    divergence term, so no D_{E_i} D_{E_i} S array is built."""
+    n, spec, first = conn.spec.n, conn.spec, cov_deriv_endo(conn, S)
     # sum_i D_{E_i} E_i = sum_k (sum_i gamma[i][i][k]) E_k
-    weights = [conn.spec.ring.sum(conn.gamma[i][i][k] for i in range(n)) for k in range(n)]
-    return linear_combination(conn.spec, (*([1] * n), *(-w for w in weights)),
-                              (*(_derivative_along(conn, d, i) for i, d in enumerate(first)),
-                               *first))
+    divergence = [spec.ring.sum(conn.gamma[i][i][k] for i in range(n)) for k in range(n)]
+    terms = [_along_terms(conn, d, i) for i, d in enumerate(first)]
+    rows = tuple(chain.from_iterable(part for part, _ in terms))
+    return tuple(spec.left((*chain.from_iterable(u[l] for _, u in terms),
+                            *(-w for w in divergence)), (*rows, *(d[l] for d in first)))
+                 for l in range(n))
 
 
 def torsion_residual(conn: Connection):

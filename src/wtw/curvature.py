@@ -265,7 +265,9 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     against the Phi-correction formula, the antisymmetric part of rho being
     (n/2) d phi, and the twisted-symmetry defect of rho* being
     d phi(X,Z) + d phi(JX,JZ).  Each formed entry of each residual is one
-    kernel call.  The Phi-correction side reads R_g and Phi, and no Weyl gamma:
+    kernel call; the exchange and Phi-correction entries pass it only the
+    terms whose Kronecker delta is 1.  The Phi-correction side reads R_g and
+    Phi, and no Weyl gamma:
 
         R(E_i, E_j, E_k, E_l) = R_g(E_i, E_j, E_k, E_l)
             + 1/2 (Phi_ij - Phi_ji) d_kl + 1/2 Phi_ik d_jl - 1/2 Phi_jk d_il
@@ -308,12 +310,28 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
 
     def exchange(i, j, k, l):
         # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
-        #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk
-        return spec.dot(
-            (r[i][j][k][l], r[k][l][i][j], dphi[i][j], dphi[k][l], dphi[i][k], dphi[j][l],
-             dphi[j][k], dphi[i][l]),
-            (2, -2, -_kron(k, l), _kron(i, j), -_kron(j, l), -_kron(i, k), _kron(i, l),
-             _kron(j, k)))
+        #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk: a term is
+        # passed only where its delta is 1
+        values, weights = [r[i][j][k][l], r[k][l][i][j]], [2, -2]
+        if k == l:
+            values.append(dphi[i][j])
+            weights.append(-1)
+        if i == j:
+            values.append(dphi[k][l])
+            weights.append(1)
+        if j == l:
+            values.append(dphi[i][k])
+            weights.append(-1)
+        if i == k:
+            values.append(dphi[j][l])
+            weights.append(-1)
+        if i == l:
+            values.append(dphi[j][k])
+            weights.append(1)
+        if j == k:
+            values.append(dphi[i][l])
+            weights.append(1)
+        return spec.dot(values, weights)
 
     # antisymmetric in the pair index p = i n + j against q = k n + l
     pairs = [f"{a},{b}" for a in spec.basis for b in spec.basis]
@@ -330,10 +348,24 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
 
     def phi_correction(i, j, k, l):
-        return spec.dot((r[i][j][k][l], rg[i][j][k][l], half_phi[i][j], half_phi[j][i],
-                         half_phi[i][k], half_phi[j][k], half_phi[j][l], half_phi[i][l]),
-                        (1, -1, -_kron(k, l), _kron(k, l), -_kron(j, l), _kron(i, l),
-                         -_kron(i, k), _kron(j, k)))
+        # i < j: a term of 1/2 Phi is passed only where its delta is 1
+        values, weights = [r[i][j][k][l], rg[i][j][k][l]], [1, -1]
+        if k == l:
+            values += half_phi[i][j], half_phi[j][i]
+            weights += -1, 1
+        if j == l:
+            values.append(half_phi[i][k])
+            weights.append(-1)
+        if i == l:
+            values.append(half_phi[j][k])
+            weights.append(1)
+        if i == k:
+            values.append(half_phi[j][l])
+            weights.append(-1)
+        if j == k:
+            values.append(half_phi[i][l])
+            weights.append(1)
+        return spec.dot(values, weights)
 
     report.require_zero("direct Weyl curvature equals Phi-correction formula",
                         _pair_antisymmetric(spec, phi_correction), axes)

@@ -20,20 +20,22 @@ which for an orthogonal J says that V anticommutes with J.
 The curvature of the induced connection on endomorphism sections acts as the
 commutator ``R(X, Y) a = R(X, Y) o a - a o R(X, Y)``, with R(E_i, E_j) the
 transpose of the stored block ``R.r[i][j]``; this is cross-checked
-against D_{[X, Y]} a - D_X D_Y a + D_Y D_X a, formed from the derivative D a
-kept on the connection, and any mismatch raises.  The cross-check forms the
-second derivatives D_i D_j a for i != j and ``v_trace`` the diagonal ones
-D_i D_i J (:func:`wtw.connection.traced_second_cov_deriv_endo`); neither
-keeps them.
+against D_{[X, Y]} a - D_X D_Y a + D_Y D_X a, read from the derivative D a
+kept on the connection, and any mismatch raises.  Each row of the
+cross-check's residual at a pair i < j is one ``FrameSpec.left`` over four
+terms: the bracket term, the gamma expansions of -D_i(D_j a) and
++D_j(D_i a) (``wtw.connection._along_terms``) and the action, so no second
+derivative is formed as an array; ``v_trace`` reads the trace of D2 J formed
+the same way (:func:`wtw.connection.traced_second_cov_deriv_endo`).
 The action on an endomorphism is kept on its curvature tensor, and the
 cross-check runs once per connection and endomorphism (see
 :class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
 formed for the frame pairs i < j only.  The action, the vertical
-antisymmetry residual, the dphi terms of ``_endo_terms`` and the pairings
-of the action with a fixed endomorphism (D_Y J in the DJ pairing, b in the
-pairing identity) are built by ``wtw.frame._antisymmetric``, the one
-builder of arrays antisymmetric in a pair of indices: as the action at
-(Y, X) is stored as the negation of the one at (X, Y), so is its pairing.
+antisymmetry residual and the pairings of the action with a fixed
+endomorphism (D_Y J in the DJ pairing, b in the pairing identity) are built
+by ``wtw.frame._antisymmetric``, the one builder of arrays antisymmetric in
+a pair of indices: as the action at (Y, X) is stored as the negation of the
+one at (X, Y), so is its pairing.
 
 The checks form only what they need.  The fiber metric is ad-invariant,
 ``G([R, a], b) = G(R, [a, b])`` for skew ``a`` and any ``R``, so the one
@@ -47,16 +49,21 @@ nonzero entries of ``b`` only: ``_g_against`` finds them and halves them
 once per ``b``, so that each pairing is one kernel call, and is the one
 support walk of this module, as ``b`` is reused across calls; every other
 contraction here walks its support in a ``FrameSpec`` contraction (see
-:mod:`wtw.frame`).  R applied to a bivector b is read in the layout the
-curvature tensor stores, ``g(R(b) E_k, E_l)`` at ``[k][l]``: one
-``linear_combination`` of the blocks ``R.r[p][q]``.  The two fiber pairings,
-the identity for G(R(X, Y)a, b) and the DJ pairing, read one builder per term
-of their right-hand sides: ``_bivector_terms(R, w)`` is
-``g(R(w) X, Y) - 1/2 dphi(w) g(X, Y)``, with R and dphi applied to the
-bivector w once each, and ``_endo_terms(spec, c)`` is
+:mod:`wtw.frame`).  The two fiber pairings, the identity for G(R(X, Y)a, b)
+and the DJ pairing, read one builder per term of their right-hand sides, and
+each builder returns terms, not an array.  ``_bivector_terms(R, w)`` gives
+those of ``g(R(w) X, Y) - 1/2 dphi(w) g(X, Y)``, in the layout the curvature
+tensor stores, ``g(R(w) E_k, E_l)`` at ``[k][l]``: entry [k][l] of the block
+``R.r[p][q]`` of each plane p < q where w is nonzero, against w[p][q], and
+dphi(w), formed once, against -1/2 on the diagonal.  ``_endo_terms(spec, c)``
+gives those of
 ``dphi(cX, Y) + dphi(X, cY)``.  As dphi is antisymmetric, ``dphi(X, cY)`` is
 read from ``dphi(cY, X)``: each contraction of dphi with an endomorphism c is
-formed once.  Each residual entry is then one ``FrameSpec.dot`` over the terms.
+formed once.  Each residual entry is one ``FrameSpec.dot`` over the terms of
+both builders and its own, so neither R(w) nor the sum of the dphi terms is
+formed as an array.  Both pairings subtract the bivector terms, so each
+passes its bivector negated: the pairing identity passes the skew [a, b],
+which read as a bivector array is -[a, b]^, and the DJ pairing -w.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-planes
 of a rational orthogonal basis are stored *unnormalized*; expansions divide
@@ -76,7 +83,7 @@ entries and each norm is 2.  The basis is kept on the spec.
 Only the DJ pairing reads the wedge images of J o nabla_X J, from the int
 numerators :mod:`wtw.hermitian` keeps, with their denominator in its weights.
 Per direction Y it adds the image and two wedges of phi into one bivector,
-``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and applies R and dphi to
+``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and reads R and dphi on
 that w alone, through ``_bivector_terms``.
 
 :func:`vertical_checks` calls that builder once per vertical direction V, for
@@ -85,9 +92,12 @@ the antisymmetry G(R(X, Y)J, V) + G(R(X, Y)V, J) = 0 for every vertical V, as
 the basis spans the vertical space.  The vertical Gram and the verticality of
 each element are checked once, as the basis is built.
 
-``h_trace`` is the domain trace of the fiber pairing G(R(X, Z)J, D_X J), read
-from the action on J and from D J; it forms no condition term, so comparing it
-with condition (ii) compares two computations.  ``v_trace`` is the
+The DJ pairing's left-hand side G(R(E_x, E_z)J, D_{E_y} J) is one array,
+``paired[y][x][z]`` (``_curvature_dj_pairing``), formed for x < z and
+mirrored from the action on J and D J, and kept on the spec.  ``h_trace`` is
+the domain trace of that fiber pairing, ``sum_x paired[x][x][k]``; it forms
+no condition term, so comparing it with condition (ii) compares two
+computations.  ``v_trace`` is the
 anti-invariant part of Tr D2 J.  :func:`equivalence_check` ties both traces to
 the conditions, the paper's equivalence, comparing ``v_trace`` with -P, the
 negated condition-(i) pairing of :mod:`wtw.pseudoharmonic`.
@@ -100,11 +110,11 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from .connection import (Connection, _derivative_along, cov_deriv_endo,
+from .connection import (Connection, _along_terms, cov_deriv_endo,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
 from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron,
-                    _negative, eval_on_bivector, linear_combination, wedge_iso, wedge_oneforms)
+                    _negative, linear_combination, wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -143,16 +153,6 @@ def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
     return _is_skew(V) and spec.twist(V) == _negative(V)
 
 
-def curvature_on_bivector(R: Curvature, b):
-    """R(b) = sum_{p<q} b[p][q] R(E_p, E_q) for an n x n bivector array b, as
-    the n x n array with g(R(b) E_k, E_l) at [k][l], the layout of the blocks
-    ``R.r[p][q]``; reads only p < q, and only the planes where b is nonzero
-    reach the kernel."""
-    planes = list(combinations(range(R.spec.n), 2))
-    return linear_combination(R.spec, [b[p][q] for p, q in planes],
-                              [R.r[p][q] for p, q in planes])
-
-
 def endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
     """R(E_i, E_j) acting on an endomorphism section: the commutator action."""
     return R.memo(_endo_curvature_action, S)
@@ -171,8 +171,9 @@ def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
 
     The gamma route: R(E_i,E_j)S = D_{[E_i,E_j]} S - D_i D_j S + D_j D_i S =
     sum_m c[i][j][m] D_m S - D_i D_j S + D_j D_i S, with every derivative the
-    induced one on endomorphisms; D_i D_j S and D_j D_i S are formed from the
-    D S kept on the connection, one ``linear_combination`` per pair i < j.
+    induced one on endomorphisms, read from the D S kept on the connection;
+    for each pair i < j, each row of the residual is one contraction
+    (``_hom_residual``), and no D_i D_j S is formed as an array.
     Raises on any mismatch (sign conventions are the dominant failure mode).
     A passed check is kept on the connection and not repeated.
     """
@@ -180,19 +181,27 @@ def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
 
 
 def _check_endo_curvature(conn: Connection, S: tuple[Vector, ...]) -> None:
-    spec = conn.spec
     comm = endo_curvature_action(curvature(conn), S)
     first = cov_deriv_endo(conn, S)
     # both sides are antisymmetric in (i, j), so i < j suffices
-    for i, j in combinations(range(spec.n), 2):
-        residual = linear_combination(
-            spec, (*spec.c[i][j], -1, 1, -1),
-            (*first, _derivative_along(conn, first[j], i), _derivative_along(conn, first[i], j),
-             comm[i][j]))
-        if any(chain.from_iterable(residual)):
+    for i, j in combinations(range(conn.spec.n), 2):
+        if any(chain.from_iterable(_hom_residual(conn, first, comm[i][j], i, j))):
             raise AssertionError(
                 "induced curvature mismatch between commutator action and "
                 f"double covariant derivative at ({i+1},{j+1})")
+
+
+def _hom_residual(conn: Connection, first, action: tuple[Vector, ...], i: int, j: int):
+    """sum_m c[i][j][m] D_m S - D_i(D_j S) + D_j(D_i S) - action, with ``first``
+    = D S: row l is one ``FrameSpec.left`` over the four terms, the second and
+    third through their gamma expansions (``connection._along_terms``), so no
+    D_i D_j S array is built."""
+    minus_i, at_i = _along_terms(conn, first[j], i, -1)
+    plus_j, at_j = _along_terms(conn, first[i], j)
+    rows = (*minus_i, *plus_j)
+    return tuple(conn.spec.left((*conn.spec.c[i][j], *u, *v, -1),
+                                (*(d[l] for d in first), *rows, action[l]))
+                 for l, (u, v) in enumerate(zip(at_i, at_j)))
 
 
 class VerticalBasis(NamedTuple):
@@ -295,33 +304,50 @@ def _pairing_residuals(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, 
     R = curvature(weyl(spec))
     action = endo_curvature_action(R, a)
     comm = _commutator(spec, a, b)
-    bivector = _bivector_terms(R, wedge_iso(comm))
+    # comm, read as a bivector array, is -[a, b]^, as [a, b] is skew
+    bivector = _bivector_terms(R, comm)
     endo = _endo_terms(spec, comm)
     against_b, against_comm = _g_against(spec, b), _g_against(spec, comm)
     paired = _antisymmetric(spec.n, spec.zero(), lambda i, j: against_b(action[i][j]))
-    weights = (1, -1, Fraction(1, 2))
+    half = Fraction(1, 2)
     ix = range(spec.n)
+
+    def pairing(i, j):
+        values, weights = bivector[i][j]
+        return spec.dot((paired[i][j], *values, *endo[i][j]), (1, *weights, half, -half))
+
     # the second is antisymmetric in (X, Y), as both its sides are
-    return ([[spec.dot((paired[i][j], bivector[i][j], endo[i][j]), weights) for j in ix]
-             for i in ix],
+    return ([[pairing(i, j) for j in ix] for i in ix],
             _antisymmetric(spec.n, spec.zero(),
                            lambda i, j: paired[i][j] + against_comm(R.r[i][j])))
 
 
 def _bivector_terms(R: Curvature, w):
-    """g(R(w) E_i, E_j) - 1/2 dphi(w) delta_ij at [i][j], for an n x n bivector
-    array w: R and dphi are each applied to w once."""
-    half_dphi = eval_on_bivector(R.spec, R.spec.dphi(), w) * Fraction(1, 2)
-    return [[r - half_dphi if i == j else r for j, r in enumerate(row)]
-            for i, row in enumerate(curvature_on_bivector(R, w))]
+    """The terms of g(R(w) E_i, E_j) - 1/2 dphi(w) delta_ij at [i][j], for an
+    n x n bivector array w, as ``(values, weights)``: entry [i][j] of the
+    block ``R.r[p][q]`` of each plane p < q where w is nonzero, against
+    w[p][q], and on the diagonal dphi(w), formed once, against -1/2.  A reader
+    passes them with the other terms of its residual entry to one kernel
+    call, so R(w) is never formed as an array."""
+    spec, n = R.spec, R.spec.n
+    planes = [(p, q) for p, q in combinations(range(n), 2) if w[p][q]]
+    weights = tuple(w[p][q] for p, q in planes)
+    dphi = spec.dphi()
+    dphi_w = spec.dot(weights, [dphi[p][q] for p, q in planes])
+    diagonal = (*weights, Fraction(-1, 2))
+    # values[i * n + j] holds entry [i][j] of each block
+    values = list(zip(*(chain.from_iterable(R.r[p][q]) for p, q in planes))) or [()] * (n * n)
+    return [[(values[i * n + j], weights) if i != j else ((*values[i * n + j], dphi_w), diagonal)
+             for j in range(n)] for i in range(n)]
 
 
 def _endo_terms(spec: FrameSpec, c: tuple[Vector, ...]):
-    """dphi(c E_i, E_j) + dphi(E_i, c E_j) at [i][j].  As dphi is antisymmetric,
-    the second term is the first at [j][i], negated: each is formed once, and
-    the sum is antisymmetric in (i, j)."""
+    """The terms of dphi(c E_i, E_j) + dphi(E_i, c E_j) at [i][j], as the pair
+    (dphi(c E_i, E_j), dphi(c E_j, E_i)) against the weights (1, -1): as dphi
+    is antisymmetric, the second term is the first at [j][i], negated, so each
+    contraction of dphi with c is formed once."""
     first = [spec.left(col, spec.dphi()) for col in zip(*c)]
-    return _antisymmetric(spec.n, spec.zero(), lambda i, j: first[i][j] - first[j][i])
+    return [[(value, first[j][i]) for j, value in enumerate(row)] for i, row in enumerate(first)]
 
 
 def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
@@ -347,36 +373,35 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
       w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY
 
     per Y, as 2 R(b) - R(b') = R(2b - b') and -dphi(b) + 1/2 dphi(b') =
-    -1/2 dphi(2b - b'): ``_bivector_terms`` applies R and dphi to w once, and
-    ``_endo_terms`` gives the two dphi terms with J nabla_Y J, the builders
-    the fiber-pairing identity reads too.  As dphi is antisymmetric, the
-    second bracket is minus the first at (Z, X), so it is formed once.  The
-    left-hand side is antisymmetric in (X, Z), as the action on J is, so it
-    is paired for X < Z only and mirrored; every residual entry is still
-    formed.
+    -1/2 dphi(2b - b'): ``_bivector_terms`` gives the terms of R and dphi on
+    w, and ``_endo_terms`` those of the two dphi terms with J nabla_Y J, the
+    builders the fiber-pairing identity reads too, and each residual entry is
+    one kernel call over them.  As dphi is antisymmetric, the second bracket
+    is minus the first at (Z, X), so it is formed once.  The left-hand side
+    is the array ``h_trace`` traces, kept on the spec; it is antisymmetric in
+    (X, Z), as the action on J is, so it is paired for X < Z only and
+    mirrored.  Every residual entry is still formed.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
     ix = range(spec.n)
     J = spec.J
     phi = spec.phi
     jphi = spec.j_apply(phi)
-    conn = weyl(spec)
-    R = curvature(conn)
-    dj = cov_deriv_endo(conn, J)
+    R = curvature(weyl(spec))
     dphi = spec.dphi()
-    act_j = endo_curvature_action(R, J)
+    paired = spec.memo(_curvature_dj_pairing)  # G(R(X, Z)J, D_Y J) at [y][x][z]
     phi_j = [-x for x in jphi]                     # phi(J.) = -(J phi), as J^T = -J
     dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
     dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
     den, jd = spec.memo(_j_nabla_j_ints)           # J nabla_Y J, ints over den
-    weights = (1, -1, Fraction(1, den), Fraction(-1, 2), Fraction(1, 2))
+    inverse, half = Fraction(1, den), Fraction(1, 2)
 
     residual = []
     for y, (jn, jy) in enumerate(zip(jd, zip(*J))):
-        against_dj = _g_against(spec, dj[y])
         ey = tuple(spec.const(1 if l == y else 0) for l in ix)
+        # the terms of -w, as w enters the residual negated
         bivector = _bivector_terms(R, linear_combination(
-            spec, (Fraction(2, den), -1, 1),
+            spec, (Fraction(-2, den), 1, -1),
             (wedge_iso(jn), wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy))))
         endo = _endo_terms(spec, jn)
         dphi_jy = spec.left(jy, dphi)              # dphi(JY, .)
@@ -384,11 +409,13 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
         bracket = [[spec.dot((phi_j[x], phi[x], dphi_jphi[z], dphi_phi[z]),
                              (dphi_jy[z], dphi[y][z], J[x][y], -_kron(x, y))) for z in ix]
                    for x in ix]
-        # G(R(X, Z)J, D_Y J), paired for x < z: act_j[z][x] is -act_j[x][z]
-        paired = _antisymmetric(spec.n, spec.zero(), lambda x, z: against_dj(act_j[x][z]))
-        residual.append([[spec.dot((paired[x][z], bivector[x][z], endo[x][z],
-                                    bracket[x][z], bracket[z][x]), weights) for z in ix]
-                         for x in ix])
+
+        def entry(x, z):
+            values, weights = bivector[x][z]
+            return spec.dot((paired[y][x][z], *values, *endo[x][z], bracket[x][z], bracket[z][x]),
+                            (1, *weights, inverse, -inverse, -half, half))
+
+        residual.append([[entry(x, z) for z in ix] for x in ix])
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)
     return report
@@ -411,6 +438,18 @@ def vertical_checks(spec: FrameSpec) -> CheckReport:
     return report
 
 
+def _curvature_dj_pairing(spec: FrameSpec):
+    """G(R(E_x, E_z)J, D_{E_y} J) at [y][x][z], with R the Weyl curvature acting
+    on J by commutator and D the Weyl connection, kept on the spec: the DJ
+    pairing reads it whole and ``h_trace`` its trace.  It is antisymmetric in
+    (x, z), as the action on J is, so it is paired for x < z only and
+    mirrored."""
+    conn = weyl(spec)
+    act_j = endo_curvature_action(curvature(conn), spec.J)
+    return tuple(_antisymmetric(spec.n, spec.zero(), lambda x, z: against(act_j[x][z]))
+                 for against in (_g_against(spec, d) for d in cov_deriv_endo(conn, spec.J)))
+
+
 def h_trace(spec: FrameSpec):
     """Horizontal trace of the second fundamental form, as an n-vector.
 
@@ -420,16 +459,14 @@ def h_trace(spec: FrameSpec):
         Tr{X -> G(R(X, E_k) J, D_X J)},
 
     with R the Weyl curvature acting on J by commutator and D the Weyl
-    connection; it is independent of the fiber scale t.  It reads the action
-    on J kept on the curvature tensor and D J kept on the connection.  Requires
-    the gate (integrability and the Lee identity).
+    connection; it is independent of the fiber scale t.  It reads
+    sum_x paired[x][x][k] from the array paired[y][x][z] =
+    G(R(E_x, E_z)J, D_{E_y} J) that the DJ pairing reads whole, kept on the
+    spec.  Requires the gate (integrability and the Lee identity).
     """
     require_gate(spec)
-    conn = weyl(spec)
-    act_j = endo_curvature_action(curvature(conn), spec.J)
-    against_dj = [_g_against(spec, d) for d in cov_deriv_endo(conn, spec.J)]
-    return tuple(spec.ring.sum(g(row[k]) for g, row in zip(against_dj, act_j))
-                 for k in range(spec.n))
+    paired = spec.memo(_curvature_dj_pairing)
+    return tuple(spec.ring.sum(paired[x][x][k] for x in range(spec.n)) for k in range(spec.n))
 
 
 def v_trace(spec: FrameSpec) -> tuple[Vector, ...]:

@@ -3,16 +3,19 @@ from __future__ import annotations
 import pathlib
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 
 import pytest
 
 import frame_families
 from wtw import builtin, g_fiber, load_spec, load_spec_file
-from wtw.connection import (cov_deriv_endo, cov_deriv_oneform, levi_civita,
+from wtw.connection import (_derivative_along, cov_deriv_endo, cov_deriv_oneform, levi_civita,
                             metric_residual, reconstruct_weyl_form, torsion_residual,
                             traced_second_cov_deriv_endo, weyl)
+from wtw.curvature import curvature
+from wtw.frame import linear_combination
 from wtw.hermitian import lee_form
-from wtw.twistor import endo_curvature_consistency
+from wtw.twistor import _hom_residual, endo_curvature_action, endo_curvature_consistency
 
 
 def _gamma_dict(conn):
@@ -176,14 +179,47 @@ def test_second_derivatives_agree_with_their_two_step_definition(spec):
     and the trace of D2 S, which reads them for i = j, equals the sum of the
     two-step D2_{E_i E_i} S."""
     n = spec.n
-    S = tuple(tuple(spec.const(Fraction((l + 1) * (m + 2) - 5, l + 2 * m + 1)) for m in range(n))
-              for l in range(n))
-    assert S[0][1] != -S[1][0]
     for conn in (weyl(spec), levi_civita(spec)):
-        for endo in (spec.J, S):
+        for endo in (spec.J, _non_skew(spec)):
             endo_curvature_consistency(conn, endo)
             diagonal = [_second_by_definition(conn, endo, i, i) for i in range(n)]
             expected = tuple(tuple(sum((d[l][m] for d in diagonal), spec.zero())
                                    for m in range(n)) for l in range(n))
             assert any(any(row) for row in expected)
             assert traced_second_cov_deriv_endo(conn, endo) == expected
+
+
+def _non_skew(spec):
+    """A rational endomorphism with no symmetry: S[0][1] != -S[1][0]."""
+    n = spec.n
+    S = tuple(tuple(spec.const(Fraction((l + 1) * (m + 2) - 5, l + 2 * m + 1)) for m in range(n))
+              for l in range(n))
+    assert S[0][1] != -S[1][0]
+    return S
+
+
+@pytest.mark.parametrize("spec", _second_derivative_frames(), ids=lambda spec: spec.name)
+def test_cross_check_rows_are_their_two_step_definition(spec):
+    """The curvature cross-check on endomorphisms forms each row of
+    sum_m c[i][j][m] D_m S - D_i(D_j S) + D_j(D_i S) - A as one contraction over
+    the gamma expansions of its four terms.  For S = J and a non-skew rational
+    S, under both connections, every row equals the ``linear_combination`` of
+    the derivatives along one direction, formed apart: with A the commutator
+    action, where both are zero, and with A = 0, where both are the gamma route
+    to R(E_i, E_j)S."""
+    n = spec.n
+    zero = ((spec.zero(),) * n,) * n
+    for conn in (weyl(spec), levi_civita(spec)):
+        for endo in (spec.J, _non_skew(spec)):
+            first = cov_deriv_endo(conn, endo)
+            action = endo_curvature_action(curvature(conn), endo)
+            formed = []
+            for i, j in combinations(range(n), 2):
+                two_step = (*first, _derivative_along(conn, first[j], i),
+                            _derivative_along(conn, first[i], j))
+                for A in (action[i][j], zero):
+                    expected = linear_combination(spec, (*spec.c[i][j], -1, 1, -1),
+                                                  (*two_step, A))
+                    assert _hom_residual(conn, first, A, i, j) == expected
+                formed.append(expected)
+            assert any(chain.from_iterable(chain.from_iterable(formed)))

@@ -35,20 +35,24 @@ frame of ``FRAMES`` where dphi has a J-anti-invariant part, and to change no
 check on the others.
 
 The curvature cross-check on endomorphisms, R(E_i, E_j)S = sum_m c[i][j][m]
-D_m S - D_i D_j S + D_j D_i S, is mutated by negating its bracket weights,
-which its own assertion catches.  The trace of D2 S, sum_i D_i D_i S minus
+D_m S - D_i D_j S + D_j D_i S, forms each row as one contraction over the
+gamma expansions of its terms.  It is mutated by negating its bracket
+weights, and by expanding -D_i(D_j S) with the gamma column of j where that
+of i belongs; its own assertion catches both on all six frames.  The trace of D2 S, sum_i D_i D_i S minus
 D S along sum_i D_{E_i} E_i, is read by ``vertical trace paths agree`` alone;
 as that check already fails at n >= 6, flipping the sign of the divergence
 term is required to be caught at n = 4 only.  Both are mutated by recompiling
 the builder's source with one piece of it replaced.
 
-Two sites read an array in the layout its owner keeps.  The antisymmetry
+Three sites read an array in the layout its owner keeps.  The antisymmetry
 residual of ``twistor._pairing_residuals`` reads G(R(X, Y)b, a) as
 G(r[i][j], [a, b]), from the stored block r[i][j], which is the transpose of
 R(E_i, E_j); its sign is flipped.  The DJ pairing reads J o nabla_Y J as int
 numerators over one denominator, which its weights carry; the weight 1/den of
-its dphi terms becomes 1.  Both are recompiled, and each is required to be
-caught on all six frames.
+its dphi terms becomes 1.  The horizontal trace reads the DJ pairing array
+G(R(E_x, E_z)J, D_{E_y} J) at [x][x][k]; it reads [x][k][x] instead, which
+negates it, and h_trace is nonzero on all six frames.  All three are
+recompiled, and each is required to be caught on all six frames.
 
 The planes of the vertical basis divide each projection by |u|^2, which is 1
 on a J that is a signed permutation, as on every frame of ``FRAMES``.  So
@@ -288,7 +292,7 @@ def _endo_transpose_sign(monkeypatch):
     dphi(cY, X) as dphi is antisymmetric."""
     def mutated(spec, c):
         first = [spec.left(col, spec.dphi()) for col in zip(*c)]
-        return [[value + first[j][i] for j, value in enumerate(row)]
+        return [[(value, -first[j][i]) for j, value in enumerate(row)]
                 for i, row in enumerate(first)]
 
     monkeypatch.setattr(twistor, "_endo_terms", mutated)
@@ -339,9 +343,28 @@ def _check_bracket_term(monkeypatch):
     """The curvature cross-check on endomorphisms weights each D_{E_m} S by
     -c[i][j][m] instead of c[i][j][m]: the term D_{[E_i, E_j]} S enters with
     the opposite sign."""
-    monkeypatch.setattr(twistor, "_check_endo_curvature", _recompiled(
-        twistor, twistor._check_endo_curvature, "(*spec.c[i][j],",
-        "(*(-x for x in spec.c[i][j]),"))
+    monkeypatch.setattr(twistor, "_hom_residual", _recompiled(
+        twistor, twistor._hom_residual, "(*conn.spec.c[i][j],",
+        "(*(-x for x in conn.spec.c[i][j]),"))
+
+
+def _check_gamma_column(monkeypatch):
+    """The curvature cross-check on endomorphisms expands -D_i(D_j S) with the
+    gamma column of j where that of i belongs: the coefficients of row l read
+    -gamma[j][k][l] in place of -gamma[i][k][l], while the rows stay those of
+    -D_i."""
+    monkeypatch.setattr(twistor, "_hom_residual", _recompiled(
+        twistor, twistor._hom_residual, "minus_i, at_i = _along_terms(conn, first[j], i, -1)",
+        "minus_i, at_i = (_along_terms(conn, first[j], i, -1)[0],"
+        " _along_terms(conn, first[j], j, -1)[1])"))
+
+
+def _h_trace_transpose(monkeypatch):
+    """The horizontal trace reads the DJ pairing array at [x][k][x] in place of
+    [x][x][k], which is the trace negated, as the array is antisymmetric in its
+    last two indices."""
+    monkeypatch.setattr(twistor, "h_trace", _recompiled(
+        twistor, twistor.h_trace, "paired[x][x][k] for x", "paired[x][k][x] for x"))
 
 
 def _block_pairing_sign(monkeypatch):
@@ -363,15 +386,15 @@ def _dj_endo_weight(monkeypatch):
 def _trace_divergence_sign(monkeypatch):
     """The trace of D2 S gains +D_{sum_i D_{E_i} E_i} S instead of -D_{sum_i D_{E_i} E_i} S."""
     monkeypatch.setattr(twistor, "traced_second_cov_deriv_endo", _recompiled(
-        connection, connection.traced_second_cov_deriv_endo, "-w for w in weights",
-        "w for w in weights"))
+        connection, connection.traced_second_cov_deriv_endo, "-w for w in divergence",
+        "w for w in divergence"))
 
 
 def _bivector_dphi_term(monkeypatch):
     """The fiber pairings' shared bivector builder loses its term
-    -1/2 dphi(w) delta_ij."""
-    monkeypatch.setattr(twistor, "_bivector_terms",
-                        lambda R, w: [list(row) for row in twistor.curvature_on_bivector(R, w)])
+    -1/2 dphi(w) delta_ij: the weight -1/2 of dphi(w) becomes 0."""
+    monkeypatch.setattr(twistor, "_bivector_terms", _recompiled(
+        twistor, twistor._bivector_terms, "(*weights, Fraction(-1, 2))", "(*weights, 0)"))
 
 
 @functools.cache
@@ -432,7 +455,8 @@ def test_trace_divergence_sign_is_caught_at_n4(monkeypatch, name):
                                     _rho_star_sign, _jstar_sign, _rho_square_coefficient,
                                     _dphi_sign, _twisted_dphi_sign, _dphi_j_sign,
                                     _endo_transpose_sign, _action_entry, _check_bracket_term,
-                                    _norm_sq, _block_pairing_sign, _dj_endo_weight],
+                                    _check_gamma_column, _norm_sq, _block_pairing_sign,
+                                    _dj_endo_weight, _h_trace_transpose],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):

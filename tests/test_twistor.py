@@ -7,7 +7,7 @@ import pathlib
 import random
 import re
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -497,9 +497,9 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     DJ pairing, the one reader of the wedge images, hands each int image to
     wedge_iso once, with no lift.  Per direction Y it forms
     phi# ^ Y once, adds it, the image and J phi# ^ JY into one bivector, and
-    hands that bivector alone to curvature_on_bivector and eval_on_bivector: n
-    calls of each, where applying R and dphi to the image and to the phi wedges
-    apart made 2n."""
+    hands that bivector alone to ``_bivector_terms``, which reads R and dphi on
+    it: n calls, where applying R and dphi to the image and to the phi wedges
+    apart made 2n calls of each."""
     from wtw.cli import _suite_report
 
     spec = builtin("inoue-s0")
@@ -532,21 +532,20 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     counting("wedge_iso", lambda args: args[:1])
     counting("wedge_oneforms", lambda args: args[1:2])
     counting("linear_combination", lambda args: args[2])
-    counting("curvature_on_bivector", lambda args: args[1:2])
-    counting("eval_on_bivector", lambda args: args[2:])
+    counting("_bivector_terms", lambda args: args[1:2])
     assert _suite_report(spec).ok
     n = spec.n
     assert calls == {"J o nabla J": 1, "wedge_iso": n, "wedge_oneforms": n,
-                     "linear_combination": n, "curvature_on_bivector": n,
-                     "eval_on_bivector": n}
+                     "linear_combination": n, "_bivector_terms": n}
 
 
 @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_rotation6"])
-def test_curvature_on_bivector_is_the_weighted_sum_of_the_stored_blocks(name):
-    """R(b) in the layout of the stored blocks: g(R(b) E_k, E_l) at [k][l] is
-    sum_{p<q} b[p][q] R.r[p][q][k][l], entry by entry, for a bivector on
-    four planes, one of them with a zero weight; the lower triangle of b,
-    which is not antisymmetric here, is not read."""
+def test_bivector_terms_are_the_weighted_sum_of_the_stored_blocks(name):
+    """The terms of g(R(b) E_k, E_l) - 1/2 dphi(b) delta_kl, in the layout of
+    the stored blocks: at [k][l] they weigh to sum_{p<q} b[p][q] R.r[p][q][k][l],
+    less 1/2 dphi(b) on the diagonal, entry by entry, for a bivector on four
+    planes, one of them with a zero weight, which passes no term; the lower
+    triangle of b, which is not antisymmetric here, is not read."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / f"{name}.toml")
     R = curvature(weyl(spec))
     n, z = spec.n, spec.zero()
@@ -554,9 +553,15 @@ def test_curvature_on_bivector_is_the_weighted_sum_of_the_stored_blocks(name):
     b = [[z] * n for _ in range(n)]
     for (p, q), w in weights.items():
         b[p][q], b[q][p] = w, spec.ring.sym("a6")
-    assert twistor.curvature_on_bivector(R, b) == tuple(tuple(
-        sum((w * R.r[p][q][k][l] for (p, q), w in weights.items()), z)
-        for l in range(n)) for k in range(n))
+    dphi_b = sum((w * spec.dphi()[p][q] for (p, q), w in weights.items()), z)
+    assert not dphi_b.is_zero
+    terms = twistor._bivector_terms(R, b)
+    for k, l in product(range(n), repeat=2):
+        values, factors = terms[k][l]
+        assert len(values) == len(factors) == 3 + (k == l)
+        expected = sum((w * R.r[p][q][k][l] for (p, q), w in weights.items()), z)
+        assert spec.dot(values, factors) == (expected - dphi_b * Fraction(1, 2) if k == l
+                                             else expected)
 
 
 # -- the traces read the condition builders ------------------------------------
@@ -697,6 +702,30 @@ def test_dj_residual_pairs_every_entry_of_the_action(base, monkeypatch):
                   for z in range(n)] for x in range(n)] for y in range(n)]
     assert [[list(row) for row in plane] for plane in residuals[0]] == expected
     assert any(expected[y][2][0] for y in range(n))
+
+
+# J dense, or J standard and the brackets dense, at n = 4 and 6
+PAIRING_FRAMES = {**frame_families.DENSE_J, **frame_families.UNITARY,
+                  "inoue_s0_unitary.toml": frame_families._rotated(
+                      "inoue-s0", 4, frame_families._inoue_brackets((0,)),
+                      frame_families.unitary(4))}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_FRAMES))
+def test_dj_pairing_array_is_the_fiber_pairing_entry_by_entry(name):
+    """The one array G(R(E_x, E_z)J, D_{E_y} J) at [y][x][z], which the DJ
+    pairing reads whole and ``h_trace`` traces, is formed for x < z and
+    mirrored; every entry, x > z included, equals ``g_fiber`` of the action on
+    J at [x][z] and D_{E_y} J."""
+    spec = load_spec(PAIRING_FRAMES[name], name)
+    n, conn = spec.n, weyl(spec)
+    action = endo_curvature_action(curvature(conn), spec.J)
+    dj = cov_deriv_endo(conn, spec.J)
+    paired = spec.memo(twistor._curvature_dj_pairing)
+    assert [[list(row) for row in plane] for plane in paired] == [
+        [[g_fiber(spec, action[x][z], dj[y]) for z in range(n)] for x in range(n)]
+        for y in range(n)]
+    assert any(chain.from_iterable(chain.from_iterable(paired)))
 
 
 @pytest.mark.parametrize("base", DENSE_J_BASES)
