@@ -303,7 +303,9 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     J = spec.J
 
     def pair_symmetry(i, j, k, l):
-        return spec.dot((r[i][j][k][l], r[i][j][l][k], dphi[i][j]), (1, 1, -_kron(k, l)))
+        # minus d(phi)_ij d_kl, passed only where k == l
+        diagonal = (dphi[i][j],) if k == l else ()
+        return spec.dot((r[i][j][k][l], r[i][j][l][k], *diagonal), (1, 1, -1))
 
     report.require_zero("pair-symmetry against d(phi) [Z-T]",
                         _pair_antisymmetric(spec, pair_symmetry), axes)

@@ -83,7 +83,8 @@ by ``_antisymmetric``: it forms the entry of each pair i < j once, stores its
 negation at (j, i) (``_negative`` for n x n blocks) and zero on the diagonal.
 So the 2-forms and bivectors built here are antisymmetric with a zero
 diagonal, and the functions that take one, :func:`eval_on_bivector` and the
-bivector terms of :mod:`wtw.twistor`, read only the entries with i < j.
+R(c) and dphi(c) terms of the fiber-pairing identity of :mod:`wtw.twistor`,
+read only the entries with i < j.
 Arrays alternating in three indices, the 3-forms of :mod:`wtw.hermitian` and
 the first Bianchi residual of :mod:`wtw.curvature`, are built by
 ``_alternating``, which forms the entry of each triple i < j < k once.

@@ -49,21 +49,32 @@ nonzero entries of ``b`` only: ``_g_against`` finds them and halves them
 once per ``b``, so that each pairing is one kernel call, and is the one
 support walk of this module, as ``b`` is reused across calls; every other
 contraction here walks its support in a ``FrameSpec`` contraction (see
-:mod:`wtw.frame`).  The two fiber pairings, the identity for G(R(X, Y)a, b)
-and the DJ pairing, read one builder per term of their right-hand sides, and
-each builder returns terms, not an array.  ``_bivector_terms(R, w)`` gives
-those of ``g(R(w) X, Y) - 1/2 dphi(w) g(X, Y)``, in the layout the curvature
-tensor stores, ``g(R(w) E_k, E_l)`` at ``[k][l]``: entry [k][l] of the block
-``R.r[p][q]`` of each plane p < q where w is nonzero, against w[p][q], and
-dphi(w), formed once, against -1/2 on the diagonal.  ``_endo_terms(spec, c)``
-gives those of
-``dphi(cX, Y) + dphi(X, cY)``.  As dphi is antisymmetric, ``dphi(X, cY)`` is
-read from ``dphi(cY, X)``: each contraction of dphi with an endomorphism c is
-formed once.  Each residual entry is one ``FrameSpec.dot`` over the terms of
-both builders and its own, so neither R(w) nor the sum of the dphi terms is
-formed as an array.  Both pairings subtract the bivector terms, so each
-passes its bivector negated: the pairing identity passes the skew [a, b],
-which read as a bivector array is -[a, b]^, and the DJ pairing -w.
+:mod:`wtw.frame`).
+
+Both fiber pairings, the identity for G(R(X, Y)a, b) against every vertical
+direction and the DJ pairing, are one identity,
+
+    G(R(X, Y)a, b) = g(R([a, b]^) X, Y)
+        - 1/2 [dphi([a, b]^) g(X, Y) + dphi([a, b]X, Y) + dphi(X, [a, b]Y)],
+
+and read its one builder, ``_pairing_identity(R, paired, c)``, with the
+pairing array and the skew c = [a, b], which read as a bivector array is
+-[a, b]^.  Each residual entry [i][j] is one ``FrameSpec.dot`` over the
+pairing against 1; entry [i][j] of the block ``R.r[p][q]`` of each plane
+p < q where c is nonzero, against c[p][q]; dphi(c), formed once, against -1/2
+on the diagonal; and dphi(c E_i, E_j) and dphi(c E_j, E_i) against 1/2 and
+-1/2, the latter being dphi(E_i, c E_j) as dphi is antisymmetric.  So
+neither R(c) nor a sum of dphi terms is formed as an array, and each
+contraction of dphi with c is formed once.  ``_pairing_residuals`` passes
+the commutator it forms.  The DJ pairing is the identity at
+(a, b) = (J, D_Y J), and per direction Y it forms c_y = [J, D_Y J] from
+Levi-Civita data alone: the int numerators of J o nabla_Y J that
+:mod:`wtw.hermitian` keeps, with their denominator in the weights, and two
+wedges of phi, added into one array,
+
+    c_y = -w,  w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY,
+
+where -(J nabla_Y J)^ is J nabla_Y J itself, as it is skew.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-planes
 of a rational orthogonal basis are stored *unnormalized*; expansions divide
@@ -80,17 +91,12 @@ and the Gram matrix of the family is diagonal, with the entry
 a signed permutation each u_r is a frame vector, each element sets four
 entries and each norm is 2.  The basis is kept on the spec.
 
-Only the DJ pairing reads the wedge images of J o nabla_X J, from the int
-numerators :mod:`wtw.hermitian` keeps, with their denominator in its weights.
-Per direction Y it adds the image and two wedges of phi into one bivector,
-``w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY``, and reads R and dphi on
-that w alone, through ``_bivector_terms``.
-
-:func:`vertical_checks` calls that builder once per vertical direction V, for
-(J, V), after one cross-check of the action on J.  By ad-invariance it covers
-the antisymmetry G(R(X, Y)J, V) + G(R(X, Y)V, J) = 0 for every vertical V, as
-the basis spans the vertical space.  The vertical Gram and the verticality of
-each element are checked once, as the basis is built.
+:func:`vertical_checks` calls ``_pairing_residuals`` once per vertical
+direction V, for (J, V), after one cross-check of the action on J.  By
+ad-invariance it covers the antisymmetry G(R(X, Y)J, V) + G(R(X, Y)V, J) = 0
+for every vertical V, as the basis spans the vertical space.  The vertical
+Gram and the verticality of each element are checked once, as the basis is
+built.
 
 The DJ pairing's left-hand side G(R(E_x, E_z)J, D_{E_y} J) is one array,
 ``paired[y][x][z]`` (``_curvature_dj_pairing``), formed for x < z and
@@ -113,8 +119,8 @@ from typing import NamedTuple
 from .connection import (Connection, _along_terms, cov_deriv_endo,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
-from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron,
-                    _negative, linear_combination, wedge_iso, wedge_oneforms)
+from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _negative,
+                    linear_combination, wedge_iso, wedge_oneforms)
 from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -304,50 +310,38 @@ def _pairing_residuals(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, 
     R = curvature(weyl(spec))
     action = endo_curvature_action(R, a)
     comm = _commutator(spec, a, b)
-    # comm, read as a bivector array, is -[a, b]^, as [a, b] is skew
-    bivector = _bivector_terms(R, comm)
-    endo = _endo_terms(spec, comm)
     against_b, against_comm = _g_against(spec, b), _g_against(spec, comm)
     paired = _antisymmetric(spec.n, spec.zero(), lambda i, j: against_b(action[i][j]))
-    half = Fraction(1, 2)
-    ix = range(spec.n)
-
-    def pairing(i, j):
-        values, weights = bivector[i][j]
-        return spec.dot((paired[i][j], *values, *endo[i][j]), (1, *weights, half, -half))
-
     # the second is antisymmetric in (X, Y), as both its sides are
-    return ([[pairing(i, j) for j in ix] for i in ix],
+    return (_pairing_identity(R, paired, comm),
             _antisymmetric(spec.n, spec.zero(),
                            lambda i, j: paired[i][j] + against_comm(R.r[i][j])))
 
 
-def _bivector_terms(R: Curvature, w):
-    """The terms of g(R(w) E_i, E_j) - 1/2 dphi(w) delta_ij at [i][j], for an
-    n x n bivector array w, as ``(values, weights)``: entry [i][j] of the
-    block ``R.r[p][q]`` of each plane p < q where w is nonzero, against
-    w[p][q], and on the diagonal dphi(w), formed once, against -1/2.  A reader
-    passes them with the other terms of its residual entry to one kernel
-    call, so R(w) is never formed as an array."""
+def _pairing_identity(R: Curvature, paired, c):
+    """The residual of the fiber-pairing identity at [i][j], for the pairing
+    array ``paired`` of G(R(E_i, E_j)a, b) and the skew c = [a, b]:
+
+        paired[i][j] + g(R(c) E_i, E_j) - 1/2 dphi(c) delta_ij
+            + 1/2 dphi(c E_i, E_j) - 1/2 dphi(c E_j, E_i),
+
+    with c read as a bivector array, which is -[a, b]^; each entry is one
+    kernel call (see the module docstring)."""
     spec, n = R.spec, R.spec.n
-    planes = [(p, q) for p, q in combinations(range(n), 2) if w[p][q]]
-    weights = tuple(w[p][q] for p, q in planes)
     dphi = spec.dphi()
-    dphi_w = spec.dot(weights, [dphi[p][q] for p, q in planes])
-    diagonal = (*weights, Fraction(-1, 2))
-    # values[i * n + j] holds entry [i][j] of each block
-    values = list(zip(*(chain.from_iterable(R.r[p][q]) for p, q in planes))) or [()] * (n * n)
-    return [[(values[i * n + j], weights) if i != j else ((*values[i * n + j], dphi_w), diagonal)
-             for j in range(n)] for i in range(n)]
+    planes = [(p, q) for p, q in combinations(range(n), 2) if c[p][q]]
+    weights = [c[p][q] for p, q in planes]
+    dphi_c = spec.dot(weights, [dphi[p][q] for p, q in planes])
+    first = [spec.left(col, dphi) for col in zip(*c)]
+    half = Fraction(1, 2)
 
+    def entry(i, j):
+        diagonal = (dphi_c,) if i == j else ()
+        return spec.dot((paired[i][j], first[i][j], first[j][i],
+                         *(R.r[p][q][i][j] for p, q in planes), *diagonal),
+                        (1, half, -half, *weights, -half))
 
-def _endo_terms(spec: FrameSpec, c: tuple[Vector, ...]):
-    """The terms of dphi(c E_i, E_j) + dphi(E_i, c E_j) at [i][j], as the pair
-    (dphi(c E_i, E_j), dphi(c E_j, E_i)) against the weights (1, -1): as dphi
-    is antisymmetric, the second term is the first at [j][i], negated, so each
-    contraction of dphi with c is formed once."""
-    first = [spec.left(col, spec.dphi()) for col in zip(*c)]
-    return [[(value, first[j][i]) for j, value in enumerate(row)] for i, row in enumerate(first)]
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
 def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
@@ -367,55 +361,30 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
     checked for every frame triple (X, Y, Z), indexed [Y][X][Z]; nabla is
     Levi-Civita, R and the fiber pairing belong to the Weyl connection.
-    R and dphi are linear in the bivector, so the two R terms and the two
-    g(X,Z) terms are read from the one bivector
+    The right-hand side is that of the fiber-pairing identity at
+    (a, b) = (J, D_Y J), whose bracket is read from Levi-Civita data,
 
-      w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY
+      [J, D_Y J]^ = w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY,
 
-    per Y, as 2 R(b) - R(b') = R(2b - b') and -dphi(b) + 1/2 dphi(b') =
-    -1/2 dphi(2b - b'): ``_bivector_terms`` gives the terms of R and dphi on
-    w, and ``_endo_terms`` those of the two dphi terms with J nabla_Y J, the
-    builders the fiber-pairing identity reads too, and each residual entry is
-    one kernel call over them.  As dphi is antisymmetric, the second bracket
-    is minus the first at (Z, X), so it is formed once.  The left-hand side
-    is the array ``h_trace`` traces, kept on the spec; it is antisymmetric in
-    (X, Z), as the action on J is, so it is paired for X < Z only and
-    mirrored.  Every residual entry is still formed.
+    so each residual plane is ``_pairing_identity`` on the pairing array at Y
+    and the endomorphism [J, D_Y J], which is the array -w as J nabla_Y J is
+    skew.  The left-hand side is the array ``h_trace`` traces, kept on the
+    spec; it is antisymmetric in (X, Z), as the action on J is, so it is
+    paired for X < Z only and mirrored.  Every residual entry is still formed.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
-    ix = range(spec.n)
-    J = spec.J
     phi = spec.phi
     jphi = spec.j_apply(phi)
     R = curvature(weyl(spec))
-    dphi = spec.dphi()
     paired = spec.memo(_curvature_dj_pairing)  # G(R(X, Z)J, D_Y J) at [y][x][z]
-    phi_j = [-x for x in jphi]                     # phi(J.) = -(J phi), as J^T = -J
-    dphi_jphi = spec.left(jphi, dphi)              # dphi(J phi#, .)
-    dphi_phi = spec.left(phi, dphi)                # dphi(phi#, .)
-    den, jd = spec.memo(_j_nabla_j_ints)           # J nabla_Y J, ints over den
-    inverse, half = Fraction(1, den), Fraction(1, 2)
-
+    den, jd = spec.memo(_j_nabla_j_ints)  # J nabla_Y J, ints over den
     residual = []
-    for y, (jn, jy) in enumerate(zip(jd, zip(*J))):
-        ey = tuple(spec.const(1 if l == y else 0) for l in ix)
-        # the terms of -w, as w enters the residual negated
-        bivector = _bivector_terms(R, linear_combination(
-            spec, (Fraction(-2, den), 1, -1),
-            (wedge_iso(jn), wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy))))
-        endo = _endo_terms(spec, jn)
-        dphi_jy = spec.left(jy, dphi)              # dphi(JY, .)
-        # [x][z]: the first bracket; -J[y][x] = J[x][y], as J is skew
-        bracket = [[spec.dot((phi_j[x], phi[x], dphi_jphi[z], dphi_phi[z]),
-                             (dphi_jy[z], dphi[y][z], J[x][y], -_kron(x, y))) for z in ix]
-                   for x in ix]
-
-        def entry(x, z):
-            values, weights = bivector[x][z]
-            return spec.dot((paired[y][x][z], *values, *endo[x][z], bracket[x][z], bracket[z][x]),
-                            (1, *weights, inverse, -inverse, -half, half))
-
-        residual.append([[entry(x, z) for z in ix] for x in ix])
+    for y, (jn, jy) in enumerate(zip(jd, zip(*spec.J))):
+        ey = tuple(spec.const(1 if l == y else 0) for l in range(spec.n))
+        # [J, D_Y J] = -w as an array, as jn is skew
+        c = linear_combination(spec, (Fraction(2, den), 1, -1),
+                               (jn, wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy)))
+        residual.append(_pairing_identity(R, paired[y], c))
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)
     return report

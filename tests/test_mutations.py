@@ -23,16 +23,16 @@ the rho or rho* term of L(psi) is mutated where condition (ii) reads the
 formulas, and the sign of each of its three d(phi) terms where condition (ii)
 is built, so only the trace equivalence sees them.  The two fiber pairings,
 the identity checked against every vertical direction and the DJ pairing,
-share the builder of their dphi(cX, Y) + dphi(X, cY) terms, which is mutated
-where it is built.
+are one identity with one builder, ``twistor._pairing_identity``, whose
+weight of dphi(X, cY) is flipped where it is built.
 
-They also share the builder of their g(R(w)X, Y) - 1/2 dphi(w) g(X, Y) terms.
-Every bivector w they form is J-anti-invariant: [J, V] = 2JV for a vertical V,
-and the DJ pairing's w = 2(J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY.  So dropping
-the dphi(w) term changes nothing on a frame whose dphi is of type (1, 1),
-dphi(JX, JY) = dphi(X, Y); that mutation is required to be caught on every
-frame of ``FRAMES`` where dphi has a J-anti-invariant part, and to change no
-check on the others.
+That builder also forms g(R(w)X, Y) - 1/2 dphi(w) g(X, Y), for the bivector
+w of the bracket c.  Every w the pairings form is J-anti-invariant: [J, V] =
+2JV for a vertical V, and the DJ pairing's w = 2(J nabla_Y J)^ - phi# ^ Y +
+J phi# ^ JY.  So dropping the dphi(w) term changes nothing on a frame whose
+dphi is of type (1, 1), dphi(JX, JY) = dphi(X, Y); that mutation is required
+to be caught on every frame of ``FRAMES`` where dphi has a J-anti-invariant
+part, and to change no check on the others.
 
 The curvature cross-check on endomorphisms, R(E_i, E_j)S = sum_m c[i][j][m]
 D_m S - D_i D_j S + D_j D_i S, forms each row as one contraction over the
@@ -48,11 +48,13 @@ Three sites read an array in the layout its owner keeps.  The antisymmetry
 residual of ``twistor._pairing_residuals`` reads G(R(X, Y)b, a) as
 G(r[i][j], [a, b]), from the stored block r[i][j], which is the transpose of
 R(E_i, E_j); its sign is flipped.  The DJ pairing reads J o nabla_Y J as int
-numerators over one denominator, which its weights carry; the weight 1/den of
-its dphi terms becomes 1.  The horizontal trace reads the DJ pairing array
-G(R(E_x, E_z)J, D_{E_y} J) at [x][x][k]; it reads [x][k][x] instead, which
-negates it, and h_trace is nonzero on all six frames.  All three are
-recompiled, and each is required to be caught on all six frames.
+numerators over one denominator, which its weights carry; the weight 2/den
+of J nabla_Y J in its bracket [J, D_Y J] becomes 2.  The horizontal trace
+reads the DJ pairing array G(R(E_x, E_z)J, D_{E_y} J) at [x][x][k]; it reads
+[x][k][x] instead, which negates it, and h_trace is nonzero on all six
+frames.  All three are recompiled, and each is required to be caught on all
+six frames, as is the sign of the wedge J phi# ^ JY in the DJ pairing's
+bracket, flipped where the bracket is formed.
 
 The planes of the vertical basis divide each projection by |u|^2, which is 1
 on a J that is a signed permutation, as on every frame of ``FRAMES``.  So
@@ -287,15 +289,11 @@ def _dphi_j_sign(monkeypatch):
 
 
 def _endo_transpose_sign(monkeypatch):
-    """The term dphi(X, cY) of the fiber pairings' shared builder enters with
-    the opposite sign: dphi(cX, Y) - dphi(X, cY), which is dphi(cX, Y) +
-    dphi(cY, X) as dphi is antisymmetric."""
-    def mutated(spec, c):
-        first = [spec.left(col, spec.dphi()) for col in zip(*c)]
-        return [[(value, -first[j][i]) for j, value in enumerate(row)]
-                for i, row in enumerate(first)]
-
-    monkeypatch.setattr(twistor, "_endo_terms", mutated)
+    """The term dphi(X, cY) of the fiber-pairing identity enters with the
+    opposite sign: the weight -1/2 of dphi(c E_j, E_i) becomes +1/2, so the
+    builder reads dphi(cX, Y) - dphi(X, cY)."""
+    monkeypatch.setattr(twistor, "_pairing_identity", _recompiled(
+        twistor, twistor._pairing_identity, "(1, half, -half,", "(1, half, half,"))
 
 
 def _action_entry(monkeypatch):
@@ -377,10 +375,18 @@ def _block_pairing_sign(monkeypatch):
 
 
 def _dj_endo_weight(monkeypatch):
-    """The DJ pairing weights its dphi terms of J nabla_Y J by 1 instead of
-    1/den, so the int numerators enter unscaled."""
+    """The DJ pairing weights J nabla_Y J by 2 instead of 2/den in the bracket
+    [J, D_Y J], so the int numerators enter unscaled."""
     monkeypatch.setattr(twistor, "curvature_pairing_with_dj_check", _recompiled(
-        twistor, twistor.curvature_pairing_with_dj_check, "Fraction(1, den)", "1"))
+        twistor, twistor.curvature_pairing_with_dj_check, "Fraction(2, den)", "2"))
+
+
+def _dj_wedge_sign(monkeypatch):
+    """The DJ pairing adds J phi# ^ JY to the bracket [J, D_Y J] where it
+    belongs subtracted: the weight -1 of that wedge becomes +1."""
+    monkeypatch.setattr(twistor, "curvature_pairing_with_dj_check", _recompiled(
+        twistor, twistor.curvature_pairing_with_dj_check, "(Fraction(2, den), 1, -1)",
+        "(Fraction(2, den), 1, 1)"))
 
 
 def _trace_divergence_sign(monkeypatch):
@@ -391,10 +397,10 @@ def _trace_divergence_sign(monkeypatch):
 
 
 def _bivector_dphi_term(monkeypatch):
-    """The fiber pairings' shared bivector builder loses its term
-    -1/2 dphi(w) delta_ij: the weight -1/2 of dphi(w) becomes 0."""
-    monkeypatch.setattr(twistor, "_bivector_terms", _recompiled(
-        twistor, twistor._bivector_terms, "(*weights, Fraction(-1, 2))", "(*weights, 0)"))
+    """The fiber-pairing identity loses its term -1/2 dphi(c) delta_ij: the
+    weight -1/2 of dphi(c) on the diagonal becomes 0."""
+    monkeypatch.setattr(twistor, "_pairing_identity", _recompiled(
+        twistor, twistor._pairing_identity, "*weights, -half)", "*weights, 0)"))
 
 
 @functools.cache
@@ -456,7 +462,7 @@ def test_trace_divergence_sign_is_caught_at_n4(monkeypatch, name):
                                     _dphi_sign, _twisted_dphi_sign, _dphi_j_sign,
                                     _endo_transpose_sign, _action_entry, _check_bracket_term,
                                     _check_gamma_column, _norm_sq, _block_pairing_sign,
-                                    _dj_endo_weight, _h_trace_transpose],
+                                    _dj_endo_weight, _dj_wedge_sign, _h_trace_transpose],
                          ids=lambda mutate: mutate.__name__.lstrip("_"))
 @pytest.mark.parametrize("name", FRAMES)
 def test_mutation_is_caught(monkeypatch, mutate, name):

@@ -12,8 +12,8 @@ from itertools import chain, combinations, product
 import pytest
 
 import frame_families
-from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo, load_spec,
-                 load_spec_file, twistor)
+from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo, levi_civita,
+                 load_spec, load_spec_file, twistor)
 from wtw.frame import FrameError, linear_combination
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (endo_curvature_action, endo_curvature_consistency, g_fiber,
@@ -493,13 +493,12 @@ def test_vertical_basis_is_kept_on_the_spec():
 
 def test_one_suite_builds_each_dj_image_once(monkeypatch):
     """J o nabla_X J is formed once per spec, in ints, which both the nabla-J
-    checks and the DJ pairing read: a whole ``suite`` forms it once, and the
-    DJ pairing, the one reader of the wedge images, hands each int image to
-    wedge_iso once, with no lift.  Per direction Y it forms
-    phi# ^ Y once, adds it, the image and J phi# ^ JY into one bivector, and
-    hands that bivector alone to ``_bivector_terms``, which reads R and dphi on
-    it: n calls, where applying R and dphi to the image and to the phi wedges
-    apart made 2n calls of each."""
+    checks and the DJ pairing read: a whole ``suite`` forms it once, with no
+    lift.  Per direction Y the DJ pairing forms phi# ^ Y once, adds it, the
+    int image and J phi# ^ JY into one bracket [J, D_Y J], and hands that
+    bracket alone to ``_pairing_identity``, which reads R and dphi on it: n
+    calls, where applying R and dphi to the image and to the phi wedges apart
+    made 2n calls of each."""
     from wtw.cli import _suite_report
 
     spec = builtin("inoue-s0")
@@ -529,39 +528,42 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
     # one function under both names, so that both readers share its memo
     monkeypatch.setattr(hermitian, "_j_nabla_j_ints", counting_build)
     monkeypatch.setattr(twistor, "_j_nabla_j_ints", counting_build)
-    counting("wedge_iso", lambda args: args[:1])
     counting("wedge_oneforms", lambda args: args[1:2])
     counting("linear_combination", lambda args: args[2])
-    counting("_bivector_terms", lambda args: args[1:2])
+    counting("_pairing_identity", lambda args: args[2:3])
     assert _suite_report(spec).ok
     n = spec.n
-    assert calls == {"J o nabla J": 1, "wedge_iso": n, "wedge_oneforms": n,
-                     "linear_combination": n, "_bivector_terms": n}
+    assert calls == {"J o nabla J": 1, "wedge_oneforms": n, "linear_combination": n,
+                     "_pairing_identity": n}
 
 
 @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_rotation6"])
-def test_bivector_terms_are_the_weighted_sum_of_the_stored_blocks(name):
-    """The terms of g(R(b) E_k, E_l) - 1/2 dphi(b) delta_kl, in the layout of
-    the stored blocks: at [k][l] they weigh to sum_{p<q} b[p][q] R.r[p][q][k][l],
-    less 1/2 dphi(b) on the diagonal, entry by entry, for a bivector on four
-    planes, one of them with a zero weight, which passes no term; the lower
-    triangle of b, which is not antisymmetric here, is not read."""
+def test_pairing_identity_is_the_weighted_sum_of_its_terms(name):
+    """With a zero pairing array, the fiber-pairing identity at [k][l] is
+    sum_{p<q} c[p][q] R.r[p][q][k][l], less 1/2 dphi(c) on the diagonal, plus
+    1/2 dphi(c E_k, E_l) - 1/2 dphi(c E_l, E_k), entry by entry, for an array
+    c on four planes, one of them with a zero weight; its lower triangle,
+    which is not antisymmetric here, enters the dphi(c.,.) terms only."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / f"{name}.toml")
     R = curvature(weyl(spec))
-    n, z = spec.n, spec.zero()
+    n, z, dphi = spec.n, spec.zero(), spec.dphi()
     weights = {(0, 1): spec.ring.sym("a1"), (1, 3): Fraction(3, 2), (2, 5): z, (3, 4): -2}
-    b = [[z] * n for _ in range(n)]
+    c = [[z] * n for _ in range(n)]
     for (p, q), w in weights.items():
-        b[p][q], b[q][p] = w, spec.ring.sym("a6")
-    dphi_b = sum((w * spec.dphi()[p][q] for (p, q), w in weights.items()), z)
-    assert not dphi_b.is_zero
-    terms = twistor._bivector_terms(R, b)
+        c[p][q], c[q][p] = w, spec.ring.sym("a6")
+    dphi_c = sum((w * dphi[p][q] for (p, q), w in weights.items()), z)
+    assert not dphi_c.is_zero
+    residual = twistor._pairing_identity(R, [[z] * n for _ in range(n)], c)
+
+    def dphi_along(k, l):  # dphi(c E_k, E_l), with c E_k = sum_p c[p][k] E_p
+        return sum((c[p][k] * dphi[p][l] for p in range(n)), z)
+
     for k, l in product(range(n), repeat=2):
-        values, factors = terms[k][l]
-        assert len(values) == len(factors) == 3 + (k == l)
-        expected = sum((w * R.r[p][q][k][l] for (p, q), w in weights.items()), z)
-        assert spec.dot(values, factors) == (expected - dphi_b * Fraction(1, 2) if k == l
-                                             else expected)
+        expected = (sum((w * R.r[p][q][k][l] for (p, q), w in weights.items()), z)
+                    + (dphi_along(k, l) - dphi_along(l, k)) * Fraction(1, 2))
+        if k == l:
+            expected -= dphi_c * Fraction(1, 2)
+        assert residual[k][l] == expected
 
 
 # -- the traces read the condition builders ------------------------------------
@@ -653,10 +655,10 @@ def test_horizontal_trace_is_condition_ii_on_dense_j_frames(base):
 
 @pytest.mark.parametrize("base", DENSE_J_BASES)
 def test_fiber_pairings_hold_on_dense_j_frames(base):
-    """Both readers of the builders ``_bivector_terms`` and ``_endo_terms``
-    pass on frames whose J is no signed permutation, where a transposed index
-    cannot hide behind J's zeros: the DJ pairing, and the pairing identity for
-    a = J against b = D_Y J for every Y."""
+    """Both readers of ``_pairing_identity`` pass on frames whose J is no
+    signed permutation, where a transposed index cannot hide behind J's
+    zeros: the DJ pairing, and the pairing identity for a = J against
+    b = D_Y J for every Y."""
     rotated = _dense_j_frame(base)
     assert twistor.curvature_pairing_with_dj_check(rotated).ok
     J = rotated.J
@@ -702,6 +704,94 @@ def test_dj_residual_pairs_every_entry_of_the_action(base, monkeypatch):
                   for z in range(n)] for x in range(n)] for y in range(n)]
     assert [[list(row) for row in plane] for plane in residuals[0]] == expected
     assert any(expected[y][2][0] for y in range(n))
+
+
+def _paper_dj_right_hand_side(spec):
+    """The right-hand side of the DJ pairing at [y][x][z], entry by entry from
+    the paper's expansion through Levi-Civita data, with b = J o nabla_Y J
+    composed from the Levi-Civita derivative of J and u = phi# ^ Y - J phi# ^ JY:
+
+        2 g(R(b^) X, Z) - g(R(u) X, Z) - dphi(b^) g(X, Z) - dphi(bX, Z)
+        - dphi(X, bZ) + 1/2 dphi(u) g(X, Z)
+        + 1/2 [phi(JX) dphi(JY, Z) + phi(X) dphi(Y, Z)
+               - g(Y, JX) dphi(J phi#, Z) - g(Y, X) dphi(phi#, Z)]
+        + 1/2 [phi(JZ) dphi(X, JY) + phi(Z) dphi(X, Y)
+               - g(Y, JZ) dphi(X, J phi#) - g(Y, Z) dphi(X, phi#)],
+
+    with g(R(w) E_x, E_z) = sum_{p<q} w[p][q] R.r[p][q][x][z] and dphi(w) =
+    sum_{p<q} w[p][q] dphi[p][q] on a bivector w, and J E_x = sum_p J[p][x] E_p."""
+    n, z, J, phi = spec.n, spec.zero(), spec.J, spec.phi
+    R, dphi, half = curvature(weyl(spec)), spec.dphi(), Fraction(1, 2)
+    planes = list(combinations(range(n), 2))
+    jphi = [sum((J[p][q] * phi[q] for q in range(n)), z) for p in range(n)]  # J phi#
+
+    def r_on(w, x, t):
+        return sum((w[p][q] * R.r[p][q][x][t] for p, q in planes), z)
+
+    def dphi_on(w):
+        return sum((w[p][q] * dphi[p][q] for p, q in planes), z)
+
+    def dphi_of(v, t):  # dphi(v, E_t) for a vector v
+        return sum((v[p] * dphi[p][t] for p in range(n)), z)
+
+    def phi_j(x):  # phi(J E_x)
+        return sum((phi[p] * J[p][x] for p in range(n)), z)
+
+    lc = cov_deriv_endo(levi_civita(spec), J)
+    out = []
+    for y in range(n):
+        b = spec.compose(J, lc[y])
+        b_hat = [[b[t][x] for t in range(n)] for x in range(n)]  # g(b E_x, E_t)
+        jy = [J[p][y] for p in range(n)]                          # J E_y
+        u = [[phi[p] * (q == y) - phi[q] * (p == y) - (jphi[p] * jy[q] - jphi[q] * jy[p])
+              for q in range(n)] for p in range(n)]
+        trace_terms = -dphi_on(b_hat) + half * dphi_on(u)
+
+        def first(x, t):  # the first bracket, at (X, Z) = (E_x, E_t)
+            return (phi_j(x) * dphi_of(jy, t) + phi[x] * dphi[y][t]
+                    - J[y][x] * dphi_of(jphi, t) - (x == y) * dphi_of(phi, t))
+
+        out.append([[2 * r_on(b_hat, x, t) - r_on(u, x, t) + (x == t) * trace_terms
+                     - sum((b[p][x] * dphi[p][t] + b[p][t] * dphi[x][p] for p in range(n)), z)
+                     + half * (first(x, t) - first(t, x))
+                     for t in range(n)] for x in range(n)])
+    return out
+
+
+def test_dj_pairing_right_hand_side_is_the_papers_expansion(monkeypatch):
+    """The DJ pairing reads its right-hand side from the fiber-pairing
+    identity at (J, D_Y J); with its left-hand side set to zero, its residual
+    is minus the paper's expansion, entry by entry, on the 5 built-ins, the
+    12 gate-passing documents, both dense-J frames and the unitary one."""
+    name = "pairing of the fiber curvature with DJ through Levi-Civita data"
+    residuals = []
+    require_zero = twistor.CheckReport.require_zero
+
+    def captured(report, check, residual, labels):
+        if check == name:
+            residuals.append(residual)
+        require_zero(report, check, residual, labels)
+
+    def zero_pairing(spec):
+        return ((((spec.zero(),) * spec.n,) * spec.n,) * spec.n)
+
+    monkeypatch.setattr(twistor, "_curvature_dj_pairing", zero_pairing)
+    monkeypatch.setattr(twistor.CheckReport, "require_zero", captured)
+    frames = [*_gate_passing_frames(), *(load_spec(text, key) for key, text in
+                                         {**frame_families.DENSE_J,
+                                          **frame_families.UNITARY}.items())]
+    assert len(frames) == 20
+    vanishing = []
+    for spec in frames:
+        residuals.clear()
+        twistor.curvature_pairing_with_dj_check(spec)
+        expected = [[[-x for x in row] for row in plane]
+                    for plane in _paper_dj_right_hand_side(spec)]
+        assert [[list(row) for row in plane] for plane in residuals[0]] == expected, spec.name
+        if not any(chain.from_iterable(chain.from_iterable(expected))):
+            vanishing.append(spec.name)
+    # R = 0 on the flat torus, and D J = 0 for the Weyl connection of the Lee form
+    assert vanishing == ["flat_torus.toml", "inoue_lee.toml"]
 
 
 # J dense, or J standard and the brackets dense, at n = 4 and 6
