@@ -304,8 +304,8 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
 
     def pair_symmetry(i, j, k, l):
         # minus d(phi)_ij d_kl, passed only where k == l
-        diagonal = (dphi[i][j],) if k == l else ()
-        return spec.dot((r[i][j][k][l], r[i][j][l][k], *diagonal), (1, 1, -1))
+        diagonal, dw = ((dphi[i][j],), (-1,)) if k == l else ((), ())
+        return spec.dot((r[i][j][k][l], r[i][j][l][k], *diagonal), (1, 1, *dw))
 
     report.require_zero("pair-symmetry against d(phi) [Z-T]",
                         _pair_antisymmetric(spec, pair_symmetry), axes)

@@ -336,10 +336,10 @@ def _pairing_identity(R: Curvature, paired, c):
     half = Fraction(1, 2)
 
     def entry(i, j):
-        diagonal = (dphi_c,) if i == j else ()
+        diagonal, dw = ((dphi_c,), (-half,)) if i == j else ((), ())
         return spec.dot((paired[i][j], first[i][j], first[j][i],
                          *(R.r[p][q][i][j] for p, q in planes), *diagonal),
-                        (1, half, -half, *weights, -half))
+                        (1, half, -half, *weights, *dw))
 
     return [[entry(i, j) for j in range(n)] for i in range(n)]
 
@@ -378,10 +378,12 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     R = curvature(weyl(spec))
     paired = spec.memo(_curvature_dj_pairing)  # G(R(X, Z)J, D_Y J) at [y][x][z]
     den, jd = spec.memo(_j_nabla_j_ints)  # J nabla_Y J, ints over den
+    if not all(map(_is_skew, jd)):
+        raise FrameError("wedge isomorphism requires a skew endomorphism")
     residual = []
     for y, (jn, jy) in enumerate(zip(jd, zip(*spec.J))):
         ey = tuple(spec.const(1 if l == y else 0) for l in range(spec.n))
-        # [J, D_Y J] = -w as an array, as jn is skew
+        # [J, D_Y J] = -w as an array, as jn is skew (checked above)
         c = linear_combination(spec, (Fraction(2, den), 1, -1),
                                (jn, wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy)))
         residual.append(_pairing_identity(R, paired[y], c))

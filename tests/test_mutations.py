@@ -400,7 +400,7 @@ def _bivector_dphi_term(monkeypatch):
     """The fiber-pairing identity loses its term -1/2 dphi(c) delta_ij: the
     weight -1/2 of dphi(c) on the diagonal becomes 0."""
     monkeypatch.setattr(twistor, "_pairing_identity", _recompiled(
-        twistor, twistor._pairing_identity, "*weights, -half)", "*weights, 0)"))
+        twistor, twistor._pairing_identity, "((dphi_c,), (-half,))", "((dphi_c,), (0,))"))
 
 
 @functools.cache

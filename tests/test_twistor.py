@@ -538,12 +538,15 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_rotation6"])
-def test_pairing_identity_is_the_weighted_sum_of_its_terms(name):
+def test_pairing_identity_is_the_weighted_sum_of_its_terms(name, monkeypatch):
     """With a zero pairing array, the fiber-pairing identity at [k][l] is
     sum_{p<q} c[p][q] R.r[p][q][k][l], less 1/2 dphi(c) on the diagonal, plus
     1/2 dphi(c E_k, E_l) - 1/2 dphi(c E_l, E_k), entry by entry, for an array
-    c on four planes, one of them with a zero weight; its lower triangle,
-    which is not antisymmetric here, enters the dphi(c.,.) terms only."""
+    c on four planes, one of them with a zero weight, which passes no term;
+    its lower triangle, which is not antisymmetric here, enters the
+    dphi(c.,.) terms only.  Each entry is one kernel call, the last n^2 calls
+    in row order, over the pairing, the two dphi(c.,.) terms, the three
+    nonzero planes and, on the diagonal, dphi(c), with as many weights."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / f"{name}.toml")
     R = curvature(weyl(spec))
     n, z, dphi = spec.n, spec.zero(), spec.dphi()
@@ -553,7 +556,17 @@ def test_pairing_identity_is_the_weighted_sum_of_its_terms(name):
         c[p][q], c[q][p] = w, spec.ring.sym("a6")
     dphi_c = sum((w * dphi[p][q] for (p, q), w in weights.items()), z)
     assert not dphi_c.is_zero
+    sizes, dot = [], type(spec.ring).dot
+
+    def counting_dot(ring, u, v):
+        u, v = list(u), list(v)
+        sizes.append((len(u), len(v)))
+        return dot(ring, u, v)
+
+    monkeypatch.setattr(type(spec.ring), "dot", counting_dot)
     residual = twistor._pairing_identity(R, [[z] * n for _ in range(n)], c)
+    monkeypatch.undo()
+    assert sizes[-n * n:] == [(6 + (k == l),) * 2 for k, l in product(range(n), repeat=2)]
 
     def dphi_along(k, l):  # dphi(c E_k, E_l), with c E_k = sum_p c[p][k] E_p
         return sum((c[p][k] * dphi[p][l] for p in range(n)), z)
