@@ -38,7 +38,9 @@ stores their negations at (j, i): the direct route (``_curvature``) and R_g
 (``_levi_civita_r``).  The identity suite forms each of its n^4 residuals
 through the same builder, except the first Bianchi residual, which
 alternates in three indices and is built by ``wtw.frame._alternating`` (see
-:func:`identity_suite`).
+:func:`identity_suite`).  Each of its six identities is a tuple of terms,
+which one builder, ``_identity``, turns into the function of one entry: at
+most one kernel call, and none where every term is the ring's shared zero.
 
 Each curvature tensor is computed once per connection and kept on it, and
 rho and rho* are kept on their curvature tensor (see :class:`wtw.frame.Memo`),
@@ -257,6 +259,40 @@ def _ricci_via_formula(spec: FrameSpec):
 
 # -- identity suite ---------------------------------------------------------
 
+def _identity(spec: FrameSpec, terms):
+    """The entry function of the residual sum_t weight_t array_t[indices_t].
+
+    Each term is ``(weight, array, indices)`` or ``(weight, array, indices,
+    delta)``: ``indices`` names the letters of ``ijkl`` at which the array is
+    read, in order, and the letter pair ``delta`` keeps the term only where
+    its two indices agree, a Kronecker delta.  The entry function takes one
+    index per letter, in the order ijkl.  Each entry is one kernel call over
+    the kept terms whose value is not the ring's shared zero, and that zero,
+    with no call, where none is left; a term whose weight is that zero is
+    dropped once.  The identity test decides only whether a call is made: a
+    zero that is another object still reaches the kernel, which is exact.
+    """
+    zero, dot, position = spec.zero(), spec.ring.dot, "ijkl".index
+    # an ungated term compares i with itself
+    compiled = [(weight, array, tuple(map(position, indices)),
+                 *map(position, delta[0] if delta else "ii"))
+                for weight, array, indices, *delta in terms if weight is not zero]
+
+    def entry(*at):
+        values, weights = [], []
+        for weight, value, positions, a, b in compiled:
+            if at[a] != at[b]:
+                continue
+            for p in positions:
+                value = value[at[p]]
+            if value is not zero:
+                values.append(value)
+                weights.append(weight)
+        return dot(values, weights) if values else zero
+
+    return entry
+
+
 def identity_suite(spec: FrameSpec) -> CheckReport:
     """Exact residuals of the curvature identities for the Weyl connection.
 
@@ -264,10 +300,13 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     identity (XY-ZT), the first Bianchi identity, the direct Weyl curvature
     against the Phi-correction formula, the antisymmetric part of rho being
     (n/2) d phi, and the twisted-symmetry defect of rho* being
-    d phi(X,Z) + d phi(JX,JZ).  Each formed entry of each residual is one
-    kernel call; the exchange and Phi-correction entries pass it only the
-    terms whose Kronecker delta is 1.  The Phi-correction side reads R_g and
-    Phi, and no Weyl gamma:
+    d phi(X,Z) + d phi(JX,JZ).  Each residual is data: a tuple of terms
+    ``(weight, array, indices[, delta])`` over the letters ijkl, which the one
+    builder ``_identity`` turns into its entry function.  A term with a delta
+    pair is read only where its two indices agree, and each entry is at most
+    one kernel call, over the terms that are not the ring's shared zero: an
+    entry where every term is that zero makes no call.  The Phi-correction
+    side reads R_g and Phi, and no Weyl gamma:
 
         R(E_i, E_j, E_k, E_l) = R_g(E_i, E_j, E_k, E_l)
             + 1/2 (Phi_ij - Phi_ji) d_kl + 1/2 Phi_ik d_jl - 1/2 Phi_jk d_il
@@ -297,98 +336,49 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     n = spec.n
     ix = range(n)
     axes = (spec.basis,) * 4
+    half = Fraction(1, 2)
     RD = curvature(weyl(spec))
     r = RD.r
     dphi = spec.dphi()
-    J = spec.J
 
-    def pair_symmetry(i, j, k, l):
-        # minus d(phi)_ij d_kl, passed only where k == l
-        diagonal, dw = ((dphi[i][j],), (-1,)) if k == l else ((), ())
-        return spec.dot((r[i][j][k][l], r[i][j][l][k], *diagonal), (1, 1, *dw))
+    report.require_zero("pair-symmetry against d(phi) [Z-T]", _pair_antisymmetric(
+        spec, _identity(spec, ((1, r, "ijkl"), (1, r, "ijlk"), (-1, dphi, "ij", "kl")))), axes)
 
-    report.require_zero("pair-symmetry against d(phi) [Z-T]",
-                        _pair_antisymmetric(spec, pair_symmetry), axes)
-
-    def exchange(i, j, k, l):
-        # minus d(phi)_ij d_kl - d(phi)_kl d_ij + d(phi)_ik d_jl
-        #   + d(phi)_jl d_ik - d(phi)_jk d_il - d(phi)_il d_jk: a term is
-        # passed only where its delta is 1
-        values, weights = [r[i][j][k][l], r[k][l][i][j]], [2, -2]
-        if k == l:
-            values.append(dphi[i][j])
-            weights.append(-1)
-        if i == j:
-            values.append(dphi[k][l])
-            weights.append(1)
-        if j == l:
-            values.append(dphi[i][k])
-            weights.append(-1)
-        if i == k:
-            values.append(dphi[j][l])
-            weights.append(-1)
-        if i == l:
-            values.append(dphi[j][k])
-            weights.append(1)
-        if j == k:
-            values.append(dphi[i][l])
-            weights.append(1)
-        return spec.dot(values, weights)
-
+    exchange = _identity(spec, (
+        (2, r, "ijkl"), (-2, r, "klij"), (-1, dphi, "ij", "kl"), (1, dphi, "kl", "ij"),
+        (-1, dphi, "ik", "jl"), (-1, dphi, "jl", "ik"), (1, dphi, "jk", "il"),
+        (1, dphi, "il", "jk")))
     # antisymmetric in the pair index p = i n + j against q = k n + l
     pairs = [f"{a},{b}" for a in spec.basis for b in spec.basis]
     report.require_zero("argument-pair exchange against d(phi) [XY-ZT]", _antisymmetric(
         n * n, spec.zero(), lambda p, q: exchange(*divmod(p, n), *divmod(q, n))), (pairs,) * 2)
 
-    def bianchi(i, j, k):
-        return tuple(spec.ring.sum((r[i][j][k][l], r[j][k][i][l], r[k][i][j][l])) for l in ix)
+    bianchi = _identity(spec, ((1, r, "ijkl"), (1, r, "jkil"), (1, r, "kijl")))
+    report.require_zero("first Bianchi identity", _alternating(
+        n, (spec.zero(),) * n, lambda i, j, k: tuple(bianchi(i, j, k, l) for l in ix),
+        lambda row: tuple(-x for x in row)), axes)
 
-    report.require_zero("first Bianchi identity",
-                        _alternating(n, (spec.zero(),) * n, bianchi,
-                                     lambda row: tuple(-x for x in row)), axes)
-    rg = curvature(levi_civita(spec)).r
-    half_phi = [[value * Fraction(1, 2) for value in row] for row in phi_tensor(spec)]
-
-    def phi_correction(i, j, k, l):
-        # i < j: a term of 1/2 Phi is passed only where its delta is 1
-        values, weights = [r[i][j][k][l], rg[i][j][k][l]], [1, -1]
-        if k == l:
-            values += half_phi[i][j], half_phi[j][i]
-            weights += -1, 1
-        if j == l:
-            values.append(half_phi[i][k])
-            weights.append(-1)
-        if i == l:
-            values.append(half_phi[j][k])
-            weights.append(1)
-        if i == k:
-            values.append(half_phi[j][l])
-            weights.append(-1)
-        if j == k:
-            values.append(half_phi[i][l])
-            weights.append(1)
-        return spec.dot(values, weights)
-
+    Phi = phi_tensor(spec)
     report.require_zero("direct Weyl curvature equals Phi-correction formula",
-                        _pair_antisymmetric(spec, phi_correction), axes)
+                        _pair_antisymmetric(spec, _identity(spec, (
+                            (1, r, "ijkl"), (-1, curvature(levi_civita(spec)).r, "ijkl"),
+                            (-half, Phi, "ij", "kl"), (half, Phi, "ji", "kl"),
+                            (-half, Phi, "ik", "jl"), (half, Phi, "jk", "il"),
+                            (-half, Phi, "jl", "ik"), (half, Phi, "il", "jk")))), axes)
 
     rho = ricci(RD)
-    half_n = Fraction(n, 2)
-    report.require_zero("antisymmetric part of rho equals (n/2) d(phi)", [[
-        spec.dot((rho[i][k], rho[k][i], dphi[i][k]), (1, -1, -half_n)) for k in ix]
-        for i in ix], axes)
+    rho_asym = _identity(spec, ((1, rho, "ij"), (-1, rho, "ji"), (Fraction(-n, 2), dphi, "ij")))
+    report.require_zero("antisymmetric part of rho equals (n/2) d(phi)",
+                        [[rho_asym(i, k) for k in ix] for i in ix], axes)
 
+    # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
+    #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
     rho_star = star_ricci(RD)
-    codiff_term = spec.memo(_phi_on_j)  # delta(J*phi) - phi(delta J)
-    twisted = spec.twist(rho_star)
-    jdphi = spec.twist(dphi)
-
-    def star_defect(i, k):
-        # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
-        #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)
-        return spec.dot((rho_star[i][k], twisted[k][i], dphi[i][k], jdphi[i][k], codiff_term),
-                        (1, -1, -1, -1, J[i][k]))
-
+    # J as scalars, whose zeros are the shared zero, which _identity skips
+    j_scalars = tuple(tuple(map(spec.const, row)) for row in spec.J)
+    star_defect = _identity(spec, (
+        (1, rho_star, "ij"), (-1, spec.twist(rho_star), "ji"), (-1, dphi, "ij"),
+        (-1, spec.twist(dphi), "ij"), (spec.memo(_phi_on_j), j_scalars, "ij")))
     report.require_zero("twisted-symmetry defect of rho* from d(phi) and codifferentials",
                         [[star_defect(i, k) for k in ix] for i in ix], axes)
     report.notes["rho_star_defect"] = (

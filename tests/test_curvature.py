@@ -8,7 +8,7 @@ import pytest
 
 import frame_families
 from test_frame import _rotated
-from wtw import (FrameError, SpecFormatError, builtin, hermitian, lee_form, load_spec,
+from wtw import (FrameError, Ring, SpecFormatError, builtin, hermitian, lee_form, load_spec,
                  load_spec_file)
 from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl, weyl_rows
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
@@ -42,6 +42,15 @@ def _route_frames():
 
 
 ROUTE_FRAMES = _route_frames()
+
+# the frames of the kernel-call guard of the identity suite; at phi = 0 the
+# weight <Phi, J> of the rho* defect is zero
+KERNEL_GUARD_FRAMES = {
+    "inoue-s0": lambda: builtin("inoue-s0"),
+    "inoue-s0 at phi = 0": lambda: builtin("inoue-s0").with_phi((0,) * 4),
+    "hyperbolic6": lambda: load_spec_file(DATA / "hyperbolic6.toml"),
+    **{name: lambda text=text: load_spec(text)
+       for name, text in {**frame_families.UNITARY, **frame_families.DENSE_J}.items()}}
 
 
 def _nonzero_r(R):
@@ -353,6 +362,56 @@ class TestIdentitySuite:
              "2 nonzero entries, first at (E3,E5): a3*a5 - 1/2"),
             ("twisted-symmetry defect of rho* from d(phi) and codifferentials", ""),
         ]
+
+    @pytest.mark.parametrize("name", KERNEL_GUARD_FRAMES)
+    def test_each_entry_passes_the_kernel_its_nonzero_terms(self, monkeypatch, name):
+        """Each residual entry makes one kernel call over exactly the terms that
+        pass their delta and are nonzero, in their order, and none where no
+        term is left; so every call has an operand pair with two nonzero
+        sides."""
+        builder, dot = curvature_module._identity, Ring.dot
+        open_entries = []  # the kernel calls of the entry being formed
+        entries = []  # (the kept terms, the kernel calls) of each entry
+
+        def kept(terms, at):
+            index = dict(zip("ijkl", at))
+            out = []
+            for weight, value, indices, *delta in terms:
+                if delta and index[delta[0][0]] != index[delta[0][1]]:
+                    continue
+                for letter in indices:
+                    value = value[index[letter]]
+                if weight and value:
+                    out.append((value, weight))
+            return out
+
+        def recorded(spec, terms):
+            entry = builder(spec, terms)
+
+            def watched(*at):
+                calls = []
+                open_entries.append(calls)
+                try:
+                    return entry(*at)
+                finally:
+                    open_entries.pop()
+                    entries.append((kept(terms, at), calls))
+
+            return watched
+
+        def counted(ring, u, v):
+            zipped = list(zip(u, v))  # as the kernel zips them: v may be endless
+            if open_entries:
+                open_entries[-1].append(zipped)
+            return dot(ring, [a for a, _ in zipped], [b for _, b in zipped])
+
+        monkeypatch.setattr(curvature_module, "_identity", recorded)
+        monkeypatch.setattr(Ring, "dot", counted)
+        assert identity_suite(KERNEL_GUARD_FRAMES[name]()).ok
+        assert any(calls for _, calls in entries)
+        for expected, calls in entries:
+            assert all(any(a and b for a, b in call) for call in calls)
+            assert calls == ([expected] if expected else [])
 
 
 class TestRicciFormulas:

@@ -60,6 +60,12 @@ The planes of the vertical basis divide each projection by |u|^2, which is 1
 on a J that is a signed permutation, as on every frame of ``FRAMES``.  So
 dropping that division is required to be caught on both dense-J frames of
 ``frame_families.DENSE_J`` and to change no check on ``FRAMES``.
+
+The six curvature identities of ``curvature.identity_suite`` are tuples of
+terms that one builder, ``curvature._identity``, turns into entry functions.
+Each of their 30 terms is needed: its weight is negated where the builder
+receives it, and ``identity_suite`` alone, not the full suite, is run on every
+frame of ``FRAMES``, where that identity's check, and no other, must fail.
 """
 
 from __future__ import annotations
@@ -473,3 +479,39 @@ def test_mutation_is_caught(monkeypatch, mutate, name):
     except AssertionError:  # a consistency assertion caught it
         return
     assert {check.name for check in report.failures} - baseline
+
+
+# the residuals of ``curvature.identity_suite`` in the order it builds them:
+# an id, the name of the check and the number of terms
+IDENTITIES = (("pair_symmetry", "pair-symmetry against d(phi) [Z-T]", 3),
+              ("exchange", "argument-pair exchange against d(phi) [XY-ZT]", 8),
+              ("bianchi", "first Bianchi identity", 3),
+              ("phi_correction", "direct Weyl curvature equals Phi-correction formula", 8),
+              ("rho_antisymmetry", "antisymmetric part of rho equals (n/2) d(phi)", 3),
+              ("rho_star_defect",
+               "twisted-symmetry defect of rho* from d(phi) and codifferentials", 5))
+
+
+@pytest.mark.parametrize("identity, term", [
+    pytest.param(identity, term, id=f"{tag}-{term}")
+    for identity, (tag, _, count) in enumerate(IDENTITIES) for term in range(count)])
+def test_each_identity_term_is_needed(monkeypatch, identity, term):
+    """The weight of one term of one identity is negated where
+    ``curvature._identity`` receives it; that identity's check, and no other,
+    fails on every frame of ``FRAMES``."""
+    builder = curvature._identity
+    built = []
+
+    def mutated(spec, terms):
+        if len(built) == identity:
+            weight, *rest = terms[term]
+            terms = (*terms[:term], (-weight, *rest), *terms[term + 1:])
+        built.append(len(terms))
+        return builder(spec, terms)
+
+    monkeypatch.setattr(curvature, "_identity", mutated)
+    for name in FRAMES:
+        built.clear()
+        report = curvature.identity_suite(FRAMES[name]())
+        assert built == [count for *_, count in IDENTITIES]
+        assert [check.name for check in report.failures] == [IDENTITIES[identity][1]], name
