@@ -20,8 +20,7 @@ from .polyalg import (ExponentOverflowError, PolynomialParseError, Ring, RingMis
                       Scalar, normalize_up_to_unit, normalized_system)
 from .frame import (FrameError, FrameSpec, GateError, SpecFormatError, builtin, d_oneform,
                     eval_on_bivector, load_spec, load_spec_file, wedge_iso)
-from .connection import (Connection, cov_deriv_endo, cov_deriv_oneform,
-                         levi_civita, reconstruct_weyl_form,
+from .connection import (Connection, cov_deriv_endo, levi_civita, reconstruct_weyl_form,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import (Curvature, curvature, identity_suite, phi_tensor,
                         ricci, ricci_formula_check, star_ricci)

@@ -335,7 +335,7 @@ def _render_value(value, out: _Output, prefix: str = "") -> None:
                     out.line(f"{prefix}{key} = {'true' if inner else 'false'}")
             else:
                 out.line(f"{prefix}{key} = {inner}")
-    elif isinstance(value, list):
+    else:  # a list: _render_table passes only lists and dicts
         if not value:
             out.line(f"{prefix.rstrip('.')} = (none)")
         for idx, item in enumerate(value, start=1):
@@ -347,8 +347,6 @@ def _render_value(value, out: _Output, prefix: str = "") -> None:
                     out.line(f"    {item['detail']}")
             else:
                 out.line(f"{prefix}{idx} = {item}")
-    else:
-        out.line(f"{prefix.rstrip('.')} = {value}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -145,12 +145,6 @@ def weyl_rows(spec: FrameSpec, den: int, phi: Sequence[int]) -> tuple[int, list]
     return wden, [[[(k, v) for k, v in row.items() if v] for row in plane] for plane in rows]
 
 
-def cov_deriv_oneform(conn: Connection, omega: Sequence[Scalar]):
-    """(nabla_{E_i} omega)(E_j) = -sum_k gamma[i][j][k] omega_k, as an n x n array."""
-    spec = conn.spec
-    return tuple(tuple(-value for value in spec.right(plane, omega)) for plane in conn.gamma)
-
-
 def cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], ...]:
     """(D_{E_i} S)(E_j) = D_{E_i}(S E_j) - S(D_{E_i} E_j), one endomorphism per
     direction; S is an n x n nested tuple, the key it is kept under.

@@ -330,7 +330,9 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     * the exchange residual at (k, l, i, j) is minus its value at (i, j, k, l)
       for any r, given d phi antisymmetric, so it is formed for the pair
       index (i, j) < (k, l) and checked as an n^2 x n^2 array labelled by
-      the pairs, which prints the same index as the n^4 one.
+      the pairs, which prints the same index as the n^4 one;
+    * the n^2 residual rho_ij - rho_ji - (n/2) dphi_ij is antisymmetric for
+      any rho, and d phi has a zero diagonal, so it too is formed for i < j.
     """
     report = CheckReport(title="curvature identities")
     n = spec.n
@@ -369,7 +371,7 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     rho = ricci(RD)
     rho_asym = _identity(spec, ((1, rho, "ij"), (-1, rho, "ji"), (Fraction(-n, 2), dphi, "ij")))
     report.require_zero("antisymmetric part of rho equals (n/2) d(phi)",
-                        [[rho_asym(i, k) for k in ix] for i in ix], axes)
+                        _antisymmetric(n, spec.zero(), rho_asym), axes)
 
     # rho*(X,Z) - rho*(JZ,JX) = dphi(X,Z) + dphi(JX,JZ)
     #                           + (delta(J*phi) - phi(delta J)) g(X,JZ)

@@ -340,8 +340,6 @@ class FrameSpec(Memo):
         """M(., u): the vector sum_q M[k][q] u[q] over k, read only at the
         columns where u is nonzero."""
         support = [q for q, a in enumerate(u) if a]
-        if not support:
-            return (self.ring.zero(),) * len(M)
         dot = self.ring.dot
         values = [u[q] for q in support]
         return tuple(dot(values, map(row.__getitem__, support)) for row in M)

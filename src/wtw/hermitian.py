@@ -244,8 +244,7 @@ def require_gate(spec: FrameSpec) -> Vector:
 
 
 def _gate(spec: FrameSpec) -> Vector:
-    _, integrable = nijenhuis(spec)
-    if not integrable:
+    if any(v for plane in spec.memo(_nijenhuis_ints)[1] for row in plane for v in row):
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")
     if any(v for plane in spec.memo(_lee_residual)[1] for row in plane for v in row):

@@ -722,9 +722,7 @@ def _walk(ring: Ring, text: str, node: ast.expr) -> Scalar:
     if kind is not ast.BinOp or op not in (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow):
         raise PolynomialParseError(f"unexpected operator in {text!r}")
     left = _walk(ring, text, node.left)
-    if op is ast.Pow:
-        if type(node.right) is not ast.Constant:
-            raise PolynomialParseError(f"exponent must be an integer in {text!r}")
+    if op is ast.Pow:  # _BAD_EXPONENT_RE leaves only an int literal after ``^``
         k = node.right.value
         if k > _MAX_EXPONENT:
             raise PolynomialParseError(f"exponent {k} above the cap of {_MAX_EXPONENT} in {text!r}")

@@ -19,8 +19,6 @@ from typing import NamedTuple, Sequence
 
 def _has_nonzero(entry) -> bool:
     """Whether a nested residual has a nonzero leaf: one ``any`` per innermost row."""
-    if not isinstance(entry, (tuple, list)):
-        return bool(entry)
     if entry and isinstance(entry[0], (tuple, list)):
         return any(map(_has_nonzero, entry))
     return any(entry)
@@ -56,11 +54,11 @@ class CheckReport:
                      labels: Sequence[Sequence[str]], den: int = 1) -> None:
         """Add the check that every entry of ``residual`` vanishes.
 
-        ``residual`` nests tuples or lists to any depth, with scalars (or
-        rationals) at the leaves; ``labels[d]`` names the indices of depth d.
-        With ``den``, the leaves are int numerators over it, and the detail
-        prints the first nonzero one as their Fraction, as a constant scalar
-        of that value prints.
+        ``residual`` nests tuples or lists to one depth throughout, with
+        scalars (or rationals) at the leaves; ``labels[d]`` names the indices
+        of depth d.  With ``den``, the leaves are int numerators over it, and
+        the detail prints the first nonzero one as their Fraction, as a
+        constant scalar of that value prints.
         """
         # only a failing check walks the indexed entries
         nonzero = list(_nonzero(residual)) if _has_nonzero(residual) else []

@@ -11,9 +11,10 @@ which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 ``a`` to the bivector with components ``g(a E_i, E_j)``, normalized so that
 ``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
-:mod:`wtw.frame`: products go through ``FrameSpec.compose``, each sum or
-difference of endomorphisms is one ``linear_combination``, and each entry of a
-commutator is one kernel call over the terms of both products.
+:mod:`wtw.frame`: products are read through ``FrameSpec.right``, ``left``
+and ``dot``, each sum or difference of endomorphisms is one
+``linear_combination``, and each entry of a commutator is one kernel call
+over the terms of both products.
 ``_is_vertical`` tests that V is skew and J^T V J = -V (``FrameSpec.twist``),
 which for an orthogonal J says that V anticommutes with J.
 

@@ -1,0 +1,13 @@
+"""Oracles the tests compare the package against; the package itself does not
+read them, so they are not part of its surface.  pytest does not collect this
+module."""
+
+from __future__ import annotations
+
+
+def cov_deriv_oneform(conn, omega):
+    """(nabla_{E_i} omega)(E_j) = -sum_k gamma[i][j][k] omega_k, as an n x n
+    array, from the lifted gammas of ``conn``.  ``phi_tensor`` reads nabla phi
+    from the int gamma rows instead, and the tests compare the two."""
+    spec = conn.spec
+    return tuple(tuple(-value for value in spec.right(plane, omega)) for plane in conn.gamma)

@@ -82,6 +82,48 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("spec error: ") and err.count("\n") == 1
 
+    CHAIN = "*".join(["a1"] * 1200)
+
+    @pytest.mark.parametrize("edits, message", [
+        ([('"E1,E2" = { E1 = "-1" }', '"E1,E2" = { E1 = "-1" }\n"E1,E1" = { E2 = "1" }')],
+         "[E_1, E_1] must vanish"),
+        ([('[weyl_form]\nE2 = "1"\n', "")], "missing section [weyl_form]"),
+        ([("dimension = 4\n", "")], "[frame] requires dimension and symbols"),
+        ([("symbols = []", 'symbols = "a1"')], "symbols must be a list of strings"),
+        ([("symbols = []", 'symbols = []\nbasis = "E1"')], "basis must be a list of strings"),
+        ([('{ E1 = "-1" }', '{ E9 = "-1" }')], "[brackets] 'E1,E2': unknown basis vector 'E9'"),
+        ([('"E1,E2" = {', '"E1" = {')], "[brackets] key must name two basis vectors, got 'E1'"),
+        ([('{ E1 = "-1" }', '"-1"')], "[brackets] 'E1,E2' must map basis vectors to constants"),
+        ([('    ["0", "0", "1", "0"],\n', "")], "complex structure must be an n x n matrix"),
+        ([("[complex_structure]", "[complex_structure]\nsize = 4")],
+         "unknown keys in [complex_structure]: ['size']"),
+        ([('E2 = "1"', 'E7 = "1"')], "[weyl_form]: unknown basis vector 'E7'"),
+        ([('E2 = "1"', "E2 = 1")], "[weyl_form] coefficients must be strings"),
+        ([("symbols = []", 'symbols = ["a1"]'), ('E2 = "1"', f'E2 = "{CHAIN}"')],
+         f"too long a chain of operators in '{CHAIN}'"),
+    ], ids=["bracket-of-a-vector-with-itself", "missing-section", "no-dimension",
+            "symbols-not-a-list", "basis-not-a-list", "unknown-vector-in-a-bracket",
+            "bracket-key-of-one-vector", "bracket-not-a-table", "three-rows-of-j",
+            "unknown-key-in-complex-structure", "unknown-vector-in-weyl-form",
+            "weyl-form-not-a-string", "chain-of-1200-factors"])
+    def test_refused_document_prints_its_one_line(self, tmp_path, edits, message):
+        text = (DATA / "inoue_lee.toml").read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "refused.toml"
+        path.write_text(text)
+        assert run(["validate", "--spec", str(path)]) == (2, "", f"spec error: {message}\n")
+
+    @pytest.mark.parametrize("argv, status, message", [
+        (["validate", "--builtin", "inoue-s0", "--signs", "+1,+1"], 2,
+         "spec error: inoue-s0 takes no signs"),
+        (["conditions", "--spec", str(DATA / "hyperbolic6.toml"), "--dim4"], 1,
+         "gate failure: dimension-four mode: requires n = 4, got n = 6"),
+    ], ids=["signs-for-inoue", "dim4-at-n-6"])
+    def test_refused_source_prints_its_one_line(self, argv, status, message):
+        assert run(argv) == (status, "", f"{message}\n")
+
     def test_jacobi_violation_is_spec_error(self):
         status, _, err = run(["validate", "--spec", str(DATA / "bad_jacobi.toml")])
         assert status == 2
@@ -168,9 +210,8 @@ class TestExitCodes:
         assert nested in text
         path = tmp_path / "nested.toml"
         path.write_text(text)
-        status, out, err = run(["validate", "--spec", str(path)])
-        assert status == 2 and out == ""
-        assert err.startswith("spec error: ") and err.count("\n") == 1
+        assert run(["validate", "--spec", str(path)]) == (
+            2, "", "spec error: values nest too deeply to parse\n")
 
     def test_exponent_overflow_is_one_line_error(self, tmp_path):
         # a1^20000 is below the exponent cap, so the document loads; the Weyl
@@ -234,6 +275,9 @@ class TestExitCodes:
         (["suite", "--builtin", "inoue-s0", "--dim4"], "--dim4 is not accepted by suite"),
         (["lee", "--builtin", "kodaira", "--signs", "+1,-1", "--dim4", "--format", "json"],
          "--dim4 is not accepted by lee"),
+        (["validate", "--builtin", "kodaira", "--signs", "+1"], "signs must look like +1,-1"),
+        (["verify", "--builtin", "inoue-s0", "--assign", "a1=0, a2"],
+         "assignment entry 'a2' is not name=value"),
     ])
     def test_rejected_command_line_is_one_error_line(self, argv, message):
         status, out, err = run(argv)

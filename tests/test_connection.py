@@ -8,8 +8,9 @@ from itertools import chain, combinations
 import pytest
 
 import frame_families
+from oracles import cov_deriv_oneform
 from wtw import builtin, g_fiber, load_spec, load_spec_file
-from wtw.connection import (_derivative_along, cov_deriv_endo, cov_deriv_oneform, levi_civita,
+from wtw.connection import (_derivative_along, cov_deriv_endo, levi_civita,
                             metric_residual, reconstruct_weyl_form, torsion_residual,
                             traced_second_cov_deriv_endo, weyl)
 from wtw.curvature import curvature

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import frame_families
+from oracles import cov_deriv_oneform
 from test_frame import _rotated
 from wtw import (FrameError, Ring, SpecFormatError, builtin, hermitian, lee_form, load_spec,
                  load_spec_file)
-from wtw.connection import cov_deriv_endo, cov_deriv_oneform, levi_civita, weyl, weyl_rows
+from wtw.connection import cov_deriv_endo, levi_civita, weyl, weyl_rows
 from wtw.curvature import (curvature, identity_suite, phi_tensor, ricci,
                            ricci_formula_check, ricci_via_formula, star_ricci)
 

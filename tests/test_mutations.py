@@ -79,6 +79,7 @@ from fractions import Fraction
 import pytest
 
 import frame_families
+from oracles import cov_deriv_oneform
 from wtw import builtin, connection, hermitian, load_spec, load_spec_file, pseudoharmonic, twistor
 from wtw.cli import _suite_report
 from wtw.frame import linear_combination
@@ -226,10 +227,10 @@ def _nothing(spec, i, k):
 def _jstar_sign(monkeypatch):
     """The term -1/2 (delta(J*phi) - phi(delta J)) g(X, JZ) of the rho* formula
     enters with the opposite sign.  The codifferential difference is formed by
-    the Leibniz rule as -sum_p (nabla_{E_p} phi)(J E_p), from the public
-    covariant derivative of phi."""
+    the Leibniz rule as -sum_p (nabla_{E_p} phi)(J E_p), from the covariant
+    derivative of phi that the tests' oracle forms."""
     def flipped(spec, i, k):
-        nphi = connection.cov_deriv_oneform(connection.levi_civita(spec), spec.phi)
+        nphi = cov_deriv_oneform(connection.levi_civita(spec), spec.phi)
         n, J = spec.n, spec.J
         # J E_p = sum_q J[q][p] E_q
         codiff = -spec.ring.sum(nphi[p][q] * J[q][p] for p in range(n) for q in range(n))

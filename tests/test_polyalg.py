@@ -61,6 +61,31 @@ def test_substitute_unknown_symbol():
         A1.substitute({"b": 1})
 
 
+def test_sym_refuses_an_undeclared_name():
+    with pytest.raises(KeyError, match="symbol 'b' not declared in ring"):
+        RING.sym("b")
+
+
+@pytest.mark.parametrize("exps, message", [
+    ((1, 0), r"expected 3 exponents, got \(1, 0\)"),
+    ((1, -1, 0), r"negative exponent in \(1, -1, 0\)"),
+], ids=["too-few", "negative"])
+def test_constructor_refuses_a_malformed_exponent_tuple(exps, message):
+    with pytest.raises(ValueError, match=message):
+        Scalar(RING, {exps: 1})
+
+
+def test_total_degree_of_zero_and_of_a_polynomial():
+    assert RING.zero().total_degree() == 0
+    assert (A1 * A2 ** 2 + A3).total_degree() == 3
+
+
+def test_constant_value_refuses_a_polynomial():
+    assert (A1 - A1 + Fraction(3, 4)).constant_value() == Fraction(3, 4)
+    with pytest.raises(ValueError, match=r"^not a constant polynomial: a1 \+ 1$"):
+        (A1 + 1).constant_value()
+
+
 def test_ring_mismatch():
     other = Ring(("x",))
     with pytest.raises(RingMismatchError):

@@ -173,6 +173,14 @@ class TestCurvatureOnEndomorphisms:
         _assert_both_pairing_checks_hold(fiber_pairing_check(
             spec, _random_skew(spec, seed), _random_skew(spec, seed + 100)))
 
+    @pytest.mark.parametrize("position", [0, 1], ids=["a", "b"])
+    def test_pairing_identity_refuses_a_non_skew_endomorphism(self, inoue, position):
+        identity = tuple(tuple(inoue.const(int(i == j)) for j in range(4)) for i in range(4))
+        pair = [_random_skew(inoue, 10), _random_skew(inoue, 11)]
+        pair[position] = identity
+        with pytest.raises(FrameError, match="^pairing identity requires skew endomorphisms$"):
+            fiber_pairing_check(inoue, *pair)
+
     def test_vertical_antisymmetry(self, inoue, kodairas):
         for spec in (inoue, *kodairas.values()):
             for v in vertical_basis(spec).elements:
