@@ -262,7 +262,7 @@ def _run_verb(args, out: _Output) -> int:
     if args.format == "json":
         _print_json(data)
         return status
-    _render_table(verb, data, out)
+    _render_table(data, out)
     out.emit()
     return status
 
@@ -309,7 +309,7 @@ def _full_report(spec: FrameSpec, args) -> tuple[dict, int]:
     return data, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _render_table(verb: str, data: dict, out: _Output) -> None:
+def _render_table(data: dict, out: _Output) -> None:
     spec = data["spec"]
     out.header(f"spec {spec['name']}")
     out.line(f"dimension = {spec['dimension']}")

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector, _kron
+from .frame import FrameSpec, Memo, Vector, _antisymmetric, _kron
 from .polyalg import Scalar
 
 
@@ -196,13 +196,13 @@ def traced_second_cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tup
 
 
 def torsion_residual(conn: Connection):
-    """gamma[i][j][k] - gamma[j][i][k] - c[i][j][k]; identically zero."""
-    spec = conn.spec
-    n = spec.n
-    g = conn.gamma
-    return tuple(tuple(tuple(
-        spec.dot((g[i][j][k], g[j][i][k], spec.c[i][j][k]), (1, -1, -1))
-        for k in range(n)) for j in range(n)) for i in range(n))
+    """gamma[i][j][k] - gamma[j][i][k] - c[i][j][k]; identically zero.  It is
+    antisymmetric in (i, j), as c is, so the row over k is formed for i < j
+    only (``wtw.frame._antisymmetric``)."""
+    spec, n, g = conn.spec, conn.spec.n, conn.gamma
+    return _antisymmetric(n, (spec.zero(),) * n, lambda i, j: tuple(
+        spec.dot((g[i][j][k], g[j][i][k], spec.c[i][j][k]), (1, -1, -1)) for k in range(n)),
+        lambda row: tuple(-x for x in row))
 
 
 def metric_residual(conn: Connection):

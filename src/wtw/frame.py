@@ -51,8 +51,7 @@ of J E_k and pairs it with J E_i over the support of J E_i, so a dense J costs
 entry with only zero values, or with one scalar of weight 1 or -1, is the
 shared zero or that scalar or its negation, with no call; so on a J that is a
 signed permutation ``twist`` and ``j_apply`` make none.  The
-fiber pairing of :mod:`wtw.twistor` walks its fixed endomorphism's support; the
-wedge products call the kernel directly.
+fiber pairing of :mod:`wtw.twistor` walks its fixed endomorphism's support.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.  J has one array,
@@ -77,14 +76,25 @@ Endomorphisms, 2-forms and bivectors are all n x n nested tuples, with no
 class of their own: an endomorphism S as above, a 2-form F with ``F[i][j] =
 F(E_i, E_j)``, and a bivector ``b`` the array of its components, ``sum_{i<j}
 b[i][j] E_i ^ E_j``.  Every sum or difference of endomorphisms is one
-:func:`linear_combination`.  Every array that the package computes
-antisymmetric in a pair of indices, here and in the later layers, is built
-by ``_antisymmetric``: it forms the entry of each pair i < j once, stores its
-negation at (j, i) (``_negative`` for n x n blocks) and zero on the diagonal.
-So the 2-forms and bivectors built here are antisymmetric with a zero
-diagonal, and the functions that take one, :func:`eval_on_bivector` and the
-R(c) and dphi(c) terms of the fiber-pairing identity of :mod:`wtw.twistor`,
-read only the entries with i < j.
+:func:`linear_combination`.
+
+An array formed entry by entry, here or in a later layer, is built by
+``_antisymmetric`` when its antisymmetry in a pair of indices follows from
+its formula and from input symmetries that are checked: the antisymmetric c
+that ``validate`` checks, and the ``_is_skew`` guards.  ``_antisymmetric``
+forms the entry of each pair i < j once, stores its negation at (j, i)
+(``_negative`` for n x n blocks) and zero on the diagonal.  So the 2-forms
+and bivectors built here, the torsion residual of :mod:`wtw.connection` and
+the vertical basis and the brackets [J, D_Y J] of :mod:`wtw.twistor` are
+antisymmetric with a zero diagonal, and the functions that take such an
+array, :func:`eval_on_bivector` and the R(c) and dphi(c) terms of the
+fiber-pairing identity, read only the entries with i < j.  Two kinds of
+array are formed in full: the products that ``FrameSpec`` walks form a row
+at a time (``compose``, ``twist``, ``j_pair`` and the commutator of
+:mod:`wtw.twistor`), and the arrays whose antisymmetry is what a check tests
+(D J, J o nabla J, ``v_trace`` and the blocks of the action on
+endomorphisms).  Mirroring the second kind would hide the defects those
+checks exist to catch.
 Arrays alternating in three indices, the 3-forms of :mod:`wtw.hermitian` and
 the first Bianchi residual of :mod:`wtw.curvature`, are built by
 ``_alternating``, which forms the entry of each triple i < j < k once.
@@ -504,8 +514,8 @@ def linear_combination(spec: FrameSpec, weights: Sequence,
 
 def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):
     """The n x n array with entry(i, j) for i < j, its ``negate`` for i > j and
-    ``zero`` on the diagonal; entry is called once per pair i < j.  Every array
-    that the package computes antisymmetric in a pair of indices is built here."""
+    ``zero`` on the diagonal; entry is called once per pair i < j.  The module
+    docstring says which arrays are built here."""
     out = [[zero] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         out[i][j] = entry(i, j)
@@ -530,14 +540,6 @@ def _alternating(n: int, zero, entry, negate=lambda x: -x):
 def _negative(a: Sequence[Sequence]) -> tuple[Vector, ...]:
     """-a for an n x n array, the ``negate`` of arrays of n x n blocks."""
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def wedge_oneforms(spec: FrameSpec, alpha: Sequence[Scalar],
-                   beta: Sequence[Scalar]) -> tuple[Vector, ...]:
-    """(alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X), as an n x n array."""
-    minus_beta = [-b for b in beta]
-    return _antisymmetric(spec.n, spec.zero(), lambda i, j: spec.dot(
-        (alpha[i], alpha[j]), (beta[j], minus_beta[i])))
 
 
 # -- built-in geometries ---------------------------------------------------

@@ -52,8 +52,9 @@ coefficient by one gcd, so neither forms a Fraction per term.
 Fraction, and the rational constants of specs and assignments are read as two
 ints.  :func:`_fraction` is the one reader of a rational constant in any
 other form: a string must be ``[+-]digits[/digits]`` (:func:`_parse_rational`),
-so ``Ring.const``, ``Scalar.substitute``, ``FrameSpec.create`` and
-``verify_assignment`` refuse ``"1e3"``, ``"1.5"`` and ``"1_000"``.  The
+so ``Ring.const``, ``Scalar.substitute``, the ``Scalar`` constructor,
+``FrameSpec.create`` and ``verify_assignment`` refuse ``"1e3"``, ``"1.5"``
+and ``"1_000"``, and a float or a ``Decimal`` raises TypeError.  The
 accessors :meth:`Scalar.terms` and :meth:`Scalar.constant_value` still return
 :class:`fractions.Fraction` coefficients.  There is no floating point
 anywhere: identity tests are exact.
@@ -153,11 +154,14 @@ def _parse_rational(text: str) -> Fraction:
 
 def _fraction(value) -> Fraction:
     """The one reader of rational constants: a Fraction is kept, not rebuilt,
-    a string is read by ``_parse_rational``, so exponent and decimal notation
-    are refused, and anything else goes through ``Fraction``."""
-    if type(value) is Fraction:
-        return value
-    return _parse_rational(value) if isinstance(value, str) else Fraction(value)
+    an int is converted, a string is read by ``_parse_rational``, so exponent
+    and decimal notation are refused, and anything else, a float or a
+    ``Decimal`` among them, raises TypeError."""
+    if isinstance(value, str):
+        return _parse_rational(value)
+    if not isinstance(value, _RATIONALS):
+        raise TypeError(f"not a rational constant: {value!r}")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class Ring:
@@ -359,7 +363,7 @@ class Scalar:
     __slots__ = ("ring", "_terms", "_den")
 
     def __init__(self, ring: Ring, terms: Mapping[Exponents, RationalLike]):
-        coeffs = {ring._pack(e): Fraction(c) for e, c in terms.items() if c != 0}
+        coeffs = {ring._pack(e): c for e, c in zip(terms, map(_fraction, terms.values())) if c}
         # the lcm of lowest-terms denominators leaves no common factor
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         _set_ring(self, ring)

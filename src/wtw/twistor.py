@@ -69,13 +69,16 @@ neither R(c) nor a sum of dphi terms is formed as an array, and each
 contraction of dphi with c is formed once.  ``_pairing_residuals`` passes
 the commutator it forms.  The DJ pairing is the identity at
 (a, b) = (J, D_Y J), and per direction Y it forms c_y = [J, D_Y J] from
-Levi-Civita data alone: the int numerators of J o nabla_Y J that
-:mod:`wtw.hermitian` keeps, with their denominator in the weights, and two
-wedges of phi, added into one array,
+Levi-Civita data alone,
 
     c_y = -w,  w = 2 (J nabla_Y J)^ - phi# ^ Y + J phi# ^ JY,
 
-where -(J nabla_Y J)^ is J nabla_Y J itself, as it is skew.
+where -(J nabla_Y J)^ is J nabla_Y J itself, as it is skew.  So c_y is
+antisymmetric and built by ``_antisymmetric``: its entry (i, j), i < j, is
+one ``FrameSpec.dot`` of the int numerator at (i, j) of J o nabla_Y J that
+:mod:`wtw.hermitian` keeps, phi_i, phi_j, (J phi)_i and (J phi)_j against
+2/den, delta_jy, -delta_iy, -J[j][y] and J[i][y], and no wedge of phi is
+formed as an array.
 
 Vertical bases: for m = n/2 the ``m^2 - m`` endomorphisms pairing the J-planes
 of a rational orthogonal basis are stored *unnormalized*; expansions divide
@@ -88,9 +91,11 @@ nonzero.  For each pair of planes r < s, with w(a, b) = a b^T - b a^T,
     B[r,s] = w(J u_s, u_r) + w(u_s, J u_r),
 
 and the Gram matrix of the family is diagonal, with the entry
-2 |u_r|^2 |u_s|^2 in ``norm_sq``.  The vectors are sparse, so on a J that is
-a signed permutation each u_r is a frame vector, each element sets four
-entries and each norm is 2.  The basis is kept on the spec.
+2 |u_r|^2 |u_s|^2 in ``norm_sq``.  Each w(a, b) is antisymmetric, so each
+element is built by ``_antisymmetric`` from its entries for x < y.  The
+vectors are sparse, so on a J that is a signed permutation each u_r is a
+frame vector, each element has four nonzero entries and each norm is 2.  The
+basis is kept on the spec.
 
 :func:`vertical_checks` calls ``_pairing_residuals`` once per vertical
 direction V, for (J, V), after one cross-check of the action on J.  By
@@ -114,14 +119,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .connection import (Connection, _along_terms, cov_deriv_endo,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
-from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _negative,
-                    linear_combination, wedge_iso, wedge_oneforms)
+from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron, _negative,
+                    linear_combination, wedge_iso)
 from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -234,15 +239,10 @@ def _vertical_basis(spec: FrameSpec) -> VerticalBasis:
     for (r, (ur, jr, nr)), (s, (us, js, ns)) in combinations(enumerate(_planes(spec)), 2):
         # w(a, b) = a b^T - b a^T, so that -w(J u_s, J u_r) = w(J u_r, J u_s)
         for name, pairs in (("A", ((us, ur), (jr, js))), ("B", ((js, ur), (us, jr)))):
-            entries = defaultdict(int)  # the sum of w(a, b) over the pairs
-            for a, b in pairs:
-                for (x, ax), (y, by) in product(a.items(), b.items()):
-                    entries[x, y] += ax * by
-                    entries[y, x] -= ax * by
-            element = [[zero] * n for _ in range(n)]
-            for (x, y), v in entries.items():
-                element[x][y] = spec.const(v)
-            rows.append((tuple(map(tuple, element)), f"{name}[{r+1},{s+1}]", 2 * nr * ns))
+            # the sum of w(a, b) over the pairs, antisymmetric as each w is
+            element = _antisymmetric(n, zero, lambda x, y: spec.const(sum(
+                a.get(x, 0) * b.get(y, 0) - a.get(y, 0) * b.get(x, 0) for a, b in pairs)))
+            rows.append((element, f"{name}[{r+1},{s+1}]", 2 * nr * ns))
     basis = VerticalBasis(*map(tuple, zip(*rows)))
     _validate_vertical(spec, basis)
     return basis
@@ -374,7 +374,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     paired for X < Z only and mirrored.  Every residual entry is still formed.
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
-    phi = spec.phi
+    phi, J = spec.phi, spec.J
     jphi = spec.j_apply(phi)
     R = curvature(weyl(spec))
     paired = spec.memo(_curvature_dj_pairing)  # G(R(X, Z)J, D_Y J) at [y][x][z]
@@ -382,11 +382,11 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     if not all(map(_is_skew, jd)):
         raise FrameError("wedge isomorphism requires a skew endomorphism")
     residual = []
-    for y, (jn, jy) in enumerate(zip(jd, zip(*spec.J))):
-        ey = tuple(spec.const(1 if l == y else 0) for l in range(spec.n))
-        # [J, D_Y J] = -w as an array, as jn is skew (checked above)
-        c = linear_combination(spec, (Fraction(2, den), 1, -1),
-                               (jn, wedge_oneforms(spec, phi, ey), wedge_oneforms(spec, jphi, jy)))
+    for y, jn in enumerate(jd):
+        # [J, D_Y J] = -w as an array, antisymmetric as jn is skew (checked above)
+        c = _antisymmetric(spec.n, spec.zero(), lambda i, j: spec.dot(
+            (jn[i][j], phi[i], phi[j], jphi[i], jphi[j]),
+            (Fraction(2, den), _kron(j, y), -_kron(i, y), -J[j][y], J[i][y])))
         residual.append(_pairing_identity(R, paired[y], c))
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)

@@ -4,6 +4,8 @@ module."""
 
 from __future__ import annotations
 
+from wtw.frame import _antisymmetric
+
 
 def cov_deriv_oneform(conn, omega):
     """(nabla_{E_i} omega)(E_j) = -sum_k gamma[i][j][k] omega_k, as an n x n
@@ -11,3 +13,12 @@ def cov_deriv_oneform(conn, omega):
     from the int gamma rows instead, and the tests compare the two."""
     spec = conn.spec
     return tuple(tuple(-value for value in spec.right(plane, omega)) for plane in conn.gamma)
+
+
+def wedge_oneforms(spec, alpha, beta):
+    """(alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X), as an n x n
+    array.  The DJ pairing of ``wtw.twistor`` forms its wedges inside the
+    entries of the bracket [J, D_Y J] instead."""
+    minus_beta = [-b for b in beta]
+    return _antisymmetric(spec.n, spec.zero(), lambda i, j: spec.dot(
+        (alpha[i], alpha[j]), (beta[j], minus_beta[i])))

@@ -61,12 +61,12 @@ NAMED = (
     ("the script entry of ``python -m wtw.cli``: only a subprocess runs it", ("cli.py:405",)),
     ("argparse restricts the verbs, so no verb falls through", ("cli.py:260",)),
     (f"{_TRACE_OFF}{_EXIT}test_deeply_nested_document_is_one_line_spec_error, exit 2, "
-     "``spec error: values nest too deeply to parse``", ("frame.py:603", "frame.py:604")),
+     "``spec error: values nest too deeply to parse``", ("frame.py:605", "frame.py:606")),
     (f"{_TRACE_OFF}{_EXIT}test_refused_document_prints_its_one_line[chain-of-1200-factors], "
-     "exit 2, ``spec error: too long a chain of operators in ...``", ("polyalg.py:663",)),
+     "exit 2, ``spec error: too long a chain of operators in ...``", ("polyalg.py:667",)),
     ("an __eq__ against another type, which no caller compares",
-     ("frame.py:190", "polyalg.py:193", "polyalg.py:491")),
-    ("a repr, which no output prints", ("polyalg.py:200", "polyalg.py:574")),
+     ("frame.py:200", "polyalg.py:197", "polyalg.py:495")),
+    ("a repr, which no output prints", ("polyalg.py:204", "polyalg.py:578")),
     ("an internal invariant that valid input cannot break: the two routes of the Lee "
      "form agree", ("hermitian.py:198",)),
     ("an internal invariant that valid input cannot break: every vertical basis element "

@@ -10,12 +10,13 @@ import pytest
 import frame_families
 from oracles import cov_deriv_oneform
 from wtw import builtin, g_fiber, load_spec, load_spec_file
-from wtw.connection import (_derivative_along, cov_deriv_endo, levi_civita,
+from wtw.connection import (Connection, _derivative_along, cov_deriv_endo, levi_civita,
                             metric_residual, reconstruct_weyl_form, torsion_residual,
                             traced_second_cov_deriv_endo, weyl)
 from wtw.curvature import curvature
 from wtw.frame import linear_combination
 from wtw.hermitian import lee_form
+from wtw.reports import CheckReport
 from wtw.twistor import _hom_residual, endo_curvature_action, endo_curvature_consistency
 
 
@@ -78,6 +79,27 @@ class TestWeyl:
                        for row in plane for entry in row)
             assert all(entry.is_zero for plane in metric_residual(conn)
                        for row in plane for entry in row)
+
+    def test_torsion_failure_detail_is_the_entrywise_one(self, inoue):
+        """A fault a1 - 2 at gamma[2][0][3] of the Weyl connection of inoue-s0,
+        below the diagonal in (i, j), breaks the torsion residual at (E1,E3,E4)
+        and (E3,E1,E4).  Formed for i < j and mirrored, the residual gives the
+        detail of its entrywise definition gamma[i][j][k] - gamma[j][i][k] -
+        c[i][j][k], the same count, first index and value, and every entry of
+        it."""
+        gamma = [[list(row) for row in plane] for plane in weyl(inoue).gamma]
+        gamma[2][0][3] += inoue.ring.parse("a1 - 2")
+        conn = Connection(inoue, tuple(tuple(map(tuple, plane)) for plane in gamma), "weyl")
+        n, g, c = inoue.n, conn.gamma, inoue.c
+        entrywise = [[[g[i][j][k] - g[j][i][k] - c[i][j][k] for k in range(n)]
+                      for j in range(n)] for i in range(n)]
+        details = []
+        for residual in (torsion_residual(conn), entrywise):
+            report = CheckReport(title="torsion")
+            report.require_zero("torsion-free contract", residual, (inoue.basis,) * 3)
+            details.append(report.checks[0].detail)
+        assert details == ["2 nonzero entries, first at (E1,E3,E4): -a1 + 2"] * 2
+        assert [[list(row) for row in plane] for plane in torsion_residual(conn)] == entrywise
 
     def test_weyl_form_reconstruction(self, inoue, kodairas):
         for spec in (inoue, kodairas[(1, -1)]):

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_families
+from oracles import wedge_oneforms
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, weyl)
-from wtw.frame import (_alternating, _antisymmetric, _negative, linear_combination, wedge_iso,
-                       wedge_oneforms)
+from wtw.frame import _alternating, _antisymmetric, _negative, linear_combination, wedge_iso
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_omega, _lee_residual, fundamental_form, lee_form, nijenhuis
 

@@ -390,10 +390,11 @@ def _dj_endo_weight(monkeypatch):
 
 def _dj_wedge_sign(monkeypatch):
     """The DJ pairing adds J phi# ^ JY to the bracket [J, D_Y J] where it
-    belongs subtracted: the weight -1 of that wedge becomes +1."""
+    belongs subtracted: the weights -J[j][y] and J[i][y] of (J phi)_i and
+    (J phi)_j change sign."""
     monkeypatch.setattr(twistor, "curvature_pairing_with_dj_check", _recompiled(
-        twistor, twistor.curvature_pairing_with_dj_check, "(Fraction(2, den), 1, -1)",
-        "(Fraction(2, den), 1, 1)"))
+        twistor, twistor.curvature_pairing_with_dj_check, "-J[j][y], J[i][y]",
+        "J[j][y], -J[i][y]"))
 
 
 def _trace_divergence_sign(monkeypatch):

@@ -7,13 +7,14 @@ import math
 import operator
 import pathlib
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from wtw import SpecFormatError, load_spec
+from wtw import FrameSpec, SpecFormatError, builtin, conditions, load_spec, verify_assignment
 from wtw.cli import main
 from wtw.polyalg import (_MAX_EXPONENT, _MAX_PRODUCT_PAIRS, ExponentOverflowError,
                          PolynomialParseError, Ring, RingMismatchError, Scalar, _parse_rational,
@@ -679,6 +680,43 @@ def test_const_and_substitute_refuse_rational_strings_in_other_notations(text):
 def test_const_and_substitute_read_rational_strings_exactly():
     assert RING.const("-1/2") == RING.const(Fraction(-1, 2)) == Fraction(-1, 2)
     assert (A1 * A2 + 1).substitute({"a1": "-1/2"}) == A2 * Fraction(-1, 2) + 1
+
+
+def _frame(bracket=-1, phi=(0, 0, 0, 0)) -> FrameSpec:
+    """[E1, E2] = bracket E1 with the standard J on four vectors."""
+    return FrameSpec.create(4, ("a1",), {(0, 1): {0: bracket}},
+                            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], phi)
+
+
+_ENTRY_POINTS = {
+    "Ring.const": RING.const,
+    "Scalar.substitute": lambda value: (A1 + A2).substitute({"a1": value}),
+    "Scalar": lambda value: Scalar(RING, {(1, 0, 0): value}),
+    "FrameSpec.create-phi": lambda value: _frame(phi=(value, 0, 0, 0)),
+    "FrameSpec.create-bracket": lambda value: _frame(bracket=value),
+    "verify_assignment": lambda value: verify_assignment(
+        conditions(builtin("kodaira", (1, 1))), {"a1": value}),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, Decimal("0.1")], ids=["float", "Decimal"])
+@pytest.mark.parametrize("enter", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS)
+def test_entry_points_refuse_floats_and_decimals(enter, value):
+    """There is no floating point anywhere: a float or a Decimal is not a
+    rational constant, so every library entry point that reads one raises
+    TypeError naming it, where ``Fraction`` would read 0.1 as
+    3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError, match=re.escape(f"not a rational constant: {value!r}")):
+        enter(value)
+
+
+def test_scalar_reads_its_coefficients_as_constants():
+    """The constructor reads each coefficient as ``Ring.const`` does, so
+    exponent notation is refused and a zero, written as a string, is
+    dropped."""
+    with pytest.raises(ValueError, match="not a rational constant"):
+        Scalar(RING, {(1, 0, 0): "1e3"})
+    assert Scalar(RING, {(1, 0, 0): "-1/2", (0, 1, 0): "0"}) == A1 * Fraction(-1, 2)
 
 
 _LEE_DOC = (pathlib.Path(__file__).parent / "data" / "inoue_lee.toml").read_text()

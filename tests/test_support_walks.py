@@ -18,11 +18,11 @@ from fractions import Fraction
 import pytest
 
 import frame_families
-from oracles import cov_deriv_oneform
+from oracles import cov_deriv_oneform, wedge_oneforms
 from test_twistor import _gate_passing_frames
 from wtw import (FrameSpec, Ring, RingMismatchError, builtin, d_oneform, fundamental_form,
                  lee_form, levi_civita, load_spec, phi_tensor)
-from wtw.frame import linear_combination, wedge_oneforms
+from wtw.frame import linear_combination
 from wtw.hermitian import _d_omega, _lee_residual
 from wtw.pseudoharmonic import _condition_i_form
 

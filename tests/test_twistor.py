@@ -499,50 +499,42 @@ def test_vertical_basis_is_kept_on_the_spec():
     assert vertical_basis(a1_zero) == vertical_basis(spec)
 
 
-def test_one_suite_builds_each_dj_image_once(monkeypatch):
+@pytest.mark.parametrize("text", [None, frame_families.DENSE_J["inoue_s0_rotated.toml"]],
+                         ids=["inoue-s0", "inoue-s0-rotated"])
+def test_one_suite_builds_each_dj_image_once(monkeypatch, text):
     """J o nabla_X J is formed once per spec, in ints, which both the nabla-J
     checks and the DJ pairing read: a whole ``suite`` forms it once, with no
-    lift.  Per direction Y the DJ pairing forms phi# ^ Y once, adds it, the
-    int image and J phi# ^ JY into one bracket [J, D_Y J], and hands that
-    bracket alone to ``_pairing_identity``, which reads R and dphi on it: n
-    calls, where applying R and dphi to the image and to the phi wedges apart
-    made 2n calls of each."""
+    lift.  The DJ pairing hands ``_pairing_identity`` one bracket per
+    direction Y, n calls, and that bracket, formed from Levi-Civita data, is
+    the commutator [J, D_Y J] of J with the Weyl derivative D_Y J, here on a
+    J that is a signed permutation and on a dense one."""
     from wtw.cli import _suite_report
 
-    spec = builtin("inoue-s0")
-    # phi, J o nabla_X J and every value formed from them by the wrapped helpers
-    tracked, calls = [spec.phi], collections.Counter()
-    build = hermitian._j_nabla_j_ints
+    spec = builtin("inoue-s0") if text is None else load_spec(text)
+    calls, identities = collections.Counter(), []
+    build, identity = hermitian._j_nabla_j_ints, twistor._pairing_identity
 
     def counting_build(spec):
-        den, out = build(spec)
-        tracked.extend(out)
         calls["J o nabla J"] += 1
-        return den, out
+        return build(spec)
 
-    def counting(name, reads):
-        """Count the calls of twistor.<name> with a tracked value among
-        reads(args), and track what they return."""
-        original = getattr(twistor, name)
-
-        def wrapper(*args):
-            out = original(*args)
-            if any(value is t for value in reads(args) for t in tracked):
-                tracked.append(out)
-                calls[name] += 1
-            return out
-        monkeypatch.setattr(twistor, name, wrapper)
+    def recording(R, paired, c):
+        identities.append((paired, c))
+        return identity(R, paired, c)
 
     # one function under both names, so that both readers share its memo
     monkeypatch.setattr(hermitian, "_j_nabla_j_ints", counting_build)
     monkeypatch.setattr(twistor, "_j_nabla_j_ints", counting_build)
-    counting("wedge_oneforms", lambda args: args[1:2])
-    counting("linear_combination", lambda args: args[2])
-    counting("_pairing_identity", lambda args: args[2:3])
+    monkeypatch.setattr(twistor, "_pairing_identity", recording)
     assert _suite_report(spec).ok
-    n = spec.n
-    assert calls == {"J o nabla J": 1, "wedge_oneforms": n, "linear_combination": n,
-                     "_pairing_identity": n}
+    # the DJ pairing passes plane y of the pairing array it keeps on the spec
+    planes = spec.memo(twistor._curvature_dj_pairing)
+    brackets = [(y, c) for paired, c in identities for y, plane in enumerate(planes)
+                if paired is plane]
+    dj = cov_deriv_endo(weyl(spec), spec.J)
+    assert calls["J o nabla J"] == 1
+    assert [y for y, _ in brackets] == list(range(spec.n))
+    assert all(c == twistor._commutator(spec, spec.J, dj[y]) for y, c in brackets)
 
 
 @pytest.mark.parametrize("name", ["hyperbolic6", "inoue_rotation6"])
