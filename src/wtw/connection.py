@@ -30,8 +30,8 @@ Contracts (tested as exact identities):
 An endomorphism S is an n x n nested tuple, ``S E_j = sum_i S[i][j] E_i``,
 as in :mod:`wtw.frame`.  Both connections are computed once per spec and
 kept on it, and the induced derivative D S of an endomorphism is kept on its
-connection, keyed by the tuple S itself (see :class:`wtw.frame.Memo`), so
-repeated calls return the same objects.
+connection under the tuple S itself (``wtw.frame._kept``), so repeated calls
+return the same objects.
 
 The derivative along one direction, D_{E_i} S, is read from the terms of its
 rows (``_along_terms``): row l is one contraction of column l of gamma[i] and
@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Sequence
 
-from .frame import FrameSpec, Memo, Vector, _antisymmetric, _kron
+from .frame import FrameSpec, Memo, Vector, _antisymmetric, _kept, _kron
 from .polyalg import Scalar
 
 
@@ -68,22 +68,17 @@ class Connection(Memo):
                     if not self.gamma[i][j][k].is_zero:
                         yield i, j, k, self.gamma[i][j][k]
 
+    @_kept
     def negated(self):
         """-gamma[i][j][k], formed once per connection for the fused contractions."""
-        return self.memo(_negated)
+        return tuple(tuple(tuple(-value for value in vec) for vec in plane)
+                     for plane in self.gamma)
 
 
-def _negated(conn: Connection):
-    return tuple(tuple(tuple(-value for value in vec) for vec in plane) for plane in conn.gamma)
-
-
+@_kept
 def gamma_rows(spec: FrameSpec) -> tuple[int, list]:
     """The nonzero Levi-Civita gammas as ``(den, rows)``: ``rows[i][j]`` lists
     ``(k, den * gamma[i][j][k])``, ints over twice the bracket denominator."""
-    return spec.memo(_gamma_rows)
-
-
-def _gamma_rows(spec: FrameSpec) -> tuple[int, list]:
     n = spec.n
     den, rows = spec.bracket_rows()
     twice: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
@@ -97,19 +92,13 @@ def _gamma_rows(spec: FrameSpec) -> tuple[int, list]:
                      for plane in twice]
 
 
+@_kept
 def levi_civita(spec: FrameSpec) -> Connection:
-    return spec.memo(_levi_civita)
-
-
-def _levi_civita(spec: FrameSpec) -> Connection:
+    """The Levi-Civita connection: the lift of the nonzero int gammas of
+    :func:`gamma_rows`."""
     den, rows = gamma_rows(spec)
     return Connection(spec, tuple(tuple(spec.lift(row, den) for row in plane) for plane in rows),
                       "levi-civita")
-
-
-def weyl(spec: FrameSpec) -> Connection:
-    """The unique torsion-free connection with D g = phi (x) g for this phi."""
-    return spec.memo(_weyl)
 
 
 def _weyl_shift(n: int, i: int, j: int):
@@ -118,7 +107,9 @@ def _weyl_shift(n: int, i: int, j: int):
     return [(j, i, -1), (i, j, -1), *((k, k, 1) for k in range(n) if i == j)]
 
 
-def _weyl(spec: FrameSpec) -> Connection:
+@_kept
+def weyl(spec: FrameSpec) -> Connection:
+    """The unique torsion-free connection with D g = phi (x) g for this phi."""
     n, phi, lc, half = spec.n, spec.phi, levi_civita(spec), Fraction(1, 2)
 
     def row(i, j):
@@ -145,6 +136,7 @@ def weyl_rows(spec: FrameSpec, den: int, phi: Sequence[int]) -> tuple[int, list]
     return wden, [[[(k, v) for k, v in row.items() if v] for row in plane] for plane in rows]
 
 
+@_kept
 def cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], ...]:
     """(D_{E_i} S)(E_j) = D_{E_i}(S E_j) - S(D_{E_i} E_j), one endomorphism per
     direction; S is an n x n nested tuple, the key it is kept under.
@@ -153,10 +145,6 @@ def cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vecto
     Weyl connection it preserves skewness of constant skew sections, which is
     asserted by the test suite (the "D on Hom" contract).
     """
-    return conn.memo(_cov_deriv_endo, S)
-
-
-def _cov_deriv_endo(conn: Connection, S: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], ...]:
     return tuple(_derivative_along(conn, S, i) for i in range(conn.spec.n))
 
 

@@ -34,7 +34,7 @@ traces the contraction of the Weyl gammas.
 
 R(X, Y) = -R(Y, X), so each curvature tensor is built by
 ``wtw.frame._antisymmetric``, which forms the blocks of the pairs i < j and
-stores their negations at (j, i): the direct route (``_curvature``) and R_g
+stores their negations at (j, i): the direct route (:func:`curvature`) and R_g
 (``_levi_civita_r``).  The identity suite forms each of its n^4 residuals
 through the same builder, except the first Bianchi residual, which
 alternates in three indices and is built by ``wtw.frame._alternating`` (see
@@ -42,11 +42,12 @@ alternates in three indices and is built by ``wtw.frame._alternating`` (see
 which one builder, ``_identity``, turns into the function of one entry: at
 most one kernel call, and none where every term is the ring's shared zero.
 
-Each curvature tensor is computed once per connection and kept on it, and
-rho and rho* are kept on their curvature tensor (see :class:`wtw.frame.Memo`),
-whose blocks ``r[i][j]`` are the one array of R(E_i, E_j): the twistor layer
-reads R(E_i, E_j) as an endomorphism as their transpose.  Phi and the closed
-formulas are kept on the spec.  Neither the Phi-correction nor
+Each curvature tensor is kept on its connection, and rho and rho* on their
+curvature tensor, by the one decorator of kept values,
+:func:`wtw.frame._kept`.  The blocks ``r[i][j]`` of a curvature tensor are
+the one array of R(E_i, E_j): the twistor layer reads R(E_i, E_j) as an
+endomorphism as their transpose.  Phi, the closed formulas, R_g and its
+traces are kept on the spec.  Neither the Phi-correction nor
 :func:`ricci_via_formula` reads a Weyl gamma, so neither shares a result
 with the direct route.
 """
@@ -56,8 +57,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connection import Connection, gamma_rows, levi_civita, weyl
-from .frame import (FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _j_ints, _kron,
-                    _negative)
+from .frame import (FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _j_ints, _kept,
+                    _kron, _negative)
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -68,18 +69,15 @@ class Curvature(Memo):
         self.__dict__.update(spec=spec, r=r)
 
 
+@_kept
 def curvature(conn: Connection) -> Curvature:
     """R(E_i,E_j)E_k = sum_m c[i][j][m] nabla_{E_m} E_k
     - nabla_{E_i} nabla_{E_j} E_k + nabla_{E_j} nabla_{E_i} E_k; for the Levi-Civita
     connection, the lift of the rational R_g kept on the spec."""
-    return conn.memo(_curvature)
-
-
-def _curvature(conn: Connection) -> Curvature:
     spec = conn.spec
     if conn.kind == "levi-civita":
         # R_g is rational: the lift of the int tensor kept on the spec
-        den, rg = spec.memo(_levi_civita_r)
+        den, rg = _levi_civita_r(spec)
         return Curvature(spec, tuple(tuple(tuple(spec.lift(row.items(), den) for row in block)
                                            for block in plane) for plane in rg))
     n = spec.n
@@ -98,6 +96,7 @@ def _zero_block(spec: FrameSpec) -> tuple:
     return ((spec.zero(),) * spec.n,) * spec.n
 
 
+@_kept
 def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
     """R_g as ``(den, r)``, ints over ``den = (2 den_c)^2``: ``r[i][j][k]`` maps l
     to den * g(R(E_i, E_j) E_k, E_l), read from the bracket and gamma rows."""
@@ -123,13 +122,14 @@ def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
         lambda block: tuple({l: -v for l, v in acc.items()} for acc in block))
 
 
+@_kept
 def _levi_civita_ricci(spec: FrameSpec):
     """rho_g and rho*_g traced in ints from R_g and lifted once: rho_g[i][k] =
     sum_j r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]
     read from the int J."""
     n = spec.n
-    den, r = spec.memo(_levi_civita_r)
-    jden, J = spec.memo(_j_ints)
+    den, r = _levi_civita_r(spec)
+    jden, J = _j_ints(spec)
     # one pass over the nonzero entries r[p][i][q][l]: rho_g[p][q] takes those
     # with l = i, and x[i][q] = sum_{p,l} J[p][l] r[p][i][q][l], over den * jden
     rho = [[0] * n for _ in range(n)]
@@ -146,14 +146,10 @@ def _levi_civita_ricci(spec: FrameSpec):
                             den * jden * jden) for xi in x))
 
 
+@_kept
 def phi_tensor(spec: FrameSpec):
     """Phi(E_i, E_j) = (nabla_{E_i} phi)(E_j) + 1/2 phi_i phi_j - 1/4 |phi|^2 delta_ij,
-    kept on the spec."""
-    return spec.memo(_phi_tensor)
-
-
-def _phi_tensor(spec: FrameSpec):
-    """Each entry is one kernel call, with (nabla_{E_i} phi)(E_j) =
+    kept on the spec.  Each entry is one kernel call, with (nabla_{E_i} phi)(E_j) =
     -sum_k gamma[i][j][k] phi_k read from the nonzero gamma row (i, j)."""
     n, phi = spec.n, spec.phi
     den, g = gamma_rows(spec)
@@ -164,6 +160,7 @@ def _phi_tensor(spec: FrameSpec):
                        for j, row in enumerate(g[i])) for i in range(n))
 
 
+@_kept
 def _phi_on_j(spec: FrameSpec) -> Scalar:
     """<Phi, J> = sum_{p,q} J[p][q] Phi[p][q] = -sum_i (nabla_{E_i} phi)(J E_i),
     which is delta(J*phi) - phi(delta J) by the Leibniz rule."""
@@ -179,24 +176,18 @@ def _pair_antisymmetric(spec: FrameSpec, entry) -> tuple:
         tuple(entry(i, j, k, l) for l in ix) for k in ix), _negative)
 
 
+@_kept
 def ricci(R: Curvature):
     """rho[i][k] = sum_j r[i][j][k][j]."""
-    return R.memo(_ricci)
-
-
-def _ricci(R: Curvature):
     spec = R.spec
     n = spec.n
     return tuple(tuple(spec.ring.sum(R.r[i][j][k][j] for j in range(n))
                        for k in range(n)) for i in range(n))
 
 
+@_kept
 def star_ricci(R: Curvature):
     """rho*[i][k] = sum_j g(R(J E_j, E_i) J E_k, E_j), expanded through J."""
-    return R.memo(_star_ricci)
-
-
-def _star_ricci(R: Curvature):
     spec = R.spec
     out = []
     for i in range(spec.n):
@@ -207,6 +198,7 @@ def _star_ricci(R: Curvature):
     return tuple(out)
 
 
+@_kept
 def ricci_via_formula(spec: FrameSpec):
     """(rho, rho*) of the Weyl connection from Levi-Civita data, kept on the spec.
 
@@ -236,19 +228,15 @@ def ricci_via_formula(spec: FrameSpec):
     curvature, and each entry is one ``Ring.dot``.  It reads no Weyl gamma or
     Weyl curvature, so :func:`ricci_formula_check` compares two computations.
     """
-    return spec.memo(_ricci_via_formula)
-
-
-def _ricci_via_formula(spec: FrameSpec):
     n, ix = spec.n, range(spec.n)
-    rho_g, rho_star_g = spec.memo(_levi_civita_ricci)
+    rho_g, rho_star_g = _levi_civita_ricci(spec)
     Phi, J = phi_tensor(spec), spec.J
     twisted = spec.twist(Phi)
     half, minus_half = Fraction(1, 2), Fraction(-1, 2)
     lead = Fraction(n - 1, 2)  # of Phi(X, Z) in rho
     # the coefficient of g(X, Z) in rho, and of g(X, JZ) in rho*
     g_rho = spec.ring.sum(Phi[i][i] for i in ix) * half
-    gj_rho_star = spec.memo(_phi_on_j) * minus_half
+    gj_rho_star = _phi_on_j(spec) * minus_half
     rho = tuple(tuple(spec.dot((rho_g[i][k], Phi[i][k], Phi[k][i], g_rho),
                                (1, lead, minus_half, _kron(i, k))) for k in ix) for i in ix)
     rho_star = tuple(tuple(spec.dot(
@@ -380,7 +368,7 @@ def identity_suite(spec: FrameSpec) -> CheckReport:
     j_scalars = tuple(tuple(map(spec.const, row)) for row in spec.J)
     star_defect = _identity(spec, (
         (1, rho_star, "ij"), (-1, spec.twist(rho_star), "ji"), (-1, dphi, "ij"),
-        (-1, spec.twist(dphi), "ij"), (spec.memo(_phi_on_j), j_scalars, "ij")))
+        (-1, spec.twist(dphi), "ij"), (_phi_on_j(spec), j_scalars, "ij")))
     report.require_zero("twisted-symmetry defect of rho* from d(phi) and codifferentials",
                         [[star_defect(i, k) for k in ix] for i in ix], axes)
     report.notes["rho_star_defect"] = (

@@ -40,18 +40,17 @@ entries, rational or scalar, and reduces the sum once:
   * ``compose(a, b)`` the endomorphism a o b, that is sum_m a[i][m] b[m][j].
 
 All but ``dot`` walk a support.  ``left`` and ``right`` pass the kernel only
-the nonzero positions of their fixed vector; ``compose`` is ``right`` on each
-column of its right factor, and :func:`linear_combination`, which sums
-weighted n x n arrays, is ``left`` over the flattened arrays.  The three J
-contractions read the supports of J's columns and rows (see below) with
-weights built once per spec: ``twist`` forms each M(., J E_k) over the support
-of J E_k and pairs it with J E_i over the support of J E_i, so a dense J costs
-2n^3 products, an entry of ``j_pair`` walks the union of the supports of
-``J E_i`` and ``J E_k``, and one of ``j_apply`` the support of row k of J.  An
-entry with only zero values, or with one scalar of weight 1 or -1, is the
-shared zero or that scalar or its negation, with no call; so on a J that is a
-signed permutation ``twist`` and ``j_apply`` make none.  The
-fiber pairing of :mod:`wtw.twistor` walks its fixed endomorphism's support.
+the nonzero positions of their fixed vector, and ``compose`` is ``right`` on
+each column of its right factor.  The three J contractions read the supports
+of J's columns and rows (see below) with weights built once per spec:
+``twist`` forms each M(., J E_k) over the support of J E_k and pairs it with
+J E_i over the support of J E_i, so a dense J costs 2n^3 products, an entry
+of ``j_pair`` walks the union of the supports of ``J E_i`` and ``J E_k``, and
+one of ``j_apply`` the support of row k of J.  An entry with only zero values,
+or with one scalar of weight 1 or -1, is the shared zero or that scalar or its
+negation, with no call; so on a J that is a signed permutation ``twist`` and
+``j_apply`` make none.  The fiber pairing of :mod:`wtw.twistor` walks its
+fixed endomorphism's support.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
 and ``left(omega, J)`` is the 1-form ``omega o J``.  J has one array,
@@ -67,16 +66,18 @@ too.  The symbol-free layer walks only these supports: ``validate`` and, in
 the later layers, the Levi-Civita gammas, their curvature and its traces, the
 Lee form and the Nijenhuis tensor accumulate ints and lift each nonzero result
 to a scalar once (:meth:`FrameSpec.lift`), leaving the ring's shared zero
-everywhere else.
-The Lee vector B has the Lee form theta's components in this orthonormal
-frame, so its route B = 2/(n-2) J(delta J) is compared with theta in ints
-and only theta is lifted.  ``d_oneform`` calls the kernel only where a
-bracket row is nonzero.
+everywhere else.  ``d_oneform`` calls the kernel only where a bracket row is
+nonzero.
 Endomorphisms, 2-forms and bivectors are all n x n nested tuples, with no
 class of their own: an endomorphism S as above, a 2-form F with ``F[i][j] =
 F(E_i, E_j)``, and a bivector ``b`` the array of its components, ``sum_{i<j}
-b[i][j] E_i ^ E_j``.  Every sum or difference of endomorphisms is one
-:func:`linear_combination`.
+b[i][j] E_i ^ E_j``.  A sum or difference of such arrays is formed entry by
+entry, each entry one kernel call.
+
+Kept values: every quantity derived from a spec, a connection or a curvature
+tensor, here and in the later layers, is one function decorated with
+:func:`_kept`, which computes it on the first call with its arguments and
+keeps it on the object; the decorated function is the value's one name.
 
 An array formed entry by entry, here or in a later layer, is built by
 ``_antisymmetric`` when its antisymmetry in a pair of indices follows from
@@ -108,10 +109,11 @@ share with :mod:`wtw.twistor`.
 
 from __future__ import annotations
 
+import functools
 import math
 import tomllib
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .polyalg import Ring, Scalar, RationalLike, _fraction
@@ -155,27 +157,40 @@ class GateError(Exception):
 class Memo:
     """Mixin for an immutable object that keeps the values derived from it.
 
-    ``obj.memo(compute, *args)`` returns ``compute(obj, *args)``, computing it
-    only on the first call with that key.  The key is the compute function
-    with its arguments, never a label, so two independent routes to one
-    quantity never share an entry.  The values live in the object's own
-    ``__dict__``: they are freed with the object, and every new object,
-    a spec made by ``with_phi`` included, starts with none.
-
     Assigning an attribute raises ``AttributeError``, so a subclass's
-    ``__init__`` stores its fields in ``__dict__`` directly.
+    ``__init__`` stores its fields in ``__dict__`` directly.  The values
+    derived from the object are kept by the functions decorated with
+    :func:`_kept`, in the object's own ``__dict__``.
     """
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def memo(self, compute, *args):
-        store = self.__dict__.setdefault("_memo", {})
-        key = (compute, *args)
+
+def _kept(compute):
+    """``compute(obj, *args)`` for a :class:`Memo` ``obj``, computed only on the
+    first call with those arguments and kept on ``obj``.
+
+    The key is the decorated function with its arguments, never a label, so
+    two independent routes to one quantity never share an entry.  The values
+    live in the object's ``__dict__``: they are freed with the object, and
+    every new object, a spec made by ``with_phi`` included, starts with none.
+    A compute that raises keeps nothing, so it raises again on the next call;
+    a ``None`` result is kept.  The keys pickle by qualified name, so an
+    object pickles and deep-copies with its kept values.  On a miss the
+    decorated function calls its ``__wrapped__``, so replacing that attribute
+    replaces the compute for every reader, however it imported the name.
+    """
+    @functools.wraps(compute)
+    def kept(obj, *args):
+        store = obj.__dict__.setdefault("_memo", {})
+        key = (kept, *args)
         value = store.get(key, _MISSING)
         if value is _MISSING:
-            value = store[key] = compute(self, *args)
+            value = store[key] = kept.__wrapped__(obj, *args)
         return value
+
+    return kept
 
 
 class FrameSpec(Memo):
@@ -183,7 +198,7 @@ class FrameSpec(Memo):
 
     Quantities derived from the frame (connections, the Nijenhuis tensor,
     the Lee data, d(phi), ...) are computed once and kept on the spec; see
-    :class:`Memo`.  Specs with equal fields are equal and hash alike.
+    :func:`_kept`.  Specs with equal fields are equal and hash alike.
     """
 
     def __init__(self, dimension: int, ring: Ring, basis: tuple[str, ...],
@@ -283,7 +298,7 @@ class FrameSpec(Memo):
                 raise FrameError(
                     "Jacobi identity fails on "
                     f"({self.basis[i]},{self.basis[j]},{self.basis[k]})")
-        den, J = self.memo(_j_ints)
+        den, J = _j_ints(self)
         _, cols = self.j_columns()
         gram = [[sum(v * J[p][k] for p, v in col) for k in range(n)] for col in cols]
         if gram != [[den * den * (i == k) for k in range(n)] for i in range(n)]:
@@ -314,21 +329,27 @@ class FrameSpec(Memo):
                 out[k] = Scalar._reduced(self.ring, {0: v}, den)
         return tuple(out)
 
+    @_kept
     def dphi(self) -> tuple[Vector, ...]:
         """d(phi) of the spec's Weyl form, as an n x n array."""
-        return self.memo(_dphi)
+        return d_oneform(self, self.phi)
 
+    @_kept
     def bracket_rows(self) -> tuple[int, list]:
         """The nonzero structure constants as ``(den, rows)``: ``rows[i][j]``
         lists ``(k, den * c[i][j][k])`` for each nonzero ``c[i][j][k]``, ints
         over one positive denominator."""
-        return self.memo(_bracket_rows)
+        den = math.lcm(*(v.denominator for plane in self.c for row in plane for v in row))
+        return den, [[[(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
+                      for row in plane] for plane in self.c]
 
+    @_kept
     def j_columns(self) -> tuple[int, list]:
         """The nonzero entries of J as ``(den, cols)``: ``cols[i]`` lists
         ``(p, den * J[p][i])``, the column ``J E_i``, ints over one positive
-        denominator."""
-        return self.memo(_j_columns)
+        denominator, read from :func:`_j_ints`."""
+        den, J = _j_ints(self)
+        return den, [[(p, v) for p, v in enumerate(col) if v] for col in zip(*J)]
 
     # -- contractions (see the module docstring) --------------------------
 
@@ -362,7 +383,7 @@ class FrameSpec(Memo):
         """M(J., J.): entries sum_p J[p][i] m_k[p] with m_k = M(., J E_k), each
         m_k[p] = sum_q M[p][q] J[q][k] a ``_walk`` over the support of J E_k and
         each entry a ``_walk`` of m_k over the support of J E_i."""
-        ring, cols = self.ring, self.memo(_j_weights)
+        ring, cols = self.ring, _j_weights(self)
         m_j = [[_walk(ring, [row[q] for q in at_k], w_k) for row in M] for at_k, w_k in cols]
         return tuple(tuple(_walk(ring, [m_k[p] for p in at_i], w_i) for m_k in m_j)
                      for at_i, w_i in cols)
@@ -370,7 +391,7 @@ class FrameSpec(Memo):
     def j_pair(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
         """M(J., .) + M(., J.): entries sum_p J[p][i] M[p][k] + sum_q M[i][q] J[q][k],
         each a ``_walk`` over the supports of J E_i and J E_k."""
-        ring, cols = self.ring, self.memo(_j_weights)
+        ring, cols = self.ring, _j_weights(self)
         return tuple(tuple(
             _walk(ring, [M[p][k] for p in at_i] + [row[q] for q in at_k], w_i + w_k)
             for k, (at_k, w_k) in enumerate(cols)) for row, (at_i, w_i) in zip(M, cols))
@@ -380,7 +401,7 @@ class FrameSpec(Memo):
         sum_q J[k][q] v[q], a ``_walk`` over the support of row k of J."""
         ring = self.ring
         return tuple(_walk(ring, [vec[q] for q in at], weights)
-                     for at, weights in self.memo(_j_row_weights))
+                     for at, weights in _j_row_weights(self))
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form: c and J are kept as validated, and
@@ -423,27 +444,13 @@ def _is_skew(a: Sequence[Sequence[Scalar]]) -> bool:
     return all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
 
 
-def _dphi(spec: FrameSpec) -> tuple[Vector, ...]:
-    return d_oneform(spec, spec.phi)
-
-
 # -- supports of the rational data -----------------------------------------
 
-def _bracket_rows(spec: FrameSpec) -> tuple[int, list]:
-    den = math.lcm(*(v.denominator for plane in spec.c for row in plane for v in row))
-    return den, [[[(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
-                  for row in plane] for plane in spec.c]
-
-
+@_kept
 def _j_ints(spec: FrameSpec) -> tuple[int, list]:
     """J as dense ints ``(den, J)``, ``J[p][q]`` = den * J[p][q]."""
     den = math.lcm(*(v.denominator for row in spec.J for v in row))
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in spec.J]
-
-
-def _j_columns(spec: FrameSpec) -> tuple[int, list]:
-    den, J = spec.memo(_j_ints)
-    return den, [[(p, v) for p, v in enumerate(col) if v] for col in zip(*J)]
 
 
 def _weights(den: int, supports: list) -> list[tuple[list[int], list]]:
@@ -453,16 +460,18 @@ def _weights(den: int, supports: list) -> list[tuple[list[int], list]]:
             for sup in supports]
 
 
+@_kept
 def _j_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
     """The rows p where J[p][i] is nonzero and those entries, for each column
     ``J E_i``."""
     return _weights(*spec.j_columns())
 
 
+@_kept
 def _j_row_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
     """The columns q where J[k][q] is nonzero and those entries, for each row k
     of J."""
-    den, J = spec.memo(_j_ints)
+    den, J = _j_ints(spec)
     return _weights(den, [[(q, v) for q, v in enumerate(row) if v] for row in J])
 
 
@@ -501,15 +510,6 @@ def eval_on_bivector(spec: FrameSpec, F: Sequence[Sequence], b: Sequence[Sequenc
     ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1); reads only i < j."""
     planes = list(combinations(range(spec.n), 2))
     return spec.dot([b[i][j] for i, j in planes], [F[i][j] for i, j in planes])
-
-
-def linear_combination(spec: FrameSpec, weights: Sequence,
-                       arrays: Sequence[Sequence[Sequence]]) -> tuple[Vector, ...]:
-    """sum_m weights[m] arrays[m] for n x n arrays: ``left`` over the flattened
-    arrays, one kernel call per entry over the nonzero weights only."""
-    n = len(arrays[0])
-    flat = spec.left(weights, [tuple(chain.from_iterable(array)) for array in arrays])
-    return tuple(flat[k:k + n] for k in range(0, n * n, n))
 
 
 def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):

@@ -8,9 +8,9 @@ vanishes identically exactly when J is integrable.  The Lee form is
 
     theta = -2/(n-2) * (delta Omega) o J.
 
-In the orthonormal frame its dual vector, the Lee vector B, has theta's
-components, so B is theta itself; the route ``B = 2/(n-2) * J(delta J)`` is
-required to agree with it.  A structure is locally conformally Kaehler when
+In the orthonormal frame delta Omega is the 1-form of the vector delta J, so
+theta has the components of its dual vector, the Lee vector
+``B = 2/(n-2) * J(delta J)``.  A structure is locally conformally Kaehler when
 ``d Omega = theta ^ Omega`` and ``d theta = 0``.
 
 Codifferential convention (used here and, through the Leibniz identity
@@ -18,12 +18,10 @@ Codifferential convention (used here and, through the Leibniz identity
 closed Ricci formulas of :mod:`wtw.curvature`):
 ``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
 ``delta J = -sum_i (nabla_{E_i} J)(E_i)``; the sign is pinned by the
-built-in geometries' Lee forms.  The Lee form forms no nabla J: delta Omega
-and delta J are summed in ints from the Levi-Civita gamma rows
-(:func:`wtw.connection.gamma_rows`) and the columns of J, the two routes are
-compared exactly as int numerators over one denominator, and theta is lifted
-to scalars once.  The tests compare theta with the trace of the nabla J that
-:func:`wtw.connection.cov_deriv_endo` forms.
+built-in geometries' Lee forms.  The Lee form reads delta J as the trace of
+the int Levi-Civita nabla J below, walks the columns of J and is lifted to
+scalars once.  The tests compare theta with the trace of the nabla J of
+scalars that :func:`wtw.connection.cov_deriv_endo` forms.
 
 `require_gate` enforces the standing hypotheses of the pseudo-harmonicity
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
@@ -37,12 +35,12 @@ The whole layer is symbol-free, and every array of it is formed as int
 numerators over one denominator, read from the spec's nonzero bracket rows
 and J columns (see :mod:`wtw.frame`), the gamma rows and theta's ints; none
 calls the polynomial kernel.  Each is computed once per spec and kept on it
-(see :class:`wtw.frame.Memo`), so the gate and every check that needs it
-share one computation:
+(``wtw.frame._kept``), so the gate and every check that needs it share one
+computation:
 
   * N, from its four brackets, formed for the pairs i < j and mirrored by
     ``wtw.frame._antisymmetric``;
-  * theta, as above;
+  * theta, from the trace of nabla J, as above;
   * d(Omega), the cyclic bracket sum, and the Lee residual d(Omega) - theta ^
     Omega, formed on increasing triples and extended by
     ``wtw.frame._alternating``; the gate and :func:`lck_check` read the
@@ -71,7 +69,7 @@ import math
 
 from .connection import gamma_rows, weyl_rows
 from .frame import (FrameSpec, GateError, Vector, _accumulate, _alternating, _antisymmetric,
-                    _j_ints, wedge_iso)
+                    _j_ints, _kept, wedge_iso)
 from .reports import CheckReport
 
 
@@ -106,27 +104,22 @@ def _derivative(rows: list, cols: list) -> list:
     return d
 
 
+@_kept
 def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
     """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i], as an n x n array:
     the wedge image of J."""
-    return spec.memo(_fundamental_form)
-
-
-def _fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
     return tuple(tuple(map(spec.const, row)) for row in wedge_iso(spec.J))
 
 
+@_kept
 def nijenhuis(spec: FrameSpec):
     """The Nijenhuis tensor as components N[k][i][j] of N(E_i, E_j), plus a verdict."""
-    return spec.memo(_nijenhuis)
-
-
-def _nijenhuis(spec: FrameSpec):
-    den, comps = spec.memo(_nijenhuis_ints)
+    den, comps = _nijenhuis_ints(spec)
     lifted = tuple(tuple(spec.lift(enumerate(row), den) for row in plane) for plane in comps)
     return lifted, not any(v for plane in comps for row in plane for v in row)
 
 
+@_kept
 def _nijenhuis_ints(spec: FrameSpec) -> tuple[int, tuple]:
     """N as ``(den, comps)``, ``comps[k][i][j]`` = den * N[k][i][j]."""
     n, ix = spec.n, range(spec.n)
@@ -155,66 +148,44 @@ def _nijenhuis_ints(spec: FrameSpec) -> tuple[int, tuple]:
                                      for k in ix)
 
 
+@_kept
 def lee_form(spec: FrameSpec) -> Vector:
-    """The Lee form theta from delta Omega composed with J, cross-checked
-    against B = 2/(n-2) J(delta J); theta's components are B's."""
-    return spec.memo(_lee_form)
-
-
-def _lee_form(spec: FrameSpec) -> Vector:
-    den, theta = spec.memo(_lee_ints)
+    """The Lee form theta = -2/(n-2) delta Omega o J, whose components are those
+    of B = 2/(n-2) J(delta J), lifted once from :func:`_lee_ints`."""
+    den, theta = _lee_ints(spec)
     return spec.lift(enumerate(theta), den)
 
 
+@_kept
 def _lee_ints(spec: FrameSpec) -> tuple[int, list]:
-    """theta as ``(den, theta)``, int numerators over (n - 2) * den_gamma * den_J^2."""
-    n = spec.n
-    gden, g = gamma_rows(spec)
+    """theta as ``(den, theta)``, int numerators over (n - 2) * den_nablaJ * den_J:
+    theta_l = 2/(n-2) sum_k (sum_i (nabla_{E_i} J)[k][i]) J[k][l], read from
+    :func:`_nabla_j` and walked over the columns of J."""
+    nden, nj = _nabla_j(spec)
     jden, cols = spec.j_columns()
-    _, J = spec.memo(_j_ints)
-    # (nabla_i Omega)(E_j, E_k) = -sum_m gamma[i][j][m] Om[m][k] - gamma[i][k][m] Om[j][m],
-    # so delta Omega(E_k) = sum_{i,m} gamma[i][i][m] J[k][m] + gamma[i][k][m] J[m][i]
-    delta_omega: dict[int, int] = {}
-    for i in range(n):
-        for m, x in g[i][i]:
-            _accumulate(delta_omega, x, cols[m])
-        for k, row in enumerate(g[i]):
-            delta_omega[k] = delta_omega.get(k, 0) + sum(x * J[m][i] for m, x in row)
-    # (nabla_i J) E_i = nabla_i (J E_i) - J nabla_i E_i, so delta J = -sum_i (nabla_i J) E_i
-    # = sum_{i,k} gamma[i][i][k] J E_k - J[k][i] nabla_i E_k
-    delta_j: dict[int, int] = {}
-    for i in range(n):
-        for k, x in g[i][i]:
-            _accumulate(delta_j, x, cols[k])
-        for k, y in cols[i]:
-            _accumulate(delta_j, -y, g[i][k])
-    # theta = -2/(n-2) delta Omega o J and B = 2/(n-2) J(delta J), both over
-    # (n - 2) * gden * jden^2
-    theta = [-2 * sum(delta_omega.get(k, 0) * x for k, x in col) for col in cols]
-    b: dict[int, int] = {}
-    for k, v in delta_j.items():
-        _accumulate(b, 2 * v, cols[k])
-    if theta != [b.get(l, 0) for l in range(n)]:
-        raise AssertionError("Lee form routes disagree; codifferential convention broken")
-    return (n - 2) * gden * jden * jden, theta
+    # minus delta J = sum_i (nabla_{E_i} J) E_i, and delta Omega is its 1-form
+    trace = [sum(plane[k][i] for i, plane in enumerate(nj)) for k in range(spec.n)]
+    return (spec.n - 2) * nden * jden, [2 * sum(trace[k] * x for k, x in col) for col in cols]
 
 
+@_kept
 def _d_omega(spec: FrameSpec) -> tuple[int, tuple]:
     """d(Omega) as ``(den, w)``, ``w[i][j][k]`` = den * dOmega(E_i, E_j, E_k): the cyclic
     sum of c[i][j][m] Omega[k][m] = c[i][j][m] J[m][k] over the nonzero bracket rows."""
     cden, rows = spec.bracket_rows()
-    jden, J = spec.memo(_j_ints)
+    jden, J = _j_ints(spec)
     return cden * jden, _alternating(spec.n, 0, lambda i, j, k: sum(
         x * J[m][z] for a, b, z in ((i, j, k), (j, k, i), (k, i, j)) for m, x in rows[a][b]))
 
 
+@_kept
 def _lee_residual(spec: FrameSpec) -> tuple[int, tuple]:
     """d(Omega) - theta ^ Omega as ``(den, r)``, zero exactly when the Lee identity
     holds; (theta ^ Omega)(E_i, E_j, E_k) = theta_i J[k][j] + theta_j J[i][k] +
     theta_k J[j][i]."""
-    dden, d_omega = spec.memo(_d_omega)
-    tden, theta = spec.memo(_lee_ints)
-    jden, J = spec.memo(_j_ints)
+    dden, d_omega = _d_omega(spec)
+    tden, theta = _lee_ints(spec)
+    jden, J = _j_ints(spec)
     den, (scale, _) = _common(dden, tden * jden)
     return den, _alternating(spec.n, 0, lambda i, j, k: scale * d_omega[i][j][k] - (
         theta[i] * J[k][j] + theta[j] * J[i][k] + theta[k] * J[j][i]))
@@ -225,34 +196,32 @@ def lck_check(spec: FrameSpec) -> CheckReport:
     tensor, indexed N[k][i][j]: the E_k component of N(E_i, E_j)."""
     report = CheckReport(title="locally conformally Kaehler identities")
     basis = spec.basis
-    den, residual = spec.memo(_lee_residual)
+    den, residual = _lee_residual(spec)
     report.require_zero("d(Omega) = theta ^ Omega", residual, (basis,) * 3, den)
     cden, rows = spec.bracket_rows()
-    tden, theta = spec.memo(_lee_ints)
+    tden, theta = _lee_ints(spec)
     # d theta(E_i, E_j) = -theta([E_i, E_j])
     d_theta = _antisymmetric(spec.n, 0, lambda i, j: -sum(x * theta[k] for k, x in rows[i][j]))
     report.require_zero("d(theta) = 0", d_theta, (basis,) * 2, cden * tden)
-    den, comps = spec.memo(_nijenhuis_ints)
+    den, comps = _nijenhuis_ints(spec)
     report.require_zero("Nijenhuis tensor vanishes", comps, (basis,) * 3, den)
     return report
 
 
+@_kept
 def require_gate(spec: FrameSpec) -> Vector:
     """Enforce the standing assumptions; returns the Lee form on success.  A
     passing verdict is kept on the spec; a failing one raises on every call."""
-    return spec.memo(_gate)
-
-
-def _gate(spec: FrameSpec) -> Vector:
-    if any(v for plane in spec.memo(_nijenhuis_ints)[1] for row in plane for v in row):
+    if any(v for plane in _nijenhuis_ints(spec)[1] for row in plane for v in row):
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")
-    if any(v for plane in spec.memo(_lee_residual)[1] for row in plane for v in row):
+    if any(v for plane in _lee_residual(spec)[1] for row in plane for v in row):
         raise GateError("Lee identity assumption",
                         "d(Omega) differs from theta ^ Omega")
     return lee_form(spec)
 
 
+@_kept
 def _nabla_j(spec: FrameSpec) -> tuple[int, list]:
     """The Levi-Civita nabla J as ``(den, d)``: ``d[x][l][j]`` = den * (nabla_{E_x} J)[l][j],
     read from the gamma rows and the columns of J."""
@@ -261,9 +230,10 @@ def _nabla_j(spec: FrameSpec) -> tuple[int, list]:
     return gden * jden, _derivative(g, cols)
 
 
+@_kept
 def _j_nabla_j_ints(spec: FrameSpec) -> tuple[int, list]:
     """J o nabla_{E_x} J as ``(den, jd)``, laid out as :func:`_nabla_j`."""
-    den, d = spec.memo(_nabla_j)
+    den, d = _nabla_j(spec)
     jden, cols = spec.j_columns()
     jd = [[[0] * spec.n for _ in cols] for _ in cols]
     for plane, out in zip(d, jd):
@@ -290,12 +260,12 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
     ix = range(spec.n)
     axes = (spec.basis,) * 3
     require_gate(spec)
-    tden, B = spec.memo(_lee_ints)  # theta's components are the Lee vector's
-    jden, J = spec.memo(_j_ints)
+    tden, B = _lee_ints(spec)  # theta's components are the Lee vector's
+    jden, J = _j_ints(spec)
     _, cols = spec.j_columns()
-    nden, nj = spec.memo(_nabla_j)
-    dden, dom = spec.memo(_d_omega)
-    mden, ncomp = spec.memo(_nijenhuis_ints)
+    nden, nj = _nabla_j(spec)
+    dden, dom = _d_omega(spec)
+    mden, ncomp = _nijenhuis_ints(spec)
 
     # dOmega(X, J., J.) is over dden * jden^2, and so dOmega is read there too
     twisted = [_twist(cols, plane) for plane in dom]
@@ -320,7 +290,7 @@ def nabla_j_checks(spec: FrameSpec) -> CheckReport:
                                    + (l == x) * JB[y]) for l in ix] for y in ix] for x in ix],
         axes, den)
 
-    jnden, jd = spec.memo(_j_nabla_j_ints)
+    jnden, jd = _j_nabla_j_ints(spec)
     den, (a, b, c) = _common(jnden, 2 * tden, 2 * tden * jden * jden)
     # (J nabla_X J)^ - 1/2 B ^ X + 1/2 JB ^ JX at (E_i, E_j); the wedge image is
     # the transpose

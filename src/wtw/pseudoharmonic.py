@@ -43,7 +43,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple
 
 from .curvature import ricci_via_formula
-from .frame import FrameSpec, GateError, _antisymmetric, eval_on_bivector
+from .frame import FrameSpec, GateError, _antisymmetric, _kept, eval_on_bivector
 from .hermitian import fundamental_form, require_gate
 from .polyalg import RationalLike, Scalar, _fraction, normalized_system
 
@@ -66,13 +66,10 @@ class ConditionReport(NamedTuple):
         return not self.condition_i and not self.condition_ii
 
 
+@_kept
 def condition_i_pairing(spec: FrameSpec):
     """P = j_pair(d(theta - phi) + n(n-4)/(2(n-2)) theta ^ phi), the condition-(i)
     2-form paired with J as an n x n array; kept on the spec (gate enforced)."""
-    return spec.memo(_condition_i_pairing)
-
-
-def _condition_i_pairing(spec: FrameSpec):
     return spec.j_pair(_condition_i_form(spec))
 
 
@@ -111,6 +108,7 @@ def condition_i(spec: FrameSpec) -> list[Scalar]:
     return [paired[k][l] for k, l in combinations(range(spec.n), 2)]
 
 
+@_kept
 def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]:
     """L(psi) at Z = E_k for each k, for psi = theta - phi:
 
@@ -145,7 +143,7 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
 def condition_ii(spec: FrameSpec) -> tuple[Scalar, ...]:
     """The condition-(ii) expression L(theta - phi) at Z = E_k for each k (raw,
     unnormalized; gate enforced), kept on the spec."""
-    return spec.memo(_condition_ii_values, False)
+    return _condition_ii_values(spec, False)
 
 
 def conditions(spec: FrameSpec, dim4_mode: bool = False) -> ConditionReport:
@@ -155,7 +153,7 @@ def conditions(spec: FrameSpec, dim4_mode: bool = False) -> ConditionReport:
         raise GateError("dimension-four mode",
                         f"requires n = 4, got n = {spec.n}")
     sys_i, dropped_i = normalized_system(condition_i(spec))
-    sys_ii, dropped_ii = normalized_system(spec.memo(_condition_ii_values, dim4_mode))
+    sys_ii, dropped_ii = normalized_system(_condition_ii_values(spec, dim4_mode))
     return ConditionReport(condition_i=sys_i, condition_ii=sys_ii,
                            dropped_i=dropped_i, dropped_ii=dropped_ii,
                            dim4_mode=dim4_mode)

@@ -12,9 +12,9 @@ which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
 ``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
 :mod:`wtw.frame`: products are read through ``FrameSpec.right``, ``left``
-and ``dot``, each sum or difference of endomorphisms is one
-``linear_combination``, and each entry of a commutator is one kernel call
-over the terms of both products.
+and ``dot``, each entry of a sum or difference of endomorphisms is one
+kernel call, and so is each entry of a commutator, over the terms of both
+products.
 ``_is_vertical`` tests that V is skew and J^T V J = -V (``FrameSpec.twist``),
 which for an orthogonal J says that V anticommutes with J.
 
@@ -29,9 +29,9 @@ terms: the bracket term, the gamma expansions of -D_i(D_j a) and
 derivative is formed as an array; ``v_trace`` reads the trace of D2 J formed
 the same way (:func:`wtw.connection.traced_second_cov_deriv_endo`).
 The action on an endomorphism is kept on its curvature tensor, and the
-cross-check runs once per connection and endomorphism (see
-:class:`wtw.frame.Memo`).  Both are antisymmetric in (X, Y), so they are
-formed for the frame pairs i < j only.  The action, the vertical
+cross-check runs once per connection and endomorphism, its ``None`` kept on
+the connection (``wtw.frame._kept``).  Both are antisymmetric in (X, Y), so
+they are formed for the frame pairs i < j only.  The action, the vertical
 antisymmetry residual and the pairings of the action with a fixed
 endomorphism (D_Y J in the DJ pairing, b in the pairing identity) are built
 by ``wtw.frame._antisymmetric``, the one builder of arrays antisymmetric in
@@ -125,8 +125,8 @@ from typing import NamedTuple
 from .connection import (Connection, _along_terms, cov_deriv_endo,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
-from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kron, _negative,
-                    linear_combination, wedge_iso)
+from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kept, _kron,
+                    _negative, wedge_iso)
 from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -165,12 +165,9 @@ def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
     return _is_skew(V) and spec.twist(V) == _negative(V)
 
 
+@_kept
 def endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
     """R(E_i, E_j) acting on an endomorphism section: the commutator action."""
-    return R.memo(_endo_curvature_action, S)
-
-
-def _endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
     # R(X, Y) = -R(Y, X); R(E_i, E_j) as an endomorphism is the transpose of r[i][j]
     spec = R.spec
     zero = ((spec.zero(),) * spec.n,) * spec.n
@@ -178,6 +175,7 @@ def _endo_curvature_action(R: Curvature, S: tuple[Vector, ...]) -> tuple:
         spec, tuple(zip(*R.r[i][j])), S), _negative)
 
 
+@_kept
 def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
     """Assert the commutator action equals the gamma-based curvature on Hom.
 
@@ -189,10 +187,6 @@ def endo_curvature_consistency(conn: Connection, S: tuple[Vector, ...]) -> None:
     Raises on any mismatch (sign conventions are the dominant failure mode).
     A passed check is kept on the connection and not repeated.
     """
-    conn.memo(_check_endo_curvature, S)
-
-
-def _check_endo_curvature(conn: Connection, S: tuple[Vector, ...]) -> None:
     comm = endo_curvature_action(curvature(conn), S)
     first = cov_deriv_endo(conn, S)
     # both sides are antisymmetric in (i, j), so i < j suffices
@@ -228,12 +222,9 @@ class VerticalBasis(NamedTuple):
     norm_sq: tuple[Fraction, ...]
 
 
+@_kept
 def vertical_basis(spec: FrameSpec) -> VerticalBasis:
     """The plane-pairing family spanning the vertical space at J, kept on the spec."""
-    return spec.memo(_vertical_basis)
-
-
-def _vertical_basis(spec: FrameSpec) -> VerticalBasis:
     n, zero = spec.n, spec.zero()
     rows = []  # (element, label, norm squared); n >= 4, so there is one at least
     for (r, (ur, jr, nr)), (s, (us, js, ns)) in combinations(enumerate(_planes(spec)), 2):
@@ -377,8 +368,8 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     phi, J = spec.phi, spec.J
     jphi = spec.j_apply(phi)
     R = curvature(weyl(spec))
-    paired = spec.memo(_curvature_dj_pairing)  # G(R(X, Z)J, D_Y J) at [y][x][z]
-    den, jd = spec.memo(_j_nabla_j_ints)  # J nabla_Y J, ints over den
+    paired = _curvature_dj_pairing(spec)  # G(R(X, Z)J, D_Y J) at [y][x][z]
+    den, jd = _j_nabla_j_ints(spec)  # J nabla_Y J, ints over den
     if not all(map(_is_skew, jd)):
         raise FrameError("wedge isomorphism requires a skew endomorphism")
     residual = []
@@ -410,6 +401,7 @@ def vertical_checks(spec: FrameSpec) -> CheckReport:
     return report
 
 
+@_kept
 def _curvature_dj_pairing(spec: FrameSpec):
     """G(R(E_x, E_z)J, D_{E_y} J) at [y][x][z], with R the Weyl curvature acting
     on J by commutator and D the Weyl connection, kept on the spec: the DJ
@@ -437,7 +429,7 @@ def h_trace(spec: FrameSpec):
     spec.  Requires the gate (integrability and the Lee identity).
     """
     require_gate(spec)
-    paired = spec.memo(_curvature_dj_pairing)
+    paired = _curvature_dj_pairing(spec)
     return tuple(spec.ring.sum(paired[x][x][k] for x in range(spec.n)) for k in range(spec.n))
 
 
@@ -449,7 +441,7 @@ def v_trace(spec: FrameSpec) -> tuple[Vector, ...]:
     require_gate(spec)
     # the bilinear form (Z, U) -> g((Tr D2 J)(Z), U) is the transpose of Tr D2 J
     form = tuple(zip(*traced_second_cov_deriv_endo(weyl(spec), spec.J)))
-    return linear_combination(spec, (1, -1), (form, spec.twist(form)))
+    return tuple(tuple(a - b for a, b in zip(*rows)) for rows in zip(form, spec.twist(form)))
 
 
 def equivalence_check(spec: FrameSpec) -> CheckReport:
@@ -474,7 +466,8 @@ def equivalence_check(spec: FrameSpec) -> CheckReport:
     report.notes["h_unit"] = "+1"
     pairing = condition_i_pairing(spec)
     report.require_zero("vertical trace paths agree",
-                        linear_combination(spec, (1, 1), (v_trace(spec), pairing)), (basis,) * 2)
+                        [[a + b for a, b in zip(*rows)] for rows in zip(v_trace(spec), pairing)],
+                        (basis,) * 2)
     pairs = list(combinations(range(spec.n), 2))
     report.require_zero("vertical trace equals negated condition (i) residuals",
                         [c - pairing[k][l] for (k, l), c in zip(pairs, condition_i(spec))],

@@ -18,17 +18,19 @@ each function returns the document for one even dimension n from 4 to 16:
   = -b_k E_{2k+1} - 1/2 E_{2k+2}``, of dimension 2 + 2 len(b).
 
 :func:`rotate` writes structure constants and J in the orthonormal basis
-``F_i = sum_a Q[i][a] E_a`` of a rational Cayley transform Q.  In the basis
-of :func:`cayley` the standard J has no zero off the diagonal; :data:`DENSE_J`
-holds inoue-s0 and the six-dimensional hyperbolic frame in that basis.  The
-Q of :func:`unitary` commutes with a given J, by default the standard one, so
-J stays as it is while the brackets become dense; :data:`UNITARY` holds the
-six-dimensional hyperbolic frame in that basis.
+``F_i = sum_a Q[i][a] E_a`` of a rational Cayley transform Q.  The exact
+linear algebra, the product, the inverse, the Cayley transform and the
+rotation, is that of the benchmark's frame generator, ``perfbench/frames.py``.
+In the basis of :func:`cayley` the standard J has no zero off the diagonal;
+:data:`DENSE_J` holds inoue-s0 and the six-dimensional hyperbolic frame in
+that basis.  The Q of :func:`unitary` commutes with a given J, by default the
+standard one, so J stays as it is while the brackets become dense;
+:data:`UNITARY` holds the six-dimensional hyperbolic frame in that basis.
 
 ``tests/test_frame_families.py`` checks that the committed documents equal
 this output, and ``tests/cli_diff.py`` runs every verb on :data:`DENSE_J` and
 :data:`UNITARY` and ``suite`` on the n = 16 documents of :data:`LARGEST`.
-Standard library only; pytest does not collect it.
+Standard library and ``perfbench/frames.py`` only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ import sys
 from fractions import Fraction
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+_PERFBENCH = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+
+sys.path.insert(0, _PERFBENCH)
+try:
+    import frames
+finally:
+    sys.path.remove(_PERFBENCH)
 
 _WORDS = {4: "four", 6: "six", 8: "eight", 10: "ten", 12: "twelve", 14: "fourteen",
           16: "sixteen"}
@@ -119,42 +128,19 @@ def inoue(b) -> str:
 
 # -- a Cayley-rotated basis, in which J is dense ---------------------------------
 
-def matmul(A, B):
-    return [[sum(A[i][m] * B[m][j] for m in range(len(B))) for j in range(len(B[0]))]
-            for i in range(len(A))]
-
-
-def _inverse(A):
-    """Gauss-Jordan inverse of an invertible rational matrix."""
-    n = len(A)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def _cayley(A) -> list[list[Fraction]]:
-    """Q = (I - A)(I + A)^-1, orthogonal for a rational skew A."""
-    n = len(A)
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return matmul([[e - a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)],
-                  _inverse([[e + a for e, a in zip(r1, r2)] for r1, r2 in zip(ident, A)]))
+matmul = frames.matmul
 
 
 def cayley(n: int) -> list[list[Fraction]]:
-    """The Cayley transform Q of a rational skew A that does not commute with
-    the standard J; Q is orthogonal."""
+    """The Cayley transform Q = (I - A)(I + A)^-1 of a rational skew A that does
+    not commute with the standard J; Q is orthogonal."""
     A = [[Fraction(j - i, 2) if abs(j - i) == 1 else Fraction(0) for j in range(n)]
          for i in range(n)]
     J0 = standard_j(n)
     assert matmul(A, J0) != matmul(J0, A)
-    return _cayley(A)
+    eye = frames.identity(n)
+    return matmul([[e - a for e, a in zip(*rows)] for rows in zip(eye, A)],
+                  frames.inverse([[e + a for e, a in zip(*rows)] for rows in zip(eye, A)]))
 
 
 def unitary(n: int, J=None) -> list[list[Fraction]]:
@@ -165,26 +151,20 @@ def unitary(n: int, J=None) -> list[list[Fraction]]:
     S = [[Fraction(j - i, 3) if abs(j - i) in (1, 2) else Fraction(0) for j in range(n)]
          for i in range(n)]
     J = standard_j(n) if J is None else [[Fraction(x) for x in row] for row in J]
-    jsj = matmul(matmul(J, S), J)
-    A = [[(s - t) / 2 for s, t in zip(r1, r2)] for r1, r2 in zip(S, jsj)]
-    assert matmul(A, J) == matmul(J, A)
-    return _cayley(A)
+    return frames.cayley(J, S)
 
 
 def rotate(c, J, Q) -> tuple[dict, list[list[Fraction]]]:
     """Structure constants ``c[a][b][m]`` and J, 0-based, in the orthonormal
     basis F_i = sum_a Q[i][a] E_a: the brackets ``{(i, j): {k: c'_ijk}}`` for
-    i < j, nonzero entries only, and Q J Q^T."""
+    i < j, nonzero entries only, and Q J Q^T.  That basis is ``frames.rotate``'s
+    for the transpose of Q."""
     n = len(J)
-    ix = range(n)
-    brackets = {}
-    for i in ix:
-        for j in range(i + 1, n):
-            comps = {k: sum(Q[i][a] * Q[j][b] * c[a][b][m] * Q[k][m]
-                            for a in ix for b in ix for m in ix) for k in ix}
-            if any(comps.values()):
-                brackets[(i, j)] = {k: v for k, v in comps.items() if v}
-    return brackets, matmul(matmul(Q, J), [list(col) for col in zip(*Q)])
+    rotated = frames.rotate(frames.Frame("", c, J, (), ()), frames.transpose(Q))
+    brackets = {(i, j): {k: v for k, v in enumerate(rotated.c[i][j]) if v}
+                for i in range(n) for j in range(i + 1, n)}
+    return ({pair: comps for pair, comps in brackets.items() if comps},
+            [list(row) for row in rotated.J])
 
 
 def _rotated(name: str, n: int, brackets: list[tuple[int, int, dict]], Q) -> str:

@@ -4,6 +4,8 @@ module."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 from wtw.frame import _antisymmetric
 
 
@@ -22,3 +24,12 @@ def wedge_oneforms(spec, alpha, beta):
     minus_beta = [-b for b in beta]
     return _antisymmetric(spec.n, spec.zero(), lambda i, j: spec.dot(
         (alpha[i], alpha[j]), (beta[j], minus_beta[i])))
+
+
+def linear_combination(spec, weights, arrays):
+    """sum_m weights[m] arrays[m] for n x n arrays: ``left`` over the flattened
+    arrays, one kernel call per entry over the nonzero weights only.  The
+    package forms its two sums of arrays entry by entry instead."""
+    n = len(arrays[0])
+    flat = spec.left(weights, [tuple(chain.from_iterable(array)) for array in arrays])
+    return tuple(flat[k:k + n] for k in range(0, n * n, n))

@@ -22,8 +22,11 @@ For each module the script prints the number of executable lines, of lines
 the product runs, of lines only the tests run and of lines neither runs, then
 the product's lines as ranges and each other line with its source text.
 Every line neither pass runs must be in ``NAMED``, with the reason no case
-runs it; the script exits 1 when one is not, when a named line is not
-executable, or when the test pass fails, and notes a named line that runs.
+runs it.  A line is named by its file, the qualified name of the function or
+class around it (``<module>`` outside any) and its stripped source text, so
+an entry survives edits that move the line.  The script exits 1 when an
+unrun line is not named, when a named key matches no executable line or
+more than one, or when the test pass fails, and notes a named line that runs.
 It takes about 5 minutes on two cores.  Standard library and pytest only;
 pytest does not collect it.
 """
@@ -54,36 +57,73 @@ _EXIT = "tests/test_cli.py::TestExitCodes::"
 _TRACE_OFF = ("runs in process, but the RecursionError it catches switched the trace "
               "off (CPython 3.11): ")
 
-# (reason, lines) for each group of lines that neither pass runs
+# (reason, lines) for each group of lines that neither pass runs; a line is
+# (file, qualified name of the function or class around it, stripped text)
 NAMED = (
     ("the module ``python -m wtw`` runs: only a subprocess runs it",
-     ("__main__.py:1", "__main__.py:3", "__main__.py:4")),
-    ("the script entry of ``python -m wtw.cli``: only a subprocess runs it", ("cli.py:405",)),
-    ("argparse restricts the verbs, so no verb falls through", ("cli.py:260",)),
+     (("__main__.py", "<module>", "from .cli import main"),
+      ("__main__.py", "<module>", 'if __name__ == "__main__":'),
+      ("__main__.py", "<module>", "raise SystemExit(main())"))),
+    ("the script entry of ``python -m wtw.cli``: only a subprocess runs it",
+     (("cli.py", "<module>", "raise SystemExit(main())"),)),
+    ("argparse restricts the verbs, so no verb falls through",
+     (("cli.py", "_run_verb", "raise AssertionError(verb)"),)),
     (f"{_TRACE_OFF}{_EXIT}test_deeply_nested_document_is_one_line_spec_error, exit 2, "
-     "``spec error: values nest too deeply to parse``", ("frame.py:605", "frame.py:606")),
+     "``spec error: values nest too deeply to parse``",
+     (("frame.py", "load_spec",
+       "except RecursionError:  # arrays or inline tables nested past the parser's stack"),
+      ("frame.py", "load_spec",
+       'raise SpecFormatError("values nest too deeply to parse") from None'))),
     (f"{_TRACE_OFF}{_EXIT}test_refused_document_prints_its_one_line[chain-of-1200-factors], "
-     "exit 2, ``spec error: too long a chain of operators in ...``", ("polyalg.py:667",)),
+     "exit 2, ``spec error: too long a chain of operators in ...``",
+     (("polyalg.py", "_parse",
+       'raise PolynomialParseError(f"too long a chain of operators in {text!r}") from None'),)),
     ("an __eq__ against another type, which no caller compares",
-     ("frame.py:200", "polyalg.py:197", "polyalg.py:495")),
-    ("a repr, which no output prints", ("polyalg.py:204", "polyalg.py:578")),
-    ("an internal invariant that valid input cannot break: the two routes of the Lee "
-     "form agree", ("hermitian.py:198",)),
+     (("frame.py", "FrameSpec.__eq__", "return NotImplemented"),
+      ("polyalg.py", "Ring.__eq__", "return NotImplemented"),
+      ("polyalg.py", "Scalar.__eq__", "return NotImplemented"))),
+    ("a repr, which no output prints",
+     (("polyalg.py", "Ring.__repr__", 'return f"Ring(symbols={self.symbols!r})"'),
+      ("polyalg.py", "Scalar.__repr__", 'return f"Scalar({self})"'))),
     ("an internal invariant that valid input cannot break: every vertical basis element "
-     "is skew and anticommutes with J", ("twistor.py:274",)),
+     "is skew and anticommutes with J",
+     (("twistor.py", "_validate_vertical",
+       'raise AssertionError("vertical basis element not skew/anti-commuting")'),)),
     ("an internal invariant that valid input cannot break: J nabla_Y J is skew",
-     ("twistor.py:383",)),
+     (("twistor.py", "curvature_pairing_with_dj_check",
+       'raise FrameError("wedge isomorphism requires a skew endomorphism")'),)),
 )
 
 
-def executable_lines(path: pathlib.Path) -> set[int]:
-    """The lines the ``co_lines`` of the code objects compiled from ``path`` name."""
-    stack, lines = [compile(path.read_text(encoding="utf-8"), str(path), "exec")], set()
+def executable_lines(path: pathlib.Path, text: str) -> set[int]:
+    """The lines the ``co_lines`` of the code objects compiled from ``text``, the
+    source of ``path``, name."""
+    stack, lines = [compile(text, str(path), "exec")], set()
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
     return lines
+
+
+def qualified_names(source: str) -> dict[int, str]:
+    """The qualified name of the innermost function or class around each line
+    of ``source``, as ``__qualname__`` spells it; lines outside any have none."""
+    out: dict[int, str] = {}
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                for line in range(child.lineno, child.end_lineno + 1):
+                    out[line] = name
+                inner = ".<locals>." if not isinstance(child, ast.ClassDef) else "."
+                visit(child, name + inner)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
 
 
 def make_tracer(unseen: dict[str, set[int]]):
@@ -190,7 +230,27 @@ def ranges(lines) -> str:
 
 def main() -> int:
     files = sorted(SRC.glob("*.py"))
-    executable = {str(path): executable_lines(path) for path in files}
+    # the sources as the passes import them; the report reads these lines
+    texts = {str(path): path.read_text(encoding="utf-8") for path in files}
+    executable = {str(path): executable_lines(path, texts[str(path)]) for path in files}
+    problems = []
+    # each named key resolves to the one executable line it names
+    keys: dict[tuple[str, str, str], list[int]] = {}
+    for path in files:
+        text = texts[str(path)]
+        lines, scope = text.splitlines(), qualified_names(text)
+        for line in executable[str(path)]:
+            key = (path.name, scope.get(line, "<module>"), lines[line - 1].strip())
+            keys.setdefault(key, []).append(line)
+    named: dict[str, str] = {}
+    for reason, entries in NAMED:
+        for key in entries:
+            matches = keys.get(key, [])
+            if len(matches) == 1:
+                named[f"{key[0]}:{matches[0]}"] = reason
+            else:
+                problems.append(f"{key} is named, but it matches {len(matches)} executable "
+                                "lines, not one")
     unseen = {name: set(lines) for name, lines in executable.items()}
     trace = make_tracer(unseen)
     sys.settrace(trace)
@@ -206,8 +266,6 @@ def main() -> int:
     tests_s = time.perf_counter() - start
     sys.settrace(None)
 
-    named = {entry: reason for reason, entries in NAMED for entry in entries}
-    problems = []
     totals = [0, 0, 0, 0]
     print(f"\nproduct pass: {runs} runs in {product_s:.0f} s; "
           f"test pass: pytest exit {status} in {tests_s:.0f} s")
@@ -215,7 +273,7 @@ def main() -> int:
     report = []
     for path in files:
         name = str(path)
-        source = path.read_text(encoding="utf-8").splitlines()
+        source = texts[name].splitlines()
         tests_only = untested[name] - unseen[name]
         counts = (len(executable[name]), len(product[name]), len(tests_only), len(unseen[name]))
         totals = [a + b for a, b in zip(totals, counts)]
@@ -232,12 +290,8 @@ def main() -> int:
                         problems.append(f"{entry} runs in neither pass and is not named")
         for entry in named:
             file, line = entry.split(":")
-            if file != path.name or int(line) in unseen[name]:
-                continue
-            if int(line) in executable[name]:
+            if file == path.name and int(line) not in unseen[name]:
                 report.append(f"  note: {entry} is named, but this run ran it")
-            else:
-                problems.append(f"{entry} is named, but it is not an executable line")
     print(f"{'total':<20}" + "".join(f"{c:>{w}}" for c, w in zip(totals, (12, 10, 12, 10))))
     print("\n".join(report))
     print("\nblind spots: __main__.py runs only as ``python -m wtw``, in a subprocess; "

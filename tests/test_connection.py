@@ -8,13 +8,12 @@ from itertools import chain, combinations
 import pytest
 
 import frame_families
-from oracles import cov_deriv_oneform
+from oracles import cov_deriv_oneform, linear_combination
 from wtw import builtin, g_fiber, load_spec, load_spec_file
 from wtw.connection import (Connection, _derivative_along, cov_deriv_endo, levi_civita,
                             metric_residual, reconstruct_weyl_form, torsion_residual,
                             traced_second_cov_deriv_endo, weyl)
 from wtw.curvature import curvature
-from wtw.frame import linear_combination
 from wtw.hermitian import lee_form
 from wtw.reports import CheckReport
 from wtw.twistor import _hom_residual, endo_curvature_action, endo_curvature_consistency

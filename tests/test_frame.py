@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_families
-from oracles import wedge_oneforms
+from oracles import linear_combination, wedge_oneforms
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
                  curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
                  load_spec_file, weyl)
-from wtw.frame import _alternating, _antisymmetric, _negative, linear_combination, wedge_iso
+from wtw.frame import _alternating, _antisymmetric, _negative, wedge_iso
 from wtw.polyalg import Scalar
 from wtw.hermitian import _d_omega, _lee_residual, fundamental_form, lee_form, nijenhuis
 
@@ -412,7 +412,7 @@ class TestExteriorCalculus:
         assert _d_two(inoue, omega) == [[[
             lee[i] * omega[j][k] - lee[j] * omega[i][k] + lee[k] * omega[i][j] for k in ix]
             for j in ix] for i in ix]
-        _, residual = inoue.memo(_lee_residual)
+        _, residual = _lee_residual(inoue)
         assert not any(v for plane in residual for row in plane for v in row)
 
 
@@ -572,8 +572,9 @@ class TestContractionsOnDenseJ:
     def test_endo_product_and_linear_combination(self, data):
         """``compose`` against the triple loop, on the dense J, the dense
         orthogonal Q of ``frame_families.cayley`` and symbolic matrices, one
-        with a zero column; ``linear_combination`` against entrywise weighted
-        sums, and all-zero weights give the n x n zero array."""
+        with a zero column; the tests' ``linear_combination`` (``oracles.py``)
+        against entrywise weighted sums, and all-zero weights give the n x n
+        zero array."""
         spec, u, _, M = data
         n, z = spec.n, spec.zero()
         Q = frame_families.cayley(n)
@@ -794,9 +795,9 @@ def test_symbol_free_layer_matches_its_definitions(spec):
     # each formed as int numerators over one denominator
     omega = [[const(J[j][i]) for j in ix] for i in ix]
     d_omega = _d_two(spec, omega)
-    assert _fractions(*spec.memo(_d_omega)) == d_omega
+    assert _fractions(*_d_omega(spec)) == d_omega
     theta = lee_form(spec)
-    assert _fractions(*spec.memo(_lee_residual)) == [[[
+    assert _fractions(*_lee_residual(spec)) == [[[
         d_omega[i][j][k] - theta[i] * omega[j][k] + theta[j] * omega[i][k]
         - theta[k] * omega[i][j] for k in ix] for j in ix] for i in ix]
     # d of the polynomial Weyl form

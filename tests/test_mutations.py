@@ -7,6 +7,9 @@ full check suite (``wtw suite``) on fresh gate-passing frames at n = 4, 6 and
 ``AssertionError`` or fails a check that passes on the unmutated frame.  At
 n >= 6 the check ``vertical trace paths agree`` already fails (ROADMAP item
 1), so each frame's own failures are subtracted first.
+A value kept on a spec, a connection or a curvature tensor is mutated by
+replacing the ``__wrapped__`` compute of its kept function, which every
+reader calls, however it imported the name.
 
 A term of the closed Ricci formulas (``wtw.curvature.ricci_via_formula``) is
 mutated where the formulas are built, so the Ricci check sees it against the
@@ -79,10 +82,9 @@ from fractions import Fraction
 import pytest
 
 import frame_families
-from oracles import cov_deriv_oneform
+from oracles import cov_deriv_oneform, linear_combination
 from wtw import builtin, connection, hermitian, load_spec, load_spec_file, pseudoharmonic, twistor
 from wtw.cli import _suite_report
-from wtw.frame import linear_combination
 
 curvature = importlib.import_module("wtw.curvature")
 DATA = pathlib.Path(__file__).parent / "data"
@@ -105,7 +107,7 @@ def _unmutated_failures(name: str) -> frozenset[str]:
 def _weyl_half(monkeypatch):
     """The 1/2 of the Weyl gammas becomes 1/4: the mean of the Levi-Civita and
     the Weyl gammas."""
-    weyl = connection._weyl
+    weyl = connection.weyl.__wrapped__
 
     def mutated(spec):
         half = Fraction(1, 2)
@@ -115,13 +117,13 @@ def _weyl_half(monkeypatch):
                                                       weyl(spec).gamma))
         return connection.Connection(spec, gamma, "weyl")
 
-    monkeypatch.setattr(connection, "_weyl", mutated)
+    monkeypatch.setattr(connection.weyl, "__wrapped__", mutated)
 
 
 def _rg_bracket_term(monkeypatch):
     """The int R_g loses its bracket term sum_m c[i][j][m] gamma[m][k][l], which
     enters over (2 den_c)^2 with weight 2."""
-    rg = curvature._levi_civita_r
+    rg = curvature._levi_civita_r.__wrapped__
 
     def mutated(spec):
         den, r = rg(spec)
@@ -136,20 +138,20 @@ def _rg_bracket_term(monkeypatch):
                             row[l] = row.get(l, 0) - 2 * x * y
         return den, out
 
-    monkeypatch.setattr(curvature, "_levi_civita_r", mutated)
+    monkeypatch.setattr(curvature._levi_civita_r, "__wrapped__", mutated)
 
 
 def _phi_square_term(monkeypatch):
     """Phi loses its term 1/2 phi_i phi_j, the one ``half_phi[j]`` of
-    ``curvature._phi_tensor``."""
-    monkeypatch.setattr(curvature, "_phi_tensor", _recompiled(
-        curvature, curvature._phi_tensor, "[half_phi[j], ", "[0, "))
+    ``curvature.phi_tensor``."""
+    monkeypatch.setattr(curvature.phi_tensor, "__wrapped__", _recompiled(
+        curvature, curvature.phi_tensor, "[half_phi[j], ", "[0, "))
 
 
 def _nabla_j_gamma_term(monkeypatch):
     """The int Levi-Civita nabla J loses its term -J(nabla_{E_i} E_j) =
     -sum_k gamma[i][j][k] J E_k, which enters over den_gamma * den_J."""
-    nabla_j = hermitian._nabla_j
+    nabla_j = hermitian._nabla_j.__wrapped__
 
     def mutated(spec):
         den, d = nabla_j(spec)
@@ -163,7 +165,7 @@ def _nabla_j_gamma_term(monkeypatch):
                         plane[l][j] += x * y
         return den, out
 
-    monkeypatch.setattr(hermitian, "_nabla_j", mutated)
+    monkeypatch.setattr(hermitian._nabla_j, "__wrapped__", mutated)
 
 
 def _theta_weyl_weight(monkeypatch):
@@ -209,7 +211,7 @@ def _rho_star_sign(monkeypatch):
 def _formula_terms(monkeypatch, rho_term, rho_star_term):
     """The closed Ricci formulas gain rho_term(spec, i, k) and
     rho_star_term(spec, i, k) at each entry (i, k)."""
-    formulas = curvature._ricci_via_formula
+    formulas = curvature.ricci_via_formula.__wrapped__
 
     def mutated(spec):
         ix = range(spec.n)
@@ -217,7 +219,7 @@ def _formula_terms(monkeypatch, rho_term, rho_star_term):
         return tuple(tuple(tuple(matrix[i][k] + term(spec, i, k) for k in ix) for i in ix)
                      for matrix, term in ((rho, rho_term), (rho_star, rho_star_term)))
 
-    monkeypatch.setattr(curvature, "_ricci_via_formula", mutated)
+    monkeypatch.setattr(curvature.ricci_via_formula, "__wrapped__", mutated)
 
 
 def _nothing(spec, i, k):
@@ -248,7 +250,7 @@ def _rho_square_coefficient(monkeypatch):
 def _condition_ii_terms(monkeypatch, term):
     """Condition (ii) in its full form, which the suite reads, gains
     term(spec, psi, k) at each Z = E_k, for psi = theta - phi."""
-    values = pseudoharmonic._condition_ii_values
+    values = pseudoharmonic._condition_ii_values.__wrapped__
 
     def mutated(spec, dim4_mode):
         out = values(spec, dim4_mode)
@@ -257,7 +259,7 @@ def _condition_ii_terms(monkeypatch, term):
         psi = tuple(t - p for t, p in zip(pseudoharmonic.require_gate(spec), spec.phi))
         return tuple(value + term(spec, psi, k) for k, value in enumerate(out))
 
-    monkeypatch.setattr(pseudoharmonic, "_condition_ii_values", mutated)
+    monkeypatch.setattr(pseudoharmonic._condition_ii_values, "__wrapped__", mutated)
 
 
 def _column(M, k):
@@ -306,7 +308,7 @@ def _endo_transpose_sign(monkeypatch):
 def _action_entry(monkeypatch):
     """The curvature action on J gains the first vertical direction V at
     (E1, E2), and -V at (E2, E1)."""
-    action = twistor._endo_curvature_action
+    action = twistor.endo_curvature_action.__wrapped__
 
     def mutated(R, S):
         out = action(R, S)
@@ -318,7 +320,7 @@ def _action_entry(monkeypatch):
         rows[1][0] = linear_combination(R.spec, (1, -1), (rows[1][0], v))
         return tuple(tuple(row) for row in rows)
 
-    monkeypatch.setattr(twistor, "_endo_curvature_action", mutated)
+    monkeypatch.setattr(twistor.endo_curvature_action, "__wrapped__", mutated)
 
 
 def _norm_sq(monkeypatch):
@@ -330,12 +332,13 @@ def _norm_sq(monkeypatch):
 
 def _recompiled(module, function, old: str, new: str):
     """``function`` with its one ``old`` cut from its source and ``new`` put in
-    its place, compiled again in ``module``'s namespace."""
+    its place, compiled again in ``module``'s namespace; of a kept function,
+    the compute, which replaces its ``__wrapped__``."""
     source = inspect.getsource(function)
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    return namespace[function.__name__]
+    return inspect.unwrap(namespace[function.__name__])
 
 
 def _projection_division(monkeypatch):

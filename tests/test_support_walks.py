@@ -18,11 +18,10 @@ from fractions import Fraction
 import pytest
 
 import frame_families
-from oracles import cov_deriv_oneform, wedge_oneforms
+from oracles import cov_deriv_oneform, linear_combination, wedge_oneforms
 from test_twistor import _gate_passing_frames
 from wtw import (FrameSpec, Ring, RingMismatchError, builtin, d_oneform, fundamental_form,
                  lee_form, levi_civita, load_spec, phi_tensor)
-from wtw.frame import linear_combination
 from wtw.hermitian import _d_omega, _lee_residual
 from wtw.pseudoharmonic import _condition_i_form
 
@@ -153,9 +152,9 @@ def test_lee_identity_three_forms_are_their_definitions(spec):
     F, theta = fundamental_form(spec), lee_form(spec)
     d_f = [_sum(spec, (F[m][k] * -c[i][j][m] + F[m][j] * c[i][k][m] - F[m][i] * c[j][k][m]
                        for m in ix)) for i, j, k in triples]
-    den, d_omega = spec.memo(_d_omega)
+    den, d_omega = _d_omega(spec)
     assert [Fraction(d_omega[i][j][k], den) for i, j, k in triples] == d_f
-    den, residual = spec.memo(_lee_residual)
+    den, residual = _lee_residual(spec)
     assert [Fraction(residual[i][j][k], den) for i, j, k in triples] == [
         d - _sum(spec, (theta[i] * F[j][k], -theta[j] * F[i][k], theta[k] * F[i][j]))
         for d, (i, j, k) in zip(d_f, triples)]

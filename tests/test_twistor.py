@@ -12,9 +12,10 @@ from itertools import chain, combinations, product
 import pytest
 
 import frame_families
+from oracles import linear_combination
 from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo, levi_civita,
                  load_spec, load_spec_file, twistor)
-from wtw.frame import FrameError, linear_combination
+from wtw.frame import FrameError
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (endo_curvature_action, endo_curvature_consistency, g_fiber,
                          h_trace, fiber_pairing_check, v_trace, vertical_basis, wedge_iso)
@@ -138,7 +139,7 @@ class TestCurvatureOnEndomorphisms:
     def test_consistency_raises_on_a_wrong_action(self, monkeypatch, pair):
         """One perturbed entry of the stored commutator action must fail the
         comparison with the second covariant derivatives, naming its pair."""
-        compute = twistor._endo_curvature_action
+        compute = twistor.endo_curvature_action.__wrapped__
 
         def perturbed(R, S):
             action = [list(row) for row in compute(R, S)]
@@ -147,7 +148,7 @@ class TestCurvatureOnEndomorphisms:
                                               (action[i][j], _identity(R.spec)))
             return tuple(tuple(row) for row in action)
 
-        monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
+        monkeypatch.setattr(twistor.endo_curvature_action, "__wrapped__", perturbed)
         spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
         with pytest.raises(AssertionError, match=rf"at \({pair[0] + 1},{pair[1] + 1}\)$"):
             endo_curvature_consistency(weyl(spec), spec.J)
@@ -192,7 +193,7 @@ class TestCurvatureOnEndomorphisms:
         the commutator to [S, R] must make the antisymmetry residual nonzero,
         reported at an index; the cross-check of the action on J, which would
         raise first, is not run."""
-        monkeypatch.setattr(twistor, "_endo_curvature_action", _reversed_action)
+        monkeypatch.setattr(twistor.endo_curvature_action, "__wrapped__", _reversed_action)
         spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
         for v in vertical_basis(spec).elements:
             report = twistor.CheckReport(title="vertical antisymmetry")
@@ -206,8 +207,9 @@ class TestCurvatureOnEndomorphisms:
         """``fiber_pairing_check`` reports the antisymmetry residual as its own
         check, which the reversed commutator fails against every vertical V;
         the cross-check of the action, which would raise first, is not run."""
-        monkeypatch.setattr(twistor, "_endo_curvature_action", _reversed_action)
-        monkeypatch.setattr(twistor, "endo_curvature_consistency", lambda conn, S: None)
+        monkeypatch.setattr(twistor.endo_curvature_action, "__wrapped__", _reversed_action)
+        monkeypatch.setattr(twistor.endo_curvature_consistency, "__wrapped__",
+                            lambda conn, S: None)
         spec = builtin("inoue-s0")  # a fresh spec: nothing memoized on it yet
         for v in vertical_basis(spec).elements:
             failures = [check.name for check in fiber_pairing_check(spec, spec.J, v).failures]
@@ -512,7 +514,7 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch, text):
 
     spec = builtin("inoue-s0") if text is None else load_spec(text)
     calls, identities = collections.Counter(), []
-    build, identity = hermitian._j_nabla_j_ints, twistor._pairing_identity
+    build, identity = hermitian._j_nabla_j_ints.__wrapped__, twistor._pairing_identity
 
     def counting_build(spec):
         calls["J o nabla J"] += 1
@@ -522,13 +524,12 @@ def test_one_suite_builds_each_dj_image_once(monkeypatch, text):
         identities.append((paired, c))
         return identity(R, paired, c)
 
-    # one function under both names, so that both readers share its memo
-    monkeypatch.setattr(hermitian, "_j_nabla_j_ints", counting_build)
-    monkeypatch.setattr(twistor, "_j_nabla_j_ints", counting_build)
+    # the compute behind the one kept function that both readers call
+    monkeypatch.setattr(hermitian._j_nabla_j_ints, "__wrapped__", counting_build)
     monkeypatch.setattr(twistor, "_pairing_identity", recording)
     assert _suite_report(spec).ok
     # the DJ pairing passes plane y of the pairing array it keeps on the spec
-    planes = spec.memo(twistor._curvature_dj_pairing)
+    planes = twistor._curvature_dj_pairing(spec)
     brackets = [(y, c) for paired, c in identities for y, plane in enumerate(planes)
                 if paired is plane]
     dj = cov_deriv_endo(weyl(spec), spec.J)
@@ -629,7 +630,7 @@ def test_a_perturbed_action_on_j_fails_the_horizontal_equivalence(monkeypatch):
     i, v = next((i, v) for i, d in enumerate(dj) for v in vertical_basis(spec).elements
                 if not g_fiber(spec, v, d).is_zero)
     j = (i + 1) % spec.n
-    original = twistor._endo_curvature_action
+    original = twistor.endo_curvature_action.__wrapped__
 
     def perturbed(R, S):
         action = [list(row) for row in original(R, S)]
@@ -637,7 +638,7 @@ def test_a_perturbed_action_on_j_fails_the_horizontal_equivalence(monkeypatch):
         action[j][i] = linear_combination(spec, (1, -1), (action[j][i], v))
         return tuple(tuple(row) for row in action)
 
-    monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
+    monkeypatch.setattr(twistor.endo_curvature_action, "__wrapped__", perturbed)
     assert name in [check.name for check in twistor.equivalence_check(spec).failures]
 
 
@@ -691,7 +692,7 @@ def test_dj_residual_pairs_every_entry_of_the_action(base, monkeypatch):
     assert twistor.curvature_pairing_with_dj_check(_dense_j_frame(base)).ok
     spec = _dense_j_frame(base)
     n, v = spec.n, _random_skew(spec, 29)
-    original = twistor._endo_curvature_action
+    original = twistor.endo_curvature_action.__wrapped__
 
     def perturbed(R, S):
         action = [list(row) for row in original(R, S)]
@@ -707,7 +708,7 @@ def test_dj_residual_pairs_every_entry_of_the_action(base, monkeypatch):
             residuals.append(residual)
         require_zero(report, check, residual, labels)
 
-    monkeypatch.setattr(twistor, "_endo_curvature_action", perturbed)
+    monkeypatch.setattr(twistor.endo_curvature_action, "__wrapped__", perturbed)
     monkeypatch.setattr(twistor.CheckReport, "require_zero", captured)
     assert not twistor.curvature_pairing_with_dj_check(spec).ok
     R, J = curvature(weyl(spec)), spec.J
@@ -788,7 +789,7 @@ def test_dj_pairing_right_hand_side_is_the_papers_expansion(monkeypatch):
     def zero_pairing(spec):
         return ((((spec.zero(),) * spec.n,) * spec.n,) * spec.n)
 
-    monkeypatch.setattr(twistor, "_curvature_dj_pairing", zero_pairing)
+    monkeypatch.setattr(twistor._curvature_dj_pairing, "__wrapped__", zero_pairing)
     monkeypatch.setattr(twistor.CheckReport, "require_zero", captured)
     frames = [*_gate_passing_frames(), *(load_spec(text, key) for key, text in
                                          {**frame_families.DENSE_J,
@@ -824,7 +825,7 @@ def test_dj_pairing_array_is_the_fiber_pairing_entry_by_entry(name):
     n, conn = spec.n, weyl(spec)
     action = endo_curvature_action(curvature(conn), spec.J)
     dj = cov_deriv_endo(conn, spec.J)
-    paired = spec.memo(twistor._curvature_dj_pairing)
+    paired = twistor._curvature_dj_pairing(spec)
     assert [[list(row) for row in plane] for plane in paired] == [
         [[g_fiber(spec, action[x][z], dj[y]) for z in range(n)] for x in range(n)]
         for y in range(n)]
