@@ -19,7 +19,7 @@ from types import ModuleType as _ModuleType
 from .polyalg import (ExponentOverflowError, PolynomialParseError, Ring, RingMismatchError,
                       Scalar, normalize_up_to_unit, normalized_system)
 from .frame import (FrameError, FrameSpec, GateError, SpecFormatError, builtin, d_oneform,
-                    eval_on_bivector, load_spec, load_spec_file, wedge_iso)
+                    load_spec, load_spec_file)
 from .connection import (Connection, cov_deriv_endo, levi_civita, reconstruct_weyl_form,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import (Curvature, curvature, identity_suite, phi_tensor,
@@ -29,8 +29,7 @@ __version__ = "0.1.0"
 
 # the names each layer loaded on first use exports here
 _LAZY_EXPORTS = {
-    "hermitian": ("fundamental_form", "lck_check", "lee_form", "nabla_j_checks", "nijenhuis",
-                  "require_gate"),
+    "hermitian": ("lck_check", "lee_form", "nabla_j_checks", "nijenhuis", "require_gate"),
     "twistor": ("VerticalBasis", "curvature_pairing_with_dj_check",
                 "equivalence_check", "g_fiber", "h_trace", "vertical_checks",
                 "fiber_pairing_check", "v_trace", "vertical_basis"),

@@ -16,18 +16,21 @@ verifies the pair-symmetry identities, the first Bianchi identity and both
 Ricci corollaries.  The tensor Phi of :func:`phi_tensor`, which holds all the
 first-order phi data, feeds both Levi-Civita routes: the Phi-correction of
 the curvature, and the closed Ricci formulas of :func:`ricci_via_formula`,
-which are its traces.  :func:`ricci_formula_check` verifies those formulas
-against the traces of the direct route.  Phi reads nabla phi from the nonzero
+which are its traces.  :func:`ricci_formula_check`, their one reader,
+verifies those formulas against the traces of the direct route.  Condition
+(ii) of :mod:`wtw.pseudoharmonic` reads neither Phi nor the formulas: it
+expands them in phi from ints.  Phi reads nabla phi from the nonzero
 gamma rows of :func:`wtw.connection.gamma_rows`, each entry one kernel call,
 so the closed formulas lift no Levi-Civita gamma.
 
 The Levi-Civita curvature R_g is rational.  It is formed once per spec in
 ints, from the bracket rows and the gamma rows of :mod:`wtw.connection`, over
 the one denominator ``(2 den_c)^2`` with ``den_c`` the bracket denominator;
-rho_g and rho*_g are traced from it in ints, rho*_g through the columns of
-J, and each is lifted to scalars once.  ``curvature(levi_civita(spec))`` is
-the lift of that tensor, and the closed formulas read the lifted traces, so
-the polynomial contraction of the gammas serves the Weyl connection alone.
+rho_g and rho*_g are traced from it in ints (``_ricci_ints``), rho*_g
+through the columns of J, over one denominator and kept: condition (ii)
+reads them as ints, and the closed formulas lift each once, where phi first
+enters.  ``curvature(levi_civita(spec))`` is the lift of that tensor, so the
+polynomial contraction of the gammas serves the Weyl connection alone.
 Each check therefore compares the two layers: the Phi-correction and the
 closed formulas read the rational R_g, and the direct Weyl curvature and its
 traces the contraction of the Weyl gammas.
@@ -123,9 +126,10 @@ def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
 
 
 @_kept
-def _levi_civita_ricci(spec: FrameSpec):
-    """rho_g and rho*_g traced in ints from R_g and lifted once: rho_g[i][k] =
-    sum_j r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]
+def _ricci_ints(spec: FrameSpec) -> tuple[int, list, list]:
+    """rho_g and rho*_g as ``(den, rho, rho_star)``, int numerators over one
+    ``den = (2 den_c)^2 den_J^2`` traced from R_g: rho_g[i][k] = sum_j
+    r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]
     read from the int J."""
     n = spec.n
     den, r = _levi_civita_r(spec)
@@ -141,9 +145,9 @@ def _levi_civita_ricci(spec: FrameSpec):
                     if l == i:
                         rho[p][q] += v
                     x[i][q] += J[p][l] * v
-    return (tuple(spec.lift(enumerate(row), den) for row in rho),
-            tuple(spec.lift(enumerate(sum(a * b for a, b in zip(xi, col)) for col in zip(*J)),
-                            den * jden * jden) for xi in x))
+    scale = jden * jden
+    return (den * scale, [[scale * v for v in row] for row in rho],
+            [[sum(a * b for a, b in zip(xi, col)) for col in zip(*J)] for xi in x])
 
 
 @_kept
@@ -224,12 +228,13 @@ def ricci_via_formula(spec: FrameSpec):
     parts of Phi drop out against the skew J, the Leibniz rule gives
     ``<Phi, J> = -sum_i (nabla_{E_i} phi)(J E_i) = delta(J*phi) - phi(delta J)``.
 
-    rho_g and rho*_g are the lifted int traces of the rational Levi-Civita
-    curvature, and each entry is one ``Ring.dot``.  It reads no Weyl gamma or
+    rho_g and rho*_g are the int traces of the rational Levi-Civita curvature,
+    lifted here, and each entry is one ``Ring.dot``.  It reads no Weyl gamma or
     Weyl curvature, so :func:`ricci_formula_check` compares two computations.
     """
     n, ix = spec.n, range(spec.n)
-    rho_g, rho_star_g = _levi_civita_ricci(spec)
+    den, *traces = _ricci_ints(spec)
+    rho_g, rho_star_g = ([spec.lift(enumerate(row), den) for row in t] for t in traces)
     Phi, J = phi_tensor(spec), spec.J
     twisted = spec.twist(Phi)
     half, minus_half = Fraction(1, 2), Fraction(-1, 2)

@@ -88,23 +88,20 @@ forms the entry of each pair i < j once, stores its negation at (j, i)
 and bivectors built here, the torsion residual of :mod:`wtw.connection` and
 the vertical basis and the brackets [J, D_Y J] of :mod:`wtw.twistor` are
 antisymmetric with a zero diagonal, and the functions that take such an
-array, :func:`eval_on_bivector` and the R(c) and dphi(c) terms of the
-fiber-pairing identity, read only the entries with i < j.  Two kinds of
-array are formed in full: the products that ``FrameSpec`` walks form a row
-at a time (``compose``, ``twist``, ``j_pair`` and the commutator of
-:mod:`wtw.twistor`), and the arrays whose antisymmetry is what a check tests
-(D J, J o nabla J, ``v_trace`` and the blocks of the action on
-endomorphisms).  Mirroring the second kind would hide the defects those
+array, the R(c) and dphi(c) terms of the fiber-pairing identity, read only
+the entries with i < j.  Two kinds of array are formed in full: the
+products that ``FrameSpec`` walks form a row at a time (``compose``,
+``twist``, ``j_pair`` and the commutator of :mod:`wtw.twistor`), and the
+arrays whose antisymmetry is what a check tests (D J, J o nabla J,
+``v_trace`` and the blocks of the action on endomorphisms).  Mirroring the second kind would hide the defects those
 checks exist to catch.
 Arrays alternating in three indices, the 3-forms of :mod:`wtw.hermitian` and
 the first Bianchi residual of :mod:`wtw.curvature`, are built by
 ``_alternating``, which forms the entry of each triple i < j < k once.
 
-Two names of later layers live here so that modules which need only them
-need not load those layers: :class:`GateError`, which the gate of
-:mod:`wtw.hermitian` raises and the command line catches for every verb, and
-:func:`wedge_iso`, which the condition systems of :mod:`wtw.pseudoharmonic`
-share with :mod:`wtw.twistor`.
+One name of a later layer lives here so that the command line need not load
+that layer: :class:`GateError`, which the gate of :mod:`wtw.hermitian` raises
+and the command line catches for every verb.
 """
 
 from __future__ import annotations
@@ -430,14 +427,6 @@ def _coerce_phi(ring: Ring, n: int,
     return tuple(vec)
 
 
-def wedge_iso(a: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
-    """The bivector of a skew endomorphism: components g(a E_i, E_j), the
-    transpose of ``a``."""
-    if not _is_skew(a):
-        raise FrameError("wedge isomorphism requires a skew endomorphism")
-    return tuple(zip(*a))
-
-
 def _is_skew(a: Sequence[Sequence[Scalar]]) -> bool:
     """Whether the endomorphism a is skew, ``a[i][j] = -a[j][i]``."""
     n = len(a)
@@ -503,13 +492,6 @@ def d_oneform(spec: FrameSpec, omega: Sequence[Scalar]) -> tuple[Vector, ...]:
     zero = spec.zero()
     return _antisymmetric(spec.n, zero,
                           lambda i, j: -spec.dot(spec.c[i][j], omega) if rows[i][j] else zero)
-
-
-def eval_on_bivector(spec: FrameSpec, F: Sequence[Sequence], b: Sequence[Sequence]) -> Scalar:
-    """``sum_{i<j} b[i][j] F(E_i, E_j)`` (pairing normalized so that
-    ``eta_1 ^ eta_2`` on ``E_1 ^ E_2`` gives 1); reads only i < j."""
-    planes = list(combinations(range(spec.n), 2))
-    return spec.dot([b[i][j] for i, j in planes], [F[i][j] for i, j in planes])
 
 
 def _antisymmetric(n: int, zero, entry, negate=lambda x: -x):

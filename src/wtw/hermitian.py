@@ -1,4 +1,4 @@
-"""Hermitian-structure quantities: fundamental form, Nijenhuis tensor, Lee form.
+"""Hermitian-structure quantities: Nijenhuis tensor, Lee form, d(Omega), nabla J.
 
 The fundamental 2-form is ``Omega(X, Y) = g(JX, Y)``.  The Nijenhuis tensor
 
@@ -56,11 +56,10 @@ with the Weyl connection), so it builds no second spec.  A residual is handed
 to :meth:`wtw.reports.CheckReport.require_zero` with its denominator, and
 only the first nonzero entry of a failing one is lifted, to a Fraction, which
 prints as the constant scalar of that value.  Scalars are lifted where a
-reader takes them: N and theta, each nonzero entry once; Omega, the wedge
-image of J (:func:`wtw.frame.wedge_iso`) and the one builder of that array,
-which condition (ii) also reads as J^.  J itself is ``spec.J``, its
-rationals.  Omega, like every 2-form, is an n x n nested tuple, and 3-forms
-are n x n x n nested tuples, as N is.
+reader takes them: N and theta, each nonzero entry once.  Omega is read as
+J, ``Omega(E_i, E_j) = J[j][i]``, from the int J of ``wtw.frame._j_ints``,
+and is formed as no array of its own; J itself is ``spec.J``, its rationals.
+3-forms are n x n x n nested tuples, as N is.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import math
 
 from .connection import gamma_rows, weyl_rows
 from .frame import (FrameSpec, GateError, Vector, _accumulate, _alternating, _antisymmetric,
-                    _j_ints, _kept, wedge_iso)
+                    _j_ints, _kept)
 from .reports import CheckReport
 
 
@@ -102,13 +101,6 @@ def _derivative(rows: list, cols: list) -> list:
                 for l, y in cols[k]:
                     out[l][j] -= x * y
     return d
-
-
-@_kept
-def fundamental_form(spec: FrameSpec) -> tuple[Vector, ...]:
-    """Omega with Omega(E_i, E_j) = g(J E_i, E_j) = J[j][i], as an n x n array:
-    the wedge image of J."""
-    return tuple(tuple(map(spec.const, row)) for row in wedge_iso(spec.J))
 
 
 @_kept

@@ -401,10 +401,11 @@ class Scalar:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
 
-    def _halved(self) -> Scalar:
-        """self / 2 without a kernel call: the numerators over twice the
-        denominator, reduced once; for a fixed operand of many kernel calls."""
-        return Scalar._reduced(self.ring, self._terms, 2 * self._den) if self._terms else self
+    def _divided(self, divisor: int) -> Scalar:
+        """self / divisor for a positive int, without a kernel call: the
+        numerators over ``divisor`` times the denominator, reduced once; for a
+        fixed operand of many kernel calls, or a sum taken with int weights."""
+        return Scalar._reduced(self.ring, self._terms, divisor * self._den) if self else self
 
     # -- inspection ------------------------------------------------------
 

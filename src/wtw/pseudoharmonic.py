@@ -16,12 +16,18 @@ the nonzero bracket row (i, j) and the two wedge terms, so d(theta - phi)
 and theta ^ phi are never formed as arrays of their own.  Its J-pairing P is
 kept on the spec (:func:`condition_i_pairing`), and the equivalence check
 compares -P with ``v_trace``.  Condition (ii), L(theta - phi), has one
-builder, whose value is also kept on the spec (:func:`condition_ii`): each
-entry is one kernel call, and its terms x(JZ) for a 1-form x are read as
--(J x)(Z) through ``FrameSpec.j_apply``, which walks the support of J (see
-:mod:`wtw.frame`).  ``h_trace`` reads none of it, as it traces the fiber
-pairing of the curvature with DJ.  This module imports nothing
-from :mod:`wtw.twistor`, which owns the trace-condition equivalence check.
+builder, whose value is also kept on the spec (:func:`condition_ii`).  Put
+into L, the closed Ricci formulas leave each entry a polynomial of degree at
+most 2 in the components of phi, as the cubic terms cancel, so the builder
+forms its constant, linear and quadratic coefficients in ints from the
+phi-free data kept on the spec (theta, J, the Levi-Civita gammas, the
+brackets and the int traces rho_g and rho*_g), forms each product
+phi_r phi_m once, and makes each entry one kernel call with int weights,
+divided once.  It forms neither rho and rho* nor Phi, which only the checks
+of :mod:`wtw.curvature` read.  ``h_trace`` reads none of it, as it traces
+the fiber pairing of the curvature with DJ.  This module imports
+nothing from :mod:`wtw.twistor`, which owns the trace-condition equivalence
+check.
 
 Both conditions are produced as normalized polynomial systems
 (:func:`wtw.polyalg.normalized_system`: content and sign stripped, zero
@@ -38,13 +44,16 @@ polynomial vanishes identically in the remaining symbols.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Mapping, NamedTuple
 
-from .curvature import ricci_via_formula
-from .frame import FrameSpec, GateError, _antisymmetric, _kept, eval_on_bivector
-from .hermitian import fundamental_form, require_gate
+from .connection import gamma_rows
+from .curvature import _ricci_ints
+from .frame import FrameSpec, GateError, _accumulate, _antisymmetric, _j_ints, _kept
+from .hermitian import _lee_ints, require_gate
 from .polyalg import RationalLike, Scalar, _fraction, normalized_system
 
 
@@ -108,6 +117,17 @@ def condition_i(spec: FrameSpec) -> list[Scalar]:
     return [paired[k][l] for k, l in combinations(range(spec.n), 2)]
 
 
+def _quadratic(acc: dict, weight: int, a: dict, b: dict, size: int) -> None:
+    """acc += weight a b for two linear forms in x = (1, phi_1, ..., phi_n), each
+    a dict from the index of x to an int numerator; x_r x_m, r <= m, is kept
+    under the key r * size + m."""
+    for r, u in a.items():
+        u *= weight
+        for m, v in b.items():
+            key = r * size + m if r <= m else m * size + r
+            acc[key] = acc.get(key, 0) + u * v
+
+
 @_kept
 def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]:
     """L(psi) at Z = E_k for each k, for psi = theta - phi:
@@ -115,29 +135,128 @@ def _condition_ii_values(spec: FrameSpec, dim4_mode: bool) -> tuple[Scalar, ...]
         (n/2 - 1) dphi(psi#, Z) - dphi(J psi#, JZ) - psi(JZ) dphi(J^)
         - rho(psi#, Z) + rho*(J psi#, JZ)
 
-    with rho and rho* of the Weyl connection read from
-    :func:`wtw.curvature.ricci_via_formula`, so neither the Weyl connection nor
-    its curvature tensor is formed.  In ``dim4_mode`` only the last
-    three terms are kept: up to sign they are the rearranged four-dimensional
-    form, and normalization strips the sign.  Each entry is one kernel call
-    over its terms, and a term x(JZ) is read as -(J x)(Z), as J^T = -J.
+    with rho and rho* the Ricci and *-Ricci tensors of the Weyl connection.
+    In ``dim4_mode`` only the last three terms are kept: up to sign they are
+    the rearranged four-dimensional form, and normalization strips the sign.
+
+    L is built as a polynomial of degree at most 2 in the components of phi.
+    With y = J psi, (J v)_k = sum_q J[k][q] v_q, N[i][k] = (nabla_{E_i} phi)(E_k)
+    = -sum_m gamma[i][k][m] phi_m for the Levi-Civita gammas and dphi[i][k] =
+    -sum_m c[i][k][m] phi_m, it is
+
+        L_k = - sum_i psi_i rho_g[i][k] - sum_q J[k][q] sum_i y_i rho*_g[i][q]
+              - (n-2)/2 sum_i psi_i N[i][k] + 1/2 sum_i N[k][i] psi_i
+              - sum_q J[k][q] sum_i y_i N[i][q] + 1/2 sum_q J[k][q] sum_i N[q][i] y_i
+              + (n/2 - 1) sum_i psi_i dphi[i][k] + sum_q J[k][q] sum_i y_i dphi[i][q]
+              - (n-3)/4 (theta.phi) phi_k + (n-3)/4 |phi|^2 theta_k
+              - 1/4 ((J theta).phi) (J phi)_k
+              - 1/2 tr(N) psi_k + (1/2 <J, N> + dphi(J^)) y_k
+
+    where the third line is the two dphi terms, dropped in ``dim4_mode``,
+    <J, N> = sum_{p,q} J[p][q] N[p][q] and dphi(J^) = sum_{i<j} J[j][i]
+    dphi[i][j].  It is the closed formulas of
+    :func:`wtw.curvature.ricci_via_formula` put into the five terms, with
+    Phi = N + 1/2 phi (x) phi - 1/4 |phi|^2 g:
+
+    * the twisted term of rho*, 1/2 Phi(JX, JZ), read at (J psi#, JZ), is
+      1/2 Phi(psi#, Z), as J is orthogonal and J^2 = -1;
+    * <Phi, J> = <N, J>, as J is skew;
+    * the |phi|^2 phi_k parts of -(n-3)/4 (psi.phi) phi_k and of
+      (n-3)/4 |phi|^2 psi_k cancel, so no cubic term is left;
+    * (J psi).phi = (J theta).phi, as (J phi).phi = 0.
+
+    Every coefficient is formed in ints from kept phi-free data: theta of
+    ``_lee_ints``, J of ``_j_ints``, the gamma rows, the bracket rows and the
+    int traces rho_g and rho*_g of ``_ricci_ints``; no Phi, J-twist or lifted
+    Levi-Civita value is formed.  The linear forms psi, N and dphi are ints
+    over one unit, y is over the unit times den_J, and the sum is taken four
+    times over, so every weight is an int: the part without a J[k][q] is
+    scaled by den_J^2, and L_k is the sum of int weights times 1, phi_m and
+    phi_r phi_m over 4 unit^2 den_J^2.  Each product phi_r phi_m is formed
+    once for all k, and each entry is one kernel call, divided once.
     """
-    theta = require_gate(spec)
-    psi = tuple(t - p for t, p in zip(theta, spec.phi))
-    n = spec.n
-    rho, rho_star = ricci_via_formula(spec)
-    dphi = spec.dphi()
-    dphi_jwedge = eval_on_bivector(spec, dphi, fundamental_form(spec))
-    jpsi = spec.j_apply(psi)
-    terms = [spec.left(psi, rho),                          # rho(psi#, Z)
-             jpsi,                                         # -psi(JZ)
-             spec.j_apply(spec.left(jpsi, rho_star))]      # -rho*(J psi#, JZ)
-    weights = [-1, dphi_jwedge, -1]
-    if not dim4_mode:
-        terms += [spec.left(psi, dphi),                    # dphi(psi#, Z)
-                  spec.j_apply(spec.left(jpsi, dphi))]     # -dphi(J psi#, JZ)
-        weights += [Fraction(n, 2) - 1, 1]
-    return tuple(spec.dot([term[k] for term in terms], weights) for k in range(n))
+    require_gate(spec)
+    n, size, phi = spec.n, spec.n + 1, spec.phi
+    tden, theta = _lee_ints(spec)
+    jden, J = _j_ints(spec)
+    gden, g = gamma_rows(spec)
+    cden, c = spec.bracket_rows()
+    rden, rho, rho_star = _ricci_ints(spec)
+    unit = math.lcm(tden, rden)  # gden and cden divide rden
+    t = [v * (unit // tden) for v in theta]
+    full = not dim4_mode
+    # linear forms over unit, x_0 = 1 and x_{m+1} = phi_m: psi, N, dphi
+    psi = [{0: t[i], 1 + i: -unit} if t[i] else {1 + i: -unit} for i in range(n)]
+    nphi = [[{1 + m: -v * (unit // gden) for m, v in row} for row in plane] for plane in g]
+    dphi = [[{1 + m: -v * (unit // cden) for m, v in row} for row in plane] for plane in c]
+    y = [{} for _ in range(n)]  # J psi, over unit * jden
+    for k, row in enumerate(J):
+        for q, w in enumerate(row):
+            if w:
+                _accumulate(y[k], w, psi[q].items())
+
+    def pairing(v, ricci, w_nabla, w_dphi):
+        # 4 sum_i v_i (-ricci[i][k] + w_nabla/4 N[i][k] + w_dphi/4 dphi[i][k])
+        # + 2 sum_i N[k][i] v_i for each k
+        out, r_weight = [], -4 * (unit // rden)
+        for k in range(n):
+            acc: dict[int, int] = {}
+            for i in range(n):
+                form = {0: r_weight * ricci[i][k]} if ricci[i][k] else {}
+                _accumulate(form, w_nabla, nphi[i][k].items())
+                if w_dphi:
+                    _accumulate(form, w_dphi, dphi[i][k].items())
+                _quadratic(acc, 1, v[i], form, size)
+                _quadratic(acc, 2, nphi[k][i], v[i], size)
+            out.append(acc)
+        return out
+
+    # the part without J[k][q], over 4 unit^2
+    plain = pairing(psi, rho, -2 * (n - 2), 2 * (n - 2) * full)
+    theta_phi = {1 + m: v for m, v in enumerate(t) if v}
+    trace: dict[int, int] = {}
+    for i in range(n):
+        _accumulate(trace, 1, nphi[i][i].items())
+    for k, acc in enumerate(plain):
+        if t[k]:  # (n-3) |phi|^2 theta_k, at the keys of the squares x_a x_a
+            _accumulate(acc, (n - 3) * t[k] * unit, ((a * (size + 1), 1) for a in range(1, size)))
+        _quadratic(acc, 3 - n, theta_phi, {1 + k: unit}, size)
+        _quadratic(acc, -2, trace, psi[k], size)
+    # the part read at J[k][q], over 4 unit^2 jden
+    twisted = pairing(y, rho_star, -4, 4 * full)
+    j_theta_phi = {1 + m: s for m, row in enumerate(J) if (s := sum(map(mul, row, t)))}
+    on_j: dict[int, int] = {}  # 2 <J, N> + 4 dphi(J^), over unit * jden
+    for p, row in enumerate(J):
+        for q, w in enumerate(row):
+            if w:
+                _accumulate(on_j, 2 * w, nphi[p][q].items())
+                if q < p:
+                    _accumulate(on_j, 4 * w, dphi[q][p].items())
+    for q, acc in enumerate(twisted):
+        _quadratic(acc, -1, j_theta_phi, {1 + q: unit}, size)
+        _quadratic(acc, 1, on_j, psi[q], size)
+
+    x = (1, *phi)
+    products: dict[int, Scalar] = {}  # x_r x_m for 0 < r <= m, each formed once
+
+    def monomial(key):
+        r, m = divmod(key, size)
+        if r and key not in products:
+            products[key] = x[r] * x[m]
+        return products[key] if r else x[m]
+
+    scale, den, zero = jden * jden, 4 * unit * unit * jden * jden, spec.zero()
+    out = []
+    for k, row in enumerate(J):
+        total = {key: scale * v for key, v in plain[k].items()}
+        for q, w in enumerate(row):
+            if w:
+                _accumulate(total, w, twisted[q].items())
+        weights = [(key, v) for key, v in total.items()
+                   if v and x[key // size] and x[key % size]]
+        out.append(spec.ring.dot([monomial(key) for key, _ in weights],
+                                 [v for _, v in weights])._divided(den) if weights else zero)
+    return tuple(out)
 
 
 def condition_ii(spec: FrameSpec) -> tuple[Scalar, ...]:

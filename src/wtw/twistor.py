@@ -7,8 +7,8 @@ built.  The fiber metric on endomorphisms is
     G(a, b) = 1/2 Trace{X -> g(aX, bX)} = 1/2 Trace(a^T b),
 
 which equals -1/2 Trace(a o b) on skew endomorphisms.  The wedge isomorphism
-(:func:`wtw.frame.wedge_iso`, re-exported here) sends a skew endomorphism
-``a`` to the bivector with components ``g(a E_i, E_j)``, normalized so that
+sends a skew endomorphism ``a`` to the bivector a^ with components
+``g(a E_i, E_j)``, the transpose of ``a``, normalized so that
 ``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
 :mod:`wtw.frame`: products are read through ``FrameSpec.right``, ``left``
@@ -126,7 +126,7 @@ from .connection import (Connection, _along_terms, cov_deriv_endo,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
 from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kept, _kron,
-                    _negative, wedge_iso)
+                    _negative)
 from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -141,9 +141,9 @@ def g_fiber(spec: FrameSpec, a: tuple[Vector, ...], b: tuple[Vector, ...]) -> Sc
 def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
     """The map a -> G(a, b) for one b, summing over the nonzero entries of b only
     (the vertical directions and J are mostly zeros).  Each is halved once per
-    b, a scalar by ``Scalar._halved`` and a rational as a Fraction, so that a
+    b, a scalar by ``Scalar._divided`` and a rational as a Fraction, so that a
     pairing is one kernel call."""
-    values = [x._halved() if type(x) is Scalar else Fraction(x, 2)
+    values = [x._divided(2) if type(x) is Scalar else Fraction(x, 2)
               for row in b for x in row if x]
     support = [(k, l) for k, row in enumerate(b) for l, x in enumerate(row) if x]
     dot = spec.ring.dot
@@ -360,7 +360,9 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
 
     so each residual plane is ``_pairing_identity`` on the pairing array at Y
     and the endomorphism [J, D_Y J], which is the array -w as J nabla_Y J is
-    skew.  The left-hand side is the array ``h_trace`` traces, kept on the
+    skew.  Each entry of that array is at most one kernel call, over the terms
+    whose value and weight are both nonzero, and none where no term is left,
+    as most entries of a sparse J nabla_Y J and phi are.  The left-hand side is the array ``h_trace`` traces, kept on the
     spec; it is antisymmetric in (X, Z), as the action on J is, so it is
     paired for X < Z only and mirrored.  Every residual entry is still formed.
     """
@@ -372,12 +374,18 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     den, jd = _j_nabla_j_ints(spec)  # J nabla_Y J, ints over den
     if not all(map(_is_skew, jd)):
         raise FrameError("wedge isomorphism requires a skew endomorphism")
-    residual = []
+    zero, residual = spec.zero(), []
+
+    def entry(jn, y, i, j):
+        # only the terms with a nonzero value and weight; no call if none is left
+        terms = [(value, weight) for value, weight in zip(
+            (jn[i][j], phi[i], phi[j], jphi[i], jphi[j]),
+            (Fraction(2, den), _kron(j, y), -_kron(i, y), -J[j][y], J[i][y])) if value and weight]
+        return spec.dot(*zip(*terms)) if terms else zero
+
     for y, jn in enumerate(jd):
         # [J, D_Y J] = -w as an array, antisymmetric as jn is skew (checked above)
-        c = _antisymmetric(spec.n, spec.zero(), lambda i, j: spec.dot(
-            (jn[i][j], phi[i], phi[j], jphi[i], jphi[j]),
-            (Fraction(2, den), _kron(j, y), -_kron(i, y), -J[j][y], J[i][y])))
+        c = _antisymmetric(spec.n, zero, lambda i, j: entry(jn, y, i, j))
         residual.append(_pairing_identity(R, paired[y], c))
     report.require_zero("pairing of the fiber curvature with DJ through Levi-Civita data",
                         residual, (spec.basis,) * 3)

@@ -59,7 +59,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 TOP = 8  # callers with the most calls, taken from each tree
 
 
-def _count(workload) -> dict:
+def count(workload) -> dict:
     """Run ``workload()`` with ``Ring.dot`` counted; the calls, the zero
     results, the structural calls, the symbol-free calls and the operand
     pairs, in total and per caller."""
@@ -105,43 +105,63 @@ def _count(workload) -> dict:
                         for caller, count in calls.most_common()]}
 
 
-def _child() -> None:
-    """Count the five workloads in this process and print them as JSON."""
-    sys.path.insert(0, str(REPO / "perfbench"))
+def workloads(names, workdir: pathlib.Path) -> dict:
+    """The named workloads, each loaded and ready to run as a function of no
+    arguments; the scan writes its frame documents under ``workdir``."""
+    if str(REPO / "perfbench") not in sys.path:
+        sys.path.insert(0, str(REPO / "perfbench"))
     import frame_families
     import frames
     import run
     import wtw
     from wtw import cli, load_spec
 
-    drawer = frames.Drawer("suite-n4", 777)
-    rotated = [load_spec(frames.document(drawer.rotated_n4(name)))
-               for name in frames.N4_ALGEBRAS]
+    def suites(*specs):
+        def workload():
+            for spec in specs:
+                cli._suite_report(spec)
+        return workload
 
     def suite_n4():
-        for spec in rotated:
-            cli._suite_report(spec)
+        drawer = frames.Drawer("suite-n4", 777)
+        return suites(*(load_spec(frames.document(drawer.rotated_n4(name)))
+                        for name in frames.N4_ALGEBRAS))
 
-    vaisman = load_spec(frame_families.vaisman(16), name="vaisman16")
-    unitary = load_spec(*frame_families.UNITARY.values(), name="hyperbolic6-unitary")
-    counts = {"suite-n4": _count(suite_n4),
-              "vaisman16": _count(lambda: cli._suite_report(vaisman)),
-              "hyperbolic6-unitary": _count(lambda: cli._suite_report(unitary))}
-    dense = load_spec(frame_families.DENSE_J["hyperbolic6_rotated.toml"],
-                      name="hyperbolic6-rotated")
-    try:
-        counts["hyperbolic6-rotated"] = _count(lambda: cli._suite_report(dense))
-    except wtw.FrameError as exc:
-        counts["hyperbolic6-rotated"] = {"refused": str(exc)}
-    with tempfile.TemporaryDirectory() as workdir:
-        scan = run.ScanWorkload(wtw, pathlib.Path(workdir))
+    def scan_n6():
+        scan = run.ScanWorkload(wtw, workdir)
         ops = scan.make_ops(frames.Drawer(scan.name, 777), "A", 20)
 
-        def scan_n6():
+        def workload():
             for op in ops:
                 scan.run(op)
+        return workload
 
-        counts["scan-n6"] = _count(scan_n6)
+    setups = {
+        "suite-n4": suite_n4,
+        "vaisman16": lambda: suites(load_spec(frame_families.vaisman(16), name="vaisman16")),
+        "hyperbolic6-unitary": lambda: suites(load_spec(
+            *frame_families.UNITARY.values(), name="hyperbolic6-unitary")),
+        "hyperbolic6-rotated": lambda: suites(load_spec(
+            frame_families.DENSE_J["hyperbolic6_rotated.toml"], name="hyperbolic6-rotated")),
+        "scan-n6": scan_n6,
+    }
+    return {name: setups[name]() for name in names}
+
+
+WORKLOADS = ("suite-n4", "vaisman16", "hyperbolic6-unitary", "hyperbolic6-rotated", "scan-n6")
+
+
+def _child() -> None:
+    """Count the five workloads in this process and print them as JSON."""
+    import wtw
+
+    counts = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, workload in workloads(WORKLOADS, pathlib.Path(workdir)).items():
+            try:
+                counts[name] = count(workload)
+            except wtw.FrameError as exc:
+                counts[name] = {"refused": str(exc)}
     print(json.dumps(counts))
 
 

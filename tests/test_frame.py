@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frame_families
-from oracles import linear_combination, wedge_oneforms
+from oracles import (eval_on_bivector, fundamental_form, linear_combination, wedge_iso,
+                     wedge_oneforms)
 from wtw import (FrameError, FrameSpec, Ring, SpecFormatError, builtin, cov_deriv_endo,
-                 curvature, d_oneform, eval_on_bivector, levi_civita, load_spec,
-                 load_spec_file, weyl)
-from wtw.frame import _alternating, _antisymmetric, _negative, wedge_iso
+                 curvature, d_oneform, levi_civita, load_spec, load_spec_file, weyl)
+from wtw.frame import _alternating, _antisymmetric, _negative
 from wtw.polyalg import Scalar
-from wtw.hermitian import _d_omega, _lee_residual, fundamental_form, lee_form, nijenhuis
+from wtw.hermitian import _d_omega, _lee_residual, lee_form, nijenhuis
 
 INOUE_DOC = """
 # frame document mirroring the inoue-s0 builtin
@@ -399,7 +399,6 @@ class TestExteriorCalculus:
         assert eval_on_bivector(inoue, form, wedge_oneforms(inoue, e1, e2)) == inoue.const(1)
 
     def test_dphi_on_j_bivector(self, inoue, kodairas):
-        from wtw.twistor import wedge_iso
         dphi = d_oneform(inoue, inoue.phi)
         assert str(eval_on_bivector(inoue, dphi, wedge_iso(inoue.J))) == "a1"
         for (e1, e2), spec in kodairas.items():

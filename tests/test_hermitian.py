@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 from wtw import GateError
+from oracles import fundamental_form
 from wtw.frame import d_oneform
-from wtw.hermitian import (fundamental_form, lck_check, lee_form,
-                           nabla_j_checks, nijenhuis, require_gate)
+from wtw.hermitian import lck_check, lee_form, nabla_j_checks, nijenhuis, require_gate
 
 
 class TestFundamentalForm:

@@ -54,7 +54,7 @@ def test_suite_computes_each_quantity_once():
         "levi-civita", "weyl"]
     # once for J, although the pairing check runs for every vertical direction
     assert consistency.call_count == 1
-    # the closed Ricci formulas, which the Ricci check and condition (ii) both read
+    # the closed Ricci formulas, which the Ricci check reads
     assert formulas.call_count == 1
     # Phi, which the Phi-correction check, the closed formulas and the rho*
     # defect check all read
@@ -113,8 +113,9 @@ def test_hermitian_checks_make_no_kernel_call(monkeypatch, load):
 
 def test_report_builds_each_condition_once():
     """One ``report`` forms the condition-(i) pairing, condition (ii), the
-    closed Ricci formulas and Phi once, although the condition systems, the
-    trace equivalence, the identity suite and the Ricci check read them."""
+    closed Ricci formulas and Phi once, although the condition systems and the
+    trace equivalence read both conditions, and the identity suite and the
+    Ricci check read Phi."""
     with _counting(pseudoharmonic.condition_i_pairing) as pairing, \
             _counting(pseudoharmonic._condition_ii_values) as values, \
             _counting(curvature_module.ricci_via_formula) as formulas, \
@@ -141,20 +142,26 @@ def test_conditions_form_no_weyl_curvature():
     assert curvature.call_count == 0
 
 
-def test_conditions_form_each_covariant_derivative_once():
+def test_conditions_form_no_covariant_derivative_of_scalars():
     """``conditions`` and ``verify_assignment`` form no nabla J of scalars, as
-    the Lee form reads delta J from the int nabla J, and nabla phi once, inside
-    Phi, from which the closed Ricci formulas read the codifferentials.  Phi
-    reads nabla phi from the gamma rows, so the Levi-Civita connection is
-    never lifted to scalars."""
+    the Lee form reads delta J from the int nabla J, and neither Phi nor the
+    closed Ricci formulas: condition (ii) reads nabla phi, rho_g and rho*_g as
+    int coefficients, so it twists no array and lifts no Levi-Civita value."""
     spec = load_spec_file(pathlib.Path(__file__).parent / "data" / "hyperbolic6.toml")
     with _counting(connection.cov_deriv_endo) as nabla_endo, \
             _counting(connection.levi_civita) as lifted, \
-            _counting(curvature_module.phi_tensor) as phi:
+            _counting(curvature_module.phi_tensor) as phi, \
+            _counting(curvature_module.ricci_via_formula) as formulas, \
+            _counting(curvature_module._ricci_ints) as traces, \
+            mock.patch.object(FrameSpec, "twist", autospec=True,
+                              side_effect=FrameSpec.twist) as twist:
         verify_assignment(conditions(spec), {"a1": 0})
     assert nabla_endo.call_count == 0
     assert lifted.call_count == 0
-    assert phi.call_count == 1
+    assert phi.call_count == 0
+    assert formulas.call_count == 0
+    assert twist.call_count == 0
+    assert traces.call_count == 1
 
 
 def test_second_derivatives_keep_only_the_first():
@@ -226,7 +233,7 @@ def test_new_specs_get_their_own_gammas():
     # starts with no memo entry and computes equal values of its own
     ricci_formula_check(spec)
     phi_free = (frame.FrameSpec.bracket_rows, frame.FrameSpec.j_columns, connection.gamma_rows,
-                curvature_module._levi_civita_r, curvature_module._levi_civita_ricci)
+                curvature_module._levi_civita_r, curvature_module._ricci_ints)
     for child in (spec.with_phi([p.substitute({"a1": 0}) for p in spec.phi]),
                   spec.with_phi(spec.phi), spec.with_phi((0, "a2", 0, 0))):
         assert child.__dict__.get("_memo", {}) == {}

@@ -22,9 +22,11 @@ The term -J(nabla_{E_i} E_j) is dropped from the int Levi-Civita nabla J, which 
 nabla-J checks compare with d(Omega), the Lee vector and J o nabla J, and one
 Kronecker weight is flipped in the int Weyl rows of theta only, from which the
 check that J is parallel for the Weyl connection of the Lee form reads D J.  The sign of
-the rho or rho* term of L(psi) is mutated where condition (ii) reads the
-formulas, and the sign of each of its three d(phi) terms where condition (ii)
-is built, so only the trace equivalence sees them.  The two fiber pairings,
+the rho_g or rho*_g term of L(psi) is mutated where condition (ii) reads the
+int traces, the weights of its terms (n-3)/4 |phi|^2 theta_k, -1/4 ((J
+theta).phi) (J phi)_k and 1/2 <J, N> y_k where its builder is compiled, and
+the sign of each of its three d(phi) terms where condition (ii) is built, so
+only the trace equivalence sees them.  The two fiber pairings,
 the identity checked against every vertical direction and the DJ pairing,
 are one identity with one builder, ``twistor._pairing_identity``, whose
 weight of dphi(X, cY) is flipped where it is built.
@@ -187,25 +189,49 @@ def _theta_weyl_weight(monkeypatch):
 
 
 def _condition_ii_reads_negated(monkeypatch, index):
-    """Condition (ii) reads entry ``index`` of (rho, rho*) negated."""
-    formulas = pseudoharmonic.ricci_via_formula
+    """Condition (ii) reads entry ``index`` of the int traces (rho_g, rho*_g)
+    negated."""
+    traces = pseudoharmonic._ricci_ints
 
     def mutated(spec):
-        pair = list(formulas(spec))
-        pair[index] = tuple(tuple(-value for value in row) for row in pair[index])
-        return tuple(pair)
+        den, *pair = traces(spec)
+        pair[index] = [[-value for value in row] for row in pair[index]]
+        return den, *pair
 
-    monkeypatch.setattr(pseudoharmonic, "ricci_via_formula", mutated)
+    monkeypatch.setattr(pseudoharmonic, "_ricci_ints", mutated)
 
 
 def _rho_sign(monkeypatch):
-    """rho enters the condition-(ii) builder with the opposite sign."""
+    """The term -rho_g(psi#, Z) of L(psi) enters with the opposite sign."""
     _condition_ii_reads_negated(monkeypatch, 0)
 
 
 def _rho_star_sign(monkeypatch):
-    """The term rho*(J psi#, JZ) of L(psi) enters with the opposite sign."""
+    """The term -sum_q J[k][q] rho*_g(J psi#, E_q) of L(psi) enters with the
+    opposite sign."""
     _condition_ii_reads_negated(monkeypatch, 1)
+
+
+def _condition_ii_weight(monkeypatch, old, new):
+    """The condition-(ii) builder with one weight of its source replaced."""
+    monkeypatch.setattr(pseudoharmonic._condition_ii_values, "__wrapped__", _recompiled(
+        pseudoharmonic, pseudoharmonic._condition_ii_values, old, new))
+
+
+def _norm_theta_weight(monkeypatch):
+    """The weight (n-3)/4 of |phi|^2 theta_k in L(psi) becomes -(n-3)/4."""
+    _condition_ii_weight(monkeypatch, "(n - 3) * t[k] * unit", "(3 - n) * t[k] * unit")
+
+
+def _j_theta_weight(monkeypatch):
+    """The weight -1/4 of ((J theta).phi) (J phi)_k in L(psi) becomes 1/4."""
+    _condition_ii_weight(monkeypatch, "_quadratic(acc, -1, j_theta_phi",
+                         "_quadratic(acc, 1, j_theta_phi")
+
+
+def _n_on_j_weight(monkeypatch):
+    """The weight 1/2 of <J, N> y_k in L(psi) becomes -1/2."""
+    _condition_ii_weight(monkeypatch, "_accumulate(on_j, 2 * w,", "_accumulate(on_j, -2 * w,")
 
 
 def _formula_terms(monkeypatch, rho_term, rho_star_term):
@@ -469,7 +495,8 @@ def test_trace_divergence_sign_is_caught_at_n4(monkeypatch, name):
 
 @pytest.mark.parametrize("mutate", [_weyl_half, _rg_bracket_term, _phi_square_term,
                                     _nabla_j_gamma_term, _theta_weyl_weight, _rho_sign,
-                                    _rho_star_sign, _jstar_sign, _rho_square_coefficient,
+                                    _rho_star_sign, _norm_theta_weight, _j_theta_weight,
+                                    _n_on_j_weight, _jstar_sign, _rho_square_coefficient,
                                     _dphi_sign, _twisted_dphi_sign, _dphi_j_sign,
                                     _endo_transpose_sign, _action_entry, _check_bracket_term,
                                     _check_gamma_column, _norm_sq, _block_pairing_sign,

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from wtw import FrameSpec, GateError
+import frame_families
+from oracles import condition_ii_reference
+from test_twistor import _gate_passing_frames
+from wtw import FrameSpec, GateError, load_spec
 from wtw.hermitian import lee_form
 from wtw.polyalg import normalized_system
-from wtw.pseudoharmonic import condition_i, conditions, verify_assignment
+from wtw.pseudoharmonic import _condition_ii_values, condition_i, conditions, verify_assignment
 from wtw.twistor import equivalence_check
 
 
@@ -224,3 +227,25 @@ class TestRelabelingInvariance:
 
         assert relabel(base.condition_i) == {str(p) for p in report.condition_i}
         assert relabel(base.condition_ii) == {str(p) for p in report.condition_ii}
+
+
+def _condition_ii_frames():
+    """The gate-passing built-ins and documents, both dense-J frames, the
+    unitary-basis frame and hyperbolic8 in a Cayley basis, where J is dense."""
+    documents = {**frame_families.DENSE_J, **frame_families.UNITARY,
+                 "hyperbolic8_rotated.toml": frame_families._rotated(
+                     "the eight-dimensional real hyperbolic frame", 8,
+                     frame_families._hyperbolic_brackets(8), frame_families.cayley(8))}
+    return [*_gate_passing_frames(), *(load_spec(text, name) for name, text in documents.items())]
+
+
+@pytest.mark.parametrize("spec", _condition_ii_frames(), ids=lambda spec: spec.name)
+def test_condition_ii_expansion_equals_the_rho_route(spec):
+    """The builder expands L(theta - phi) in phi from int coefficients; the
+    oracle contracts psi with the closed rho and rho* term by term.  They agree
+    entry by entry in both modes, and, phi being linear on every frame here,
+    each entry has total degree at most 2: the cubic terms cancel."""
+    for dim4_mode in (False, True):
+        built = _condition_ii_values(spec, dim4_mode)
+        assert built == condition_ii_reference(spec, dim4_mode), (spec.name, dim4_mode)
+        assert all(entry.total_degree() <= 2 for entry in built)

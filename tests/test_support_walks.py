@@ -18,10 +18,10 @@ from fractions import Fraction
 import pytest
 
 import frame_families
-from oracles import cov_deriv_oneform, linear_combination, wedge_oneforms
+from oracles import cov_deriv_oneform, fundamental_form, linear_combination, wedge_oneforms
 from test_twistor import _gate_passing_frames
-from wtw import (FrameSpec, Ring, RingMismatchError, builtin, d_oneform, fundamental_form,
-                 lee_form, levi_civita, load_spec, phi_tensor)
+from wtw import (FrameSpec, Ring, RingMismatchError, builtin, d_oneform, lee_form,
+                 levi_civita, load_spec, phi_tensor)
 from wtw.hermitian import _d_omega, _lee_residual
 from wtw.pseudoharmonic import _condition_i_form
 

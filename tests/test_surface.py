@@ -26,16 +26,16 @@ EXPORTS = {
     "polyalg": ("ExponentOverflowError", "PolynomialParseError", "Ring", "RingMismatchError",
                 "Scalar", "normalize_up_to_unit", "normalized_system"),
     "frame": ("FrameError", "FrameSpec", "GateError", "SpecFormatError", "builtin",
-              "d_oneform", "eval_on_bivector", "load_spec", "load_spec_file", "wedge_iso"),
+              "d_oneform", "load_spec", "load_spec_file"),
     "connection": ("Connection", "cov_deriv_endo", "levi_civita", "reconstruct_weyl_form",
                    "traced_second_cov_deriv_endo", "weyl"),
     "curvature": ("Curvature", "curvature", "identity_suite", "phi_tensor", "ricci",
                   "ricci_formula_check", "star_ricci"),
-    "hermitian": ("GateError", "fundamental_form", "lck_check", "lee_form", "nabla_j_checks",
-                  "nijenhuis", "require_gate"),
+    "hermitian": ("GateError", "lck_check", "lee_form", "nabla_j_checks", "nijenhuis",
+                  "require_gate"),
     "twistor": ("VerticalBasis", "curvature_pairing_with_dj_check",
                 "equivalence_check", "g_fiber", "h_trace", "vertical_checks",
-                "fiber_pairing_check", "v_trace", "vertical_basis", "wedge_iso"),
+                "fiber_pairing_check", "v_trace", "vertical_basis"),
     "pseudoharmonic": ("AssignmentVerdict", "ConditionReport", "condition_i", "condition_ii",
                        "conditions", "verify_assignment"),
 }

@@ -12,13 +12,13 @@ from itertools import chain, combinations, product
 import pytest
 
 import frame_families
-from oracles import linear_combination
+from oracles import linear_combination, wedge_iso
 from wtw import (FrameSpec, GateError, SpecFormatError, builtin, cov_deriv_endo, levi_civita,
                  load_spec, load_spec_file, twistor)
 from wtw.frame import FrameError
 from wtw.polyalg import normalize_up_to_unit, normalized_system
 from wtw.twistor import (endo_curvature_action, endo_curvature_consistency, g_fiber,
-                         h_trace, fiber_pairing_check, v_trace, vertical_basis, wedge_iso)
+                         h_trace, fiber_pairing_check, v_trace, vertical_basis)
 from wtw.connection import weyl
 from wtw.curvature import curvature
 from wtw.hermitian import lee_form, require_gate
