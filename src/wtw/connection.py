@@ -78,7 +78,7 @@ class Connection(Memo):
 @_kept
 def gamma_rows(spec: FrameSpec) -> tuple[int, list]:
     """The nonzero Levi-Civita gammas as ``(den, rows)``: ``rows[i][j]`` lists
-    ``(k, den * gamma[i][j][k])``, ints over twice the bracket denominator."""
+    ``(k, den * gamma[i][j][k])``, over twice the bracket denominator."""
     n = spec.n
     den, rows = spec.bracket_rows()
     twice: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
@@ -125,7 +125,7 @@ def weyl(spec: FrameSpec) -> Connection:
 
 def weyl_rows(spec: FrameSpec, den: int, phi: Sequence[int]) -> tuple[int, list]:
     """The Weyl gammas of the rational 1-form ``phi[k] / den`` as ``(wden,
-    rows)``, laid out as :func:`gamma_rows`, ints over ``wden``."""
+    rows)``, laid out as :func:`gamma_rows`."""
     gden, g = gamma_rows(spec)
     wden = 2 * math.lcm(gden, den)
     scale, half = wden // gden, wden // (2 * den)

@@ -101,7 +101,7 @@ def _zero_block(spec: FrameSpec) -> tuple:
 
 @_kept
 def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
-    """R_g as ``(den, r)``, ints over ``den = (2 den_c)^2``: ``r[i][j][k]`` maps l
+    """R_g as ``(den, r)``, over ``den = (2 den_c)^2``: ``r[i][j][k]`` maps l
     to den * g(R(E_i, E_j) E_k, E_l), read from the bracket and gamma rows."""
     n = spec.n
     _, c = spec.bracket_rows()
@@ -127,10 +127,9 @@ def _levi_civita_r(spec: FrameSpec) -> tuple[int, tuple]:
 
 @_kept
 def _ricci_ints(spec: FrameSpec) -> tuple[int, list, list]:
-    """rho_g and rho*_g as ``(den, rho, rho_star)``, int numerators over one
-    ``den = (2 den_c)^2 den_J^2`` traced from R_g: rho_g[i][k] = sum_j
-    r[i][j][k][j], and rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l]
-    read from the int J."""
+    """rho_g and rho*_g as ``(den, rho, rho_star)``, over ``den = (2 den_c)^2
+    den_J^2``, traced from R_g: rho_g[i][k] = sum_j r[i][j][k][j], and
+    rho*_g[i][k] = sum_{p,q,l} J[p][l] J[q][k] r[p][i][q][l] read from the int J."""
     n = spec.n
     den, r = _levi_civita_r(spec)
     jden, J = _j_ints(spec)

@@ -41,33 +41,38 @@ entries, rational or scalar, and reduces the sum once:
 
 All but ``dot`` walk a support.  ``left`` and ``right`` pass the kernel only
 the nonzero positions of their fixed vector, and ``compose`` is ``right`` on
-each column of its right factor.  The three J contractions read the supports
-of J's columns and rows (see below) with weights built once per spec:
-``twist`` forms each M(., J E_k) over the support of J E_k and pairs it with
-J E_i over the support of J E_i, so a dense J costs 2n^3 products, an entry
-of ``j_pair`` walks the union of the supports of ``J E_i`` and ``J E_k``, and
-one of ``j_apply`` the support of row k of J.  An entry with only zero values,
-or with one scalar of weight 1 or -1, is the shared zero or that scalar or its
-negation, with no call; so on a J that is a signed permutation ``twist`` and
-``j_apply`` make none.  The fiber pairing of :mod:`wtw.twistor` walks its
-fixed endomorphism's support.
+each column of its right factor.  The three J contractions walk the int
+columns of J, ``j_columns()`` (see below), and divide each sum they form once
+by their denominator: ``twist`` forms each M(., J E_k) over the support of
+J E_k and pairs it with J E_i over the support of J E_i, so a dense J costs
+2n^3 products, an entry of ``j_pair`` walks the union of the supports of
+``J E_i`` and ``J E_k``, and one of ``j_apply`` the support of row k of J,
+gathered from the columns on each call.  An entry with only zero values, or
+with one scalar whose int weight is plus or minus the denominator, is the
+shared zero or that scalar or its negation, with no call; so on a J that is a
+signed permutation ``twist`` and ``j_apply`` make none.  The fiber pairing of
+:mod:`wtw.twistor` walks its fixed endomorphism's support.
 
 As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
-and ``left(omega, J)`` is the 1-form ``omega o J``.  J has one array,
-``spec.J``, of rationals: the later layers pass it as it is wherever they
-take an endomorphism, and the values derived from it are kept under that
-key, which compares and hashes as a copy of constant scalars would.
+and ``left(omega, J)`` is the 1-form ``omega o J``.  J is read in three
+forms: ``spec.J``, the validated rationals, which the later layers pass as it
+is wherever they take an endomorphism, and under which the values derived
+from it are kept (it compares and hashes as a copy of constant scalars
+would); and two kept int views, the dense ``_j_ints`` and its sparse columns
+``j_columns()``.
 
-Sparse supports: each spec keeps the nonzero part of its rational data once,
-as int numerators over one common denominator: ``bracket_rows()`` lists
+Ints over a denominator: the symbol-free data, here and in the later layers,
+is formed and kept as a pair ``(den, ints)`` of int numerators over one
+positive denominator, each int ``v`` standing for ``v / den``; the docstring
+of each such function gives its layout only.  Each spec keeps the nonzero
+part of its rational data once, in this form: ``bracket_rows()`` lists
 ``(k, c_ijk)`` for each pair (i, j), and ``j_columns()`` lists ``(p, J[p][i])``
-for each column ``J E_i``, from ``_j_ints``, the dense int J later layers read
-too.  The symbol-free layer walks only these supports: ``validate`` and, in
-the later layers, the Levi-Civita gammas, their curvature and its traces, the
-Lee form and the Nijenhuis tensor accumulate ints and lift each nonzero result
-to a scalar once (:meth:`FrameSpec.lift`), leaving the ring's shared zero
-everywhere else.  ``d_oneform`` calls the kernel only where a bracket row is
-nonzero.
+for each column ``J E_i``.  The symbol-free layer walks only these supports:
+``validate`` and, in the later layers, the Levi-Civita gammas, their curvature
+and its traces, the Lee form and the Nijenhuis tensor accumulate ints and
+lift a nonzero result to a scalar only where a reader takes it
+(:meth:`FrameSpec.lift`), leaving the ring's shared zero everywhere else.
+``d_oneform`` calls the kernel only where a bracket row is nonzero.
 Endomorphisms, 2-forms and bivectors are all n x n nested tuples, with no
 class of their own: an endomorphism S as above, a 2-form F with ``F[i][j] =
 F(E_i, E_j)``, and a bivector ``b`` the array of its components, ``sum_{i<j}
@@ -334,8 +339,7 @@ class FrameSpec(Memo):
     @_kept
     def bracket_rows(self) -> tuple[int, list]:
         """The nonzero structure constants as ``(den, rows)``: ``rows[i][j]``
-        lists ``(k, den * c[i][j][k])`` for each nonzero ``c[i][j][k]``, ints
-        over one positive denominator."""
+        lists ``(k, den * c[i][j][k])`` for each nonzero ``c[i][j][k]``."""
         den = math.lcm(*(v.denominator for plane in self.c for row in plane for v in row))
         return den, [[[(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
                       for row in plane] for plane in self.c]
@@ -343,8 +347,7 @@ class FrameSpec(Memo):
     @_kept
     def j_columns(self) -> tuple[int, list]:
         """The nonzero entries of J as ``(den, cols)``: ``cols[i]`` lists
-        ``(p, den * J[p][i])``, the column ``J E_i``, ints over one positive
-        denominator, read from :func:`_j_ints`."""
+        ``(p, den * J[p][i])``, the column ``J E_i``, read from :func:`_j_ints`."""
         den, J = _j_ints(self)
         return den, [[(p, v) for p, v in enumerate(col) if v] for col in zip(*J)]
 
@@ -380,25 +383,29 @@ class FrameSpec(Memo):
         """M(J., J.): entries sum_p J[p][i] m_k[p] with m_k = M(., J E_k), each
         m_k[p] = sum_q M[p][q] J[q][k] a ``_walk`` over the support of J E_k and
         each entry a ``_walk`` of m_k over the support of J E_i."""
-        ring, cols = self.ring, _j_weights(self)
-        m_j = [[_walk(ring, [row[q] for q in at_k], w_k) for row in M] for at_k, w_k in cols]
-        return tuple(tuple(_walk(ring, [m_k[p] for p in at_i], w_i) for m_k in m_j)
+        ring, (den, cols) = self.ring, self.j_columns()
+        cols = [tuple(zip(*col)) for col in cols]  # (rows, weights) of each J E_k
+        m_j = [[_walk(ring, [row[q] for q in at_k], w_k, den) for row in M] for at_k, w_k in cols]
+        return tuple(tuple(_walk(ring, [m_k[p] for p in at_i], w_i, den) for m_k in m_j)
                      for at_i, w_i in cols)
 
     def j_pair(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
         """M(J., .) + M(., J.): entries sum_p J[p][i] M[p][k] + sum_q M[i][q] J[q][k],
         each a ``_walk`` over the supports of J E_i and J E_k."""
-        ring, cols = self.ring, _j_weights(self)
+        ring, (den, cols) = self.ring, self.j_columns()
+        cols = [tuple(zip(*col)) for col in cols]
         return tuple(tuple(
-            _walk(ring, [M[p][k] for p in at_i] + [row[q] for q in at_k], w_i + w_k)
+            _walk(ring, [M[p][k] for p in at_i] + [row[q] for q in at_k], w_i + w_k, den)
             for k, (at_k, w_k) in enumerate(cols)) for row, (at_i, w_i) in zip(M, cols))
 
     def j_apply(self, vec: Sequence[Scalar]) -> Vector:
         """Componentwise J(v) for a vector of scalars: entry k is
-        sum_q J[k][q] v[q], a ``_walk`` over the support of row k of J."""
-        ring = self.ring
-        return tuple(_walk(ring, [vec[q] for q in at], weights)
-                     for at, weights in _j_row_weights(self))
+        sum_q J[k][q] v[q], a ``_walk`` over the support of row k of J,
+        gathered from the columns."""
+        ring, (den, cols) = self.ring, self.j_columns()
+        entries = [(p, q, v) for q, col in enumerate(cols) for p, v in col]  # den * J[p][q] = v
+        return tuple(_walk(ring, [vec[q] for p, q, _ in entries if p == k],
+                           [v for p, _, v in entries if p == k], den) for k in range(self.n))
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form: c and J are kept as validated, and
@@ -442,38 +449,21 @@ def _j_ints(spec: FrameSpec) -> tuple[int, list]:
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in spec.J]
 
 
-def _weights(den: int, supports: list) -> list[tuple[list[int], list]]:
-    """``(positions, weights)`` for each support of ``(position, den * value)``
-    lists: the values as ints when ``den`` is 1 and as Fractions otherwise."""
-    return [([p for p, _ in sup], [v if den == 1 else Fraction(v, den) for _, v in sup])
-            for sup in supports]
-
-
-@_kept
-def _j_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
-    """The rows p where J[p][i] is nonzero and those entries, for each column
-    ``J E_i``."""
-    return _weights(*spec.j_columns())
-
-
-@_kept
-def _j_row_weights(spec: FrameSpec) -> list[tuple[list[int], list]]:
-    """The columns q where J[k][q] is nonzero and those entries, for each row k
-    of J."""
-    den, J = _j_ints(spec)
-    return _weights(den, [[(q, v) for q, v in enumerate(row) if v] for row in J])
-
-
-def _walk(ring: Ring, values: list, weights: list) -> Scalar:
-    """``ring.dot(values, weights)`` against nonzero weights, without a kernel
-    call when every value is zero (the shared zero) or when the one value is a
-    scalar of the ring and its weight is 1 or -1 (the value or its negation)."""
+def _walk(ring: Ring, values: list, weights: list, den: int) -> Scalar:
+    """``ring.dot(values, weights) / den`` for nonzero int weights over a positive
+    ``den``, the sum divided once (``Scalar._divided``), without a kernel call
+    when every value is zero (the shared zero) or when the one value is a
+    scalar of the ring and its weight is ``den`` or ``-den`` (the value or its
+    negation)."""
     if len(values) == 1 and type(values[0]) is Scalar and values[0].ring is ring:
-        if weights[0] == 1:
+        if weights[0] == den:
             return values[0]
-        if weights[0] == -1:
+        if weights[0] == -den:
             return -values[0]
-    return ring.dot(values, weights) if any(values) else ring.zero()
+    if not any(values):
+        return ring.zero()
+    total = ring.dot(values, weights)
+    return total if den == 1 else total._divided(den)
 
 
 def _accumulate(acc: dict, weight: int, row) -> None:

@@ -19,9 +19,9 @@ closed Ricci formulas of :mod:`wtw.curvature`):
 ``delta omega = -sum_i (nabla_{E_i} omega)(E_i)`` for 1-forms and
 ``delta J = -sum_i (nabla_{E_i} J)(E_i)``; the sign is pinned by the
 built-in geometries' Lee forms.  The Lee form reads delta J as the trace of
-the int Levi-Civita nabla J below, walks the columns of J and is lifted to
-scalars once.  The tests compare theta with the trace of the nabla J of
-scalars that :func:`wtw.connection.cov_deriv_endo` forms.
+the int Levi-Civita nabla J below and walks the columns of J.  The tests
+compare theta with the trace of the nabla J of scalars that
+:func:`wtw.connection.cov_deriv_endo` forms.
 
 `require_gate` enforces the standing hypotheses of the pseudo-harmonicity
 conditions: integrability of J and the Lee identity ``d Omega = theta ^
@@ -55,8 +55,9 @@ theta (:func:`wtw.connection.weyl_rows`, which shares its Kronecker terms
 with the Weyl connection), so it builds no second spec.  A residual is handed
 to :meth:`wtw.reports.CheckReport.require_zero` with its denominator, and
 only the first nonzero entry of a failing one is lifted, to a Fraction, which
-prints as the constant scalar of that value.  Scalars are lifted where a
-reader takes them: N and theta, each nonzero entry once.  Omega is read as
+prints as the constant scalar of that value.  N and theta are kept in ints
+only: :func:`nijenhuis` and :func:`lee_form` lift them on each call, and the
+gated paths read the theta that the kept gate lifted.  Omega is read as
 J, ``Omega(E_i, E_j) = J[j][i]``, from the int J of ``wtw.frame._j_ints``,
 and is formed as no array of its own; J itself is ``spec.J``, its rationals.
 3-forms are n x n x n nested tuples, as N is.
@@ -103,9 +104,9 @@ def _derivative(rows: list, cols: list) -> list:
     return d
 
 
-@_kept
 def nijenhuis(spec: FrameSpec):
-    """The Nijenhuis tensor as components N[k][i][j] of N(E_i, E_j), plus a verdict."""
+    """The Nijenhuis tensor as components N[k][i][j] of N(E_i, E_j), plus a
+    verdict, lifted from :func:`_nijenhuis_ints` on each call."""
     den, comps = _nijenhuis_ints(spec)
     lifted = tuple(tuple(spec.lift(enumerate(row), den) for row in plane) for plane in comps)
     return lifted, not any(v for plane in comps for row in plane for v in row)
@@ -140,17 +141,16 @@ def _nijenhuis_ints(spec: FrameSpec) -> tuple[int, tuple]:
                                      for k in ix)
 
 
-@_kept
 def lee_form(spec: FrameSpec) -> Vector:
     """The Lee form theta = -2/(n-2) delta Omega o J, whose components are those
-    of B = 2/(n-2) J(delta J), lifted once from :func:`_lee_ints`."""
+    of B = 2/(n-2) J(delta J), lifted from :func:`_lee_ints` on each call."""
     den, theta = _lee_ints(spec)
     return spec.lift(enumerate(theta), den)
 
 
 @_kept
 def _lee_ints(spec: FrameSpec) -> tuple[int, list]:
-    """theta as ``(den, theta)``, int numerators over (n - 2) * den_nablaJ * den_J:
+    """theta as ``(den, theta)``, over (n - 2) * den_nablaJ * den_J:
     theta_l = 2/(n-2) sum_k (sum_i (nabla_{E_i} J)[k][i]) J[k][l], read from
     :func:`_nabla_j` and walked over the columns of J."""
     nden, nj = _nabla_j(spec)
@@ -203,7 +203,8 @@ def lck_check(spec: FrameSpec) -> CheckReport:
 @_kept
 def require_gate(spec: FrameSpec) -> Vector:
     """Enforce the standing assumptions; returns the Lee form on success.  A
-    passing verdict is kept on the spec; a failing one raises on every call."""
+    passing verdict, with the Lee form it lifts, is kept on the spec; a
+    failing one raises on every call."""
     if any(v for plane in _nijenhuis_ints(spec)[1] for row in plane for v in row):
         raise GateError("integrability assumption",
                         "the Nijenhuis tensor of J does not vanish")

@@ -125,8 +125,8 @@ from typing import NamedTuple
 from .connection import (Connection, _along_terms, cov_deriv_endo,
                          traced_second_cov_deriv_endo, weyl)
 from .curvature import Curvature, curvature
-from .frame import (FrameError, FrameSpec, Vector, _antisymmetric, _is_skew, _kept, _kron,
-                    _negative)
+from .frame import (FrameError, FrameSpec, Vector, _accumulate, _antisymmetric, _is_skew, _kept,
+                    _kron, _negative)
 from .hermitian import _j_nabla_j_ints, require_gate
 from .polyalg import Scalar
 from .pseudoharmonic import condition_i, condition_i_pairing, condition_ii
@@ -243,6 +243,7 @@ def _planes(spec: FrameSpec) -> list[tuple[dict, dict, Fraction]]:
     """``(u, J u, |u|^2)`` for each J-plane of an orthogonal rational basis, as
     sparse ``{index: Fraction}`` vectors: E_i less its projections onto the u
     and J u of each earlier plane, kept where it is nonzero."""
+    den, cols = spec.j_columns()
     planes = []
     for i in range(spec.n):
         u = defaultdict(int, {i: Fraction(1)})
@@ -251,7 +252,10 @@ def _planes(spec: FrameSpec) -> list[tuple[dict, dict, Fraction]]:
             for p, x in v.items():
                 u[p] -= v[i] * x / norm
         if u := {p: x for p, x in u.items() if x}:
-            ju = {p: y for p, row in enumerate(spec.J) if (y := sum(row[q] * u[q] for q in u))}
+            ju: dict = {}  # J u = sum_q u_q J E_q, over the columns' denominator
+            for q, x in u.items():
+                _accumulate(ju, x, cols[q])
+            ju = {p: y / den for p, y in ju.items() if y}
             planes.append((u, ju, sum(x * x for x in u.values())))
     return planes
 

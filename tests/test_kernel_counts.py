@@ -1,9 +1,10 @@
-"""A ceiling on the kernel calls of four workloads.
+"""A ceiling on the kernel calls of five workloads.
 
 The calls of :meth:`wtw.polyalg.Ring.dot` and the operand pairs they pass are
 counted in process, with the counter of ``tests/dot_counts.py``, on the
 workloads that script names: ``scan-n6`` (the 20 scan operations of
 ``Drawer("scan-n6", 777)``), ``suite-n4`` (its six rotated n = 4 frames),
+``vaisman16`` (the suite on the n = 16 Vaisman frame),
 ``hyperbolic6-unitary`` and ``hyperbolic6-rotated``.  Unlike a timing, a count
 reads the same on every run, so a change that adds kernel calls fails here
 even where the benchmark cannot resolve it.  A change that lowers a count
@@ -21,6 +22,7 @@ import dot_counts
 CEILINGS = {
     "scan-n6": (1120, 2080),
     "suite-n4": (9212, 45010),
+    "vaisman16": (208444, 1356266),
     "hyperbolic6-unitary": (6039, 31050),
     "hyperbolic6-rotated": (6846, 53633),
 }

@@ -36,7 +36,7 @@ def _counting(kept):
 def test_suite_computes_each_quantity_once():
     spec = builtin("kodaira", (1, -1))
     with _counting(hermitian._nijenhuis_ints) as nijenhuis, \
-            _counting(hermitian.lee_form) as lee, \
+            _counting(hermitian._lee_ints) as lee, \
             _counting(connection.weyl) as weyl_gammas, \
             _counting(curvature_module.curvature) as curvature, \
             _counting(twistor.endo_curvature_consistency) as consistency, \
@@ -46,6 +46,7 @@ def test_suite_computes_each_quantity_once():
     assert report.ok
     # N in ints, which the gate and the lck check both read; nothing lifts it
     assert nijenhuis.call_count == 1
+    # theta in ints, which the gate lifts once and the lck and nabla-J checks read
     assert lee.call_count == 1
     # the Weyl gammas of the spec's own phi only: the nabla-J checks read D J
     # for the Weyl connection of theta from its int rows, with no second spec
@@ -59,6 +60,23 @@ def test_suite_computes_each_quantity_once():
     # Phi, which the Phi-correction check, the closed formulas and the rho*
     # defect check all read
     assert phi_tensor.call_count == 1
+
+
+@pytest.mark.parametrize("load", [
+    lambda: builtin("kodaira", (1, -1)),
+    lambda: load_spec(frame_families.DENSE_J["inoue_s0_rotated.toml"])],
+    ids=["signed-permutation", "dense-J"])
+def test_suite_keeps_two_views_of_j_and_n_and_theta_in_ints(load):
+    """After one suite, J is kept as the dense ints and the sparse int columns
+    only: every other value kept by ``wtw.frame`` reads the brackets or phi.  N
+    and theta are kept as ints alone; their scalar lifts are no keys."""
+    spec = load()
+    assert cli._suite_report(spec).ok
+    kept = {(key[0].__module__, key[0].__qualname__) for key in spec._memo}
+    assert {name for module, name in kept if module == "wtw.frame"} - {
+        "FrameSpec.bracket_rows", "FrameSpec.dphi"} == {"_j_ints", "FrameSpec.j_columns"}
+    assert {("wtw.hermitian", "_nijenhuis_ints"), ("wtw.hermitian", "_lee_ints")} <= kept
+    assert not kept & {("wtw.hermitian", "nijenhuis"), ("wtw.hermitian", "lee_form")}
 
 
 @pytest.mark.parametrize("name", ["inoue-s0", "vaisman6.toml", "hyperbolic8.toml"])

@@ -96,6 +96,17 @@ def test_j_apply_is_the_sum_over_all_entries_of_j(spec):
                                           for k in ix)
 
 
+@pytest.mark.parametrize("spec", PERMUTATION, ids=lambda spec: spec.name)
+def test_twist_and_j_apply_make_no_kernel_call_on_a_signed_permutation(spec, monkeypatch):
+    """On a J that is a signed permutation each walk of ``twist`` and ``j_apply``
+    has one value, of int weight plus or minus the denominator, and is that
+    value or its negation, with no kernel call."""
+    M, calls, dot = _array(spec), [], Ring.dot
+    monkeypatch.setattr(Ring, "dot", lambda ring, u, v: calls.append(ring) or dot(ring, u, v))
+    spec.twist(M), spec.j_apply(M[0])
+    assert not calls
+
+
 @pytest.mark.parametrize("spec", [PERMUTATION[0], DENSE[0]], ids=["signed-permutation", "dense-J"])
 def test_the_walks_refuse_scalars_of_another_ring(spec):
     """A value read without a kernel call is checked for its ring as the kernel
