@@ -214,6 +214,5 @@ def reconstruct_weyl_form(conn: Connection) -> Vector:
     """
     spec = conn.spec
     n = spec.n
-    factor = Fraction(-2, n)
-    return tuple(spec.ring.sum(conn.gamma[i][j][j] for j in range(n)) * factor
-                 for i in range(n))
+    factor = (Fraction(-2, n),) * n
+    return tuple(spec.dot([conn.gamma[i][j][j] for j in range(n)], factor) for i in range(n))

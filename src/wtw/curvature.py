@@ -61,7 +61,7 @@ from fractions import Fraction
 
 from .connection import Connection, gamma_rows, levi_civita, weyl
 from .frame import (FrameSpec, Memo, _accumulate, _alternating, _antisymmetric, _j_ints, _kept,
-                    _kron, _negative)
+                    _kron, _negative, _walk)
 from .polyalg import Scalar
 from .reports import CheckReport
 
@@ -190,15 +190,16 @@ def ricci(R: Curvature):
 
 @_kept
 def star_ricci(R: Curvature):
-    """rho*[i][k] = sum_j g(R(J E_j, E_i) J E_k, E_j), expanded through J."""
-    spec = R.spec
-    out = []
-    for i in range(spec.n):
-        # x[q] = sum_{p,j} J[p][j] r[p][i][q][j] = Trace{Y -> g(R(JY, E_i) E_q, Y)}
-        parts = [spec.right(R.r[p][i], row) for p, row in enumerate(spec.J)]
-        x = [spec.ring.sum(column) for column in zip(*parts)]
-        out.append(spec.left(x, spec.J))
-    return tuple(out)
+    """rho*[i][k] = sum_j g(R(J E_j, E_i) J E_k, E_j) = sum_q x[i][q] J[q][k], with
+    the trace x[i][q] = sum_{p,j} J[p][j] r[p][i][q][j] = Trace{Y -> g(R(JY, E_i)
+    E_q, Y)} one ``_walk`` over the int columns of J, and each entry of rho* a
+    ``_walk`` of x[i] over the support of J E_k, as ``_ricci_ints`` forms rho*_g."""
+    spec, ix = R.spec, range(R.spec.n)
+    ring, (den, cols) = spec.ring, spec.j_columns()
+    at, weights = zip(*[((p, j), v) for j, col in enumerate(cols) for p, v in col])
+    x = [[_walk(ring, [R.r[p][i][q][j] for p, j in at], weights, den) for q in ix] for i in ix]
+    return tuple(tuple(_walk(ring, [xi[q] for q, _ in col], [v for _, v in col], den)
+                       for col in cols) for xi in x)
 
 
 @_kept

@@ -25,7 +25,7 @@ Contractions: a vector is a sequence of n components and a matrix is a
 sequence of n rows, ``M[i][j] = M(E_i, E_j)`` for a bilinear form; entries
 may be scalars or rationals.  An endomorphism S is such a matrix too, in the
 column convention ``S E_j = sum_i S[i][j] E_i``.  Pairings, J-twists and
-products go through seven :class:`FrameSpec` methods, valid for any rational
+products go through five :class:`FrameSpec` methods, valid for any rational
 J.  Each entry they produce, and each entry of the vectors M(., J E_k) that
 ``twist`` forms on the way, is at most one call of the ring's
 multiply-accumulate kernel :meth:`wtw.polyalg.Ring.dot`, which skips zero
@@ -33,33 +33,30 @@ entries, rational or scalar, and reduces the sum once:
 
   * ``dot(u, v)``    sum_p u[p] v[p];
   * ``left(u, M)``   the vector M(u, .), that is sum_p u[p] M[p][k];
-  * ``right(M, u)``  the vector M(., u), that is sum_q M[k][q] u[q];
+  * ``compose(a, b)`` the endomorphism a o b, that is sum_m a[i][m] b[m][j];
   * ``twist(M)``     the matrix M(J., J.), through the vectors M(., J E_k);
-  * ``j_pair(M)``    the matrix M(J., .) + M(., J.);
-  * ``j_apply(v)``   the vector J v;
-  * ``compose(a, b)`` the endomorphism a o b, that is sum_m a[i][m] b[m][j].
+  * ``j_pair(M)``    the matrix M(J., .) + M(., J.).
 
-All but ``dot`` walk a support.  ``left`` and ``right`` pass the kernel only
-the nonzero positions of their fixed vector, and ``compose`` is ``right`` on
-each column of its right factor.  The three J contractions walk the int
-columns of J, ``j_columns()`` (see below), and divide each sum they form once
-by their denominator: ``twist`` forms each M(., J E_k) over the support of
-J E_k and pairs it with J E_i over the support of J E_i, so a dense J costs
-2n^3 products, an entry of ``j_pair`` walks the union of the supports of
-``J E_i`` and ``J E_k``, and one of ``j_apply`` the support of row k of J,
-gathered from the columns on each call.  An entry with only zero values, or
-with one scalar whose int weight is plus or minus the denominator, is the
-shared zero or that scalar or its negation, with no call; so on a J that is a
-signed permutation ``twist`` and ``j_apply`` make none.  The fiber pairing of
-:mod:`wtw.twistor` walks its fixed endomorphism's support.
+All but ``dot`` walk a support.  ``left`` passes the kernel only the nonzero
+positions of its vector, and ``compose`` is ``left`` on each row of its left
+factor.  The two J contractions walk the int columns of J, ``j_columns()``
+(see below), and divide each sum they form once by their denominator:
+``twist`` forms each M(., J E_k) over the support of J E_k and pairs it with
+J E_i over the support of J E_i, so a dense J costs 2n^3 products, and an
+entry of ``j_pair`` walks the union of the supports of ``J E_i`` and
+``J E_k``.  An entry with only zero values, or with one scalar whose int
+weight is plus or minus the denominator, is the shared zero or that scalar or
+its negation, with no call; so on a J that is a signed permutation ``twist``
+makes none.  The fiber pairing of :mod:`wtw.twistor` walks its fixed
+endomorphism's support.
 
-As ``J E_j`` is column j of ``J``, ``right(J, v)`` is ``J v`` (``j_apply``)
-and ``left(omega, J)`` is the 1-form ``omega o J``.  J is read in three
-forms: ``spec.J``, the validated rationals, which the later layers pass as it
-is wherever they take an endomorphism, and under which the values derived
-from it are kept (it compares and hashes as a copy of constant scalars
-would); and two kept int views, the dense ``_j_ints`` and its sparse columns
-``j_columns()``.
+As ``J E_j`` is column j of ``J``, ``left(omega, J)`` is the 1-form
+``omega o J``, and entry k of J v is ``dot`` of row k of J with v.  J is read
+in three forms: ``spec.J``, the validated rationals, which the later layers
+pass as it is wherever they take an endomorphism, and under which the values
+derived from it are kept (it compares and hashes as a copy of constant
+scalars would); and two kept int views, the dense ``_j_ints`` and its sparse
+columns ``j_columns()``.
 
 Ints over a denominator: the symbol-free data, here and in the later layers,
 is formed and kept as a pair ``(den, ints)`` of int numerators over one
@@ -367,17 +364,9 @@ class FrameSpec(Memo):
         values = [u[p] for p in support]
         return tuple(dot(values, col) for col in zip(*[M[p] for p in support]))
 
-    def right(self, M: Sequence[Sequence], u: Sequence) -> Vector:
-        """M(., u): the vector sum_q M[k][q] u[q] over k, read only at the
-        columns where u is nonzero."""
-        support = [q for q, a in enumerate(u) if a]
-        dot = self.ring.dot
-        values = [u[q] for q in support]
-        return tuple(dot(values, map(row.__getitem__, support)) for row in M)
-
     def compose(self, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[Vector, ...]:
-        """The endomorphism a o b: column j is ``right(a, .)`` on column j of b."""
-        return tuple(zip(*[self.right(a, col) for col in zip(*b)]))
+        """The endomorphism a o b: row i is ``left(a[i], b)``."""
+        return tuple(self.left(row, b) for row in a)
 
     def twist(self, M: Sequence[Sequence]) -> tuple[Vector, ...]:
         """M(J., J.): entries sum_p J[p][i] m_k[p] with m_k = M(., J E_k), each
@@ -397,15 +386,6 @@ class FrameSpec(Memo):
         return tuple(tuple(
             _walk(ring, [M[p][k] for p in at_i] + [row[q] for q in at_k], w_i + w_k, den)
             for k, (at_k, w_k) in enumerate(cols)) for row, (at_i, w_i) in zip(M, cols))
-
-    def j_apply(self, vec: Sequence[Scalar]) -> Vector:
-        """Componentwise J(v) for a vector of scalars: entry k is
-        sum_q J[k][q] v[q], a ``_walk`` over the support of row k of J,
-        gathered from the columns."""
-        ring, (den, cols) = self.ring, self.j_columns()
-        entries = [(p, q, v) for q, col in enumerate(cols) for p, v in col]  # den * J[p][q] = v
-        return tuple(_walk(ring, [vec[q] for p, q, _ in entries if p == k],
-                           [v for p, _, v in entries if p == k], den) for k in range(self.n))
 
     def with_phi(self, phi: Sequence[Scalar | str | RationalLike]) -> "FrameSpec":
         """Spec with a replacement Weyl form: c and J are kept as validated, and

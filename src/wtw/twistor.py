@@ -11,10 +11,9 @@ sends a skew endomorphism ``a`` to the bivector a^ with components
 ``g(a E_i, E_j)``, the transpose of ``a``, normalized so that
 ``2 g(a^, X ^ Y) = g(aX, Y)`` under the halved metric on bivectors.
 Endomorphisms, bivectors and 2-forms are n x n nested tuples, as in
-:mod:`wtw.frame`: products are read through ``FrameSpec.right``, ``left``
-and ``dot``, each entry of a sum or difference of endomorphisms is one
-kernel call, and so is each entry of a commutator, over the terms of both
-products.
+:mod:`wtw.frame`: products are read through ``FrameSpec.left`` and ``dot``,
+each entry of a sum or difference of endomorphisms is one kernel call, and
+so is each entry of a commutator, over the terms of both products.
 ``_is_vertical`` tests that V is skew and J^T V J = -V (``FrameSpec.twist``),
 which for an orthogonal J says that V anticommutes with J.
 
@@ -152,11 +151,11 @@ def _g_against(spec: FrameSpec, b: tuple[Vector, ...]):
 
 def _commutator(spec: FrameSpec, a: tuple[Vector, ...],
                 b: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """[a, b] = a o b - b o a: entry (i, j) is one kernel call, the row
-    a[i] + (-b[i]) against column j of b followed by column j of a, read only
-    where that row is nonzero (``FrameSpec.right``)."""
-    cols = [(*col_b, *col_a) for col_b, col_a in zip(zip(*b), zip(*a))]
-    return tuple(spec.right(cols, (*row_a, *[-x for x in row_b])) for row_a, row_b in zip(a, b))
+    """[a, b] = a o b - b o a: row i is one ``FrameSpec.left`` of the row
+    a[i] + (-b[i]) against the rows of b followed by those of a, so entry
+    (i, j) is one kernel call, read only where that row is nonzero."""
+    rows = (*b, *a)
+    return tuple(spec.left((*row_a, *[-x for x in row_b]), rows) for row_a, row_b in zip(a, b))
 
 
 def _is_vertical(spec: FrameSpec, V: tuple[Vector, ...]) -> bool:
@@ -372,7 +371,7 @@ def curvature_pairing_with_dj_check(spec: FrameSpec) -> CheckReport:
     """
     report = CheckReport(title="fiber pairing of the curvature with DJ")
     phi, J = spec.phi, spec.J
-    jphi = spec.j_apply(phi)
+    jphi = [spec.dot(row, phi) for row in J]
     R = curvature(weyl(spec))
     paired = _curvature_dj_pairing(spec)  # G(R(X, Z)J, D_Y J) at [y][x][z]
     den, jd = _j_nabla_j_ints(spec)  # J nabla_Y J, ints over den

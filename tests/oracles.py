@@ -17,7 +17,8 @@ def cov_deriv_oneform(conn, omega):
     array, from the lifted gammas of ``conn``.  ``phi_tensor`` reads nabla phi
     from the int gamma rows instead, and the tests compare the two."""
     spec = conn.spec
-    return tuple(tuple(-value for value in spec.right(plane, omega)) for plane in conn.gamma)
+    return tuple(tuple(-value for value in spec.left(omega, tuple(zip(*plane))))
+                 for plane in conn.gamma)
 
 
 def wedge_oneforms(spec, alpha, beta):
@@ -75,10 +76,14 @@ def condition_ii_reference(spec, dim4_mode=False):
     rho, rho_star = ricci_via_formula(spec)
     dphi = spec.dphi()
     dphi_jwedge = eval_on_bivector(spec, dphi, fundamental_form(spec))
-    jpsi = spec.j_apply(psi)
-    terms = [spec.left(psi, rho), jpsi, spec.j_apply(spec.left(jpsi, rho_star))]
+
+    def j_of(v):  # J v, one dot per row of J
+        return [spec.dot(row, v) for row in spec.J]
+
+    jpsi = j_of(psi)
+    terms = [spec.left(psi, rho), jpsi, j_of(spec.left(jpsi, rho_star))]
     weights = [-1, dphi_jwedge, -1]
     if not dim4_mode:
-        terms += [spec.left(psi, dphi), spec.j_apply(spec.left(jpsi, dphi))]
+        terms += [spec.left(psi, dphi), j_of(spec.left(jpsi, dphi))]
         weights += [Fraction(spec.n, 2) - 1, 1]
     return tuple(spec.dot([term[k] for term in terms], weights) for k in range(spec.n))

@@ -526,16 +526,17 @@ class TestContractionsOnDenseJ:
         M = tuple(tuple(sym(f"m{p}_{q}") for q in range(n)) for p in range(n))
         return spec, u, v, M
 
-    def test_dot_left_right_and_j_apply(self, data):
+    def test_dot_and_left(self, data):
         spec, u, v, M = data
         n, J, z = spec.n, spec.J, spec.zero()
         assert spec.dot(u, v) == sum((u[p] * v[p] for p in range(n)), z)
         assert spec.left(u, M) == tuple(sum((u[p] * M[p][k] for p in range(n)), z)
                                         for k in range(n))
-        assert spec.right(M, u) == tuple(sum((M[k][q] * u[q] for q in range(n)), z)
-                                         for k in range(n))
-        assert spec.j_apply(u) == tuple(sum((J[l][p] * u[p] for p in range(n)), z)
-                                        for l in range(n))
+        # M(., u) is left(u, M^T), and J u one dot per row of J
+        assert spec.left(u, tuple(zip(*M))) == tuple(sum((M[k][q] * u[q] for q in range(n)), z)
+                                                     for k in range(n))
+        assert tuple(spec.dot(row, u) for row in J) == tuple(
+            sum((J[l][p] * u[p] for p in range(n)), z) for l in range(n))
         assert spec.left(u, J) == tuple(sum((u[p] * J[p][k] for p in range(n)), z)
                                         for k in range(n))
 
@@ -553,7 +554,7 @@ class TestContractionsOnDenseJ:
         assert spec.twist(J) == tuple(tuple(spec.const(x) for x in row) for row in J)
         assert all(entry.is_zero for row in spec.j_pair(J) for entry in row)
 
-    def test_left_and_right_on_zero_entries(self, data):
+    def test_left_on_zero_entries(self, data):
         spec, u, _, M = data
         n, z = spec.n, spec.zero()
         # zero entries as scalars, ints and Fractions, beside rationals and scalars
@@ -562,11 +563,11 @@ class TestContractionsOnDenseJ:
         wide = tuple(row + (u[0],) for row in M)  # n rows, n + 1 columns
         assert spec.left(partial, wide) == tuple(
             sum((partial[p] * wide[p][k] for p in range(n)), z) for k in range(n + 1))
-        assert spec.right(wide, partial + (u[2],)) == tuple(
+        assert spec.left(partial + (u[2],), tuple(zip(*wide))) == tuple(
             sum((wide[k][q] * (partial + (u[2],))[q] for q in range(n + 1)), z)
             for k in range(n))
         assert spec.left(nothing[:n], wide) == (z,) * (n + 1)
-        assert spec.right(wide, nothing) == (z,) * n
+        assert spec.left(nothing, tuple(zip(*wide))) == (z,) * n
 
     def test_endo_product_and_linear_combination(self, data):
         """``compose`` against the triple loop, on the dense J, the dense
@@ -689,7 +690,7 @@ def test_two_forms_and_bivectors_are_antisymmetric_arrays(spec):
     n, phi = spec.n, spec.phi
     arrays = {"dphi": spec.dphi(), "d theta": d_oneform(spec, lee_form(spec)),
               "Omega": fundamental_form(spec),
-              "phi ^ J phi": wedge_oneforms(spec, phi, spec.j_apply(phi))}
+              "phi ^ J phi": wedge_oneforms(spec, phi, [spec.dot(row, phi) for row in spec.J])}
     for name, F in arrays.items():
         assert len(F) == n and all(len(row) == n for row in F), name
         assert all(isinstance(x, Scalar) and x.ring == spec.ring for row in F for x in row), name

@@ -21,10 +21,10 @@ import dot_counts
 # workload: (calls, operand pairs)
 CEILINGS = {
     "scan-n6": (1120, 2080),
-    "suite-n4": (9212, 45010),
-    "vaisman16": (208444, 1356266),
-    "hyperbolic6-unitary": (6039, 31050),
-    "hyperbolic6-rotated": (6846, 53633),
+    "suite-n4": (8732, 44314),
+    "vaisman16": (204092, 1348314),
+    "hyperbolic6-unitary": (5787, 30648),
+    "hyperbolic6-rotated": (6624, 53381),
 }
 
 

@@ -305,8 +305,8 @@ def _twisted_dphi_sign(monkeypatch):
     """The term -dphi(J psi#, JZ) of L(psi) enters with the opposite sign."""
     def flipped(spec, psi, k):
         # dphi(J psi#, J E_k), where J E_k = sum_q J[q][k] E_q
-        jpsi = spec.j_apply(psi)
-        return spec.dot(jpsi, spec.right(spec.dphi(), _column(spec.J, k))) * 2
+        jpsi = [spec.dot(row, psi) for row in spec.J]
+        return spec.dot(jpsi, spec.left(_column(spec.J, k), tuple(zip(*spec.dphi())))) * 2
 
     _condition_ii_terms(monkeypatch, flipped)
 

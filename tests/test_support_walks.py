@@ -1,14 +1,15 @@
 """The contractions that walk the int supports of J, of the brackets and of the
 Levi-Civita gammas, against their definitions as sums over every entry.
 
-``FrameSpec.twist``, ``j_pair`` and ``j_apply`` read only the nonzero entries
-of J's columns; the condition-(i) 2-form reads only the nonzero bracket rows
-and the nonzero components of theta; Phi reads nabla phi from the nonzero
-gamma rows; d(Omega) and the Lee residual sum ints over the nonzero bracket
-rows and the entries of J and theta.  Each is compared entry by entry with the
-plain sum over all indices, on J a signed permutation (the built-ins and the
-gate-passing documents) and on the dense J of the Cayley-rotated frames of
-``tests/frame_families.py``, whose entries are not integers.
+``FrameSpec.twist``, ``j_pair`` and ``curvature.star_ricci`` read only the
+nonzero entries of J's columns; the condition-(i) 2-form reads only the
+nonzero bracket rows and the nonzero components of theta; Phi reads nabla phi
+from the nonzero gamma rows; d(Omega) and the Lee residual sum ints over the
+nonzero bracket rows and the entries of J and theta.  Each is compared entry
+by entry with the plain sum over all indices, on J a signed permutation (the
+built-ins and the gate-passing documents) and on the dense J of the
+Cayley-rotated frames of ``tests/frame_families.py``, whose entries are not
+integers.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import pytest
 import frame_families
 from oracles import cov_deriv_oneform, fundamental_form, linear_combination, wedge_oneforms
 from test_twistor import _gate_passing_frames
-from wtw import (FrameSpec, Ring, RingMismatchError, builtin, d_oneform, lee_form,
-                 levi_civita, load_spec, phi_tensor)
+from wtw import (FrameSpec, Ring, RingMismatchError, builtin, curvature, d_oneform, lee_form,
+                 levi_civita, load_spec, phi_tensor, star_ricci, weyl)
+from wtw.curvature import Curvature
 from wtw.hermitian import _d_omega, _lee_residual
 from wtw.pseudoharmonic import _condition_i_form
 
@@ -88,23 +90,41 @@ def test_j_pair_is_the_sum_over_all_entries_of_j(spec):
 
 
 @pytest.mark.parametrize("spec", WALKED, ids=WALKED_IDS)
-def test_j_apply_is_the_sum_over_all_entries_of_j(spec):
-    n, J, M = spec.n, spec.J, _array(spec)
+def test_star_ricci_is_the_sum_over_all_entries_of_j(spec):
+    """rho*[i][k] = sum_{p,j,q} J[p][j] J[q][k] r[p][i][q][j] on the Weyl
+    curvature, summed over every entry of J."""
+    n, J, R = spec.n, spec.J, curvature(weyl(spec))
     ix = range(n)
-    for vec in (spec.phi, M[0], M[1]):
-        assert spec.j_apply(vec) == tuple(_sum(spec, (vec[q] * J[k][q] for q in ix))
-                                          for k in ix)
+    assert star_ricci(R) == tuple(tuple(
+        _sum(spec, (R.r[p][i][q][j] * (J[p][j] * J[q][k]) for p in ix for j in ix for q in ix))
+        for k in ix) for i in ix)
+
+
+def _counting_calls(monkeypatch):
+    calls, dot = [], Ring.dot
+    monkeypatch.setattr(Ring, "dot", lambda ring, u, v: calls.append(ring) or dot(ring, u, v))
+    return calls
 
 
 @pytest.mark.parametrize("spec", PERMUTATION, ids=lambda spec: spec.name)
-def test_twist_and_j_apply_make_no_kernel_call_on_a_signed_permutation(spec, monkeypatch):
-    """On a J that is a signed permutation each walk of ``twist`` and ``j_apply``
-    has one value, of int weight plus or minus the denominator, and is that
-    value or its negation, with no kernel call."""
-    M, calls, dot = _array(spec), [], Ring.dot
-    monkeypatch.setattr(Ring, "dot", lambda ring, u, v: calls.append(ring) or dot(ring, u, v))
-    spec.twist(M), spec.j_apply(M[0])
+def test_twist_makes_no_kernel_call_on_a_signed_permutation(spec, monkeypatch):
+    """On a J that is a signed permutation each walk of ``twist`` has one
+    value, of int weight plus or minus the denominator, and is that value or
+    its negation, with no kernel call."""
+    M, calls = _array(spec), _counting_calls(monkeypatch)
+    spec.twist(M)
     assert not calls
+
+
+@pytest.mark.parametrize("spec", PERMUTATION, ids=lambda spec: spec.name)
+def test_star_ricci_makes_at_most_n_squared_kernel_calls_on_a_signed_permutation(
+        spec, monkeypatch):
+    """One call per trace x[i][q]; each entry of rho* then walks one value of
+    weight plus or minus the denominator, with no call."""
+    R = curvature(weyl(spec))
+    calls = _counting_calls(monkeypatch)
+    star_ricci.__wrapped__(R)
+    assert len(calls) <= spec.n ** 2
 
 
 @pytest.mark.parametrize("spec", [PERMUTATION[0], DENSE[0]], ids=["signed-permutation", "dense-J"])
@@ -113,7 +133,9 @@ def test_the_walks_refuse_scalars_of_another_ring(spec):
     checks it."""
     other = Ring(("b1",))
     M = tuple(tuple(other.parse("b1 + 1") for _ in range(spec.n)) for _ in range(spec.n))
-    for walk in (spec.twist, spec.j_pair, lambda M: spec.j_apply(M[0])):
+    n = spec.n
+    for walk in (spec.twist, spec.j_pair,
+                 lambda M: star_ricci.__wrapped__(Curvature(spec, ((M,) * n,) * n))):
         with pytest.raises(RingMismatchError):
             walk(M)
 

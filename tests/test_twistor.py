@@ -855,7 +855,7 @@ def test_commutator_is_the_difference_of_the_two_products(base):
 @pytest.mark.parametrize("base", DENSE_J_BASES)
 def test_commutator_is_the_difference_of_the_two_products_on_sparse_frames(base):
     """The same on the unrotated frames, whose J is a signed permutation: the
-    row a[i] + (-b[i]) then has zero entries, which ``FrameSpec.right``
+    row a[i] + (-b[i]) then has zero entries, which ``FrameSpec.left``
     skips, for every R(E_i, E_j) and every vertical V against J, in both orders."""
     spec = (builtin(base) if base == "inoue-s0" else
             load_spec_file(pathlib.Path(__file__).parent / "data" / f"{base}.toml"))
